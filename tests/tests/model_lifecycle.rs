@@ -13,6 +13,7 @@
 
 use lmkg::framework::{Grouping, Lmkg, LmkgConfig, ModelType};
 use lmkg::supervised::LmkgSConfig;
+use lmkg::unsupervised::LmkgUConfig;
 use lmkg::{CardinalityEstimator, QuantMode, WorkloadMonitor};
 use lmkg_integration_tests::{small_lubm, test_queries};
 use lmkg_modelstore::ModelStore;
@@ -20,7 +21,7 @@ use lmkg_serve::{
     loadgen, Adapter, AdapterConfig, BatchConfig, LoadgenConfig, Reply, ServeBuilder, SharedEstimator, SharedMonitor,
     TenantAdapterSpec, TenantSpec, DEFAULT_TENANT,
 };
-use lmkg_store::{sparql, KnowledgeGraph, Query, QueryShape};
+use lmkg_store::{sparql, KnowledgeGraph, NodeTerm, PredId, PredTerm, Query, QueryShape, TriplePattern, VarId};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
@@ -269,6 +270,207 @@ fn adapter_evicts_to_budget_and_persists_without_tearing_a_batch() {
         assert_eq!(reloaded.estimate(q).to_bits(), bits, "restart serves the same bits");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------------
+// Golden snapshots: the on-disk format across versions.
+//
+// `fixtures/lmkgset1_<set>.bin` are `LMKGSET1` snapshots written by an
+// earlier build; `fixtures/lmkgset1_<set>.txt` holds each set's
+// `total_memory_bytes` and the bit patterns of its estimates for
+// `golden_probes`, computed on the scalar kernel. The round-trip proptests
+// above save and load with the same build, so a self-consistent format
+// change passes them; this test is the one that fails when bytes a
+// published `--model-dir` generation already holds stop loading, re-saving
+// identically, or answering the same.
+//
+// Regenerate only after an *intentional* format or numerics change:
+// `LMKG_UPDATE_FIXTURES=1 LMKG_FORCE_SCALAR=1 cargo test -p
+// lmkg-integration-tests --test model_lifecycle golden`.
+
+/// `(fixture name, family, weight store)` of every committed golden set.
+const GOLDEN_SETS: [(&str, ModelType, Option<QuantMode>); 5] = [
+    ("s_f32", ModelType::Supervised, None),
+    ("s_int8", ModelType::Supervised, Some(QuantMode::Int8)),
+    ("s_bf16", ModelType::Supervised, Some(QuantMode::Bf16)),
+    ("u_f32", ModelType::Unsupervised, None),
+    ("u_int8", ModelType::Unsupervised, Some(QuantMode::Int8)),
+];
+
+/// How far an f32 set's estimate may sit from the committed scalar-kernel
+/// value when the SIMD kernel runs: `kernel_parity.rs` allows `4·k·ε` per
+/// matmul output (one rounding per fused multiply-add against two), and an
+/// estimate compounds that over the layers and through the `2^x` unscaling,
+/// so the bound is taken at `k = 2048`. int8/bf16 forwards are a scalar loop
+/// on every kernel and are compared bitwise, as is f32 under
+/// `LMKG_FORCE_SCALAR=1`.
+const GOLDEN_SIMD_REL_TOL: f64 = 4.0 * 2048.0 * f32::EPSILON as f64;
+
+fn golden_path(set: &str, ext: &str) -> std::path::PathBuf {
+    std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("fixtures")
+        .join(format!("lmkgset1_{set}.{ext}"))
+}
+
+/// Tiny models: the fixtures guard the byte format, not accuracy.
+fn golden_config(model_type: ModelType) -> LmkgConfig {
+    LmkgConfig {
+        model_type,
+        queries_per_size: 100,
+        s_config: LmkgSConfig {
+            hidden: vec![16],
+            epochs: 3,
+            outlier_buffer: 4,
+            ..Default::default()
+        },
+        // LMKG-U grows with the node domain (embeddings, output layer), so
+        // its sets carry one star model at the narrowest useful widths.
+        shapes: match model_type {
+            ModelType::Supervised => vec![QueryShape::Star, QueryShape::Chain],
+            ModelType::Unsupervised => vec![QueryShape::Star],
+        },
+        u_config: LmkgUConfig {
+            hidden: 8,
+            blocks: 1,
+            embed_dim: 4,
+            epochs: 4,
+            train_samples: 2000,
+            particles: 32,
+            ..Default::default()
+        },
+        ..small_config()
+    }
+}
+
+/// Twenty probes: covered star-2 and chain-2 workload queries, star-4
+/// queries that no model covers (answered by decomposition), and eight
+/// predicate-only stars whose high cardinality keeps LMKG-U's sampled
+/// estimates off the floor of 1.
+fn golden_probes(graph: &KnowledgeGraph) -> Vec<Query> {
+    let mut probes: Vec<Query> = [
+        (QueryShape::Star, 2, 6),
+        (QueryShape::Chain, 2, 4),
+        (QueryShape::Star, 4, 2),
+    ]
+    .into_iter()
+    .flat_map(|(shape, size, count)| test_queries(graph, shape, size, 64).into_iter().take(count))
+    .map(|lq| lq.query)
+    .collect();
+    let preds = graph.num_preds() as u32;
+    let arm = |pred: u32, object: u16| {
+        TriplePattern::new(
+            NodeTerm::Var(VarId(0)),
+            PredTerm::Bound(PredId(pred % preds)),
+            NodeTerm::Var(VarId(object)),
+        )
+    };
+    probes.extend((0..8).map(|i| Query::new(vec![arm(i, 1), arm(i + 1, 2)])));
+    probes
+}
+
+fn render_golden_sidecar(set: &Lmkg, probes: &[Query]) -> String {
+    let mut out = String::from(
+        "# total_memory_bytes and scalar-kernel estimate bits (f64, hex) of the\n\
+         # golden probes; written by model_lifecycle.rs under LMKG_UPDATE_FIXTURES.\n",
+    );
+    out.push_str(&format!("memory_bytes {}\n", set.total_memory_bytes()));
+    for est in set.estimate_query_batch(probes) {
+        out.push_str(&format!("est {:016x}\n", est.to_bits()));
+    }
+    out
+}
+
+fn parse_golden_sidecar(text: &str) -> (usize, Vec<f64>) {
+    let mut memory = None;
+    let mut estimates = Vec::new();
+    for line in text.lines().filter(|l| !l.starts_with('#') && !l.trim().is_empty()) {
+        match line.split_once(' ') {
+            Some(("memory_bytes", v)) => memory = Some(v.parse().expect("memory_bytes value")),
+            Some(("est", v)) => estimates.push(f64::from_bits(u64::from_str_radix(v, 16).expect("estimate bits"))),
+            _ => panic!("bad golden sidecar line: {line}"),
+        }
+    }
+    (memory.expect("sidecar has a memory_bytes line"), estimates)
+}
+
+#[test]
+fn golden_snapshots_load_resave_and_answer_as_committed() {
+    let graph = small_lubm();
+    let probes = golden_probes(&graph);
+    assert_eq!(probes.len(), 20, "probe workload drifted");
+    let scalar = lmkg_nn::gemm::active_kernel() == lmkg_nn::gemm::Kernel::Scalar;
+
+    if std::env::var("LMKG_UPDATE_FIXTURES").is_ok() {
+        assert!(
+            scalar,
+            "the committed estimates are scalar-kernel values: regenerate with LMKG_FORCE_SCALAR=1"
+        );
+        let trained: Vec<(ModelType, Lmkg)> = [ModelType::Supervised, ModelType::Unsupervised]
+            .into_iter()
+            .map(|t| (t, Lmkg::build(&graph, &golden_config(t))))
+            .collect();
+        for (name, model_type, mode) in GOLDEN_SETS {
+            let base = &trained
+                .iter()
+                .find(|(t, _)| *t == model_type)
+                .expect("family trained")
+                .1;
+            let quantized = mode.map(|m| base.quantized(m));
+            let set = quantized.as_ref().unwrap_or(base);
+            std::fs::create_dir_all(golden_path(name, "bin").parent().unwrap()).unwrap();
+            std::fs::write(golden_path(name, "bin"), set.save_to_vec().expect("serializes")).unwrap();
+            std::fs::write(golden_path(name, "txt"), render_golden_sidecar(set, &probes)).unwrap();
+            eprintln!("rewrote golden set {name}");
+        }
+    }
+
+    let read = |set: &str, ext: &str| {
+        std::fs::read(golden_path(set, ext)).unwrap_or_else(|e| {
+            panic!("missing golden fixture {set}.{ext} ({e}); regenerate with LMKG_UPDATE_FIXTURES=1")
+        })
+    };
+    for (name, model_type, mode) in GOLDEN_SETS {
+        let bytes = read(name, "bin");
+        let (memory, want) = parse_golden_sidecar(&String::from_utf8(read(name, "txt")).expect("sidecar is text"));
+        assert_eq!(want.len(), probes.len(), "{name}: sidecar is stale");
+
+        let loaded =
+            Lmkg::load(&mut bytes.as_slice()).unwrap_or_else(|e| panic!("{name}: committed bytes must load: {e}"));
+        assert!(
+            loaded.save_to_vec().expect("serializes") == bytes,
+            "{name}: re-saving the loaded set must reproduce the committed bytes"
+        );
+        assert_eq!(loaded.total_memory_bytes(), memory, "{name}: memory accounting drifted");
+        if let Some(mode) = mode {
+            // Quantization is part of the contract too: converting the
+            // committed f32 set must yield the committed int8/bf16 bytes.
+            let (f32_set, ..) = GOLDEN_SETS
+                .iter()
+                .find(|(_, t, m)| *t == model_type && m.is_none())
+                .expect("every family has an f32 set");
+            let base = Lmkg::load(&mut read(f32_set, "bin").as_slice()).expect("f32 set loads");
+            assert!(
+                base.quantized(mode).save_to_vec().expect("serializes") == bytes,
+                "{name}: quantizing the committed {f32_set} set must reproduce the committed bytes"
+            );
+        }
+
+        let got = loaded.estimate_query_batch(&probes);
+        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+            if mode.is_some() || scalar {
+                assert_eq!(
+                    g.to_bits(),
+                    w.to_bits(),
+                    "{name} probe {i}: estimate {g} must equal the committed {w} bitwise"
+                );
+            } else {
+                assert!(
+                    (g - w).abs() <= GOLDEN_SIMD_REL_TOL * w.abs(),
+                    "{name} probe {i}: SIMD estimate {g} is outside the documented tolerance of {w}"
+                );
+            }
+        }
+    }
 }
 
 proptest! {
