@@ -22,7 +22,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lmkg_nn::gemm::{self, Kernel};
-use lmkg_nn::gemv;
+use lmkg_nn::tensor::{matmul_forced, MatOp, MatPath};
 use lmkg_nn::test_support::seeded_matrix;
 use lmkg_nn::Matrix;
 use std::hint::black_box;
@@ -73,12 +73,12 @@ fn bench_gemm_kernels(c: &mut Criterion) {
                 small.bench_with_input(
                     BenchmarkId::new(format!("gemv-{}", kernel.name()), &label),
                     &(&a, &b),
-                    |bch, (a, b)| bch.iter(|| black_box(gemv::matmul_gemv_with_kernel(kernel, a, b))),
+                    |bch, (a, b)| bch.iter(|| black_box(matmul_forced(kernel, MatOp::NN, MatPath::Gemv, a, b))),
                 );
                 small.bench_with_input(
                     BenchmarkId::new(format!("blocked-{}", kernel.name()), &label),
                     &(&a, &b),
-                    |bch, (a, b)| bch.iter(|| black_box(gemv::matmul_blocked_with_kernel(kernel, a, b))),
+                    |bch, (a, b)| bch.iter(|| black_box(matmul_forced(kernel, MatOp::NN, MatPath::Blocked, a, b))),
                 );
             }
         }
@@ -154,8 +154,8 @@ fn bench_gemm_kernels(c: &mut Criterion) {
             let a = seeded_matrix(m, k, 1);
             let b = seeded_matrix(k, n, 2);
             for &kernel in gemm::available_kernels() {
-                let gemv_s = time_small(&|| gemv::matmul_gemv_with_kernel(kernel, &a, &b));
-                let blocked_s = time_small(&|| gemv::matmul_blocked_with_kernel(kernel, &a, &b));
+                let gemv_s = time_small(&|| matmul_forced(kernel, MatOp::NN, MatPath::Gemv, &a, &b));
+                let blocked_s = time_small(&|| matmul_forced(kernel, MatOp::NN, MatPath::Blocked, &a, &b));
                 let ratio = blocked_s / gemv_s;
                 println!(
                     "small-m {m}x{k}x{n} [{}]: gemv {:.4} ms, blocked {:.4} ms, gemv is {ratio:.2}x",

@@ -5,8 +5,8 @@
 use crate::decompose;
 use crate::estimator::CardinalityEstimator;
 use crate::summary::GraphSummary;
-use crate::supervised::{LmkgS, LmkgSConfig, QuantizedLmkgS, QueryEncoder};
-use crate::unsupervised::{LmkgU, LmkgUConfig, LmkgUError, QuantizedLmkgU};
+use crate::supervised::{LmkgS, LmkgSConfig, QueryEncoder};
+use crate::unsupervised::{LmkgU, LmkgUConfig, LmkgUError};
 use lmkg_data::workload::{self, WorkloadConfig};
 use lmkg_encoder::SgEncoder;
 use lmkg_nn::quant::QuantMode;
@@ -135,20 +135,20 @@ pub fn trainable_cell(cell: (QueryShape, usize)) -> bool {
     matches!(cell.0, QueryShape::Star | QueryShape::Chain) && cell.1 >= 2
 }
 
+/// One routed model: the two learned families of the paper. Which precision
+/// its weights are stored at is the model's own business.
 // The size gap between the two variants is irrelevant: a framework holds a
 // handful of entries, each wrapping megabytes of parameters either way.
 #[allow(clippy::large_enum_variant)]
 pub(crate) enum ModelEntry {
     S(LmkgS),
     U(LmkgU),
-    QuantS(QuantizedLmkgS),
-    QuantU(QuantizedLmkgU),
 }
 
 impl ModelEntry {
-    /// LMKG-U entries (f32 or quantized) answer exactly one query size.
+    /// LMKG-U entries answer exactly one query size.
     fn exact_size_only(&self) -> bool {
-        matches!(self, ModelEntry::U(_) | ModelEntry::QuantU(_))
+        matches!(self, ModelEntry::U(_))
     }
 
     /// Per-entry model size in bytes (the unit the eviction budget sums).
@@ -156,8 +156,32 @@ impl ModelEntry {
         match self {
             ModelEntry::S(m) => m.memory_bytes(),
             ModelEntry::U(m) => m.memory_bytes(),
-            ModelEntry::QuantS(m) => m.memory_bytes(),
-            ModelEntry::QuantU(m) => m.memory_bytes(),
+        }
+    }
+
+    /// The entry with its weights frozen at `mode`; `None` when they already
+    /// are (re-encoding quantized weights would only compound rounding).
+    fn quantized(&self, mode: QuantMode) -> Option<ModelEntry> {
+        match self {
+            ModelEntry::S(m) => m.mode().is_none().then(|| ModelEntry::S(m.quantized(mode))),
+            ModelEntry::U(m) => m.mode().is_none().then(|| ModelEntry::U(m.quantized(mode))),
+        }
+    }
+
+    /// This model's answer to one query, `None` when it rejects it (encoder
+    /// or shape/size mismatch).
+    fn answer(&self, query: &Query) -> Option<f64> {
+        match self {
+            ModelEntry::S(m) => m.predict(query).ok(),
+            ModelEntry::U(m) => m.estimate_query(query).ok(),
+        }
+    }
+
+    /// [`ModelEntry::answer`] for a whole slice through one batched forward.
+    fn answer_batch(&self, queries: &[&Query]) -> Vec<Option<f64>> {
+        match self {
+            ModelEntry::S(m) => m.predict_batch(queries).into_iter().map(Result::ok).collect(),
+            ModelEntry::U(m) => m.estimate_query_batch(queries).into_iter().map(Result::ok).collect(),
         }
     }
 }
@@ -616,26 +640,10 @@ impl Lmkg {
             }
             let refs: Vec<&Query> = candidates.iter().map(|&i| queries[i]).collect();
             let mut failed: Vec<usize> = Vec::new();
-            let mut fill = |results: Vec<Option<f64>>| {
-                for (&i, result) in candidates.iter().zip(results) {
-                    match result {
-                        Some(est) => out[i] = Some(est),
-                        None => failed.push(i),
-                    }
-                }
-            };
-            match entry.as_ref() {
-                ModelEntry::S(model) => {
-                    fill(model.predict_batch(&refs).into_iter().map(Result::ok).collect());
-                }
-                ModelEntry::QuantS(model) => {
-                    fill(model.predict_batch(&refs).into_iter().map(Result::ok).collect());
-                }
-                ModelEntry::U(model) => {
-                    fill(model.estimate_query_batch(&refs).into_iter().map(Result::ok).collect());
-                }
-                ModelEntry::QuantU(model) => {
-                    fill(model.estimate_query_batch(&refs).into_iter().map(Result::ok).collect());
+            for (&i, result) in candidates.iter().zip(entry.answer_batch(&refs)) {
+                match result {
+                    Some(est) => out[i] = Some(est),
+                    None => failed.push(i),
                 }
             }
             remaining = rest;
@@ -653,12 +661,7 @@ impl Lmkg {
             if !key.matches(shape, size, entry.exact_size_only()) {
                 continue;
             }
-            let answer = match entry.as_ref() {
-                ModelEntry::S(model) => model.predict(query).ok(),
-                ModelEntry::QuantS(model) => model.predict(query).ok(),
-                ModelEntry::U(model) => model.estimate_query(query).ok(),
-                ModelEntry::QuantU(model) => model.estimate_query(query).ok(),
-            };
+            let answer = entry.answer(query);
             if answer.is_some() {
                 return answer;
             }
@@ -666,12 +669,12 @@ impl Lmkg {
         None
     }
 
-    /// A quantized view of the framework: every model entry is re-encoded at
-    /// `mode` (int8 per-channel or bf16 weights, f32 accumulation) and the
+    /// A quantized view of the framework: every model entry's weights are
+    /// frozen at `mode` (int8 per-channel or bf16, f32 accumulation) and the
     /// summary is shared. The original is untouched — the serving layer swaps
     /// between the two `Lmkg`s atomically exactly like a retrain, and
     /// [`Lmkg::total_memory_bytes`] of the result reports the genuinely
-    /// smaller footprint (the quantized entries own no f32 weights). Routing
+    /// smaller footprint (the frozen entries own no f32 weights). Routing
     /// metadata (keys, order, coverage) is carried over verbatim, so every
     /// query routes to the same entry it would in the original.
     pub fn quantized(&self, mode: QuantMode) -> Lmkg {
@@ -679,13 +682,8 @@ impl Lmkg {
             .entries
             .iter()
             .map(|(key, entry)| {
-                let q = match entry.as_ref() {
-                    ModelEntry::S(model) => Arc::new(ModelEntry::QuantS(model.quantized(mode))),
-                    ModelEntry::U(model) => Arc::new(ModelEntry::QuantU(model.quantized(mode))),
-                    // Already quantized entries are shared as-is; re-encoding
-                    // quantized weights would only compound rounding.
-                    ModelEntry::QuantS(_) | ModelEntry::QuantU(_) => Arc::clone(entry),
-                };
+                // Already frozen entries are shared as-is.
+                let q = entry.quantized(mode).map_or_else(|| Arc::clone(entry), Arc::new);
                 (*key, q)
             })
             .collect();
@@ -700,16 +698,7 @@ impl Lmkg {
     /// walking is a read-only traversal, so this — like the trait's
     /// `memory_bytes`, which now reports the same total — takes `&self`.
     pub fn total_memory_bytes(&self) -> usize {
-        let models: usize = self
-            .entries
-            .iter()
-            .map(|(_, e)| match e.as_ref() {
-                ModelEntry::S(m) => m.memory_bytes(),
-                ModelEntry::U(m) => m.memory_bytes(),
-                ModelEntry::QuantS(m) => m.memory_bytes(),
-                ModelEntry::QuantU(m) => m.memory_bytes(),
-            })
-            .sum();
+        let models: usize = self.entries.iter().map(|(_, e)| e.memory_bytes()).sum();
         models + self.summary.memory_bytes()
     }
 }
@@ -845,17 +834,25 @@ fn train_supervised(graph: &KnowledgeGraph, cfg: &LmkgConfig, key: ModelKey) -> 
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::metrics::QErrorStats;
     use lmkg_data::{Dataset, Scale};
     use lmkg_store::{NodeTerm, PredId, PredTerm, TriplePattern, VarId};
+    use std::sync::OnceLock;
+
+    /// The graph every framework and snapshot test runs on.
+    pub(crate) fn graph() -> &'static KnowledgeGraph {
+        static GRAPH: OnceLock<KnowledgeGraph> = OnceLock::new();
+        GRAPH.get_or_init(|| Dataset::LubmLike.generate(Scale::Ci, 1))
+    }
 
     fn quick_s_config() -> LmkgSConfig {
         LmkgSConfig {
             hidden: vec![64],
             epochs: 40,
             dropout: 0.0,
+            outlier_buffer: 4,
             ..Default::default()
         }
     }
@@ -865,14 +862,29 @@ mod tests {
             hidden: 32,
             blocks: 1,
             embed_dim: 8,
-            epochs: 8,
-            train_samples: 2000,
-            particles: 128,
+            epochs: 4,
+            train_samples: 1500,
+            particles: 64,
             ..Default::default()
         }
     }
 
-    fn quick_cfg(model_type: ModelType, grouping: Grouping) -> LmkgConfig {
+    /// `quick_cfg(Supervised, BySize)` — one model covering size 2 of both
+    /// shapes — built once and shared by every test (here and in
+    /// `snapshot`) that only needs *a* trained supervised set.
+    pub(crate) fn supervised_set() -> &'static Lmkg {
+        static SET: OnceLock<Lmkg> = OnceLock::new();
+        SET.get_or_init(|| Lmkg::build(graph(), &quick_cfg(ModelType::Supervised, Grouping::BySize)))
+    }
+
+    /// `quick_cfg(Unsupervised, _)` — a star-2 and a chain-2 LMKG-U — built
+    /// once and shared likewise.
+    pub(crate) fn unsupervised_set() -> &'static Lmkg {
+        static SET: OnceLock<Lmkg> = OnceLock::new();
+        SET.get_or_init(|| Lmkg::build(graph(), &quick_cfg(ModelType::Unsupervised, Grouping::Specialized)))
+    }
+
+    pub(crate) fn quick_cfg(model_type: ModelType, grouping: Grouping) -> LmkgConfig {
         LmkgConfig {
             model_type,
             grouping,
@@ -887,32 +899,31 @@ mod tests {
 
     #[test]
     fn supervised_specialized_builds_four_models() {
-        let g = Dataset::LubmLike.generate(Scale::Ci, 1);
+        let g = graph();
         let mut cfg = quick_cfg(ModelType::Supervised, Grouping::Specialized);
         cfg.sizes = vec![2, 3];
-        let lmkg = Lmkg::build(&g, &cfg);
+        let lmkg = Lmkg::build(g, &cfg);
         assert_eq!(lmkg.model_count(), 4); // 2 shapes × 2 sizes
     }
 
     #[test]
     fn grouping_controls_model_count() {
-        let g = Dataset::LubmLike.generate(Scale::Ci, 1);
+        let g = graph();
         let mut cfg = quick_cfg(ModelType::Supervised, Grouping::Single);
         cfg.sizes = vec![2, 3];
-        assert_eq!(Lmkg::build(&g, &cfg).model_count(), 1);
+        assert_eq!(Lmkg::build(g, &cfg).model_count(), 1);
         cfg.grouping = Grouping::ByType;
-        assert_eq!(Lmkg::build(&g, &cfg).model_count(), 2);
+        assert_eq!(Lmkg::build(g, &cfg).model_count(), 2);
         cfg.grouping = Grouping::BySize;
-        assert_eq!(Lmkg::build(&g, &cfg).model_count(), 2);
+        assert_eq!(Lmkg::build(g, &cfg).model_count(), 2);
     }
 
     #[test]
     fn estimates_covered_queries_reasonably() {
-        let g = Dataset::LubmLike.generate(Scale::Ci, 1);
-        let cfg = quick_cfg(ModelType::Supervised, Grouping::BySize);
-        let lmkg = Lmkg::build(&g, &cfg);
+        let g = graph();
+        let lmkg = supervised_set();
         let wl = WorkloadConfig::test_default(QueryShape::Star, 2, 99);
-        let test = workload::generate(&g, &wl);
+        let test = workload::generate(g, &wl);
         let pairs: Vec<(f64, u64)> = test
             .iter()
             .take(100)
@@ -924,10 +935,9 @@ mod tests {
 
     #[test]
     fn uncovered_size_is_decomposed() {
-        let g = Dataset::LubmLike.generate(Scale::Ci, 1);
-        let cfg = quick_cfg(ModelType::Supervised, Grouping::BySize); // only size 2
-        let lmkg = Lmkg::build(&g, &cfg);
-        // Star of size 4 → decomposed into two size-2 stars.
+        let g = graph();
+        let lmkg = supervised_set(); // only size 2
+                                     // Star of size 4 → decomposed into two size-2 stars.
         let q = Query::new(
             (0..4)
                 .map(|i| {
@@ -945,9 +955,7 @@ mod tests {
 
     #[test]
     fn composite_query_is_decomposed() {
-        let g = Dataset::LubmLike.generate(Scale::Ci, 1);
-        let cfg = quick_cfg(ModelType::Supervised, Grouping::BySize);
-        let lmkg = Lmkg::build(&g, &cfg);
+        let lmkg = supervised_set();
         // star(2) at ?0 + chain edge from ?1: shape Other.
         let q = Query::new(vec![
             TriplePattern::new(
@@ -973,42 +981,41 @@ mod tests {
 
     #[test]
     fn unsupervised_framework_routes_by_exact_size() {
-        let g = Dataset::LubmLike.generate(Scale::Ci, 1);
-        let cfg = quick_cfg(ModelType::Unsupervised, Grouping::Specialized);
-        let lmkg = Lmkg::build(&g, &cfg);
+        let g = graph();
+        let lmkg = unsupervised_set();
         assert_eq!(lmkg.model_count(), 2); // star-2, chain-2
         let wl = WorkloadConfig::test_default(QueryShape::Star, 2, 5);
-        let test = workload::generate(&g, &wl);
+        let test = workload::generate(g, &wl);
         let est = lmkg.estimate_query(&test[0].query);
         assert!(est.is_finite() && est >= 1.0);
     }
 
     #[test]
     fn unsupervised_domain_guard_skips_models() {
-        let g = Dataset::LubmLike.generate(Scale::Ci, 1);
+        let g = graph();
         let mut cfg = quick_cfg(ModelType::Unsupervised, Grouping::Specialized);
         cfg.u_config.max_node_domain = 2; // force the YAGO path
-        let lmkg = Lmkg::build(&g, &cfg);
+        let lmkg = Lmkg::build(g, &cfg);
         assert_eq!(lmkg.model_count(), 0);
         // Still answers via the statistics fallback.
         let wl = WorkloadConfig::test_default(QueryShape::Star, 2, 5);
-        let test = workload::generate(&g, &wl);
+        let test = workload::generate(g, &wl);
         assert!(lmkg.estimate_query(&test[0].query) >= 1.0);
     }
 
     #[test]
     fn batched_routing_matches_per_query_bitwise() {
-        let g = Dataset::LubmLike.generate(Scale::Ci, 1);
+        let g = graph();
         let mut cfg = quick_cfg(ModelType::Supervised, Grouping::BySize);
         cfg.sizes = vec![2, 3];
-        let lmkg = Lmkg::build(&g, &cfg);
+        let lmkg = Lmkg::build(g, &cfg);
 
         // Covered sizes, an uncovered size (decomposition), and a composite
         // shape (decomposition) all mixed into one batch.
         let mut queries: Vec<Query> = Vec::new();
         for (shape, size) in [(QueryShape::Star, 2), (QueryShape::Chain, 3), (QueryShape::Star, 3)] {
             let wl = WorkloadConfig::test_default(shape, size, 11);
-            queries.extend(workload::generate(&g, &wl).into_iter().take(8).map(|lq| lq.query));
+            queries.extend(workload::generate(g, &wl).into_iter().take(8).map(|lq| lq.query));
         }
         queries.push(Query::new(
             (0..4)
@@ -1032,9 +1039,8 @@ mod tests {
 
     #[test]
     fn batched_decomposition_matches_per_query_bitwise() {
-        let g = Dataset::LubmLike.generate(Scale::Ci, 1);
-        let cfg = quick_cfg(ModelType::Supervised, Grouping::BySize); // covers size 2 only
-        let lmkg = Lmkg::build(&g, &cfg);
+        let g = graph();
+        let lmkg = supervised_set(); // covers size 2 only
 
         // A batch dominated by queries no model covers: size-4 and size-6
         // stars (decomposed into covered size-2 stars), plus an `Other`-shaped
@@ -1073,7 +1079,7 @@ mod tests {
         ]));
         // A couple of covered queries mixed in so both paths are active.
         let wl = WorkloadConfig::test_default(QueryShape::Star, 2, 11);
-        queries.extend(workload::generate(&g, &wl).into_iter().take(4).map(|lq| lq.query));
+        queries.extend(workload::generate(g, &wl).into_iter().take(4).map(|lq| lq.query));
 
         let looped: Vec<f64> = queries.iter().map(|q| lmkg.estimate_query(q)).collect();
         let batched = lmkg.estimate_query_batch(&queries);
@@ -1086,14 +1092,14 @@ mod tests {
 
     #[test]
     fn parallel_creation_phase_is_deterministic() {
-        let g = Dataset::LubmLike.generate(Scale::Ci, 1);
+        let g = graph();
         let mut cfg = quick_cfg(ModelType::Supervised, Grouping::Specialized);
         cfg.sizes = vec![2, 3];
-        let a = Lmkg::build(&g, &cfg);
-        let b = Lmkg::build(&g, &cfg);
+        let a = Lmkg::build(g, &cfg);
+        let b = Lmkg::build(g, &cfg);
         assert_eq!(a.model_count(), b.model_count());
         let wl = WorkloadConfig::test_default(QueryShape::Star, 2, 23);
-        let queries: Vec<Query> = workload::generate(&g, &wl)
+        let queries: Vec<Query> = workload::generate(g, &wl)
             .into_iter()
             .take(16)
             .map(|lq| lq.query)
@@ -1109,12 +1115,12 @@ mod tests {
 
     #[test]
     fn extend_trains_only_the_missing_cells() {
-        let g = Dataset::LubmLike.generate(Scale::Ci, 1);
+        let g = graph();
         let cfg = quick_cfg(ModelType::Supervised, Grouping::BySize); // covers size 2 only
-        let base = Lmkg::build(&g, &cfg);
+        let base = supervised_set();
         assert!(!base.covers(QueryShape::Star, 4));
 
-        let extended = base.extend(&g, &[(QueryShape::Star, 4)], &cfg);
+        let extended = base.extend(g, &[(QueryShape::Star, 4)], &cfg);
         assert_eq!(extended.model_count(), base.model_count() + 1);
         assert!(extended.covers(QueryShape::Star, 4));
         assert!(
@@ -1127,7 +1133,7 @@ mod tests {
         // Everything the base covered routes identically in the extension —
         // the entries are shared, not retrained.
         let wl = WorkloadConfig::test_default(QueryShape::Star, 2, 31);
-        let covered: Vec<Query> = workload::generate(&g, &wl)
+        let covered: Vec<Query> = workload::generate(g, &wl)
             .into_iter()
             .take(12)
             .map(|lq| lq.query)
@@ -1147,13 +1153,13 @@ mod tests {
         // The new cell now answers through a model, and deterministically:
         // extending twice yields bitwise-identical estimators.
         let wl4 = WorkloadConfig::test_default(QueryShape::Star, 4, 31);
-        let shifted: Vec<Query> = workload::generate(&g, &wl4)
+        let shifted: Vec<Query> = workload::generate(g, &wl4)
             .into_iter()
             .take(8)
             .map(|lq| lq.query)
             .collect();
         assert!(!shifted.is_empty());
-        let again = base.extend(&g, &[(QueryShape::Star, 4)], &cfg);
+        let again = base.extend(g, &[(QueryShape::Star, 4)], &cfg);
         assert_eq!(
             extended
                 .estimate_query_batch(&shifted)
@@ -1170,11 +1176,11 @@ mod tests {
 
     #[test]
     fn extend_skips_covered_duplicate_and_untrainable_cells() {
-        let g = Dataset::LubmLike.generate(Scale::Ci, 1);
+        let g = graph();
         let cfg = quick_cfg(ModelType::Supervised, Grouping::BySize);
-        let base = Lmkg::build(&g, &cfg);
+        let base = supervised_set();
         let extended = base.extend(
-            &g,
+            g,
             &[
                 (QueryShape::Star, 2),  // already covered
                 (QueryShape::Other, 4), // untrainable shape
@@ -1190,17 +1196,17 @@ mod tests {
 
     #[test]
     fn extend_unsupervised_respects_domain_guard() {
-        let g = Dataset::LubmLike.generate(Scale::Ci, 1);
+        let g = graph();
         let cfg = quick_cfg(ModelType::Unsupervised, Grouping::Specialized);
-        let base = Lmkg::build(&g, &cfg);
+        let base = unsupervised_set();
         assert_eq!(base.model_count(), 2);
-        let extended = base.extend(&g, &[(QueryShape::Star, 3)], &cfg);
+        let extended = base.extend(g, &[(QueryShape::Star, 3)], &cfg);
         assert_eq!(extended.model_count(), 3);
         assert!(extended.covers(QueryShape::Star, 3));
 
         let mut guarded = cfg.clone();
         guarded.u_config.max_node_domain = 2; // force the YAGO skip path
-        let skipped = base.extend(&g, &[(QueryShape::Chain, 3)], &guarded);
+        let skipped = base.extend(g, &[(QueryShape::Chain, 3)], &guarded);
         assert_eq!(
             skipped.model_count(),
             base.model_count(),
@@ -1211,7 +1217,7 @@ mod tests {
         // as the base splits them (bitwise), instead of decomposing against
         // a phantom size-3 target no model serves.
         let wl = WorkloadConfig::test_default(QueryShape::Chain, 3, 19);
-        let probes: Vec<Query> = workload::generate(&g, &wl)
+        let probes: Vec<Query> = workload::generate(g, &wl)
             .into_iter()
             .take(6)
             .map(|lq| lq.query)
@@ -1249,9 +1255,8 @@ mod tests {
     /// reported model memory.
     #[test]
     fn quantized_framework_tracks_f32_and_shrinks() {
-        let g = Dataset::LubmLike.generate(Scale::Ci, 1);
-        let cfg = quick_cfg(ModelType::Supervised, Grouping::BySize);
-        let lmkg = Lmkg::build(&g, &cfg);
+        let g = graph();
+        let lmkg = supervised_set();
         let q = lmkg.quantized(lmkg_nn::quant::QuantMode::Int8);
 
         assert_eq!(q.model_count(), lmkg.model_count());
@@ -1265,7 +1270,7 @@ mod tests {
         );
 
         let wl = WorkloadConfig::test_default(QueryShape::Star, 2, 99);
-        let test = workload::generate(&g, &wl);
+        let test = workload::generate(g, &wl);
         for lq in test.iter().take(40) {
             let f = lmkg.estimate_query(&lq.query);
             let e = q.estimate_query(&lq.query);
@@ -1280,18 +1285,14 @@ mod tests {
 
     #[test]
     fn memory_accounting() {
-        let g = Dataset::LubmLike.generate(Scale::Ci, 1);
-        let cfg = quick_cfg(ModelType::Supervised, Grouping::BySize);
-        let lmkg = Lmkg::build(&g, &cfg);
+        let lmkg = supervised_set();
         let mb = lmkg.total_memory_bytes();
         assert!(mb > 1000, "memory {mb}, models {}", lmkg.model_count());
     }
 
     #[test]
     fn covers_reflects_trained_models() {
-        let g = Dataset::LubmLike.generate(Scale::Ci, 1);
-        let cfg = quick_cfg(ModelType::Supervised, Grouping::BySize); // size 2 only
-        let lmkg = Lmkg::build(&g, &cfg);
+        let lmkg = supervised_set(); // size 2 only
         assert!(lmkg.covers(QueryShape::Star, 2));
         assert!(lmkg.covers(QueryShape::Chain, 2));
         assert!(!lmkg.covers(QueryShape::Star, 8));
@@ -1300,9 +1301,7 @@ mod tests {
     #[test]
     fn monitor_integration_detects_uncovered_workload() {
         use crate::monitor::WorkloadMonitor;
-        let g = Dataset::LubmLike.generate(Scale::Ci, 1);
-        let cfg = quick_cfg(ModelType::Supervised, Grouping::BySize);
-        let lmkg = Lmkg::build(&g, &cfg);
+        let lmkg = supervised_set();
         let mut monitor = WorkloadMonitor::new(50, &[(QueryShape::Star, 2), (QueryShape::Chain, 2)]);
         // A workload of size-4 stars the models do not cover.
         let q = Query::new(

@@ -59,5 +59,5 @@ pub use metrics::{q_error, GroupedQErrors, QErrorStats};
 pub use monitor::{Cell, DriftReport, WorkloadMonitor};
 pub use snapshot::SnapshotError;
 pub use summary::GraphSummary;
-pub use supervised::{EpochStats, LmkgS, LmkgSConfig, LossKind, QuantizedLmkgS, QueryEncoder};
-pub use unsupervised::{LmkgU, LmkgUConfig, LmkgUError, QuantizedLmkgU};
+pub use supervised::{EpochStats, LmkgS, LmkgSConfig, LossKind, QueryEncoder};
+pub use unsupervised::{LmkgU, LmkgUConfig, LmkgUError};

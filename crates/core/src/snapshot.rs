@@ -1,21 +1,27 @@
 //! Whole-model-set snapshots: `Lmkg::save`/`Lmkg::load`.
 //!
 //! A snapshot captures everything the execution phase needs — the graph
-//! summary, every model entry (f32 and quantized, with encoders, scalers,
-//! outlier buffers, and hyperparameters), and the decomposition target — so
+//! summary, every model entry (with encoders, scalers, outlier buffers and,
+//! while its weights are trainable f32, hyperparameters), and the
+//! decomposition target — so
 //! a server restarts from disk in milliseconds instead of retraining, and N
 //! replicas can serve one trained artifact.
 //!
 //! Layered on the per-model formats the `lmkg-nn` crate already defines
-//! (`LMKGNN1` param walks, `LMKGQT1` quantized stacks, `LMKGQM1` quantized
+//! (`LMKGNN1` f32 param walks, `LMKGQT1` frozen stacks, `LMKGQM1` frozen
 //! ResMADEs), framed as:
 //!
 //! ```text
 //! magic "LMKGSET1" | u32 version | summary | u32 max_covered_size
-//!                  | u32 entry-count | per entry: key, u8 variant, payload
+//!                  | u32 entry-count | per entry: key, u8 tag, payload
 //! ```
 //!
-//! All integers little-endian. Architectures are rebuilt deterministically
+//! The entry tag is the model family plus whether its weight store is
+//! frozen: 0 = LMKG-S f32, 1 = LMKG-U f32, 2 = LMKG-S int8/bf16,
+//! 3 = LMKG-U int8/bf16. A frozen payload carries no training config (the
+//! precision itself is the mode byte of the nested `LMKGQT1`/`LMKGQM1`).
+//!
+//! All integers little-endian. f32 architectures are rebuilt deterministically
 //! from the persisted hyperparameters (same seed → same init → same
 //! parameter visitation order), so a loaded set answers every query
 //! **bitwise-identically** to the set that was saved — the property the
@@ -27,13 +33,12 @@
 use crate::framework::{Lmkg, ModelEntry, ModelKey};
 use crate::outliers::OutlierBuffer;
 use crate::summary::GraphSummary;
-use crate::supervised::{LmkgS, LmkgSConfig, LossKind, QuantizedLmkgS, QueryEncoder};
-use crate::unsupervised::{LmkgU, LmkgUConfig, QuantizedLmkgU};
+use crate::supervised::{LmkgS, LmkgSConfig, LossKind, QueryEncoder};
+use crate::unsupervised::{LmkgU, LmkgUConfig};
 use lmkg_data::sampler::SamplingStrategy;
 use lmkg_encoder::{CardinalityScaler, SgEncoder};
-use lmkg_nn::quant::QuantizedSequential;
 use lmkg_nn::serialize::LoadError;
-use lmkg_nn::QuantizedMade;
+use lmkg_nn::{Made, Sequential};
 use lmkg_store::{NodeId, NodeTerm, PredId, PredTerm, Query, QueryShape, TriplePattern, VarId};
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -421,47 +426,54 @@ fn read_u_config<R: Read>(r: &mut R) -> Result<LmkgUConfig, SnapshotError> {
 
 fn write_entry<W: Write>(w: &mut W, entry: &ModelEntry) -> Result<(), SnapshotError> {
     match entry {
-        ModelEntry::S(m) => {
-            w_u8(w, 0)?;
-            write_encoder(w, m.encoder())?;
-            write_s_config(w, m.config())?;
-            match m.scaler() {
-                Some(s) => {
-                    w_u8(w, 1)?;
-                    write_scaler(w, s)?;
+        ModelEntry::S(m) => match m.config() {
+            Some(cfg) => {
+                w_u8(w, 0)?;
+                write_encoder(w, m.encoder())?;
+                write_s_config(w, cfg)?;
+                match m.scaler() {
+                    Some(s) => {
+                        w_u8(w, 1)?;
+                        write_scaler(w, s)?;
+                    }
+                    None => w_u8(w, 0)?,
                 }
-                None => w_u8(w, 0)?,
+                write_outliers(w, m.outliers())?;
+                m.save_params(w)?;
             }
-            write_outliers(w, m.outliers())?;
-            m.save_params(w)?;
-        }
-        ModelEntry::U(m) => {
-            w_u8(w, 1)?;
-            write_u_config(w, m.config())?;
-            w_u8(w, shape_tag(m.shape()))?;
-            w_u32(w, m.k() as u32)?;
-            w_f64(w, m.n_total())?;
-            let (nodes, preds) = m.vocab_sizes();
-            w_u64(w, nodes as u64)?;
-            w_u64(w, preds as u64)?;
-            lmkg_nn::serialize::save_params(m.made(), w)?;
-        }
-        ModelEntry::QuantS(m) => {
-            w_u8(w, 2)?;
-            write_encoder(w, m.encoder())?;
-            write_scaler(w, &m.scaler())?;
-            write_outliers(w, m.outliers())?;
-            m.model().save(w)?;
-        }
-        ModelEntry::QuantU(m) => {
-            w_u8(w, 3)?;
-            w_u8(w, shape_tag(m.shape()))?;
-            w_u32(w, m.k() as u32)?;
-            w_f64(w, m.n_total())?;
-            w_u32(w, m.particles() as u32)?;
-            w_u64(w, m.seed())?;
-            m.made().save(w)?;
-        }
+            None => {
+                w_u8(w, 2)?;
+                write_encoder(w, m.encoder())?;
+                write_scaler(
+                    w,
+                    m.scaler().expect("a frozen LMKG-S was trained before it was quantized"),
+                )?;
+                write_outliers(w, m.outliers())?;
+                m.model().save_quantized(w)?;
+            }
+        },
+        ModelEntry::U(m) => match m.config() {
+            Some(cfg) => {
+                w_u8(w, 1)?;
+                write_u_config(w, cfg)?;
+                w_u8(w, shape_tag(m.shape()))?;
+                w_u32(w, m.k() as u32)?;
+                w_f64(w, m.n_total())?;
+                let (nodes, preds) = m.vocab_sizes();
+                w_u64(w, nodes as u64)?;
+                w_u64(w, preds as u64)?;
+                lmkg_nn::serialize::save_params(m.made(), w)?;
+            }
+            None => {
+                w_u8(w, 3)?;
+                w_u8(w, shape_tag(m.shape()))?;
+                w_u32(w, m.k() as u32)?;
+                w_f64(w, m.n_total())?;
+                w_u32(w, m.particles() as u32)?;
+                w_u64(w, m.seed())?;
+                m.made().save_quantized(w)?;
+            }
+        },
     }
     Ok(())
 }
@@ -510,8 +522,8 @@ fn read_entry<R: Read>(r: &mut R) -> Result<ModelEntry, SnapshotError> {
             let encoder = read_encoder(r)?;
             let scaler = read_scaler(r)?;
             let outliers = read_outliers(r)?;
-            let model = QuantizedSequential::load(r)?;
-            Ok(ModelEntry::QuantS(QuantizedLmkgS::from_parts(
+            let model = Sequential::load_quantized(r)?;
+            Ok(ModelEntry::S(LmkgS::from_frozen_parts(
                 encoder, model, scaler, outliers,
             )))
         }
@@ -521,8 +533,8 @@ fn read_entry<R: Read>(r: &mut R) -> Result<ModelEntry, SnapshotError> {
             let n_total = r_f64(r)?;
             let particles = r_u32(r)? as usize;
             let seed = r_u64(r)?;
-            let made = QuantizedMade::load(r)?;
-            Ok(ModelEntry::QuantU(QuantizedLmkgU::from_parts(
+            let made = Made::load_quantized(r)?;
+            Ok(ModelEntry::U(LmkgU::from_frozen_parts(
                 made, shape, k, n_total, particles, seed,
             )))
         }
@@ -649,37 +661,10 @@ impl Lmkg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::framework::{Grouping, LmkgConfig, ModelType};
+    use crate::framework::tests::{graph, quick_cfg, supervised_set, unsupervised_set};
+    use crate::framework::{Grouping, ModelType};
     use lmkg_data::workload::{self, WorkloadConfig};
-    use lmkg_data::{Dataset, Scale};
     use lmkg_nn::quant::QuantMode;
-
-    fn quick_cfg(model_type: ModelType) -> LmkgConfig {
-        LmkgConfig {
-            model_type,
-            grouping: Grouping::BySize,
-            shapes: vec![QueryShape::Star, QueryShape::Chain],
-            sizes: vec![2],
-            queries_per_size: 300,
-            s_config: crate::supervised::LmkgSConfig {
-                hidden: vec![64],
-                epochs: 20,
-                dropout: 0.0,
-                outlier_buffer: 4,
-                ..Default::default()
-            },
-            u_config: crate::unsupervised::LmkgUConfig {
-                hidden: 32,
-                blocks: 1,
-                embed_dim: 8,
-                epochs: 4,
-                train_samples: 1500,
-                particles: 64,
-                ..Default::default()
-            },
-            workload_seed: 3,
-        }
-    }
 
     fn probe_queries(g: &lmkg_store::KnowledgeGraph) -> Vec<Query> {
         let mut queries = Vec::new();
@@ -705,40 +690,40 @@ mod tests {
         );
     }
 
+    /// Save → load → save over one weight store of `set`: the loaded set
+    /// answers bitwise-identically, keeps its footprint, and re-saves to the
+    /// exact bytes (the format is canonical: deterministic outlier order, no
+    /// map iteration).
+    fn assert_roundtrips_bitwise(set: &Lmkg, mode: Option<QuantMode>) {
+        let quantized = mode.map(|m| set.quantized(m));
+        let set = quantized.as_ref().unwrap_or(set);
+        assert!(set.model_count() > 0);
+        let bytes = set.save_to_vec().unwrap();
+        let loaded = Lmkg::load(&mut bytes.as_slice()).unwrap();
+        assert_bitwise_equal(set, &loaded, &probe_queries(graph()));
+        assert_eq!(loaded.total_memory_bytes(), set.total_memory_bytes());
+        assert_eq!(
+            loaded.save_to_vec().unwrap(),
+            bytes,
+            "{mode:?}: re-save must reproduce the bytes"
+        );
+    }
+
     #[test]
     fn supervised_set_roundtrips_bitwise() {
-        let g = Dataset::LubmLike.generate(Scale::Ci, 1);
-        let lmkg = Lmkg::build(&g, &quick_cfg(ModelType::Supervised));
-        let bytes = lmkg.save_to_vec().unwrap();
-        let loaded = Lmkg::load(&mut bytes.as_slice()).unwrap();
-        assert_bitwise_equal(&lmkg, &loaded, &probe_queries(&g));
-        // Saving the loaded set reproduces the bytes exactly (the format is
-        // canonical: deterministic outlier order, no map iteration).
-        assert_eq!(loaded.save_to_vec().unwrap(), bytes);
+        assert_roundtrips_bitwise(supervised_set(), None);
     }
 
     #[test]
     fn unsupervised_set_roundtrips_bitwise() {
-        let g = Dataset::LubmLike.generate(Scale::Ci, 1);
-        let lmkg = Lmkg::build(&g, &quick_cfg(ModelType::Unsupervised));
-        assert!(lmkg.model_count() > 0);
-        let bytes = lmkg.save_to_vec().unwrap();
-        let loaded = Lmkg::load(&mut bytes.as_slice()).unwrap();
-        assert_bitwise_equal(&lmkg, &loaded, &probe_queries(&g));
+        assert_roundtrips_bitwise(unsupervised_set(), None);
     }
 
     #[test]
     fn quantized_sets_roundtrip_bitwise() {
-        let g = Dataset::LubmLike.generate(Scale::Ci, 1);
-        for model_type in [ModelType::Supervised, ModelType::Unsupervised] {
-            let f32_set = Lmkg::build(&g, &quick_cfg(model_type));
+        for set in [supervised_set(), unsupervised_set()] {
             for mode in [QuantMode::Int8, QuantMode::Bf16] {
-                let q = f32_set.quantized(mode);
-                let bytes = q.save_to_vec().unwrap();
-                let loaded = Lmkg::load(&mut bytes.as_slice()).unwrap();
-                assert_bitwise_equal(&q, &loaded, &probe_queries(&g));
-                // The quantized footprint survives the roundtrip.
-                assert_eq!(loaded.total_memory_bytes(), q.total_memory_bytes());
+                assert_roundtrips_bitwise(set, Some(mode));
             }
         }
     }
@@ -757,9 +742,7 @@ mod tests {
 
     #[test]
     fn load_rejects_truncation_at_every_prefix_length() {
-        let g = Dataset::LubmLike.generate(Scale::Ci, 1);
-        let lmkg = Lmkg::build(&g, &quick_cfg(ModelType::Supervised));
-        let bytes = lmkg.save_to_vec().unwrap();
+        let bytes = supervised_set().save_to_vec().unwrap();
         // A sweep of truncation points: every prefix must fail cleanly with
         // a typed error, never panic or return a half-restored set.
         for cut in [8, 12, 40, bytes.len() / 4, bytes.len() / 2, bytes.len() - 1] {
@@ -773,9 +756,8 @@ mod tests {
 
     #[test]
     fn load_rejects_corrupt_entry_tag() {
-        let g = Dataset::LubmLike.generate(Scale::Ci, 1);
-        let lmkg = Lmkg::build(&g, &quick_cfg(ModelType::Supervised));
-        let mut bytes = lmkg.save_to_vec().unwrap();
+        let g = graph();
+        let mut bytes = supervised_set().save_to_vec().unwrap();
         // The first entry tag sits right after magic+version+summary+sizes+
         // count+key; find it by writing a poisoned set and diffing lengths is
         // overkill — corrupt the byte right after the first ModelKey instead.
@@ -791,11 +773,10 @@ mod tests {
 
     #[test]
     fn eviction_converges_below_budget_and_keeps_dominant_cells() {
-        let g = Dataset::LubmLike.generate(Scale::Ci, 1);
-        let mut cfg = quick_cfg(ModelType::Supervised);
-        cfg.grouping = Grouping::Specialized;
+        let g = graph();
+        let mut cfg = quick_cfg(ModelType::Supervised, Grouping::Specialized);
         cfg.sizes = vec![2, 3];
-        let lmkg = Lmkg::build(&g, &cfg); // 2 shapes × 2 sizes = 4 models
+        let lmkg = Lmkg::build(g, &cfg); // 2 shapes × 2 sizes = 4 models
         assert_eq!(lmkg.model_count(), 4);
 
         // Star-2 dominates the workload; chain-3 is never queried.
@@ -819,7 +800,7 @@ mod tests {
         // The dominant cell survives and answers bitwise-identically.
         assert!(evicted_set.covers(QueryShape::Star, 2));
         let wl = WorkloadConfig::test_default(QueryShape::Star, 2, 23);
-        let queries: Vec<Query> = workload::generate(&g, &wl)
+        let queries: Vec<Query> = workload::generate(g, &wl)
             .into_iter()
             .take(8)
             .map(|lq| lq.query)
@@ -845,8 +826,8 @@ mod tests {
 
     #[test]
     fn eviction_never_drops_the_last_cover_of_a_live_cell() {
-        let g = Dataset::LubmLike.generate(Scale::Ci, 1);
-        let lmkg = Lmkg::build(&g, &quick_cfg(ModelType::Supervised)); // one size-2 model
+        let g = graph();
+        let lmkg = supervised_set(); // one size-2 model
         let usage = [((QueryShape::Star, 2), 100u64)];
         // An impossible budget: the only model covers live traffic, so
         // eviction stops above budget instead of uncovering it.
@@ -860,7 +841,7 @@ mod tests {
         assert_eq!(emptied.model_count(), 0);
         // The summary fallback still answers.
         let wl = WorkloadConfig::test_default(QueryShape::Star, 2, 5);
-        let q = workload::generate(&g, &wl).remove(0).query;
+        let q = workload::generate(g, &wl).remove(0).query;
         assert!(emptied.estimate_query(&q) >= 1.0);
     }
 }

@@ -10,7 +10,7 @@ use lmkg_data::LabeledQuery;
 use lmkg_encoder::{CardinalityScaler, EncodeError, PatternBoundEncoder, RowEncoder, SgEncoder};
 use lmkg_nn::layers::{Dense, Dropout, Layer, Relu, Sequential, Sigmoid};
 use lmkg_nn::optimizer::{Adam, Optimizer};
-use lmkg_nn::quant::{QuantMode, QuantizedSequential};
+use lmkg_nn::quant::QuantMode;
 use lmkg_nn::tensor::Matrix;
 use lmkg_nn::workspace::Workspace;
 use lmkg_nn::{loss, serialize};
@@ -123,18 +123,26 @@ pub struct EpochStats {
     pub loss: f32,
 }
 
+/// Why a training entry point panics on an estimator without training state.
+const FROZEN: &str = "LMKG-S is frozen to int8/bf16 weights: it carries no training state";
+
 /// The supervised LMKG estimator.
 ///
 /// Built (`&mut self`) once, then frozen: every prediction entry point takes
 /// `&self` and runs the network through the shared-read inference path, so a
 /// trained `LmkgS` behind an `Arc` serves concurrent estimates without locks.
+///
+/// The dense stack's weights are f32 while the estimator trains;
+/// [`LmkgS::quantized`] returns the same estimator over int8/bf16 weights,
+/// with the training state dropped — training a frozen estimator panics.
 pub struct LmkgS {
     encoder: QueryEncoder,
     model: Sequential,
     scaler: Option<CardinalityScaler>,
-    cfg: LmkgSConfig,
     outliers: OutlierBuffer,
-    rng: StdRng,
+    /// Hyperparameters and the shuffle RNG: present exactly while the
+    /// weights are trainable f32.
+    trainer: Option<(LmkgSConfig, StdRng)>,
 }
 
 impl LmkgS {
@@ -160,9 +168,25 @@ impl LmkgS {
             encoder,
             model,
             scaler: None,
-            cfg,
             outliers,
-            rng,
+            trainer: Some((cfg, rng)),
+        }
+    }
+
+    /// Reassembles a frozen estimator from snapshot parts (the int8/bf16
+    /// snapshot entries carry no training config).
+    pub(crate) fn from_frozen_parts(
+        encoder: QueryEncoder,
+        model: Sequential,
+        scaler: CardinalityScaler,
+        outliers: OutlierBuffer,
+    ) -> Self {
+        Self {
+            encoder,
+            model,
+            scaler: Some(scaler),
+            outliers,
+            trainer: None,
         }
     }
 
@@ -174,6 +198,19 @@ impl LmkgS {
     /// The fitted scaler (after training).
     pub fn scaler(&self) -> Option<&CardinalityScaler> {
         self.scaler.as_ref()
+    }
+
+    /// The hyperparameters this estimator trains with (snapshot restore
+    /// rebuilds the identical architecture from them); `None` once the
+    /// weights are frozen to int8/bf16.
+    pub fn config(&self) -> Option<&LmkgSConfig> {
+        self.trainer.as_ref().map(|(cfg, _)| cfg)
+    }
+
+    /// The reduced-precision store the weights are frozen in, `None` for
+    /// trainable f32.
+    pub fn mode(&self) -> Option<QuantMode> {
+        self.model.quant_mode()
     }
 
     /// Encodes a batch of queries into a feature matrix, skipping queries
@@ -194,12 +231,12 @@ impl LmkgS {
     /// Fits the scaler and outlier buffer, then trains for the configured
     /// number of epochs. Returns per-epoch stats.
     pub fn train(&mut self, data: &[LabeledQuery]) -> Vec<EpochStats> {
-        let epochs = self.cfg.epochs;
+        let epochs = self.config().expect(FROZEN).epochs;
         self.prepare(data);
         let mut out = Vec::with_capacity(epochs);
         let mut opt = self.make_optimizer();
         for epoch in 0..epochs {
-            let loss = self.run_epoch(data, &mut opt);
+            let loss = self.train_epoch(data, &mut opt);
             out.push(EpochStats { epoch, loss });
         }
         out
@@ -215,25 +252,24 @@ impl LmkgS {
 
     /// Creates the Adam optimizer matching the config.
     pub fn make_optimizer(&self) -> Adam {
-        Adam::new(self.cfg.learning_rate).with_grad_clip(self.cfg.grad_clip)
+        let cfg = self.config().expect(FROZEN);
+        Adam::new(cfg.learning_rate).with_grad_clip(cfg.grad_clip)
     }
 
     /// Runs a single epoch; returns the mean batch loss. `prepare` must have
     /// been called.
     pub fn train_epoch(&mut self, data: &[LabeledQuery], opt: &mut Adam) -> f32 {
-        self.run_epoch(data, opt)
-    }
-
-    fn run_epoch(&mut self, data: &[LabeledQuery], opt: &mut Adam) -> f32 {
         let scaler = *self.scaler.as_ref().expect("prepare() before training");
+        let (cfg, rng) = self.trainer.as_mut().expect(FROZEN);
         let mut indices: Vec<usize> = (0..data.len()).collect();
         // Fisher–Yates shuffle.
         for i in (1..indices.len()).rev() {
-            indices.swap(i, self.rng.gen_range(0..=i));
+            indices.swap(i, rng.gen_range(0..=i));
         }
+        let (batch_size, loss_kind, max_exp) = (cfg.batch_size.max(1), cfg.loss, cfg.q_error_max_exp);
         let mut total = 0.0f64;
         let mut batches = 0usize;
-        for chunk in indices.chunks(self.cfg.batch_size.max(1)) {
+        for chunk in indices.chunks(batch_size) {
             let batch: Vec<&LabeledQuery> = chunk.iter().map(|&i| &data[i]).collect();
             let (x, cards) = self.encode_training_batch(&batch);
             if x.rows() == 0 {
@@ -241,8 +277,8 @@ impl LmkgS {
             }
             let targets = Matrix::from_vec(cards.len(), 1, cards.iter().map(|&c| scaler.scale(c)).collect());
             let pred = self.model.forward(&x, true);
-            let (l, grad) = match self.cfg.loss {
-                LossKind::QError => loss::q_error(&pred, &targets, scaler.log_range(), self.cfg.q_error_max_exp),
+            let (l, grad) = match loss_kind {
+                LossKind::QError => loss::q_error(&pred, &targets, scaler.log_range(), max_exp),
                 LossKind::Mse => loss::mse(&pred, &targets),
                 LossKind::LogQError => loss::mae(&pred, &targets),
             };
@@ -266,12 +302,22 @@ impl LmkgS {
     }
 
     /// [`LmkgS::predict`] with a caller-provided workspace — the shared-read
-    /// hot path: `&self` model access plus per-caller scratch buffers.
+    /// hot path: `&self` model access plus per-caller scratch buffers. The
+    /// pipeline is outlier-buffer bypass → encode → one network forward →
+    /// unscale.
     pub fn predict_with(&self, query: &Query, ws: &mut Workspace) -> Result<f64, EncodeError> {
         let scaler = *self.scaler.as_ref().expect("model is untrained");
-        predict_one(&self.encoder, &self.outliers, scaler, query, ws, |x, ws| {
-            self.model.forward_infer(x, ws)
-        })
+        if let Some(card) = self.outliers.lookup(query) {
+            return Ok(card as f64);
+        }
+        let mut buf = vec![0.0f32; self.encoder.width()];
+        self.encoder.encode(query, &mut buf)?;
+        let x = Matrix::from_vec(1, buf.len(), buf);
+        let y = self.model.forward_infer(&x, ws);
+        let out = scaler.unscale(y.get(0, 0)).max(1.0);
+        ws.recycle(y);
+        ws.recycle(x);
+        Ok(out)
     }
 
     /// Predicts a whole batch with **one** network forward: queries are
@@ -282,37 +328,81 @@ impl LmkgS {
     /// the results bitwise-identical to looping `predict`.
     pub fn predict_batch(&self, queries: &[&Query]) -> Vec<Result<f64, EncodeError>> {
         let scaler = *self.scaler.as_ref().expect("model is untrained");
-        predict_many(&self.encoder, &self.outliers, scaler, queries, |x, ws| {
-            self.model.forward_infer(x, ws)
-        })
-    }
-
-    /// One-shot quantization of the trained estimator: the dense stack drops
-    /// to int8 (per-output-channel scales) or bf16 weights while the
-    /// encoder, scaler, and outlier buffer are carried over unchanged, so a
-    /// [`QuantizedLmkgS`] answers exactly the query set its f32 original
-    /// answers. Panics if the model is untrained.
-    pub fn quantized(&self, mode: QuantMode) -> QuantizedLmkgS {
-        let scaler = *self.scaler.as_ref().expect("model is untrained");
-        QuantizedLmkgS {
-            encoder: self.encoder.clone(),
-            model: self.model.quantized(mode),
-            scaler,
-            outliers: self.outliers.clone(),
+        let mut ws = Workspace::new();
+        let w = self.encoder.width();
+        // Outlier-buffer hits are answered exactly; the rest go to the net.
+        let mut results: Vec<Option<Result<f64, EncodeError>>> = Vec::with_capacity(queries.len());
+        let mut candidates: Vec<usize> = Vec::with_capacity(queries.len());
+        for (i, q) in queries.iter().enumerate() {
+            match self.outliers.lookup(q) {
+                Some(card) => results.push(Some(Ok(card as f64))),
+                None => {
+                    results.push(None);
+                    candidates.push(i);
+                }
+            }
         }
+        let mut rows = Vec::with_capacity(candidates.len() * w);
+        let statuses = self
+            .encoder
+            .encode_batch(candidates.iter().map(|&i| queries[i]), &mut rows);
+        let mut accepted: Vec<usize> = Vec::with_capacity(candidates.len());
+        for (&i, status) in candidates.iter().zip(statuses) {
+            match status {
+                Ok(()) => accepted.push(i),
+                Err(e) => results[i] = Some(Err(e)),
+            }
+        }
+        // Forward in micro-batches: large enough that a multi-core machine
+        // still crosses the matmul parallelism threshold, small enough that
+        // layer intermediates stay cache-resident instead of streaming
+        // through DRAM. Row-independent kernels keep every result
+        // bitwise-identical to any other chunking (including per-query).
+        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        let micro_batch = 256 * cores;
+        let mut done = 0usize;
+        for chunk in accepted.chunks(micro_batch) {
+            let x = Matrix::from_vec(chunk.len(), w, rows[done * w..(done + chunk.len()) * w].to_vec());
+            done += chunk.len();
+            let y = self.model.forward_infer(&x, &mut ws);
+            for (row, &i) in chunk.iter().enumerate() {
+                results[i] = Some(Ok(scaler.unscale(y.get(row, 0)).max(1.0)));
+            }
+            ws.recycle(y);
+            ws.recycle(x);
+        }
+        results.into_iter().map(|r| r.expect("every query resolved")).collect()
     }
 
-    /// Scalar parameter count (read-only walk).
+    /// One-shot quantization of the trained estimator: the same estimator
+    /// with the dense stack's weights frozen to int8 (per-output-channel
+    /// scales) or bf16. The encoder, scaler, and outlier buffer are carried
+    /// over unchanged, so the result answers exactly the query set its f32
+    /// original answers; the training state is not carried. Panics if the
+    /// model is untrained or already frozen.
+    pub fn quantized(&self, mode: QuantMode) -> LmkgS {
+        let scaler = *self.scaler.as_ref().expect("model is untrained");
+        Self::from_frozen_parts(
+            self.encoder.clone(),
+            self.model.quantized(mode),
+            scaler,
+            self.outliers.clone(),
+        )
+    }
+
+    /// Scalar parameter count.
     pub fn param_count(&self) -> usize {
         self.model.param_count()
     }
 
-    /// Model size in bytes (parameters + outlier buffer).
+    /// Model size in bytes (parameters at their stored precision + outlier
+    /// buffer).
     pub fn memory_bytes(&self) -> usize {
-        self.model.param_count() * std::mem::size_of::<f32>() + self.outliers.memory_bytes()
+        self.model.memory_bytes() + self.outliers.memory_bytes()
     }
 
-    /// Serializes the parameters (not the scaler/config) to a writer.
+    /// Serializes the f32 parameters (not the scaler/config) to a writer;
+    /// `InvalidInput` on a frozen estimator.
     pub fn save_params<W: io::Write>(&self, w: &mut W) -> io::Result<()> {
         serialize::save_params(&self.model, w)
     }
@@ -328,10 +418,9 @@ impl LmkgS {
         self.scaler = Some(scaler);
     }
 
-    /// The hyperparameters this estimator was built with (snapshot restore
-    /// rebuilds the identical architecture from them).
-    pub fn config(&self) -> &LmkgSConfig {
-        &self.cfg
+    /// The network (snapshots persist a frozen one via its own format).
+    pub(crate) fn model(&self) -> &Sequential {
+        &self.model
     }
 
     /// The outlier buffer (read-only; snapshots persist its exact entries).
@@ -345,205 +434,13 @@ impl LmkgS {
     }
 }
 
-/// The shared single-query prediction pipeline: outlier-buffer bypass →
-/// encode → one network forward (supplied by the caller) → unscale. Both
-/// the f32 and the quantized estimator route through here, so their
-/// non-network behavior (rejections, outlier hits, flooring) is identical
-/// by construction.
-fn predict_one<F>(
-    encoder: &QueryEncoder,
-    outliers: &OutlierBuffer,
-    scaler: CardinalityScaler,
-    query: &Query,
-    ws: &mut Workspace,
-    forward: F,
-) -> Result<f64, EncodeError>
-where
-    F: Fn(&Matrix, &mut Workspace) -> Matrix,
-{
-    if let Some(card) = outliers.lookup(query) {
-        return Ok(card as f64);
-    }
-    let mut buf = vec![0.0f32; encoder.width()];
-    encoder.encode(query, &mut buf)?;
-    let x = Matrix::from_vec(1, buf.len(), buf);
-    let y = forward(&x, ws);
-    let out = scaler.unscale(y.get(0, 0)).max(1.0);
-    ws.recycle(y);
-    ws.recycle(x);
-    Ok(out)
-}
-
-/// The shared batched prediction pipeline (see [`LmkgS::predict_batch`] for
-/// the contract); `forward` supplies the network, everything else is common.
-fn predict_many<F>(
-    encoder: &QueryEncoder,
-    outliers: &OutlierBuffer,
-    scaler: CardinalityScaler,
-    queries: &[&Query],
-    forward: F,
-) -> Vec<Result<f64, EncodeError>>
-where
-    F: Fn(&Matrix, &mut Workspace) -> Matrix,
-{
-    let mut ws = Workspace::new();
-    let w = encoder.width();
-    // Outlier-buffer hits are answered exactly; the rest go to the net.
-    let mut results: Vec<Option<Result<f64, EncodeError>>> = Vec::with_capacity(queries.len());
-    let mut candidates: Vec<usize> = Vec::with_capacity(queries.len());
-    for (i, q) in queries.iter().enumerate() {
-        match outliers.lookup(q) {
-            Some(card) => results.push(Some(Ok(card as f64))),
-            None => {
-                results.push(None);
-                candidates.push(i);
-            }
-        }
-    }
-    let mut rows = Vec::with_capacity(candidates.len() * w);
-    let statuses = encoder.encode_batch(candidates.iter().map(|&i| queries[i]), &mut rows);
-    let mut accepted: Vec<usize> = Vec::with_capacity(candidates.len());
-    for (&i, status) in candidates.iter().zip(statuses) {
-        match status {
-            Ok(()) => accepted.push(i),
-            Err(e) => results[i] = Some(Err(e)),
-        }
-    }
-    // Forward in micro-batches: large enough that a multi-core machine
-    // still crosses the matmul parallelism threshold, small enough that
-    // layer intermediates stay cache-resident instead of streaming
-    // through DRAM. Row-independent kernels keep every result
-    // bitwise-identical to any other chunking (including per-query).
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let micro_batch = 256 * cores;
-    let mut done = 0usize;
-    for chunk in accepted.chunks(micro_batch) {
-        let x = Matrix::from_vec(chunk.len(), w, rows[done * w..(done + chunk.len()) * w].to_vec());
-        done += chunk.len();
-        let y = forward(&x, &mut ws);
-        for (row, &i) in chunk.iter().enumerate() {
-            results[i] = Some(Ok(scaler.unscale(y.get(row, 0)).max(1.0)));
-        }
-        ws.recycle(y);
-        ws.recycle(x);
-    }
-    results.into_iter().map(|r| r.expect("every query resolved")).collect()
-}
-
-/// A frozen, quantized LMKG-S produced by [`LmkgS::quantized`]: the same
-/// encoder, scaler, and outlier buffer over an int8/bf16 dense stack with
-/// f32 accumulation. Owns no f32 weights, so
-/// [`QuantizedLmkgS::memory_bytes`] reports the true quantized footprint —
-/// the trade this struct exists to make honest. Shared-read like its
-/// original: every entry point takes `&self`.
-pub struct QuantizedLmkgS {
-    encoder: QueryEncoder,
-    model: QuantizedSequential,
-    scaler: CardinalityScaler,
-    outliers: OutlierBuffer,
-}
-
-impl QuantizedLmkgS {
-    /// Reassembles a quantized estimator from snapshot parts; the inverse of
-    /// taking `model()`/`scaler()`/`outliers()` apart for persistence.
-    pub fn from_parts(
-        encoder: QueryEncoder,
-        model: QuantizedSequential,
-        scaler: CardinalityScaler,
-        outliers: OutlierBuffer,
-    ) -> Self {
-        Self {
-            encoder,
-            model,
-            scaler,
-            outliers,
-        }
-    }
-
-    /// The quantization mode this estimator was built with.
-    pub fn mode(&self) -> QuantMode {
-        self.model.mode()
-    }
-
-    /// The quantized network (snapshots persist it via its own format).
-    pub fn model(&self) -> &QuantizedSequential {
-        &self.model
-    }
-
-    /// The fitted scaler.
-    pub fn scaler(&self) -> CardinalityScaler {
-        self.scaler
-    }
-
-    /// The outlier buffer.
-    pub fn outliers(&self) -> &OutlierBuffer {
-        &self.outliers
-    }
-
-    /// The configured encoder.
-    pub fn encoder(&self) -> &QueryEncoder {
-        &self.encoder
-    }
-
-    /// Predicts the cardinality of a query (one-shot workspace).
-    pub fn predict(&self, query: &Query) -> Result<f64, EncodeError> {
-        self.predict_with(query, &mut Workspace::new())
-    }
-
-    /// [`QuantizedLmkgS::predict`] with a caller-provided workspace.
-    pub fn predict_with(&self, query: &Query, ws: &mut Workspace) -> Result<f64, EncodeError> {
-        predict_one(&self.encoder, &self.outliers, self.scaler, query, ws, |x, ws| {
-            self.model.forward_infer(x, ws)
-        })
-    }
-
-    /// Batched prediction; same pipeline as [`LmkgS::predict_batch`].
-    pub fn predict_batch(&self, queries: &[&Query]) -> Vec<Result<f64, EncodeError>> {
-        predict_many(&self.encoder, &self.outliers, self.scaler, queries, |x, ws| {
-            self.model.forward_infer(x, ws)
-        })
-    }
-
-    /// Scalar parameter count (weights, scales, biases).
-    pub fn param_count(&self) -> usize {
-        self.model.param_count()
-    }
-
-    /// Model size in bytes at the quantized representation, plus the
-    /// outlier buffer.
-    pub fn memory_bytes(&self) -> usize {
-        self.model.memory_bytes() + self.outliers.memory_bytes()
-    }
-}
-
-impl crate::estimator::CardinalityEstimator for QuantizedLmkgS {
-    fn name(&self) -> &str {
-        match self.mode() {
-            QuantMode::Int8 => "LMKG-S-int8",
-            QuantMode::Bf16 => "LMKG-S-bf16",
-        }
-    }
-
-    fn estimate(&self, query: &Query) -> f64 {
-        self.predict(query).unwrap_or(1.0)
-    }
-
-    fn estimate_batch(&self, queries: &[Query]) -> Vec<f64> {
-        let refs: Vec<&Query> = queries.iter().collect();
-        self.predict_batch(&refs)
-            .into_iter()
-            .map(|r| r.unwrap_or(1.0))
-            .collect()
-    }
-
-    fn memory_bytes(&self) -> usize {
-        QuantizedLmkgS::memory_bytes(self)
-    }
-}
-
 impl crate::estimator::CardinalityEstimator for LmkgS {
     fn name(&self) -> &str {
-        "LMKG-S"
+        match self.mode() {
+            None => "LMKG-S",
+            Some(QuantMode::Int8) => "LMKG-S-int8",
+            Some(QuantMode::Bf16) => "LMKG-S-bf16",
+        }
     }
 
     /// Estimates via [`LmkgS::predict`]; queries the encoder rejects (wrong
@@ -570,17 +467,23 @@ impl crate::estimator::CardinalityEstimator for LmkgS {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::estimator::CardinalityEstimator;
     use crate::metrics::QErrorStats;
     use lmkg_data::workload::{self, WorkloadConfig};
     use lmkg_data::{Dataset, Scale};
     use lmkg_encoder::{EncodingKind, TermCodec};
-    use lmkg_store::QueryShape;
+    use lmkg_store::{KnowledgeGraph, QueryShape};
+    use std::sync::OnceLock;
 
-    fn small_setup() -> (lmkg_store::KnowledgeGraph, Vec<LabeledQuery>) {
-        let g = Dataset::LubmLike.generate(Scale::Ci, 3);
-        let cfg = WorkloadConfig::train_default(QueryShape::Star, 2, 400, 17);
-        let data = workload::generate(&g, &cfg);
-        (g, data)
+    /// The graph and star-2 training workload every test here uses.
+    fn small_setup() -> &'static (KnowledgeGraph, Vec<LabeledQuery>) {
+        static SETUP: OnceLock<(KnowledgeGraph, Vec<LabeledQuery>)> = OnceLock::new();
+        SETUP.get_or_init(|| {
+            let g = Dataset::LubmLike.generate(Scale::Ci, 3);
+            let cfg = WorkloadConfig::train_default(QueryShape::Star, 2, 400, 17);
+            let data = workload::generate(&g, &cfg);
+            (g, data)
+        })
     }
 
     fn quick_cfg() -> LmkgSConfig {
@@ -593,12 +496,29 @@ mod tests {
         }
     }
 
+    fn sg_encoder(g: &KnowledgeGraph) -> QueryEncoder {
+        QueryEncoder::Sg(SgEncoder::capacity_for_size(g.num_nodes(), g.num_preds(), 2))
+    }
+
+    /// One SG-encoded model trained for the full `quick_cfg` schedule with a
+    /// five-entry outlier buffer, plus its per-epoch stats — trained once
+    /// and shared by every test that only needs *a* trained estimator.
+    fn trained() -> &'static (LmkgS, Vec<EpochStats>) {
+        static MODEL: OnceLock<(LmkgS, Vec<EpochStats>)> = OnceLock::new();
+        MODEL.get_or_init(|| {
+            let (g, data) = small_setup();
+            let mut cfg = quick_cfg();
+            cfg.outlier_buffer = 5;
+            let mut model = LmkgS::new(sg_encoder(g), cfg);
+            let stats = model.train(data);
+            (model, stats)
+        })
+    }
+
     #[test]
     fn trains_and_fits_workload() {
-        let (g, data) = small_setup();
-        let enc = QueryEncoder::Sg(SgEncoder::capacity_for_size(g.num_nodes(), g.num_preds(), 2));
-        let mut model = LmkgS::new(enc, quick_cfg());
-        let stats = model.train(&data);
+        let (_, data) = small_setup();
+        let (model, stats) = trained();
         assert_eq!(stats.len(), 60);
         assert!(stats.last().unwrap().loss < stats[0].loss, "loss should decrease");
 
@@ -619,7 +539,7 @@ mod tests {
         let codec = TermCodec::new(EncodingKind::Binary, g.num_nodes(), g.num_preds());
         let enc = QueryEncoder::PatternBound(PatternBoundEncoder::new(codec, QueryShape::Star, 2));
         let mut model = LmkgS::new(enc, quick_cfg());
-        let stats = model.train(&data);
+        let stats = model.train(data);
         assert!(stats.last().unwrap().loss < stats[0].loss);
         let lq = &data[0];
         let est = model.predict(&lq.query).unwrap();
@@ -628,16 +548,8 @@ mod tests {
 
     #[test]
     fn predictions_are_floored_at_one() {
-        let (g, data) = small_setup();
-        let enc = QueryEncoder::Sg(SgEncoder::capacity_for_size(g.num_nodes(), g.num_preds(), 2));
-        let mut model = LmkgS::new(
-            enc,
-            LmkgSConfig {
-                epochs: 1,
-                ..quick_cfg()
-            },
-        );
-        model.train(&data);
+        let (_, data) = small_setup();
+        let (model, _) = trained();
         for lq in data.iter().take(50) {
             assert!(model.predict(&lq.query).unwrap() >= 1.0);
         }
@@ -645,29 +557,16 @@ mod tests {
 
     #[test]
     fn oversized_query_is_rejected() {
-        let (g, data) = small_setup();
-        let enc = QueryEncoder::Sg(SgEncoder::capacity_for_size(g.num_nodes(), g.num_preds(), 2));
-        let mut model = LmkgS::new(
-            enc,
-            LmkgSConfig {
-                epochs: 1,
-                ..quick_cfg()
-            },
-        );
-        model.train(&data);
-        let big = workload::generate(&g, &WorkloadConfig::train_default(QueryShape::Star, 5, 1, 3));
+        let (g, _) = small_setup();
+        let (model, _) = trained();
+        let big = workload::generate(g, &WorkloadConfig::train_default(QueryShape::Star, 5, 1, 3));
         assert!(model.predict(&big[0].query).is_err());
     }
 
     #[test]
     fn outlier_buffer_returns_exact_for_stored_queries() {
-        let (g, data) = small_setup();
-        let enc = QueryEncoder::Sg(SgEncoder::capacity_for_size(g.num_nodes(), g.num_preds(), 2));
-        let mut cfg = quick_cfg();
-        cfg.epochs = 1;
-        cfg.outlier_buffer = 10;
-        let mut model = LmkgS::new(enc, cfg);
-        model.train(&data);
+        let (_, data) = small_setup();
+        let (model, _) = trained();
         // The largest-cardinality training query must be answered exactly.
         let top = data.iter().max_by_key(|lq| lq.cardinality).unwrap();
         assert_eq!(model.predict(&top.query).unwrap(), top.cardinality as f64);
@@ -677,9 +576,8 @@ mod tests {
     fn training_is_deterministic_for_seed() {
         let (g, data) = small_setup();
         let build = || {
-            let enc = QueryEncoder::Sg(SgEncoder::capacity_for_size(g.num_nodes(), g.num_preds(), 2));
             LmkgS::new(
-                enc,
+                sg_encoder(g),
                 LmkgSConfig {
                     epochs: 3,
                     ..quick_cfg()
@@ -688,8 +586,8 @@ mod tests {
         };
         let mut a = build();
         let mut b = build();
-        let sa = a.train(&data);
-        let sb = b.train(&data);
+        let sa = a.train(data);
+        let sb = b.train(data);
         assert_eq!(sa, sb);
         assert_eq!(a.predict(&data[0].query).unwrap(), b.predict(&data[0].query).unwrap());
     }
@@ -697,46 +595,36 @@ mod tests {
     #[test]
     fn save_load_roundtrip() {
         let (g, data) = small_setup();
-        let enc = QueryEncoder::Sg(SgEncoder::capacity_for_size(g.num_nodes(), g.num_preds(), 2));
-        let mut a = LmkgS::new(
-            enc,
-            LmkgSConfig {
-                epochs: 5,
-                ..quick_cfg()
-            },
-        );
-        a.train(&data);
+        let (a, _) = trained();
         let mut buf = Vec::new();
         a.save_params(&mut buf).unwrap();
 
-        let enc2 = QueryEncoder::Sg(SgEncoder::capacity_for_size(g.num_nodes(), g.num_preds(), 2));
+        // Same architecture, different initial weights, never trained.
         let mut b = LmkgS::new(
-            enc2,
+            sg_encoder(g),
             LmkgSConfig {
-                epochs: 5,
                 seed: 99,
                 ..quick_cfg()
             },
         );
         b.load_params(&mut buf.as_slice()).unwrap();
         b.set_scaler(*a.scaler().unwrap());
-        assert_eq!(a.predict(&data[0].query).unwrap(), b.predict(&data[0].query).unwrap());
+        assert_eq!(a.predict(&data[1].query).unwrap(), b.predict(&data[1].query).unwrap());
     }
 
     #[test]
     fn mse_and_log_losses_also_train() {
         let (g, data) = small_setup();
         for loss in [LossKind::Mse, LossKind::LogQError] {
-            let enc = QueryEncoder::Sg(SgEncoder::capacity_for_size(g.num_nodes(), g.num_preds(), 2));
             let mut model = LmkgS::new(
-                enc,
+                sg_encoder(g),
                 LmkgSConfig {
                     epochs: 30,
                     loss,
                     ..quick_cfg()
                 },
             );
-            let stats = model.train(&data);
+            let stats = model.train(data);
             assert!(
                 stats.last().unwrap().loss < stats[0].loss,
                 "{loss:?} failed to reduce loss"
@@ -744,106 +632,59 @@ mod tests {
         }
     }
 
-    #[test]
-    fn batch_predictions_match_per_query_bitwise() {
+    /// The non-network pipeline is the same code on every weight store:
+    /// batches match a per-query loop bitwise, outlier hits stay exact, and
+    /// rejected queries report the neutral estimate.
+    fn assert_batch_matches_per_query(model: &LmkgS, name: &str) {
         let (g, data) = small_setup();
-        let enc = QueryEncoder::Sg(SgEncoder::capacity_for_size(g.num_nodes(), g.num_preds(), 2));
-        let mut cfg = quick_cfg();
-        cfg.epochs = 15;
-        cfg.outlier_buffer = 5; // exercise the outlier bypass in a batch
-        let mut model = LmkgS::new(enc, cfg);
-        model.train(&data);
-
         // A mix of coverable queries and one the encoder must reject.
         let mut queries: Vec<Query> = data.iter().take(40).map(|lq| lq.query.clone()).collect();
-        let big = workload::generate(&g, &WorkloadConfig::train_default(QueryShape::Star, 5, 1, 9));
+        let big = workload::generate(g, &WorkloadConfig::train_default(QueryShape::Star, 5, 1, 9));
         queries.insert(17, big[0].query.clone());
 
         let looped: Vec<f64> = queries.iter().map(|q| model.predict(q).unwrap_or(1.0)).collect();
-        use crate::estimator::CardinalityEstimator;
         let batched = model.estimate_batch(&queries);
-        assert_eq!(batched, looped, "batched estimates must be bitwise-identical");
+        assert_eq!(batched, looped, "{name}: batched estimates must be bitwise-identical");
         assert_eq!(batched[17], 1.0, "rejected query reports the neutral estimate");
+        assert_eq!(model.name(), name);
+        // Outlier hits bypass the network.
+        let top = data.iter().max_by_key(|lq| lq.cardinality).unwrap();
+        assert_eq!(model.predict(&top.query).unwrap(), top.cardinality as f64);
+    }
+
+    #[test]
+    fn batch_predictions_match_per_query_bitwise() {
+        assert_batch_matches_per_query(&trained().0, "LMKG-S");
+    }
+
+    #[test]
+    fn quantized_batch_matches_per_query_bitwise() {
+        let (model, _) = trained();
+        assert_batch_matches_per_query(&model.quantized(QuantMode::Int8), "LMKG-S-int8");
+        assert_batch_matches_per_query(&model.quantized(QuantMode::Bf16), "LMKG-S-bf16");
     }
 
     #[test]
     fn memory_accounting_positive() {
         let (g, _) = small_setup();
-        let enc = QueryEncoder::Sg(SgEncoder::capacity_for_size(g.num_nodes(), g.num_preds(), 2));
-        let model = LmkgS::new(enc, quick_cfg());
+        let model = LmkgS::new(sg_encoder(g), quick_cfg());
         assert!(model.memory_bytes() > 1000);
         assert!(model.param_count() > 0);
+        assert_eq!(
+            model.memory_bytes(),
+            model.param_count() * 4,
+            "f32 store, empty outlier buffer"
+        );
     }
 
-    /// The q-error regression gate for quantized serving (CI-enforced): on a
-    /// deterministic trained fixture, the quantized estimator's median and
-    /// p95 q-error must stay within 10% of the f32 model's — quantization is
-    /// a memory trade, not an accuracy cliff. Int8 must also shrink the
-    /// model ≥ 3.5×, bf16 ≥ ~2×.
+    /// A frozen estimator carries no training state: its training entry
+    /// points panic instead of silently stepping nothing.
     #[test]
-    fn quantized_q_error_within_ten_percent_of_f32() {
-        let (g, data) = small_setup();
-        let enc = QueryEncoder::Sg(SgEncoder::capacity_for_size(g.num_nodes(), g.num_preds(), 2));
-        let mut model = LmkgS::new(enc, quick_cfg());
-        model.train(&data);
-
-        let eval = data.iter().take(200).collect::<Vec<_>>();
-        let stats_of = |pred: &dyn Fn(&Query) -> f64| {
-            let pairs: Vec<(f64, u64)> = eval.iter().map(|lq| (pred(&lq.query), lq.cardinality)).collect();
-            QErrorStats::from_pairs(pairs).unwrap()
-        };
-        let f32_stats = stats_of(&|q| model.predict(q).unwrap());
-        let f32_bytes = model.memory_bytes();
-
-        for mode in [QuantMode::Int8, QuantMode::Bf16] {
-            let q = model.quantized(mode);
-            let q_stats = stats_of(&|query| q.predict(query).unwrap());
-            assert!(
-                q_stats.median <= f32_stats.median * 1.10,
-                "{}: median {} vs f32 {}",
-                mode.name(),
-                q_stats.median,
-                f32_stats.median
-            );
-            assert!(
-                q_stats.p95 <= f32_stats.p95 * 1.10,
-                "{}: p95 {} vs f32 {}",
-                mode.name(),
-                q_stats.p95,
-                f32_stats.p95
-            );
-            let ratio_x10 = f32_bytes * 10 / q.memory_bytes();
-            match mode {
-                QuantMode::Int8 => assert!(ratio_x10 >= 35, "int8 reduction {}×/10 < 3.5×", ratio_x10),
-                QuantMode::Bf16 => assert!(ratio_x10 >= 19, "bf16 reduction {}×/10 < ~2×", ratio_x10),
-            }
-        }
-    }
-
-    /// The quantized estimator inherits the full non-network pipeline:
-    /// batches match a per-query loop bitwise, outlier hits stay exact, and
-    /// rejected queries report the neutral estimate.
-    #[test]
-    fn quantized_batch_matches_per_query_bitwise() {
-        let (g, data) = small_setup();
-        let enc = QueryEncoder::Sg(SgEncoder::capacity_for_size(g.num_nodes(), g.num_preds(), 2));
-        let mut cfg = quick_cfg();
-        cfg.epochs = 15;
-        cfg.outlier_buffer = 5;
-        let mut model = LmkgS::new(enc, cfg);
-        model.train(&data);
-        let q = model.quantized(QuantMode::Int8);
-
-        let mut queries: Vec<Query> = data.iter().take(40).map(|lq| lq.query.clone()).collect();
-        let big = workload::generate(&g, &WorkloadConfig::train_default(QueryShape::Star, 5, 1, 9));
-        queries.insert(17, big[0].query.clone());
-
-        let looped: Vec<f64> = queries.iter().map(|query| q.predict(query).unwrap_or(1.0)).collect();
-        use crate::estimator::CardinalityEstimator;
-        assert_eq!(q.estimate_batch(&queries), looped);
-        assert_eq!(q.name(), "LMKG-S-int8");
-        // Outlier hits bypass the network in both models identically.
-        let top = data.iter().max_by_key(|lq| lq.cardinality).unwrap();
-        assert_eq!(q.predict(&top.query).unwrap(), top.cardinality as f64);
+    #[should_panic(expected = "frozen to int8/bf16")]
+    fn training_a_frozen_estimator_panics() {
+        let (_, data) = small_setup();
+        let mut frozen = trained().0.quantized(QuantMode::Int8);
+        assert!(frozen.config().is_none());
+        frozen.train(data);
     }
 }

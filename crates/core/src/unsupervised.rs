@@ -14,9 +14,8 @@ use lmkg_data::sampler::{ChainSampler, SamplingStrategy, StarSampler};
 use lmkg_nn::loss;
 use lmkg_nn::optimizer::{Adam, Optimizer};
 use lmkg_nn::quant::QuantMode;
-use lmkg_nn::tensor::Matrix;
 use lmkg_nn::workspace::Workspace;
-use lmkg_nn::{Made, MadeConfig, QuantizedMade};
+use lmkg_nn::{Layer, Made, MadeConfig};
 use lmkg_store::{counter, KnowledgeGraph, Query, QueryShape, VarId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -119,6 +118,9 @@ impl Default for LmkgUConfig {
     }
 }
 
+/// Why a training entry point panics on an estimator without training state.
+const FROZEN: &str = "LMKG-U is frozen to int8/bf16 weights: it carries no training state";
+
 /// The unsupervised LMKG estimator for one `(shape, size)` pair — the
 /// paper's LMKG-U grouping ("query size and type grouping", §VIII-B).
 ///
@@ -127,14 +129,23 @@ impl Default for LmkgUConfig {
 /// path with per-call workspaces, and the particle RNG is derived per query
 /// (never shared state) — so a trained `LmkgU` behind an `Arc` serves
 /// concurrent estimates without locks.
+///
+/// The ResMADE's weights are f32 while the estimator trains;
+/// [`LmkgU::quantized`] returns the same estimator over int8/bf16 weights,
+/// with the training state dropped — training a frozen estimator panics.
 pub struct LmkgU {
     made: Made,
     shape: QueryShape,
     k: usize,
     n_total: f64,
     segments: Vec<usize>,
-    cfg: LmkgUConfig,
-    rng: StdRng,
+    /// Particles for likelihood-weighted forward sampling.
+    particles: usize,
+    /// Seed of the per-query particle RNG streams.
+    seed: u64,
+    /// Hyperparameters and the sampling/shuffle RNG: present exactly while
+    /// the weights are trainable f32.
+    trainer: Option<(LmkgUConfig, StdRng)>,
 }
 
 impl LmkgU {
@@ -151,45 +162,27 @@ impl LmkgU {
                 limit: cfg.max_node_domain,
             });
         }
-        // Positions [n, p, n, p, n, …]: 2k+1 alternating node/predicate.
-        let mut spaces = Vec::with_capacity(2 * k + 1);
-        spaces.push(0);
-        for _ in 0..k {
-            spaces.push(1);
-            spaces.push(0);
-        }
-        let made_cfg = MadeConfig {
-            vocab_sizes: vec![graph.num_nodes().max(1), graph.num_preds().max(1)],
-            spaces,
-            hidden: cfg.hidden,
-            blocks: cfg.blocks,
-            embed_dim: cfg.embed_dim,
-        };
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let made = Made::new(&mut rng, made_cfg);
-        let segments = made.segments().to_vec();
         let n_total = match shape {
             QueryShape::Star => counter::star_tuple_total(graph, k),
             QueryShape::Chain => counter::chain_tuple_total(graph, k),
             _ => unreachable!(),
         };
-        Ok(Self {
-            made,
+        Ok(Self::from_parts(
+            cfg,
             shape,
             k,
             n_total,
-            segments,
-            cfg,
-            rng,
-        })
+            graph.num_nodes(),
+            graph.num_preds(),
+        ))
     }
 
-    /// Reassembles an estimator from snapshot parts: the architecture is
-    /// rebuilt deterministically from `cfg` exactly as [`LmkgU::new`] does
-    /// (same seed → same init → same parameter visitation order), with the
-    /// graph-dependent inputs (`vocab_sizes`, `n_total`) supplied explicitly
-    /// so no [`KnowledgeGraph`] is needed at load time. The caller restores
-    /// the trained weights afterwards via [`LmkgU::load_made_params`].
+    /// Assembles an untrained f32 estimator: the architecture is built
+    /// deterministically from `cfg` (same seed → same init → same parameter
+    /// visitation order), with the graph-dependent inputs (`vocab_sizes`,
+    /// `n_total`) supplied explicitly so a snapshot restore needs no
+    /// [`KnowledgeGraph`] — it restores the trained weights afterwards via
+    /// [`LmkgU::load_made_params`].
     pub(crate) fn from_parts(
         cfg: LmkgUConfig,
         shape: QueryShape,
@@ -198,6 +191,7 @@ impl LmkgU {
         node_vocab: usize,
         pred_vocab: usize,
     ) -> Self {
+        // Positions [n, p, n, p, n, …]: 2k+1 alternating node/predicate.
         let mut spaces = Vec::with_capacity(2 * k + 1);
         spaces.push(0);
         for _ in 0..k {
@@ -213,24 +207,54 @@ impl LmkgU {
         };
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let made = Made::new(&mut rng, made_cfg);
-        let segments = made.segments().to_vec();
         Self {
+            segments: made.segments().to_vec(),
             made,
             shape,
             k,
             n_total,
-            segments,
-            cfg,
-            rng,
+            particles: cfg.particles,
+            seed: cfg.seed,
+            trainer: Some((cfg, rng)),
         }
     }
 
-    /// The hyperparameters this estimator was built with.
-    pub fn config(&self) -> &LmkgUConfig {
-        &self.cfg
+    /// Reassembles a frozen estimator from snapshot parts (the int8/bf16
+    /// snapshot entries carry no training config; segments are recovered
+    /// from the ResMADE itself).
+    pub(crate) fn from_frozen_parts(
+        made: Made,
+        shape: QueryShape,
+        k: usize,
+        n_total: f64,
+        particles: usize,
+        seed: u64,
+    ) -> Self {
+        Self {
+            segments: made.segments().to_vec(),
+            made,
+            shape,
+            k,
+            n_total,
+            particles,
+            seed,
+            trainer: None,
+        }
     }
 
-    /// The underlying ResMADE (snapshots persist its parameter walk).
+    /// The hyperparameters this estimator trains with; `None` once the
+    /// weights are frozen to int8/bf16.
+    pub fn config(&self) -> Option<&LmkgUConfig> {
+        self.trainer.as_ref().map(|(cfg, _)| cfg)
+    }
+
+    /// The reduced-precision store the weights are frozen in, `None` for
+    /// trainable f32.
+    pub fn mode(&self) -> Option<QuantMode> {
+        self.made.quant_mode()
+    }
+
+    /// The underlying ResMADE (snapshots persist it).
     pub(crate) fn made(&self) -> &Made {
         &self.made
     }
@@ -247,6 +271,16 @@ impl LmkgU {
         r: &mut R,
     ) -> Result<(), lmkg_nn::serialize::LoadError> {
         lmkg_nn::serialize::load_params(&mut self.made, r)
+    }
+
+    /// Particle count for likelihood-weighted sampling.
+    pub(crate) fn particles(&self) -> usize {
+        self.particles
+    }
+
+    /// The particle-RNG seed.
+    pub(crate) fn seed(&self) -> u64 {
+        self.seed
     }
 
     /// The tuple size `k`.
@@ -266,20 +300,21 @@ impl LmkgU {
 
     /// Samples the training tuples per the configured strategy (§VII-A).
     pub fn sample_training_tuples(&mut self, graph: &KnowledgeGraph) -> Vec<Vec<usize>> {
-        let mut out = Vec::with_capacity(self.cfg.train_samples);
+        let (cfg, rng) = self.trainer.as_mut().expect(FROZEN);
+        let mut out = Vec::with_capacity(cfg.train_samples);
         match self.shape {
             QueryShape::Star => {
-                let sampler = StarSampler::new(graph, self.k, self.cfg.strategy);
-                for _ in 0..self.cfg.train_samples {
-                    out.push(sampler.sample(&mut self.rng).to_ids());
+                let sampler = StarSampler::new(graph, self.k, cfg.strategy);
+                for _ in 0..cfg.train_samples {
+                    out.push(sampler.sample(rng).to_ids());
                 }
             }
             QueryShape::Chain => {
-                let sampler = ChainSampler::new(graph, self.k, self.cfg.strategy);
+                let sampler = ChainSampler::new(graph, self.k, cfg.strategy);
                 let mut attempts = 0usize;
-                while out.len() < self.cfg.train_samples && attempts < self.cfg.train_samples * 20 {
+                while out.len() < cfg.train_samples && attempts < cfg.train_samples * 20 {
                     attempts += 1;
-                    if let Some(t) = sampler.sample(&mut self.rng) {
+                    if let Some(t) = sampler.sample(rng) {
                         out.push(t.to_ids());
                     }
                 }
@@ -291,18 +326,19 @@ impl LmkgU {
 
     /// Creates the Adam optimizer matching the config.
     pub fn make_optimizer(&self) -> Adam {
-        Adam::new(self.cfg.learning_rate)
+        Adam::new(self.config().expect(FROZEN).learning_rate)
     }
 
     /// Runs one training epoch over `tuples`; returns the mean NLL.
     pub fn train_epoch(&mut self, tuples: &[Vec<usize>], opt: &mut Adam) -> f32 {
+        let (cfg, rng) = self.trainer.as_mut().expect(FROZEN);
         let mut indices: Vec<usize> = (0..tuples.len()).collect();
         for i in (1..indices.len()).rev() {
-            indices.swap(i, self.rng.gen_range(0..=i));
+            indices.swap(i, rng.gen_range(0..=i));
         }
         let mut total = 0.0f64;
         let mut batches = 0usize;
-        for chunk in indices.chunks(self.cfg.batch_size.max(1)) {
+        for chunk in indices.chunks(cfg.batch_size.max(1)) {
             let batch: Vec<Vec<usize>> = chunk.iter().map(|&i| tuples[i].clone()).collect();
             let logits = self.made.forward_ids(&batch, true);
             let (l, grad) = loss::segmented_cross_entropy(&logits, &self.segments, &batch);
@@ -322,7 +358,7 @@ impl LmkgU {
     pub fn train(&mut self, graph: &KnowledgeGraph) -> Vec<EpochStats> {
         let tuples = self.sample_training_tuples(graph);
         let mut opt = self.make_optimizer();
-        let epochs = self.cfg.epochs;
+        let epochs = self.config().expect(FROZEN).epochs;
         (0..epochs)
             .map(|epoch| EpochStats {
                 epoch,
@@ -344,8 +380,7 @@ impl LmkgU {
     }
 }
 
-/// Maps a query onto per-position bound values for a `(shape, k)` model —
-/// shared by [`LmkgU`] and [`QuantizedLmkgU`].
+/// Maps a query onto per-position bound values for a `(shape, k)` model.
 fn query_bounds_impl(shape: QueryShape, k: usize, query: &Query) -> Result<Vec<Option<usize>>, LmkgUError> {
     let actual = query.shape();
     let compatible = actual == shape || (actual == QueryShape::Single && k == 1);
@@ -440,7 +475,7 @@ impl LmkgU {
     /// of one forward per (query, position). Per-query results — including
     /// shape/size rejections — are identical to looping
     /// [`LmkgU::estimate_query`], because particle RNG streams are derived
-    /// per query (`particle_rng_impl`) and the network kernels are
+    /// per query (`particle_rng`) and the network kernels are
     /// row-independent.
     pub fn estimate_query_batch(&self, queries: &[&Query]) -> Vec<Result<f64, LmkgUError>> {
         let parsed: Vec<Result<Vec<Option<usize>>, LmkgUError>> =
@@ -455,74 +490,147 @@ impl LmkgU {
 
     /// Core progressive-sampling estimator over per-position bound values.
     pub fn estimate_bounds(&self, bounds: &[Option<usize>]) -> f64 {
-        estimate_bounds_impl(
-            &self.made,
-            &self.segments,
-            self.n_total,
-            self.cfg.particles,
-            self.cfg.seed,
-            bounds,
-        )
+        assert_eq!(bounds.len(), self.segments.len());
+        let Some(last_bound) = bounds.iter().rposition(Option::is_some) else {
+            // No bound term: the query matches every tuple.
+            return self.n_total.max(1.0);
+        };
+        let particles = self.particles.max(1);
+        let mut rng = particle_rng(self.seed, bounds);
+        let mut ws = Workspace::new();
+        let mut ids = vec![vec![0usize; self.segments.len()]; particles];
+        let mut log_w = vec![0.0f64; particles];
+
+        for pos in 0..=last_bound {
+            // Only the current position's logit segment is needed — the
+            // sliced forward avoids materializing the full (huge) output
+            // layer at every autoregressive step.
+            let logits = self.made.forward_ids_segment(&ids, pos, &mut ws);
+            match bounds[pos] {
+                Some(b) => {
+                    for (r, ids_row) in ids.iter_mut().enumerate() {
+                        log_w[r] += f64::from(log_softmax_at(logits.row(r), b));
+                        ids_row[pos] = b;
+                    }
+                }
+                None => {
+                    for (r, ids_row) in ids.iter_mut().enumerate() {
+                        ids_row[pos] = sample_categorical(logits.row(r), &mut rng);
+                    }
+                }
+            }
+            ws.recycle(logits);
+        }
+
+        let mean_w: f64 = log_w.iter().map(|&lw| lw.exp()).sum::<f64>() / particles as f64;
+        (mean_w * self.n_total).max(1.0)
     }
 
     /// Batched [`LmkgU::estimate_bounds`]: all queries' particles share one
     /// ids matrix, so every autoregressive position costs a single sliced
     /// forward for the whole batch.
     pub fn estimate_bounds_batch(&self, bounds_list: &[Vec<Option<usize>>]) -> Vec<f64> {
-        estimate_bounds_batch_impl(
-            &self.made,
-            &self.segments,
-            self.n_total,
-            self.cfg.particles,
-            self.cfg.seed,
-            bounds_list,
-        )
+        let positions = self.segments.len();
+        let particles = self.particles.max(1);
+        let mut out = vec![0.0f64; bounds_list.len()];
+
+        // Fully-unbound queries short-circuit to the tuple-space total.
+        let mut active: Vec<usize> = Vec::new();
+        let mut last_bounds: Vec<usize> = Vec::new();
+        for (i, bounds) in bounds_list.iter().enumerate() {
+            assert_eq!(bounds.len(), positions);
+            match bounds.iter().rposition(Option::is_some) {
+                Some(lb) => {
+                    active.push(i);
+                    last_bounds.push(lb);
+                }
+                None => out[i] = self.n_total.max(1.0),
+            }
+        }
+        if active.is_empty() {
+            return out;
+        }
+
+        let max_last = *last_bounds.iter().max().expect("non-empty active set");
+        let mut ws = Workspace::new();
+        let mut rngs: Vec<StdRng> = active
+            .iter()
+            .map(|&i| particle_rng(self.seed, &bounds_list[i]))
+            .collect();
+        let mut ids = vec![vec![0usize; positions]; active.len() * particles];
+        let mut log_w = vec![0.0f64; active.len() * particles];
+
+        for pos in 0..=max_last {
+            // Queries past their last bound position draw nothing more —
+            // compact them out of the forward so a batch skewed toward
+            // short queries does not pay full-width forwards to the end.
+            // Per-row results are batch-shape independent (the parity
+            // property), so compaction cannot change any estimate.
+            let live: Vec<usize> = (0..active.len()).filter(|&qi| last_bounds[qi] >= pos).collect();
+            let logits = if live.len() == active.len() {
+                // Homogeneous batch: everyone is live, forward in place
+                // without copying any rows.
+                self.made.forward_ids_segment(&ids, pos, &mut ws)
+            } else {
+                let live_ids: Vec<Vec<usize>> = live
+                    .iter()
+                    .flat_map(|&qi| ids[qi * particles..(qi + 1) * particles].iter().cloned())
+                    .collect();
+                self.made.forward_ids_segment(&live_ids, pos, &mut ws)
+            };
+            let compacted = live.len() != active.len();
+            for (slot, &qi) in live.iter().enumerate() {
+                let row0 = qi * particles;
+                let logit0 = if compacted { slot * particles } else { row0 };
+                match bounds_list[active[qi]][pos] {
+                    Some(b) => {
+                        for (off, ids_row) in ids[row0..row0 + particles].iter_mut().enumerate() {
+                            log_w[row0 + off] += f64::from(log_softmax_at(logits.row(logit0 + off), b));
+                            ids_row[pos] = b;
+                        }
+                    }
+                    None => {
+                        for (off, ids_row) in ids[row0..row0 + particles].iter_mut().enumerate() {
+                            ids_row[pos] = sample_categorical(logits.row(logit0 + off), &mut rngs[qi]);
+                        }
+                    }
+                }
+            }
+            ws.recycle(logits);
+        }
+
+        for (qi, &i) in active.iter().enumerate() {
+            let row0 = qi * particles;
+            let mean_w: f64 = log_w[row0..row0 + particles].iter().map(|&lw| lw.exp()).sum::<f64>() / particles as f64;
+            out[i] = (mean_w * self.n_total).max(1.0);
+        }
+        out
     }
 
-    /// Scalar parameter count (read-only walk).
+    /// Scalar parameter count.
     pub fn param_count(&self) -> usize {
         self.made.param_count()
     }
 
-    /// Model size in bytes.
+    /// Model size in bytes at the stored precision.
     pub fn memory_bytes(&self) -> usize {
         self.made.memory_bytes()
     }
 
-    /// One-shot quantization of the trained estimator: the ResMADE drops to
-    /// int8 (per-channel scales) or bf16 weights, the tuple-space total and
-    /// routing metadata carry over, and the whole likelihood-weighted
-    /// sampling core is shared with the f32 path — only the network forwards
-    /// differ.
-    pub fn quantized(&self, mode: QuantMode) -> QuantizedLmkgU {
-        QuantizedLmkgU {
-            made: self.made.quantized(mode),
-            shape: self.shape,
-            k: self.k,
-            n_total: self.n_total,
-            segments: self.segments.clone(),
-            particles: self.cfg.particles,
-            seed: self.cfg.seed,
-        }
-    }
-}
-
-/// The one network operation the likelihood-weighted sampler needs: a sliced
-/// logit-segment forward. Implemented by the f32 and quantized ResMADE so
-/// [`estimate_bounds_impl`]/[`estimate_bounds_batch_impl`] serve both.
-trait SegmentForward {
-    fn segment(&self, ids: &[Vec<usize>], pos: usize, ws: &mut Workspace) -> Matrix;
-}
-
-impl SegmentForward for Made {
-    fn segment(&self, ids: &[Vec<usize>], pos: usize, ws: &mut Workspace) -> Matrix {
-        self.forward_ids_segment(ids, pos, ws)
-    }
-}
-
-impl SegmentForward for QuantizedMade {
-    fn segment(&self, ids: &[Vec<usize>], pos: usize, ws: &mut Workspace) -> Matrix {
-        self.forward_ids_segment(ids, pos, ws)
+    /// One-shot quantization of the trained estimator: the same estimator
+    /// with the ResMADE's weights frozen to int8 (per-channel scales) or
+    /// bf16. The tuple-space total, routing metadata and particle-RNG
+    /// derivation carry over, so only the network forwards differ; the
+    /// training state is not carried. Panics if already frozen.
+    pub fn quantized(&self, mode: QuantMode) -> LmkgU {
+        Self::from_frozen_parts(
+            self.made.quantized(mode),
+            self.shape,
+            self.k,
+            self.n_total,
+            self.particles,
+            self.seed,
+        )
     }
 }
 
@@ -533,7 +641,7 @@ impl SegmentForward for QuantizedMade {
 /// `(seed, bounds)` only, never of call history — the property that makes
 /// `estimate` reproducible and lets `estimate_batch` return exactly what a
 /// per-query loop would.
-fn particle_rng_impl(seed: u64, bounds: &[Option<usize>]) -> StdRng {
+fn particle_rng(seed: u64, bounds: &[Option<usize>]) -> StdRng {
     let mut h = seed ^ 0x517c_c1b7_2722_0a95;
     for b in bounds {
         let v = match b {
@@ -545,295 +653,13 @@ fn particle_rng_impl(seed: u64, bounds: &[Option<usize>]) -> StdRng {
     StdRng::seed_from_u64(h)
 }
 
-/// The progressive-sampling core behind [`LmkgU::estimate_bounds`], generic
-/// over the network.
-fn estimate_bounds_impl<M: SegmentForward>(
-    made: &M,
-    segments: &[usize],
-    n_total: f64,
-    particles: usize,
-    seed: u64,
-    bounds: &[Option<usize>],
-) -> f64 {
-    assert_eq!(bounds.len(), segments.len());
-    let Some(last_bound) = bounds.iter().rposition(Option::is_some) else {
-        // No bound term: the query matches every tuple.
-        return n_total.max(1.0);
-    };
-    let particles = particles.max(1);
-    let mut rng = particle_rng_impl(seed, bounds);
-    let mut ws = Workspace::new();
-    let mut ids = vec![vec![0usize; segments.len()]; particles];
-    let mut log_w = vec![0.0f64; particles];
-
-    for pos in 0..=last_bound {
-        // Only the current position's logit segment is needed — the
-        // sliced forward avoids materializing the full (huge) output
-        // layer at every autoregressive step.
-        let logits = made.segment(&ids, pos, &mut ws);
-        match bounds[pos] {
-            Some(b) => {
-                for (r, ids_row) in ids.iter_mut().enumerate() {
-                    log_w[r] += f64::from(log_softmax_at(logits.row(r), b));
-                    ids_row[pos] = b;
-                }
-            }
-            None => {
-                for (r, ids_row) in ids.iter_mut().enumerate() {
-                    ids_row[pos] = sample_categorical(logits.row(r), &mut rng);
-                }
-            }
-        }
-        ws.recycle(logits);
-    }
-
-    let mean_w: f64 = log_w.iter().map(|&lw| lw.exp()).sum::<f64>() / particles as f64;
-    (mean_w * n_total).max(1.0)
-}
-
-/// The batched progressive-sampling core behind
-/// [`LmkgU::estimate_bounds_batch`], generic over the network.
-fn estimate_bounds_batch_impl<M: SegmentForward>(
-    made: &M,
-    segments: &[usize],
-    n_total: f64,
-    particles: usize,
-    seed: u64,
-    bounds_list: &[Vec<Option<usize>>],
-) -> Vec<f64> {
-    let positions = segments.len();
-    let particles = particles.max(1);
-    let mut out = vec![0.0f64; bounds_list.len()];
-
-    // Fully-unbound queries short-circuit to the tuple-space total.
-    let mut active: Vec<usize> = Vec::new();
-    let mut last_bounds: Vec<usize> = Vec::new();
-    for (i, bounds) in bounds_list.iter().enumerate() {
-        assert_eq!(bounds.len(), positions);
-        match bounds.iter().rposition(Option::is_some) {
-            Some(lb) => {
-                active.push(i);
-                last_bounds.push(lb);
-            }
-            None => out[i] = n_total.max(1.0),
-        }
-    }
-    if active.is_empty() {
-        return out;
-    }
-
-    let max_last = *last_bounds.iter().max().expect("non-empty active set");
-    let mut ws = Workspace::new();
-    let mut rngs: Vec<StdRng> = active
-        .iter()
-        .map(|&i| particle_rng_impl(seed, &bounds_list[i]))
-        .collect();
-    let mut ids = vec![vec![0usize; positions]; active.len() * particles];
-    let mut log_w = vec![0.0f64; active.len() * particles];
-
-    for pos in 0..=max_last {
-        // Queries past their last bound position draw nothing more —
-        // compact them out of the forward so a batch skewed toward
-        // short queries does not pay full-width forwards to the end.
-        // Per-row results are batch-shape independent (the parity
-        // property), so compaction cannot change any estimate.
-        let live: Vec<usize> = (0..active.len()).filter(|&qi| last_bounds[qi] >= pos).collect();
-        let logits = if live.len() == active.len() {
-            // Homogeneous batch: everyone is live, forward in place
-            // without copying any rows.
-            made.segment(&ids, pos, &mut ws)
-        } else {
-            let live_ids: Vec<Vec<usize>> = live
-                .iter()
-                .flat_map(|&qi| ids[qi * particles..(qi + 1) * particles].iter().cloned())
-                .collect();
-            made.segment(&live_ids, pos, &mut ws)
-        };
-        let compacted = live.len() != active.len();
-        for (slot, &qi) in live.iter().enumerate() {
-            let row0 = qi * particles;
-            let logit0 = if compacted { slot * particles } else { row0 };
-            match bounds_list[active[qi]][pos] {
-                Some(b) => {
-                    for (off, ids_row) in ids[row0..row0 + particles].iter_mut().enumerate() {
-                        log_w[row0 + off] += f64::from(log_softmax_at(logits.row(logit0 + off), b));
-                        ids_row[pos] = b;
-                    }
-                }
-                None => {
-                    for (off, ids_row) in ids[row0..row0 + particles].iter_mut().enumerate() {
-                        ids_row[pos] = sample_categorical(logits.row(logit0 + off), &mut rngs[qi]);
-                    }
-                }
-            }
-        }
-        ws.recycle(logits);
-    }
-
-    for (qi, &i) in active.iter().enumerate() {
-        let row0 = qi * particles;
-        let mean_w: f64 = log_w[row0..row0 + particles].iter().map(|&lw| lw.exp()).sum::<f64>() / particles as f64;
-        out[i] = (mean_w * n_total).max(1.0);
-    }
-    out
-}
-
-/// A frozen, quantized LMKG-U produced by [`LmkgU::quantized`]: the same
-/// likelihood-weighted sampling core, particle RNG derivation, and routing
-/// metadata over an int8/bf16 ResMADE. Owns no f32 weights, so
-/// [`QuantizedLmkgU::memory_bytes`] reports the true quantized footprint.
-/// Shared-read (`&self`) like its original.
-pub struct QuantizedLmkgU {
-    made: QuantizedMade,
-    shape: QueryShape,
-    k: usize,
-    n_total: f64,
-    segments: Vec<usize>,
-    particles: usize,
-    seed: u64,
-}
-
-impl QuantizedLmkgU {
-    /// Reassembles a quantized estimator from snapshot parts (segments are
-    /// recovered from the quantized ResMADE itself).
-    pub(crate) fn from_parts(
-        made: QuantizedMade,
-        shape: QueryShape,
-        k: usize,
-        n_total: f64,
-        particles: usize,
-        seed: u64,
-    ) -> Self {
-        let segments = made.segments().to_vec();
-        Self {
-            made,
-            shape,
-            k,
-            n_total,
-            segments,
-            particles,
-            seed,
-        }
-    }
-
-    /// The quantized ResMADE (snapshots persist it via its own format).
-    pub(crate) fn made(&self) -> &QuantizedMade {
-        &self.made
-    }
-
-    /// Particle count for likelihood-weighted sampling.
-    pub(crate) fn particles(&self) -> usize {
-        self.particles
-    }
-
-    /// The particle-RNG seed.
-    pub(crate) fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The quantization mode this estimator was built with.
-    pub fn mode(&self) -> QuantMode {
-        self.made.mode()
-    }
-
-    /// The tuple size `k`.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// The model topology.
-    pub fn shape(&self) -> QueryShape {
-        self.shape
-    }
-
-    /// The tuple-space total `N` used to de-normalize densities.
-    pub fn n_total(&self) -> f64 {
-        self.n_total
-    }
-
-    /// Estimates the cardinality of `query`; see [`LmkgU::estimate_query`].
-    pub fn estimate_query(&self, query: &Query) -> Result<f64, LmkgUError> {
-        let bounds = query_bounds_impl(self.shape, self.k, query)?;
-        Ok(self.estimate_bounds(&bounds))
-    }
-
-    /// Batched estimation; see [`LmkgU::estimate_query_batch`].
-    pub fn estimate_query_batch(&self, queries: &[&Query]) -> Vec<Result<f64, LmkgUError>> {
-        let parsed: Vec<Result<Vec<Option<usize>>, LmkgUError>> = queries
-            .iter()
-            .map(|q| query_bounds_impl(self.shape, self.k, q))
-            .collect();
-        let accepted: Vec<Vec<Option<usize>>> = parsed.iter().filter_map(|r| r.as_ref().ok().cloned()).collect();
-        let mut estimates = self.estimate_bounds_batch(&accepted).into_iter();
-        parsed
-            .into_iter()
-            .map(|r| r.map(|_| estimates.next().expect("one estimate per accepted query")))
-            .collect()
-    }
-
-    /// Core progressive-sampling estimator over per-position bound values.
-    pub fn estimate_bounds(&self, bounds: &[Option<usize>]) -> f64 {
-        estimate_bounds_impl(
-            &self.made,
-            &self.segments,
-            self.n_total,
-            self.particles,
-            self.seed,
-            bounds,
-        )
-    }
-
-    /// Batched [`QuantizedLmkgU::estimate_bounds`].
-    pub fn estimate_bounds_batch(&self, bounds_list: &[Vec<Option<usize>>]) -> Vec<f64> {
-        estimate_bounds_batch_impl(
-            &self.made,
-            &self.segments,
-            self.n_total,
-            self.particles,
-            self.seed,
-            bounds_list,
-        )
-    }
-
-    /// Scalar parameter count (weights, scales, biases, embeddings).
-    pub fn param_count(&self) -> usize {
-        self.made.param_count()
-    }
-
-    /// Model size in bytes at the quantized representation.
-    pub fn memory_bytes(&self) -> usize {
-        self.made.memory_bytes()
-    }
-}
-
-impl crate::estimator::CardinalityEstimator for QuantizedLmkgU {
-    fn name(&self) -> &str {
-        match self.mode() {
-            QuantMode::Int8 => "LMKG-U-int8",
-            QuantMode::Bf16 => "LMKG-U-bf16",
-        }
-    }
-
-    fn estimate(&self, query: &Query) -> f64 {
-        self.estimate_query(query).unwrap_or(1.0)
-    }
-
-    fn estimate_batch(&self, queries: &[Query]) -> Vec<f64> {
-        let refs: Vec<&Query> = queries.iter().collect();
-        self.estimate_query_batch(&refs)
-            .into_iter()
-            .map(|r| r.unwrap_or(1.0))
-            .collect()
-    }
-
-    fn memory_bytes(&self) -> usize {
-        QuantizedLmkgU::memory_bytes(self)
-    }
-}
-
 impl crate::estimator::CardinalityEstimator for LmkgU {
     fn name(&self) -> &str {
-        "LMKG-U"
+        match self.mode() {
+            None => "LMKG-U",
+            Some(QuantMode::Int8) => "LMKG-U-int8",
+            Some(QuantMode::Bf16) => "LMKG-U-bf16",
+        }
     }
 
     /// Estimates via [`LmkgU::estimate_query`]; queries this model cannot
@@ -886,6 +712,7 @@ fn sample_categorical<R: Rng>(seg: &[f32], rng: &mut R) -> usize {
 mod tests {
     use super::*;
     use lmkg_store::{GraphBuilder, NodeId, NodeTerm, PredId, PredTerm, TriplePattern};
+    use std::sync::OnceLock;
 
     fn v(i: u16) -> NodeTerm {
         NodeTerm::Var(VarId(i))
@@ -898,16 +725,19 @@ mod tests {
     }
 
     /// A small but structured graph: two "genres" with different popularity.
-    fn graph() -> lmkg_store::KnowledgeGraph {
-        let mut b = GraphBuilder::new();
-        for i in 0..12 {
-            let book = format!("book{i}");
-            let author = format!("author{}", i % 3);
-            b.add(&book, "hasAuthor", &author);
-            let genre = if i < 9 { "horror" } else { "fantasy" };
-            b.add(&book, "genre", genre);
-        }
-        b.build()
+    fn graph() -> &'static lmkg_store::KnowledgeGraph {
+        static GRAPH: OnceLock<lmkg_store::KnowledgeGraph> = OnceLock::new();
+        GRAPH.get_or_init(|| {
+            let mut b = GraphBuilder::new();
+            for i in 0..12 {
+                let book = format!("book{i}");
+                let author = format!("author{}", i % 3);
+                b.add(&book, "hasAuthor", &author);
+                let genre = if i < 9 { "horror" } else { "fantasy" };
+                b.add(&book, "genre", genre);
+            }
+            b.build()
+        })
     }
 
     fn quick_cfg() -> LmkgUConfig {
@@ -926,27 +756,33 @@ mod tests {
         }
     }
 
-    fn trained_star_model(k: usize) -> (lmkg_store::KnowledgeGraph, LmkgU) {
-        let g = graph();
-        let mut m = LmkgU::new(&g, QueryShape::Star, k, quick_cfg()).unwrap();
-        m.train(&g);
-        (g, m)
+    fn train_star_model() -> LmkgU {
+        let mut m = LmkgU::new(graph(), QueryShape::Star, 2, quick_cfg()).unwrap();
+        m.train(graph());
+        m
+    }
+
+    /// The star-2 model over [`graph`], trained once and shared by every
+    /// test that only needs *a* trained estimator.
+    fn trained_star_model() -> (&'static lmkg_store::KnowledgeGraph, &'static LmkgU) {
+        static MODEL: OnceLock<LmkgU> = OnceLock::new();
+        (graph(), MODEL.get_or_init(train_star_model))
     }
 
     #[test]
     fn n_total_matches_counter() {
         let g = graph();
-        let m = LmkgU::new(&g, QueryShape::Star, 2, quick_cfg()).unwrap();
-        assert_eq!(m.n_total(), counter::star_tuple_total(&g, 2));
-        let c = LmkgU::new(&g, QueryShape::Chain, 2, quick_cfg()).unwrap();
-        assert_eq!(c.n_total(), counter::chain_tuple_total(&g, 2));
+        let m = LmkgU::new(g, QueryShape::Star, 2, quick_cfg()).unwrap();
+        assert_eq!(m.n_total(), counter::star_tuple_total(g, 2));
+        let c = LmkgU::new(g, QueryShape::Chain, 2, quick_cfg()).unwrap();
+        assert_eq!(c.n_total(), counter::chain_tuple_total(g, 2));
     }
 
     #[test]
     fn training_reduces_nll() {
         let g = graph();
-        let mut m = LmkgU::new(&g, QueryShape::Star, 2, quick_cfg()).unwrap();
-        let tuples = m.sample_training_tuples(&g);
+        let mut m = LmkgU::new(g, QueryShape::Star, 2, quick_cfg()).unwrap();
+        let tuples = m.sample_training_tuples(g);
         let before = m.nll(&tuples[..500.min(tuples.len())]);
         let mut opt = m.make_optimizer();
         for _ in 0..10 {
@@ -958,7 +794,7 @@ mod tests {
 
     #[test]
     fn estimates_fully_unbound_query_as_n_total() {
-        let (_, m) = trained_star_model(2);
+        let (_, m) = trained_star_model();
         let q = Query::new(vec![
             TriplePattern::new(v(0), PredTerm::Var(VarId(5)), v(1)),
             TriplePattern::new(v(0), PredTerm::Var(VarId(6)), v(2)),
@@ -969,7 +805,7 @@ mod tests {
 
     #[test]
     fn estimates_star_query_close_to_exact() {
-        let (g, m) = trained_star_model(2);
+        let (g, m) = trained_star_model();
         let has_author = PredId(g.preds().get("hasAuthor").unwrap());
         let genre = PredId(g.preds().get("genre").unwrap());
         let horror = NodeId(g.nodes().get("horror").unwrap());
@@ -979,7 +815,7 @@ mod tests {
             TriplePattern::new(v(0), PredTerm::Bound(has_author), v(1)),
             TriplePattern::new(v(0), PredTerm::Bound(genre), NodeTerm::Bound(horror)),
         ]);
-        let exact = counter::cardinality(&g, &q) as f64;
+        let exact = counter::cardinality(g, &q) as f64;
         let est = m.estimate_query(&q).unwrap();
         let qerr = (est / exact).max(exact / est);
         assert!(qerr < 2.0, "estimate {est} vs exact {exact} (q-error {qerr})");
@@ -987,7 +823,7 @@ mod tests {
 
     #[test]
     fn estimates_bound_only_query() {
-        let (g, m) = trained_star_model(2);
+        let (g, m) = trained_star_model();
         let has_author = PredId(g.preds().get("hasAuthor").unwrap());
         let genre = PredId(g.preds().get("genre").unwrap());
         let horror = NodeId(g.nodes().get("horror").unwrap());
@@ -997,7 +833,7 @@ mod tests {
             TriplePattern::new(v(0), PredTerm::Bound(has_author), NodeTerm::Bound(a0)),
             TriplePattern::new(v(0), PredTerm::Bound(genre), NodeTerm::Bound(horror)),
         ]);
-        let exact = counter::cardinality(&g, &q) as f64;
+        let exact = counter::cardinality(g, &q) as f64;
         let est = m.estimate_query(&q).unwrap();
         let qerr = (est / exact).max(exact / est);
         assert!(qerr < 3.0, "estimate {est} vs exact {exact} (q-error {qerr})");
@@ -1006,12 +842,12 @@ mod tests {
     #[test]
     fn chain_model_estimates() {
         let g = graph();
-        let mut m = LmkgU::new(&g, QueryShape::Chain, 1, quick_cfg()).unwrap();
-        m.train(&g);
+        let mut m = LmkgU::new(g, QueryShape::Chain, 1, quick_cfg()).unwrap();
+        m.train(g);
         let has_author = PredId(g.preds().get("hasAuthor").unwrap());
         // Single triple (?x hasAuthor ?y) — chain of length 1; exact = 12.
         let q = Query::new(vec![TriplePattern::new(v(0), PredTerm::Bound(has_author), v(1))]);
-        let exact = counter::cardinality(&g, &q) as f64;
+        let exact = counter::cardinality(g, &q) as f64;
         let est = m.estimate_query(&q).unwrap();
         let qerr = (est / exact).max(exact / est);
         assert!(qerr < 2.0, "estimate {est} vs exact {exact}");
@@ -1024,7 +860,7 @@ mod tests {
             max_node_domain: 3,
             ..quick_cfg()
         };
-        match LmkgU::new(&g, QueryShape::Star, 2, cfg) {
+        match LmkgU::new(g, QueryShape::Star, 2, cfg) {
             Err(LmkgUError::DomainTooLarge { .. }) => {}
             Err(other) => panic!("wrong error: {other}"),
             Ok(_) => panic!("guard did not trigger"),
@@ -1033,7 +869,7 @@ mod tests {
 
     #[test]
     fn shape_and_size_mismatches_error() {
-        let (_, m) = trained_star_model(2);
+        let (_, m) = trained_star_model();
         // Chain query against star model.
         let chain = Query::new(vec![
             TriplePattern::new(v(0), p(0), v(1)),
@@ -1051,7 +887,7 @@ mod tests {
 
     #[test]
     fn repeated_object_variable_unsupported() {
-        let (_, m) = trained_star_model(2);
+        let (_, m) = trained_star_model();
         let q = Query::new(vec![
             TriplePattern::new(v(0), p(0), v(1)),
             TriplePattern::new(v(0), p(1), v(1)),
@@ -1061,14 +897,9 @@ mod tests {
 
     #[test]
     fn estimate_is_deterministic_for_seed() {
-        let g = graph();
-        let build = || {
-            let mut m = LmkgU::new(&g, QueryShape::Star, 2, quick_cfg()).unwrap();
-            m.train(&g);
-            m
-        };
-        let a = build();
-        let b = build();
+        // A second, independent training run must reproduce the shared one.
+        let (g, a) = trained_star_model();
+        let b = train_star_model();
         let has_author = PredId(g.preds().get("hasAuthor").unwrap());
         let q = Query::new(vec![
             TriplePattern::new(v(0), PredTerm::Bound(has_author), v(1)),
@@ -1079,7 +910,7 @@ mod tests {
 
     #[test]
     fn batch_estimates_match_per_query_bitwise() {
-        let (g, m) = trained_star_model(2);
+        let (g, m) = trained_star_model();
         let has_author = PredId(g.preds().get("hasAuthor").unwrap());
         let genre = PredId(g.preds().get("genre").unwrap());
         let horror = NodeId(g.nodes().get("horror").unwrap());
@@ -1123,7 +954,7 @@ mod tests {
     /// bitwise parity, and actually shrink.
     #[test]
     fn quantized_estimates_track_f32_with_parity_and_shrink() {
-        let (g, m) = trained_star_model(2);
+        let (g, m) = trained_star_model();
         let has_author = PredId(g.preds().get("hasAuthor").unwrap());
         let genre = PredId(g.preds().get("genre").unwrap());
         let horror = NodeId(g.nodes().get("horror").unwrap());
@@ -1168,13 +999,24 @@ mod tests {
         }
     }
 
+    /// A frozen estimator carries no training state: its training entry
+    /// points panic instead of silently stepping nothing.
+    #[test]
+    #[should_panic(expected = "frozen to int8/bf16")]
+    fn training_a_frozen_estimator_panics() {
+        let (g, m) = trained_star_model();
+        let mut frozen = m.quantized(QuantMode::Bf16);
+        assert!(frozen.config().is_none());
+        frozen.train(g);
+    }
+
     #[test]
     fn memory_scales_with_domain() {
         let g = graph();
-        let small = LmkgU::new(&g, QueryShape::Star, 2, quick_cfg()).unwrap().param_count();
+        let small = LmkgU::new(g, QueryShape::Star, 2, quick_cfg()).unwrap().param_count();
         let mut big_cfg = quick_cfg();
         big_cfg.hidden = 64;
-        let big = LmkgU::new(&g, QueryShape::Star, 2, big_cfg).unwrap().param_count();
+        let big = LmkgU::new(g, QueryShape::Star, 2, big_cfg).unwrap().param_count();
         assert!(big > small);
     }
 }

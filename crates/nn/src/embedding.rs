@@ -7,21 +7,27 @@
 
 use crate::init;
 use crate::layers::Param;
+use crate::quant::{bf16_to_f32, read_shape, QuantMode, ScaleAxis, Weights};
 use crate::tensor::Matrix;
 use rand::Rng;
+use std::io::{self, Read, Write};
 
-/// A `vocab × dim` embedding table.
+/// A `vocab × dim` embedding table over a weight store ([`crate::quant`]): trainable f32,
+/// or frozen int8 (one scale per vocabulary row) / bf16 after
+/// [`Embedding::quantized`].
 pub struct Embedding {
-    table: Param,
+    vocab: usize,
     dim: usize,
+    table: Weights,
 }
 
 impl Embedding {
     /// A randomly initialized table.
     pub fn new<R: Rng>(rng: &mut R, vocab: usize, dim: usize) -> Self {
         Self {
-            table: Param::new(init::embedding_init(rng, vocab, dim)),
+            vocab,
             dim,
+            table: Weights::F32(Param::new(init::embedding_init(rng, vocab, dim))),
         }
     }
 
@@ -34,37 +40,81 @@ impl Embedding {
     /// Vocabulary size.
     #[inline]
     pub fn vocab(&self) -> usize {
-        self.table.value.rows()
+        self.vocab
     }
 
-    /// Copies the embedding of `id` into `out` (length `dim`).
+    /// Writes the (dequantized) embedding of `id` into `out` (length `dim`).
     pub fn lookup_into(&self, id: usize, out: &mut [f32]) {
         debug_assert_eq!(out.len(), self.dim);
-        out.copy_from_slice(self.table.value.row(id));
+        let row = id * self.dim..(id + 1) * self.dim;
+        match &self.table {
+            Weights::F32(p) => out.copy_from_slice(p.value.row(id)),
+            Weights::Int8 { q, scales } => {
+                let s = scales[id];
+                for (o, &v) in out.iter_mut().zip(&q[row]) {
+                    *o = f32::from(v) * s;
+                }
+            }
+            Weights::Bf16 { h } => {
+                for (o, &v) in out.iter_mut().zip(&h[row]) {
+                    *o = bf16_to_f32(v);
+                }
+            }
+        }
     }
 
     /// Accumulates `grad` (length `dim`) into the gradient row of `id`.
     pub fn accumulate_grad(&mut self, id: usize, grad: &[f32]) {
         debug_assert_eq!(grad.len(), self.dim);
-        for (g, &d) in self.table.grad.row_mut(id).iter_mut().zip(grad) {
+        for (g, &d) in self.table.param_mut().grad.row_mut(id).iter_mut().zip(grad) {
             *g += d;
         }
     }
 
-    /// Access to the underlying parameter (for optimizers/serialization).
+    /// Access to the underlying parameter (for optimizers/serialization);
+    /// panics on a frozen table.
     pub fn param_mut(&mut self) -> &mut Param {
-        &mut self.table
+        self.table.param_mut()
     }
 
     /// Read-only access to the underlying parameter (for `&self` parameter
-    /// walks).
+    /// walks); panics on a frozen table.
     pub fn param(&self) -> &Param {
-        &self.table
+        self.table.param()
     }
 
-    /// Read-only access to the table values.
+    /// Read-only access to the f32 table values; panics on a frozen table.
     pub fn values(&self) -> &Matrix {
-        &self.table.value
+        &self.table.param().value
+    }
+
+    /// The frozen copy of this trained table at `mode`.
+    pub fn quantized(&self, mode: QuantMode) -> Embedding {
+        Embedding {
+            vocab: self.vocab,
+            dim: self.dim,
+            table: Weights::quantize(self.values(), mode, ScaleAxis::Rows),
+        }
+    }
+
+    /// Bytes held by the table at its stored precision.
+    pub fn memory_bytes(&self) -> usize {
+        self.table.memory_bytes()
+    }
+
+    /// Serializes a frozen table's payload (shape + rows + scales); the
+    /// [`QuantMode`] travels with the container.
+    pub(crate) fn write_frozen<W: Write>(&self, writer: &mut W) -> io::Result<()> {
+        writer.write_all(&(self.vocab as u32).to_le_bytes())?;
+        writer.write_all(&(self.dim as u32).to_le_bytes())?;
+        self.table.write_frozen(writer)
+    }
+
+    /// Restores a payload written by [`Embedding::write_frozen`] at `mode`.
+    pub(crate) fn read_frozen<R: Read>(reader: &mut R, mode: QuantMode) -> io::Result<Self> {
+        let (vocab, dim) = read_shape(reader)?;
+        let table = Weights::read_frozen(reader, mode, vocab * dim, vocab)?;
+        Ok(Self { vocab, dim, table })
     }
 }
 

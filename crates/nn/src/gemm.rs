@@ -391,34 +391,13 @@ unsafe fn microkernel_avx2_full(kc: usize, ap: &[f32], bp: &[f32], c: &mut [f32]
     }
 }
 
-/// `A·B` through the blocked core with an explicit kernel — the bench and
-/// parity-test surface. Production code should call [`crate::Matrix::matmul`],
-/// which uses [`active_kernel`] and threads large products.
+/// `A·B` with an explicit kernel, routed between the GEMV and blocked cores
+/// exactly as [`crate::Matrix::matmul`] routes it — the bench and
+/// parity-test surface. Production code should call
+/// [`crate::Matrix::matmul`], which uses [`active_kernel`] and threads large
+/// products; [`crate::tensor::matmul_forced`] pins the core as well.
 pub fn matmul_with_kernel(kernel: Kernel, a: &crate::Matrix, b: &crate::Matrix, parallel: bool) -> crate::Matrix {
-    crate::tensor::matmul_dispatch(kernel, a, b, parallel)
-}
-
-/// `A·Bᵀ` with an explicit kernel; see [`crate::Matrix::matmul_nt`].
-pub fn matmul_nt_with_kernel(kernel: Kernel, a: &crate::Matrix, b: &crate::Matrix, parallel: bool) -> crate::Matrix {
-    crate::tensor::matmul_nt_dispatch(kernel, a, b, parallel)
-}
-
-/// `Aᵀ·B` with an explicit kernel; see [`crate::Matrix::matmul_tn`].
-pub fn matmul_tn_with_kernel(kernel: Kernel, a: &crate::Matrix, b: &crate::Matrix, parallel: bool) -> crate::Matrix {
-    crate::tensor::matmul_tn_dispatch(kernel, a, b, parallel)
-}
-
-/// `A·B[:, lo..hi]` with an explicit kernel; see
-/// [`crate::Matrix::matmul_cols`].
-pub fn matmul_cols_with_kernel(
-    kernel: Kernel,
-    a: &crate::Matrix,
-    b: &crate::Matrix,
-    lo: usize,
-    hi: usize,
-    parallel: bool,
-) -> crate::Matrix {
-    crate::tensor::matmul_cols_dispatch(kernel, a, b, lo, hi, parallel)
+    crate::tensor::matmul_dispatch(kernel, crate::tensor::MatOp::NN, a, b, parallel)
 }
 
 #[cfg(test)]

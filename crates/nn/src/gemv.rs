@@ -41,8 +41,6 @@
 //! proptest in `tests/prop_nn.rs`.
 
 use crate::gemm::{Kernel, MatRef};
-use crate::tensor;
-use crate::Matrix;
 
 /// Largest number of `A` rows routed to the pack-free GEMV path by
 /// [`crate::tensor`]'s dispatchers (single-threaded products only; larger
@@ -228,59 +226,11 @@ unsafe fn gemv_tile<const MB: usize, const NB: usize>(a: MatRef<'_>, b: MatRef<'
     }
 }
 
-/// `A·B` forced through the GEMV path (bench/parity surface). Panics if
-/// `a.rows() > GEMV_MAX_M`. Production code should call
-/// [`crate::Matrix::matmul`], which routes small single-threaded products
-/// here automatically.
-pub fn matmul_gemv_with_kernel(kernel: Kernel, a: &Matrix, b: &Matrix) -> Matrix {
-    tensor::matmul_forced(kernel, a, b, true)
-}
-
-/// `A·B` forced through the blocked packed core, bypassing the GEMV
-/// routing — the reference side of the small-M parity and bench
-/// comparisons.
-pub fn matmul_blocked_with_kernel(kernel: Kernel, a: &Matrix, b: &Matrix) -> Matrix {
-    tensor::matmul_forced(kernel, a, b, false)
-}
-
-/// `A·Bᵀ` forced through the GEMV path; see [`matmul_gemv_with_kernel`].
-pub fn matmul_nt_gemv_with_kernel(kernel: Kernel, a: &Matrix, b: &Matrix) -> Matrix {
-    tensor::matmul_nt_forced(kernel, a, b, true)
-}
-
-/// `A·Bᵀ` forced through the blocked core; see
-/// [`matmul_blocked_with_kernel`].
-pub fn matmul_nt_blocked_with_kernel(kernel: Kernel, a: &Matrix, b: &Matrix) -> Matrix {
-    tensor::matmul_nt_forced(kernel, a, b, false)
-}
-
-/// `Aᵀ·B` forced through the GEMV path; see [`matmul_gemv_with_kernel`].
-pub fn matmul_tn_gemv_with_kernel(kernel: Kernel, a: &Matrix, b: &Matrix) -> Matrix {
-    tensor::matmul_tn_forced(kernel, a, b, true)
-}
-
-/// `Aᵀ·B` forced through the blocked core; see
-/// [`matmul_blocked_with_kernel`].
-pub fn matmul_tn_blocked_with_kernel(kernel: Kernel, a: &Matrix, b: &Matrix) -> Matrix {
-    tensor::matmul_tn_forced(kernel, a, b, false)
-}
-
-/// `A·B[:, lo..hi]` forced through the GEMV path; see
-/// [`matmul_gemv_with_kernel`].
-pub fn matmul_cols_gemv_with_kernel(kernel: Kernel, a: &Matrix, b: &Matrix, lo: usize, hi: usize) -> Matrix {
-    tensor::matmul_cols_forced(kernel, a, b, lo, hi, true)
-}
-
-/// `A·B[:, lo..hi]` forced through the blocked core; see
-/// [`matmul_blocked_with_kernel`].
-pub fn matmul_cols_blocked_with_kernel(kernel: Kernel, a: &Matrix, b: &Matrix, lo: usize, hi: usize) -> Matrix {
-    tensor::matmul_cols_forced(kernel, a, b, lo, hi, false)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gemm::available_kernels;
+    use crate::tensor::{matmul_forced, MatOp, MatPath};
     use crate::test_support::seeded_matrix as test_matrix;
 
     /// Small-M shapes hitting every tile width, remainder strip, and scalar
@@ -307,8 +257,8 @@ mod tests {
             for &(m, k, n) in SHAPES {
                 let a = test_matrix(m, k, m as u64 * 31 + 1);
                 let b = test_matrix(k, n, n as u64 * 17 + 2);
-                let gemv = matmul_gemv_with_kernel(kernel, &a, &b);
-                let blocked = matmul_blocked_with_kernel(kernel, &a, &b);
+                let gemv = matmul_forced(kernel, MatOp::NN, MatPath::Gemv, &a, &b);
+                let blocked = matmul_forced(kernel, MatOp::NN, MatPath::Blocked, &a, &b);
                 assert_eq!(
                     gemv.as_slice(),
                     blocked.as_slice(),
@@ -327,8 +277,8 @@ mod tests {
             for &(m, k, n) in SHAPES {
                 let a = test_matrix(m, k, 3);
                 let bt = test_matrix(n, k, 4);
-                let gemv = matmul_nt_gemv_with_kernel(kernel, &a, &bt);
-                let blocked = matmul_nt_blocked_with_kernel(kernel, &a, &bt);
+                let gemv = matmul_forced(kernel, MatOp::NT, MatPath::Gemv, &a, &bt);
+                let blocked = matmul_forced(kernel, MatOp::NT, MatPath::Blocked, &a, &bt);
                 assert_eq!(
                     gemv.as_slice(),
                     blocked.as_slice(),
@@ -347,8 +297,8 @@ mod tests {
             for &(m, k, n) in SHAPES {
                 let at = test_matrix(k, m, 5);
                 let b = test_matrix(k, n, 6);
-                let gemv = matmul_tn_gemv_with_kernel(kernel, &at, &b);
-                let blocked = matmul_tn_blocked_with_kernel(kernel, &at, &b);
+                let gemv = matmul_forced(kernel, MatOp::TN, MatPath::Gemv, &at, &b);
+                let blocked = matmul_forced(kernel, MatOp::TN, MatPath::Blocked, &at, &b);
                 assert_eq!(
                     gemv.as_slice(),
                     blocked.as_slice(),
@@ -364,10 +314,10 @@ mod tests {
         for &kernel in available_kernels() {
             let a = test_matrix(2, 96, 7);
             let b = test_matrix(96, 120, 8);
-            let full = matmul_gemv_with_kernel(kernel, &a, &b);
+            let full = matmul_forced(kernel, MatOp::NN, MatPath::Gemv, &a, &b);
             for &(lo, hi) in &[(0usize, 120usize), (8, 40), (3, 11), (100, 120), (55, 56)] {
-                let gemv = matmul_cols_gemv_with_kernel(kernel, &a, &b, lo, hi);
-                let blocked = matmul_cols_blocked_with_kernel(kernel, &a, &b, lo, hi);
+                let gemv = matmul_forced(kernel, MatOp::Cols(lo, hi), MatPath::Gemv, &a, &b);
+                let blocked = matmul_forced(kernel, MatOp::Cols(lo, hi), MatPath::Blocked, &a, &b);
                 assert_eq!(gemv.as_slice(), blocked.as_slice(), "kernel {}", kernel.name());
                 for r in 0..a.rows() {
                     assert_eq!(gemv.row(r), &full.row(r)[lo..hi], "slice {lo}..{hi} row {r}");
@@ -384,7 +334,7 @@ mod tests {
             let a = test_matrix(m, k, 9);
             let b = test_matrix(k, n, 10);
             let routed = a.matmul(&b);
-            let forced = matmul_gemv_with_kernel(crate::gemm::active_kernel(), &a, &b);
+            let forced = matmul_forced(crate::gemm::active_kernel(), MatOp::NN, MatPath::Gemv, &a, &b);
             assert_eq!(routed.as_slice(), forced.as_slice(), "shape {m}x{k}x{n}");
         }
     }
@@ -394,6 +344,6 @@ mod tests {
     fn forced_gemv_rejects_large_m() {
         let a = test_matrix(GEMV_MAX_M + 1, 4, 1);
         let b = test_matrix(4, 4, 2);
-        matmul_gemv_with_kernel(Kernel::Scalar, &a, &b);
+        matmul_forced(Kernel::Scalar, MatOp::NN, MatPath::Gemv, &a, &b);
     }
 }

@@ -5,10 +5,12 @@
 //! so optimizers and serializers can walk a model without knowing its shape.
 
 use crate::init;
-use crate::quant::{QuantLayer, QuantMode, QuantizedDense, QuantizedSequential};
+use crate::quant::{read_header, read_shape, write_header, QuantMode, ScaleAxis, Weights, FROZEN};
+use crate::serialize::{read_f32s, read_u32, write_f32s};
 use crate::tensor::Matrix;
 use crate::workspace::Workspace;
 use rand::Rng;
+use std::io::{self, Read, Write};
 
 /// A trainable parameter: value plus gradient accumulator of identical shape.
 #[derive(Clone, Debug)]
@@ -91,158 +93,154 @@ pub trait Layer {
         n
     }
 
-    /// The frozen-inference quantized form of this layer, or `None` when the
-    /// layer does not support post-training quantization. Every layer in
-    /// this crate implements it; the default exists for downstream custom
-    /// layers.
-    fn quantize_layer(&self, _mode: QuantMode) -> Option<QuantLayer> {
+    /// The reduced-precision store this layer's weights are frozen in, or
+    /// `None` while they are trainable f32. Training-only operations
+    /// (`forward(train = true)`, `backward`, the parameter walks) panic on a
+    /// frozen layer; [`crate::serialize`] checks this first and returns
+    /// `InvalidInput` instead.
+    fn quant_mode(&self) -> Option<QuantMode> {
         None
     }
 }
 
-/// Fully connected layer `y = x·W + b`.
+/// Fully connected layer `y = x·W + b`, optionally with a fixed binary
+/// connectivity mask on the weights — the building block of MADE, where the
+/// invariant `W = W ⊙ M` is maintained after every gradient update by
+/// masking the gradient too.
+///
+/// The weights live in a weight store ([`crate::quant`]): trainable f32, or frozen
+/// int8/bf16 after [`Dense::quantized`]. The bias is f32 in every store.
 pub struct Dense {
-    w: Param,
+    fan_in: usize,
+    fan_out: usize,
+    w: Weights,
     b: Param,
+    /// `fan_in × fan_out` over {0,1}; `None` for an unmasked layer and for a
+    /// frozen one (masked weights are exactly zero, which int8 and bf16 both
+    /// represent exactly, so the store preserves the connectivity alone).
+    mask: Option<Matrix>,
     cached_input: Option<Matrix>,
 }
 
 impl Dense {
-    /// He-initialized dense layer (for ReLU stacks).
-    pub fn new_he<R: Rng>(rng: &mut R, fan_in: usize, fan_out: usize) -> Self {
+    fn from_store(fan_in: usize, fan_out: usize, w: Weights, bias: Matrix, mask: Option<Matrix>) -> Self {
         Self {
-            w: Param::new(init::he(rng, fan_in, fan_out)),
-            b: Param::new(Matrix::zeros(1, fan_out)),
-            cached_input: None,
-        }
-    }
-
-    /// Xavier-initialized dense layer (for sigmoid/linear outputs).
-    pub fn new_xavier<R: Rng>(rng: &mut R, fan_in: usize, fan_out: usize) -> Self {
-        Self {
-            w: Param::new(init::xavier(rng, fan_in, fan_out)),
-            b: Param::new(Matrix::zeros(1, fan_out)),
-            cached_input: None,
-        }
-    }
-
-    /// Input dimensionality.
-    pub fn fan_in(&self) -> usize {
-        self.w.value.rows()
-    }
-
-    /// Output dimensionality.
-    pub fn fan_out(&self) -> usize {
-        self.w.value.cols()
-    }
-}
-
-impl Layer for Dense {
-    fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
-        let mut y = x.matmul(&self.w.value);
-        y.add_row_vector(self.b.value.as_slice());
-        if train {
-            self.cached_input = Some(x.clone());
-        }
-        y
-    }
-
-    fn forward_infer(&self, x: &Matrix, ws: &mut Workspace) -> Matrix {
-        let mut y = ws.matmul(x, &self.w.value);
-        y.add_row_vector(self.b.value.as_slice());
-        y
-    }
-
-    fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let x = self.cached_input.take().expect("backward without forward(train)");
-        self.w.grad.add_assign(&x.matmul_tn(grad_out));
-        let bias_grad = Matrix::from_vec(1, grad_out.cols(), grad_out.col_sums());
-        self.b.grad.add_assign(&bias_grad);
-        grad_out.matmul_nt(&self.w.value)
-    }
-
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        f(&mut self.w);
-        f(&mut self.b);
-    }
-
-    fn visit_params_ref(&self, f: &mut dyn FnMut(&Param)) {
-        f(&self.w);
-        f(&self.b);
-    }
-
-    fn quantize_layer(&self, mode: QuantMode) -> Option<QuantLayer> {
-        Some(QuantLayer::Dense(QuantizedDense::from_weights(
-            &self.w.value,
-            self.b.value.as_slice(),
-            mode,
-        )))
-    }
-}
-
-/// Dense layer with a fixed binary connectivity mask on the weights — the
-/// building block of MADE. The invariant `W = W ⊙ M` is maintained after
-/// every gradient update by masking the gradient too.
-pub struct MaskedDense {
-    w: Param,
-    b: Param,
-    mask: Matrix,
-    cached_input: Option<Matrix>,
-}
-
-impl MaskedDense {
-    /// He-initialized masked layer; `mask` is `fan_in × fan_out` over {0,1}.
-    pub fn new<R: Rng>(rng: &mut R, mask: Matrix) -> Self {
-        let (fan_in, fan_out) = (mask.rows(), mask.cols());
-        let mut w = init::he(rng, fan_in, fan_out);
-        apply_mask(&mut w, &mask);
-        Self {
-            w: Param::new(w),
-            b: Param::new(Matrix::zeros(1, fan_out)),
+            fan_in,
+            fan_out,
+            w,
+            b: Param::new(bias),
             mask,
             cached_input: None,
         }
     }
 
-    /// The connectivity mask.
-    pub fn mask(&self) -> &Matrix {
-        &self.mask
+    fn from_f32(w: Matrix, mask: Option<Matrix>) -> Self {
+        let (fan_in, fan_out) = (w.rows(), w.cols());
+        let store = Weights::F32(Param::new(w));
+        Self::from_store(fan_in, fan_out, store, Matrix::zeros(1, fan_out), mask)
     }
 
-    /// Re-applies the mask to the weights (call after optimizer steps that do
-    /// not go through `backward`'s masked gradients, e.g. weight decay).
-    pub fn remask(&mut self) {
-        apply_mask(&mut self.w.value, &self.mask);
+    /// He-initialized dense layer (for ReLU stacks).
+    pub fn new_he<R: Rng>(rng: &mut R, fan_in: usize, fan_out: usize) -> Self {
+        Self::from_f32(init::he(rng, fan_in, fan_out), None)
+    }
+
+    /// Xavier-initialized dense layer (for sigmoid/linear outputs).
+    pub fn new_xavier<R: Rng>(rng: &mut R, fan_in: usize, fan_out: usize) -> Self {
+        Self::from_f32(init::xavier(rng, fan_in, fan_out), None)
+    }
+
+    /// He-initialized masked layer; `mask` is `fan_in × fan_out` over {0,1}.
+    pub fn masked<R: Rng>(rng: &mut R, mask: Matrix) -> Self {
+        let mut w = init::he(rng, mask.rows(), mask.cols());
+        apply_mask(&mut w, &mask);
+        Self::from_f32(w, Some(mask))
+    }
+
+    /// Input dimensionality.
+    pub fn fan_in(&self) -> usize {
+        self.fan_in
+    }
+
+    /// Output dimensionality.
+    pub fn fan_out(&self) -> usize {
+        self.fan_out
+    }
+
+    /// The frozen copy of this trained layer at `mode`: int8 weights with
+    /// one scale per output column, or bf16 weights; the bias is carried
+    /// over. Panics if the layer is already frozen — re-encoding quantized
+    /// weights would only compound rounding.
+    pub fn quantized(&self, mode: QuantMode) -> Dense {
+        let store = Weights::quantize(&self.w.param().value, mode, ScaleAxis::Cols);
+        Self::from_store(self.fan_in, self.fan_out, store, self.b.value.clone(), None)
+    }
+
+    /// The weight matrix as f32: the stored values, or the dequantized
+    /// `w' ≈ w` of a frozen layer (test/diagnostic surface for the analytic
+    /// error bounds).
+    pub fn weights_f32(&self) -> Matrix {
+        self.w.to_f32(self.fan_in, self.fan_out, ScaleAxis::Cols)
+    }
+
+    /// Per-output-channel scales (int8 store only).
+    pub fn scales(&self) -> Option<&[f32]> {
+        self.w.scales()
+    }
+
+    /// Bytes held by this layer's parameters: the weight store plus the f32
+    /// bias.
+    pub fn memory_bytes(&self) -> usize {
+        self.w.memory_bytes() + self.b.len() * std::mem::size_of::<f32>()
     }
 
     /// Inference-only forward computing just output columns `lo..hi`
-    /// (`y = x·W[:, lo..hi] + b[lo..hi]`). The autoregressive sampler uses
-    /// this to evaluate one logit segment per step instead of the full
-    /// output layer. No activations are cached.
-    pub fn forward_columns(&self, x: &Matrix, lo: usize, hi: usize) -> Matrix {
-        let mut y = x.matmul_cols(&self.w.value, lo, hi);
-        y.add_row_vector(&self.b.value.as_slice()[lo..hi]);
-        y
-    }
-
-    /// Workspace-backed [`MaskedDense::forward_columns`]: same computation,
-    /// same bits, output drawn from the caller's buffer pool.
+    /// (`y = x·W[:, lo..hi] + b[lo..hi]`) into a workspace buffer. The
+    /// autoregressive sampler uses this to evaluate one logit segment per
+    /// step instead of the full output layer. No activations are cached.
     pub fn forward_columns_infer(&self, x: &Matrix, lo: usize, hi: usize, ws: &mut Workspace) -> Matrix {
-        let mut y = ws.matmul_cols(x, &self.w.value, lo, hi);
-        y.add_row_vector(&self.b.value.as_slice()[lo..hi]);
+        assert_eq!(x.cols(), self.fan_in, "input width must match fan_in");
+        let bias = self.b.value.as_slice();
+        let Weights::F32(w) = &self.w else {
+            return self.w.frozen_forward(x, bias, lo, hi, ws);
+        };
+        let mut y = ws.matmul_cols(x, &w.value, lo, hi);
+        y.add_row_vector(&bias[lo..hi]);
         y
     }
 
     /// Maximum |weight| over masked-out connections. Zero as long as the
-    /// masking invariant holds (diagnostic for tests).
+    /// masking invariant holds (diagnostic for tests); zero without a mask.
     pub fn mask_violation(&self) -> f32 {
+        let Some(mask) = &self.mask else { return 0.0 };
         self.w
+            .param()
             .value
             .as_slice()
             .iter()
-            .zip(self.mask.as_slice())
+            .zip(mask.as_slice())
             .filter(|&(_, &m)| m == 0.0)
             .fold(0.0f32, |acc, (&w, _)| acc.max(w.abs()))
+    }
+
+    /// Serializes a frozen layer's payload (shape, weights, scales, bias) —
+    /// shared by [`Sequential::save_quantized`] and
+    /// [`crate::Made::save_quantized`].
+    pub(crate) fn write_frozen<W: Write>(&self, writer: &mut W) -> io::Result<()> {
+        writer.write_all(&(self.fan_in as u32).to_le_bytes())?;
+        writer.write_all(&(self.fan_out as u32).to_le_bytes())?;
+        self.w.write_frozen(writer)?;
+        write_f32s(writer, self.b.value.as_slice())
+    }
+
+    /// Restores a payload written by [`Dense::write_frozen`] at `mode`.
+    pub(crate) fn read_frozen<R: Read>(reader: &mut R, mode: QuantMode) -> io::Result<Self> {
+        let (fan_in, fan_out) = read_shape(reader)?;
+        let w = Weights::read_frozen(reader, mode, fan_in * fan_out, fan_out)?;
+        let mut bias = vec![0.0f32; fan_out];
+        read_f32s(reader, &mut bias)?;
+        let bias = Matrix::from_vec(1, fan_out, bias);
+        Ok(Self::from_store(fan_in, fan_out, w, bias, None))
     }
 }
 
@@ -252,9 +250,13 @@ fn apply_mask(w: &mut Matrix, mask: &Matrix) {
     }
 }
 
-impl Layer for MaskedDense {
+impl Layer for Dense {
     fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
-        let mut y = x.matmul(&self.w.value);
+        let Weights::F32(w) = &self.w else {
+            assert!(!train, "{FROZEN}");
+            return self.forward_infer(x, &mut Workspace::new());
+        };
+        let mut y = x.matmul(&w.value);
         y.add_row_vector(self.b.value.as_slice());
         if train {
             self.cached_input = Some(x.clone());
@@ -263,40 +265,47 @@ impl Layer for MaskedDense {
     }
 
     fn forward_infer(&self, x: &Matrix, ws: &mut Workspace) -> Matrix {
-        let mut y = ws.matmul(x, &self.w.value);
+        let Weights::F32(w) = &self.w else {
+            return self.forward_columns_infer(x, 0, self.fan_out, ws);
+        };
+        let mut y = ws.matmul(x, &w.value);
         y.add_row_vector(self.b.value.as_slice());
         y
     }
 
     fn backward(&mut self, grad_out: &Matrix) -> Matrix {
+        let w = self.w.param_mut();
         let x = self.cached_input.take().expect("backward without forward(train)");
-        let mut wg = x.matmul_tn(grad_out);
-        apply_mask(&mut wg, &self.mask);
-        self.w.grad.add_assign(&wg);
+        {
+            // Scoped so the weight-sized temporary is freed before the
+            // input gradient below is allocated.
+            let mut wg = x.matmul_tn(grad_out);
+            if let Some(mask) = &self.mask {
+                apply_mask(&mut wg, mask);
+            }
+            w.grad.add_assign(&wg);
+        }
         let bias_grad = Matrix::from_vec(1, grad_out.cols(), grad_out.col_sums());
         self.b.grad.add_assign(&bias_grad);
-        grad_out.matmul_nt(&self.w.value)
+        grad_out.matmul_nt(&w.value)
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        f(&mut self.w);
+        f(self.w.param_mut());
         f(&mut self.b);
     }
 
     fn visit_params_ref(&self, f: &mut dyn FnMut(&Param)) {
-        f(&self.w);
+        f(self.w.param());
         f(&self.b);
     }
 
-    /// The masking invariant `W = W ⊙ M` means masked-out weights are
-    /// exactly zero, which int8/bf16 both represent exactly — the quantized
-    /// layer preserves autoregressive connectivity with no mask of its own.
-    fn quantize_layer(&self, mode: QuantMode) -> Option<QuantLayer> {
-        Some(QuantLayer::Dense(QuantizedDense::from_weights(
-            &self.w.value,
-            self.b.value.as_slice(),
-            mode,
-        )))
+    fn param_count(&self) -> usize {
+        self.fan_in * self.fan_out + self.fan_out
+    }
+
+    fn quant_mode(&self) -> Option<QuantMode> {
+        self.w.mode()
     }
 }
 
@@ -353,10 +362,6 @@ impl Layer for Relu {
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
 
     fn visit_params_ref(&self, _f: &mut dyn FnMut(&Param)) {}
-
-    fn quantize_layer(&self, _mode: QuantMode) -> Option<QuantLayer> {
-        Some(QuantLayer::Relu)
-    }
 }
 
 /// Logistic sigmoid.
@@ -410,10 +415,6 @@ impl Layer for Sigmoid {
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
 
     fn visit_params_ref(&self, _f: &mut dyn FnMut(&Param)) {}
-
-    fn quantize_layer(&self, _mode: QuantMode) -> Option<QuantLayer> {
-        Some(QuantLayer::Sigmoid)
-    }
 }
 
 /// Inverted dropout: scales surviving activations by `1/(1-p)` at train time,
@@ -494,18 +495,61 @@ impl Layer for Dropout {
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
 
     fn visit_params_ref(&self, _f: &mut dyn FnMut(&Param)) {}
+}
 
-    /// Inverted dropout is the identity at inference, so its quantized form
-    /// is the identity stage.
-    fn quantize_layer(&self, _mode: QuantMode) -> Option<QuantLayer> {
-        Some(QuantLayer::Identity)
+/// One layer of a [`Sequential`]: the four kinds the workspace's dense
+/// models are built from — and the four layer tags of the `LMKGQT1` format.
+pub enum Stage {
+    /// A [`Dense`] layer.
+    Dense(Dense),
+    /// A [`Relu`] activation.
+    Relu(Relu),
+    /// A [`Sigmoid`] activation.
+    Sigmoid(Sigmoid),
+    /// A [`Dropout`] stage (the identity at inference).
+    Dropout(Dropout),
+}
+
+macro_rules! stage_from {
+    ($($kind:ident),*) => {$(
+        impl From<$kind> for Stage {
+            fn from(layer: $kind) -> Self {
+                Stage::$kind(layer)
+            }
+        }
+    )*};
+}
+stage_from!(Dense, Relu, Sigmoid, Dropout);
+
+impl Stage {
+    fn layer(&self) -> &dyn Layer {
+        match self {
+            Stage::Dense(l) => l,
+            Stage::Relu(l) => l,
+            Stage::Sigmoid(l) => l,
+            Stage::Dropout(l) => l,
+        }
+    }
+
+    fn layer_mut(&mut self) -> &mut dyn Layer {
+        match self {
+            Stage::Dense(l) => l,
+            Stage::Relu(l) => l,
+            Stage::Sigmoid(l) => l,
+            Stage::Dropout(l) => l,
+        }
     }
 }
 
-/// A sequential stack of layers.
+/// Magic prefix of the frozen sequential-model format (parallel to the f32
+/// parameter format's `LMKGNN1\0` in [`crate::serialize`]).
+pub const QUANT_MAGIC: &[u8; 8] = b"LMKGQT1\0";
+
+/// A sequential stack of layers. Every stage is plain data, so whole models
+/// can be shared behind `Arc` by concurrent inference threads.
 #[derive(Default)]
 pub struct Sequential {
-    layers: Vec<Box<dyn Layer + Send + Sync>>,
+    layers: Vec<Stage>,
 }
 
 impl Sequential {
@@ -514,11 +558,9 @@ impl Sequential {
         Self::default()
     }
 
-    /// Appends a layer. `Sync` is required so whole models can be shared
-    /// behind `Arc` by concurrent inference threads (all layers in this
-    /// crate are plain data and qualify).
-    pub fn push(&mut self, layer: impl Layer + Send + Sync + 'static) -> &mut Self {
-        self.layers.push(Box::new(layer));
+    /// Appends a layer.
+    pub fn push(&mut self, layer: impl Into<Stage>) -> &mut Self {
+        self.layers.push(layer.into());
         self
     }
 
@@ -532,21 +574,78 @@ impl Sequential {
         self.layers.is_empty()
     }
 
-    /// One-shot post-training quantization of the frozen stack: every layer
-    /// is converted to its reduced-precision inference form (see
-    /// [`crate::quant`]). Panics if a layer does not support quantization —
-    /// all layers in this crate do.
-    pub fn quantized(&self, mode: QuantMode) -> QuantizedSequential {
+    /// One-shot post-training quantization of the trained stack: the same
+    /// model with every dense layer's weights frozen at `mode` (see
+    /// [`crate::quant`]). Panics if the stack is already frozen.
+    pub fn quantized(&self, mode: QuantMode) -> Sequential {
         let layers = self
             .layers
             .iter()
-            .enumerate()
-            .map(|(i, l)| {
-                l.quantize_layer(mode)
-                    .unwrap_or_else(|| panic!("layer {i} does not support quantization"))
+            .map(|stage| match stage {
+                Stage::Dense(d) => Stage::Dense(d.quantized(mode)),
+                Stage::Relu(_) => Stage::Relu(Relu::new()),
+                Stage::Sigmoid(_) => Stage::Sigmoid(Sigmoid::new()),
+                // A frozen model never trains, and inverted dropout is the
+                // identity at inference.
+                Stage::Dropout(_) => Stage::Dropout(Dropout::new(0.0, 0)),
             })
             .collect();
-        QuantizedSequential::from_layers(mode, layers)
+        Sequential { layers }
+    }
+
+    /// Bytes held by the parameters at their stored precision.
+    pub fn memory_bytes(&self) -> usize {
+        self.layers
+            .iter()
+            .map(|stage| match stage {
+                Stage::Dense(d) => d.memory_bytes(),
+                _ => 0,
+            })
+            .sum()
+    }
+
+    /// Serializes a frozen (int8/bf16) model, self-describing — see
+    /// [`QUANT_MAGIC`]. An f32 model is `InvalidInput`: it is persisted as a
+    /// parameter walk by [`crate::serialize::save_params`].
+    pub fn save_quantized<W: Write>(&self, writer: &mut W) -> io::Result<()> {
+        write_header(writer, QUANT_MAGIC, self.quant_mode())?;
+        writer.write_all(&(self.layers.len() as u32).to_le_bytes())?;
+        for stage in &self.layers {
+            match stage {
+                Stage::Dense(d) => {
+                    writer.write_all(&[0u8])?;
+                    d.write_frozen(writer)?;
+                }
+                Stage::Relu(_) => writer.write_all(&[1u8])?,
+                Stage::Sigmoid(_) => writer.write_all(&[2u8])?,
+                Stage::Dropout(_) => writer.write_all(&[3u8])?,
+            }
+        }
+        Ok(())
+    }
+
+    /// Restores a model serialized by [`Sequential::save_quantized`].
+    pub fn load_quantized<R: Read>(reader: &mut R) -> io::Result<Self> {
+        let mode = read_header(reader, QUANT_MAGIC, "quantized-model")?;
+        let count = read_u32(reader)? as usize;
+        let mut model = Sequential::new();
+        for i in 0..count {
+            let mut tag = [0u8; 1];
+            reader.read_exact(&mut tag)?;
+            match tag[0] {
+                0 => model.push(Dense::read_frozen(reader, mode)?),
+                1 => model.push(Relu::new()),
+                2 => model.push(Sigmoid::new()),
+                3 => model.push(Dropout::new(0.0, 0)),
+                other => {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!("layer {i}: unknown layer tag {other}"),
+                    ))
+                }
+            };
+        }
+        Ok(model)
     }
 }
 
@@ -556,17 +655,17 @@ impl Layer for Sequential {
             Some(split) => split,
             None => return x.clone(),
         };
-        let mut h = first.forward(x, train);
-        for layer in rest {
-            h = layer.forward_owned(h, train);
+        let mut h = first.layer_mut().forward(x, train);
+        for stage in rest {
+            h = stage.layer_mut().forward_owned(h, train);
         }
         h
     }
 
     fn forward_owned(&mut self, x: Matrix, train: bool) -> Matrix {
         let mut h = x;
-        for layer in &mut self.layers {
-            h = layer.forward_owned(h, train);
+        for stage in &mut self.layers {
+            h = stage.layer_mut().forward_owned(h, train);
         }
         h
     }
@@ -576,39 +675,47 @@ impl Layer for Sequential {
             Some(split) => split,
             None => return x.clone(),
         };
-        let mut h = first.forward_infer(x, ws);
-        for layer in rest {
-            h = layer.forward_infer_owned(h, ws);
+        let mut h = first.layer().forward_infer(x, ws);
+        for stage in rest {
+            h = stage.layer().forward_infer_owned(h, ws);
         }
         h
     }
 
     fn forward_infer_owned(&self, x: Matrix, ws: &mut Workspace) -> Matrix {
         let mut h = x;
-        for layer in &self.layers {
-            h = layer.forward_infer_owned(h, ws);
+        for stage in &self.layers {
+            h = stage.layer().forward_infer_owned(h, ws);
         }
         h
     }
 
     fn backward(&mut self, grad_out: &Matrix) -> Matrix {
         let mut g = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
+        for stage in self.layers.iter_mut().rev() {
+            g = stage.layer_mut().backward(&g);
         }
         g
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        for layer in &mut self.layers {
-            layer.visit_params(f);
+        for stage in &mut self.layers {
+            stage.layer_mut().visit_params(f);
         }
     }
 
     fn visit_params_ref(&self, f: &mut dyn FnMut(&Param)) {
-        for layer in &self.layers {
-            layer.visit_params_ref(f);
+        for stage in &self.layers {
+            stage.layer().visit_params_ref(f);
         }
+    }
+
+    fn param_count(&self) -> usize {
+        self.layers.iter().map(|stage| stage.layer().param_count()).sum()
+    }
+
+    fn quant_mode(&self) -> Option<QuantMode> {
+        self.layers.iter().find_map(|stage| stage.layer().quant_mode())
     }
 }
 
@@ -675,10 +782,10 @@ mod tests {
     fn masked_dense_respects_mask() {
         let mut rng = StdRng::seed_from_u64(0);
         let mask = Matrix::from_vec(2, 2, vec![1.0, 0.0, 0.0, 1.0]);
-        let mut md = MaskedDense::new(&mut rng, mask);
+        let mut md = Dense::masked(&mut rng, mask);
         // Masked entries are zero in the weights.
-        assert_eq!(md.w.value.get(0, 1), 0.0);
-        assert_eq!(md.w.value.get(1, 0), 0.0);
+        assert_eq!(md.w.param().value.get(0, 1), 0.0);
+        assert_eq!(md.w.param().value.get(1, 0), 0.0);
         // Input feature 0 can only influence output 0.
         let x0 = Matrix::from_vec(1, 2, vec![1.0, 0.0]);
         let y0 = md.forward(&x0, false);
@@ -686,8 +793,8 @@ mod tests {
         // Gradients stay masked after backward.
         let _ = md.forward(&x0, true);
         let _ = md.backward(&Matrix::from_vec(1, 2, vec![1.0, 1.0]));
-        assert_eq!(md.w.grad.get(0, 1), 0.0);
-        assert_eq!(md.w.grad.get(1, 0), 0.0);
+        assert_eq!(md.w.param().grad.get(0, 1), 0.0);
+        assert_eq!(md.w.param().grad.get(1, 0), 0.0);
     }
 
     #[test]
@@ -739,9 +846,9 @@ mod tests {
         let x = Matrix::from_vec(1, 2, vec![1.0, 2.0]);
         let _ = d.forward(&x, true);
         let _ = d.backward(&Matrix::from_vec(1, 2, vec![1.0, 1.0]));
-        assert!(d.w.grad.max_abs() > 0.0);
+        assert!(d.w.param().grad.max_abs() > 0.0);
         d.zero_grads();
-        assert_eq!(d.w.grad.max_abs(), 0.0);
+        assert_eq!(d.w.param().grad.max_abs(), 0.0);
     }
 
     /// Numerical gradient check for a small Dense+ReLU+Dense stack with MSE.

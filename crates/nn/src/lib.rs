@@ -60,10 +60,10 @@ pub mod serialize;
 pub mod tensor;
 pub mod workspace;
 
-pub use layers::{Dense, Dropout, Layer, MaskedDense, Param, Relu, Sequential, Sigmoid};
-pub use made::{Made, MadeConfig, QuantizedMade};
+pub use layers::{Dense, Dropout, Layer, Param, Relu, Sequential, Sigmoid, Stage};
+pub use made::{Made, MadeConfig};
 pub use optimizer::{Adam, Optimizer, Sgd};
-pub use quant::{QuantMode, QuantizedDense, QuantizedSequential};
+pub use quant::QuantMode;
 pub use tensor::Matrix;
 pub use workspace::Workspace;
 

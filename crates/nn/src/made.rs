@@ -16,11 +16,13 @@
 //!   receives only its bias, i.e. the learned marginal of `x₁`.
 
 use crate::embedding::Embedding;
-use crate::layers::{Layer, MaskedDense, Param, Relu};
-use crate::quant::{QuantLayer, QuantMode, QuantizedDense, QuantizedEmbedding};
+use crate::layers::{Dense, Layer, Param, Relu};
+use crate::quant::{read_header, write_header, QuantMode};
+use crate::serialize::read_u32;
 use crate::tensor::Matrix;
 use crate::workspace::Workspace;
 use rand::Rng;
+use std::io::{self, Read, Write};
 
 /// Configuration of a [`Made`] network.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -62,13 +64,22 @@ impl MadeConfig {
 
 /// One residual block: `y = relu(x + M₂(relu(M₁(x))))`.
 struct ResBlock {
-    l1: MaskedDense,
+    l1: Dense,
     r1: Relu,
-    l2: MaskedDense,
+    l2: Dense,
     out_relu: Relu,
 }
 
 impl ResBlock {
+    fn new(l1: Dense, l2: Dense) -> Self {
+        Self {
+            l1,
+            r1: Relu::new(),
+            l2,
+            out_relu: Relu::new(),
+        }
+    }
+
     fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
         let a = self.l1.forward(x, train);
         let b = self.r1.forward(&a, train);
@@ -106,16 +117,20 @@ impl ResBlock {
     }
 }
 
-/// A ResMADE density model over categorical positions.
+/// A ResMADE density model over categorical positions. Its layers and
+/// embedding tables hold their weights in a store that is either trainable
+/// f32 or, after [`Made::quantized`], frozen int8/bf16 — the inference
+/// surface (`forward_ids_infer` / `forward_ids_segment`) is the same code on
+/// every store.
 pub struct Made {
     cfg: MadeConfig,
     segments: Vec<usize>,
     /// One embedding table per term space (empty when `embed_dim == 0`).
     embeddings: Vec<Embedding>,
-    input_layer: MaskedDense,
+    input_layer: Dense,
     input_relu: Relu,
     blocks: Vec<ResBlock>,
-    output_layer: MaskedDense,
+    output_layer: Dense,
     /// Cached per-position input-gradient slices for embedding backward.
     cached_ids: Option<Vec<Vec<usize>>>,
 }
@@ -180,16 +195,11 @@ impl Made {
             Vec::new()
         };
 
-        let input_layer = MaskedDense::new(rng, mask_in);
+        let input_layer = Dense::masked(rng, mask_in);
         let blocks = (0..cfg.blocks)
-            .map(|_| ResBlock {
-                l1: MaskedDense::new(rng, mask_hh.clone()),
-                r1: Relu::new(),
-                l2: MaskedDense::new(rng, mask_hh.clone()),
-                out_relu: Relu::new(),
-            })
+            .map(|_| ResBlock::new(Dense::masked(rng, mask_hh.clone()), Dense::masked(rng, mask_hh.clone())))
             .collect();
-        let output_layer = MaskedDense::new(rng, mask_out);
+        let output_layer = Dense::masked(rng, mask_out);
 
         Self {
             cfg,
@@ -219,7 +229,9 @@ impl Made {
         let k = self.cfg.positions();
         if self.cfg.embed_dim > 0 {
             let dim = self.cfg.embed_dim;
-            let mut x = ws.take(batch_ids.len(), k * dim);
+            // Every row is fully overwritten (the position blocks tile it),
+            // so the unspecified-contents buffer is safe here.
+            let mut x = ws.take_full(batch_ids.len(), k * dim);
             for (r, ids) in batch_ids.iter().enumerate() {
                 debug_assert_eq!(ids.len(), k);
                 let row = x.row_mut(r);
@@ -230,6 +242,7 @@ impl Made {
             }
             x
         } else {
+            // One-hot relies on the zeroed `take` contract.
             let width: usize = self.segments.iter().sum();
             let mut x = ws.take(batch_ids.len(), width);
             for (r, ids) in batch_ids.iter().enumerate() {
@@ -327,290 +340,141 @@ impl Made {
         }
     }
 
-    /// Total scalar parameter count (read-only walk).
+    /// Total scalar parameter count (weights, biases, embeddings).
     pub fn param_count(&self) -> usize {
-        let mut n = 0;
-        self.visit_params_ref(&mut |p| n += p.len());
-        n
+        let tables: usize = self.embeddings.iter().map(|e| e.vocab() * e.dim()).sum();
+        tables + self.dense_layers().map(Layer::param_count).sum::<usize>()
     }
 
-    /// Model size in bytes (f32 parameters).
+    /// Model size in bytes at the stored precision.
     pub fn memory_bytes(&self) -> usize {
-        self.param_count() * std::mem::size_of::<f32>()
+        let tables: usize = self.embeddings.iter().map(Embedding::memory_bytes).sum();
+        tables + self.dense_layers().map(Dense::memory_bytes).sum::<usize>()
+    }
+
+    /// Every dense layer in forward (and parameter-walk) order.
+    fn dense_layers(&self) -> impl Iterator<Item = &Dense> {
+        std::iter::once(&self.input_layer)
+            .chain(self.blocks.iter().flat_map(|b| [&b.l1, &b.l2]))
+            .chain(std::iter::once(&self.output_layer))
     }
 
     /// Maximum |weight| over masked-out connections across all masked layers.
     /// Must remain zero under training (diagnostic).
     pub fn mask_violation(&self) -> f32 {
-        let mut v = self
-            .input_layer
-            .mask_violation()
-            .max(self.output_layer.mask_violation());
-        for b in &self.blocks {
-            v = v.max(b.l1.mask_violation()).max(b.l2.mask_violation());
-        }
-        v
+        self.dense_layers().fold(0.0f32, |v, l| v.max(l.mask_violation()))
     }
 
-    /// One-shot quantization of the frozen model: every masked layer's
-    /// weights (masked entries are exactly zero, so they quantize to exactly
-    /// zero and the autoregressive property survives) and every embedding
-    /// table, at the given [`QuantMode`]. The result owns no f32 weights.
-    pub fn quantized(&self, mode: QuantMode) -> QuantizedMade {
-        let embeddings = self
-            .embeddings
-            .iter()
-            .map(|e| QuantizedEmbedding::from_table(e.values(), mode))
-            .collect();
-        QuantizedMade {
-            spaces: self.cfg.spaces.clone(),
-            embed_dim: self.cfg.embed_dim,
+    /// One-shot quantization of the trained model: the same ResMADE with
+    /// every masked layer's weights (masked entries are exactly zero, so
+    /// they quantize to exactly zero and the autoregressive property
+    /// survives) and every embedding table frozen at `mode`. The result
+    /// owns no f32 weights.
+    pub fn quantized(&self, mode: QuantMode) -> Made {
+        Made {
+            cfg: self.cfg.clone(),
             segments: self.segments.clone(),
-            embeddings,
-            input_layer: quantize_masked(&self.input_layer, mode),
+            embeddings: self.embeddings.iter().map(|e| e.quantized(mode)).collect(),
+            input_layer: self.input_layer.quantized(mode),
+            input_relu: Relu::new(),
             blocks: self
                 .blocks
                 .iter()
-                .map(|b| (quantize_masked(&b.l1, mode), quantize_masked(&b.l2, mode)))
+                .map(|b| ResBlock::new(b.l1.quantized(mode), b.l2.quantized(mode)))
                 .collect(),
-            output_layer: quantize_masked(&self.output_layer, mode),
-            mode,
-        }
-    }
-}
-
-fn quantize_masked(layer: &MaskedDense, mode: QuantMode) -> QuantizedDense {
-    match layer.quantize_layer(mode) {
-        Some(QuantLayer::Dense(d)) => d,
-        _ => unreachable!("MaskedDense quantizes to a dense stage"),
-    }
-}
-
-fn relu_in_place(m: &mut Matrix) {
-    for v in m.as_mut_slice() {
-        *v = v.max(0.0);
-    }
-}
-
-/// A frozen, quantized ResMADE: the inference surface of [`Made`]
-/// (`forward_ids_infer` / `forward_ids_segment`) over int8 or bf16 weights
-/// with f32 accumulation. Built by [`Made::quantized`]; owns no f32 weights,
-/// so [`QuantizedMade::memory_bytes`] reports the true quantized footprint.
-pub struct QuantizedMade {
-    spaces: Vec<usize>,
-    embed_dim: usize,
-    segments: Vec<usize>,
-    embeddings: Vec<QuantizedEmbedding>,
-    input_layer: QuantizedDense,
-    blocks: Vec<(QuantizedDense, QuantizedDense)>,
-    output_layer: QuantizedDense,
-    mode: QuantMode,
-}
-
-impl QuantizedMade {
-    /// The quantization mode this model was built with.
-    pub fn mode(&self) -> QuantMode {
-        self.mode
-    }
-
-    /// Logit segment widths per position.
-    pub fn segments(&self) -> &[usize] {
-        &self.segments
-    }
-
-    /// Number of autoregressive positions.
-    pub fn positions(&self) -> usize {
-        self.spaces.len()
-    }
-
-    fn encode_input(&self, batch_ids: &[Vec<usize>], ws: &mut Workspace) -> Matrix {
-        let k = self.positions();
-        if self.embed_dim > 0 {
-            let dim = self.embed_dim;
-            // Every row is fully overwritten (the position blocks tile it),
-            // so the unspecified-contents buffer is safe here.
-            let mut x = ws.take_full(batch_ids.len(), k * dim);
-            for (r, ids) in batch_ids.iter().enumerate() {
-                debug_assert_eq!(ids.len(), k);
-                let row = x.row_mut(r);
-                for (pos, &id) in ids.iter().enumerate() {
-                    let table = &self.embeddings[self.spaces[pos]];
-                    table.lookup_into(id, &mut row[pos * dim..(pos + 1) * dim]);
-                }
-            }
-            x
-        } else {
-            // One-hot relies on the zeroed `take` contract.
-            let width: usize = self.segments.iter().sum();
-            let mut x = ws.take(batch_ids.len(), width);
-            for (r, ids) in batch_ids.iter().enumerate() {
-                let row = x.row_mut(r);
-                let mut offset = 0;
-                for (pos, &id) in ids.iter().enumerate() {
-                    row[offset + id] = 1.0;
-                    offset += self.segments[pos];
-                }
-            }
-            x
+            output_layer: self.output_layer.quantized(mode),
+            cached_ids: None,
         }
     }
 
-    fn hidden_infer(&self, batch_ids: &[Vec<usize>], ws: &mut Workspace) -> Matrix {
-        let x = self.encode_input(batch_ids, ws);
-        let mut h = self.input_layer.forward_infer(&x, ws);
-        ws.recycle(x);
-        relu_in_place(&mut h);
-        for (l1, l2) in &self.blocks {
-            let mut a = l1.forward_infer(&h, ws);
-            relu_in_place(&mut a);
-            let mut c = l2.forward_infer(&a, ws);
-            ws.recycle(a);
-            c.add_assign(&h);
-            relu_in_place(&mut c);
-            ws.recycle(h);
-            h = c;
-        }
-        h
-    }
-
-    /// Full-logit inference forward (`batch × Σ segments`); the quantized
-    /// counterpart of [`Made::forward_ids_infer`]. Shared-state (`&self`),
-    /// buffers from the caller's [`Workspace`].
-    pub fn forward_ids_infer(&self, batch_ids: &[Vec<usize>], ws: &mut Workspace) -> Matrix {
-        let h = self.hidden_infer(batch_ids, ws);
-        let out = self.output_layer.forward_infer(&h, ws);
-        ws.recycle(h);
-        out
-    }
-
-    /// Single-segment inference forward (`batch × segments[pos]`); the
-    /// quantized counterpart of [`Made::forward_ids_segment`].
-    pub fn forward_ids_segment(&self, batch_ids: &[Vec<usize>], pos: usize, ws: &mut Workspace) -> Matrix {
-        let h = self.hidden_infer(batch_ids, ws);
-        let lo: usize = self.segments[..pos].iter().sum();
-        let hi = lo + self.segments[pos];
-        let out = self.output_layer.forward_columns_infer(&h, lo, hi, ws);
-        ws.recycle(h);
-        out
-    }
-
-    /// Total scalar parameter count (weights, scales, biases, embeddings).
-    pub fn param_count(&self) -> usize {
-        let mut n: usize = self.embeddings.iter().map(|e| e.param_count()).sum();
-        n += self.input_layer.param_count() + self.output_layer.param_count();
-        for (l1, l2) in &self.blocks {
-            n += l1.param_count() + l2.param_count();
-        }
-        n
-    }
-
-    /// Model size in bytes at the quantized representation.
-    pub fn memory_bytes(&self) -> usize {
-        let mut n: usize = self.embeddings.iter().map(|e| e.memory_bytes()).sum();
-        n += self.input_layer.memory_bytes() + self.output_layer.memory_bytes();
-        for (l1, l2) in &self.blocks {
-            n += l1.memory_bytes() + l2.memory_bytes();
-        }
-        n
-    }
-
-    /// Serializes the quantized ResMADE (self-describing; see
-    /// [`QUANT_MADE_MAGIC`]): mode, routing metadata, embedding tables, and
-    /// every quantized layer in forward order.
-    pub fn save<W: std::io::Write>(&self, writer: &mut W) -> std::io::Result<()> {
-        writer.write_all(QUANT_MADE_MAGIC)?;
-        writer.write_all(&[match self.mode {
-            QuantMode::Int8 => 0u8,
-            QuantMode::Bf16 => 1u8,
-        }])?;
-        let write_usizes = |writer: &mut W, values: &[usize]| -> std::io::Result<()> {
+    /// Serializes a frozen (int8/bf16) ResMADE, self-describing — see
+    /// [`QUANT_MADE_MAGIC`]: mode, routing metadata, embedding tables, and
+    /// every layer in forward order. An f32 model is `InvalidInput`: it is
+    /// persisted as a parameter walk by [`crate::serialize::save_params`].
+    pub fn save_quantized<W: Write>(&self, writer: &mut W) -> io::Result<()> {
+        write_header(writer, QUANT_MADE_MAGIC, self.quant_mode())?;
+        let write_usizes = |writer: &mut W, values: &[usize]| -> io::Result<()> {
             writer.write_all(&(values.len() as u32).to_le_bytes())?;
             for &v in values {
                 writer.write_all(&(v as u32).to_le_bytes())?;
             }
             Ok(())
         };
-        write_usizes(writer, &self.spaces)?;
-        writer.write_all(&(self.embed_dim as u32).to_le_bytes())?;
+        write_usizes(writer, &self.cfg.spaces)?;
+        writer.write_all(&(self.cfg.embed_dim as u32).to_le_bytes())?;
         write_usizes(writer, &self.segments)?;
         writer.write_all(&(self.embeddings.len() as u32).to_le_bytes())?;
         for e in &self.embeddings {
-            e.write_payload(writer)?;
+            e.write_frozen(writer)?;
         }
-        self.input_layer.write_payload(writer)?;
+        self.input_layer.write_frozen(writer)?;
         writer.write_all(&(self.blocks.len() as u32).to_le_bytes())?;
-        for (l1, l2) in &self.blocks {
-            l1.write_payload(writer)?;
-            l2.write_payload(writer)?;
+        for b in &self.blocks {
+            b.l1.write_frozen(writer)?;
+            b.l2.write_frozen(writer)?;
         }
-        self.output_layer.write_payload(writer)
+        self.output_layer.write_frozen(writer)
     }
 
-    /// Restores a model serialized by [`QuantizedMade::save`]. Needs no
-    /// graph or RNG: the quantized representation is self-contained.
-    pub fn load<R: std::io::Read>(reader: &mut R) -> std::io::Result<Self> {
-        let mut magic = [0u8; 8];
-        reader.read_exact(&mut magic)?;
-        if &magic != QUANT_MADE_MAGIC {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "bad magic: not an LMKG quantized-MADE file",
-            ));
-        }
-        let mut byte = [0u8; 1];
-        reader.read_exact(&mut byte)?;
-        let mode = match byte[0] {
-            0 => QuantMode::Int8,
-            1 => QuantMode::Bf16,
-            other => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("unknown quantization mode tag {other}"),
-                ))
-            }
-        };
-        let read_u32 = |reader: &mut R| -> std::io::Result<u32> {
-            let mut buf = [0u8; 4];
-            reader.read_exact(&mut buf)?;
-            Ok(u32::from_le_bytes(buf))
-        };
-        let read_usizes = |reader: &mut R| -> std::io::Result<Vec<usize>> {
+    /// Restores a model serialized by [`Made::save_quantized`]. Needs no
+    /// graph or RNG: the frozen representation is self-contained (the
+    /// [`MadeConfig`] is recovered from the stored shapes).
+    pub fn load_quantized<R: Read>(reader: &mut R) -> io::Result<Self> {
+        let mode = read_header(reader, QUANT_MADE_MAGIC, "quantized-MADE")?;
+        let read_usizes = |reader: &mut R| -> io::Result<Vec<usize>> {
             let n = read_u32(reader)? as usize;
             (0..n).map(|_| Ok(read_u32(reader)? as usize)).collect()
         };
         let spaces = read_usizes(reader)?;
         let embed_dim = read_u32(reader)? as usize;
         let segments = read_usizes(reader)?;
+        if spaces.len() != segments.len() || spaces.iter().any(|&s| s >= spaces.len()) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                "positions, term spaces and logit segments disagree",
+            ));
+        }
         let n_embeddings = read_u32(reader)? as usize;
         let embeddings = (0..n_embeddings)
-            .map(|_| QuantizedEmbedding::read_payload(reader, mode))
-            .collect::<std::io::Result<Vec<_>>>()?;
-        let input_layer = QuantizedDense::read_payload(reader, mode)?;
+            .map(|_| Embedding::read_frozen(reader, mode))
+            .collect::<io::Result<Vec<_>>>()?;
+        let input_layer = Dense::read_frozen(reader, mode)?;
         let n_blocks = read_u32(reader)? as usize;
         let blocks = (0..n_blocks)
             .map(|_| {
-                Ok((
-                    QuantizedDense::read_payload(reader, mode)?,
-                    QuantizedDense::read_payload(reader, mode)?,
+                Ok(ResBlock::new(
+                    Dense::read_frozen(reader, mode)?,
+                    Dense::read_frozen(reader, mode)?,
                 ))
             })
-            .collect::<std::io::Result<Vec<_>>>()?;
-        let output_layer = QuantizedDense::read_payload(reader, mode)?;
+            .collect::<io::Result<Vec<_>>>()?;
+        let output_layer = Dense::read_frozen(reader, mode)?;
+        // A position's logit segment is its term space's vocabulary.
+        let mut vocab_sizes = vec![1; spaces.iter().map(|&s| s + 1).max().unwrap_or(0)];
+        for (&space, &segment) in spaces.iter().zip(&segments) {
+            vocab_sizes[space] = segment;
+        }
         Ok(Self {
-            spaces,
-            embed_dim,
+            cfg: MadeConfig {
+                vocab_sizes,
+                spaces,
+                hidden: input_layer.fan_out(),
+                blocks: blocks.len(),
+                embed_dim,
+            },
             segments,
             embeddings,
             input_layer,
+            input_relu: Relu::new(),
             blocks,
             output_layer,
-            mode,
+            cached_ids: None,
         })
     }
 }
 
-/// Magic prefix of the quantized-ResMADE format (parallel to
-/// [`crate::quant::QUANT_MAGIC`] for sequential stacks).
+/// Magic prefix of the frozen-ResMADE format (parallel to
+/// [`crate::layers::QUANT_MAGIC`] for sequential stacks).
 pub const QUANT_MADE_MAGIC: &[u8; 8] = b"LMKGQM1\0";
 
 impl Layer for Made {
@@ -646,6 +510,14 @@ impl Layer for Made {
             b.visit_params_ref(f);
         }
         self.output_layer.visit_params_ref(f);
+    }
+
+    fn param_count(&self) -> usize {
+        Made::param_count(self)
+    }
+
+    fn quant_mode(&self) -> Option<QuantMode> {
+        self.input_layer.quant_mode()
     }
 }
 
@@ -957,9 +829,9 @@ mod tests {
                 let q = made.quantized(mode);
                 let expected = q.forward_ids_infer(&batch, &mut ws);
                 let mut buf = Vec::new();
-                q.save(&mut buf).unwrap();
-                let loaded = QuantizedMade::load(&mut buf.as_slice()).unwrap();
-                assert_eq!(loaded.mode(), mode);
+                q.save_quantized(&mut buf).unwrap();
+                let loaded = Made::load_quantized(&mut buf.as_slice()).unwrap();
+                assert_eq!(loaded.quant_mode(), Some(mode));
                 assert_eq!(loaded.segments(), q.segments());
                 assert_eq!(loaded.memory_bytes(), q.memory_bytes());
                 let got = loaded.forward_ids_infer(&batch, &mut ws);
@@ -977,13 +849,13 @@ mod tests {
 
     #[test]
     fn quantized_made_load_rejects_bad_magic_and_truncation() {
-        assert!(QuantizedMade::load(&mut b"NOTAMADE".as_slice()).is_err());
+        assert!(Made::load_quantized(&mut b"NOTAMADE".as_slice()).is_err());
         let mut rng = StdRng::seed_from_u64(33);
         let made = Made::new(&mut rng, tiny_cfg(4));
         let mut buf = Vec::new();
-        made.quantized(QuantMode::Int8).save(&mut buf).unwrap();
+        made.quantized(QuantMode::Int8).save_quantized(&mut buf).unwrap();
         buf.truncate(buf.len() - 7);
-        assert!(QuantizedMade::load(&mut buf.as_slice()).is_err());
+        assert!(Made::load_quantized(&mut buf.as_slice()).is_err());
     }
 
     #[test]

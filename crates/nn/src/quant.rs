@@ -1,40 +1,50 @@
-//! Post-training quantization for frozen models: int8 and bf16 weights with
-//! f32 accumulation.
+//! The weight store: where a dense layer's or embedding table's weights
+//! live — trainable `f32`, or frozen int8 / bf16 with f32 accumulation.
 //!
 //! At serving time the models are memory-bound (see [`crate::gemv`]): the
 //! binding cost of an estimate is streaming the weight matrices. Shrinking
 //! the weights shrinks that traffic — and the resident model — by 4× (int8)
-//! or 2× (bf16). The transform is one-shot and offline: a trained, frozen
-//! `f32` model is walked once ([`crate::Sequential::quantized`],
-//! [`crate::Made::quantized`]) and the compact representation serves all
-//! subsequent inference. Training never sees quantized weights.
+//! or 2× (bf16). The transform is one-shot and offline: a trained `f32`
+//! model is walked once ([`crate::Sequential::quantized`],
+//! [`crate::Made::quantized`]) and comes back as **the same type** with
+//! every weight store converted; the forward, routing and sampling code above
+//! the store does not know which representation it runs on.
+//!
+//! A reduced-precision store is frozen. Everything training needs —
+//! `forward(train = true)`, `backward`, the mutable parameter walk behind
+//! optimizers and [`crate::serialize`] — panics on it ("weights are
+//! frozen") instead of silently walking zero parameters, and
+//! [`crate::serialize::save_params`] / `load_params` return `InvalidInput`.
 //!
 //! Numerics:
 //!
-//! * **Int8** is symmetric per-output-channel: column `j` of a weight
-//!   matrix stores `q = round(w / scale_j)` clamped to `[-127, 127]` with
-//!   `scale_j = max|w[:, j]| / 127`, so every dequantized weight is within
-//!   `scale_j / 2` of the original (the analytic bound the proptests
-//!   enforce). The forward pass accumulates `Σ x·q` in f32 and applies the
+//! * **Int8** is symmetric with one scale per channel — per output column
+//!   of a dense layer, per row (vocabulary entry) of an embedding table:
+//!   `q = round(w / scale)` clamped to `[-127, 127]` with
+//!   `scale = max|w| / 127` over the channel, so every dequantized weight is
+//!   within `scale / 2` of the original (the analytic bound the proptests
+//!   enforce). The dense forward accumulates `Σ x·q` in f32 and applies the
 //!   scale once per output: `y_j = scale_j · Σ_k x_k q_kj + b_j`.
 //! * **Bf16** keeps the top 16 bits of the f32 representation
 //!   (round-to-nearest-even), a ~2⁻⁸ relative error per weight; the forward
 //!   pass widens each weight back to f32 and accumulates in f32.
 //!
-//! Unlike the GEMV/blocked split, quantized inference is **not** bitwise
+//! Unlike the GEMV/blocked split, int8/bf16 inference is **not** bitwise
 //! equal to f32 inference — it is gated on estimator q-error instead (the
-//! `quantized-parity` CI leg). Biases stay f32 in both modes: they are
+//! `quantized-parity` CI leg). Biases stay f32 in every store: they are
 //! `O(width)` against `O(width²)` weights, and estimator accuracy is
 //! sensitive to output offsets.
 
+use crate::layers::Param;
+use crate::serialize::{read_f32s, read_u32, write_f32s};
 use crate::tensor::Matrix;
 use crate::workspace::Workspace;
 use std::io::{self, Read, Write};
 
-/// Which reduced-precision representation a quantized model uses.
+/// Which reduced-precision representation a frozen weight store uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum QuantMode {
-    /// Symmetric per-output-channel int8 weights (4× smaller than f32).
+    /// Symmetric per-channel int8 weights (4× smaller than f32).
     Int8,
     /// Truncated-mantissa bf16 weights (2× smaller than f32).
     Bf16,
@@ -75,9 +85,9 @@ pub fn bf16_to_f32(h: u16) -> f32 {
     f32::from_bits(u32::from(h) << 16)
 }
 
-/// The per-output-channel int8 scale for a weight column with maximum
-/// absolute value `amax` (1.0 when the column is all-zero, so `q = 0`
-/// round-trips exactly).
+/// The per-channel int8 scale for a channel with maximum absolute value
+/// `amax` (1.0 when the channel is all-zero, so `q = 0` round-trips
+/// exactly).
 pub fn int8_scale(amax: f32) -> f32 {
     if amax == 0.0 {
         1.0
@@ -86,181 +96,141 @@ pub fn int8_scale(amax: f32) -> f32 {
     }
 }
 
-/// Quantized weight storage of one dense layer (row-major `fan_in × fan_out`,
-/// matching the f32 layout).
-enum QuantWeights {
-    /// `q = round(w / scale_col)` with one scale per output column.
+/// Why a training-only operation on an int8/bf16 store panics.
+pub(crate) const FROZEN: &str =
+    "int8/bf16 weights are frozen: training, optimizer steps and the f32 parameter walk need an f32 weight store";
+
+/// Which axis of a weight matrix shares one int8 scale.
+#[derive(Clone, Copy)]
+pub(crate) enum ScaleAxis {
+    /// One scale per column: the output channels of a dense layer.
+    Cols,
+    /// One scale per row: each vocabulary entry of an embedding table is one
+    /// lookup unit, so its scale travels with the row.
+    Rows,
+}
+
+impl ScaleAxis {
+    fn channel(self, r: usize, c: usize) -> usize {
+        match self {
+            ScaleAxis::Cols => c,
+            ScaleAxis::Rows => r,
+        }
+    }
+}
+
+/// The weights of one dense layer or embedding table, row-major in every
+/// representation. The only place in the crate that knows which precision a
+/// model is stored at.
+pub(crate) enum Weights {
+    /// Trainable f32 values with their gradient accumulator.
+    F32(Param),
+    /// `q = round(w / scale)` with one scale per channel.
     Int8 { q: Vec<i8>, scales: Vec<f32> },
     /// bf16 bit patterns of the original weights.
     Bf16 { h: Vec<u16> },
 }
 
-/// A frozen dense layer with reduced-precision weights and f32 bias —
-/// the quantized form of both [`crate::Dense`] and [`crate::MaskedDense`]
-/// (the connectivity mask is already baked into the weights: masked entries
-/// are exactly zero and quantize to exactly zero).
-pub struct QuantizedDense {
-    fan_in: usize,
-    fan_out: usize,
-    weights: QuantWeights,
-    bias: Vec<f32>,
-}
-
-impl QuantizedDense {
-    /// Serializes this layer's payload (shape, weights, scales, bias) —
-    /// shared by [`QuantizedSequential::save`] and `QuantizedMade::save`.
-    /// The [`QuantMode`] is carried by the container, not repeated per layer.
-    pub fn write_payload<W: Write>(&self, writer: &mut W) -> io::Result<()> {
-        writer.write_all(&(self.fan_in as u32).to_le_bytes())?;
-        writer.write_all(&(self.fan_out as u32).to_le_bytes())?;
-        match &self.weights {
-            QuantWeights::Int8 { q, scales } => {
-                let bytes: Vec<u8> = q.iter().map(|&v| v as u8).collect();
-                writer.write_all(&bytes)?;
-                crate::serialize::write_f32s(writer, scales)?;
-            }
-            QuantWeights::Bf16 { h } => write_u16s(writer, h)?,
+impl Weights {
+    /// The reduced-precision mode, `None` for the trainable f32 store.
+    pub(crate) fn mode(&self) -> Option<QuantMode> {
+        match self {
+            Weights::F32(_) => None,
+            Weights::Int8 { .. } => Some(QuantMode::Int8),
+            Weights::Bf16 { .. } => Some(QuantMode::Bf16),
         }
-        crate::serialize::write_f32s(writer, &self.bias)
     }
 
-    /// Restores a layer payload written by [`QuantizedDense::write_payload`]
-    /// at the given mode.
-    pub fn read_payload<R: Read>(reader: &mut R, mode: QuantMode) -> io::Result<Self> {
-        let fan_in = read_u32(reader)? as usize;
-        let fan_out = read_u32(reader)? as usize;
-        let len = fan_in * fan_out;
-        let weights = match mode {
-            QuantMode::Int8 => {
-                let mut bytes = vec![0u8; len];
-                reader.read_exact(&mut bytes)?;
-                let q = bytes.iter().map(|&v| v as i8).collect();
-                let scales = read_f32s(reader, fan_out)?;
-                QuantWeights::Int8 { q, scales }
-            }
-            QuantMode::Bf16 => {
-                let mut h = vec![0u16; len];
-                read_u16s(reader, &mut h)?;
-                QuantWeights::Bf16 { h }
-            }
-        };
-        let bias = read_f32s(reader, fan_out)?;
-        Ok(Self {
-            fan_in,
-            fan_out,
-            weights,
-            bias,
-        })
+    /// The f32 parameter; panics with [`FROZEN`] on an int8/bf16 store.
+    pub(crate) fn param(&self) -> &Param {
+        match self {
+            Weights::F32(p) => p,
+            _ => panic!("{FROZEN}"),
+        }
     }
 
-    /// Quantizes a `fan_in × fan_out` weight matrix plus bias row.
-    pub fn from_weights(w: &Matrix, bias: &[f32], mode: QuantMode) -> Self {
-        let (fan_in, fan_out) = (w.rows(), w.cols());
-        assert_eq!(bias.len(), fan_out, "bias length must match fan_out");
-        let weights = match mode {
+    /// Mutable [`Weights::param`]; panics with [`FROZEN`] likewise.
+    pub(crate) fn param_mut(&mut self) -> &mut Param {
+        match self {
+            Weights::F32(p) => p,
+            _ => panic!("{FROZEN}"),
+        }
+    }
+
+    /// One-shot conversion of an f32 matrix to `mode`.
+    pub(crate) fn quantize(w: &Matrix, mode: QuantMode, axis: ScaleAxis) -> Self {
+        match mode {
             QuantMode::Int8 => {
-                let mut scales = vec![0.0f32; fan_out];
-                for r in 0..fan_in {
-                    for (s, &v) in scales.iter_mut().zip(w.row(r)) {
+                // One scale per column or per row: the extent of the scale axis.
+                let mut scales = vec![0.0f32; axis.channel(w.rows(), w.cols())];
+                for r in 0..w.rows() {
+                    for (c, &v) in w.row(r).iter().enumerate() {
+                        let s = &mut scales[axis.channel(r, c)];
                         *s = s.max(v.abs());
                     }
                 }
                 for s in &mut scales {
                     *s = int8_scale(*s);
                 }
-                let mut q = Vec::with_capacity(fan_in * fan_out);
-                for r in 0..fan_in {
-                    for (j, &v) in w.row(r).iter().enumerate() {
-                        q.push((v / scales[j]).round().clamp(-127.0, 127.0) as i8);
+                let mut q = Vec::with_capacity(w.len());
+                for r in 0..w.rows() {
+                    for (c, &v) in w.row(r).iter().enumerate() {
+                        q.push((v / scales[axis.channel(r, c)]).round().clamp(-127.0, 127.0) as i8);
                     }
                 }
-                QuantWeights::Int8 { q, scales }
+                Weights::Int8 { q, scales }
             }
-            QuantMode::Bf16 => QuantWeights::Bf16 {
+            QuantMode::Bf16 => Weights::Bf16 {
                 h: w.as_slice().iter().map(|&v| f32_to_bf16(v)).collect(),
             },
-        };
-        Self {
-            fan_in,
-            fan_out,
-            weights,
-            bias: bias.to_vec(),
         }
     }
 
-    /// Input dimensionality.
-    pub fn fan_in(&self) -> usize {
-        self.fan_in
-    }
-
-    /// Output dimensionality.
-    pub fn fan_out(&self) -> usize {
-        self.fan_out
-    }
-
-    /// The quantization mode of this layer.
-    pub fn mode(&self) -> QuantMode {
-        match self.weights {
-            QuantWeights::Int8 { .. } => QuantMode::Int8,
-            QuantWeights::Bf16 { .. } => QuantMode::Bf16,
-        }
-    }
-
-    /// Per-output-channel scales (int8 mode only).
-    pub fn scales(&self) -> Option<&[f32]> {
-        match &self.weights {
-            QuantWeights::Int8 { scales, .. } => Some(scales),
-            QuantWeights::Bf16 { .. } => None,
-        }
-    }
-
-    /// The dequantized weight matrix `w' ≈ w` (test/diagnostic surface for
-    /// the analytic error bounds).
-    pub fn dequantized_weights(&self) -> Matrix {
-        match &self.weights {
-            QuantWeights::Int8 { q, scales } => Matrix::from_fn(self.fan_in, self.fan_out, |r, c| {
-                f32::from(q[r * self.fan_out + c]) * scales[c]
+    /// The `rows × cols` weights as f32: the stored values, or the
+    /// dequantized `w' ≈ w` of an int8/bf16 store.
+    pub(crate) fn to_f32(&self, rows: usize, cols: usize, axis: ScaleAxis) -> Matrix {
+        match self {
+            Weights::F32(p) => p.value.clone(),
+            Weights::Int8 { q, scales } => Matrix::from_fn(rows, cols, |r, c| {
+                f32::from(q[r * cols + c]) * scales[axis.channel(r, c)]
             }),
-            QuantWeights::Bf16 { h } => {
-                Matrix::from_fn(self.fan_in, self.fan_out, |r, c| bf16_to_f32(h[r * self.fan_out + c]))
-            }
+            Weights::Bf16 { h } => Matrix::from_fn(rows, cols, |r, c| bf16_to_f32(h[r * cols + c])),
         }
     }
 
-    /// Actual bytes held by this layer (quantized weights + scales + f32
-    /// bias) — the honest number behind quantized `memory_bytes`.
-    pub fn memory_bytes(&self) -> usize {
-        let w = match &self.weights {
-            QuantWeights::Int8 { q, scales } => q.len() + scales.len() * 4,
-            QuantWeights::Bf16 { h } => h.len() * 2,
-        };
-        w + self.bias.len() * 4
+    /// Per-channel scales (int8 store only).
+    pub(crate) fn scales(&self) -> Option<&[f32]> {
+        match self {
+            Weights::Int8 { scales, .. } => Some(scales),
+            _ => None,
+        }
     }
 
-    /// Number of scalar parameters represented (weights + bias).
-    pub fn param_count(&self) -> usize {
-        self.fan_in * self.fan_out + self.bias.len()
+    /// Bytes actually held by the weights (and scales) — the honest number
+    /// behind every `memory_bytes`. Gradient buffers are not model size.
+    pub(crate) fn memory_bytes(&self) -> usize {
+        match self {
+            Weights::F32(p) => p.len() * std::mem::size_of::<f32>(),
+            Weights::Int8 { q, scales } => q.len() + scales.len() * 4,
+            Weights::Bf16 { h } => h.len() * 2,
+        }
     }
 
-    /// `y = x·W' + b` into a workspace buffer; accumulation is f32.
-    pub fn forward_infer(&self, x: &Matrix, ws: &mut Workspace) -> Matrix {
-        self.forward_columns_infer(x, 0, self.fan_out, ws)
-    }
-
-    /// Column-sliced forward `y = x·W'[:, lo..hi] + b[lo..hi]` — the
-    /// quantized counterpart of
-    /// [`crate::MaskedDense::forward_columns_infer`], used by the
-    /// autoregressive sampler to evaluate one logit segment per step.
-    pub fn forward_columns_infer(&self, x: &Matrix, lo: usize, hi: usize, ws: &mut Workspace) -> Matrix {
-        assert_eq!(x.cols(), self.fan_in, "input width must match fan_in");
-        assert!(lo <= hi && hi <= self.fan_out, "column slice out of range");
-        let (m, n, width) = (x.rows(), self.fan_out, hi - lo);
-        let mut y = ws.take(m, width);
-        for r in 0..m {
+    /// Inference forward of a frozen `fan_in × fan_out` dense store over
+    /// output columns `lo..hi`: `y = x·W'[:, lo..hi] + bias[lo..hi]` into a
+    /// workspace buffer, accumulating in f32. A plain scalar loop on every
+    /// kernel, so int8/bf16 estimates do not depend on SIMD dispatch. The
+    /// f32 store goes through the GEMM core instead (see `Dense`).
+    pub(crate) fn frozen_forward(&self, x: &Matrix, bias: &[f32], lo: usize, hi: usize, ws: &mut Workspace) -> Matrix {
+        let n = bias.len();
+        assert!(lo <= hi && hi <= n, "column slice out of range");
+        let mut y = ws.take(x.rows(), hi - lo);
+        for r in 0..x.rows() {
             let xrow = x.row(r);
             let orow = y.row_mut(r);
-            match &self.weights {
-                QuantWeights::Int8 { q, scales } => {
+            match self {
+                Weights::F32(_) => unreachable!("the f32 store runs through the GEMM core"),
+                Weights::Int8 { q, scales } => {
                     for (kk, &xv) in xrow.iter().enumerate() {
                         if xv == 0.0 {
                             continue;
@@ -270,11 +240,11 @@ impl QuantizedDense {
                             *o += xv * f32::from(qv);
                         }
                     }
-                    for ((o, &s), &b) in orow.iter_mut().zip(&scales[lo..hi]).zip(&self.bias[lo..hi]) {
+                    for ((o, &s), &b) in orow.iter_mut().zip(&scales[lo..hi]).zip(&bias[lo..hi]) {
                         *o = *o * s + b;
                     }
                 }
-                QuantWeights::Bf16 { h } => {
+                Weights::Bf16 { h } => {
                     for (kk, &xv) in xrow.iter().enumerate() {
                         if xv == 0.0 {
                             continue;
@@ -284,7 +254,7 @@ impl QuantizedDense {
                             *o += xv * bf16_to_f32(hv);
                         }
                     }
-                    for (o, &b) in orow.iter_mut().zip(&self.bias[lo..hi]) {
+                    for (o, &b) in orow.iter_mut().zip(&bias[lo..hi]) {
                         *o += b;
                     }
                 }
@@ -292,337 +262,113 @@ impl QuantizedDense {
         }
         y
     }
-}
 
-/// One stage of a [`QuantizedSequential`]: the quantized forms of the five
-/// layer kinds the f32 [`crate::Sequential`] models use.
-pub enum QuantLayer {
-    /// Quantized [`crate::Dense`] / [`crate::MaskedDense`].
-    Dense(QuantizedDense),
-    /// ReLU (parameter-free, unchanged by quantization).
-    Relu,
-    /// Logistic sigmoid (parameter-free).
-    Sigmoid,
-    /// Identity — the inference-time behavior of [`crate::Dropout`].
-    Identity,
-}
-
-impl QuantLayer {
-    fn forward_infer_owned(&self, x: Matrix, ws: &mut Workspace) -> Matrix {
+    /// Serializes a frozen store (int8 rows then scales, or bf16 bits) —
+    /// the weight part of a dense-layer or embedding payload in the
+    /// `LMKGQT1` / `LMKGQM1` formats. The [`QuantMode`] is carried by the
+    /// container, not repeated per store.
+    pub(crate) fn write_frozen<W: Write>(&self, writer: &mut W) -> io::Result<()> {
         match self {
-            QuantLayer::Dense(d) => {
-                let y = d.forward_infer(&x, ws);
-                ws.recycle(x);
-                y
-            }
-            QuantLayer::Relu => {
-                let mut x = x;
-                x.as_mut_slice().iter_mut().for_each(|v| *v = v.max(0.0));
-                x
-            }
-            QuantLayer::Sigmoid => {
-                let mut x = x;
-                x.as_mut_slice().iter_mut().for_each(|v| *v = 1.0 / (1.0 + (-*v).exp()));
-                x
-            }
-            QuantLayer::Identity => x,
-        }
-    }
-
-    fn memory_bytes(&self) -> usize {
-        match self {
-            QuantLayer::Dense(d) => d.memory_bytes(),
-            _ => 0,
-        }
-    }
-
-    fn param_count(&self) -> usize {
-        match self {
-            QuantLayer::Dense(d) => d.param_count(),
-            _ => 0,
-        }
-    }
-}
-
-/// A frozen, quantized sequential model: the inference-only counterpart of
-/// [`crate::Sequential`], produced by [`crate::Sequential::quantized`].
-pub struct QuantizedSequential {
-    mode: QuantMode,
-    layers: Vec<QuantLayer>,
-}
-
-impl QuantizedSequential {
-    /// Assembles a model from already-quantized layers.
-    pub fn from_layers(mode: QuantMode, layers: Vec<QuantLayer>) -> Self {
-        Self { mode, layers }
-    }
-
-    /// The quantization mode.
-    pub fn mode(&self) -> QuantMode {
-        self.mode
-    }
-
-    /// Number of layers.
-    pub fn len(&self) -> usize {
-        self.layers.len()
-    }
-
-    /// Whether the stack is empty.
-    pub fn is_empty(&self) -> bool {
-        self.layers.is_empty()
-    }
-
-    /// Shared-state inference forward, mirroring
-    /// [`crate::Layer::forward_infer`]: buffers from the caller's
-    /// [`Workspace`], safe from any number of threads concurrently.
-    pub fn forward_infer(&self, x: &Matrix, ws: &mut Workspace) -> Matrix {
-        let mut h = match self.layers.first() {
-            Some(QuantLayer::Dense(d)) => d.forward_infer(x, ws),
-            Some(_) | None => {
-                let mut h = ws.take_full(x.rows(), x.cols());
-                h.as_mut_slice().copy_from_slice(x.as_slice());
-                if let Some(first) = self.layers.first() {
-                    h = first.forward_infer_owned(h, ws);
-                }
-                h
-            }
-        };
-        for layer in self.layers.iter().skip(1) {
-            h = layer.forward_infer_owned(h, ws);
-        }
-        h
-    }
-
-    /// Actual resident bytes of the quantized parameters.
-    pub fn memory_bytes(&self) -> usize {
-        self.layers.iter().map(QuantLayer::memory_bytes).sum()
-    }
-
-    /// Number of scalar parameters represented.
-    pub fn param_count(&self) -> usize {
-        self.layers.iter().map(QuantLayer::param_count).sum()
-    }
-
-    /// Serializes the model (self-describing; see [`QUANT_MAGIC`]).
-    pub fn save<W: Write>(&self, writer: &mut W) -> io::Result<()> {
-        writer.write_all(QUANT_MAGIC)?;
-        writer.write_all(&[match self.mode {
-            QuantMode::Int8 => 0u8,
-            QuantMode::Bf16 => 1u8,
-        }])?;
-        writer.write_all(&(self.layers.len() as u32).to_le_bytes())?;
-        for layer in &self.layers {
-            match layer {
-                QuantLayer::Dense(d) => {
-                    writer.write_all(&[0u8])?;
-                    d.write_payload(writer)?;
-                }
-                QuantLayer::Relu => writer.write_all(&[1u8])?,
-                QuantLayer::Sigmoid => writer.write_all(&[2u8])?,
-                QuantLayer::Identity => writer.write_all(&[3u8])?,
-            }
-        }
-        Ok(())
-    }
-
-    /// Restores a model serialized by [`QuantizedSequential::save`].
-    pub fn load<R: Read>(reader: &mut R) -> io::Result<Self> {
-        let mut magic = [0u8; 8];
-        reader.read_exact(&mut magic)?;
-        if &magic != QUANT_MAGIC {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "bad magic: not an LMKG quantized-model file",
-            ));
-        }
-        let mut byte = [0u8; 1];
-        reader.read_exact(&mut byte)?;
-        let mode = match byte[0] {
-            0 => QuantMode::Int8,
-            1 => QuantMode::Bf16,
-            other => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("unknown quantization mode tag {other}"),
-                ))
-            }
-        };
-        let count = read_u32(reader)? as usize;
-        let mut layers = Vec::with_capacity(count);
-        for i in 0..count {
-            reader.read_exact(&mut byte)?;
-            match byte[0] {
-                0 => layers.push(QuantLayer::Dense(QuantizedDense::read_payload(reader, mode)?)),
-                1 => layers.push(QuantLayer::Relu),
-                2 => layers.push(QuantLayer::Sigmoid),
-                3 => layers.push(QuantLayer::Identity),
-                other => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("layer {i}: unknown layer tag {other}"),
-                    ))
-                }
-            }
-        }
-        Ok(Self { mode, layers })
-    }
-}
-
-/// Magic prefix of the quantized-model format (parallel to the f32 format's
-/// `LMKGNN1\0` in [`crate::serialize`]).
-pub const QUANT_MAGIC: &[u8; 8] = b"LMKGQT1\0";
-
-fn read_u32<R: Read>(reader: &mut R) -> io::Result<u32> {
-    let mut buf = [0u8; 4];
-    reader.read_exact(&mut buf)?;
-    Ok(u32::from_le_bytes(buf))
-}
-
-fn read_f32s<R: Read>(reader: &mut R, n: usize) -> io::Result<Vec<f32>> {
-    let mut out = vec![0.0f32; n];
-    crate::serialize::read_f32s(reader, &mut out)?;
-    Ok(out)
-}
-
-fn write_u16s<W: Write>(writer: &mut W, values: &[u16]) -> io::Result<()> {
-    let mut bytes = Vec::with_capacity(values.len() * 2);
-    for &v in values {
-        bytes.extend_from_slice(&v.to_le_bytes());
-    }
-    writer.write_all(&bytes)
-}
-
-fn read_u16s<R: Read>(reader: &mut R, values: &mut [u16]) -> io::Result<()> {
-    let mut bytes = vec![0u8; values.len() * 2];
-    reader.read_exact(&mut bytes)?;
-    for (v, src) in values.iter_mut().zip(bytes.chunks_exact(2)) {
-        *v = u16::from_le_bytes(src.try_into().expect("2-byte chunk"));
-    }
-    Ok(())
-}
-
-/// A quantized embedding table (`vocab × dim`) with per-**row** int8 scales:
-/// each vocabulary entry is one lookup unit, so its scale travels with the
-/// row. The quantized form of [`crate::embedding::Embedding`].
-pub struct QuantizedEmbedding {
-    vocab: usize,
-    dim: usize,
-    table: QuantTable,
-}
-
-enum QuantTable {
-    Int8 { q: Vec<i8>, scales: Vec<f32> },
-    Bf16 { h: Vec<u16> },
-}
-
-impl QuantizedEmbedding {
-    /// Quantizes a `vocab × dim` table.
-    pub fn from_table(table: &Matrix, mode: QuantMode) -> Self {
-        let (vocab, dim) = (table.rows(), table.cols());
-        let t = match mode {
-            QuantMode::Int8 => {
-                let mut q = Vec::with_capacity(vocab * dim);
-                let mut scales = Vec::with_capacity(vocab);
-                for r in 0..vocab {
-                    let row = table.row(r);
-                    let amax = row.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-                    let scale = int8_scale(amax);
-                    scales.push(scale);
-                    q.extend(row.iter().map(|&v| (v / scale).round().clamp(-127.0, 127.0) as i8));
-                }
-                QuantTable::Int8 { q, scales }
-            }
-            QuantMode::Bf16 => QuantTable::Bf16 {
-                h: table.as_slice().iter().map(|&v| f32_to_bf16(v)).collect(),
-            },
-        };
-        Self { vocab, dim, table: t }
-    }
-
-    /// Embedding dimensionality.
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
-    /// Vocabulary size.
-    pub fn vocab(&self) -> usize {
-        self.vocab
-    }
-
-    /// Writes the dequantized embedding of `id` into `out` (length `dim`).
-    pub fn lookup_into(&self, id: usize, out: &mut [f32]) {
-        debug_assert_eq!(out.len(), self.dim);
-        match &self.table {
-            QuantTable::Int8 { q, scales } => {
-                let s = scales[id];
-                for (o, &v) in out.iter_mut().zip(&q[id * self.dim..(id + 1) * self.dim]) {
-                    *o = f32::from(v) * s;
-                }
-            }
-            QuantTable::Bf16 { h } => {
-                for (o, &v) in out.iter_mut().zip(&h[id * self.dim..(id + 1) * self.dim]) {
-                    *o = bf16_to_f32(v);
-                }
-            }
-        }
-    }
-
-    /// Actual bytes held by the table.
-    pub fn memory_bytes(&self) -> usize {
-        match &self.table {
-            QuantTable::Int8 { q, scales } => q.len() + scales.len() * 4,
-            QuantTable::Bf16 { h } => h.len() * 2,
-        }
-    }
-
-    /// Number of scalar parameters represented.
-    pub fn param_count(&self) -> usize {
-        self.vocab * self.dim
-    }
-
-    /// Serializes the table payload (shape + quantized rows + scales); the
-    /// [`QuantMode`] travels with the container, like
-    /// [`QuantizedDense::write_payload`].
-    pub fn write_payload<W: Write>(&self, writer: &mut W) -> io::Result<()> {
-        writer.write_all(&(self.vocab as u32).to_le_bytes())?;
-        writer.write_all(&(self.dim as u32).to_le_bytes())?;
-        match &self.table {
-            QuantTable::Int8 { q, scales } => {
+            Weights::F32(_) => Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "an f32 weight store is saved through serialize::save_params, not the quantized formats",
+            )),
+            Weights::Int8 { q, scales } => {
                 let bytes: Vec<u8> = q.iter().map(|&v| v as u8).collect();
                 writer.write_all(&bytes)?;
-                crate::serialize::write_f32s(writer, scales)
+                write_f32s(writer, scales)
             }
-            QuantTable::Bf16 { h } => write_u16s(writer, h),
+            Weights::Bf16 { h } => {
+                let mut bytes = Vec::with_capacity(h.len() * 2);
+                for &v in h {
+                    bytes.extend_from_slice(&v.to_le_bytes());
+                }
+                writer.write_all(&bytes)
+            }
         }
     }
 
-    /// Restores a table payload written by
-    /// [`QuantizedEmbedding::write_payload`] at the given mode.
-    pub fn read_payload<R: Read>(reader: &mut R, mode: QuantMode) -> io::Result<Self> {
-        let vocab = read_u32(reader)? as usize;
-        let dim = read_u32(reader)? as usize;
-        let len = vocab * dim;
-        let table = match mode {
+    /// Restores `len` weights (and `channels` scales for int8) written by
+    /// [`Weights::write_frozen`] at the given mode.
+    pub(crate) fn read_frozen<R: Read>(
+        reader: &mut R,
+        mode: QuantMode,
+        len: usize,
+        channels: usize,
+    ) -> io::Result<Self> {
+        Ok(match mode {
             QuantMode::Int8 => {
                 let mut bytes = vec![0u8; len];
                 reader.read_exact(&mut bytes)?;
                 let q = bytes.iter().map(|&v| v as i8).collect();
-                let scales = read_f32s(reader, vocab)?;
-                QuantTable::Int8 { q, scales }
+                let mut scales = vec![0.0f32; channels];
+                read_f32s(reader, &mut scales)?;
+                Weights::Int8 { q, scales }
             }
             QuantMode::Bf16 => {
-                let mut h = vec![0u16; len];
-                read_u16s(reader, &mut h)?;
-                QuantTable::Bf16 { h }
+                let mut bytes = vec![0u8; len * 2];
+                reader.read_exact(&mut bytes)?;
+                let h = bytes
+                    .chunks_exact(2)
+                    .map(|src| u16::from_le_bytes([src[0], src[1]]))
+                    .collect();
+                Weights::Bf16 { h }
             }
-        };
-        Ok(Self { vocab, dim, table })
+        })
     }
+}
+
+/// Starts a frozen-model file: `magic`, then the one-byte mode tag. A model
+/// whose weights are still f32 (`mode == None`) is `InvalidInput` — it is
+/// persisted as a parameter walk by [`crate::serialize::save_params`].
+pub(crate) fn write_header<W: Write>(writer: &mut W, magic: &[u8; 8], mode: Option<QuantMode>) -> io::Result<()> {
+    let tag = match mode {
+        Some(QuantMode::Int8) => 0u8,
+        Some(QuantMode::Bf16) => 1u8,
+        None => {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "save_quantized needs int8/bf16 weights; f32 models use serialize::save_params",
+            ))
+        }
+    };
+    writer.write_all(magic)?;
+    writer.write_all(&[tag])
+}
+
+/// Reads what [`write_header`] wrote; `what` names the format in the
+/// bad-magic error.
+pub(crate) fn read_header<R: Read>(reader: &mut R, magic: &[u8; 8], what: &str) -> io::Result<QuantMode> {
+    let mut found = [0u8; 8];
+    reader.read_exact(&mut found)?;
+    if &found != magic {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("bad magic: not an LMKG {what} file"),
+        ));
+    }
+    let mut tag = [0u8; 1];
+    reader.read_exact(&mut tag)?;
+    match tag[0] {
+        0 => Ok(QuantMode::Int8),
+        1 => Ok(QuantMode::Bf16),
+        other => Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("unknown quantization mode tag {other}"),
+        )),
+    }
+}
+
+/// Reads the `u32 rows, u32 cols` shape prefix of a dense-layer or
+/// embedding payload.
+pub(crate) fn read_shape<R: Read>(reader: &mut R) -> io::Result<(usize, usize)> {
+    Ok((read_u32(reader)? as usize, read_u32(reader)? as usize))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::embedding::Embedding;
     use crate::layers::{Dense, Dropout, Layer, Relu, Sequential, Sigmoid};
     use crate::test_support::seeded_matrix;
     use rand::rngs::StdRng;
@@ -659,35 +405,17 @@ mod tests {
     }
 
     #[test]
-    fn int8_dequantization_error_within_half_scale() {
-        let w = seeded_matrix(37, 23, 9);
-        let d = QuantizedDense::from_weights(&w, &[0.0; 23], QuantMode::Int8);
-        let scales = d.scales().unwrap();
-        let wq = d.dequantized_weights();
-        for r in 0..w.rows() {
-            for (c, &scale) in scales.iter().enumerate() {
-                let err = (w.get(r, c) - wq.get(r, c)).abs();
-                assert!(
-                    err <= scale / 2.0 + f32::EPSILON,
-                    "({r},{c}): err {err} vs scale/2 {}",
-                    scale / 2.0
-                );
-            }
-        }
-    }
-
-    #[test]
     fn zero_columns_quantize_to_exact_zero() {
         let mut w = seeded_matrix(8, 3, 1);
         for r in 0..8 {
             w.set(r, 1, 0.0);
         }
-        let d = QuantizedDense::from_weights(&w, &[0.0; 3], QuantMode::Int8);
-        let wq = d.dequantized_weights();
+        let store = Weights::quantize(&w, QuantMode::Int8, ScaleAxis::Cols);
+        let wq = store.to_f32(8, 3, ScaleAxis::Cols);
         for r in 0..8 {
             assert_eq!(wq.get(r, 1), 0.0);
         }
-        assert_eq!(d.scales().unwrap()[1], 1.0);
+        assert_eq!(store.scales().unwrap()[1], 1.0);
     }
 
     #[test]
@@ -696,12 +424,15 @@ mod tests {
         let x = seeded_matrix(6, 12, 3);
         let expected = model.forward(&x, false);
         for mode in [QuantMode::Int8, QuantMode::Bf16] {
-            let q = model.quantized(mode);
+            let mut q = model.quantized(mode);
+            assert_eq!(q.quant_mode(), Some(mode));
             let mut ws = Workspace::new();
             let got = q.forward_infer(&x, &mut ws);
             for (g, e) in got.as_slice().iter().zip(expected.as_slice()) {
                 assert!((g - e).abs() < 0.05, "{} mode: {g} vs {e}", mode.name());
             }
+            // The allocating eval forward is the same computation.
+            assert_eq!(q.forward(&x, false), got);
         }
     }
 
@@ -720,6 +451,7 @@ mod tests {
         model.push(Dense::new_xavier(&mut rng, 128, 1));
         model.push(Sigmoid::new());
         let f32_bytes = model.param_count() * 4;
+        assert_eq!(model.memory_bytes(), f32_bytes);
         let int8 = model.quantized(QuantMode::Int8).memory_bytes();
         let bf16 = model.quantized(QuantMode::Bf16).memory_bytes();
         assert!(
@@ -743,30 +475,39 @@ mod tests {
             let mut ws = Workspace::new();
             let expected = q.forward_infer(&x, &mut ws);
             let mut buf = Vec::new();
-            q.save(&mut buf).unwrap();
-            let loaded = QuantizedSequential::load(&mut buf.as_slice()).unwrap();
-            assert_eq!(loaded.mode(), mode);
+            q.save_quantized(&mut buf).unwrap();
+            let loaded = Sequential::load_quantized(&mut buf.as_slice()).unwrap();
+            assert_eq!(loaded.quant_mode(), Some(mode));
             assert_eq!(loaded.len(), q.len());
             assert_eq!(loaded.memory_bytes(), q.memory_bytes());
             let got = loaded.forward_infer(&x, &mut ws);
             assert_eq!(got, expected, "{} roundtrip must be bitwise", mode.name());
+            // The format is canonical: a loaded model re-saves identically.
+            let mut again = Vec::new();
+            loaded.save_quantized(&mut again).unwrap();
+            assert_eq!(again, buf);
         }
     }
 
     #[test]
     fn load_rejects_bad_magic_and_bad_tags() {
-        assert!(QuantizedSequential::load(&mut b"NOTQUANT".as_slice()).is_err());
+        assert!(Sequential::load_quantized(&mut b"NOTQUANT".as_slice()).is_err());
         let mut buf = Vec::new();
-        fixture_model().quantized(QuantMode::Int8).save(&mut buf).unwrap();
+        fixture_model()
+            .quantized(QuantMode::Int8)
+            .save_quantized(&mut buf)
+            .unwrap();
         buf[8] = 9; // invalid mode tag
-        assert!(QuantizedSequential::load(&mut buf.as_slice()).is_err());
+        assert!(Sequential::load_quantized(&mut buf.as_slice()).is_err());
     }
 
     #[test]
     fn quantized_embedding_lookup_matches_dequantized_table() {
-        let table = seeded_matrix(11, 16, 21);
+        let mut rng = StdRng::seed_from_u64(21);
+        let f32_table = Embedding::new(&mut rng, 11, 16);
+        let table = f32_table.values().clone();
         for mode in [QuantMode::Int8, QuantMode::Bf16] {
-            let qe = QuantizedEmbedding::from_table(&table, mode);
+            let qe = f32_table.quantized(mode);
             assert_eq!((qe.vocab(), qe.dim()), (11, 16));
             let mut buf = vec![0.0f32; 16];
             for id in 0..11 {

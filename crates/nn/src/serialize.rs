@@ -120,9 +120,26 @@ pub(crate) fn read_f32s<R: Read>(reader: &mut R, values: &mut [f32]) -> io::Resu
     Ok(())
 }
 
+/// The parameter walk exists only on the f32 weight store: a model frozen to
+/// int8/bf16 is `InvalidInput` here (an empty walk would write an empty file)
+/// and persists through its own `save_quantized` format instead.
+fn require_f32(model: &dyn Layer) -> io::Result<()> {
+    match model.quant_mode() {
+        None => Ok(()),
+        Some(mode) => Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "model weights are frozen to {}; the LMKGNN1 parameter walk needs the f32 store",
+                mode.name()
+            ),
+        )),
+    }
+}
+
 /// Serializes all parameters of `model` to `writer`. Saving is a read-only
 /// walk, so it works on a shared (frozen, possibly `Arc`-held) model.
 pub fn save_params<W: Write>(model: &dyn Layer, writer: &mut W) -> io::Result<()> {
+    require_f32(model)?;
     let mut params: Vec<Matrix> = Vec::new();
     model.visit_params_ref(&mut |p| params.push(p.value.clone()));
     writer.write_all(MAGIC)?;
@@ -140,6 +157,7 @@ pub fn save_params<W: Write>(model: &dyn Layer, writer: &mut W) -> io::Result<()
 /// target parameter before anything is assigned, so architecture drift fails
 /// with a typed [`LoadError::ShapeMismatch`] instead of mis-assigning.
 pub fn load_params<R: Read>(model: &mut dyn Layer, reader: &mut R) -> Result<(), LoadError> {
+    require_f32(model)?;
     let mut magic = [0u8; 8];
     reader.read_exact(&mut magic)?;
     if &magic != MAGIC {
@@ -186,7 +204,7 @@ pub fn load_params<R: Read>(model: &mut dyn Layer, reader: &mut R) -> Result<(),
     Ok(())
 }
 
-fn read_u32<R: Read>(reader: &mut R) -> io::Result<u32> {
+pub(crate) fn read_u32<R: Read>(reader: &mut R) -> io::Result<u32> {
     let mut buf = [0u8; 4];
     reader.read_exact(&mut buf)?;
     Ok(u32::from_le_bytes(buf))

@@ -270,17 +270,17 @@ impl Matrix {
 
     /// `C = self · other`; `self` is `m×k`, `other` is `k×n`.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
-        matmul_dispatch(gemm::active_kernel(), self, other, true)
+        matmul_dispatch(gemm::active_kernel(), MatOp::NN, self, other, true)
     }
 
     /// `C = self · otherᵀ`; `self` is `m×k`, `other` is `n×k`.
     pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
-        matmul_nt_dispatch(gemm::active_kernel(), self, other, true)
+        matmul_dispatch(gemm::active_kernel(), MatOp::NT, self, other, true)
     }
 
     /// `C = selfᵀ · other`; `self` is `b×m`, `other` is `b×n`.
     pub fn matmul_tn(&self, other: &Matrix) -> Matrix {
-        matmul_tn_dispatch(gemm::active_kernel(), self, other, true)
+        matmul_dispatch(gemm::active_kernel(), MatOp::TN, self, other, true)
     }
 
     /// `C = self · other[:, lo..hi]` — matmul against a column slice of
@@ -289,7 +289,7 @@ impl Matrix {
     /// Bitwise equal to the corresponding column slice of the full
     /// [`Matrix::matmul`] product, and threaded by the same budget.
     pub fn matmul_cols(&self, other: &Matrix, lo: usize, hi: usize) -> Matrix {
-        matmul_cols_dispatch(gemm::active_kernel(), self, other, lo, hi, true)
+        matmul_dispatch(gemm::active_kernel(), MatOp::Cols(lo, hi), self, other, true)
     }
 
     /// Consumes the matrix, returning its row-major buffer (workspace
@@ -316,96 +316,104 @@ fn fill_rows(out: &mut [f32], row0: usize, cols: usize, f: &(impl Fn(usize, usiz
     }
 }
 
-/// `C = A·B` through the blocked core with an explicit kernel and optional
-/// threading — shared by [`Matrix::matmul`] and the bench/parity surface
+/// Which of the four products a matmul entry point computes. All four are
+/// strided views into the one GEMM core, so an op is only a pair of views.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MatOp {
+    /// `A·B`; `A` is `m×k`, `B` is `k×n`.
+    NN,
+    /// `A·Bᵀ`; `A` is `m×k`, `B` is `n×k`.
+    NT,
+    /// `Aᵀ·B`; `A` is `b×m`, `B` is `b×n`.
+    TN,
+    /// `A·B[:, lo..hi]`; `A` is `m×k`, `B` is `k×n` with `hi <= n`.
+    Cols(usize, usize),
+}
+
+impl MatOp {
+    /// The operand views of this product over `a` and `b` (no copies),
+    /// after checking that the shapes agree.
+    fn views<'a>(self, a: &'a Matrix, b: &'a Matrix) -> (MatRef<'a>, MatRef<'a>) {
+        let plain = |m: &'a Matrix| MatRef::new(&m.data, 0, m.cols, 1, m.rows, m.cols);
+        match self {
+            MatOp::NN => {
+                assert_eq!(a.cols, b.rows, "matmul inner dimensions must agree");
+                (plain(a), plain(b))
+            }
+            MatOp::NT => {
+                assert_eq!(a.cols, b.cols, "matmul_nt inner dimensions must agree");
+                // Element (kk, j) of Bᵀ is b[j*k + kk].
+                (plain(a), MatRef::new(&b.data, 0, 1, b.cols, b.cols, b.rows))
+            }
+            MatOp::TN => {
+                assert_eq!(a.rows, b.rows, "matmul_tn batch dimensions must agree");
+                // Element (i, kk) of Aᵀ is a[kk*m + i].
+                (MatRef::new(&a.data, 0, 1, a.cols, a.cols, a.rows), plain(b))
+            }
+            MatOp::Cols(lo, hi) => {
+                assert_eq!(a.cols, b.rows, "matmul inner dimensions must agree");
+                assert!(lo <= hi && hi <= b.cols, "column slice out of range");
+                // A column-offset view: element (kk, j) is b[kk*cols + lo + j].
+                (plain(a), MatRef::new(&b.data, lo, b.cols, 1, b.rows, hi - lo))
+            }
+        }
+    }
+}
+
+/// Which serial core a [`matmul_forced`] product runs on.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MatPath {
+    /// The pack-free small-`M` kernel of [`crate::gemv`]; panics if the
+    /// product has more than [`gemv::GEMV_MAX_M`] output rows.
+    Gemv,
+    /// The blocked packed core of [`crate::gemm`].
+    Blocked,
+}
+
+/// `op(A, B)` with an explicit kernel and optional threading, routed between
+/// the GEMV and blocked cores by row count — shared by the [`Matrix`]
+/// products and the bench/parity surface
 /// [`crate::gemm::matmul_with_kernel`].
-pub(crate) fn matmul_dispatch(kernel: Kernel, a: &Matrix, b: &Matrix, parallel: bool) -> Matrix {
-    let mut out = Matrix::zeros(a.rows, b.cols);
-    matmul_dispatch_into(kernel, a, b, &mut out, parallel);
-    out
-}
-
-/// `out += A·B` into a caller-provided (zeroed) output — the allocation-free
-/// entry point behind [`crate::workspace::Workspace::matmul`].
-pub(crate) fn matmul_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
-    matmul_dispatch_into(gemm::active_kernel(), a, b, out, true);
-}
-
-/// `out += A·B[:, lo..hi]` into a caller-provided (zeroed) output — behind
-/// [`crate::workspace::Workspace::matmul_cols`].
-pub(crate) fn matmul_cols_into(a: &Matrix, b: &Matrix, lo: usize, hi: usize, out: &mut Matrix) {
-    matmul_cols_dispatch_into(gemm::active_kernel(), a, b, lo, hi, out, true);
-}
-
-fn matmul_dispatch_into(kernel: Kernel, a: &Matrix, b: &Matrix, out: &mut Matrix, parallel: bool) {
-    assert_eq!(a.cols, b.rows, "matmul inner dimensions must agree");
-    let (m, k, n) = (a.rows, a.cols, b.cols);
-    assert_eq!((out.rows, out.cols), (m, n), "output shape must be m × n");
-    let av = MatRef::new(&a.data, 0, k, 1, m, k);
-    let bv = MatRef::new(&b.data, 0, n, 1, k, n);
-    let threads = if parallel { thread_budget(m * k * n, m) } else { 1 };
-    gemm_threaded(kernel, av, bv, &mut out.data, threads);
-}
-
-/// `C = A·Bᵀ` with an explicit kernel; see [`Matrix::matmul_nt`].
-pub(crate) fn matmul_nt_dispatch(kernel: Kernel, a: &Matrix, b: &Matrix, parallel: bool) -> Matrix {
-    assert_eq!(a.cols, b.cols, "matmul_nt inner dimensions must agree");
-    let (m, k, n) = (a.rows, a.cols, b.rows);
-    let mut out = Matrix::zeros(m, n);
-    let av = MatRef::new(&a.data, 0, k, 1, m, k);
-    // `Bᵀ` without a copy: element (kk, j) of Bᵀ is b[j*k + kk].
-    let bv = MatRef::new(&b.data, 0, 1, k, k, n);
-    let threads = if parallel { thread_budget(m * k * n, m) } else { 1 };
+pub(crate) fn matmul_dispatch(kernel: Kernel, op: MatOp, a: &Matrix, b: &Matrix, parallel: bool) -> Matrix {
+    let (av, bv) = op.views(a, b);
+    let mut out = Matrix::zeros(av.rows(), bv.cols());
+    let threads = if parallel {
+        thread_budget(av.rows() * av.cols() * bv.cols(), av.rows())
+    } else {
+        1
+    };
     gemm_threaded(kernel, av, bv, &mut out.data, threads);
     out
 }
 
-/// `C = Aᵀ·B` with an explicit kernel; see [`Matrix::matmul_tn`].
-pub(crate) fn matmul_tn_dispatch(kernel: Kernel, a: &Matrix, b: &Matrix, parallel: bool) -> Matrix {
-    assert_eq!(a.rows, b.rows, "matmul_tn batch dimensions must agree");
-    let (batch, m, n) = (a.rows, a.cols, b.cols);
-    let mut out = Matrix::zeros(m, n);
-    // `Aᵀ` without a copy: element (i, kk) of Aᵀ is a[kk*m + i].
-    let av = MatRef::new(&a.data, 0, 1, m, m, batch);
-    let bv = MatRef::new(&b.data, 0, n, 1, batch, n);
-    let threads = if parallel { thread_budget(batch * m * n, m) } else { 1 };
-    gemm_threaded(kernel, av, bv, &mut out.data, threads);
-    out
+/// `out += op(A, B)` into a caller-provided (zeroed) output on the active
+/// kernel — the allocation-free entry point behind
+/// [`crate::workspace::Workspace`]'s products.
+pub(crate) fn matmul_into(op: MatOp, a: &Matrix, b: &Matrix, out: &mut Matrix) {
+    let (av, bv) = op.views(a, b);
+    assert_eq!(
+        (out.rows, out.cols),
+        (av.rows(), bv.cols()),
+        "output shape must match the product"
+    );
+    let threads = thread_budget(av.rows() * av.cols() * bv.cols(), av.rows());
+    gemm_threaded(gemm::active_kernel(), av, bv, &mut out.data, threads);
 }
 
-/// `C = A·B[:, lo..hi]` with an explicit kernel; see [`Matrix::matmul_cols`].
-pub(crate) fn matmul_cols_dispatch(
-    kernel: Kernel,
-    a: &Matrix,
-    b: &Matrix,
-    lo: usize,
-    hi: usize,
-    parallel: bool,
-) -> Matrix {
-    assert!(lo <= hi && hi <= b.cols, "column slice out of range");
-    let mut out = Matrix::zeros(a.rows, hi - lo);
-    matmul_cols_dispatch_into(kernel, a, b, lo, hi, &mut out, parallel);
+/// `op(A, B)` through an explicitly chosen kernel **and** serial core,
+/// single-threaded, bypassing the row-count routing — the one forced-path
+/// surface of the tests and benches. Production code calls the [`Matrix`]
+/// products, which pick the core themselves; the two cores are bitwise
+/// equal (see [`crate::gemv`]), which is what this entry point lets the
+/// parity suites prove.
+pub fn matmul_forced(kernel: Kernel, op: MatOp, path: MatPath, a: &Matrix, b: &Matrix) -> Matrix {
+    let (av, bv) = op.views(a, b);
+    let mut out = Matrix::zeros(av.rows(), bv.cols());
+    match path {
+        MatPath::Gemv => gemv::gemv_serial(kernel, av, bv, &mut out.data),
+        MatPath::Blocked => gemm::gemm_serial(kernel, av, bv, &mut out.data),
+    }
     out
-}
-
-fn matmul_cols_dispatch_into(
-    kernel: Kernel,
-    a: &Matrix,
-    b: &Matrix,
-    lo: usize,
-    hi: usize,
-    out: &mut Matrix,
-    parallel: bool,
-) {
-    assert_eq!(a.cols, b.rows, "matmul inner dimensions must agree");
-    assert!(lo <= hi && hi <= b.cols, "column slice out of range");
-    let (m, k, n) = (a.rows, a.cols, hi - lo);
-    assert_eq!((out.rows, out.cols), (m, n), "output shape must be m × (hi-lo)");
-    let av = MatRef::new(&a.data, 0, k, 1, m, k);
-    // The slice is a column-offset view: element (kk, j) is b[kk*cols + lo + j].
-    let bv = MatRef::new(&b.data, lo, b.cols, 1, k, n);
-    let threads = if parallel { thread_budget(m * k * n, m) } else { 1 };
-    gemm_threaded(kernel, av, bv, &mut out.data, threads);
 }
 
 /// Splits the output rows of `c = a·b` into contiguous chunks, one scoped
@@ -444,67 +452,6 @@ fn gemm_serial_auto(kernel: Kernel, a: MatRef<'_>, b: MatRef<'_>, out: &mut [f32
         gemv::gemv_serial(kernel, a, b, out);
     } else {
         gemm::gemm_serial(kernel, a, b, out);
-    }
-}
-
-/// `A·B` through an explicitly chosen serial core — the forced-path surface
-/// behind [`crate::gemv`]'s bench/parity entry points.
-pub(crate) fn matmul_forced(kernel: Kernel, a: &Matrix, b: &Matrix, use_gemv: bool) -> Matrix {
-    assert_eq!(a.cols, b.rows, "matmul inner dimensions must agree");
-    let (m, k, n) = (a.rows, a.cols, b.cols);
-    let mut out = Matrix::zeros(m, n);
-    let av = MatRef::new(&a.data, 0, k, 1, m, k);
-    let bv = MatRef::new(&b.data, 0, n, 1, k, n);
-    run_forced(kernel, av, bv, &mut out.data, use_gemv);
-    out
-}
-
-/// `A·Bᵀ` through an explicitly chosen serial core.
-pub(crate) fn matmul_nt_forced(kernel: Kernel, a: &Matrix, b: &Matrix, use_gemv: bool) -> Matrix {
-    assert_eq!(a.cols, b.cols, "matmul_nt inner dimensions must agree");
-    let (m, k, n) = (a.rows, a.cols, b.rows);
-    let mut out = Matrix::zeros(m, n);
-    let av = MatRef::new(&a.data, 0, k, 1, m, k);
-    let bv = MatRef::new(&b.data, 0, 1, k, k, n);
-    run_forced(kernel, av, bv, &mut out.data, use_gemv);
-    out
-}
-
-/// `Aᵀ·B` through an explicitly chosen serial core.
-pub(crate) fn matmul_tn_forced(kernel: Kernel, a: &Matrix, b: &Matrix, use_gemv: bool) -> Matrix {
-    assert_eq!(a.rows, b.rows, "matmul_tn batch dimensions must agree");
-    let (batch, m, n) = (a.rows, a.cols, b.cols);
-    let mut out = Matrix::zeros(m, n);
-    let av = MatRef::new(&a.data, 0, 1, m, m, batch);
-    let bv = MatRef::new(&b.data, 0, n, 1, batch, n);
-    run_forced(kernel, av, bv, &mut out.data, use_gemv);
-    out
-}
-
-/// `A·B[:, lo..hi]` through an explicitly chosen serial core.
-pub(crate) fn matmul_cols_forced(
-    kernel: Kernel,
-    a: &Matrix,
-    b: &Matrix,
-    lo: usize,
-    hi: usize,
-    use_gemv: bool,
-) -> Matrix {
-    assert_eq!(a.cols, b.rows, "matmul inner dimensions must agree");
-    assert!(lo <= hi && hi <= b.cols, "column slice out of range");
-    let (m, k, n) = (a.rows, a.cols, hi - lo);
-    let mut out = Matrix::zeros(m, n);
-    let av = MatRef::new(&a.data, 0, k, 1, m, k);
-    let bv = MatRef::new(&b.data, lo, b.cols, 1, k, n);
-    run_forced(kernel, av, bv, &mut out.data, use_gemv);
-    out
-}
-
-fn run_forced(kernel: Kernel, av: MatRef<'_>, bv: MatRef<'_>, out: &mut [f32], use_gemv: bool) {
-    if use_gemv {
-        gemv::gemv_serial(kernel, av, bv, out);
-    } else {
-        gemm::gemm_serial(kernel, av, bv, out);
     }
 }
 

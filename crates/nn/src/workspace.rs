@@ -26,7 +26,7 @@
 //!   (elementwise activation outputs, input copies). GEMM outputs must
 //!   keep using [`Workspace::take`].
 
-use crate::tensor::{self, Matrix};
+use crate::tensor::{self, MatOp, Matrix};
 
 /// A pool of reusable `f32` buffers backing inference-time activations.
 #[derive(Default)]
@@ -96,7 +96,7 @@ impl Workspace {
     /// [`Matrix::matmul`], bitwise identical to it.
     pub fn matmul(&mut self, a: &Matrix, b: &Matrix) -> Matrix {
         let mut out = self.take(a.rows(), b.cols());
-        tensor::matmul_into(a, b, &mut out);
+        tensor::matmul_into(MatOp::NN, a, b, &mut out);
         out
     }
 
@@ -104,7 +104,7 @@ impl Workspace {
     /// counterpart of [`Matrix::matmul_cols`], bitwise identical to it.
     pub fn matmul_cols(&mut self, a: &Matrix, b: &Matrix, lo: usize, hi: usize) -> Matrix {
         let mut out = self.take(a.rows(), hi - lo);
-        tensor::matmul_cols_into(a, b, lo, hi, &mut out);
+        tensor::matmul_into(MatOp::Cols(lo, hi), a, b, &mut out);
         out
     }
 }

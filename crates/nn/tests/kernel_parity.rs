@@ -19,6 +19,8 @@
 //! `LMKG_UPDATE_FIXTURES=1 cargo test -p lmkg-nn --test kernel_parity`.
 
 use lmkg_nn::gemm::{self, Kernel};
+use lmkg_nn::gemv::GEMV_MAX_M;
+use lmkg_nn::tensor::{matmul_forced, MatOp, MatPath};
 use lmkg_nn::test_support::seeded_matrix as test_matrix;
 use lmkg_nn::Matrix;
 use std::fmt::Write as _;
@@ -34,54 +36,55 @@ fn fixture_path() -> PathBuf {
 struct Case {
     name: &'static str,
     k: usize,
-    compute: fn(Kernel) -> Matrix,
+    op: MatOp,
+    /// `(rows, cols, seed)` of the two operands.
+    a: (usize, usize, u64),
+    b: (usize, usize, u64),
+}
+
+impl Case {
+    fn compute(&self, kernel: Kernel, path: MatPath) -> Matrix {
+        let a = test_matrix(self.a.0, self.a.1, self.a.2);
+        let b = test_matrix(self.b.0, self.b.1, self.b.2);
+        matmul_forced(kernel, self.op, path, &a, &b)
+    }
 }
 
 const CASES: &[Case] = &[
     Case {
         name: "nn_13x300x33",
         k: 300,
-        compute: |kern| {
-            let a = test_matrix(13, 300, 101);
-            let b = test_matrix(300, 33, 102);
-            gemm::matmul_with_kernel(kern, &a, &b, false)
-        },
+        op: MatOp::NN,
+        a: (13, 300, 101),
+        b: (300, 33, 102),
     },
     Case {
         name: "nn_7x13x9",
         k: 13,
-        compute: |kern| {
-            let a = test_matrix(7, 13, 103);
-            let b = test_matrix(13, 9, 104);
-            gemm::matmul_with_kernel(kern, &a, &b, false)
-        },
+        op: MatOp::NN,
+        a: (7, 13, 103),
+        b: (13, 9, 104),
     },
     Case {
         name: "nt_9x21x12",
         k: 21,
-        compute: |kern| {
-            let a = test_matrix(9, 21, 105);
-            let b = test_matrix(12, 21, 106);
-            gemm::matmul_nt_with_kernel(kern, &a, &b, false)
-        },
+        op: MatOp::NT,
+        a: (9, 21, 105),
+        b: (12, 21, 106),
     },
     Case {
         name: "tn_20x11x14",
         k: 20,
-        compute: |kern| {
-            let a = test_matrix(20, 11, 107);
-            let b = test_matrix(20, 14, 108);
-            gemm::matmul_tn_with_kernel(kern, &a, &b, false)
-        },
+        op: MatOp::TN,
+        a: (20, 11, 107),
+        b: (20, 14, 108),
     },
     Case {
         name: "cols_9x20x40_5_29",
         k: 20,
-        compute: |kern| {
-            let a = test_matrix(9, 20, 109);
-            let b = test_matrix(20, 40, 110);
-            gemm::matmul_cols_with_kernel(kern, &a, &b, 5, 29, false)
-        },
+        op: MatOp::Cols(5, 29),
+        a: (9, 20, 109),
+        b: (20, 40, 110),
     },
 ];
 
@@ -93,7 +96,7 @@ fn render_fixture() -> String {
          # LMKG_UPDATE_FIXTURES=1; values are %.9e so f32 round-trips bitwise.\n",
     );
     for case in CASES {
-        let m = (case.compute)(Kernel::Scalar);
+        let m = case.compute(Kernel::Scalar, MatPath::Blocked);
         writeln!(out, "case {} {} {}", case.name, m.rows(), m.cols()).unwrap();
         let vals: Vec<String> = m.as_slice().iter().map(|v| format!("{v:.9e}")).collect();
         writeln!(out, "{}", vals.join(" ")).unwrap();
@@ -143,26 +146,35 @@ fn kernels_match_committed_fixture() {
         assert_eq!(case.name, name, "fixture is stale: case order differs");
         let tol = 4.0 * case.k as f32 * f32::EPSILON;
 
-        // Invariant 1: scalar reproduces the fixture bitwise.
-        let scalar = (case.compute)(Kernel::Scalar);
-        assert_eq!((scalar.rows(), scalar.cols()), (*rows, *cols), "{name}: shape drift");
-        for (i, (got, want)) in scalar.as_slice().iter().zip(want).enumerate() {
-            assert_eq!(
-                got.to_bits(),
-                want.to_bits(),
-                "{name}[{i}]: scalar kernel diverged bitwise from fixture ({got} vs {want})"
-            );
-        }
+        // The pack-free GEMV core must reproduce the fixture too wherever
+        // the product is small enough to run on it.
+        let paths: &[MatPath] = if *rows <= GEMV_MAX_M {
+            &[MatPath::Blocked, MatPath::Gemv]
+        } else {
+            &[MatPath::Blocked]
+        };
+        for &path in paths {
+            // Invariant 1: scalar reproduces the fixture bitwise.
+            let scalar = case.compute(Kernel::Scalar, path);
+            assert_eq!((scalar.rows(), scalar.cols()), (*rows, *cols), "{name}: shape drift");
+            for (i, (got, want)) in scalar.as_slice().iter().zip(want).enumerate() {
+                assert_eq!(
+                    got.to_bits(),
+                    want.to_bits(),
+                    "{name}[{i}]: scalar kernel ({path:?}) diverged bitwise from fixture ({got} vs {want})"
+                );
+            }
 
-        // Invariant 2: the active kernel stays within the documented bound.
-        let got = (case.compute)(active);
-        for (i, (x, y)) in got.as_slice().iter().zip(want).enumerate() {
-            let scale = 1.0f32.max(x.abs()).max(y.abs());
-            assert!(
-                (x - y).abs() <= tol * scale,
-                "{name}[{i}]: {} kernel diverged beyond tolerance ({x} vs {y}, tol {tol:e})",
-                active.name()
-            );
+            // Invariant 2: the active kernel stays within the documented bound.
+            let got = case.compute(active, path);
+            for (i, (x, y)) in got.as_slice().iter().zip(want).enumerate() {
+                let scale = 1.0f32.max(x.abs()).max(y.abs());
+                assert!(
+                    (x - y).abs() <= tol * scale,
+                    "{name}[{i}]: {} kernel ({path:?}) diverged beyond tolerance ({x} vs {y}, tol {tol:e})",
+                    active.name()
+                );
+            }
         }
     }
 }

@@ -8,7 +8,7 @@ use lmkg_nn::layers::{Dense, Layer, Relu, Sequential, Sigmoid};
 use lmkg_nn::loss;
 use lmkg_nn::made::{Made, MadeConfig};
 use lmkg_nn::quant::int8_scale;
-use lmkg_nn::tensor::Matrix;
+use lmkg_nn::tensor::{matmul_forced, MatOp, MatPath, Matrix};
 use lmkg_nn::workspace::Workspace;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -204,27 +204,20 @@ proptest! {
         let at = seeded_matrix(k, m, seed.wrapping_add(3));
         let lo = (seed as usize) % n;
         let hi = lo + (seed as usize >> 3) % (n - lo) + 1;
+        let ops = [
+            ("matmul", MatOp::NN, &a, &b),
+            ("matmul_nt", MatOp::NT, &a, &bt),
+            ("matmul_tn", MatOp::TN, &at, &b),
+            ("matmul_cols", MatOp::Cols(lo, hi), &a, &b),
+        ];
         for &kernel in available_kernels() {
-            prop_assert_eq!(
-                gemv::matmul_gemv_with_kernel(kernel, &a, &b),
-                gemv::matmul_blocked_with_kernel(kernel, &a, &b),
-                "matmul {}x{}x{} on {}", m, k, n, kernel.name()
-            );
-            prop_assert_eq!(
-                gemv::matmul_nt_gemv_with_kernel(kernel, &a, &bt),
-                gemv::matmul_nt_blocked_with_kernel(kernel, &a, &bt),
-                "matmul_nt {}x{}x{} on {}", m, k, n, kernel.name()
-            );
-            prop_assert_eq!(
-                gemv::matmul_tn_gemv_with_kernel(kernel, &at, &b),
-                gemv::matmul_tn_blocked_with_kernel(kernel, &at, &b),
-                "matmul_tn {}x{}x{} on {}", m, k, n, kernel.name()
-            );
-            prop_assert_eq!(
-                gemv::matmul_cols_gemv_with_kernel(kernel, &a, &b, lo, hi),
-                gemv::matmul_cols_blocked_with_kernel(kernel, &a, &b, lo, hi),
-                "matmul_cols {}x{}x{} [{}..{}] on {}", m, k, n, lo, hi, kernel.name()
-            );
+            for (name, op, lhs, rhs) in ops {
+                prop_assert_eq!(
+                    matmul_forced(kernel, op, MatPath::Gemv, lhs, rhs),
+                    matmul_forced(kernel, op, MatPath::Blocked, lhs, rhs),
+                    "{} {}x{}x{} [{}..{}] on {}", name, m, k, n, lo, hi, kernel.name()
+                );
+            }
         }
     }
 

@@ -135,9 +135,7 @@ impl fmt::Display for BuildError {
 impl std::error::Error for BuildError {}
 
 /// The one way to construct an [`EstimationService`]: collect tenants, set
-/// the shared batch configuration, build. Replaces the old constructor zoo
-/// (`new` vs `new_observed` with positional config threading), which now
-/// delegates here.
+/// the shared batch configuration, build.
 ///
 /// ```
 /// # use lmkg::GraphSummary;
@@ -266,36 +264,6 @@ impl fmt::Debug for EstimationService {
 }
 
 impl EstimationService {
-    /// Builds a single-tenant service around the `default` namespace.
-    #[deprecated(note = "use ServeBuilder with a TenantSpec instead")]
-    pub fn new(graph: Arc<KnowledgeGraph>, estimator: SharedEstimator, cfg: BatchConfig) -> Self {
-        ServeBuilder::new()
-            .batch(cfg)
-            .tenant(TenantSpec::new(DEFAULT_TENANT, graph, estimator))
-            .build()
-            .expect("a single default tenant always builds")
-    }
-
-    /// Builds a single-tenant service whose admitted queries are recorded
-    /// into `monitor`.
-    #[deprecated(note = "use ServeBuilder with TenantSpec::observed instead")]
-    pub fn new_observed(
-        graph: Arc<KnowledgeGraph>,
-        estimator: SharedEstimator,
-        cfg: BatchConfig,
-        monitor: Option<SharedMonitor>,
-    ) -> Self {
-        let mut spec = TenantSpec::new(DEFAULT_TENANT, graph, estimator);
-        if let Some(monitor) = monitor {
-            spec = spec.observed(monitor);
-        }
-        ServeBuilder::new()
-            .batch(cfg)
-            .tenant(spec)
-            .build()
-            .expect("a single default tenant always builds")
-    }
-
     /// The entry v1 lines route to, falling back to the first tenant for
     /// transport-level accounting (sessions, bytes, malformed lines carry
     /// no tenant token to attribute them better).
@@ -956,21 +924,6 @@ mod tests {
                 .build()
                 .unwrap_err();
             assert_eq!(err, BuildError::InvalidTenantName(bad.into()), "name {bad:?}");
-        }
-    }
-
-    #[test]
-    fn deprecated_constructors_still_build_a_default_tenant() {
-        #![allow(deprecated)]
-        let graph = book_graph();
-        let est: SharedEstimator = Arc::new(GraphSummary::build(&graph));
-        let svc = EstimationService::new(graph, est, BatchConfig::default().per_request());
-        assert_eq!(svc.tenant_names(), [DEFAULT_TENANT]);
-        let (tx, rx) = mpsc::channel();
-        svc.handle_line("EST q1 SELECT * WHERE { ?x :hasAuthor ?y . }", &tx);
-        match rx.recv_timeout(Duration::from_secs(5)).unwrap() {
-            Reply::Estimate { id, .. } => assert_eq!(id, "q1"),
-            other => panic!("expected an estimate, got {other:?}"),
         }
     }
 

@@ -23,6 +23,15 @@ pub fn test_queries(graph: &KnowledgeGraph, shape: QueryShape, size: usize, coun
     workload::generate(graph, &cfg)
 }
 
+/// Path of a committed golden snapshot file, `fixtures/lmkgset1_<set>.<ext>`
+/// (see `tests/model_lifecycle.rs` for what they hold and how to regenerate
+/// them).
+pub fn golden_fixture_path(set: &str, ext: &str) -> std::path::PathBuf {
+    std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("fixtures")
+        .join(format!("lmkgset1_{set}.{ext}"))
+}
+
 /// Runs an estimator over labeled queries and aggregates q-errors.
 pub fn evaluate(est: &dyn CardinalityEstimator, queries: &[LabeledQuery]) -> QErrorStats {
     let pairs: Vec<(f64, u64)> = queries

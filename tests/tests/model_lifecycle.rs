@@ -15,7 +15,7 @@ use lmkg::framework::{Grouping, Lmkg, LmkgConfig, ModelType};
 use lmkg::supervised::LmkgSConfig;
 use lmkg::unsupervised::LmkgUConfig;
 use lmkg::{CardinalityEstimator, QuantMode, WorkloadMonitor};
-use lmkg_integration_tests::{small_lubm, test_queries};
+use lmkg_integration_tests::{golden_fixture_path, small_lubm, test_queries};
 use lmkg_modelstore::ModelStore;
 use lmkg_serve::{
     loadgen, Adapter, AdapterConfig, BatchConfig, LoadgenConfig, Reply, ServeBuilder, SharedEstimator, SharedMonitor,
@@ -306,12 +306,6 @@ const GOLDEN_SETS: [(&str, ModelType, Option<QuantMode>); 5] = [
 /// `LMKG_FORCE_SCALAR=1`.
 const GOLDEN_SIMD_REL_TOL: f64 = 4.0 * 2048.0 * f32::EPSILON as f64;
 
-fn golden_path(set: &str, ext: &str) -> std::path::PathBuf {
-    std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"))
-        .join("fixtures")
-        .join(format!("lmkgset1_{set}.{ext}"))
-}
-
 /// Tiny models: the fixtures guard the byte format, not accuracy.
 fn golden_config(model_type: ModelType) -> LmkgConfig {
     LmkgConfig {
@@ -417,15 +411,15 @@ fn golden_snapshots_load_resave_and_answer_as_committed() {
                 .1;
             let quantized = mode.map(|m| base.quantized(m));
             let set = quantized.as_ref().unwrap_or(base);
-            std::fs::create_dir_all(golden_path(name, "bin").parent().unwrap()).unwrap();
-            std::fs::write(golden_path(name, "bin"), set.save_to_vec().expect("serializes")).unwrap();
-            std::fs::write(golden_path(name, "txt"), render_golden_sidecar(set, &probes)).unwrap();
+            std::fs::create_dir_all(golden_fixture_path(name, "bin").parent().unwrap()).unwrap();
+            std::fs::write(golden_fixture_path(name, "bin"), set.save_to_vec().expect("serializes")).unwrap();
+            std::fs::write(golden_fixture_path(name, "txt"), render_golden_sidecar(set, &probes)).unwrap();
             eprintln!("rewrote golden set {name}");
         }
     }
 
     let read = |set: &str, ext: &str| {
-        std::fs::read(golden_path(set, ext)).unwrap_or_else(|e| {
+        std::fs::read(golden_fixture_path(set, ext)).unwrap_or_else(|e| {
             panic!("missing golden fixture {set}.{ext} ({e}); regenerate with LMKG_UPDATE_FIXTURES=1")
         })
     };

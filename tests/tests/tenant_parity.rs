@@ -2,16 +2,16 @@
 //! *invisible* to the numbers. Two tenants served concurrently by one
 //! process return estimates bitwise-identical to two single-tenant servers
 //! run one after the other; a tenant at its admission quota sheds without
-//! disturbing its neighbours; v1 lines replay byte-identically through the
-//! v2 service; and the adapter retrains one tenant under live traffic on
-//! another with zero dropped replies.
+//! disturbing its neighbours; v1 and v2 request lines round-trip the wire;
+//! and the adapter retrains one tenant under live traffic on another with
+//! zero dropped replies.
 
 use lmkg::framework::{Grouping, Lmkg, LmkgConfig, ModelType};
 use lmkg::supervised::LmkgSConfig;
 use lmkg::{CardinalityEstimator, GraphSummary, WorkloadMonitor};
 use lmkg_integration_tests::{small_lubm, small_swdf, test_queries};
 use lmkg_serve::{
-    serve_stream, Adapter, AdapterConfig, BatchConfig, EstimationService, Reply, Request, ServeBuilder, SharedMonitor,
+    Adapter, AdapterConfig, BatchConfig, EstimationService, Reply, Request, ServeBuilder, SharedMonitor,
     TenantAdapterSpec, TenantSpec, DEFAULT_TENANT,
 };
 use lmkg_store::{sparql, KnowledgeGraph, Query, QueryShape};
@@ -220,44 +220,6 @@ fn quota_exhaustion_does_not_starve_the_neighbour_tenant() {
         hot.shed, hot_shed,
         "per-tenant stats attribute the shed to the hot tenant"
     );
-}
-
-/// A v1 transcript (no tenant tokens) replayed through a `ServeBuilder`
-/// service is byte-identical — modulo the measured `us=` latency suffix —
-/// to the same transcript through the deprecated pre-PR constructor.
-#[test]
-#[allow(deprecated)]
-fn v1_transcript_replays_byte_identically_on_the_v2_server() {
-    let graph = Arc::new(small_lubm());
-    let summary = Arc::new(GraphSummary::build(&graph));
-    let (_, lines) = tenant_workload(&graph);
-    let mut input = String::new();
-    for (i, line) in lines.iter().enumerate() {
-        input.push_str(&format!("EST q{i} {line}\n"));
-    }
-    input.push_str("QUIT\n");
-
-    // Deterministic reply prefix: everything before the timing suffix.
-    let deterministic = |out: Vec<u8>| -> Vec<String> {
-        let mut replies: Vec<String> = String::from_utf8(out)
-            .unwrap()
-            .lines()
-            .map(|l| l.split(" us=").next().unwrap().to_string())
-            .collect();
-        replies.sort();
-        replies
-    };
-
-    let legacy = EstimationService::new(Arc::clone(&graph), Arc::clone(&summary) as _, BatchConfig::default());
-    let built = ServeBuilder::new()
-        .batch(BatchConfig::default())
-        .tenant(TenantSpec::new(DEFAULT_TENANT, Arc::clone(&graph), summary))
-        .build()
-        .unwrap();
-    let old = deterministic(serve_stream(&legacy, input.as_bytes(), Vec::new()));
-    let new = deterministic(serve_stream(&built, input.as_bytes(), Vec::new()));
-    assert_eq!(old.len(), lines.len());
-    assert_eq!(old, new, "v1 replay must be byte-identical across constructors");
 }
 
 /// The adapter retrains and swaps one tenant's models while live traffic on
