@@ -22,7 +22,7 @@
 //!    the new one. No request is dropped, no batch is torn.
 //!
 //! One adapter thread serves *all* tenants of a multi-tenant service
-//! ([`Adapter::start_multi`]): each tick it walks the tenant list, evaluates
+//! ([`Adapter::start`]): each tick it walks the tenant list, evaluates
 //! each tenant's own monitor against that tenant's current framework, and
 //! swaps each tenant's [`ModelHandle`] independently — retraining tenant A
 //! never pauses serving (or adaptation bookkeeping) for tenant B, because
@@ -33,17 +33,16 @@
 //! lock-free and swap-latency is one `RwLock` write for the pointer, not the
 //! training time.
 
-use crate::batcher::{BatchConfig, ModelHandle, ServeStats, SharedEstimator, SharedMonitor};
+use crate::batcher::{ModelHandle, ServeStats, SharedEstimator, SharedMonitor};
 use crate::protocol::DEFAULT_TENANT;
-use crate::server::{EstimationService, ServeBuilder, TenantSpec};
 use lmkg::framework::{trainable_cell, Lmkg, LmkgConfig};
-use lmkg::{CardinalityEstimator, Cell, WorkloadMonitor};
+use lmkg::{CardinalityEstimator, Cell};
 use lmkg_modelstore::ModelStore;
 use lmkg_obs::Level;
 use lmkg_store::KnowledgeGraph;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -131,7 +130,9 @@ struct TenantState {
 }
 
 /// The `(tenant name, most recently published framework)` slots the adapter
-/// thread writes and [`Adapter::current_for`] reads.
+/// thread writes and [`Adapter::current_for`] reads. Every write replaces one
+/// `Arc`, so a poisoned lock still guards valid data and is recovered with
+/// `PoisonError::into_inner`, like the batcher recovers the monitor's.
 type CurrentSlots = RwLock<Vec<(String, Arc<Lmkg>)>>;
 
 /// The background adaptation thread. Dropping it (or calling
@@ -144,44 +145,13 @@ pub struct Adapter {
 }
 
 impl Adapter {
-    /// Spawns the adaptation loop over a single-tenant serving setup:
-    /// `base` must be the same framework the batcher's `handle` currently
-    /// serves, `monitor` the one its admission path observes into, `stats`
-    /// its counter block
-    /// ([`crate::server::EstimationService::serve_stats`]). `build_cfg` is
-    /// the configuration the base was built with — extensions train with
-    /// its hyperparameters and budget.
-    pub fn start(
-        graph: Arc<KnowledgeGraph>,
-        base: Arc<Lmkg>,
-        build_cfg: LmkgConfig,
-        handle: Arc<ModelHandle>,
-        monitor: SharedMonitor,
-        stats: Arc<ServeStats>,
-        cfg: AdapterConfig,
-    ) -> Self {
-        Self::start_multi(
-            vec![TenantAdapterSpec {
-                name: DEFAULT_TENANT.into(),
-                graph,
-                base,
-                build_cfg,
-                handle,
-                monitor,
-                stats,
-                store: None,
-                memory_budget: None,
-            }],
-            cfg,
-        )
-    }
-
-    /// Spawns one adaptation thread over many tenants. Each tick walks the
-    /// tenant list in order: every tenant's monitor is evaluated against
-    /// that tenant's current framework, and each tenant's `ModelHandle` is
-    /// swapped independently — live traffic on the other tenants keeps
-    /// flowing (and keeps being answered) while one tenant trains.
-    pub fn start_multi(specs: Vec<TenantAdapterSpec>, cfg: AdapterConfig) -> Self {
+    /// Spawns one adaptation thread over the given tenants (one spec for a
+    /// single-tenant setup). Each tick walks the tenant list in order:
+    /// every tenant's monitor is evaluated against that tenant's current
+    /// framework, and each tenant's `ModelHandle` is swapped independently
+    /// — live traffic on the other tenants keeps flowing (and keeps being
+    /// answered) while one tenant trains.
+    pub fn start(specs: Vec<TenantAdapterSpec>, cfg: AdapterConfig) -> Self {
         let stop = Arc::new(AtomicBool::new(false));
         let current = Arc::new(RwLock::new(
             specs
@@ -224,7 +194,7 @@ impl Adapter {
     pub fn current_for(&self, name: &str) -> Option<Arc<Lmkg>> {
         self.current
             .read()
-            .expect("adapter current lock")
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .find(|(n, _)| n == name)
             .map(|(_, model)| Arc::clone(model))
@@ -233,7 +203,7 @@ impl Adapter {
     /// The first tenant's most recently published framework — for a
     /// single-tenant adapter, *the* framework.
     pub fn current(&self) -> Arc<Lmkg> {
-        Arc::clone(&self.current.read().expect("adapter current lock")[0].1)
+        Arc::clone(&self.current.read().unwrap_or_else(PoisonError::into_inner)[0].1)
     }
 
     /// Signals the loop and joins the thread, returning the first tenant's
@@ -255,39 +225,6 @@ impl Drop for Adapter {
     fn drop(&mut self) {
         self.halt();
     }
-}
-
-/// Builds the complete adaptive serving setup in one call: a workload
-/// monitor over `build_cfg`'s trained cells wired into the service's
-/// admission path, and the running adapter thread over the service's model
-/// handle and stats. The `serve` binary and the loadgen shift benchmark
-/// both go through here, so the wiring cannot diverge between them.
-pub fn adaptive_service(
-    graph: &Arc<KnowledgeGraph>,
-    base: &Arc<Lmkg>,
-    build_cfg: &LmkgConfig,
-    batch: BatchConfig,
-    cfg: AdapterConfig,
-) -> (EstimationService, Adapter) {
-    let monitor: SharedMonitor = Arc::new(Mutex::new(WorkloadMonitor::new(cfg.window, &build_cfg.cells())));
-    let svc = ServeBuilder::new()
-        .batch(batch)
-        .tenant(
-            TenantSpec::new(DEFAULT_TENANT, Arc::clone(graph), Arc::clone(base) as SharedEstimator)
-                .observed(Arc::clone(&monitor)),
-        )
-        .build()
-        .expect("a single default tenant always builds");
-    let adapter = Adapter::start(
-        Arc::clone(graph),
-        Arc::clone(base),
-        build_cfg.clone(),
-        svc.model(),
-        monitor,
-        svc.serve_stats(),
-        cfg,
-    );
-    (svc, adapter)
 }
 
 fn adapter_loop(tenants: &mut [TenantState], cfg: &AdapterConfig, stop: &AtomicBool, current_slot: &CurrentSlots) {
@@ -327,7 +264,9 @@ fn maybe_retrain(tenant: &mut TenantState, idx: usize, cfg: &AdapterConfig, curr
     let spec = &tenant.spec;
     let prefix = &tenant.prefix;
     let report = {
-        let m = spec.monitor.lock().expect("workload monitor lock");
+        // Recovered like `MicroBatcher::submit` does: one panicking observer
+        // must not end adaptation for good.
+        let m = spec.monitor.lock().unwrap_or_else(PoisonError::into_inner);
         if m.observed() < cfg.min_observed {
             return false;
         }
@@ -391,7 +330,7 @@ fn maybe_retrain(tenant: &mut TenantState, idx: usize, cfg: &AdapterConfig, curr
     // Publish first, then bump the retrain counter: a SeqCst read of
     // `retrains` therefore implies later batches resolve the new model.
     spec.handle.swap(Arc::clone(&extended) as SharedEstimator);
-    current_slot.write().expect("adapter current lock")[idx].1 = Arc::clone(&extended);
+    current_slot.write().unwrap_or_else(PoisonError::into_inner)[idx].1 = Arc::clone(&extended);
     spec.stats.note_model_bytes(extended.memory_bytes() as u64);
     spec.stats.note_retrain(added);
     spec.stats.note_retrain_duration(train_time);
@@ -452,7 +391,7 @@ fn enforce_budget(tenant: &mut TenantState, idx: usize, current_slot: &CurrentSl
     // Usage = the monitor's full per-cell counts (not just uncovered cells):
     // the victim order is workload share, and observed cells are pinned.
     let usage: Vec<(Cell, u64)> = {
-        let m = spec.monitor.lock().expect("workload monitor lock");
+        let m = spec.monitor.lock().unwrap_or_else(PoisonError::into_inner);
         m.report(|_| true)
             .dominant_cells
             .iter()
@@ -467,7 +406,7 @@ fn enforce_budget(tenant: &mut TenantState, idx: usize, current_slot: &CurrentSl
     }
     let smaller = Arc::new(smaller);
     spec.handle.swap(Arc::clone(&smaller) as SharedEstimator);
-    current_slot.write().expect("adapter current lock")[idx].1 = Arc::clone(&smaller);
+    current_slot.write().unwrap_or_else(PoisonError::into_inner)[idx].1 = Arc::clone(&smaller);
     spec.stats.note_model_bytes(smaller.memory_bytes() as u64);
     spec.stats.note_evicted(dropped);
     spec.stats.event(
@@ -537,5 +476,92 @@ mod tests {
         assert!(cfg.min_observed <= cfg.window);
         assert!(cfg.max_new_per_cycle >= 1 && cfg.max_new_per_cycle <= cfg.max_models);
         assert!(cfg.tv_threshold > 0.0 && cfg.uncovered_threshold > 0.0);
+    }
+
+    /// A thread that panics while holding the shared monitor (or the
+    /// published-model slots) poisons the mutex; the adapter must keep
+    /// ticking — retrain, publish — and `current_for` must keep answering.
+    #[test]
+    fn poisoned_monitor_and_slots_do_not_stop_adaptation() {
+        use crate::batcher::{BatchConfig, MicroBatcher};
+        use lmkg::framework::{Grouping, ModelType};
+        use lmkg::supervised::LmkgSConfig;
+        use lmkg::WorkloadMonitor;
+        use lmkg_data::{Dataset, Scale};
+        use std::sync::Mutex;
+
+        let graph = Arc::new(Dataset::LubmLike.generate(Scale::Ci, 42));
+        let build_cfg = LmkgConfig {
+            model_type: ModelType::Supervised,
+            grouping: Grouping::BySize,
+            shapes: vec![QueryShape::Star],
+            sizes: vec![2],
+            queries_per_size: 60,
+            s_config: LmkgSConfig {
+                hidden: vec![8],
+                epochs: 1,
+                ..Default::default()
+            },
+            u_config: Default::default(),
+            workload_seed: 3,
+        };
+        let base = Arc::new(Lmkg::build(&graph, &build_cfg));
+        let shifted = (QueryShape::Star, 3);
+        assert!(!base.covers(shifted.0, shifted.1));
+
+        let monitor: SharedMonitor = Arc::new(Mutex::new(WorkloadMonitor::new(64, &build_cfg.cells())));
+        let batcher = MicroBatcher::start(
+            Arc::clone(&base) as SharedEstimator,
+            BatchConfig::default(),
+            Some(Arc::clone(&monitor)),
+        );
+        let adapter = Adapter::start(
+            vec![TenantAdapterSpec {
+                name: DEFAULT_TENANT.into(),
+                graph,
+                base,
+                build_cfg,
+                handle: batcher.model(),
+                monitor: Arc::clone(&monitor),
+                stats: batcher.stats(),
+                store: None,
+                memory_budget: None,
+            }],
+            AdapterConfig {
+                interval: Duration::from_millis(10),
+                min_observed: 16,
+                ..AdapterConfig::default()
+            },
+        );
+
+        let poisoner = {
+            let monitor = Arc::clone(&monitor);
+            let slots = Arc::clone(&adapter.current);
+            std::thread::spawn(move || {
+                let _monitor = monitor.lock().unwrap();
+                let _slots = slots.write().unwrap();
+                panic!("observer dies holding both locks");
+            })
+        };
+        assert!(poisoner.join().is_err());
+        assert!(monitor.is_poisoned() && adapter.current.is_poisoned());
+
+        // The drift that triggers a retrain arrives only after the poisoning.
+        {
+            let mut m = monitor.lock().unwrap_or_else(PoisonError::into_inner);
+            for _ in 0..32 {
+                m.observe_cell(shifted);
+            }
+        }
+        let deadline = Instant::now() + Duration::from_secs(120);
+        while batcher.stats().snapshot().retrains == 0 {
+            assert!(Instant::now() < deadline, "adapter stopped ticking after the poisoning");
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        let current = adapter
+            .current_for(DEFAULT_TENANT)
+            .expect("the adapter drives this tenant");
+        assert!(current.covers(shifted.0, shifted.1), "the retrained set was published");
+        assert!(adapter.current_for("nobody").is_none());
     }
 }

@@ -22,8 +22,8 @@
 //! worker count (the concurrency-parity suite enforces this).
 //!
 //! `BatchConfig::per_request()` degenerates the same machinery into
-//! classical one-request-per-forward serving (window 0, batch 1), which is
-//! exactly what the load generator compares against.
+//! classical one-request-per-forward serving (window 0, batch 1, one
+//! worker).
 //!
 //! In a multi-tenant service every tenant owns one `MicroBatcher` — its own
 //! queue, workers, stats, and model handle — so batches are keyed by
@@ -81,8 +81,9 @@ pub struct BatchConfig {
     pub max_batch: usize,
     /// Bounded admission-queue depth; arrivals beyond it are shed.
     pub queue_depth: usize,
-    /// Worker threads. More than one pipelines queue collection with
-    /// estimation; estimation itself is serialized on the estimator lock.
+    /// Worker threads. More than one overlaps queue collection with
+    /// estimation and runs forwards concurrently: every worker estimates
+    /// through its own clone of the shared, frozen model, with no lock.
     pub workers: usize,
     /// Stage-level instrumentation (timers + histograms) on the hot path.
     /// Counters, the latency window, and the event ring stay on regardless;
@@ -104,13 +105,11 @@ impl Default for BatchConfig {
 }
 
 impl BatchConfig {
-    /// The per-request baseline: no coalescing, one forward per request,
-    /// **one** worker — classical serving. Forcing a single worker matters
-    /// now that the estimator lock is gone: with N workers the "baseline"
-    /// would run N concurrent single-query forwards and stop measuring
-    /// one-request-per-forward serving. Queue depth is kept, so a
-    /// comparison against the micro-batched configuration isolates the
-    /// batching + concurrency effect.
+    /// The per-request preset: no coalescing, one forward per request,
+    /// **one** worker — classical serving, and the deterministic
+    /// configuration tests use. A single worker is forced because workers
+    /// estimate concurrently: N of them would run N single-query forwards
+    /// at once, not one request per forward. Queue depth is kept.
     pub fn per_request(mut self) -> Self {
         self.window = Duration::ZERO;
         self.max_batch = 1;
@@ -421,16 +420,11 @@ pub struct MicroBatcher {
 }
 
 impl MicroBatcher {
-    /// Spawns the worker threads and returns the running batcher.
-    pub fn start(estimator: SharedEstimator, cfg: BatchConfig) -> Self {
-        Self::start_observed(estimator, cfg, None)
-    }
-
-    /// Like [`MicroBatcher::start`], but every *admitted* query is also
-    /// recorded into `monitor` — shed requests are not, since they were
-    /// never served and retraining for a workload the queue rejects would
-    /// chase load, not drift.
-    pub fn start_observed(estimator: SharedEstimator, cfg: BatchConfig, monitor: Option<SharedMonitor>) -> Self {
+    /// Spawns the worker threads and returns the running batcher. With a
+    /// `monitor`, every *admitted* query is also recorded into it — shed
+    /// requests are not, since they were never served and retraining for a
+    /// workload the queue rejects would chase load, not drift.
+    pub fn start(estimator: SharedEstimator, cfg: BatchConfig, monitor: Option<SharedMonitor>) -> Self {
         assert!(cfg.max_batch >= 1, "max_batch must be at least 1");
         assert!(cfg.queue_depth >= 1, "queue_depth must be at least 1");
         assert!(cfg.workers >= 1, "at least one worker is required");
@@ -538,7 +532,7 @@ impl MicroBatcher {
 
     /// Closes the queue, drains it, joins the workers, and hands the
     /// estimator back — so a caller can run several serving configurations
-    /// over one (expensively trained) model, as the load generator does.
+    /// over one (expensively trained) model.
     pub fn shutdown(mut self) -> SharedEstimator {
         self.finish();
         self.handle.current()
@@ -750,6 +744,7 @@ mod tests {
                 workers: 1,
                 obs: true,
             },
+            None,
         );
         let (tx, rx) = channel();
         let start = Instant::now();
@@ -785,6 +780,7 @@ mod tests {
                 workers: 1,
                 obs: true,
             },
+            None,
         );
         let (tx, rx) = channel();
         let start = Instant::now();
@@ -822,6 +818,7 @@ mod tests {
                 workers: 1,
                 obs: true,
             },
+            None,
         );
         let (tx, rx) = channel();
         batcher
@@ -862,6 +859,7 @@ mod tests {
                 workers: 2,
                 obs: true,
             },
+            None,
         );
         let (tx, rx) = channel();
         for (i, q) in queries.iter().enumerate() {
@@ -888,7 +886,7 @@ mod tests {
     #[test]
     fn shutdown_returns_the_estimator() {
         let (est, batches) = recording(Duration::ZERO);
-        let batcher = MicroBatcher::start(est, BatchConfig::default().per_request());
+        let batcher = MicroBatcher::start(est, BatchConfig::default().per_request(), None);
         let (tx, rx) = channel();
         batcher.submit(Job::new("q".into(), query(2), tx)).unwrap();
         rx.recv_timeout(Duration::from_secs(5)).unwrap();
@@ -915,6 +913,7 @@ mod tests {
                 workers: 2,
                 obs: true,
             },
+            None,
         );
         let (tx, rx) = channel();
         for i in 0..4 {
@@ -951,7 +950,7 @@ mod tests {
     #[test]
     fn swap_model_takes_effect_for_subsequent_batches() {
         let (est, _) = recording(Duration::ZERO);
-        let batcher = MicroBatcher::start(est, BatchConfig::default().per_request());
+        let batcher = MicroBatcher::start(est, BatchConfig::default().per_request(), None);
         let (tx, rx) = channel();
         batcher.submit(Job::new("before".into(), query(2), tx.clone())).unwrap();
         match rx.recv_timeout(Duration::from_secs(5)).unwrap() {
@@ -1031,6 +1030,7 @@ mod tests {
                 workers: 3,
                 obs: true,
             },
+            None,
         );
 
         // Swapper: publish a fresh snapshot (tags 1000, 2000, …) as fast as
@@ -1092,7 +1092,7 @@ mod tests {
 
         let monitor: SharedMonitor = Arc::new(Mutex::new(WorkloadMonitor::new(64, &[(QueryShape::Star, 2)])));
         let (est, _) = recording(Duration::from_millis(150));
-        let batcher = MicroBatcher::start_observed(
+        let batcher = MicroBatcher::start(
             est,
             BatchConfig {
                 window: Duration::ZERO,

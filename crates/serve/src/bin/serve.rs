@@ -4,8 +4,6 @@
 //! ```text
 //! serve pipe    [model opts] [serve opts]          stdin/stdout protocol session
 //! serve tcp     [model opts] [serve opts] --addr A TCP listener, one session per connection
-//! serve loadgen [model opts] [serve opts] [--qps N] [--requests N] [--json PATH]
-//!                                                  closed-loop micro-batched vs per-request run
 //! serve sample  [model opts] [--count N]           print request lines for the model's graph
 //! ```
 //!
@@ -16,7 +14,8 @@
 //! `--tenant NAME=DATASET[:SCALE[:SEED]]` flags one process serves several
 //! graphs at once (e.g. LUBM + SWDF), each under its own namespace; v2
 //! request lines address a namespace (`EST <tenant> <id> <sparql>`), v1
-//! lines route to the `default` tenant.
+//! lines route to the `default` tenant. Load and latency are measured from
+//! outside, by `benchmark/run.sh` against `serve tcp`.
 
 use lmkg::framework::{Grouping, Lmkg, LmkgConfig, ModelType};
 use lmkg::supervised::LmkgSConfig;
@@ -27,18 +26,18 @@ use lmkg_data::{Dataset, Scale};
 use lmkg_modelstore::ModelStore;
 use lmkg_obs::Level;
 use lmkg_serve::{
-    loadgen, serve_stream, serve_tcp, Adapter, AdapterConfig, BatchConfig, EstimationService, LoadgenConfig,
-    ServeBuilder, SharedMonitor, ShiftConfig, ShutdownFlag, TenantAdapterSpec, TenantSpec, DEFAULT_TENANT,
+    render_metrics_for, serve_stream, serve_tcp, Adapter, AdapterConfig, BatchConfig, EstimationService, ServeBuilder,
+    SharedMonitor, ShutdownFlag, TenantAdapterSpec, TenantSpec, DEFAULT_TENANT,
 };
 use lmkg_store::{sparql, KnowledgeGraph, Query, QueryShape};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const USAGE: &str = "\
 serve — micro-batching LMKG estimation server
 
-USAGE: serve <pipe|tcp|loadgen|sample> [OPTIONS]
+USAGE: serve <pipe|tcp|sample> [OPTIONS]
 
 Model options (shared by every mode):
   --dataset lubm|swdf|yago   graph generator              [lubm]
@@ -58,17 +57,17 @@ Multi-tenant options (pipe, tcp, sample; repeatable):
                              model options above serve as the single
                              'default' tenant, exactly as before.
 
-Serving options (pipe, tcp, loadgen):
+Serving options (pipe, tcp):
   --window-us N              micro-batch window, microseconds   [2000]
   --max-batch N              flush size                         [64]
   --queue-depth N            admission queue bound              [1024]
   --workers N                batcher worker threads             [2]
   --no-obs                   disable stage-level latency tracing (counters,
                              the latency window, and events stay on)
-  --metrics-every N          dump the METRICS exposition to stderr every
-                             N seconds (pipe, tcp; 0 = off)     [0]
+  --metrics-every N          dump every tenant's METRICS exposition to
+                             stderr every N seconds (0 = off)   [0]
 
-Model lifecycle options (pipe, tcp, loadgen):
+Model lifecycle options (pipe, tcp):
   --model-dir DIR            versioned snapshot store: cold-start from the
                              newest on-disk generation when one exists
                              (skipping training entirely), else train once
@@ -94,15 +93,6 @@ Mode options:
   tcp:      --addr HOST:PORT     listen address    [127.0.0.1:7878]
             (SIGINT/SIGTERM shut down gracefully: sessions drain, the
              batcher flushes, the adapter joins)
-  loadgen:  --qps N               offered load; 0 auto-calibrates  [0]
-            --requests N          measured requests per run        [5000]
-            --json PATH           where the report lands           [BENCH_serve.json]
-            --workload PATH       replay queries from a file (EST lines or
-                                  bare SPARQL) instead of sampling
-            --shift-size N        also run the two-phase shifted-workload
-                                  adaptation benchmark onto star-N (0 = off) [0]
-            --tenant NAME         address the generated request lines to
-                                  namespace NAME (bare name, no '=')
   sample:   --count N             request lines to print (per tenant) [20]
 
 Protocol v2: 'EST [<tenant>] <id> <sparql>' | 'STATS [<tenant>] <id>' |
@@ -132,22 +122,15 @@ struct Options {
     /// `--tenant NAME=…` specs (pipe, tcp, sample). Empty = single
     /// `default` tenant from the shared model options.
     tenants: Vec<TenantCliSpec>,
-    /// `--tenant NAME` (loadgen): the namespace request lines address.
-    loadgen_tenant: Option<String>,
     sizes: Vec<usize>,
     hidden: Vec<usize>,
     epochs: usize,
     train_queries: usize,
     batch: BatchConfig,
     addr: String,
-    qps: f64,
-    requests: usize,
-    json: String,
     count: usize,
     adapt: bool,
     adapter: AdapterConfig,
-    workload: Option<String>,
-    shift_size: usize,
     quantized: Option<QuantMode>,
     metrics_every: u64,
     /// `--model-dir DIR`: root of the versioned snapshot store (per-tenant
@@ -218,10 +201,17 @@ fn parse_tenant_spec(value: &str) -> TenantCliSpec {
     }
 }
 
+/// Parses a numeric flag value; `what` names the expected form in the error.
+fn num<T: std::str::FromStr>(flag: &str, what: &str, value: String) -> T {
+    value
+        .parse()
+        .unwrap_or_else(|_| fail(&format!("{flag} expects {what}")))
+}
+
 fn parse_options() -> Options {
     let mut args = std::env::args().skip(1);
     let mode = match args.next() {
-        Some(m) if ["pipe", "tcp", "loadgen", "sample"].contains(&m.as_str()) => m,
+        Some(m) if ["pipe", "tcp", "sample"].contains(&m.as_str()) => m,
         Some(m) if ["help", "--help", "-h"].contains(&m.as_str()) => {
             println!("{USAGE}");
             std::process::exit(0);
@@ -235,156 +225,56 @@ fn parse_options() -> Options {
         scale: Scale::Ci,
         seed: 42,
         tenants: Vec::new(),
-        loadgen_tenant: None,
         sizes: vec![2, 3],
         hidden: vec![256, 256],
         epochs: 20,
         train_queries: 400,
         batch: BatchConfig::default(),
         addr: "127.0.0.1:7878".into(),
-        qps: 0.0,
-        requests: 5000,
-        json: "BENCH_serve.json".into(),
         count: 20,
         adapt: false,
         adapter: AdapterConfig::default(),
-        workload: None,
-        shift_size: 0,
         quantized: None,
         metrics_every: 0,
         model_dir: None,
         memory_budget: None,
     };
     while let Some(flag) = args.next() {
-        let mut value = |flag: &str| args.next().unwrap_or_else(|| fail(&format!("{flag} expects a value")));
-        match flag.as_str() {
-            "--dataset" => opts.dataset = parse_dataset(&value("--dataset")),
-            "--scale" => opts.scale = parse_scale(&value("--scale")),
-            "--tenant" => {
-                let spec = value("--tenant");
-                if spec.contains('=') {
-                    opts.tenants.push(parse_tenant_spec(&spec));
-                } else {
-                    // A bare name is the loadgen target namespace.
-                    opts.loadgen_tenant = Some(spec);
-                }
-            }
-            "--seed" => {
-                opts.seed = value("--seed")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--seed expects an integer"))
-            }
-            "--sizes" => opts.sizes = parse_list(&value("--sizes"), "--sizes"),
-            "--hidden" => opts.hidden = parse_list(&value("--hidden"), "--hidden"),
-            "--epochs" => {
-                opts.epochs = value("--epochs")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--epochs expects an integer"))
-            }
-            "--train-queries" => {
-                opts.train_queries = value("--train-queries")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--train-queries expects an integer"))
-            }
-            "--window-us" => {
-                opts.batch.window = Duration::from_micros(
-                    value("--window-us")
-                        .parse()
-                        .unwrap_or_else(|_| fail("--window-us expects an integer")),
-                )
-            }
-            "--max-batch" => {
-                opts.batch.max_batch = value("--max-batch")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--max-batch expects an integer"))
-            }
-            "--queue-depth" => {
-                opts.batch.queue_depth = value("--queue-depth")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--queue-depth expects an integer"))
-            }
-            "--workers" => {
-                opts.batch.workers = value("--workers")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--workers expects an integer"))
-            }
-            "--addr" => opts.addr = value("--addr"),
-            "--qps" => {
-                opts.qps = value("--qps")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--qps expects a number"))
-            }
-            "--requests" => {
-                opts.requests = value("--requests")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--requests expects an integer"))
-            }
-            "--json" => opts.json = value("--json"),
-            "--count" => {
-                opts.count = value("--count")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--count expects an integer"))
-            }
+        let flag = flag.as_str();
+        let mut value = || args.next().unwrap_or_else(|| fail(&format!("{flag} expects a value")));
+        match flag {
+            "--dataset" => opts.dataset = parse_dataset(&value()),
+            "--scale" => opts.scale = parse_scale(&value()),
+            "--tenant" => opts.tenants.push(parse_tenant_spec(&value())),
+            "--seed" => opts.seed = num(flag, "an integer", value()),
+            "--sizes" => opts.sizes = parse_list(&value(), flag),
+            "--hidden" => opts.hidden = parse_list(&value(), flag),
+            "--epochs" => opts.epochs = num(flag, "an integer", value()),
+            "--train-queries" => opts.train_queries = num(flag, "an integer", value()),
+            "--window-us" => opts.batch.window = Duration::from_micros(num(flag, "an integer", value())),
+            "--max-batch" => opts.batch.max_batch = num(flag, "an integer", value()),
+            "--queue-depth" => opts.batch.queue_depth = num(flag, "an integer", value()),
+            "--workers" => opts.batch.workers = num(flag, "an integer", value()),
+            "--addr" => opts.addr = value(),
+            "--count" => opts.count = num(flag, "an integer", value()),
             "--adapt" => opts.adapt = true,
-            "--adapt-interval-ms" => {
-                opts.adapter.interval = Duration::from_millis(
-                    value("--adapt-interval-ms")
-                        .parse()
-                        .unwrap_or_else(|_| fail("--adapt-interval-ms expects an integer")),
-                )
-            }
-            "--adapt-window" => {
-                opts.adapter.window = value("--adapt-window")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--adapt-window expects an integer"))
-            }
-            "--adapt-min-observed" => {
-                opts.adapter.min_observed = value("--adapt-min-observed")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--adapt-min-observed expects an integer"))
-            }
-            "--adapt-tv" => {
-                opts.adapter.tv_threshold = value("--adapt-tv")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--adapt-tv expects a number"))
-            }
-            "--adapt-uncovered" => {
-                opts.adapter.uncovered_threshold = value("--adapt-uncovered")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--adapt-uncovered expects a number"))
-            }
-            "--adapt-max-models" => {
-                opts.adapter.max_models = value("--adapt-max-models")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--adapt-max-models expects an integer"))
-            }
+            "--adapt-interval-ms" => opts.adapter.interval = Duration::from_millis(num(flag, "an integer", value())),
+            "--adapt-window" => opts.adapter.window = num(flag, "an integer", value()),
+            "--adapt-min-observed" => opts.adapter.min_observed = num(flag, "an integer", value()),
+            "--adapt-tv" => opts.adapter.tv_threshold = num(flag, "a number", value()),
+            "--adapt-uncovered" => opts.adapter.uncovered_threshold = num(flag, "a number", value()),
+            "--adapt-max-models" => opts.adapter.max_models = num(flag, "an integer", value()),
             "--quantized" => {
-                let mode = value("--quantized");
+                let mode = value();
                 opts.quantized = Some(
                     QuantMode::parse(&mode)
                         .unwrap_or_else(|| fail(&format!("--quantized expects int8 or bf16, got {mode:?}"))),
                 )
             }
             "--no-obs" => opts.batch.obs = false,
-            "--metrics-every" => {
-                opts.metrics_every = value("--metrics-every")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--metrics-every expects an integer (seconds)"))
-            }
-            "--model-dir" => opts.model_dir = Some(value("--model-dir").into()),
-            "--memory-budget" => {
-                opts.memory_budget = Some(
-                    value("--memory-budget")
-                        .parse()
-                        .unwrap_or_else(|_| fail("--memory-budget expects a byte count")),
-                )
-            }
-            "--workload" => opts.workload = Some(value("--workload")),
-            "--shift-size" => {
-                opts.shift_size = value("--shift-size")
-                    .parse()
-                    .unwrap_or_else(|_| fail("--shift-size expects an integer"))
-            }
+            "--metrics-every" => opts.metrics_every = num(flag, "an integer (seconds)", value()),
+            "--model-dir" => opts.model_dir = Some(value().into()),
+            "--memory-budget" => opts.memory_budget = Some(num(flag, "a byte count", value())),
             other => fail(&format!("unknown option {other:?}")),
         }
     }
@@ -393,7 +283,8 @@ fn parse_options() -> Options {
 
 /// A star/chain workload across the configured sizes, cycling cells so the
 /// mix exercises direct routing and decomposition alike.
-fn sample_workload(graph: &KnowledgeGraph, opts: &Options, count: usize) -> Vec<Query> {
+fn sample_workload(graph: &KnowledgeGraph, opts: &Options) -> Vec<Query> {
+    let count = opts.count;
     let cells: Vec<(QueryShape, usize)> = [QueryShape::Star, QueryShape::Chain]
         .into_iter()
         .flat_map(|shape| opts.sizes.iter().map(move |&k| (shape, k)))
@@ -695,7 +586,7 @@ fn build_service(runtimes: &[TenantRuntime], opts: &Options) -> (EstimationServi
             memory_budget: opts.memory_budget,
         })
         .collect();
-    let adapter = Adapter::start_multi(specs, opts.adapter.clone());
+    let adapter = Adapter::start(specs, opts.adapter.clone());
     eprintln!(
         "serve: adaptation on for {} tenant(s) (interval {:?}, window {}, tv>{}, uncovered>{}, max {} models)",
         runtimes.len(),
@@ -750,21 +641,46 @@ fn install_signal_handlers(flag: &ShutdownFlag) {
 #[cfg(not(unix))]
 fn install_signal_handlers(_flag: &ShutdownFlag) {}
 
-/// The `--metrics-every N` watcher: renders the full METRICS exposition to
-/// stderr every `every_s` seconds. Detached on purpose — it scrapes shared
-/// atomics only and dies with the process.
-fn start_metrics_dump(svc: &EstimationService, every_s: u64) {
+/// The `--metrics-every N` watcher: renders every tenant's METRICS
+/// exposition to stderr every `every_s` seconds — `tenant="…"`-labeled when
+/// `--tenant` specs were given, unlabeled for the single default tenant.
+/// Detached on purpose — it scrapes shared atomics only and dies with the
+/// process.
+fn start_metrics_dump(svc: &EstimationService, opts: &Options) {
+    let every_s = opts.metrics_every;
     if every_s == 0 {
         return;
     }
-    let stats = svc.serve_stats();
+    let labeled = !opts.tenants.is_empty();
+    let tenants: Vec<_> = svc
+        .tenant_names()
+        .into_iter()
+        .filter_map(|name| svc.tenant_serve_stats(&name).map(|stats| (name, stats)))
+        .collect();
     std::thread::Builder::new()
         .name("lmkg-serve-metrics-dump".into())
         .spawn(move || loop {
             std::thread::sleep(Duration::from_secs(every_s));
-            eprintln!("{}# EOF", lmkg_serve::render_metrics(&stats));
+            for (name, stats) in &tenants {
+                let label = labeled.then_some(name.as_str());
+                eprintln!("{}# EOF", render_metrics_for(label, stats));
+            }
         })
         .expect("spawn metrics dump thread");
+}
+
+/// The shared tail of the serving modes, run once the transport has
+/// drained: the adapter joins (never mid-swap), then the shutdown stats
+/// print; dropping the service afterwards flushes the batcher workers.
+fn finish_serving(svc: &EstimationService, adapter: Option<Adapter>) {
+    if let Some(adapter) = adapter {
+        let published = adapter.stop();
+        eprintln!(
+            "serve: adapter joined with {} model(s) published",
+            published.model_count()
+        );
+    }
+    eprintln!("serve: shutdown stats: {}", svc.stats());
 }
 
 fn main() {
@@ -778,7 +694,7 @@ fn main() {
             let tenants = tenant_graphs(&opts);
             let v2 = !opts.tenants.is_empty();
             for (name, graph) in &tenants {
-                let queries = sample_workload(graph, &opts, opts.count);
+                let queries = sample_workload(graph, &opts);
                 for (i, q) in queries.iter().enumerate() {
                     if v2 {
                         println!("EST {name} q{i} {}", sparql::format_query(q, graph));
@@ -797,7 +713,7 @@ fn main() {
         "pipe" => {
             let runtimes = tenant_runtimes(&opts);
             let (svc, adapter) = build_service(&runtimes, &opts);
-            start_metrics_dump(&svc, opts.metrics_every);
+            start_metrics_dump(&svc, &opts);
             eprintln!(
                 "serve: pipe mode ready (tenants [{}]; window {:?}, max_batch {}, queue {}, workers {})",
                 svc.tenant_names().join(", "),
@@ -808,21 +724,14 @@ fn main() {
             );
             let stdin = std::io::stdin();
             serve_stream(&svc, stdin.lock(), std::io::stdout());
-            if let Some(adapter) = adapter {
-                let published = adapter.stop();
-                eprintln!(
-                    "serve: adapter joined with {} model(s) published",
-                    published.model_count()
-                );
-            }
-            eprintln!("serve: shutdown stats: {}", svc.stats());
+            finish_serving(&svc, adapter);
         }
         "tcp" => {
             let listener = std::net::TcpListener::bind(&opts.addr)
                 .unwrap_or_else(|e| fail(&format!("cannot bind {}: {e}", opts.addr)));
             let runtimes = tenant_runtimes(&opts);
             let (svc, adapter) = build_service(&runtimes, &opts);
-            start_metrics_dump(&svc, opts.metrics_every);
+            start_metrics_dump(&svc, &opts);
             let svc = Arc::new(svc);
             let shutdown = ShutdownFlag::new();
             install_signal_handlers(&shutdown);
@@ -834,175 +743,7 @@ fn main() {
             if let Err(e) = serve_tcp(&svc, listener, None, &shutdown) {
                 eprintln!("serve: accept loop failed: {e}");
             }
-            // Sessions have drained; now the adapter joins (never mid-swap)
-            // and dropping the service flushes the batcher workers.
-            if let Some(adapter) = adapter {
-                let published = adapter.stop();
-                eprintln!(
-                    "serve: adapter joined with {} model(s) published",
-                    published.model_count()
-                );
-            }
-            eprintln!("serve: shutdown stats: {}", svc.stats());
-        }
-        "loadgen" => {
-            eprintln!(
-                "serve: generating {:?} graph at {:?} scale (seed {}) …",
-                opts.dataset, opts.scale, opts.seed
-            );
-            let graph = Arc::new(opts.dataset.generate(opts.scale, opts.seed));
-            let t_train = Instant::now();
-            let (base, build_cfg) = build_lmkg(&graph, &opts);
-            let train_time = t_train.elapsed();
-            let queries = match &opts.workload {
-                Some(path) => {
-                    let text = std::fs::read_to_string(path)
-                        .unwrap_or_else(|e| fail(&format!("cannot read workload {path}: {e}")));
-                    match loadgen::parse_workload(&text, &graph) {
-                        Ok(queries) if !queries.is_empty() => queries,
-                        Ok(_) => fail(&format!("workload {path} contains no queries")),
-                        Err(e) => fail(&format!("workload {path}, {e}")),
-                    }
-                }
-                None => sample_workload(&graph, &opts, 512),
-            };
-            let cfg = LoadgenConfig {
-                qps: opts.qps,
-                requests: opts.requests,
-                warmup: 300,
-                batch: opts.batch.clone(),
-                tenant: opts.loadgen_tenant.clone(),
-            };
-            eprintln!(
-                "serve: load generator — {} requests per run over {} distinct queries (tenant {}) …",
-                cfg.requests,
-                queries.len(),
-                cfg.tenant.as_deref().unwrap_or(DEFAULT_TENANT)
-            );
-            let report = loadgen::compare(&graph, Arc::clone(&base) as lmkg_serve::SharedEstimator, &queries, &cfg);
-            println!("{}", report.per_request);
-            println!("{}", report.micro_batched);
-            println!("{}", report.saturated_1w);
-            println!("{}", report.saturated_multi);
-            println!(
-                "throughput gain (micro-batched / per-request): {:.2}x at {:.0} offered qps",
-                report.throughput_gain, report.offered_qps
-            );
-            println!(
-                "worker scaling ({} workers / 1 worker, concurrent forwards): {:.2}x on {} core(s)",
-                report.workers, report.worker_scaling, report.available_parallelism
-            );
-
-            eprintln!("serve: observability A/B — the saturated run with instrumentation on vs --no-obs …");
-            let obs = loadgen::obs_overhead(
-                &graph,
-                Arc::clone(&base) as lmkg_serve::SharedEstimator,
-                &queries,
-                &cfg,
-                3,
-            );
-            println!("{}", obs.instrumented);
-            println!("{}", obs.no_obs);
-            println!(
-                "observability overhead at saturation: {:.2}% ({:.0} qps instrumented vs {:.0} qps without)",
-                obs.overhead_pct, obs.instrumented.achieved_qps, obs.no_obs.achieved_qps
-            );
-
-            eprintln!("serve: multi-tenant quota isolation — two tenants at equal saturating offered load …");
-            let mt = loadgen::multi_tenant(&graph, Arc::clone(&base) as lmkg_serve::SharedEstimator, &queries, &cfg);
-            println!("{}", mt.hot);
-            println!("{}", mt.cool);
-            println!(
-                "quota isolation: hot (quota {}) shed {}/{}; cool (quota {}) shed {}; isolated={}",
-                mt.hot_quota, mt.hot.shed, mt.hot.sent, mt.cool_quota, mt.cool.shed, mt.isolated
-            );
-
-            eprintln!("serve: cold-start — publish the trained set, reload it, replay for bitwise parity …");
-            let cold_dir = opts
-                .model_dir
-                .clone()
-                .unwrap_or_else(|| std::env::temp_dir().join(format!("lmkg-coldstart-{}", std::process::id())));
-            let cold_start_json =
-                match loadgen::cold_start(&graph, Arc::clone(&base), train_time, &queries, &cfg, &cold_dir) {
-                    Ok(cs) => {
-                        println!(
-                            "cold start: train {:.0}ms vs load {:.2}ms ({:.0}x faster); snapshot {} bytes \
-                             (generation {}); parity={} over {} request(s)",
-                            cs.train_ms,
-                            cs.load_ms,
-                            cs.speedup,
-                            cs.snapshot_bytes,
-                            cs.generation,
-                            cs.parity,
-                            cs.parity_requests
-                        );
-                        cs.to_json()
-                    }
-                    Err(e) => {
-                        eprintln!("serve: cold-start benchmark failed: {e}");
-                        "null".to_string()
-                    }
-                };
-
-            let mut adaptation_json = "null".to_string();
-            if opts.shift_size > 0 {
-                if !lmkg::trainable_cell((QueryShape::Star, opts.shift_size)) {
-                    fail(&format!(
-                        "--shift-size {} is not trainable (star workloads need at least 2 triples)",
-                        opts.shift_size
-                    ));
-                }
-                if base.covers(QueryShape::Star, opts.shift_size) {
-                    fail(&format!(
-                        "--shift-size {} is already covered by the trained sizes {:?}; pick an uncovered size",
-                        opts.shift_size, opts.sizes
-                    ));
-                }
-                let shifted = loadgen::shifted_workload(&graph, opts.shift_size, 256, opts.seed ^ 0xad);
-                if shifted.is_empty() {
-                    fail("shifted workload generation produced no queries");
-                }
-                let shift_cfg = ShiftConfig {
-                    qps: opts.qps,
-                    requests: opts.requests.min(2000),
-                    batch: opts.batch.clone(),
-                    adapter: opts.adapter.clone(),
-                    ..ShiftConfig::default()
-                };
-                eprintln!(
-                    "serve: shifted-workload run — workload jumps to star-{} ({} distinct), adapter armed …",
-                    opts.shift_size,
-                    shifted.len()
-                );
-                let shift_report = loadgen::shift(&graph, base, &build_cfg, &queries, &shifted, &shift_cfg);
-                println!("{}", shift_report.baseline.run);
-                println!("{}", shift_report.shifted_pre.run);
-                println!("{}", shift_report.shifted_post.run);
-                println!(
-                    "adaptation: {} retrain(s), {} -> {} models, covered_after={}; \
-                     median q-error {:.2} (pre-swap decomposition) -> {:.2} (post-swap model)",
-                    shift_report.retrains,
-                    shift_report.models_before,
-                    shift_report.models_after,
-                    shift_report.covered_after,
-                    shift_report.shifted_pre.median_q_error,
-                    shift_report.shifted_post.median_q_error
-                );
-                adaptation_json = shift_report.to_json();
-            }
-
-            let json = format!(
-                "{{\n  \"benchmark\": \"lmkg-serve serving + workload-shift adaptation\",\n  \
-                 \"comparison\": {},\n  \"observability\": {},\n  \"multi_tenant\": {},\n  \
-                 \"cold_start\": {},\n  \"adaptation\": {}\n}}\n",
-                report.to_json().trim_end(),
-                obs.to_json(),
-                mt.to_json(),
-                cold_start_json,
-                adaptation_json
-            );
-            std::fs::write(&opts.json, json).unwrap_or_else(|e| fail(&format!("cannot write {}: {e}", opts.json)));
-            eprintln!("serve: wrote {}", opts.json);
+            finish_serving(&svc, adapter);
         }
         _ => unreachable!("mode validated in parse_options"),
     }

@@ -259,6 +259,7 @@ mod tests {
                 workers: 2,
                 obs: true,
             },
+            None,
         );
         let (tx, rx) = mpsc::channel();
         for i in 0..6 {
@@ -338,6 +339,7 @@ mod tests {
                 workers: 1,
                 obs: true,
             },
+            None,
         );
         let (tx, rx) = mpsc::channel();
         batcher.submit(Job::new("q0".into(), tiny_query(), tx.clone())).unwrap();
@@ -384,6 +386,7 @@ mod tests {
                 obs: false,
                 ..BatchConfig::default()
             },
+            None,
         );
         let (tx, rx) = mpsc::channel();
         batcher.submit(Job::new("q0".into(), tiny_query(), tx.clone())).unwrap();

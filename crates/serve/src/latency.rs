@@ -19,8 +19,8 @@ use lmkg_obs::hist::{bucket_bound, bucket_index, HistSnapshot, NUM_BUCKETS};
 
 /// Nearest-rank percentile of an ascending-sorted slice. `p` is in percent
 /// (e.g. `99.0`). Returns 0.0 for an empty slice. This is the *exact*
-/// reference used by the load generator's offline reports, where the full
-/// sample vector is already in hand.
+/// reference the bucketed [`SlidingWindow`] is tested against, for callers
+/// that have the full sample vector in hand.
 pub fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;

@@ -43,7 +43,7 @@
 //!   entries are reused by reference), and publishes the extended
 //!   framework atomically through the `ModelHandle` while workers keep
 //!   serving the old snapshot. One adapter thread walks all tenants
-//!   ([`adapter::Adapter::start_multi`]) and swaps each tenant's handle
+//!   ([`adapter::Adapter::start`]) and swaps each tenant's handle
 //!   independently.
 //! * [`server`] — [`server::ServeBuilder`] (tenants in, running service
 //!   out) and the transports: a stdin/stdout pipe mode and a TCP listener
@@ -51,12 +51,11 @@
 //!   The TCP accept loop shuts down gracefully on a [`server::ShutdownFlag`]
 //!   (wired to SIGINT/SIGTERM by the `serve` binary): in-flight sessions
 //!   drain their replies before the loop returns.
-//! * [`loadgen`] — a self-driving load generator that replays an `lmkg-data`
-//!   workload at a target QPS through the full protocol path (optionally
-//!   addressed to one namespace) and writes a micro-batched vs per-request
-//!   comparison, a two-tenant quota-isolation run, and a two-phase
-//!   shifted-workload adaptation run (before/after-swap q-error and
-//!   latency) to `BENCH_serve.json`.
+//!
+//! Measuring the server is not this crate's job: the `benchmark/` workspace
+//! at the repository root drives the real `serve tcp` binary (open- and
+//! closed-loop, client-side clocks) and reconciles its numbers against the
+//! `METRICS` this crate exposes.
 //!
 //! ```
 //! use lmkg::GraphSummary;
@@ -88,7 +87,6 @@ pub mod adapter;
 pub mod batcher;
 pub mod expose;
 pub mod latency;
-pub mod loadgen;
 pub mod metrics_registry;
 pub mod protocol;
 pub mod server;
@@ -99,10 +97,6 @@ pub use batcher::{
 };
 pub use expose::{render_metrics, render_metrics_for};
 pub use latency::{percentile, SlidingWindow, StatsSnapshot};
-pub use loadgen::{
-    ComparisonReport, LoadgenConfig, MultiTenantReport, ObsOverheadReport, RunReport, ShiftConfig, ShiftReport,
-    WorkloadLineError,
-};
 pub use metrics_registry::{MetricDef, MetricKind, REGISTRY};
 pub use protocol::{ErrorCode, ProtocolError, Reply, Request, DEFAULT_TENANT};
 pub use server::{

@@ -216,7 +216,7 @@ impl ServeBuilder {
                 TenantEntry {
                     name: spec.name,
                     graph: spec.graph,
-                    batcher: MicroBatcher::start_observed(spec.estimator, cfg, spec.monitor),
+                    batcher: MicroBatcher::start(spec.estimator, cfg, spec.monitor),
                     suspended,
                     model_dir: spec.model_dir,
                     memory_budget: spec.memory_budget,

@@ -16,7 +16,10 @@ use lmkg::framework::{Grouping, Lmkg, LmkgConfig, ModelType};
 use lmkg::supervised::LmkgSConfig;
 use lmkg::{CardinalityEstimator, WorkloadMonitor};
 use lmkg_integration_tests::{small_lubm, test_queries};
-use lmkg_serve::{Adapter, AdapterConfig, BatchConfig, Reply, ServeBuilder, SharedMonitor, TenantSpec, DEFAULT_TENANT};
+use lmkg_serve::{
+    Adapter, AdapterConfig, BatchConfig, Reply, ServeBuilder, SharedMonitor, TenantAdapterSpec, TenantSpec,
+    DEFAULT_TENANT,
+};
 use lmkg_store::{sparql, Query, QueryShape};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -87,12 +90,17 @@ fn adapter_closes_the_workload_shift_loop_bitwise() {
         .build()
         .unwrap();
     let adapter = Adapter::start(
-        Arc::clone(&graph),
-        Arc::clone(&base),
-        cfg.clone(),
-        svc.model(),
-        monitor,
-        svc.serve_stats(),
+        vec![TenantAdapterSpec {
+            name: DEFAULT_TENANT.into(),
+            graph: Arc::clone(&graph),
+            base: Arc::clone(&base),
+            build_cfg: cfg.clone(),
+            handle: svc.model(),
+            monitor,
+            stats: svc.serve_stats(),
+            store: None,
+            memory_budget: None,
+        }],
         AdapterConfig {
             interval: Duration::from_millis(50),
             window: 64,

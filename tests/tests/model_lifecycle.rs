@@ -18,8 +18,8 @@ use lmkg::{CardinalityEstimator, QuantMode, WorkloadMonitor};
 use lmkg_integration_tests::{golden_fixture_path, small_lubm, test_queries};
 use lmkg_modelstore::ModelStore;
 use lmkg_serve::{
-    loadgen, Adapter, AdapterConfig, BatchConfig, LoadgenConfig, Reply, ServeBuilder, SharedEstimator, SharedMonitor,
-    TenantAdapterSpec, TenantSpec, DEFAULT_TENANT,
+    Adapter, AdapterConfig, BatchConfig, Reply, ServeBuilder, SharedEstimator, SharedMonitor, TenantAdapterSpec,
+    TenantSpec, DEFAULT_TENANT,
 };
 use lmkg_store::{sparql, KnowledgeGraph, NodeTerm, PredId, PredTerm, Query, QueryShape, TriplePattern, VarId};
 use proptest::prelude::*;
@@ -93,26 +93,58 @@ fn cold_start_is_bitwise_and_at_least_ten_times_faster_than_training() {
     let queries = star2_queries(&graph, 24);
     assert!(queries.len() >= 8, "workload too small: {}", queries.len());
     let dir = temp_store_dir("coldstart");
-    let report = loadgen::cold_start(
-        &graph,
-        Arc::clone(&base),
-        train_time,
-        &queries,
-        &LoadgenConfig::default(),
-        &dir,
-    )
-    .expect("cold-start benchmark runs");
+    let store = ModelStore::open(&dir).expect("store opens");
+    let snapshot_bytes = base.save_to_vec().expect("serializes").len();
+    let generation = store.publish(&base).expect("publish succeeds");
+    let t0 = Instant::now();
+    let (loaded, loaded_gen) = store.load_latest().expect("reload succeeds");
+    let load_time = t0.elapsed();
 
-    assert!(report.parity, "restarted replica must answer bitwise identically");
-    assert_eq!(report.parity_requests, queries.len());
-    assert_eq!(report.generation, 1, "first publish into an empty store");
-    assert!(report.snapshot_bytes > 0);
+    // Every request through the full serving path of a replica over each
+    // model; the queue holds the whole replay, so nothing is shed.
+    let lines: Vec<String> = queries
+        .iter()
+        .enumerate()
+        .map(|(i, q)| format!("EST q{i} {}", sparql::format_query(q, &graph)))
+        .collect();
+    let served_bits = |estimator: SharedEstimator| -> Vec<u64> {
+        let svc = ServeBuilder::new()
+            .batch(BatchConfig {
+                queue_depth: lines.len(),
+                ..BatchConfig::default()
+            })
+            .tenant(TenantSpec::new(DEFAULT_TENANT, Arc::clone(&graph), estimator))
+            .build()
+            .expect("one tenant builds");
+        let (tx, rx) = mpsc::channel::<Reply>();
+        for line in &lines {
+            svc.handle_line(line, &tx);
+        }
+        let mut bits = vec![None; lines.len()];
+        for _ in &lines {
+            match rx.recv_timeout(Duration::from_secs(20)).expect("reply arrives") {
+                Reply::Estimate { id, estimate, .. } => {
+                    let i: usize = id.strip_prefix('q').unwrap().parse().unwrap();
+                    bits[i] = Some(estimate.to_bits());
+                }
+                other => panic!("unexpected reply {other:?}"),
+            }
+        }
+        bits.into_iter()
+            .map(|b| b.expect("every request answered once"))
+            .collect()
+    };
+    let trained = served_bits(Arc::clone(&base) as SharedEstimator);
+    let restarted = served_bits(Arc::new(loaded) as SharedEstimator);
+
+    assert_eq!(trained, restarted, "restarted replica must answer bitwise identically");
+    assert_eq!(restarted.len(), queries.len());
+    assert_eq!((generation, loaded_gen), (1, 1), "first publish into an empty store");
+    assert!(snapshot_bytes > 0);
+    let speedup = train_time.as_secs_f64() / load_time.as_secs_f64().max(1e-9);
     assert!(
-        report.speedup >= 10.0,
-        "loading must beat retraining by >= 10x, got {:.1}x (train {:.0}ms, load {:.2}ms)",
-        report.speedup,
-        report.train_ms,
-        report.load_ms
+        speedup >= 10.0,
+        "loading must beat retraining by >= 10x, got {speedup:.1}x (train {train_time:?}, load {load_time:?})"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -216,7 +248,7 @@ fn adapter_evicts_to_budget_and_persists_without_tearing_a_batch() {
 
     let dir = temp_store_dir("evict");
     let store = ModelStore::open(&dir).expect("store opens");
-    let adapter = Adapter::start_multi(
+    let adapter = Adapter::start(
         vec![TenantAdapterSpec {
             name: DEFAULT_TENANT.into(),
             graph: Arc::clone(&graph),

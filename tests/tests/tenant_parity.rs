@@ -272,7 +272,7 @@ fn adapter_swaps_one_tenant_under_live_traffic_on_the_other() {
         )
         .build()
         .unwrap();
-    let adapter = Adapter::start_multi(
+    let adapter = Adapter::start(
         vec![
             TenantAdapterSpec {
                 name: "a".into(),
