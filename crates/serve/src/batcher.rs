@@ -284,9 +284,8 @@ impl ServeStats {
     }
 
     /// Records the memory footprint of the currently published model. The
-    /// batcher sets it at startup and on [`MicroBatcher::swap_model`]; a
-    /// caller swapping through the raw [`ModelHandle`] (the adapter does)
-    /// refreshes it alongside.
+    /// batcher sets it at startup; the lifecycle's publish routine, the one
+    /// caller of [`ModelHandle::swap`], refreshes it alongside every swap.
     pub fn note_model_bytes(&self, bytes: u64) {
         self.model_bytes.store(bytes, Ordering::Relaxed);
     }
@@ -516,18 +515,6 @@ impl MicroBatcher {
     /// The swappable model slot (for live model publication).
     pub fn model(&self) -> Arc<ModelHandle> {
         Arc::clone(&self.handle)
-    }
-
-    /// Atomically publishes a new model for subsequent batches, returning
-    /// the one it replaced. Convenience over [`MicroBatcher::model`] that
-    /// also keeps the reported `model_bytes` current.
-    pub fn swap_model(&self, estimator: SharedEstimator) -> SharedEstimator {
-        let bytes = estimator.memory_bytes() as u64;
-        self.stats.note_model_bytes(bytes);
-        let old = self.handle.swap(estimator);
-        self.stats
-            .event(Level::Info, "swap", format!("swap: published model of {bytes} bytes"));
-        old
     }
 
     /// Closes the queue, drains it, joins the workers, and hands the
@@ -958,7 +945,7 @@ mod tests {
             other => panic!("unexpected reply {other:?}"),
         }
 
-        let old = batcher.swap_model(Arc::new(ConstantEstimator(77.0)));
+        let old = batcher.model().swap(Arc::new(ConstantEstimator(77.0)));
         assert_eq!(old.name(), "recording");
         batcher.submit(Job::new("after".into(), query(2), tx.clone())).unwrap();
         match rx.recv_timeout(Duration::from_secs(5)).unwrap() {

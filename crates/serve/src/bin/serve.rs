@@ -1,5 +1,7 @@
-//! The `serve` binary: train an LMKG framework once (or one per tenant),
-//! then serve estimates.
+//! The `serve` binary: flag parsing over `lmkg_serve`. Options become one
+//! `LmkgTenant` description per tenant; `ServeBuilder` and the lifecycle
+//! behind it (load or train, budget, persist, adapt) do the rest, and this
+//! file runs the transport.
 //!
 //! ```text
 //! serve pipe    [model opts] [serve opts]          stdin/stdout protocol session
@@ -17,21 +19,19 @@
 //! lines route to the `default` tenant. Load and latency are measured from
 //! outside, by `benchmark/run.sh` against `serve tcp`.
 
-use lmkg::framework::{Grouping, Lmkg, LmkgConfig, ModelType};
+use lmkg::framework::{Grouping, LmkgConfig, ModelType};
 use lmkg::supervised::LmkgSConfig;
-use lmkg::{CardinalityEstimator, QuantMode, WorkloadMonitor};
+use lmkg::QuantMode;
 
 use lmkg_data::workload::{self, WorkloadConfig};
 use lmkg_data::{Dataset, Scale};
-use lmkg_modelstore::ModelStore;
-use lmkg_obs::Level;
 use lmkg_serve::{
-    render_metrics_for, serve_stream, serve_tcp, Adapter, AdapterConfig, BatchConfig, EstimationService, ServeBuilder,
-    SharedMonitor, ShutdownFlag, TenantAdapterSpec, TenantSpec, DEFAULT_TENANT,
+    render_metrics_for, serve_stream, serve_tcp, Adapter, AdapterConfig, BatchConfig, EstimationService, LmkgTenant,
+    ServeBuilder, ShutdownFlag, DEFAULT_TENANT,
 };
 use lmkg_store::{sparql, KnowledgeGraph, Query, QueryShape};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 const USAGE: &str = "\
@@ -314,9 +314,9 @@ fn sample_workload(graph: &KnowledgeGraph, opts: &Options) -> Vec<Query> {
     out
 }
 
-/// The framework configuration the CLI options describe — shared by the
-/// train path and the cold-start path (the adapter extends a loaded
-/// snapshot with these hyperparameters too).
+/// The framework configuration the CLI options describe: what a tenant
+/// trains with when no snapshot loads, and what the adapter extends any
+/// served set with.
 fn lmkg_config(opts: &Options) -> LmkgConfig {
     LmkgConfig {
         model_type: ModelType::Supervised,
@@ -332,50 +332,6 @@ fn lmkg_config(opts: &Options) -> LmkgConfig {
         u_config: Default::default(),
         workload_seed: opts.seed,
     }
-}
-
-/// Builds the served framework plus the configuration it was built with —
-/// the adapter extends with the same hyperparameters and budget.
-fn build_lmkg(graph: &KnowledgeGraph, opts: &Options) -> (Arc<Lmkg>, LmkgConfig) {
-    let cfg = lmkg_config(opts);
-    eprintln!(
-        "serve: building LMKG-S (sizes {:?}, hidden {:?}, {} epochs, {} train queries/model) …",
-        opts.sizes, opts.hidden, opts.epochs, opts.train_queries
-    );
-    let mut lmkg = Lmkg::build(graph, &cfg);
-    if let Some(mode) = opts.quantized {
-        let f32_bytes = lmkg.memory_bytes();
-        lmkg = lmkg.quantized(mode);
-        eprintln!(
-            "serve: quantized the framework to {} — model {} -> {} bytes ({:.2}x smaller)",
-            mode.name(),
-            f32_bytes,
-            lmkg.memory_bytes(),
-            f32_bytes as f64 / lmkg.memory_bytes().max(1) as f64
-        );
-    }
-    (Arc::new(lmkg), cfg)
-}
-
-/// One tenant, materialized: its named graph plus the trained (or
-/// cold-started) framework, the configuration it was built with, and its
-/// slice of the model store.
-struct TenantRuntime {
-    name: String,
-    graph: Arc<KnowledgeGraph>,
-    base: Arc<Lmkg>,
-    build_cfg: LmkgConfig,
-    /// The tenant's snapshot store (`--model-dir`, per-tenant subdirectory
-    /// in multi-tenant runs).
-    store: Option<ModelStore>,
-    /// The generation `base` corresponds to on disk: loaded at cold-start,
-    /// or published right after training. `None` without `--model-dir`.
-    generation: Option<u64>,
-    /// Whether `base` was loaded from a snapshot instead of trained.
-    cold_started: bool,
-    /// Models dropped by the startup budget pass, so `STATS … evicted=`
-    /// counts them alongside the adapter's runtime evictions.
-    startup_evicted: usize,
 }
 
 /// The named (tenant, graph) pairs this invocation serves: one per
@@ -406,197 +362,42 @@ fn tenant_graphs(opts: &Options) -> Vec<(String, Arc<KnowledgeGraph>)> {
         .collect()
 }
 
-/// Opens the snapshot store for one tenant: `--model-dir` itself for a
-/// single-tenant run, `--model-dir/<tenant>` when several tenants share
-/// the root (each tenant's generations must not clobber another's).
-fn tenant_store(opts: &Options, name: &str) -> Option<ModelStore> {
-    let root = opts.model_dir.as_ref()?;
-    let dir = if opts.tenants.is_empty() {
-        root.clone()
-    } else {
-        root.join(name)
-    };
-    match ModelStore::open(&dir) {
-        Ok(store) => Some(store),
-        Err(e) => fail(&format!("cannot open model store {}: {e}", dir.display())),
-    }
-}
-
-/// Materializes one framework per tenant (pipe and tcp modes): cold-start
-/// from the newest store generation when one exists, train (and publish
-/// generation 1) otherwise, then enforce the memory budget once up front.
-fn tenant_runtimes(opts: &Options) -> Vec<TenantRuntime> {
-    tenant_graphs(opts)
-        .into_iter()
-        .map(|(name, graph)| {
-            let store = tenant_store(opts, &name);
-            let mut generation = None;
-            let mut cold_started = false;
-            let (mut base, build_cfg) = match &store {
-                Some(store) => match store.load_latest() {
-                    Ok((model, gen)) => {
-                        eprintln!(
-                            "serve: [{name}] cold-start — loaded generation {gen} from {} ({} model(s), {} bytes); training skipped",
-                            store.dir().display(),
-                            model.model_count(),
-                            model.total_memory_bytes()
-                        );
-                        generation = Some(gen);
-                        cold_started = true;
-                        (Arc::new(model), lmkg_config(opts))
-                    }
-                    Err(lmkg_modelstore::StoreError::NoSnapshot) => {
-                        if name != DEFAULT_TENANT {
-                            eprintln!("serve: [{name}] training …");
-                        }
-                        build_lmkg(&graph, opts)
-                    }
-                    Err(e) => fail(&format!(
-                        "model store {} is unreadable: {e} (remove the directory to retrain)",
-                        store.dir().display()
-                    )),
-                },
-                None => {
-                    if name != DEFAULT_TENANT {
-                        eprintln!("serve: [{name}] training …");
-                    }
-                    build_lmkg(&graph, opts)
-                }
-            };
-            // Startup budget enforcement: without traffic yet there is no
-            // usage signal, so eviction is purely size-ordered — the
-            // adapter refines the choice later with live workload counts.
-            let mut startup_evicted = 0;
-            if let Some(budget) = opts.memory_budget {
-                if base.total_memory_bytes() > budget {
-                    let (smaller, dropped) = base.evict_to_budget(budget, &[]);
-                    eprintln!(
-                        "serve: [{name}] evicted {dropped} model(s) at startup — {} of {} bytes budget used",
-                        smaller.total_memory_bytes(),
-                        budget
-                    );
-                    base = Arc::new(smaller);
-                    startup_evicted = dropped;
-                }
-            }
-            // Publish the freshly trained (and possibly trimmed) set so the
-            // next start cold-starts; a loaded snapshot is already on disk.
-            if let (Some(store), false) = (&store, cold_started) {
-                match store.publish(&base) {
-                    Ok(gen) => {
-                        eprintln!(
-                            "serve: [{name}] published generation {gen} to {}",
-                            store.dir().display()
-                        );
-                        generation = Some(gen);
-                    }
-                    Err(e) => eprintln!("serve: [{name}] snapshot publish failed ({e}); serving continues"),
-                }
-            }
-            TenantRuntime {
-                name,
-                graph,
-                base,
-                build_cfg,
-                store,
-                generation,
-                cold_started,
-                startup_evicted,
-            }
-        })
-        .collect()
-}
-
-/// Assembles the multi-tenant service (and, with `--adapt`, the one
-/// adapter thread that walks every tenant).
-fn build_service(runtimes: &[TenantRuntime], opts: &Options) -> (EstimationService, Option<Adapter>) {
+/// Describes every tenant to the library (pipe and tcp modes) and builds the
+/// service: each tenant's model set is loaded from its slice of
+/// `--model-dir` (the directory itself for a single-tenant run,
+/// `DIR/<tenant>` when several share the root) or trained, and the lifecycle
+/// behind `ServeBuilder` takes it from there — budget, persistence, and with
+/// `--adapt` the one thread that walks every tenant.
+fn build_service(opts: &Options) -> (EstimationService, Adapter) {
     let mut builder = ServeBuilder::new().batch(opts.batch.clone());
-    let mut monitors: Vec<SharedMonitor> = Vec::new();
-    for rt in runtimes {
-        let mut spec = TenantSpec::new(
-            rt.name.clone(),
-            Arc::clone(&rt.graph),
-            Arc::clone(&rt.base) as lmkg_serve::SharedEstimator,
-        );
-        if let Some(store) = &rt.store {
-            spec = spec.model_dir(store.dir());
-        }
-        if let Some(budget) = opts.memory_budget {
-            spec = spec.memory_budget(budget);
-        }
-        if opts.adapt {
-            let monitor: SharedMonitor = Arc::new(Mutex::new(WorkloadMonitor::new(
-                opts.adapter.window,
-                &rt.build_cfg.cells(),
-            )));
-            monitors.push(Arc::clone(&monitor));
-            spec = spec.observed(monitor);
-        }
-        builder = builder.tenant(spec);
-    }
-    let svc = builder
-        .build()
-        .unwrap_or_else(|e| fail(&format!("invalid tenant set: {e}")));
-    // Surface the startup lifecycle in the per-tenant stats: the store
-    // generation backing the served set (`STATS … gen=`) plus a load/save
-    // event matching how it got there.
-    for rt in runtimes {
-        if rt.startup_evicted > 0 {
-            let stats = svc.tenant_serve_stats(&rt.name).expect("tenant just built");
-            stats.note_evicted(rt.startup_evicted);
-        }
-        if let Some(gen) = rt.generation {
-            let stats = svc.tenant_serve_stats(&rt.name).expect("tenant just built");
-            stats.note_generation(gen);
-            if rt.cold_started {
-                stats.event(
-                    Level::Info,
-                    "load",
-                    format!(
-                        "cold-started [{}] from snapshot generation {gen} ({} model(s), {} bytes) — no training",
-                        rt.name,
-                        rt.base.model_count(),
-                        rt.base.total_memory_bytes()
-                    ),
-                );
+    for (name, graph) in tenant_graphs(opts) {
+        let dir = opts.model_dir.as_ref().map(|root| {
+            if opts.tenants.is_empty() {
+                root.clone()
             } else {
-                stats.event(
-                    Level::Info,
-                    "save",
-                    format!("published [{}] as snapshot generation {gen} after training", rt.name),
-                );
+                root.join(&name)
             }
-        }
+        });
+        let mut tenant = LmkgTenant::load_or_train(name, graph, lmkg_config(opts), dir.as_deref(), opts.quantized)
+            .unwrap_or_else(|e| {
+                fail(&format!(
+                    "model store {} is unusable: {e} (remove the directory to retrain)",
+                    dir.unwrap_or_default().display()
+                ))
+            });
+        tenant.memory_budget = opts.memory_budget;
+        builder = builder.lmkg_tenant(tenant);
     }
-    if !opts.adapt {
-        return (svc, None);
+    let adapt = opts.adapt.then(|| opts.adapter.clone());
+    if let Some(cfg) = &adapt {
+        eprintln!(
+            "serve: adaptation on (interval {:?}, window {}, tv>{}, uncovered>{}, max {} models)",
+            cfg.interval, cfg.window, cfg.tv_threshold, cfg.uncovered_threshold, cfg.max_models
+        );
     }
-    let specs: Vec<TenantAdapterSpec> = runtimes
-        .iter()
-        .zip(monitors)
-        .map(|(rt, monitor)| TenantAdapterSpec {
-            name: rt.name.clone(),
-            graph: Arc::clone(&rt.graph),
-            base: Arc::clone(&rt.base),
-            build_cfg: rt.build_cfg.clone(),
-            handle: svc.tenant_model(&rt.name).expect("tenant just built"),
-            monitor,
-            stats: svc.tenant_serve_stats(&rt.name).expect("tenant just built"),
-            store: rt.store.clone(),
-            memory_budget: opts.memory_budget,
-        })
-        .collect();
-    let adapter = Adapter::start(specs, opts.adapter.clone());
-    eprintln!(
-        "serve: adaptation on for {} tenant(s) (interval {:?}, window {}, tv>{}, uncovered>{}, max {} models)",
-        runtimes.len(),
-        opts.adapter.interval,
-        opts.adapter.window,
-        opts.adapter.tv_threshold,
-        opts.adapter.uncovered_threshold,
-        opts.adapter.max_models
-    );
-    (svc, Some(adapter))
+    builder
+        .build_adaptive(adapt)
+        .unwrap_or_else(|e| fail(&format!("invalid tenant set: {e}")))
 }
 
 /// SIGINT/SIGTERM handling for the TCP mode: the handler only flips an
@@ -672,14 +473,12 @@ fn start_metrics_dump(svc: &EstimationService, opts: &Options) {
 /// The shared tail of the serving modes, run once the transport has
 /// drained: the adapter joins (never mid-swap), then the shutdown stats
 /// print; dropping the service afterwards flushes the batcher workers.
-fn finish_serving(svc: &EstimationService, adapter: Option<Adapter>) {
-    if let Some(adapter) = adapter {
-        let published = adapter.stop();
-        eprintln!(
-            "serve: adapter joined with {} model(s) published",
-            published.model_count()
-        );
-    }
+fn finish_serving(svc: &EstimationService, adapter: Adapter) {
+    let published = adapter.stop();
+    eprintln!(
+        "serve: lifecycle stopped with {} model(s) published",
+        published.model_count()
+    );
     eprintln!("serve: shutdown stats: {}", svc.stats());
 }
 
@@ -711,8 +510,7 @@ fn main() {
             }
         }
         "pipe" => {
-            let runtimes = tenant_runtimes(&opts);
-            let (svc, adapter) = build_service(&runtimes, &opts);
+            let (svc, adapter) = build_service(&opts);
             start_metrics_dump(&svc, &opts);
             eprintln!(
                 "serve: pipe mode ready (tenants [{}]; window {:?}, max_batch {}, queue {}, workers {})",
@@ -729,8 +527,7 @@ fn main() {
         "tcp" => {
             let listener = std::net::TcpListener::bind(&opts.addr)
                 .unwrap_or_else(|e| fail(&format!("cannot bind {}: {e}", opts.addr)));
-            let runtimes = tenant_runtimes(&opts);
-            let (svc, adapter) = build_service(&runtimes, &opts);
+            let (svc, adapter) = build_service(&opts);
             start_metrics_dump(&svc, &opts);
             let svc = Arc::new(svc);
             let shutdown = ShutdownFlag::new();

@@ -10,7 +10,9 @@
 //! - the four pipeline stage histograms (`admission`/`batch`/`forward`/
 //!   `reply`) and the batch-size distribution,
 //! - session, byte, and parse-error counters plus the queue-depth gauge,
-//! - the adapter's drift gauges and retrain-duration histogram,
+//! - the model lifecycle: published model bytes, retrain / added / evicted
+//!   counters, the persisted snapshot generation, the adapter's drift gauges
+//!   and retrain-duration histogram,
 //! - `lmkg-nn`'s process-global profiling counters (kernel dispatches by
 //!   path and kernel, FLOPs, workspace high-water mark),
 //! - the structured event ring (per-kind counters, then `# EVENT` lines).
@@ -130,6 +132,18 @@ pub fn render_metrics_for(tenant: Option<&str>, stats: &ServeStats) -> String {
         "Models added across all retrain events",
         &scope,
         snapshot.models_added,
+    );
+    e.counter_with(
+        "lmkg_models_evicted_total",
+        "Models dropped by memory-budget eviction, startup included",
+        &scope,
+        snapshot.evicted,
+    );
+    e.gauge_with(
+        "lmkg_snapshot_generation",
+        "Model-store generation holding the served set (0 = not persisted)",
+        &scope,
+        snapshot.generation as i64,
     );
     e.gauge_f64_with(
         "lmkg_drift_tv",

@@ -6,8 +6,8 @@
 //! deployments of learned estimators are evaluated — as an online service
 //! under load, with latency percentiles, not as an offline loop. One
 //! process serves many knowledge graphs at once: each **tenant** is a
-//! namespace with its own graph, model set, batcher, stats, monitor, and
-//! admission quota, assembled through [`server::ServeBuilder`].
+//! namespace with its own graph, model set, batcher, stats, and admission
+//! quota, assembled through [`server::ServeBuilder`].
 //!
 //! The pieces, bottom-up:
 //!
@@ -35,19 +35,24 @@
 //!   retraining loop can publish new models under live traffic. Every
 //!   tenant owns its batcher, so batches are keyed by tenant by
 //!   construction — one forward never mixes models.
-//! * [`adapter`] — the online adaptation loop (paper §IV, Model choice):
-//!   the batcher observes every admitted query into a shared
-//!   `WorkloadMonitor`, a background [`adapter::Adapter`] thread pulls
-//!   drift reports, trains models for the dominant uncovered `(shape,
-//!   size)` cells via `Lmkg::extend` (only the missing cells; existing
-//!   entries are reused by reference), and publishes the extended
-//!   framework atomically through the `ModelHandle` while workers keep
-//!   serving the old snapshot. One adapter thread walks all tenants
-//!   ([`adapter::Adapter::start`]) and swaps each tenant's handle
-//!   independently.
-//! * [`server`] — [`server::ServeBuilder`] (tenants in, running service
-//!   out) and the transports: a stdin/stdout pipe mode and a TCP listener
-//!   mode, both speaking the same protocol through the same service object.
+//! * [`adapter`] — the model lifecycle (paper §IV, Model choice), in one
+//!   path: a tenant is described once as an [`adapter::LmkgTenant`] (graph,
+//!   base `Lmkg`, the configuration it extends with, store, memory budget,
+//!   quant mode, quota); [`adapter::LmkgTenant::load_or_train`] obtains the
+//!   base — a cold start from the tenant's `lmkg-modelstore` directory, or
+//!   `Lmkg::build` — and startup is the lifecycle's *tick zero*: budget
+//!   enforced, whatever is not on disk persisted. With an
+//!   [`adapter::AdapterConfig`] one background thread runs the same stages
+//!   for every tenant on every later tick, behind a drift-driven retrain:
+//!   the batcher observes every admitted query into a `WorkloadMonitor`, the
+//!   thread trains models for the dominant uncovered `(shape, size)` cells
+//!   via `Lmkg::extend` (only the missing cells; existing entries are reused
+//!   by reference) and publishes through the `ModelHandle` while workers
+//!   keep serving the old snapshot.
+//! * [`server`] — [`server::ServeBuilder`] (tenants in, running service —
+//!   and its [`adapter::Adapter`] — out) and the transports: a stdin/stdout
+//!   pipe mode and a TCP listener mode, both speaking the same protocol
+//!   through the same service object.
 //!   The TCP accept loop shuts down gracefully on a [`server::ShutdownFlag`]
 //!   (wired to SIGINT/SIGTERM by the `serve` binary): in-flight sessions
 //!   drain their replies before the loop returns.
@@ -91,7 +96,7 @@ pub mod metrics_registry;
 pub mod protocol;
 pub mod server;
 
-pub use adapter::{Adapter, AdapterConfig, TenantAdapterSpec};
+pub use adapter::{Adapter, AdapterConfig, LmkgTenant, Origin};
 pub use batcher::{
     BatchConfig, Job, MicroBatcher, ModelHandle, ServeStats, SharedEstimator, SharedMonitor, EVENT_KINDS, STAGE_NAMES,
 };

@@ -126,6 +126,16 @@ pub const REGISTRY: &[MetricDef] = &[
         help: "models added by adaptation",
     },
     MetricDef {
+        name: "lmkg_models_evicted_total",
+        kind: Counter,
+        help: "models dropped by memory-budget eviction",
+    },
+    MetricDef {
+        name: "lmkg_snapshot_generation",
+        kind: Gauge,
+        help: "model-store generation holding the served set",
+    },
+    MetricDef {
         name: "lmkg_drift_tv",
         kind: Gauge,
         help: "workload drift, total-variation distance",

@@ -1,9 +1,11 @@
 //! Transports and the tenant-routed serving core.
 //!
-//! [`ServeBuilder`] assembles an [`EstimationService`] out of
-//! [`TenantSpec`]s: each tenant is one namespace with its **own** graph,
-//! estimator behind a swappable [`ModelHandle`], micro-batcher (workers +
-//! bounded admission queue), [`ServeStats`], and optional workload monitor.
+//! [`ServeBuilder`] assembles an [`EstimationService`] out of tenants — a
+//! [`TenantSpec`] around any estimator, or an [`LmkgTenant`] whose model set
+//! the [`adapter`](crate::adapter) lifecycle manages: each tenant is one
+//! namespace with its **own** graph, estimator behind a swappable
+//! `ModelHandle`, micro-batcher (workers + bounded admission queue), and
+//! [`ServeStats`].
 //! Batches are keyed by tenant *by construction* — every tenant owns its
 //! batcher, so one `estimate_batch` forward can never mix models — and a
 //! tenant's admission quota is its queue depth: a tenant at quota sheds its
@@ -17,7 +19,8 @@
 //! and runs one session thread per client over the same code path, so both
 //! modes behave identically by construction.
 
-use crate::batcher::{BatchConfig, Job, MicroBatcher, ModelHandle, ServeStats, SharedEstimator, SharedMonitor};
+use crate::adapter::{Adapter, AdapterConfig, LmkgTenant};
+use crate::batcher::{BatchConfig, Job, MicroBatcher, ServeStats, SharedEstimator};
 use crate::latency::StatsSnapshot;
 use crate::protocol::{ErrorCode, Reply, Request, DEFAULT_TENANT};
 use lmkg_store::{sparql, KnowledgeGraph};
@@ -40,7 +43,9 @@ pub enum LineOutcome {
 }
 
 /// One namespace of a multi-tenant server: a graph, the estimator serving
-/// it, and the tenant's isolation knobs.
+/// it, and the tenant's admission quota. For an estimator that is an `Lmkg`
+/// framework — loaded or trained, budgeted, persisted, adapted — describe the
+/// tenant as an [`LmkgTenant`] instead.
 pub struct TenantSpec {
     /// The namespace token requests address this tenant by.
     pub name: String,
@@ -48,60 +53,26 @@ pub struct TenantSpec {
     pub graph: Arc<KnowledgeGraph>,
     /// The tenant's frozen, `Arc`-shared estimator.
     pub estimator: SharedEstimator,
-    /// Observation feed of this tenant's adaptation loop, if any.
-    pub monitor: Option<SharedMonitor>,
     /// Admission quota: overrides [`BatchConfig::queue_depth`] for this
     /// tenant. `Some(0)` suspends the namespace — estimates are refused
     /// with `ERR code=quota` instead of queued.
     pub quota: Option<usize>,
-    /// The tenant's model-store directory. The service itself never touches
-    /// it — the lifecycle wiring (the `serve` binary's cold-start path and
-    /// the adapter's persist-after-swap) reads it through
-    /// [`EstimationService::tenant_model_dir`], so the directory travels
-    /// with the tenant instead of a side channel.
-    pub model_dir: Option<std::path::PathBuf>,
-    /// Memory budget in bytes for this tenant's model set. `None` means
-    /// unbounded; the adapter's eviction pass reads it through
-    /// [`EstimationService::tenant_memory_budget`].
-    pub memory_budget: Option<usize>,
 }
 
 impl TenantSpec {
-    /// A tenant with the builder-wide batch configuration and no monitor.
+    /// A tenant with the builder-wide batch configuration.
     pub fn new(name: impl Into<String>, graph: Arc<KnowledgeGraph>, estimator: SharedEstimator) -> Self {
         Self {
             name: name.into(),
             graph,
             estimator,
-            monitor: None,
             quota: None,
-            model_dir: None,
-            memory_budget: None,
         }
-    }
-
-    /// Record admitted queries into `monitor` (the adaptation feed).
-    pub fn observed(mut self, monitor: SharedMonitor) -> Self {
-        self.monitor = Some(monitor);
-        self
     }
 
     /// Cap this tenant's admission queue at `quota` jobs (0 = suspended).
     pub fn quota(mut self, quota: usize) -> Self {
         self.quota = Some(quota);
-        self
-    }
-
-    /// Persist this tenant's model set under `dir` (a
-    /// `lmkg-modelstore`-managed directory of checksummed generations).
-    pub fn model_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
-        self.model_dir = Some(dir.into());
-        self
-    }
-
-    /// Evict least-used models when the tenant's set exceeds `bytes`.
-    pub fn memory_budget(mut self, bytes: usize) -> Self {
-        self.memory_budget = Some(bytes);
         self
     }
 }
@@ -157,7 +128,9 @@ impl std::error::Error for BuildError {}
 #[derive(Default)]
 pub struct ServeBuilder {
     batch: BatchConfig,
-    tenants: Vec<TenantSpec>,
+    /// Each namespace, with the lifecycle description behind it when it was
+    /// added as an [`LmkgTenant`].
+    tenants: Vec<(TenantSpec, Option<LmkgTenant>)>,
 }
 
 impl ServeBuilder {
@@ -173,19 +146,42 @@ impl ServeBuilder {
         self
     }
 
-    /// Adds one tenant namespace.
+    /// Adds one tenant namespace around any estimator.
     pub fn tenant(mut self, spec: TenantSpec) -> Self {
-        self.tenants.push(spec);
+        self.tenants.push((spec, None));
         self
     }
 
-    /// Validates the tenant set and starts every tenant's batcher workers.
+    /// Adds one LMKG-backed tenant namespace: served from `tenant.base`, with
+    /// its model set under the [`adapter`](crate::adapter) lifecycle.
+    pub fn lmkg_tenant(mut self, tenant: LmkgTenant) -> Self {
+        let spec = TenantSpec {
+            name: tenant.name.clone(),
+            graph: Arc::clone(&tenant.graph),
+            estimator: Arc::clone(&tenant.base) as SharedEstimator,
+            quota: tenant.quota,
+        };
+        self.tenants.push((spec, Some(tenant)));
+        self
+    }
+
+    /// [`ServeBuilder::build_adaptive`] without adaptation, for callers with
+    /// no use for the lifecycle handle.
     pub fn build(self) -> Result<EstimationService, BuildError> {
+        self.build_adaptive(None).map(|(svc, _)| svc)
+    }
+
+    /// Validates the tenant set, starts every tenant's batcher workers, and
+    /// runs every [`LmkgTenant`]'s lifecycle tick zero (budget, persist)
+    /// before handing the service back. With `adapt`, the returned
+    /// [`Adapter`] also holds the background thread that keeps those tenants'
+    /// model sets tracking their workloads; it stops when dropped.
+    pub fn build_adaptive(self, adapt: Option<AdapterConfig>) -> Result<(EstimationService, Adapter), BuildError> {
         if self.tenants.is_empty() {
             return Err(BuildError::NoTenants);
         }
         let mut index = HashMap::with_capacity(self.tenants.len());
-        for (i, spec) in self.tenants.iter().enumerate() {
+        for (i, (spec, _)) in self.tenants.iter().enumerate() {
             if spec.name.is_empty() || spec.name.contains(char::is_whitespace) || spec.name == "SELECT" {
                 return Err(BuildError::InvalidTenantName(spec.name.clone()));
             }
@@ -202,32 +198,39 @@ impl ServeBuilder {
             None => None,
         };
         let batch = self.batch;
+        let mut lifecycles = Vec::new();
         let tenants: Vec<TenantEntry> = self
             .tenants
             .into_iter()
-            .map(|spec| {
-                let suspended = spec.quota == Some(0);
+            .map(|(spec, lmkg)| {
                 let cfg = BatchConfig {
                     // A suspended tenant still gets a (never-fed) batcher:
                     // its stats surface stays live for STATS/METRICS.
                     queue_depth: spec.quota.filter(|&q| q > 0).unwrap_or(batch.queue_depth),
                     ..batch.clone()
                 };
+                let batcher = match lmkg {
+                    Some(tenant) => {
+                        let (batcher, lifecycle) = tenant.start(cfg, adapt.as_ref());
+                        lifecycles.push(lifecycle);
+                        batcher
+                    }
+                    None => MicroBatcher::start(spec.estimator, cfg, None),
+                };
                 TenantEntry {
                     name: spec.name,
                     graph: spec.graph,
-                    batcher: MicroBatcher::start(spec.estimator, cfg, spec.monitor),
-                    suspended,
-                    model_dir: spec.model_dir,
-                    memory_budget: spec.memory_budget,
+                    batcher,
+                    suspended: spec.quota == Some(0),
                 }
             })
             .collect();
-        Ok(EstimationService {
+        let service = EstimationService {
             tenants,
             index,
             default_idx,
-        })
+        };
+        Ok((service, Adapter::start(lifecycles, adapt)))
     }
 }
 
@@ -238,8 +241,6 @@ struct TenantEntry {
     graph: Arc<KnowledgeGraph>,
     batcher: MicroBatcher,
     suspended: bool,
-    model_dir: Option<std::path::PathBuf>,
-    memory_budget: Option<usize>,
 }
 
 /// The serving core shared by every transport: parses request lines, routes
@@ -271,26 +272,27 @@ impl EstimationService {
         &self.tenants[self.default_idx.unwrap_or(0)]
     }
 
-    // The Err side carries a ready-to-send Reply; it is built once per
-    // unknown-tenant line, never on the per-request hot path.
-    #[allow(clippy::result_large_err)]
-    fn resolve(&self, tenant: Option<&str>) -> Result<&TenantEntry, Reply> {
+    /// The tenant a request addresses — `None` (a v1 line) is the default
+    /// tenant. A request nobody serves is answered on `out` right here, under
+    /// its own `id`, with `ERR code=unknown-tenant` naming the live tenants.
+    fn resolve(&self, tenant: Option<&str>, id: &str, out: &mpsc::Sender<Reply>) -> Option<&TenantEntry> {
         let idx = match tenant {
             Some(name) => self.index.get(name).copied(),
             None => self.default_idx,
         };
-        idx.map(|i| &self.tenants[i]).ok_or_else(|| {
+        if idx.is_none() {
             let mut names = self.tenant_names();
             names.truncate(8);
-            Reply::error(
-                "-",
+            let _ = out.send(Reply::error(
+                id,
                 ErrorCode::UnknownTenant,
                 match tenant {
                     Some(name) => format!("unknown tenant {:?} (serving: {})", name, names.join(", ")),
                     None => format!("no default tenant on this server; address one of: {}", names.join(", ")),
                 },
-            )
-        })
+            ));
+        }
+        idx.map(|i| &self.tenants[i])
     }
 
     /// The served namespaces, sorted ascending (the `TENANTS` reply body).
@@ -312,31 +314,6 @@ impl EstimationService {
         self.index.get(name).map(|&i| self.tenants[i].batcher.stats())
     }
 
-    /// One tenant's swappable model slot.
-    pub fn tenant_model(&self, name: &str) -> Option<Arc<ModelHandle>> {
-        self.index.get(name).map(|&i| self.tenants[i].batcher.model())
-    }
-
-    /// One tenant's graph.
-    pub fn tenant_graph(&self, name: &str) -> Option<Arc<KnowledgeGraph>> {
-        self.index.get(name).map(|&i| Arc::clone(&self.tenants[i].graph))
-    }
-
-    /// One tenant's model-store directory, if it persists snapshots.
-    pub fn tenant_model_dir(&self, name: &str) -> Option<std::path::PathBuf> {
-        self.index.get(name).and_then(|&i| self.tenants[i].model_dir.clone())
-    }
-
-    /// One tenant's model memory budget in bytes, if bounded.
-    pub fn tenant_memory_budget(&self, name: &str) -> Option<usize> {
-        self.index.get(name).and_then(|&i| self.tenants[i].memory_budget)
-    }
-
-    /// The default tenant's graph (see [`EstimationService::accounting_entry`]).
-    pub fn graph(&self) -> &KnowledgeGraph {
-        &self.accounting_entry().graph
-    }
-
     /// The default tenant's point-in-time serving summary (the `STATS`
     /// reply body of a v1 `STATS` line).
     pub fn stats(&self) -> StatsSnapshot {
@@ -349,35 +326,6 @@ impl EstimationService {
     /// lands — those carry no tenant token.
     pub fn serve_stats(&self) -> Arc<ServeStats> {
         self.accounting_entry().batcher.stats()
-    }
-
-    /// The default tenant's swappable model slot — the seam a retraining
-    /// loop publishes new models through, atomically, under live traffic.
-    pub fn model(&self) -> Arc<ModelHandle> {
-        self.accounting_entry().batcher.model()
-    }
-
-    /// Shuts every tenant's batcher down and hands the default tenant's
-    /// estimator back.
-    pub fn into_estimator(self) -> SharedEstimator {
-        let default_idx = self.default_idx.unwrap_or(0);
-        let mut result = None;
-        for (i, tenant) in self.tenants.into_iter().enumerate() {
-            let estimator = tenant.batcher.shutdown();
-            // Keep the first estimator as a fallback so this never
-            // panics: `ServeBuilder::build` rejects zero tenants, and the
-            // default (when set) overwrites the fallback on its turn.
-            if i == default_idx || result.is_none() {
-                result = Some(estimator);
-            }
-        }
-        match result {
-            Some(estimator) => estimator,
-            // Unreachable by the builder invariant; a zero-tenant service
-            // has no model to hand back, so fail the caller loudly with a
-            // typed message rather than a bare unwrap.
-            None => unreachable!("ServeBuilder::build rejects zero tenants"),
-        }
     }
 
     /// Processes one raw input line. Estimate replies arrive on `out`
@@ -407,16 +355,11 @@ impl EstimationService {
                 LineOutcome::Continue
             }
             Request::Stats { tenant, id } => {
-                match self.resolve(tenant.as_deref()) {
-                    Ok(entry) => {
-                        let _ = out.send(Reply::Stats {
-                            id,
-                            snapshot: entry.batcher.stats().snapshot(),
-                        });
-                    }
-                    Err(reply) => {
-                        let _ = out.send(with_id(reply, id));
-                    }
+                if let Some(entry) = self.resolve(tenant.as_deref(), &id, out) {
+                    let _ = out.send(Reply::Stats {
+                        id,
+                        snapshot: entry.batcher.stats().snapshot(),
+                    });
                 }
                 LineOutcome::Continue
             }
@@ -426,26 +369,17 @@ impl EstimationService {
                 // the v1 (unlabeled) exposition, byte-compatible with pre-v2
                 // scrapers.
                 let label = tenant.as_deref();
-                match self.resolve(label) {
-                    Ok(entry) => {
-                        let _ = out.send(Reply::Metrics {
-                            id,
-                            text: crate::expose::render_metrics_for(label, &entry.batcher.stats()),
-                        });
-                    }
-                    Err(reply) => {
-                        let _ = out.send(with_id(reply, id));
-                    }
+                if let Some(entry) = self.resolve(label, &id, out) {
+                    let _ = out.send(Reply::Metrics {
+                        id,
+                        text: crate::expose::render_metrics_for(label, &entry.batcher.stats()),
+                    });
                 }
                 LineOutcome::Continue
             }
             Request::Estimate { tenant, id, sparql } => {
-                let entry = match self.resolve(tenant.as_deref()) {
-                    Ok(entry) => entry,
-                    Err(reply) => {
-                        let _ = out.send(with_id(reply, id));
-                        return LineOutcome::Continue;
-                    }
+                let Some(entry) = self.resolve(tenant.as_deref(), &id, out) else {
+                    return LineOutcome::Continue;
                 };
                 if entry.suspended {
                     let _ = out.send(Reply::error(
@@ -472,14 +406,6 @@ impl EstimationService {
                 LineOutcome::Continue
             }
         }
-    }
-}
-
-/// Re-addresses a placeholder-id error reply to the request's real id.
-fn with_id(reply: Reply, id: String) -> Reply {
-    match reply {
-        Reply::Error { code, message, .. } => Reply::Error { id, code, message },
-        other => other,
     }
 }
 

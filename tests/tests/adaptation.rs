@@ -10,18 +10,18 @@
 //!   direct one are the same weights;
 //! * zero replies are dropped, and every reply during the transition is one
 //!   of the two legal snapshots (old model's decomposition fallback or new
-//!   model's direct estimate) — never garbage from a torn swap.
+//!   model's direct estimate) — never garbage from a torn swap;
+//! * a tenant served from a quantized set stays at one precision: what the
+//!   adapter publishes is bitwise the f32 extension frozen at the tenant's
+//!   mode, not int8 base cells next to an f32 retrained cell.
 
 use lmkg::framework::{Grouping, Lmkg, LmkgConfig, ModelType};
 use lmkg::supervised::LmkgSConfig;
-use lmkg::{CardinalityEstimator, WorkloadMonitor};
+use lmkg::{CardinalityEstimator, QuantMode};
 use lmkg_integration_tests::{small_lubm, test_queries};
-use lmkg_serve::{
-    Adapter, AdapterConfig, BatchConfig, Reply, ServeBuilder, SharedMonitor, TenantAdapterSpec, TenantSpec,
-    DEFAULT_TENANT,
-};
-use lmkg_store::{sparql, Query, QueryShape};
-use std::sync::{mpsc, Arc, Mutex};
+use lmkg_serve::{AdapterConfig, BatchConfig, LmkgTenant, Reply, ServeBuilder, DEFAULT_TENANT};
+use lmkg_store::{sparql, KnowledgeGraph, Query, QueryShape};
+use std::sync::{mpsc, Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 fn base_config() -> LmkgConfig {
@@ -41,11 +41,44 @@ fn base_config() -> LmkgConfig {
     }
 }
 
+/// The graph and the f32 framework trained on it, shared by both tests.
+fn trained_base() -> (Arc<KnowledgeGraph>, Arc<Lmkg>) {
+    static BASE: OnceLock<(Arc<KnowledgeGraph>, Arc<Lmkg>)> = OnceLock::new();
+    let (graph, base) = BASE.get_or_init(|| {
+        let graph = Arc::new(small_lubm());
+        let base = Arc::new(Lmkg::build(&graph, &base_config()));
+        (graph, base)
+    });
+    (Arc::clone(graph), Arc::clone(base))
+}
+
 #[test]
 fn adapter_closes_the_workload_shift_loop_bitwise() {
-    let graph = Arc::new(small_lubm());
+    workload_shift_loop_closes_bitwise(None);
+}
+
+/// `Lmkg::extend` trains f32 entries whatever the set it extends holds, so
+/// the publish step has to freeze them: otherwise the post-swap estimates
+/// below come from an f32 star-4 model, and re-quantizing the published set
+/// shrinks it.
+#[test]
+fn quantized_adaptive_tenant_publishes_one_precision() {
+    workload_shift_loop_closes_bitwise(Some(QuantMode::Int8));
+}
+
+/// Serves the shifted workload from the trained base frozen at `mode` (f32
+/// when `None`) until the adapter has retrained, and checks every reply.
+fn workload_shift_loop_closes_bitwise(mode: Option<QuantMode>) {
+    let freeze = |set: Lmkg| match mode {
+        Some(m) => set.quantized(m),
+        None => set,
+    };
+    let (graph, base_f32) = trained_base();
     let cfg = base_config();
-    let base = Arc::new(Lmkg::build(&graph, &cfg));
+    let base = match mode {
+        Some(m) => Arc::new(base_f32.quantized(m)),
+        None => Arc::clone(&base_f32),
+    };
     let shift_cell = (QueryShape::Star, 4);
     assert!(!base.covers(shift_cell.0, shift_cell.1), "star-4 must start uncovered");
 
@@ -61,7 +94,9 @@ fn adapter_closes_the_workload_shift_loop_bitwise() {
     // model, via the same extension path the adapter uses. Pre-swap traffic
     // must match `base` (decomposition fallback), post-swap traffic must
     // match `expected` — bitwise, through the whole serving stack.
-    let expected = base.extend(&graph, &[shift_cell], &cfg);
+    // Training is deterministic in `(graph, cfg, cell)`, so extending the f32
+    // base and freezing the result is what a quantized tenant must publish.
+    let expected = freeze(base_f32.extend(&graph, &[shift_cell], &cfg));
     assert!(expected.covers(shift_cell.0, shift_cell.1));
     let pre_expected: Vec<u64> = base.estimate_batch(&queries).iter().map(|e| e.to_bits()).collect();
     let post_expected: Vec<u64> = expected.estimate_batch(&queries).iter().map(|e| e.to_bits()).collect();
@@ -70,8 +105,9 @@ fn adapter_closes_the_workload_shift_loop_bitwise() {
         "decomposition and direct-model estimates must be distinguishable for this assertion to bite"
     );
 
-    let monitor: SharedMonitor = Arc::new(Mutex::new(WorkloadMonitor::new(64, &cfg.cells())));
-    let svc = ServeBuilder::new()
+    let mut tenant = LmkgTenant::new(DEFAULT_TENANT, Arc::clone(&graph), Arc::clone(&base), cfg.clone());
+    tenant.quantized = mode;
+    let (svc, adapter) = ServeBuilder::new()
         .batch(BatchConfig {
             window: Duration::from_millis(1),
             max_batch: 8,
@@ -79,29 +115,8 @@ fn adapter_closes_the_workload_shift_loop_bitwise() {
             workers: 2,
             obs: true,
         })
-        .tenant(
-            TenantSpec::new(
-                DEFAULT_TENANT,
-                Arc::clone(&graph),
-                Arc::clone(&base) as lmkg_serve::SharedEstimator,
-            )
-            .observed(Arc::clone(&monitor)),
-        )
-        .build()
-        .unwrap();
-    let adapter = Adapter::start(
-        vec![TenantAdapterSpec {
-            name: DEFAULT_TENANT.into(),
-            graph: Arc::clone(&graph),
-            base: Arc::clone(&base),
-            build_cfg: cfg.clone(),
-            handle: svc.model(),
-            monitor,
-            stats: svc.serve_stats(),
-            store: None,
-            memory_budget: None,
-        }],
-        AdapterConfig {
+        .lmkg_tenant(tenant)
+        .build_adaptive(Some(AdapterConfig {
             interval: Duration::from_millis(50),
             window: 64,
             min_observed: 16,
@@ -109,8 +124,8 @@ fn adapter_closes_the_workload_shift_loop_bitwise() {
             uncovered_threshold: 0.2,
             max_models: 8,
             max_new_per_cycle: 2,
-        },
-    );
+        }))
+        .unwrap();
 
     // Live traffic: waves of the shifted workload until the adapter has
     // retrained and swapped, then one more wave that must land entirely on
@@ -199,5 +214,13 @@ fn adapter_closes_the_workload_shift_loop_bitwise() {
             .collect::<Vec<_>>(),
         post_expected,
         "published and directly-built extended estimators must agree bitwise"
-    );
+    ); // Nothing in the published set is left to freeze.
+    if let Some(m) = mode {
+        assert_eq!(
+            published.quantized(m).total_memory_bytes(),
+            published.total_memory_bytes(),
+            "the published set must already be at the tenant's precision"
+        );
+        assert_eq!(svc.stats().model_bytes, published.memory_bytes() as u64);
+    }
 }

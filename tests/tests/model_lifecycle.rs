@@ -1,9 +1,17 @@
 //! The model lifecycle, end to end: versioned snapshots, cold-start
 //! serving, and memory-budgeted eviction under live traffic.
 //!
+//! Every service here is built the way the `serve` binary builds its own:
+//! an `LmkgTenant` description handed to `ServeBuilder`, whose lifecycle
+//! (`lmkg_serve::adapter`) runs tick zero at build time and the same stages
+//! on every adapter tick.
+//!
 //! * cold start is **bitwise** — a replica restarted from a store snapshot
 //!   answers the full serving path with exactly the bits the trained
 //!   replica produced, and reaches serving far faster than retraining;
+//! * startup is tick zero: a budget below the base evicts at build time
+//!   exactly what `evict_to_budget` predicts, and a cold start that evicts
+//!   persists the smaller set like any later tick would;
 //! * eviction converges below the budget, keeps the workload-dominant cell
 //!   covered (its estimates never change bits, so no batch was torn while
 //!   the smaller set was swapped in), and the evicted set is persisted;
@@ -14,17 +22,17 @@
 use lmkg::framework::{Grouping, Lmkg, LmkgConfig, ModelType};
 use lmkg::supervised::LmkgSConfig;
 use lmkg::unsupervised::LmkgUConfig;
-use lmkg::{CardinalityEstimator, QuantMode, WorkloadMonitor};
+use lmkg::{CardinalityEstimator, QuantMode};
 use lmkg_integration_tests::{golden_fixture_path, small_lubm, test_queries};
 use lmkg_modelstore::ModelStore;
 use lmkg_serve::{
-    Adapter, AdapterConfig, BatchConfig, Reply, ServeBuilder, SharedEstimator, SharedMonitor, TenantAdapterSpec,
-    TenantSpec, DEFAULT_TENANT,
+    render_metrics, AdapterConfig, BatchConfig, EstimationService, LmkgTenant, Origin, Reply, ServeBuilder,
+    DEFAULT_TENANT,
 };
 use lmkg_store::{sparql, KnowledgeGraph, NodeTerm, PredId, PredTerm, Query, QueryShape, TriplePattern, VarId};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// A unique throwaway store directory per call.
@@ -82,70 +90,211 @@ fn star2_queries(graph: &KnowledgeGraph, count: usize) -> Vec<Query> {
         .collect()
 }
 
+/// The specialized 2x2 grid (star/chain x sizes 2/3, one model per cell)
+/// over `small_lubm`, trained once for the budget tests.
+fn grid_config() -> LmkgConfig {
+    LmkgConfig {
+        grouping: Grouping::Specialized,
+        sizes: vec![2, 3],
+        ..small_config()
+    }
+}
+
+fn grid_base() -> (Arc<KnowledgeGraph>, Arc<Lmkg>) {
+    static BASE: OnceLock<(Arc<KnowledgeGraph>, Arc<Lmkg>)> = OnceLock::new();
+    let (graph, base) = BASE.get_or_init(|| {
+        let graph = Arc::new(small_lubm());
+        let base = Arc::new(Lmkg::build(&graph, &grid_config()));
+        assert!(base.model_count() >= 4, "specialized 2x2 grid expected");
+        (graph, base)
+    });
+    (Arc::clone(graph), Arc::clone(base))
+}
+
+/// Sends every query as `EST q<i> …` through `svc` and returns the reply
+/// bits in query order; the queue must hold the whole replay.
+fn served_bits(svc: &EstimationService, graph: &KnowledgeGraph, queries: &[Query]) -> Vec<u64> {
+    let (tx, rx) = mpsc::channel::<Reply>();
+    for (i, q) in queries.iter().enumerate() {
+        svc.handle_line(&format!("EST q{i} {}", sparql::format_query(q, graph)), &tx);
+    }
+    let mut bits = vec![None; queries.len()];
+    for _ in queries {
+        match rx.recv_timeout(Duration::from_secs(20)).expect("reply arrives") {
+            Reply::Estimate { id, estimate, .. } => {
+                let i: usize = id.strip_prefix('q').unwrap().parse().unwrap();
+                bits[i] = Some(estimate.to_bits());
+            }
+            other => panic!("unexpected reply {other:?}"),
+        }
+    }
+    bits.into_iter()
+        .map(|b| b.expect("every request answered once"))
+        .collect()
+}
+
 #[test]
 fn cold_start_is_bitwise_and_at_least_ten_times_faster_than_training() {
     let graph = Arc::new(small_lubm());
-    let cfg = small_config();
-    let t0 = Instant::now();
-    let base = Arc::new(Lmkg::build(&graph, &cfg));
-    let train_time = t0.elapsed();
-
     let queries = star2_queries(&graph, 24);
     assert!(queries.len() >= 8, "workload too small: {}", queries.len());
     let dir = temp_store_dir("coldstart");
-    let store = ModelStore::open(&dir).expect("store opens");
-    let snapshot_bytes = base.save_to_vec().expect("serializes").len();
-    let generation = store.publish(&base).expect("publish succeeds");
-    let t0 = Instant::now();
-    let (loaded, loaded_gen) = store.load_latest().expect("reload succeeds");
-    let load_time = t0.elapsed();
 
-    // Every request through the full serving path of a replica over each
-    // model; the queue holds the whole replay, so nothing is shed.
-    let lines: Vec<String> = queries
-        .iter()
-        .enumerate()
-        .map(|(i, q)| format!("EST q{i} {}", sparql::format_query(q, &graph)))
-        .collect();
-    let served_bits = |estimator: SharedEstimator| -> Vec<u64> {
+    // One replica start, as the binary does it: obtain the model set from the
+    // store directory (timed), build the service — tick zero persists what
+    // is not on disk yet — and replay every request through the full serving
+    // path; the queue holds the whole replay, so nothing is shed.
+    struct Replica {
+        origin: Origin,
+        obtain_time: Duration,
+        snapshot_bytes: usize,
+        generation: u64,
+        bits: Vec<u64>,
+    }
+    let start_replica = || {
+        let t0 = Instant::now();
+        let tenant = LmkgTenant::load_or_train(DEFAULT_TENANT, Arc::clone(&graph), small_config(), Some(&dir), None)
+            .expect("store is usable");
+        let obtain_time = t0.elapsed();
+        let origin = tenant.origin;
+        let snapshot_bytes = tenant.base.save_to_vec().expect("serializes").len();
         let svc = ServeBuilder::new()
             .batch(BatchConfig {
-                queue_depth: lines.len(),
+                queue_depth: queries.len(),
                 ..BatchConfig::default()
             })
-            .tenant(TenantSpec::new(DEFAULT_TENANT, Arc::clone(&graph), estimator))
+            .lmkg_tenant(tenant)
             .build()
             .expect("one tenant builds");
-        let (tx, rx) = mpsc::channel::<Reply>();
-        for line in &lines {
-            svc.handle_line(line, &tx);
+        Replica {
+            origin,
+            obtain_time,
+            snapshot_bytes,
+            generation: svc.stats().generation,
+            bits: served_bits(&svc, &graph, &queries),
         }
-        let mut bits = vec![None; lines.len()];
-        for _ in &lines {
-            match rx.recv_timeout(Duration::from_secs(20)).expect("reply arrives") {
-                Reply::Estimate { id, estimate, .. } => {
-                    let i: usize = id.strip_prefix('q').unwrap().parse().unwrap();
-                    bits[i] = Some(estimate.to_bits());
-                }
-                other => panic!("unexpected reply {other:?}"),
-            }
-        }
-        bits.into_iter()
-            .map(|b| b.expect("every request answered once"))
-            .collect()
     };
-    let trained = served_bits(Arc::clone(&base) as SharedEstimator);
-    let restarted = served_bits(Arc::new(loaded) as SharedEstimator);
+    let trained = start_replica();
+    let restarted = start_replica();
+    assert_eq!(trained.origin, Origin::Trained, "an empty store trains");
+    assert_eq!(
+        restarted.origin,
+        Origin::ColdStarted { generation: 1 },
+        "a published generation loads"
+    );
 
-    assert_eq!(trained, restarted, "restarted replica must answer bitwise identically");
-    assert_eq!(restarted.len(), queries.len());
-    assert_eq!((generation, loaded_gen), (1, 1), "first publish into an empty store");
-    assert!(snapshot_bytes > 0);
+    assert_eq!(
+        trained.bits, restarted.bits,
+        "restarted replica must answer bitwise identically"
+    );
+    assert_eq!(restarted.bits.len(), queries.len());
+    assert_eq!(
+        (trained.generation, restarted.generation),
+        (1, 1),
+        "first publish into an empty store"
+    );
+    assert!(trained.snapshot_bytes > 0);
+    let (train_time, load_time) = (trained.obtain_time, restarted.obtain_time);
     let speedup = train_time.as_secs_f64() / load_time.as_secs_f64().max(1e-9);
     assert!(
         speedup >= 10.0,
         "loading must beat retraining by >= 10x, got {speedup:.1}x (train {train_time:?}, load {load_time:?})"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Startup and run time are the same code: a tenant whose budget sits below
+/// its base is evicted at build time — no adapter thread, a cold monitor, so
+/// usage is empty and the order is by size — to exactly the set
+/// `evict_to_budget` predicts, and serves that set's estimates.
+#[test]
+fn startup_enforces_the_budget_as_tick_zero() {
+    let (graph, base) = grid_base();
+    let budget = base.total_memory_bytes() - 1;
+    let (predicted, predicted_dropped) = base.evict_to_budget(budget, &[]);
+    assert!(predicted_dropped >= 1, "the budget must force at least one drop");
+
+    // Cells that kept their model and cells that lost it (decomposition).
+    let queries: Vec<Query> = [QueryShape::Star, QueryShape::Chain]
+        .into_iter()
+        .flat_map(|shape| [2, 3].map(|size| test_queries(&graph, shape, size, 6)))
+        .flatten()
+        .map(|lq| lq.query)
+        .collect();
+    assert!(queries.len() >= 12, "workload too small: {}", queries.len());
+
+    let mut tenant = LmkgTenant::new(DEFAULT_TENANT, Arc::clone(&graph), Arc::clone(&base), grid_config());
+    tenant.memory_budget = Some(budget);
+    let svc = ServeBuilder::new()
+        .batch(BatchConfig {
+            queue_depth: queries.len(),
+            ..BatchConfig::default()
+        })
+        .lmkg_tenant(tenant)
+        .build()
+        .expect("one tenant builds");
+    let stats = svc.stats();
+    assert_eq!(stats.evicted as usize, predicted_dropped, "stats: {stats}");
+    assert_eq!(stats.model_bytes as usize, predicted.memory_bytes(), "stats: {stats}");
+    assert_eq!(stats.generation, 0, "no store, nothing persisted: {stats}");
+    let want: Vec<u64> = predicted.estimate_batch(&queries).iter().map(|e| e.to_bits()).collect();
+    assert_eq!(served_bits(&svc, &graph, &queries), want);
+}
+
+/// The run-time rule — retrained or evicted ⇒ persist — holds at tick zero
+/// too: restarting a published set under a lowered budget evicts once,
+/// advances the generation, and the next restart loads the smaller set and
+/// has nothing left to evict. `METRICS` tells the same story as `STATS`.
+#[test]
+fn cold_start_that_evicts_persists_the_smaller_set() {
+    let graph = Arc::new(small_lubm());
+    let cfg = LmkgConfig {
+        grouping: Grouping::Specialized,
+        ..small_config()
+    };
+    let dir = temp_store_dir("coldstart-evict");
+    let restart = |budget: Option<usize>| {
+        let mut tenant = LmkgTenant::load_or_train(DEFAULT_TENANT, Arc::clone(&graph), cfg.clone(), Some(&dir), None)
+            .expect("store is usable");
+        tenant.memory_budget = budget;
+        let origin = tenant.origin;
+        let (svc, adapter) = ServeBuilder::new()
+            .lmkg_tenant(tenant)
+            .build_adaptive(None)
+            .expect("one tenant builds");
+        (origin, svc.stats(), render_metrics(&svc.serve_stats()), adapter.stop())
+    };
+
+    let (origin, stats, _, full) = restart(None);
+    assert_eq!(origin, Origin::Trained);
+    assert_eq!((stats.evicted, stats.generation), (0, 1), "stats: {stats}");
+    assert!(full.model_count() >= 2, "one model per shape expected");
+
+    let budget = Some(full.total_memory_bytes() - 1);
+    let (origin, stats, metrics, smaller) = restart(budget);
+    assert_eq!(origin, Origin::ColdStarted { generation: 1 });
+    assert_eq!(
+        (stats.evicted, stats.generation),
+        (1, 2),
+        "an eviction is persisted: {stats}"
+    );
+    assert_eq!(smaller.model_count(), full.model_count() - 1);
+    assert!(metrics.contains("\nlmkg_models_evicted_total 1\n"), "{metrics}");
+    assert!(metrics.contains("\nlmkg_snapshot_generation 2\n"), "{metrics}");
+    let (on_disk, generation) = ModelStore::open(&dir)
+        .and_then(|store| store.load_latest())
+        .expect("generation 2 loads");
+    assert_eq!((generation, on_disk.model_count()), (2, smaller.model_count()));
+
+    let (origin, stats, metrics, reloaded) = restart(budget);
+    assert_eq!(origin, Origin::ColdStarted { generation: 2 });
+    assert_eq!(
+        (stats.evicted, stats.generation),
+        (0, 2),
+        "nothing left to evict: {stats}"
+    );
+    assert_eq!(reloaded.model_count(), smaller.model_count());
+    assert!(metrics.contains("\nlmkg_models_evicted_total 0\n"), "{metrics}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -173,40 +322,55 @@ fn quantized_set_cold_starts_bitwise_through_the_store() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The evict-swap discipline under live traffic: a four-model set serving a
-/// star-2-only workload is squeezed under a budget that forces drops. The
-/// dominant cell must stay covered, every reply during the transition must
-/// be bitwise the base model's answer (survivor routing is unchanged, so a
-/// torn batch is the only way to get different bits), the eviction must be
-/// exactly the deterministic `evict_to_budget` result, and the smaller set
-/// must land in the store as generation 1.
+/// The evict-swap discipline under live traffic. The four-model grid fits its
+/// budget exactly, so tick zero only persists it; a star-4 share in the
+/// workload then makes the adapter train a fifth model, which pushes the set
+/// over the budget in the same tick. The dominant star-2 cell must stay
+/// covered, every star-2 reply during the transition must be bitwise the
+/// base model's answer (survivor routing is unchanged, so a torn batch is the
+/// only way to get different bits), the eviction must be exactly the
+/// deterministic `evict_to_budget` result, and the smaller set must land in
+/// the store as a new generation.
 #[test]
 fn adapter_evicts_to_budget_and_persists_without_tearing_a_batch() {
-    let graph = Arc::new(small_lubm());
-    let cfg = LmkgConfig {
-        grouping: Grouping::Specialized,
-        sizes: vec![2, 3],
-        ..small_config()
-    };
-    let base = Arc::new(Lmkg::build(&graph, &cfg));
-    assert!(base.model_count() >= 4, "specialized 2x2 grid expected");
-    let budget = base.total_memory_bytes() - 1;
-    let usage = [((QueryShape::Star, 2usize), 1u64)];
-    let (expected, expected_dropped) = base.evict_to_budget(budget, &usage);
+    let (graph, base) = grid_base();
+    let cfg = grid_config();
+    let budget = base.total_memory_bytes();
+    let shift_cell = (QueryShape::Star, 4usize);
+    let grown = base.extend(&graph, &[shift_cell], &cfg);
+    assert!(grown.total_memory_bytes() > budget, "the retrain must break the budget");
+    // Observed cells are pinned and the rest go largest-first, so the exact
+    // counts do not matter — only which cells the window has seen.
+    let usage = [((QueryShape::Star, 2usize), 2u64), (shift_cell, 1u64)];
+    let (expected, expected_dropped) = grown.evict_to_budget(budget, &usage);
     assert!(expected_dropped >= 1, "the budget must force at least one drop");
     assert!(expected.covers(QueryShape::Star, 2), "the live cell must survive");
 
     let queries = star2_queries(&graph, 10);
     assert!(queries.len() >= 4);
-    let lines: Vec<String> = queries
+    let mut lines: Vec<String> = queries
         .iter()
         .enumerate()
         .map(|(i, q)| format!("EST q{i} {}", sparql::format_query(q, &graph)))
         .collect();
     let expected_bits: Vec<u64> = queries.iter().map(|q| base.estimate(q).to_bits()).collect();
+    // The shifted share: answered by decomposition, then by the new model —
+    // the `x` replies are not compared.
+    let shifted = test_queries(&graph, shift_cell.0, shift_cell.1, 6);
+    assert!(shifted.len() >= 4, "shifted workload too small: {}", shifted.len());
+    lines.extend(
+        shifted
+            .iter()
+            .enumerate()
+            .map(|(i, lq)| format!("EST x{i} {}", sparql::format_query(&lq.query, &graph))),
+    );
 
-    let monitor: SharedMonitor = Arc::new(Mutex::new(WorkloadMonitor::new(256, &cfg.cells())));
-    let svc = ServeBuilder::new()
+    let dir = temp_store_dir("evict");
+    let store = ModelStore::open(&dir).expect("store opens");
+    let mut tenant = LmkgTenant::new(DEFAULT_TENANT, Arc::clone(&graph), Arc::clone(&base), cfg);
+    tenant.memory_budget = Some(budget);
+    tenant.store = Some(store.clone());
+    let (svc, adapter) = ServeBuilder::new()
         .batch(BatchConfig {
             window: Duration::from_micros(200),
             max_batch: 8,
@@ -214,16 +378,20 @@ fn adapter_evicts_to_budget_and_persists_without_tearing_a_batch() {
             workers: 2,
             obs: true,
         })
-        .tenant(
-            TenantSpec::new(DEFAULT_TENANT, Arc::clone(&graph), Arc::clone(&base) as SharedEstimator)
-                .observed(Arc::clone(&monitor))
-                .memory_budget(budget),
-        )
-        .build()
+        .lmkg_tenant(tenant)
+        .build_adaptive(Some(AdapterConfig {
+            interval: Duration::from_millis(20),
+            min_observed: 16,
+            ..AdapterConfig::default()
+        }))
         .expect("one tenant builds");
+    let stats = svc.stats();
+    assert_eq!(
+        (stats.evicted, stats.generation),
+        (0, 1),
+        "tick zero persists the base: {stats}"
+    );
 
-    // Fill the monitor with the star-2 workload *before* the adapter runs,
-    // so its first budget pass already knows which cell is live.
     let (tx, rx) = mpsc::channel::<Reply>();
     let check_replies = |round: &str| {
         for line in &lines {
@@ -232,7 +400,9 @@ fn adapter_evicts_to_budget_and_persists_without_tearing_a_batch() {
         for _ in &lines {
             match rx.recv_timeout(Duration::from_secs(20)).expect("reply arrives") {
                 Reply::Estimate { id, estimate, .. } => {
-                    let i: usize = id.strip_prefix('q').unwrap().parse().unwrap();
+                    let Some(i) = id.strip_prefix('q').map(|i| i.parse::<usize>().unwrap()) else {
+                        continue;
+                    };
                     assert_eq!(
                         estimate.to_bits(),
                         expected_bits[i],
@@ -246,30 +416,9 @@ fn adapter_evicts_to_budget_and_persists_without_tearing_a_batch() {
     };
     check_replies("warmup");
 
-    let dir = temp_store_dir("evict");
-    let store = ModelStore::open(&dir).expect("store opens");
-    let adapter = Adapter::start(
-        vec![TenantAdapterSpec {
-            name: DEFAULT_TENANT.into(),
-            graph: Arc::clone(&graph),
-            base: Arc::clone(&base),
-            build_cfg: cfg.clone(),
-            handle: svc.model(),
-            monitor,
-            stats: svc.serve_stats(),
-            store: Some(store.clone()),
-            memory_budget: Some(budget),
-        }],
-        AdapterConfig {
-            interval: Duration::from_millis(20),
-            min_observed: 16,
-            ..AdapterConfig::default()
-        },
-    );
-
-    // Keep traffic flowing while the adapter evicts and swaps; every reply
-    // must keep the base bits throughout the transition.
-    let deadline = Instant::now() + Duration::from_secs(30);
+    // Keep traffic flowing while the adapter retrains, evicts and swaps;
+    // every star-2 reply must keep the base bits throughout the transition.
+    let deadline = Instant::now() + Duration::from_secs(120);
     while svc.stats().evicted == 0 {
         assert!(Instant::now() < deadline, "adapter never evicted under budget pressure");
         check_replies("during-evict");
@@ -294,7 +443,7 @@ fn adapter_evicts_to_budget_and_persists_without_tearing_a_batch() {
 
     let stats = svc.stats();
     assert!(stats.evicted as usize >= expected_dropped);
-    assert!(stats.generation >= 1, "the evicted set must have been persisted");
+    assert!(stats.generation >= 2, "the evicted set must have been persisted");
     let (reloaded, generation) = store.load_latest().expect("persisted generation loads");
     assert_eq!(generation, stats.generation);
     assert_eq!(reloaded.model_count(), published.model_count());

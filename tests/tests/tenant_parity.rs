@@ -8,16 +8,15 @@
 
 use lmkg::framework::{Grouping, Lmkg, LmkgConfig, ModelType};
 use lmkg::supervised::LmkgSConfig;
-use lmkg::{CardinalityEstimator, GraphSummary, WorkloadMonitor};
+use lmkg::{CardinalityEstimator, GraphSummary};
 use lmkg_integration_tests::{small_lubm, small_swdf, test_queries};
 use lmkg_serve::{
-    Adapter, AdapterConfig, BatchConfig, EstimationService, Reply, Request, ServeBuilder, SharedMonitor,
-    TenantAdapterSpec, TenantSpec, DEFAULT_TENANT,
+    AdapterConfig, BatchConfig, EstimationService, LmkgTenant, Reply, Request, ServeBuilder, TenantSpec, DEFAULT_TENANT,
 };
 use lmkg_store::{sparql, KnowledgeGraph, Query, QueryShape};
 use proptest::prelude::*;
 use std::collections::HashMap;
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// A deliberately narrow training recipe (star-2 only) so tests that need a
@@ -244,9 +243,7 @@ fn adapter_swaps_one_tenant_under_live_traffic_on_the_other() {
         .map(|lq| sparql::format_query(&lq.query, &graph_b))
         .collect();
 
-    let mon_a: SharedMonitor = Arc::new(Mutex::new(WorkloadMonitor::new(64, &cfg.cells())));
-    let mon_b: SharedMonitor = Arc::new(Mutex::new(WorkloadMonitor::new(64, &cfg.cells())));
-    let svc = ServeBuilder::new()
+    let (svc, adapter) = ServeBuilder::new()
         .batch(BatchConfig {
             window: Duration::from_millis(1),
             max_batch: 8,
@@ -254,50 +251,19 @@ fn adapter_swaps_one_tenant_under_live_traffic_on_the_other() {
             workers: 2,
             obs: true,
         })
-        .tenant(
-            TenantSpec::new(
-                "a",
-                Arc::clone(&graph_a),
-                Arc::clone(&base_a) as lmkg_serve::SharedEstimator,
-            )
-            .observed(Arc::clone(&mon_a)),
-        )
-        .tenant(
-            TenantSpec::new(
-                "b",
-                Arc::clone(&graph_b),
-                Arc::clone(&base_b) as lmkg_serve::SharedEstimator,
-            )
-            .observed(Arc::clone(&mon_b)),
-        )
-        .build()
-        .unwrap();
-    let adapter = Adapter::start(
-        vec![
-            TenantAdapterSpec {
-                name: "a".into(),
-                graph: Arc::clone(&graph_a),
-                base: Arc::clone(&base_a),
-                build_cfg: cfg.clone(),
-                handle: svc.tenant_model("a").unwrap(),
-                monitor: mon_a,
-                stats: svc.tenant_serve_stats("a").unwrap(),
-                store: None,
-                memory_budget: None,
-            },
-            TenantAdapterSpec {
-                name: "b".into(),
-                graph: Arc::clone(&graph_b),
-                base: Arc::clone(&base_b),
-                build_cfg: cfg.clone(),
-                handle: svc.tenant_model("b").unwrap(),
-                monitor: mon_b,
-                stats: svc.tenant_serve_stats("b").unwrap(),
-                store: None,
-                memory_budget: None,
-            },
-        ],
-        AdapterConfig {
+        .lmkg_tenant(LmkgTenant::new(
+            "a",
+            Arc::clone(&graph_a),
+            Arc::clone(&base_a),
+            cfg.clone(),
+        ))
+        .lmkg_tenant(LmkgTenant::new(
+            "b",
+            Arc::clone(&graph_b),
+            Arc::clone(&base_b),
+            cfg.clone(),
+        ))
+        .build_adaptive(Some(AdapterConfig {
             interval: Duration::from_millis(50),
             window: 64,
             min_observed: 16,
@@ -305,8 +271,8 @@ fn adapter_swaps_one_tenant_under_live_traffic_on_the_other() {
             uncovered_threshold: 0.2,
             max_models: 8,
             max_new_per_cycle: 2,
-        },
-    );
+        }))
+        .unwrap();
 
     // Tenant b's live traffic runs on its own thread for the whole retrain.
     let stop = std::sync::atomic::AtomicBool::new(false);
