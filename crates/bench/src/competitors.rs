@@ -1,359 +1,219 @@
 //! Construction and training of the full estimator line-up of §VIII:
 //! impr, jsub, sumrdf, wj, cset, mscn-0, mscn-1k, LMKG-U, LMKG-S —
-//! in the paper's legend order.
+//! in the paper's legend order. Both LMKG rows are [`Lmkg::build`] — the
+//! framework `serve` publishes and `benchmark/` measures — so the
+//! reproduction scores the served model path, not a harness-private one.
 
 use crate::BenchConfig;
-use lmkg::supervised::{LmkgS, LmkgSConfig, QueryEncoder};
-use lmkg::unsupervised::{LmkgU, LmkgUConfig};
+use lmkg::framework::{self, Grouping, Lmkg, LmkgConfig, ModelKey, ModelType};
+use lmkg::supervised::LmkgSConfig;
+use lmkg::unsupervised::LmkgUConfig;
 use lmkg::CardinalityEstimator;
 use lmkg_baselines::{
     CharacteristicSets, Impr, ImprConfig, Jsub, JsubConfig, Mscn, MscnConfig, SumRdf, SumRdfConfig, WanderJoin,
     WanderJoinConfig,
 };
-use lmkg_data::workload::{self, WorkloadConfig};
-use lmkg_data::LabeledQuery;
-use lmkg_encoder::SgEncoder;
-use lmkg_store::{KnowledgeGraph, Query, QueryShape};
+use lmkg_store::{KnowledgeGraph, QueryShape};
+use std::time::Instant;
 
-/// Training workloads per (shape, size) — shared by LMKG-S and MSCN
-/// ("always train on the same queries as LMKG-S", §VIII).
-pub struct TrainPools {
-    /// (shape, size) → labeled queries.
-    pub pools: Vec<((QueryShape, usize), Vec<LabeledQuery>)>,
+/// The per-estimator columns that do not depend on the query; they travel
+/// next to the estimator as a pair.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EstimatorInfo {
+    /// The paper's legend label (the estimator's own name, except for the
+    /// two LMKG framework configurations).
+    pub label: String,
+    /// Model or summary size in bytes.
+    pub memory_bytes: usize,
+    /// Construction + training wall time in seconds.
+    pub train_s: f64,
 }
 
-impl TrainPools {
-    /// Generates the pools for the configured sizes.
-    pub fn generate(graph: &KnowledgeGraph, cfg: &BenchConfig) -> Self {
-        let mut pools = Vec::new();
-        for &shape in &[QueryShape::Star, QueryShape::Chain] {
-            for &k in &cfg.sizes {
-                let wl = WorkloadConfig::train_default(shape, k, cfg.train_queries, cfg.seed ^ ((k as u64) << 13));
-                pools.push(((shape, k), workload::generate(graph, &wl)));
-            }
-        }
-        Self { pools }
-    }
+/// One row of the line-up.
+pub type Entrant<'g> = (EstimatorInfo, Box<dyn CardinalityEstimator + 'g>);
 
-    /// All training queries flattened (for MSCN and combined LMKG-S models).
-    pub fn all(&self) -> Vec<LabeledQuery> {
-        self.pools.iter().flat_map(|(_, v)| v.iter().cloned()).collect()
-    }
-
-    /// Queries of one size (both shapes).
-    pub fn by_size(&self, k: usize) -> Vec<LabeledQuery> {
-        self.pools
-            .iter()
-            .filter(|((_, size), _)| *size == k)
-            .flat_map(|(_, v)| v.iter().cloned())
-            .collect()
-    }
+fn entrant<'g, E: CardinalityEstimator + 'g>(label: Option<&str>, build: impl FnOnce() -> E) -> Entrant<'g> {
+    let start = Instant::now();
+    let estimator = build();
+    let info = EstimatorInfo {
+        label: label.unwrap_or(estimator.name()).to_string(),
+        memory_bytes: estimator.memory_bytes(),
+        train_s: start.elapsed().as_secs_f64(),
+    };
+    (info, Box::new(estimator))
 }
 
-/// LMKG-S in the paper's main configuration: SG-Encoding + query-size
-/// grouping (§VIII-B). Routes a query to the smallest-capacity model that
-/// fits it.
-pub struct SizeRoutedLmkgS {
-    models: Vec<(usize, LmkgS)>,
-}
-
-impl SizeRoutedLmkgS {
-    /// Trains one model per size from the shared pools.
-    pub fn train(graph: &KnowledgeGraph, cfg: &BenchConfig, pools: &TrainPools) -> Self {
-        let mut models = Vec::new();
-        for &k in &cfg.sizes {
-            let enc = QueryEncoder::Sg(SgEncoder::capacity_for_size(graph.num_nodes(), graph.num_preds(), k));
-            let mut model = LmkgS::new(
-                enc,
-                LmkgSConfig {
-                    hidden: vec![cfg.s_hidden, cfg.s_hidden],
-                    epochs: cfg.s_epochs,
-                    seed: cfg.seed ^ k as u64,
-                    ..Default::default()
-                },
-            );
-            model.train(&pools.by_size(k));
-            models.push((k, model));
-        }
-        Self { models }
-    }
-
-    /// Index of the smallest-capacity model that fits `size` — the single
-    /// routing rule shared by the per-query and batched paths.
-    fn route_idx(&self, size: usize) -> Option<usize> {
-        self.models
-            .iter()
-            .enumerate()
-            .filter(|(_, (k, _))| *k >= size)
-            .min_by_key(|(_, (k, _))| *k)
-            .map(|(idx, _)| idx)
-    }
-
-    fn route(&self, size: usize) -> Option<&LmkgS> {
-        self.route_idx(size).map(|idx| &self.models[idx].1)
+/// The key of the size-grouped LMKG-S model for `size`-triple queries.
+fn size_key(size: usize) -> ModelKey {
+    ModelKey {
+        shape: None,
+        min_size: size,
+        max_size: size,
     }
 }
 
-impl CardinalityEstimator for SizeRoutedLmkgS {
-    fn name(&self) -> &str {
-        "LMKG-S"
-    }
-
-    fn estimate(&self, query: &Query) -> f64 {
-        match self.route(query.size()) {
-            Some(model) => model.predict(query).unwrap_or(1.0),
-            None => 1.0,
-        }
-    }
-
-    /// Batched override: the slice is grouped by routed model (smallest
-    /// capacity that fits each query) and every group runs one forward.
-    fn estimate_batch(&self, queries: &[Query]) -> Vec<f64> {
-        let mut out = vec![1.0f64; queries.len()];
-        // Group query indices by the model `route` would pick.
-        let mut grouped: Vec<Vec<usize>> = vec![Vec::new(); self.models.len()];
-        for (i, q) in queries.iter().enumerate() {
-            if let Some(idx) = self.route_idx(q.size()) {
-                grouped[idx].push(i);
-            }
-        }
-        for (idx, group) in grouped.iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let refs: Vec<&Query> = group.iter().map(|&i| &queries[i]).collect();
-            for (&i, result) in group.iter().zip(self.models[idx].1.predict_batch(&refs)) {
-                out[i] = result.unwrap_or(1.0);
-            }
-        }
-        out
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.models.iter().map(|(_, m)| m.memory_bytes()).sum()
+/// LMKG-U hyper-parameters at this scale (pattern-bound encoding with
+/// 32-dimensional embeddings, one residual block — §VIII-B).
+pub fn u_config(cfg: &BenchConfig) -> LmkgUConfig {
+    LmkgUConfig {
+        hidden: cfg.u_hidden,
+        blocks: 1,
+        embed_dim: 32,
+        epochs: cfg.u_epochs,
+        train_samples: cfg.u_samples,
+        particles: cfg.particles,
+        seed: cfg.seed,
+        ..Default::default()
     }
 }
 
-/// LMKG-U in the paper's configuration: pattern-bound encoding with
-/// embeddings, one model per (type, size) (§VIII-B).
-pub struct TypeSizeRoutedLmkgU {
-    models: Vec<((QueryShape, usize), LmkgU)>,
-}
-
-impl TypeSizeRoutedLmkgU {
-    /// Trains the per-(type, size) models. Returns `None` when the node
-    /// domain exceeds the guard (the YAGO case, where the paper drops
-    /// LMKG-U entirely).
-    pub fn train(graph: &KnowledgeGraph, cfg: &BenchConfig) -> Option<Self> {
-        let mut models = Vec::new();
-        for &shape in &[QueryShape::Star, QueryShape::Chain] {
-            for &k in &cfg.sizes {
-                let u_cfg = LmkgUConfig {
-                    hidden: cfg.u_hidden,
-                    blocks: 1,
-                    embed_dim: 32,
-                    epochs: cfg.u_epochs,
-                    train_samples: cfg.u_samples,
-                    particles: cfg.particles,
-                    seed: cfg.seed ^ ((k as u64) << 3) ^ matches!(shape, QueryShape::Chain) as u64,
-                    ..Default::default()
-                };
-                match LmkgU::new(graph, shape, k, u_cfg) {
-                    Ok(mut model) => {
-                        model.train(graph);
-                        models.push(((shape, k), model));
-                    }
-                    Err(_) => return None,
-                }
-            }
-        }
-        Some(Self { models })
-    }
-
-    /// Index of the first model covering the query's (type, size) —
-    /// `Single` queries route to either family of size-1 models. The single
-    /// routing rule shared by the per-query and batched paths.
-    fn route_idx(&self, query: &Query) -> Option<usize> {
-        let shape = query.shape();
-        let size = query.size();
-        self.models
-            .iter()
-            .position(|((s, k), _)| (*s == shape || (shape == QueryShape::Single && *k == 1)) && *k == size)
-    }
-}
-
-impl CardinalityEstimator for TypeSizeRoutedLmkgU {
-    fn name(&self) -> &str {
-        "LMKG-U"
-    }
-
-    fn estimate(&self, query: &Query) -> f64 {
-        match self.route_idx(query) {
-            Some(idx) => self.models[idx].1.estimate_query(query).unwrap_or(1.0),
-            None => 1.0,
-        }
-    }
-
-    /// Batched override: the slice is grouped by the (type, size) model
-    /// that covers it; every group runs one batched sampling pass.
-    fn estimate_batch(&self, queries: &[Query]) -> Vec<f64> {
-        let mut out = vec![1.0f64; queries.len()];
-        let mut grouped: Vec<Vec<usize>> = vec![Vec::new(); self.models.len()];
-        for (i, q) in queries.iter().enumerate() {
-            if let Some(idx) = self.route_idx(q) {
-                grouped[idx].push(i);
-            }
-        }
-        for (idx, group) in grouped.iter().enumerate() {
-            if group.is_empty() {
-                continue;
-            }
-            let refs: Vec<&Query> = group.iter().map(|&i| &queries[i]).collect();
-            for (&i, result) in group.iter().zip(self.models[idx].1.estimate_query_batch(&refs)) {
-                out[i] = result.unwrap_or(1.0);
-            }
-        }
-        out
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.models.iter().map(|(_, m)| m.memory_bytes()).sum()
+/// The framework configuration behind the LMKG-S / LMKG-U rows: the paper's
+/// main configuration (§VIII-B) — SG-Encoding with query-size grouping for
+/// LMKG-S, one model per (type, size) for LMKG-U. A size-grouped model
+/// covers two shapes, so `2 × train_queries` per model is `train_queries`
+/// per (shape, size) cell.
+pub fn lmkg_config(cfg: &BenchConfig, model_type: ModelType) -> LmkgConfig {
+    LmkgConfig {
+        model_type,
+        grouping: Grouping::BySize,
+        shapes: vec![QueryShape::Star, QueryShape::Chain],
+        sizes: cfg.sizes.clone(),
+        queries_per_size: 2 * cfg.train_queries,
+        s_config: LmkgSConfig {
+            hidden: vec![cfg.s_hidden, cfg.s_hidden],
+            epochs: cfg.s_epochs,
+            seed: cfg.seed,
+            ..Default::default()
+        },
+        u_config: u_config(cfg),
+        workload_seed: cfg.seed,
     }
 }
 
 /// The full estimator line-up over one graph, in the paper's legend order.
 /// `include_lmkg_u = false` reproduces the paper's YAGO setting.
-pub fn build_all<'g>(
-    graph: &'g KnowledgeGraph,
-    cfg: &BenchConfig,
-    include_lmkg_u: bool,
-) -> Vec<Box<dyn CardinalityEstimator + 'g>> {
-    let pools = TrainPools::generate(graph, cfg);
-    let mut out: Vec<Box<dyn CardinalityEstimator + 'g>> = vec![Box::new(Impr::new(
-        graph,
-        ImprConfig {
-            runs: 30,
-            samples_per_run: 20,
-            burn_in: 12,
-            seed: cfg.seed,
-        },
-    ))];
-    out.push(Box::new(Jsub::new(
-        graph,
-        JsubConfig {
-            runs: 30,
-            walks_per_run: 50,
-            seed: cfg.seed,
-        },
-    )));
-    out.push(Box::new(SumRdf::build(graph, SumRdfConfig::default())));
-    out.push(Box::new(WanderJoin::new(
-        graph,
-        WanderJoinConfig {
-            runs: 30,
-            walks_per_run: 50,
-            seed: cfg.seed,
-        },
-    )));
-    out.push(Box::new(CharacteristicSets::build(graph)));
+pub fn build_all<'g>(graph: &'g KnowledgeGraph, cfg: &BenchConfig, include_lmkg_u: bool) -> Vec<Entrant<'g>> {
+    let (runs, seed) = (30, cfg.seed);
+    let mut out = vec![
+        entrant(None, || {
+            let imp = ImprConfig {
+                runs,
+                samples_per_run: 20,
+                burn_in: 12,
+                seed,
+            };
+            Impr::new(graph, imp)
+        }),
+        entrant(None, || {
+            Jsub::new(
+                graph,
+                JsubConfig {
+                    runs,
+                    walks_per_run: 50,
+                    seed,
+                },
+            )
+        }),
+        entrant(None, || SumRdf::build(graph, SumRdfConfig::default())),
+        entrant(None, || {
+            WanderJoin::new(
+                graph,
+                WanderJoinConfig {
+                    runs,
+                    walks_per_run: 50,
+                    seed,
+                },
+            )
+        }),
+        entrant(None, || CharacteristicSets::build(graph)),
+    ];
 
-    let all_train = pools.all();
+    // "Always train on the same queries as LMKG-S" (§VIII): MSCN gets the
+    // training workloads of the size-grouped LMKG-S models, concatenated.
+    let s_cfg = lmkg_config(cfg, ModelType::Supervised);
+    let mscn_train: Vec<_> = cfg
+        .sizes
+        .iter()
+        .flat_map(|&k| framework::training_workload(graph, &s_cfg, size_key(k)))
+        .collect();
     for samples in [0usize, 1000] {
-        let mut mscn = Mscn::new(
-            graph,
-            MscnConfig {
-                samples,
-                hidden: cfg.s_hidden.min(128),
-                epochs: cfg.s_epochs,
-                seed: cfg.seed,
-                ..Default::default()
-            },
-        );
-        mscn.train(&all_train);
-        out.push(Box::new(mscn));
+        out.push(entrant(None, || {
+            let mut mscn = Mscn::new(
+                graph,
+                MscnConfig {
+                    samples,
+                    hidden: cfg.s_hidden.min(128),
+                    epochs: cfg.s_epochs,
+                    seed,
+                    ..Default::default()
+                },
+            );
+            mscn.train(&mscn_train);
+            mscn
+        }));
     }
 
     if include_lmkg_u {
-        if let Some(u) = TypeSizeRoutedLmkgU::train(graph, cfg) {
-            out.push(Box::new(u));
+        let mut models = 0;
+        let u = entrant(Some("LMKG-U"), || {
+            let u = Lmkg::build(graph, &lmkg_config(cfg, ModelType::Unsupervised));
+            models = u.model_count();
+            u
+        });
+        // Every cell over the node-domain guard (the paper-scale YAGO case)
+        // leaves a framework without a model: no row, as in the paper.
+        if models > 0 {
+            out.push(u);
         }
     }
-    out.push(Box::new(SizeRoutedLmkgS::train(graph, cfg, &pools)));
+    out.push(entrant(Some("LMKG-S"), || Lmkg::build(graph, &s_cfg)));
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::tests::{tiny_cfg, tiny_sweeps};
+    use crate::sweep::Sweep;
     use lmkg_data::{Dataset, Scale};
 
+    /// The paper's legend order on every dataset, and no LMKG-U on YAGO.
     #[test]
     fn build_all_produces_the_lineup() {
-        let g = Dataset::LubmLike.generate(Scale::Ci, 1);
-        let mut cfg = BenchConfig::ci(1);
-        cfg.sizes = vec![2];
-        cfg.train_queries = 120;
-        cfg.s_epochs = 3;
-        cfg.u_epochs = 1;
-        cfg.u_samples = 500;
-        let ests = build_all(&g, &cfg, true);
-        let names: Vec<&str> = ests.iter().map(|e| e.name()).collect();
-        assert_eq!(
-            names,
-            vec!["impr", "jsub", "sumrdf", "wj", "cset", "mscn-0", "mscn-1k", "LMKG-U", "LMKG-S"]
-        );
-    }
-
-    #[test]
-    fn size_routing_picks_smallest_fit() {
-        let g = Dataset::LubmLike.generate(Scale::Ci, 1);
-        let mut cfg = BenchConfig::ci(1);
-        cfg.sizes = vec![2, 3];
-        cfg.train_queries = 120;
-        cfg.s_epochs = 2;
-        let pools = TrainPools::generate(&g, &cfg);
-        let s = SizeRoutedLmkgS::train(&g, &cfg, &pools);
-        assert!(s.route(2).is_some());
-        assert!(s.route(3).is_some());
-        assert!(s.route(4).is_none());
-    }
-
-    #[test]
-    fn routed_wrappers_batch_matches_per_query() {
-        use lmkg_data::workload::{self, WorkloadConfig};
-        let g = Dataset::LubmLike.generate(Scale::Ci, 1);
-        let mut cfg = BenchConfig::ci(1);
-        cfg.sizes = vec![2, 3];
-        cfg.train_queries = 120;
-        cfg.s_epochs = 2;
-        cfg.u_epochs = 1;
-        cfg.u_samples = 500;
-
-        let mut queries: Vec<Query> = Vec::new();
-        for (shape, size) in [(QueryShape::Star, 2), (QueryShape::Chain, 3), (QueryShape::Star, 4)] {
-            let wl = WorkloadConfig::test_default(shape, size, 5);
-            queries.extend(workload::generate(&g, &wl).into_iter().take(6).map(|lq| lq.query));
+        const LEGEND: [&str; 9] = [
+            "impr", "jsub", "sumrdf", "wj", "cset", "mscn-0", "mscn-1k", "LMKG-U", "LMKG-S",
+        ];
+        let [swdf, yago] = tiny_sweeps() else {
+            panic!("two sweeps")
+        };
+        let labels = |s: &Sweep| s.estimators.iter().map(|e| e.label.clone()).collect::<Vec<_>>();
+        assert_eq!(labels(swdf), LEGEND);
+        let without_u: Vec<&str> = LEGEND.iter().copied().filter(|l| *l != "LMKG-U").collect();
+        assert_eq!(labels(yago), without_u);
+        for s in [swdf, yago] {
+            // Every estimator answered every evaluation query, plausibly.
+            assert_eq!(s.records.len() % s.estimators.len(), 0);
+            assert!(s.records.iter().all(|r| r.estimator < s.estimators.len()));
+            assert!(s.records.iter().all(|r| r.estimate >= 1.0 && r.truth >= 1));
         }
-
-        let pools = TrainPools::generate(&g, &cfg);
-        let s = SizeRoutedLmkgS::train(&g, &cfg, &pools);
-        let looped: Vec<f64> = queries.iter().map(|q| s.estimate(q)).collect();
-        assert_eq!(s.estimate_batch(&queries), looped, "LMKG-S routing parity");
-
-        let u = TypeSizeRoutedLmkgU::train(&g, &cfg).expect("domain fits");
-        let looped: Vec<f64> = queries.iter().map(|q| u.estimate(q)).collect();
-        assert_eq!(u.estimate_batch(&queries), looped, "LMKG-U routing parity");
     }
 
+    /// The one training-workload function covers every cell LMKG-S trains
+    /// on: a size-grouped key yields `train_queries` star and as many chain
+    /// queries of exactly its size.
     #[test]
     fn train_pools_cover_all_cells() {
         let g = Dataset::LubmLike.generate(Scale::Ci, 1);
-        let mut cfg = BenchConfig::ci(1);
-        cfg.sizes = vec![2, 3];
-        cfg.train_queries = 50;
-        let pools = TrainPools::generate(&g, &cfg);
-        assert_eq!(pools.pools.len(), 4); // 2 shapes × 2 sizes
-        assert!(pools.by_size(2).len() > pools.by_size(2).len() / 2);
-        assert!(!pools.all().is_empty());
+        let cfg = tiny_cfg();
+        let s_cfg = lmkg_config(&cfg, ModelType::Supervised);
+        for &k in &cfg.sizes {
+            let pool = framework::training_workload(&g, &s_cfg, size_key(k));
+            assert_eq!(pool.len(), 2 * cfg.train_queries);
+            assert!(pool.iter().all(|lq| lq.query.size() == k));
+            for shape in [QueryShape::Star, QueryShape::Chain] {
+                let of_shape = pool.iter().filter(|lq| lq.query.shape() == shape).count();
+                assert_eq!(of_shape, cfg.train_queries, "{shape} size {k}");
+            }
+        }
     }
 }

@@ -1,9 +1,10 @@
 //! # lmkg-bench
 //!
 //! The experiment harness regenerating every table and figure of the LMKG
-//! paper's evaluation (§VIII). Each binary prints one table/figure; `run_all`
-//! executes the whole suite and writes the measurements EXPERIMENTS.md
-//! records.
+//! paper's evaluation (§VIII), as one binary: `lmkg-bench <experiment>`
+//! prints one table/figure, `lmkg-bench all` prints every one from a single
+//! [`sweep`] and writes the committed `BENCH_accuracy.json`, and
+//! `lmkg-bench check` gates q-error regressions against that file.
 //!
 //! Scale is controlled by the `LMKG_SCALE` environment variable:
 //! `ci` (tiny, seconds per figure), `bench` (default — small but meaningful),
@@ -14,7 +15,9 @@
 #![warn(missing_docs)]
 
 pub mod competitors;
+pub mod experiments;
 pub mod report;
+pub mod sweep;
 pub mod workloads;
 
 use lmkg_data::Scale;
@@ -47,23 +50,41 @@ pub struct BenchConfig {
 }
 
 impl BenchConfig {
-    /// Reads `LMKG_SCALE` / `LMKG_SEED` / `LMKG_QUERIES` from the environment.
-    pub fn from_env() -> Self {
-        let scale_name = std::env::var("LMKG_SCALE").unwrap_or_else(|_| "bench".into());
-        let seed = std::env::var("LMKG_SEED")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(42u64);
-        let mut cfg = match scale_name.as_str() {
-            "ci" => Self::ci(seed),
-            "default" => Self::default_scale(seed),
-            "paper" => Self::paper(seed),
-            _ => Self::bench(seed),
+    /// Builds the configuration from the values of `LMKG_SCALE` / `LMKG_SEED`
+    /// / `LMKG_QUERIES` (`None` = unset: scale `bench`, seed 42, the preset's
+    /// workload size) and returns it with the preset's name. A value that is
+    /// set but not understood is an error naming what is accepted — it never
+    /// falls back to a default, which would run the wrong experiment.
+    pub fn parse(
+        scale: Option<&str>,
+        seed: Option<&str>,
+        queries: Option<&str>,
+    ) -> Result<(&'static str, Self), String> {
+        let (name, preset): (_, fn(u64) -> Self) = match scale.unwrap_or("bench") {
+            "ci" => ("ci", Self::ci),
+            "bench" => ("bench", Self::bench),
+            "default" => ("default", Self::default_scale),
+            "paper" => ("paper", Self::paper),
+            other => {
+                return Err(format!(
+                    "LMKG_SCALE={other:?}: expected one of ci | bench | default | paper"
+                ))
+            }
         };
-        if let Some(q) = std::env::var("LMKG_QUERIES").ok().and_then(|s| s.parse().ok()) {
-            cfg.queries_per_cell = q;
+        let seed = match seed {
+            Some(s) => s
+                .parse()
+                .map_err(|_| format!("LMKG_SEED={s:?}: expected an unsigned integer"))?,
+            None => 42u64,
+        };
+        let mut cfg = preset(seed);
+        if let Some(q) = queries {
+            cfg.queries_per_cell = match q.parse() {
+                Ok(n) if n > 0 => n,
+                _ => return Err(format!("LMKG_QUERIES={q:?}: expected a positive integer")),
+            };
         }
-        cfg
+        Ok((name, cfg))
     }
 
     /// Tiny smoke-test configuration.
@@ -133,5 +154,36 @@ impl BenchConfig {
             s_hidden: 512,
             u_hidden: 128,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unset_knobs_keep_the_defaults() {
+        let (name, cfg) = BenchConfig::parse(None, None, None).unwrap();
+        assert_eq!((name, cfg.seed, cfg.queries_per_cell), ("bench", 42, 200));
+        let (name, cfg) = BenchConfig::parse(Some("ci"), Some("7"), Some("15")).unwrap();
+        assert_eq!((name, cfg.seed, cfg.queries_per_cell), ("ci", 7, 15));
+        assert_eq!(cfg.sizes, vec![2, 3]);
+    }
+
+    #[test]
+    fn invalid_knobs_are_errors_naming_the_accepted_values() {
+        let err = BenchConfig::parse(Some("paperr"), None, None).unwrap_err();
+        assert!(
+            err.contains("paperr") && err.contains("ci | bench | default | paper"),
+            "{err}"
+        );
+        assert!(BenchConfig::parse(None, Some("x42"), None)
+            .unwrap_err()
+            .contains("LMKG_SEED"));
+        assert!(BenchConfig::parse(None, Some("-1"), None).is_err());
+        assert!(BenchConfig::parse(None, None, Some("many"))
+            .unwrap_err()
+            .contains("LMKG_QUERIES"));
+        assert!(BenchConfig::parse(None, None, Some("0")).is_err());
     }
 }

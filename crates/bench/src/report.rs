@@ -1,14 +1,13 @@
-//! Table formatting and measurement helpers for the experiment binaries.
+//! Table formatting and the timed measurement the sweep goes through.
 
-use lmkg::metrics::QErrorStats;
 use lmkg::CardinalityEstimator;
-use lmkg_data::LabeledQuery;
+use lmkg_store::Query;
 use std::time::Instant;
 
 /// Prints an aligned text table.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
+pub fn print_table<H: AsRef<str>>(title: &str, headers: &[H], rows: &[Vec<String>]) {
     println!("\n== {title} ==");
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
+    let mut widths: Vec<usize> = headers.iter().map(|h| h.as_ref().len()).collect();
     for row in rows {
         for (i, cell) in row.iter().enumerate() {
             if i < widths.len() {
@@ -24,7 +23,7 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
             .collect();
         println!("| {} |", joined.join(" | "));
     };
-    line(&headers.iter().map(|s| s.to_string()).collect::<Vec<_>>());
+    line(&headers.iter().map(|h| h.as_ref().to_string()).collect::<Vec<_>>());
     println!(
         "|{}|",
         widths.iter().map(|w| "-".repeat(w + 2)).collect::<Vec<_>>().join("|")
@@ -48,44 +47,21 @@ pub fn fmt(v: f64) -> String {
 }
 
 /// Runs an estimator over a workload through the **batched** estimation
-/// path; returns accuracy stats and the mean amortized per-query latency in
-/// milliseconds. Batched overrides return exactly what the per-query loop
-/// would, so accuracy numbers are unchanged while learned-model timings
-/// reflect one forward per batch.
-pub fn measure(est: &dyn CardinalityEstimator, queries: &[LabeledQuery]) -> (QErrorStats, f64) {
-    let workload: Vec<_> = queries.iter().map(|lq| lq.query.clone()).collect();
+/// path; returns one estimate per query and the mean amortized per-query
+/// latency in milliseconds. Batched overrides return exactly what the
+/// per-query loop would, so accuracy is unchanged while learned-model
+/// timings reflect one forward per batch.
+pub fn measure(est: &dyn CardinalityEstimator, queries: &[Query]) -> (Vec<f64>, f64) {
     let start = Instant::now();
-    let estimates = est.estimate_batch(&workload);
+    let estimates = est.estimate_batch(queries);
     let elapsed_ms = start.elapsed().as_secs_f64() * 1000.0;
-    let pairs: Vec<(f64, u64)> = estimates
-        .into_iter()
-        .zip(queries.iter().map(|lq| lq.cardinality))
-        .collect();
-    let stats = QErrorStats::from_pairs(pairs).expect("non-empty workload");
-    (stats, elapsed_ms / queries.len().max(1) as f64)
-}
-
-/// Like [`measure`], but through the per-query loop — the reference point
-/// batched evaluation is compared against.
-pub fn measure_per_query(est: &dyn CardinalityEstimator, queries: &[LabeledQuery]) -> (QErrorStats, f64) {
-    let mut pairs = Vec::with_capacity(queries.len());
-    let start = Instant::now();
-    for lq in queries {
-        pairs.push((est.estimate(&lq.query), lq.cardinality));
-    }
-    let elapsed_ms = start.elapsed().as_secs_f64() * 1000.0;
-    let stats = QErrorStats::from_pairs(pairs).expect("non-empty workload");
-    (stats, elapsed_ms / queries.len().max(1) as f64)
-}
-
-/// Accuracy only (no timing).
-pub fn accuracy(est: &dyn CardinalityEstimator, queries: &[LabeledQuery]) -> QErrorStats {
-    measure(est, queries).0
+    (estimates, elapsed_ms / queries.len().max(1) as f64)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lmkg::metrics::QErrorStats;
     use lmkg::ExactEstimator;
     use lmkg_data::workload::{self, WorkloadConfig};
     use lmkg_data::{Dataset, Scale};
@@ -104,24 +80,14 @@ mod tests {
         let g = Dataset::LubmLike.generate(Scale::Ci, 1);
         let mut cfg = WorkloadConfig::test_default(QueryShape::Star, 2, 3);
         cfg.count = 20;
-        let queries = workload::generate(&g, &cfg);
-        let exact = ExactEstimator::new(&g);
-        let (stats, ms) = measure(&exact, &queries);
-        assert_eq!(stats.mean, 1.0);
+        let (queries, truths): (Vec<_>, Vec<_>) = workload::generate(&g, &cfg)
+            .into_iter()
+            .map(|lq| (lq.query, lq.cardinality))
+            .unzip();
+        let (estimates, ms) = measure(&ExactEstimator::new(&g), &queries);
+        let stats = QErrorStats::from_pairs(estimates.into_iter().zip(truths)).unwrap();
+        assert_eq!((stats.count, stats.mean), (20, 1.0));
         assert!(ms >= 0.0);
-    }
-
-    #[test]
-    fn batched_and_per_query_measurement_agree_on_accuracy() {
-        let g = Dataset::LubmLike.generate(Scale::Ci, 1);
-        let mut cfg = WorkloadConfig::test_default(QueryShape::Star, 2, 3);
-        cfg.count = 20;
-        let queries = workload::generate(&g, &cfg);
-        let exact = ExactEstimator::new(&g);
-        let (batched, _) = measure(&exact, &queries);
-        let (looped, _) = measure_per_query(&exact, &queries);
-        assert_eq!(batched.mean, looped.mean);
-        assert_eq!(batched.median, looped.median);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Test-workload construction for the experiment binaries: per
+//! Test-workload construction for the sweep: per
 //! (shape, size) cells with the paper's bucket-balanced selection
 //! ("we select 600 queries where each query is drawn from a bucket for a
 //! specific result size", §VIII).

@@ -8,6 +8,7 @@ use crate::summary::GraphSummary;
 use crate::supervised::{LmkgS, LmkgSConfig, QueryEncoder};
 use crate::unsupervised::{LmkgU, LmkgUConfig, LmkgUError};
 use lmkg_data::workload::{self, WorkloadConfig};
+use lmkg_data::LabeledQuery;
 use lmkg_encoder::SgEncoder;
 use lmkg_nn::quant::QuantMode;
 use lmkg_store::{KnowledgeGraph, Query, QueryShape};
@@ -802,9 +803,17 @@ fn train_supervised(graph: &KnowledgeGraph, cfg: &LmkgConfig, key: ModelKey) -> 
         key.max_size,
     ));
     let mut model = LmkgS::new(encoder, cfg.s_config.clone());
+    model.train(&training_workload(graph, cfg, key));
+    model
+}
 
-    // Training data: the per-model budget is split evenly across every
-    // (shape, size) cell the key covers.
+/// The labeled queries the LMKG-S model keyed `key` trains on: the per-model
+/// budget `cfg.queries_per_size` split evenly across every (shape, size)
+/// cell the key covers, each cell drawn with its own seed. The one
+/// definition of a training workload — the experiment harness evaluates
+/// Fig. 7 on it and trains MSCN on it ("always train on the same queries as
+/// LMKG-S", §VIII), so neither can drift from what [`Lmkg::build`] uses.
+pub fn training_workload(graph: &KnowledgeGraph, cfg: &LmkgConfig, key: ModelKey) -> Vec<LabeledQuery> {
     let shapes: Vec<QueryShape> = match key.shape {
         Some(s) => vec![s],
         None => cfg.shapes.clone(),
@@ -829,8 +838,7 @@ fn train_supervised(graph: &KnowledgeGraph, cfg: &LmkgConfig, key: ModelKey) -> 
             data.extend(workload::generate(graph, &wl));
         }
     }
-    model.train(&data);
-    model
+    data
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@ pub enum Dataset {
     YagoLike,
 }
 
-/// Paper-reported dataset statistics (Table I), for EXPERIMENTS.md parity.
+/// Paper-reported dataset statistics (Table I), printed next to ours by `lmkg-bench table1`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PaperStats {
     /// Approximate triple count.
