@@ -1,7 +1,8 @@
 //! The observability-overhead gate: the same saturated closed loop over
 //! `EstimationService::handle_line`, served with stage tracing on
-//! (`BatchConfig::obs`, the default) and off (`serve … --no-obs`), fails
-//! when tracing costs more than 5% of throughput. Every other serving
+//! (`BatchConfig::obs`, the default) and off (`serve … --no-obs`; the
+//! request-latency histogram stays on either way), fails when tracing costs
+//! more than 5% of throughput. Every other serving
 //! number — latency, throughput, per-layer budget — is `benchmark/run.sh`'s.
 
 use lmkg::framework::{Grouping, Lmkg, LmkgConfig, ModelType};

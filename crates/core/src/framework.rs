@@ -112,6 +112,15 @@ pub struct ModelKey {
 }
 
 impl ModelKey {
+    /// The key of a model specialized to one `(shape, size)` cell.
+    fn cell((shape, k): (QueryShape, usize)) -> Self {
+        Self {
+            shape: Some(shape),
+            min_size: k,
+            max_size: k,
+        }
+    }
+
     fn matches(&self, shape: QueryShape, size: usize, exact_size_only: bool) -> bool {
         let shape_ok = match self.shape {
             None => matches!(shape, QueryShape::Star | QueryShape::Chain | QueryShape::Single),
@@ -217,98 +226,36 @@ impl Lmkg {
         assert!(!cfg.shapes.is_empty() && !cfg.sizes.is_empty());
         let summary = Arc::new(GraphSummary::build(graph));
         let max_size = *cfg.sizes.iter().max().expect("non-empty sizes");
-        let mut entries = Vec::new();
-
-        match cfg.model_type {
-            ModelType::Supervised => {
-                let keys: Vec<ModelKey> = match cfg.grouping {
-                    Grouping::Single => vec![ModelKey {
-                        shape: None,
-                        min_size: 1,
-                        max_size,
-                    }],
-                    Grouping::ByType => cfg
-                        .shapes
-                        .iter()
-                        .map(|&s| ModelKey {
-                            shape: Some(s),
-                            min_size: 1,
-                            max_size,
-                        })
-                        .collect(),
-                    Grouping::BySize => cfg
-                        .sizes
-                        .iter()
-                        .map(|&k| ModelKey {
-                            shape: None,
-                            min_size: k,
-                            max_size: k,
-                        })
-                        .collect(),
-                    Grouping::Specialized => cfg
-                        .shapes
-                        .iter()
-                        .flat_map(|&s| {
-                            cfg.sizes.iter().map(move |&k| ModelKey {
-                                shape: Some(s),
-                                min_size: k,
-                                max_size: k,
-                            })
-                        })
-                        .collect(),
-                };
-                // Grouped models are independent (each generates its own
-                // training workload), so the whole creation phase fans out
-                // across scoped threads — one per model, joined in key order
-                // so the routing order stays identical to sequential builds.
-                let jobs: Vec<_> = keys
-                    .iter()
-                    .map(|&key| move || train_supervised(graph, cfg, key))
-                    .collect();
-                let models = build_models_parallel("LMKG-S", jobs);
-                for (key, model) in keys.into_iter().zip(models) {
-                    entries.push((key, Arc::new(ModelEntry::S(model))));
-                }
+        let keys: Vec<ModelKey> = match (cfg.model_type, cfg.grouping) {
+            // LMKG-U: always one model per (type, size) — §VIII-B.
+            (ModelType::Unsupervised, _) | (_, Grouping::Specialized) => {
+                cfg.cells().into_iter().map(ModelKey::cell).collect()
             }
-            ModelType::Unsupervised => {
-                // LMKG-U: always one model per (type, size) — §VIII-B.
-                // Training the cells is embarrassingly parallel too.
-                let cells: Vec<(QueryShape, usize)> = cfg
-                    .shapes
-                    .iter()
-                    .flat_map(|&shape| cfg.sizes.iter().map(move |&k| (shape, k)))
-                    .collect();
-                let jobs: Vec<_> = cells
-                    .iter()
-                    .map(|&(shape, k)| {
-                        move || match LmkgU::new(graph, shape, k, cfg.u_config.clone()) {
-                            Ok(mut model) => {
-                                model.train(graph);
-                                Some(model)
-                            }
-                            Err(LmkgUError::DomainTooLarge { .. }) => {
-                                // The YAGO case: skip, decomposition/summary
-                                // fallback will answer (§VIII drops LMKG-U
-                                // for YAGO entirely).
-                                None
-                            }
-                            Err(e) => panic!("LMKG-U construction failed: {e}"),
-                        }
-                    })
-                    .collect();
-                let models = build_models_parallel("LMKG-U", jobs);
-                for ((shape, k), model) in cells.into_iter().zip(models) {
-                    if let Some(model) = model {
-                        let key = ModelKey {
-                            shape: Some(shape),
-                            min_size: k,
-                            max_size: k,
-                        };
-                        entries.push((key, Arc::new(ModelEntry::U(model))));
-                    }
-                }
-            }
-        }
+            (_, Grouping::Single) => vec![ModelKey {
+                shape: None,
+                min_size: 1,
+                max_size,
+            }],
+            (_, Grouping::ByType) => cfg
+                .shapes
+                .iter()
+                .map(|&s| ModelKey {
+                    shape: Some(s),
+                    min_size: 1,
+                    max_size,
+                })
+                .collect(),
+            (_, Grouping::BySize) => cfg
+                .sizes
+                .iter()
+                .map(|&k| ModelKey {
+                    shape: None,
+                    min_size: k,
+                    max_size: k,
+                })
+                .collect(),
+        };
+        let entries = train_entries(graph, cfg, keys, "");
 
         Self {
             entries,
@@ -348,54 +295,9 @@ impl Lmkg {
             }
         }
         let mut entries = self.entries.clone();
-
         if !wanted.is_empty() {
-            match cfg.model_type {
-                ModelType::Supervised => {
-                    let keys: Vec<ModelKey> = wanted
-                        .iter()
-                        .map(|&(shape, k)| ModelKey {
-                            shape: Some(shape),
-                            min_size: k,
-                            max_size: k,
-                        })
-                        .collect();
-                    let jobs: Vec<_> = keys
-                        .iter()
-                        .map(|&key| move || train_supervised(graph, cfg, key))
-                        .collect();
-                    let models = build_models_parallel("LMKG-S (extension)", jobs);
-                    for (key, model) in keys.into_iter().zip(models) {
-                        entries.push((key, Arc::new(ModelEntry::S(model))));
-                    }
-                }
-                ModelType::Unsupervised => {
-                    let jobs: Vec<_> = wanted
-                        .iter()
-                        .map(|&(shape, k)| {
-                            move || match LmkgU::new(graph, shape, k, cfg.u_config.clone()) {
-                                Ok(mut model) => {
-                                    model.train(graph);
-                                    Some(model)
-                                }
-                                Err(LmkgUError::DomainTooLarge { .. }) => None,
-                                Err(e) => panic!("LMKG-U construction failed: {e}"),
-                            }
-                        })
-                        .collect();
-                    let models = build_models_parallel("LMKG-U (extension)", jobs);
-                    for (&(shape, k), model) in wanted.iter().zip(models) {
-                        if let Some(model) = model {
-                            let key = ModelKey {
-                                shape: Some(shape),
-                                min_size: k,
-                                max_size: k,
-                            };
-                            entries.push((key, Arc::new(ModelEntry::U(model))));
-                        }
-                    }
-                }
-            }
+            let keys = wanted.into_iter().map(ModelKey::cell).collect();
+            entries.extend(train_entries(graph, cfg, keys, " (extension)"));
         }
 
         // Decomposition granularity grows only with models that actually
@@ -788,6 +690,54 @@ where
         summed / wall.max(1e-9)
     );
     timed.into_iter().map(|(model, _)| model).collect()
+}
+
+/// Trains one model per key — LMKG-S or LMKG-U by `cfg.model_type` — and
+/// returns the routed entries in key order. The one place the creation phase
+/// turns a key into a trained model: [`Lmkg::build`] decides the keys from
+/// the grouping, [`Lmkg::extend`] from the cells it is missing (`label`
+/// suffixes the family name in the creation-phase log line).
+///
+/// Grouped models are independent (each generates its own training
+/// workload), so the keys fan out across scoped threads and are joined in
+/// key order — the routing order stays identical to a sequential build.
+fn train_entries(
+    graph: &KnowledgeGraph,
+    cfg: &LmkgConfig,
+    keys: Vec<ModelKey>,
+    label: &str,
+) -> Vec<(ModelKey, Arc<ModelEntry>)> {
+    let jobs: Vec<_> = keys
+        .iter()
+        .map(|&key| {
+            move || match cfg.model_type {
+                ModelType::Supervised => Some(ModelEntry::S(train_supervised(graph, cfg, key))),
+                ModelType::Unsupervised => {
+                    let shape = key.shape.expect("LMKG-U keys name their shape");
+                    match LmkgU::new(graph, shape, key.max_size, cfg.u_config.clone()) {
+                        Ok(mut model) => {
+                            model.train(graph);
+                            Some(ModelEntry::U(model))
+                        }
+                        // The YAGO case: skip, decomposition/summary
+                        // fallback will answer (§VIII drops LMKG-U for
+                        // YAGO entirely).
+                        Err(LmkgUError::DomainTooLarge { .. }) => None,
+                        Err(e) => panic!("LMKG-U construction failed: {e}"),
+                    }
+                }
+            }
+        })
+        .collect();
+    let family = match cfg.model_type {
+        ModelType::Supervised => "LMKG-S",
+        ModelType::Unsupervised => "LMKG-U",
+    };
+    let models = build_models_parallel(&format!("{family}{label}"), jobs);
+    keys.into_iter()
+        .zip(models)
+        .filter_map(|(key, model)| Some((key, Arc::new(model?))))
+        .collect()
 }
 
 /// Trains one LMKG-S model for a key.

@@ -5,7 +5,10 @@
 //! joint density of the query's bound terms — with unbound positions
 //! marginalized by **likelihood-weighted forward sampling** — is multiplied
 //! by the tuple-space total `N` to yield the cardinality:
-//! `card(q) = P(bound terms of q) · N`.
+//! `card(q) = P(bound terms of q) · N`. That sampler exists once
+//! (`LmkgU::estimate_bounds`): [`LmkgU::estimate_query`] runs it for one
+//! query, [`LmkgU::estimate_query_batch`] loops it over a slice with one
+//! shared inference workspace.
 //!
 //! Positions follow the pattern-bound term order `[n₁, p₁, n₂, …]`
 //! (identical for stars and chains; only the tuple space differs).
@@ -467,29 +470,26 @@ impl LmkgU {
     /// sampling (§VI-B).
     pub fn estimate_query(&self, query: &Query) -> Result<f64, LmkgUError> {
         let bounds = self.query_bounds(query)?;
-        Ok(self.estimate_bounds(&bounds))
+        Ok(self.estimate_bounds(&bounds, &mut Workspace::new()))
     }
 
-    /// Estimates a batch of queries, running **one** sliced MADE forward per
-    /// autoregressive position over all queries' particles together instead
-    /// of one forward per (query, position). Per-query results — including
-    /// shape/size rejections — are identical to looping
-    /// [`LmkgU::estimate_query`], because particle RNG streams are derived
-    /// per query (`particle_rng`) and the network kernels are
-    /// row-independent.
+    /// Estimates a batch of queries: the per-query sampler, looped over the
+    /// slice with **one** workspace for the whole call. Per-query results —
+    /// including shape/size rejections — are identical to looping
+    /// [`LmkgU::estimate_query`], because each query's particle RNG stream is
+    /// derived from its own bounds (`particle_rng`) and a recycled workspace
+    /// buffer never carries values from one forward into the next.
     pub fn estimate_query_batch(&self, queries: &[&Query]) -> Vec<Result<f64, LmkgUError>> {
-        let parsed: Vec<Result<Vec<Option<usize>>, LmkgUError>> =
-            queries.iter().map(|q| self.query_bounds(q)).collect();
-        let accepted: Vec<Vec<Option<usize>>> = parsed.iter().filter_map(|r| r.as_ref().ok().cloned()).collect();
-        let mut estimates = self.estimate_bounds_batch(&accepted).into_iter();
-        parsed
-            .into_iter()
-            .map(|r| r.map(|_| estimates.next().expect("one estimate per accepted query")))
+        let mut ws = Workspace::new();
+        queries
+            .iter()
+            .map(|q| Ok(self.estimate_bounds(&self.query_bounds(q)?, &mut ws)))
             .collect()
     }
 
-    /// Core progressive-sampling estimator over per-position bound values.
-    pub fn estimate_bounds(&self, bounds: &[Option<usize>]) -> f64 {
+    /// The progressive-sampling estimator over per-position bound values —
+    /// the one place bound positions become a cardinality.
+    fn estimate_bounds(&self, bounds: &[Option<usize>], ws: &mut Workspace) -> f64 {
         assert_eq!(bounds.len(), self.segments.len());
         let Some(last_bound) = bounds.iter().rposition(Option::is_some) else {
             // No bound term: the query matches every tuple.
@@ -497,7 +497,6 @@ impl LmkgU {
         };
         let particles = self.particles.max(1);
         let mut rng = particle_rng(self.seed, bounds);
-        let mut ws = Workspace::new();
         let mut ids = vec![vec![0usize; self.segments.len()]; particles];
         let mut log_w = vec![0.0f64; particles];
 
@@ -505,7 +504,7 @@ impl LmkgU {
             // Only the current position's logit segment is needed — the
             // sliced forward avoids materializing the full (huge) output
             // layer at every autoregressive step.
-            let logits = self.made.forward_ids_segment(&ids, pos, &mut ws);
+            let logits = self.made.forward_ids_segment(&ids, pos, ws);
             match bounds[pos] {
                 Some(b) => {
                     for (r, ids_row) in ids.iter_mut().enumerate() {
@@ -524,87 +523,6 @@ impl LmkgU {
 
         let mean_w: f64 = log_w.iter().map(|&lw| lw.exp()).sum::<f64>() / particles as f64;
         (mean_w * self.n_total).max(1.0)
-    }
-
-    /// Batched [`LmkgU::estimate_bounds`]: all queries' particles share one
-    /// ids matrix, so every autoregressive position costs a single sliced
-    /// forward for the whole batch.
-    pub fn estimate_bounds_batch(&self, bounds_list: &[Vec<Option<usize>>]) -> Vec<f64> {
-        let positions = self.segments.len();
-        let particles = self.particles.max(1);
-        let mut out = vec![0.0f64; bounds_list.len()];
-
-        // Fully-unbound queries short-circuit to the tuple-space total.
-        let mut active: Vec<usize> = Vec::new();
-        let mut last_bounds: Vec<usize> = Vec::new();
-        for (i, bounds) in bounds_list.iter().enumerate() {
-            assert_eq!(bounds.len(), positions);
-            match bounds.iter().rposition(Option::is_some) {
-                Some(lb) => {
-                    active.push(i);
-                    last_bounds.push(lb);
-                }
-                None => out[i] = self.n_total.max(1.0),
-            }
-        }
-        if active.is_empty() {
-            return out;
-        }
-
-        let max_last = *last_bounds.iter().max().expect("non-empty active set");
-        let mut ws = Workspace::new();
-        let mut rngs: Vec<StdRng> = active
-            .iter()
-            .map(|&i| particle_rng(self.seed, &bounds_list[i]))
-            .collect();
-        let mut ids = vec![vec![0usize; positions]; active.len() * particles];
-        let mut log_w = vec![0.0f64; active.len() * particles];
-
-        for pos in 0..=max_last {
-            // Queries past their last bound position draw nothing more —
-            // compact them out of the forward so a batch skewed toward
-            // short queries does not pay full-width forwards to the end.
-            // Per-row results are batch-shape independent (the parity
-            // property), so compaction cannot change any estimate.
-            let live: Vec<usize> = (0..active.len()).filter(|&qi| last_bounds[qi] >= pos).collect();
-            let logits = if live.len() == active.len() {
-                // Homogeneous batch: everyone is live, forward in place
-                // without copying any rows.
-                self.made.forward_ids_segment(&ids, pos, &mut ws)
-            } else {
-                let live_ids: Vec<Vec<usize>> = live
-                    .iter()
-                    .flat_map(|&qi| ids[qi * particles..(qi + 1) * particles].iter().cloned())
-                    .collect();
-                self.made.forward_ids_segment(&live_ids, pos, &mut ws)
-            };
-            let compacted = live.len() != active.len();
-            for (slot, &qi) in live.iter().enumerate() {
-                let row0 = qi * particles;
-                let logit0 = if compacted { slot * particles } else { row0 };
-                match bounds_list[active[qi]][pos] {
-                    Some(b) => {
-                        for (off, ids_row) in ids[row0..row0 + particles].iter_mut().enumerate() {
-                            log_w[row0 + off] += f64::from(log_softmax_at(logits.row(logit0 + off), b));
-                            ids_row[pos] = b;
-                        }
-                    }
-                    None => {
-                        for (off, ids_row) in ids[row0..row0 + particles].iter_mut().enumerate() {
-                            ids_row[pos] = sample_categorical(logits.row(logit0 + off), &mut rngs[qi]);
-                        }
-                    }
-                }
-            }
-            ws.recycle(logits);
-        }
-
-        for (qi, &i) in active.iter().enumerate() {
-            let row0 = qi * particles;
-            let mean_w: f64 = log_w[row0..row0 + particles].iter().map(|&lw| lw.exp()).sum::<f64>() / particles as f64;
-            out[i] = (mean_w * self.n_total).max(1.0);
-        }
-        out
     }
 
     /// Scalar parameter count.
@@ -669,8 +587,8 @@ impl crate::estimator::CardinalityEstimator for LmkgU {
         self.estimate_query(query).unwrap_or(1.0)
     }
 
-    /// Batched override: one sliced forward per autoregressive position for
-    /// the whole batch via [`LmkgU::estimate_query_batch`].
+    /// Batched override: the per-query sampler over one shared workspace via
+    /// [`LmkgU::estimate_query_batch`].
     fn estimate_batch(&self, queries: &[Query]) -> Vec<f64> {
         let refs: Vec<&Query> = queries.iter().collect();
         self.estimate_query_batch(&refs)
@@ -908,14 +826,35 @@ mod tests {
         assert_eq!(a.estimate_query(&q).unwrap(), b.estimate_query(&q).unwrap());
     }
 
+    /// One `Workspace` crosses every query of a batch, whatever its bound
+    /// pattern: a batch and its reversal (long / short / unbound / rejected
+    /// queries interleaved) must agree with the per-query loop bit for bit —
+    /// a buffer leaking values from one query's forwards into the next
+    /// query's would show up in one of the two orders.
+    fn assert_batch_matches_per_query(m: &LmkgU, mut queries: Vec<Query>) {
+        for _ in 0..2 {
+            let refs: Vec<&Query> = queries.iter().collect();
+            let batched = m.estimate_query_batch(&refs);
+            // Not vacuous: some sampled estimate sits above the 1.0 floor.
+            assert!(batched.iter().flatten().any(|&e| e > 1.0 && e < m.n_total()));
+            for (q, b) in queries.iter().zip(&batched) {
+                let single = m.estimate_query(q);
+                assert_eq!(single.as_ref().map(|e| e.to_bits()), b.as_ref().map(|e| e.to_bits()));
+            }
+            queries.reverse();
+        }
+    }
+
     #[test]
     fn batch_estimates_match_per_query_bitwise() {
         let (g, m) = trained_star_model();
         let has_author = PredId(g.preds().get("hasAuthor").unwrap());
         let genre = PredId(g.preds().get("genre").unwrap());
         let horror = NodeId(g.nodes().get("horror").unwrap());
+        let a0 = NodeId(g.nodes().get("author0").unwrap());
+        let book3 = NodeId(g.nodes().get("book3").unwrap());
         let queries = vec![
-            // Bound predicate + bound object.
+            // Bound predicate + bound object: every position up to the last.
             Query::new(vec![
                 TriplePattern::new(v(0), PredTerm::Bound(has_author), v(1)),
                 TriplePattern::new(v(0), PredTerm::Bound(genre), NodeTerm::Bound(horror)),
@@ -925,10 +864,20 @@ mod tests {
                 TriplePattern::new(v(0), p(0), v(1)),
                 TriplePattern::new(v(1), p(1), v(2)),
             ]),
+            // Only the center bound: a single forward.
+            Query::new(vec![
+                TriplePattern::new(NodeTerm::Bound(book3), PredTerm::Var(VarId(5)), v(1)),
+                TriplePattern::new(NodeTerm::Bound(book3), PredTerm::Var(VarId(6)), v(2)),
+            ]),
             // Fully unbound: short-circuits to N.
             Query::new(vec![
                 TriplePattern::new(v(0), PredTerm::Var(VarId(5)), v(1)),
                 TriplePattern::new(v(0), PredTerm::Var(VarId(6)), v(2)),
+            ]),
+            // Everything but the center bound.
+            Query::new(vec![
+                TriplePattern::new(v(0), PredTerm::Bound(has_author), NodeTerm::Bound(a0)),
+                TriplePattern::new(v(0), PredTerm::Bound(genre), NodeTerm::Bound(horror)),
             ]),
             // Bound predicates only.
             Query::new(vec![
@@ -936,17 +885,57 @@ mod tests {
                 TriplePattern::new(v(0), PredTerm::Bound(genre), v(2)),
             ]),
         ];
-        let refs: Vec<&Query> = queries.iter().collect();
-        let batched = m.estimate_query_batch(&refs);
-        for (q, b) in queries.iter().zip(&batched) {
-            let single = m.estimate_query(q);
-            assert_eq!(&single, b, "batched result must match per-query result");
-        }
+        assert_batch_matches_per_query(m, queries.clone());
         // And through the trait, errors collapse to the neutral estimate.
         use crate::estimator::CardinalityEstimator;
         let trait_batched = m.estimate_batch(&queries);
         assert_eq!(trait_batched[1], 1.0);
-        assert_eq!(trait_batched[2], m.n_total());
+        assert_eq!(trait_batched[3], m.n_total());
+
+        // The same contract on a chain model (a ring with chords, so walks
+        // of length 2 exist): first-triple-only, unbound, fully bound and
+        // subject-only walks interleaved.
+        let mut b = GraphBuilder::new();
+        for i in 0..12 {
+            b.add(
+                &format!("n{i}"),
+                if i % 2 == 0 { "even" } else { "odd" },
+                &format!("n{}", (i + 1) % 12),
+            );
+            b.add(&format!("n{i}"), "chord", &format!("n{}", (i + 5) % 12));
+        }
+        let ring = b.build();
+        let cfg = LmkgUConfig {
+            epochs: 5,
+            train_samples: 500,
+            particles: 64,
+            ..quick_cfg()
+        };
+        let mut chain = LmkgU::new(&ring, QueryShape::Chain, 2, cfg).unwrap();
+        chain.train(&ring);
+        let even = PredId(ring.preds().get("even").unwrap());
+        let chord = PredId(ring.preds().get("chord").unwrap());
+        let n4 = NodeId(ring.nodes().get("n4").unwrap());
+        let n10 = NodeId(ring.nodes().get("n10").unwrap());
+        let chain_queries = vec![
+            Query::new(vec![
+                TriplePattern::new(v(0), PredTerm::Bound(even), v(1)),
+                TriplePattern::new(v(1), PredTerm::Var(VarId(7)), v(2)),
+            ]),
+            Query::new(vec![
+                TriplePattern::new(v(0), PredTerm::Var(VarId(7)), v(1)),
+                TriplePattern::new(v(1), PredTerm::Var(VarId(8)), v(2)),
+            ]),
+            Query::new(vec![
+                TriplePattern::new(NodeTerm::Bound(n4), PredTerm::Bound(even), v(1)),
+                TriplePattern::new(v(1), PredTerm::Bound(chord), NodeTerm::Bound(n10)),
+            ]),
+            Query::new(vec![
+                TriplePattern::new(NodeTerm::Bound(n4), PredTerm::Var(VarId(7)), v(1)),
+                TriplePattern::new(v(1), PredTerm::Var(VarId(8)), v(2)),
+            ]),
+        ];
+        assert_batch_matches_per_query(&chain, chain_queries);
     }
 
     /// Quantized LMKG-U must stay close to the f32 model on the fixture

@@ -19,9 +19,9 @@
 //!   [`NR`]-wide inner loop with baseline SIMD.
 //!
 //! The choice is made once per process ([`active_kernel`]) and can be pinned
-//! to the scalar kernel with the `LMKG_FORCE_SCALAR` environment variable or
-//! the `force-scalar` cargo feature — CI runs the test suite both ways and
-//! diffs a committed fixture to bound SIMD/scalar divergence.
+//! to the scalar kernel with the `LMKG_FORCE_SCALAR` environment variable —
+//! CI runs the test suite both ways and diffs a committed fixture to bound
+//! SIMD/scalar divergence.
 //!
 //! # Determinism contract
 //!
@@ -85,13 +85,10 @@ impl Kernel {
     }
 }
 
-/// Whether the scalar override is requested via the `force-scalar` cargo
-/// feature or the `LMKG_FORCE_SCALAR` environment variable (`1`, `true`,
-/// `yes`, or `on`, case-insensitive). Read once per process.
+/// Whether the scalar override is requested via the `LMKG_FORCE_SCALAR`
+/// environment variable (`1`, `true`, `yes`, or `on`, case-insensitive).
+/// Read once per process.
 pub fn force_scalar_requested() -> bool {
-    if cfg!(feature = "force-scalar") {
-        return true;
-    }
     static FORCED: OnceLock<bool> = OnceLock::new();
     *FORCED.get_or_init(|| {
         std::env::var("LMKG_FORCE_SCALAR")

@@ -16,9 +16,8 @@
 //!   independent column chunks are needed to keep the FMA pipes busy), and
 //! * a portable scalar kernel whose `n`-wide inner loop autovectorizes.
 //!
-//! Kernel selection, the `LMKG_FORCE_SCALAR` override, and the `force-scalar`
-//! feature are shared with [`crate::gemm`] — there is one switch for both
-//! paths.
+//! Kernel selection and the `LMKG_FORCE_SCALAR` override are shared with
+//! [`crate::gemm`] — there is one switch for both paths.
 //!
 //! # Bitwise parity with the blocked core
 //!

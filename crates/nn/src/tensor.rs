@@ -13,51 +13,34 @@
 //! scalar fallback (override with `LMKG_FORCE_SCALAR=1`). Large
 //! multiplications split output rows across OS threads sized from
 //! [`std::thread::available_parallelism`]; small ones stay single-threaded
-//! because thread spawn/join overhead dominates below
-//! [`DEFAULT_PARALLEL_FLOP_THRESHOLD`]. Results are bitwise-identical
+//! because thread spawn/join overhead dominates below a fixed work size
+//! (`PARALLEL_MIN_WORK`). Results are bitwise-identical
 //! regardless of kernel tiling, batch shape, column slicing, and thread
 //! count (see the determinism contract in [`crate::gemm`]).
 
 use crate::gemm::{self, Kernel, MatRef};
 use crate::gemv;
-use std::sync::OnceLock;
 
-/// Default minimum work size (`m·k·n` multiply-adds) before a matmul is
-/// split across threads.
+/// Minimum work size (`m·k·n` multiply-adds) before a matmul is split
+/// across threads.
 ///
 /// Rationale: spawning and joining a scoped thread costs on the order of
 /// 10–50 µs; a single core sustains roughly 1 multiply-add per cycle on
 /// this scalar kernel, so `2²² ≈ 4.2 M` multiply-adds ≈ 1–2 ms of work —
 /// enough that even a 2-way split recoups the spawn cost more than 10×
 /// over. Below the threshold the sequential kernel is strictly faster.
-/// Tune per machine with the `LMKG_PARALLEL_FLOP_THRESHOLD` environment
-/// variable (read once per process).
-pub const DEFAULT_PARALLEL_FLOP_THRESHOLD: usize = 1 << 22;
-
-/// The effective parallelism threshold: `LMKG_PARALLEL_FLOP_THRESHOLD` if
-/// set and parseable, otherwise [`DEFAULT_PARALLEL_FLOP_THRESHOLD`].
-pub fn parallel_flop_threshold() -> usize {
-    static THRESHOLD: OnceLock<usize> = OnceLock::new();
-    *THRESHOLD.get_or_init(|| {
-        std::env::var("LMKG_PARALLEL_FLOP_THRESHOLD")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .filter(|&t: &usize| t > 0) // 0 would divide-by-zero in thread_budget
-            .unwrap_or(DEFAULT_PARALLEL_FLOP_THRESHOLD)
-    })
-}
+const PARALLEL_MIN_WORK: usize = 1 << 22;
 
 /// Number of worker threads for a kernel doing `work` multiply-adds over
 /// `rows` independent output rows: 1 below the threshold, otherwise scaled
 /// so each worker gets at least one threshold's worth of work, capped by
 /// the machine's available parallelism and the row count.
 fn thread_budget(work: usize, rows: usize) -> usize {
-    let threshold = parallel_flop_threshold();
-    if work < threshold || rows < 2 {
+    if work < PARALLEL_MIN_WORK || rows < 2 {
         return 1;
     }
     let available = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2);
-    (work / threshold + 1).min(available).min(rows)
+    (work / PARALLEL_MIN_WORK + 1).min(available).min(rows)
 }
 
 /// A dense row-major matrix of `f32`.
@@ -81,9 +64,7 @@ impl Matrix {
     /// Builds a matrix from a generator over `(row, col)`.
     ///
     /// The generator runs strictly in row-major order — stateful closures
-    /// (weight-init RNGs in particular) depend on that sequence, which is
-    /// why this constructor is *not* parallel. Order-independent generators
-    /// can use [`Matrix::from_fn_par`].
+    /// (weight-init RNGs in particular) depend on that sequence.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f32) -> Self {
         let mut data = Vec::with_capacity(rows * cols);
         for r in 0..rows {
@@ -92,32 +73,6 @@ impl Matrix {
             }
         }
         Self { rows, cols, data }
-    }
-
-    /// Builds a matrix from a pure generator, splitting rows across threads
-    /// sized from [`std::thread::available_parallelism`] when the element
-    /// count crosses [`parallel_flop_threshold`].
-    pub fn from_fn_par(rows: usize, cols: usize, f: impl Fn(usize, usize) -> f32 + Sync) -> Self {
-        let mut out = Matrix::zeros(rows, cols);
-        let threads = thread_budget(rows * cols, rows);
-        if threads > 1 {
-            let chunk = rows.div_ceil(threads);
-            std::thread::scope(|s| {
-                let mut rest = out.data.as_mut_slice();
-                let mut row0 = 0usize;
-                while row0 + chunk < rows {
-                    let (head, tail) = rest.split_at_mut(chunk * cols);
-                    rest = tail;
-                    let f = &f;
-                    s.spawn(move || fill_rows(head, row0, cols, f));
-                    row0 += chunk;
-                }
-                fill_rows(rest, row0, cols, &f);
-            });
-        } else {
-            fill_rows(&mut out.data, 0, cols, &f);
-        }
-        out
     }
 
     /// Wraps an existing row-major buffer. Panics if sizes disagree.
@@ -300,19 +255,12 @@ impl Matrix {
 
     /// Transposed copy.
     pub fn transpose(&self) -> Matrix {
-        Matrix::from_fn_par(self.cols, self.rows, |r, c| self.get(c, r))
+        Matrix::from_fn(self.cols, self.rows, |r, c| self.get(c, r))
     }
 
     /// Maximum absolute element (grad-norm diagnostics).
     pub fn max_abs(&self) -> f32 {
         self.data.iter().fold(0.0f32, |m, &x| m.max(x.abs()))
-    }
-}
-
-/// Fills `out` (rows starting at absolute index `row0`) from a generator.
-fn fill_rows(out: &mut [f32], row0: usize, cols: usize, f: &(impl Fn(usize, usize) -> f32 + Sync)) {
-    for (i, x) in out.iter_mut().enumerate() {
-        *x = f(row0 + i / cols, i % cols);
     }
 }
 
@@ -560,21 +508,8 @@ mod tests {
     }
 
     #[test]
-    fn from_fn_par_matches_sequential() {
-        // Large enough to cross the parallel threshold (rows*cols > 2²²).
-        let gen = |r: usize, c: usize| ((r * 7919 + c * 31) % 101) as f32;
-        let a = Matrix::from_fn(2100, 2100, gen);
-        let b = Matrix::from_fn_par(2100, 2100, gen);
-        assert_eq!(a, b);
-        // And below it.
-        let c = Matrix::from_fn(3, 5, gen);
-        let d = Matrix::from_fn_par(3, 5, gen);
-        assert_eq!(c, d);
-    }
-
-    #[test]
     fn thread_budget_respects_bounds() {
-        let threshold = parallel_flop_threshold();
+        let threshold = PARALLEL_MIN_WORK;
         assert_eq!(thread_budget(threshold - 1, 1024), 1);
         assert_eq!(thread_budget(threshold * 16, 1), 1);
         let avail = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(2);
@@ -599,7 +534,7 @@ mod tests {
         let a = test_matrix(512, 256, 21);
         let b = test_matrix(256, 256, 22);
         let (lo, hi) = (97, 161);
-        assert!(a.rows() * a.cols() * (hi - lo) > parallel_flop_threshold());
+        assert!(a.rows() * a.cols() * (hi - lo) > PARALLEL_MIN_WORK);
         let sliced = a.matmul_cols(&b, lo, hi);
         let full = a.matmul(&b);
         assert_eq!((sliced.rows(), sliced.cols()), (a.rows(), hi - lo));

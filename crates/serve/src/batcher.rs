@@ -32,19 +32,16 @@
 //! sheds its own requests without starving anyone else), and a retraining
 //! loop swaps each tenant's handle independently.
 
-use crate::latency::{SlidingWindow, StatsSnapshot};
+use crate::latency::StatsSnapshot;
 use crate::protocol::Reply;
 use lmkg::{CardinalityEstimator, WorkloadMonitor};
-use lmkg_obs::{Counter, EventLog, Gauge, HistSnapshot, Histogram, Level, ShardedHistogram};
+use lmkg_obs::{Counter, EventLog, Gauge, Histogram, Level, ShardedHistogram};
 use lmkg_store::Query;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Latency samples retained for the percentile reporter.
-const LATENCY_WINDOW: usize = 4096;
 
 /// Structured events kept in the recent-event ring for `METRICS`.
 const EVENT_RING_CAPACITY: usize = 256;
@@ -86,9 +83,9 @@ pub struct BatchConfig {
     /// through its own clone of the shared, frozen model, with no lock.
     pub workers: usize,
     /// Stage-level instrumentation (timers + histograms) on the hot path.
-    /// Counters, the latency window, and the event ring stay on regardless;
-    /// this only gates the per-batch `Instant::now()` calls and histogram
-    /// records. `false` is the `--no-obs` A/B baseline.
+    /// Counters, the request-latency histogram, and the event ring stay on
+    /// regardless; this only gates the per-batch `Instant::now()` calls and
+    /// the stage histogram records. `false` is the `--no-obs` A/B baseline.
     pub obs: bool,
 }
 
@@ -143,9 +140,9 @@ impl Job {
     }
 }
 
-/// Shared serving counters, the sliding latency window, and the full
-/// observability surface: stage histograms, session/byte/parse counters,
-/// the queue-depth gauge, and the structured event ring.
+/// Shared serving counters and the full observability surface: the
+/// request-latency and stage histograms, session/byte/parse counters, the
+/// queue-depth gauge, and the structured event ring.
 #[derive(Debug)]
 pub struct ServeStats {
     served: AtomicU64,
@@ -159,7 +156,6 @@ pub struct ServeStats {
     // Last drift evaluation, stored as f64 bit patterns.
     drift_tv_bits: AtomicU64,
     drift_uncovered_bits: AtomicU64,
-    window: Mutex<SlidingWindow>,
     /// Whether stage-level instrumentation is live (`BatchConfig::obs`).
     obs: bool,
     started: Instant,
@@ -170,6 +166,11 @@ pub struct ServeStats {
     pub(crate) bytes_out: Counter,
     pub(crate) queue_len: Gauge,
     queue_capacity: AtomicU64,
+    /// Submit-to-reply latency of every served request, microseconds,
+    /// cumulative since start; one shard per worker. The one latency
+    /// instrument: `STATS` percentiles and `lmkg_request_latency_us` both
+    /// read its merged snapshot.
+    pub(crate) request_us: ShardedHistogram,
     /// Stage latencies, indexed like [`STAGE_NAMES`]; one shard per worker.
     pub(crate) stages: [ShardedHistogram; 4],
     pub(crate) batch_size: ShardedHistogram,
@@ -190,7 +191,6 @@ impl ServeStats {
             model_bytes: AtomicU64::new(0),
             drift_tv_bits: AtomicU64::new(0.0f64.to_bits()),
             drift_uncovered_bits: AtomicU64::new(0.0f64.to_bits()),
-            window: Mutex::new(SlidingWindow::new(LATENCY_WINDOW)),
             obs,
             started: Instant::now(),
             parse_errors: Counter::new(),
@@ -200,6 +200,7 @@ impl ServeStats {
             bytes_out: Counter::new(),
             queue_len: Gauge::new(),
             queue_capacity: AtomicU64::new(0),
+            request_us: ShardedHistogram::new(workers),
             stages: [
                 ShardedHistogram::new(workers),
                 ShardedHistogram::new(workers),
@@ -262,20 +263,12 @@ impl ServeStats {
         self.queue_capacity.load(Ordering::Relaxed)
     }
 
-    /// Current admission-queue depth. Transiently off by the number of jobs
-    /// between a worker's dequeue and its gauge decrement — a gauge, not an
-    /// invariant.
+    /// Current admission-queue depth. Transiently high by the jobs between
+    /// `submit`'s increment and its send, or between a worker's dequeue and
+    /// its decrement — a gauge, not an invariant — but never negative: a job
+    /// is counted before a worker can see it.
     pub fn queue_len(&self) -> i64 {
         self.queue_len.get()
-    }
-
-    /// The recent-window request-latency distribution as a mergeable
-    /// snapshot (for the exposition; `STATS` uses [`ServeStats::snapshot`]).
-    pub fn window_snapshot(&self) -> HistSnapshot {
-        // Poisoned-lock recovery: the window is a ring of bucket indices,
-        // valid after any partial update, and losing one sample to a
-        // panicking recorder must not wedge every later scrape.
-        self.window.lock().unwrap_or_else(PoisonError::into_inner).snapshot()
     }
 
     /// Counts one shed request.
@@ -325,18 +318,9 @@ impl ServeStats {
         self.served.fetch_add(size as u64, Ordering::Relaxed);
     }
 
-    fn record_latency(&self, micros: f64) {
-        // Same recovery as `window_snapshot`: the ring tolerates a lost
-        // sample, a poisoned mutex must not take the stats surface down.
-        self.window
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .record(micros);
-    }
-
-    /// A point-in-time summary (counters + window percentiles).
+    /// A point-in-time summary (counters + since-start latency percentiles).
     pub fn snapshot(&self) -> StatsSnapshot {
-        let (p50_us, p95_us, p99_us) = self.window.lock().unwrap_or_else(PoisonError::into_inner).percentiles();
+        let latency = self.request_us.snapshot();
         StatsSnapshot {
             served: self.served.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
@@ -348,9 +332,9 @@ impl ServeStats {
             model_bytes: self.model_bytes.load(Ordering::Relaxed),
             drift_tv: f64::from_bits(self.drift_tv_bits.load(Ordering::Relaxed)),
             drift_uncovered: f64::from_bits(self.drift_uncovered_bits.load(Ordering::Relaxed)),
-            p50_us,
-            p95_us,
-            p99_us,
+            p50_us: latency.percentile(50.0),
+            p95_us: latency.percentile(95.0),
+            p99_us: latency.percentile(99.0),
         }
     }
 }
@@ -469,9 +453,10 @@ impl MicroBatcher {
         // Classify before the job moves into the queue; only admitted
         // queries are observed.
         let cell = self.monitor.as_ref().map(|_| (job.query.shape(), job.query.size()));
+        // Count the job before a worker can dequeue (and decrement) it.
+        self.stats.queue_len.inc();
         match tx.try_send(job) {
             Ok(()) => {
-                self.stats.queue_len.inc();
                 if let (Some(monitor), Some(cell)) = (&self.monitor, cell) {
                     // Counter increments can't tear; a panicked observer
                     // must not stop drift tracking for good.
@@ -483,6 +468,7 @@ impl MicroBatcher {
                 Ok(())
             }
             Err(TrySendError::Full(job)) => {
+                self.stats.queue_len.dec();
                 self.stats.note_shed();
                 if self.stats.obs {
                     self.stats.event(
@@ -496,6 +482,7 @@ impl MicroBatcher {
             // Workers only exit once the queue closes, so this arm is
             // unreachable while `tx` is alive; treat it like a shed anyway.
             Err(TrySendError::Disconnected(job)) => {
+                self.stats.queue_len.dec();
                 self.stats.note_shed();
                 Err(job)
             }
@@ -572,6 +559,7 @@ fn worker_loop(
     let forward = stats.stages[2].shard(worker);
     let reply = stats.stages[3].shard(worker);
     let batch_size = stats.batch_size.shard(worker);
+    let request_us = stats.request_us.shard(worker);
     loop {
         let mut batch: Vec<Job> = Vec::with_capacity(max_batch);
         let mut timer: Option<lmkg_obs::StageTimer> = None;
@@ -641,7 +629,7 @@ fn worker_loop(
         stats.note_batch(queries.len());
         for ((id, submitted, out), estimate) in metas.into_iter().zip(estimates) {
             let micros = submitted.elapsed().as_secs_f64() * 1e6;
-            stats.record_latency(micros);
+            request_us.record(micros);
             // A dead session (client hung up) is not an error for the server.
             let _ = out.send(Reply::Estimate { id, estimate, micros });
         }
@@ -706,6 +694,12 @@ mod tests {
                 })
                 .collect(),
         )
+    }
+
+    /// A job is counted before a worker can dequeue it, so no sample of the
+    /// queue-depth gauge, from any thread, may read below zero.
+    fn assert_queue_gauge_not_negative(stats: &ServeStats) {
+        assert!(stats.queue_len() >= 0, "queue-depth gauge went negative");
     }
 
     fn recording(delay: Duration) -> (Arc<RecordingEstimator>, Arc<Mutex<Vec<usize>>>) {
@@ -903,11 +897,14 @@ mod tests {
             None,
         );
         let (tx, rx) = channel();
+        let stats = batcher.stats();
         for i in 0..4 {
             batcher.submit(Job::new(format!("q{i}"), query(1), tx.clone())).unwrap();
+            assert_queue_gauge_not_negative(&stats);
         }
         for _ in 0..4 {
             rx.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_queue_gauge_not_negative(&stats);
         }
         assert!(
             probe.max_in_flight.load(Ordering::SeqCst) >= 2,
@@ -1021,13 +1018,18 @@ mod tests {
         );
 
         // Swapper: publish a fresh snapshot (tags 1000, 2000, …) as fast as
-        // the workers can batch, while the submitter keeps the queue fed.
+        // the workers can batch, while the submitter keeps the queue fed. It
+        // also samples the queue-depth gauge from outside the submitter and
+        // the workers, where a count-after-send race would be visible.
         let handle = batcher.model();
+        let stats = batcher.stats();
         let swapper = {
             let log = Arc::clone(&log);
+            let stats = Arc::clone(&stats);
             std::thread::spawn(move || {
                 for i in 1..=SWAPS {
                     handle.swap(Arc::new(SnapshotEstimator::new((i * 1000) as f64, Arc::clone(&log))));
+                    assert_queue_gauge_not_negative(&stats);
                     std::thread::yield_now();
                 }
             })
@@ -1038,6 +1040,7 @@ mod tests {
             batcher
                 .submit(Job::new(format!("q{i}"), query(1 + i % 3), tx.clone()))
                 .unwrap();
+            assert_queue_gauge_not_negative(&stats);
         }
         let mut reply_counts: HashMap<u64, usize> = HashMap::new();
         for _ in 0..JOBS {
@@ -1048,6 +1051,7 @@ mod tests {
                 Reply::Estimate { estimate, .. } => *reply_counts.entry(estimate.to_bits()).or_insert(0) += 1,
                 other => panic!("unexpected reply {other:?}"),
             }
+            assert_queue_gauge_not_negative(&stats);
         }
         swapper.join().unwrap();
         drop(batcher); // workers drain; the log is complete
@@ -1107,6 +1111,60 @@ mod tests {
         let cells: Vec<_> = report.dominant_cells.iter().map(|&(c, _)| c).collect();
         assert!(cells.contains(&(QueryShape::Star, 2)) && cells.contains(&(QueryShape::Star, 4)));
         assert!(!cells.contains(&(QueryShape::Star, 5)), "shed query observed");
+    }
+
+    /// One latency instrument: the `STATS` percentiles and the scraped
+    /// `lmkg_request_latency_us` family are two views of the same per-worker
+    /// histogram, and every served request is in it.
+    #[test]
+    fn stats_percentiles_are_the_scraped_latency_histogram() {
+        const JOBS: u64 = 9;
+        let delay = Duration::from_millis(20);
+        let (est, _) = recording(delay);
+        let batcher = MicroBatcher::start(
+            est,
+            BatchConfig {
+                window: Duration::ZERO,
+                max_batch: 2,
+                queue_depth: 16,
+                workers: 2,
+                obs: true,
+            },
+            None,
+        );
+        let (tx, rx) = channel();
+        for i in 0..JOBS {
+            batcher.submit(Job::new(format!("q{i}"), query(1), tx.clone())).unwrap();
+        }
+        for _ in 0..JOBS {
+            rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        }
+        let stats = batcher.stats();
+        let snapshot = stats.snapshot();
+        assert_eq!(snapshot.served, JOBS);
+
+        let text = crate::expose::render_metrics(&stats);
+        let count: u64 = text
+            .lines()
+            .find_map(|l| l.strip_prefix("lmkg_request_latency_us_count "))
+            .expect("family scraped")
+            .parse()
+            .unwrap();
+        assert_eq!(count, snapshot.served);
+        // Nearest-rank p50 over the scraped cumulative buckets.
+        let p50 = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("lmkg_request_latency_us_bucket{le=\""))
+            .filter_map(|l| l.split_once("\"} "))
+            .find(|(_, cumulative)| cumulative.parse::<u64>().unwrap() >= count.div_ceil(2))
+            .map(|(le, _)| le.parse::<f64>().unwrap())
+            .expect("a bucket holds the median");
+        assert_eq!(p50, snapshot.p50_us);
+        assert!(
+            p50 >= delay.as_secs_f64() * 1e6,
+            "p50 {p50}us below the forward's {delay:?}"
+        );
+        assert!(snapshot.p50_us <= snapshot.p95_us && snapshot.p95_us <= snapshot.p99_us);
     }
 
     #[test]

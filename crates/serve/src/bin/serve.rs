@@ -63,7 +63,8 @@ Serving options (pipe, tcp):
   --queue-depth N            admission queue bound              [1024]
   --workers N                batcher worker threads             [2]
   --no-obs                   disable stage-level latency tracing (counters,
-                             the latency window, and events stay on)
+                             the request-latency histogram, and events
+                             stay on)
   --metrics-every N          dump every tenant's METRICS exposition to
                              stderr every N seconds (0 = off)   [0]
 

@@ -5,7 +5,7 @@
 //! primitives and LMKG's own series names. One call to [`render_metrics`]
 //! scrapes:
 //!
-//! - the request counters and the recent-window latency distribution
+//! - the request counters and the submit-to-reply latency distribution
 //!   ([`ServeStats`]),
 //! - the four pipeline stage histograms (`admission`/`batch`/`forward`/
 //!   `reply`) and the batch-size distribution,
@@ -181,10 +181,10 @@ pub fn render_metrics_for(tenant: Option<&str>, stats: &ServeStats) -> String {
         &stats.batch_size.snapshot(),
     );
     e.histogram(
-        "lmkg_request_latency_window_us",
-        "Submit-to-reply latency of the most recent requests (sliding window), microseconds",
+        "lmkg_request_latency_us",
+        "Submit-to-reply latency of every served request, microseconds",
         &scope,
-        &stats.window_snapshot(),
+        &stats.request_us.snapshot(),
     );
     e.histogram(
         "lmkg_retrain_duration_us",
@@ -300,7 +300,7 @@ mod tests {
             "lmkg_stage_us_count{stage=\"forward\"} ",
             "lmkg_stage_us_count{stage=\"reply\"} ",
             "lmkg_batch_size_count ",
-            "lmkg_request_latency_window_us_count 6",
+            "lmkg_request_latency_us_count 6",
             "lmkg_kernel_dispatch_total{path=\"gemv\",kernel=\"scalar\"}",
             "lmkg_kernel_flops_total",
             "lmkg_workspace_high_water_bytes",
@@ -366,7 +366,7 @@ mod tests {
             "lmkg_stage_us_bucket{tenant=\"lubm\",stage=\"forward\",le=",
             "lmkg_stage_us_count{tenant=\"lubm\",stage=\"reply\"}",
             "lmkg_batch_size_count{tenant=\"lubm\"} 1",
-            "lmkg_request_latency_window_us_count{tenant=\"lubm\"} 1",
+            "lmkg_request_latency_us_count{tenant=\"lubm\"} 1",
             "lmkg_events_total{tenant=\"lubm\",kind=\"shed\"} 0",
         ] {
             assert!(
@@ -409,8 +409,8 @@ mod tests {
         assert!(text.contains("lmkg_requests_served_total 1"));
         assert!(text.contains("lmkg_stage_us_count{stage=\"forward\"} 0"));
         assert!(
-            text.contains("lmkg_request_latency_window_us_count 1"),
-            "the latency window is not gated by obs"
+            text.contains("lmkg_request_latency_us_count 1"),
+            "the request-latency histogram is not gated by obs"
         );
     }
 }

@@ -18,9 +18,9 @@
 //!   out, plus the framed multi-line `METRICS` exposition. v1 lines (no
 //!   tenant token) still parse and route to the `default` tenant. Requests
 //!   and replies round-trip through parse/format.
-//! * [`latency`] — a streaming latency reporter: p50/p95/p99 over a sliding
-//!   window of [`lmkg_obs`] log-bucket indices, printable on demand
-//!   (`STATS`) and at shutdown.
+//! * [`latency`] — [`StatsSnapshot`]: the request counters plus the
+//!   since-start p50/p95/p99 of the one request-latency histogram,
+//!   printable on demand (`STATS`) and at shutdown.
 //! * [`expose`] — the `METRICS` renderer: every counter, stage histogram,
 //!   kernel-profile reading, and structured event the stack records,
 //!   composed into one Prometheus-style text exposition — unlabeled for v1
@@ -101,7 +101,7 @@ pub use batcher::{
     BatchConfig, Job, MicroBatcher, ModelHandle, ServeStats, SharedEstimator, SharedMonitor, EVENT_KINDS, STAGE_NAMES,
 };
 pub use expose::{render_metrics, render_metrics_for};
-pub use latency::{percentile, SlidingWindow, StatsSnapshot};
+pub use latency::StatsSnapshot;
 pub use metrics_registry::{MetricDef, MetricKind, REGISTRY};
 pub use protocol::{ErrorCode, ProtocolError, Reply, Request, DEFAULT_TENANT};
 pub use server::{

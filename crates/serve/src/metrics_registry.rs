@@ -156,9 +156,9 @@ pub const REGISTRY: &[MetricDef] = &[
         help: "coalesced batch sizes",
     },
     MetricDef {
-        name: "lmkg_request_latency_window_us",
+        name: "lmkg_request_latency_us",
         kind: Histogram,
-        help: "end-to-end latency, sliding window",
+        help: "submit-to-reply latency of served requests",
     },
     MetricDef {
         name: "lmkg_retrain_duration_us",

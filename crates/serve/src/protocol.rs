@@ -58,7 +58,10 @@
 //! and `model` the published model's memory footprint in bytes (which
 //! shrinks when a `--quantized` framework is served and follows adapter
 //! swaps); all of them are optional on the parse side (defaulting to zero)
-//! so transcripts from older servers still parse.
+//! so transcripts from older servers still parse. `p50us`/`p95us`/`p99us`
+//! are percentiles of every request served since start — the same
+//! histogram `METRICS` renders as `lmkg_request_latency_us` — so a client
+//! that wants recency takes deltas of two scrapes.
 //!
 //! `<id>` and `<tenant>` are any non-empty tokens without whitespace (and
 //! not `SELECT`). Floats are rendered with Rust's shortest-round-trip

@@ -12,6 +12,19 @@ use lmkg_data::SamplingStrategy;
 use lmkg_encoder::SgEncoder;
 use lmkg_integration_tests::{small_lubm, test_queries};
 use lmkg_store::{KnowledgeGraph, Query, QueryShape};
+use std::sync::OnceLock;
+
+/// The graph every test estimates over and its [`mixed_workload`],
+/// generated once for the whole suite.
+fn fixture() -> (&'static KnowledgeGraph, &'static [Query]) {
+    static FIXTURE: OnceLock<(KnowledgeGraph, Vec<Query>)> = OnceLock::new();
+    let (graph, queries) = FIXTURE.get_or_init(|| {
+        let graph = small_lubm();
+        let queries = mixed_workload(&graph);
+        (graph, queries)
+    });
+    (graph, queries)
+}
 
 /// A mixed workload: covered star-2 / chain-2 queries plus an oversized
 /// star that exercises rejection/decomposition paths.
@@ -54,7 +67,7 @@ fn assert_parity(est: &dyn CardinalityEstimator, queries: &[Query]) {
 
 #[test]
 fn lmkg_s_batch_parity() {
-    let g = small_lubm();
+    let (g, queries) = fixture();
     let enc = QueryEncoder::Sg(SgEncoder::capacity_for_size(g.num_nodes(), g.num_preds(), 2));
     let mut model = LmkgS::new(
         enc,
@@ -65,16 +78,16 @@ fn lmkg_s_batch_parity() {
             ..Default::default()
         },
     );
-    let train = test_queries(&g, QueryShape::Star, 2, 200);
+    let train = test_queries(g, QueryShape::Star, 2, 200);
     model.train(&train);
-    assert_parity(&model, &mixed_workload(&g));
+    assert_parity(&model, queries);
 }
 
 #[test]
 fn lmkg_u_batch_parity() {
-    let g = small_lubm();
+    let (g, queries) = fixture();
     let mut model = LmkgU::new(
-        &g,
+        g,
         QueryShape::Star,
         2,
         LmkgUConfig {
@@ -89,13 +102,13 @@ fn lmkg_u_batch_parity() {
         },
     )
     .expect("domain fits");
-    model.train(&g);
-    assert_parity(&model, &mixed_workload(&g));
+    model.train(g);
+    assert_parity(&model, queries);
 }
 
 #[test]
 fn lmkg_framework_batch_parity() {
-    let g = small_lubm();
+    let (g, queries) = fixture();
     let mut cfg = LmkgConfig {
         model_type: ModelType::Supervised,
         grouping: Grouping::BySize,
@@ -111,8 +124,8 @@ fn lmkg_framework_batch_parity() {
         u_config: LmkgUConfig::default(),
         workload_seed: 5,
     };
-    let lmkg = Lmkg::build(&g, &cfg);
-    assert_parity(&lmkg, &mixed_workload(&g));
+    let lmkg = Lmkg::build(g, &cfg);
+    assert_parity(&lmkg, queries);
 
     // And the unsupervised framework configuration.
     cfg.model_type = ModelType::Unsupervised;
@@ -125,20 +138,20 @@ fn lmkg_framework_batch_parity() {
         particles: 32,
         ..Default::default()
     };
-    let lmkg_u = Lmkg::build(&g, &cfg);
-    assert_parity(&lmkg_u, &mixed_workload(&g));
+    let lmkg_u = Lmkg::build(g, &cfg);
+    assert_parity(&lmkg_u, queries);
 }
 
 #[test]
 fn cset_baseline_batch_parity() {
-    let g = small_lubm();
-    let cset = CharacteristicSets::build(&g);
-    assert_parity(&cset, &mixed_workload(&g));
+    let (g, queries) = fixture();
+    let cset = CharacteristicSets::build(g);
+    assert_parity(&cset, queries);
 }
 
 #[test]
 fn sumrdf_baseline_batch_parity() {
-    let g = small_lubm();
-    let sumrdf = SumRdf::build(&g, SumRdfConfig::default());
-    assert_parity(&sumrdf, &mixed_workload(&g));
+    let (g, queries) = fixture();
+    let sumrdf = SumRdf::build(g, SumRdfConfig::default());
+    assert_parity(&sumrdf, queries);
 }

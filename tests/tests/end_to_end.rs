@@ -8,7 +8,35 @@ use lmkg::GraphSummary;
 use lmkg_data::{Dataset, SamplingStrategy, Scale};
 use lmkg_encoder::SgEncoder;
 use lmkg_integration_tests::{evaluate, small_lubm, small_swdf, test_queries};
-use lmkg_store::QueryShape;
+use lmkg_store::{KnowledgeGraph, QueryShape};
+use std::sync::OnceLock;
+
+/// The LUBM-like graph the supervised tests train on, generated once.
+fn lubm() -> &'static KnowledgeGraph {
+    static GRAPH: OnceLock<KnowledgeGraph> = OnceLock::new();
+    GRAPH.get_or_init(small_lubm)
+}
+
+/// The star/chain x sizes 2/3 training recipe the grouping tests compare.
+fn grouped(grouping: Grouping) -> LmkgConfig {
+    LmkgConfig {
+        model_type: ModelType::Supervised,
+        grouping,
+        shapes: vec![QueryShape::Star, QueryShape::Chain],
+        sizes: vec![2, 3],
+        queries_per_size: 400,
+        s_config: quick_s(),
+        u_config: quick_u(),
+        workload_seed: 13,
+    }
+}
+
+/// The single-model framework over [`grouped`], trained once and shared by
+/// the two tests that evaluate it.
+fn single_model() -> &'static Lmkg {
+    static MODEL: OnceLock<Lmkg> = OnceLock::new();
+    MODEL.get_or_init(|| Lmkg::build(lubm(), &grouped(Grouping::Single)))
+}
 
 fn quick_s() -> LmkgSConfig {
     LmkgSConfig {
@@ -34,7 +62,7 @@ fn quick_u() -> LmkgUConfig {
 
 #[test]
 fn supervised_pipeline_beats_independence_baseline() {
-    let g = small_lubm();
+    let g = lubm();
     let cfg = LmkgConfig {
         model_type: ModelType::Supervised,
         grouping: Grouping::BySize,
@@ -45,13 +73,13 @@ fn supervised_pipeline_beats_independence_baseline() {
         u_config: quick_u(),
         workload_seed: 5,
     };
-    let lmkg = Lmkg::build(&g, &cfg);
-    let queries = test_queries(&g, QueryShape::Star, 2, 200);
+    let lmkg = Lmkg::build(g, &cfg);
+    let queries = test_queries(g, QueryShape::Star, 2, 200);
 
     let lmkg_stats = evaluate(&lmkg, &queries);
 
     // Independence baseline via the statistics block.
-    let summary = GraphSummary::build(&g);
+    let summary = GraphSummary::build(g);
     let indep_pairs: Vec<(f64, u64)> = queries
         .iter()
         .map(|lq| (summary.estimate_query_independent(&lq.query), lq.cardinality))
@@ -105,23 +133,12 @@ fn yago_like_domain_breaks_lmkg_u_but_not_lmkg_s() {
 
 #[test]
 fn single_model_answers_both_topologies() {
-    let g = small_lubm();
-    let cfg = LmkgConfig {
-        model_type: ModelType::Supervised,
-        grouping: Grouping::Single,
-        shapes: vec![QueryShape::Star, QueryShape::Chain],
-        sizes: vec![2, 3],
-        queries_per_size: 300,
-        s_config: quick_s(),
-        u_config: quick_u(),
-        workload_seed: 9,
-    };
-    let lmkg = Lmkg::build(&g, &cfg);
+    let (g, lmkg) = (lubm(), single_model());
     assert_eq!(lmkg.model_count(), 1);
     for shape in [QueryShape::Star, QueryShape::Chain] {
         for size in [2usize, 3] {
-            let queries = test_queries(&g, shape, size, 40);
-            let stats = evaluate(&lmkg, &queries);
+            let queries = test_queries(g, shape, size, 40);
+            let stats = evaluate(lmkg, &queries);
             assert!(stats.median.is_finite(), "{shape} size {size}");
         }
     }
@@ -132,22 +149,11 @@ fn specialized_beats_single_model_in_sample() {
     // Fig. 7's headline: "For almost every case, the specialized model ...
     // produces the best estimates. The single model ... has the lowest
     // estimation accuracy."
-    let g = small_lubm();
-    let mk = |grouping| LmkgConfig {
-        model_type: ModelType::Supervised,
-        grouping,
-        shapes: vec![QueryShape::Star, QueryShape::Chain],
-        sizes: vec![2, 3],
-        queries_per_size: 400,
-        s_config: quick_s(),
-        u_config: quick_u(),
-        workload_seed: 13,
-    };
-    let specialized = Lmkg::build(&g, &mk(Grouping::Specialized));
-    let single = Lmkg::build(&g, &mk(Grouping::Single));
-    let queries = test_queries(&g, QueryShape::Star, 2, 150);
+    let g = lubm();
+    let specialized = Lmkg::build(g, &grouped(Grouping::Specialized));
+    let queries = test_queries(g, QueryShape::Star, 2, 150);
     let spec_stats = evaluate(&specialized, &queries);
-    let single_stats = evaluate(&single, &queries);
+    let single_stats = evaluate(single_model(), &queries);
     assert!(
         spec_stats.geometric_mean <= single_stats.geometric_mean * 1.5,
         "specialized gmean {} vs single gmean {}",

@@ -66,7 +66,7 @@ fn assert_full_exposition(body: &[&str]) {
         "lmkg_sessions_total 1",
         "lmkg_sessions_active 1",
         "lmkg_bytes_read_total",
-        "lmkg_request_latency_window_us_count",
+        "lmkg_request_latency_us_count",
         "lmkg_kernel_dispatch_total{path=\"gemv\",kernel=",
         "lmkg_kernel_dispatch_total{path=\"blocked\",kernel=",
         "lmkg_kernel_flops_total",

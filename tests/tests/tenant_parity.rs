@@ -16,7 +16,7 @@ use lmkg_serve::{
 use lmkg_store::{sparql, KnowledgeGraph, Query, QueryShape};
 use proptest::prelude::*;
 use std::collections::HashMap;
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// A deliberately narrow training recipe (star-2 only) so tests that need a
@@ -36,6 +36,24 @@ fn narrow_config() -> LmkgConfig {
         u_config: Default::default(),
         workload_seed: 3,
     }
+}
+
+/// A tenant's graph and the [`narrow_config`] framework trained on it.
+type TrainedTenant = (Arc<KnowledgeGraph>, Arc<Lmkg>);
+
+/// The LUBM-like and SWDF-like tenants, trained once for the whole suite:
+/// every test serves them through `Arc`s and none mutates a framework.
+fn trained_tenants() -> (TrainedTenant, TrainedTenant) {
+    static TENANTS: OnceLock<(TrainedTenant, TrainedTenant)> = OnceLock::new();
+    TENANTS
+        .get_or_init(|| {
+            let train = |graph: KnowledgeGraph| {
+                let model = Arc::new(Lmkg::build(&graph, &narrow_config()));
+                (Arc::new(graph), model)
+            };
+            (train(small_lubm()), train(small_swdf()))
+        })
+        .clone()
 }
 
 /// Covered star-2 queries plus a few uncovered star-3 ones (decomposition
@@ -75,11 +93,7 @@ fn replay_tenant(svc: &EstimationService, tenant: &str, lines: &[String]) -> Has
 /// numbers.
 #[test]
 fn two_tenants_concurrent_equal_two_single_tenant_servers_sequential() {
-    let cfg = narrow_config();
-    let graph_a = Arc::new(small_lubm());
-    let graph_b = Arc::new(small_swdf());
-    let model_a = Arc::new(Lmkg::build(&graph_a, &cfg));
-    let model_b = Arc::new(Lmkg::build(&graph_b, &cfg));
+    let ((graph_a, model_a), (graph_b, model_b)) = trained_tenants();
     let (_, lines_a) = tenant_workload(&graph_a);
     let (_, lines_b) = tenant_workload(&graph_b);
     let batch = BatchConfig {
@@ -227,10 +241,7 @@ fn quota_exhaustion_does_not_starve_the_neighbour_tenant() {
 #[test]
 fn adapter_swaps_one_tenant_under_live_traffic_on_the_other() {
     let cfg = narrow_config();
-    let graph_a = Arc::new(small_lubm());
-    let graph_b = Arc::new(small_swdf());
-    let base_a = Arc::new(Lmkg::build(&graph_a, &cfg));
-    let base_b = Arc::new(Lmkg::build(&graph_b, &cfg));
+    let ((graph_a, base_a), (graph_b, base_b)) = trained_tenants();
     let shift_cell = (QueryShape::Star, 3);
     assert!(!base_a.covers(shift_cell.0, shift_cell.1));
 
