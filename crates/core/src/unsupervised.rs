@@ -8,7 +8,16 @@
 //! `card(q) = P(bound terms of q) · N`. That sampler exists once
 //! (`LmkgU::estimate_bounds`): [`LmkgU::estimate_query`] runs it for one
 //! query, [`LmkgU::estimate_query_batch`] loops it over a slice with one
-//! shared inference workspace.
+//! shared inference workspace and one set of particle buffers.
+//!
+//! Particles whose decided prefixes are identical share one forward row and
+//! one normaliser: every particle starts in one group (position 0 and every
+//! bound position before the first sampled one forward a single row), and a
+//! group splits only where its particles sample different values. The bits
+//! are those of forwarding every particle on its own, because a forward row
+//! depends only on its own ids (on every matmul path and weight store), the
+//! uniforms are drawn one per particle in particle order, and a group's exps
+//! and the walk's subtractions are the ones each particle would compute.
 //!
 //! Positions follow the pattern-bound term order `[n₁, p₁, n₂, …]`
 //! (identical for stars and chains; only the tuple space differs).
@@ -470,26 +479,31 @@ impl LmkgU {
     /// sampling (§VI-B).
     pub fn estimate_query(&self, query: &Query) -> Result<f64, LmkgUError> {
         let bounds = self.query_bounds(query)?;
-        Ok(self.estimate_bounds(&bounds, &mut Workspace::new()))
+        Ok(self.estimate_bounds(&bounds, &mut Workspace::new(), &mut Particles::default()))
     }
 
     /// Estimates a batch of queries: the per-query sampler, looped over the
-    /// slice with **one** workspace for the whole call. Per-query results —
-    /// including shape/size rejections — are identical to looping
-    /// [`LmkgU::estimate_query`], because each query's particle RNG stream is
-    /// derived from its own bounds (`particle_rng`) and a recycled workspace
-    /// buffer never carries values from one forward into the next.
+    /// slice with **one** workspace and one set of particle buffers for the
+    /// whole call. Per-query results — including shape/size rejections — are
+    /// identical to looping [`LmkgU::estimate_query`], because each query's
+    /// particle RNG stream is derived from its own bounds (`particle_rng`)
+    /// and neither a recycled workspace buffer nor the reset particle
+    /// buffers carry values from one query into the next.
     pub fn estimate_query_batch(&self, queries: &[&Query]) -> Vec<Result<f64, LmkgUError>> {
         let mut ws = Workspace::new();
+        let mut buffers = Particles::default();
         queries
             .iter()
-            .map(|q| Ok(self.estimate_bounds(&self.query_bounds(q)?, &mut ws)))
+            .map(|q| Ok(self.estimate_bounds(&self.query_bounds(q)?, &mut ws, &mut buffers)))
             .collect()
     }
 
     /// The progressive-sampling estimator over per-position bound values —
-    /// the one place bound positions become a cardinality.
-    fn estimate_bounds(&self, bounds: &[Option<usize>], ws: &mut Workspace) -> f64 {
+    /// the one place bound positions become a cardinality. Each group of
+    /// particles with the same decided prefix is forwarded and normalised
+    /// once per position (the module docs say why the bits are those of the
+    /// per-particle sampler).
+    fn estimate_bounds(&self, bounds: &[Option<usize>], ws: &mut Workspace, p: &mut Particles) -> f64 {
         assert_eq!(bounds.len(), self.segments.len());
         let Some(last_bound) = bounds.iter().rposition(Option::is_some) else {
             // No bound term: the query matches every tuple.
@@ -497,31 +511,39 @@ impl LmkgU {
         };
         let particles = self.particles.max(1);
         let mut rng = particle_rng(self.seed, bounds);
-        let mut ids = vec![vec![0usize; self.segments.len()]; particles];
-        let mut log_w = vec![0.0f64; particles];
+        p.reset(particles, self.segments.len());
 
-        for pos in 0..=last_bound {
+        for (pos, &bound) in bounds[..=last_bound].iter().enumerate() {
             // Only the current position's logit segment is needed — the
             // sliced forward avoids materializing the full (huge) output
             // layer at every autoregressive step.
-            let logits = self.made.forward_ids_segment(&ids, pos, ws);
-            match bounds[pos] {
+            let logits = self.made.forward_ids_segment(&p.rows[..p.groups.len()], pos, ws);
+            match bound {
                 Some(b) => {
-                    for (r, ids_row) in ids.iter_mut().enumerate() {
-                        log_w[r] += f64::from(log_softmax_at(logits.row(r), b));
-                        ids_row[pos] = b;
+                    for (g, group) in p.groups.iter_mut().enumerate() {
+                        group.log_w += f64::from(log_softmax_at(logits.row(g), b));
+                        p.rows[g][pos] = b;
                     }
                 }
                 None => {
-                    for (r, ids_row) in ids.iter_mut().enumerate() {
-                        ids_row[pos] = sample_categorical(logits.row(r), &mut rng);
+                    for u in &mut p.uniforms {
+                        *u = rng.gen::<f64>();
+                    }
+                    for g in 0..p.groups.len() {
+                        p.sample_and_split(g, pos, logits.row(g));
                     }
                 }
             }
             ws.recycle(logits);
         }
 
-        let mean_w: f64 = log_w.iter().map(|&lw| lw.exp()).sum::<f64>() / particles as f64;
+        for group in &p.groups {
+            let w = group.log_w.exp();
+            for m in &p.members[group.start..group.end] {
+                p.weights[m.particle] = w;
+            }
+        }
+        let mean_w: f64 = p.weights.iter().sum::<f64>() / particles as f64;
         (mean_w * self.n_total).max(1.0)
     }
 
@@ -609,21 +631,110 @@ fn log_softmax_at(seg: &[f32], target: usize) -> f32 {
     seg[target] - max - sum.ln()
 }
 
-/// Samples an index from softmax(seg).
-fn sample_categorical<R: Rng>(seg: &[f32], rng: &mut R) -> usize {
-    let max = seg.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x));
-    let mut total = 0.0f64;
-    for &x in seg {
-        total += f64::from((x - max).exp());
+/// The particle buffers of the progressive sampler, reset per query and
+/// reused across the queries of one [`LmkgU::estimate_query_batch`] call.
+///
+/// Particles that have decided the same prefix `ids[..pos]` form a group:
+/// the group holds one ids row (the forward's input) and one log-weight, and
+/// its particles are the `members[start..end]` slice.
+#[derive(Default)]
+struct Particles {
+    /// One ids row per group, in group order; undecided positions hold 0.
+    /// Rows past `groups.len()` are spare capacity from earlier queries.
+    rows: Vec<Vec<usize>>,
+    groups: Vec<Group>,
+    /// Every particle exactly once, each group's members contiguous.
+    members: Vec<Member>,
+    /// Per particle: its uniform draw at the current unbound position.
+    uniforms: Vec<f64>,
+    /// Per particle: its final likelihood weight.
+    weights: Vec<f64>,
+    /// `exp(x - max)` over the logit segment of the group being sampled.
+    exps: Vec<f64>,
+}
+
+#[derive(Clone, Copy)]
+struct Group {
+    start: usize,
+    end: usize,
+    log_w: f64,
+}
+
+struct Member {
+    particle: usize,
+    /// The value drawn at the last unbound position.
+    pick: usize,
+}
+
+impl Particles {
+    /// One group holding every particle, with an all-zero ids row of
+    /// `width` positions.
+    fn reset(&mut self, particles: usize, width: usize) {
+        if self.rows.is_empty() {
+            self.rows.push(Vec::new());
+        }
+        self.rows[0].clear();
+        self.rows[0].resize(width, 0);
+        self.groups.clear();
+        self.groups.push(Group {
+            start: 0,
+            end: particles,
+            log_w: 0.0,
+        });
+        self.members.clear();
+        self.members
+            .extend((0..particles).map(|particle| Member { particle, pick: 0 }));
+        self.uniforms.resize(particles, 0.0);
+        self.weights.resize(particles, 0.0);
     }
-    let mut u = rng.gen::<f64>() * total;
-    for (i, &x) in seg.iter().enumerate() {
-        u -= f64::from((x - max).exp());
-        if u <= 0.0 {
-            return i;
+
+    /// Draws position `pos` for every member of group `g` from
+    /// `softmax(seg)` with its own uniform, then splits the group by the
+    /// drawn value: the first value keeps `g`, every further one becomes a
+    /// new group appended after the existing ones.
+    fn sample_and_split(&mut self, g: usize, pos: usize, seg: &[f32]) {
+        let max = seg.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x));
+        self.exps.clear();
+        self.exps.extend(seg.iter().map(|&x| f64::from((x - max).exp())));
+        let total: f64 = self.exps.iter().fold(0.0, |t, &e| t + e);
+        let Group { start, end, log_w } = self.groups[g];
+        for m in &mut self.members[start..end] {
+            let mut u = self.uniforms[m.particle] * total;
+            m.pick = self.exps.len() - 1;
+            for (i, &e) in self.exps.iter().enumerate() {
+                u -= e;
+                if u <= 0.0 {
+                    m.pick = i;
+                    break;
+                }
+            }
+        }
+        self.members[start..end].sort_unstable_by_key(|m| m.pick);
+        let mut lo = start;
+        while lo < end {
+            let pick = self.members[lo].pick;
+            let hi = lo + self.members[lo..end].iter().take_while(|m| m.pick == pick).count();
+            let child = if lo == start {
+                self.groups[g].end = hi;
+                g
+            } else {
+                let child = self.groups.len();
+                self.groups.push(Group {
+                    start: lo,
+                    end: hi,
+                    log_w,
+                });
+                if self.rows.len() == child {
+                    self.rows.push(Vec::new());
+                }
+                let (parents, spare) = self.rows.split_at_mut(child);
+                spare[0].clone_from(&parents[g]);
+                child
+            };
+            self.rows[child][pos] = pick;
+            lo = hi;
         }
     }
-    seg.len() - 1
 }
 
 #[cfg(test)]
@@ -685,6 +796,34 @@ mod tests {
     fn trained_star_model() -> (&'static lmkg_store::KnowledgeGraph, &'static LmkgU) {
         static MODEL: OnceLock<LmkgU> = OnceLock::new();
         (graph(), MODEL.get_or_init(train_star_model))
+    }
+
+    /// A chain-2 model over a ring with chords (so walks of length 2 exist),
+    /// trained once.
+    fn trained_ring_chain_model() -> (&'static lmkg_store::KnowledgeGraph, &'static LmkgU) {
+        static RING: OnceLock<(lmkg_store::KnowledgeGraph, LmkgU)> = OnceLock::new();
+        let (ring, model) = RING.get_or_init(|| {
+            let mut b = GraphBuilder::new();
+            for i in 0..12 {
+                b.add(
+                    &format!("n{i}"),
+                    if i % 2 == 0 { "even" } else { "odd" },
+                    &format!("n{}", (i + 1) % 12),
+                );
+                b.add(&format!("n{i}"), "chord", &format!("n{}", (i + 5) % 12));
+            }
+            let ring = b.build();
+            let cfg = LmkgUConfig {
+                epochs: 5,
+                train_samples: 500,
+                particles: 64,
+                ..quick_cfg()
+            };
+            let mut chain = LmkgU::new(&ring, QueryShape::Chain, 2, cfg).unwrap();
+            chain.train(&ring);
+            (ring, chain)
+        });
+        (ring, model)
     }
 
     #[test]
@@ -892,27 +1031,9 @@ mod tests {
         assert_eq!(trait_batched[1], 1.0);
         assert_eq!(trait_batched[3], m.n_total());
 
-        // The same contract on a chain model (a ring with chords, so walks
-        // of length 2 exist): first-triple-only, unbound, fully bound and
-        // subject-only walks interleaved.
-        let mut b = GraphBuilder::new();
-        for i in 0..12 {
-            b.add(
-                &format!("n{i}"),
-                if i % 2 == 0 { "even" } else { "odd" },
-                &format!("n{}", (i + 1) % 12),
-            );
-            b.add(&format!("n{i}"), "chord", &format!("n{}", (i + 5) % 12));
-        }
-        let ring = b.build();
-        let cfg = LmkgUConfig {
-            epochs: 5,
-            train_samples: 500,
-            particles: 64,
-            ..quick_cfg()
-        };
-        let mut chain = LmkgU::new(&ring, QueryShape::Chain, 2, cfg).unwrap();
-        chain.train(&ring);
+        // The same contract on the ring's chain model: first-triple-only,
+        // unbound, fully bound and subject-only walks interleaved.
+        let (ring, chain) = trained_ring_chain_model();
         let even = PredId(ring.preds().get("even").unwrap());
         let chord = PredId(ring.preds().get("chord").unwrap());
         let n4 = NodeId(ring.nodes().get("n4").unwrap());
@@ -935,7 +1056,181 @@ mod tests {
                 TriplePattern::new(v(1), PredTerm::Var(VarId(8)), v(2)),
             ]),
         ];
-        assert_batch_matches_per_query(&chain, chain_queries);
+        assert_batch_matches_per_query(chain, chain_queries);
+    }
+
+    /// Samples an index from softmax(seg).
+    fn sample_categorical<R: Rng>(seg: &[f32], rng: &mut R) -> usize {
+        let max = seg.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x));
+        let mut total = 0.0f64;
+        for &x in seg {
+            total += f64::from((x - max).exp());
+        }
+        let mut u = rng.gen::<f64>() * total;
+        for (i, &x) in seg.iter().enumerate() {
+            u -= f64::from((x - max).exp());
+            if u <= 0.0 {
+                return i;
+            }
+        }
+        seg.len() - 1
+    }
+
+    /// The per-particle sampler the grouped `estimate_bounds` replaced, kept
+    /// line for line as its bitwise oracle: every particle is forwarded and
+    /// normalised on its own, at every position.
+    fn per_particle_estimate(m: &LmkgU, query: &Query) -> Result<f64, LmkgUError> {
+        let bounds = m.query_bounds(query)?;
+        let ws = &mut Workspace::new();
+        let Some(last_bound) = bounds.iter().rposition(Option::is_some) else {
+            return Ok(m.n_total.max(1.0));
+        };
+        let particles = m.particles.max(1);
+        let mut rng = particle_rng(m.seed, &bounds);
+        let mut ids = vec![vec![0usize; m.segments.len()]; particles];
+        let mut log_w = vec![0.0f64; particles];
+
+        for pos in 0..=last_bound {
+            let logits = m.made.forward_ids_segment(&ids, pos, ws);
+            match bounds[pos] {
+                Some(b) => {
+                    for (r, ids_row) in ids.iter_mut().enumerate() {
+                        log_w[r] += f64::from(log_softmax_at(logits.row(r), b));
+                        ids_row[pos] = b;
+                    }
+                }
+                None => {
+                    for (r, ids_row) in ids.iter_mut().enumerate() {
+                        ids_row[pos] = sample_categorical(logits.row(r), &mut rng);
+                    }
+                }
+            }
+            ws.recycle(logits);
+        }
+
+        let mean_w: f64 = log_w.iter().map(|&lw| lw.exp()).sum::<f64>() / particles as f64;
+        Ok((mean_w * m.n_total).max(1.0))
+    }
+
+    /// `m`'s weights at `mode` (`None`: f32, copied through a parameter
+    /// walk) under a different particle count.
+    fn with_particles(m: &LmkgU, mode: Option<QuantMode>, particles: usize) -> LmkgU {
+        match mode {
+            Some(mode) => LmkgU::from_frozen_parts(m.made.quantized(mode), m.shape, m.k, m.n_total, particles, m.seed),
+            None => {
+                let cfg = LmkgUConfig {
+                    particles,
+                    ..m.config().unwrap().clone()
+                };
+                let (nodes, preds) = m.vocab_sizes();
+                let mut copy = LmkgU::from_parts(cfg, m.shape, m.k, m.n_total, nodes, preds);
+                let mut params = Vec::new();
+                lmkg_nn::serialize::save_params(&m.made, &mut params).unwrap();
+                copy.load_made_params(&mut params.as_slice()).unwrap();
+                copy
+            }
+        }
+    }
+
+    /// The grouped sampler is the per-particle one, bit for bit — per query
+    /// and through a batch that reuses its particle buffers — on both
+    /// fixture models, all three weight stores and 1 / 64 / 512 particles.
+    /// The bound patterns range from one group for the whole query (fully
+    /// bound) or its first positions (a chain's bound start) to groups split
+    /// at every unbound position.
+    #[test]
+    fn grouped_sampler_matches_per_particle_oracle_bitwise() {
+        let (g, star) = trained_star_model();
+        let has_author = PredId(g.preds().get("hasAuthor").unwrap());
+        let genre = PredId(g.preds().get("genre").unwrap());
+        let horror = NodeId(g.nodes().get("horror").unwrap());
+        let a0 = NodeId(g.nodes().get("author0").unwrap());
+        let book3 = NodeTerm::Bound(NodeId(g.nodes().get("book3").unwrap()));
+        let star_queries = vec![
+            // Predicates only.
+            Query::new(vec![
+                TriplePattern::new(v(0), PredTerm::Bound(has_author), v(1)),
+                TriplePattern::new(v(0), PredTerm::Bound(genre), v(2)),
+            ]),
+            // Fully bound.
+            Query::new(vec![
+                TriplePattern::new(book3, PredTerm::Bound(has_author), NodeTerm::Bound(a0)),
+                TriplePattern::new(book3, PredTerm::Bound(genre), NodeTerm::Bound(horror)),
+            ]),
+            // Centre only.
+            Query::new(vec![
+                TriplePattern::new(book3, PredTerm::Var(VarId(5)), v(1)),
+                TriplePattern::new(book3, PredTerm::Var(VarId(6)), v(2)),
+            ]),
+            // Unbound centre and first object, bound last object.
+            Query::new(vec![
+                TriplePattern::new(v(0), PredTerm::Bound(has_author), v(1)),
+                TriplePattern::new(v(0), PredTerm::Bound(genre), NodeTerm::Bound(horror)),
+            ]),
+            // Unbound.
+            Query::new(vec![
+                TriplePattern::new(v(0), PredTerm::Var(VarId(5)), v(1)),
+                TriplePattern::new(v(0), PredTerm::Var(VarId(6)), v(2)),
+            ]),
+        ];
+        let (ring, chain) = trained_ring_chain_model();
+        let even = PredId(ring.preds().get("even").unwrap());
+        let chord = PredId(ring.preds().get("chord").unwrap());
+        let n4 = NodeTerm::Bound(NodeId(ring.nodes().get("n4").unwrap()));
+        let n10 = NodeTerm::Bound(NodeId(ring.nodes().get("n10").unwrap()));
+        let chain_queries = vec![
+            // Bound start: positions 0 and 1 forward one group.
+            Query::new(vec![
+                TriplePattern::new(n4, PredTerm::Bound(even), v(1)),
+                TriplePattern::new(v(1), PredTerm::Bound(chord), v(2)),
+            ]),
+            // Predicates only.
+            Query::new(vec![
+                TriplePattern::new(v(0), PredTerm::Bound(even), v(1)),
+                TriplePattern::new(v(1), PredTerm::Bound(chord), v(2)),
+            ]),
+            // Fully bound.
+            Query::new(vec![
+                TriplePattern::new(n4, PredTerm::Bound(even), v(1)),
+                TriplePattern::new(v(1), PredTerm::Bound(chord), n10),
+            ]),
+            // Start only.
+            Query::new(vec![
+                TriplePattern::new(n4, PredTerm::Var(VarId(7)), v(1)),
+                TriplePattern::new(v(1), PredTerm::Var(VarId(8)), v(2)),
+            ]),
+            // Unbound.
+            Query::new(vec![
+                TriplePattern::new(v(0), PredTerm::Var(VarId(7)), v(1)),
+                TriplePattern::new(v(1), PredTerm::Var(VarId(8)), v(2)),
+            ]),
+        ];
+
+        for (m, queries) in [(star, &star_queries), (chain, &chain_queries)] {
+            let refs: Vec<&Query> = queries.iter().collect();
+            for mode in [None, Some(QuantMode::Int8), Some(QuantMode::Bf16)] {
+                for particles in [1, 64, 512] {
+                    let model = with_particles(m, mode, particles);
+                    let oracle: Vec<_> = queries
+                        .iter()
+                        .map(|q| per_particle_estimate(&model, q).map(f64::to_bits))
+                        .collect();
+                    // Not vacuous: some sampled estimate sits above the floor.
+                    let sampled = |&e: &u64| f64::from_bits(e) > 1.0 && f64::from_bits(e) < model.n_total();
+                    assert!(oracle.iter().flatten().any(sampled));
+                    for (i, q) in queries.iter().enumerate() {
+                        let got = model.estimate_query(q).map(f64::to_bits);
+                        assert_eq!(got, oracle[i], "{mode:?}, {particles} particles, query {i}");
+                    }
+                    let batched: Vec<_> = model
+                        .estimate_query_batch(&refs)
+                        .into_iter()
+                        .map(|e| e.map(f64::to_bits))
+                        .collect();
+                    assert_eq!(batched, oracle, "{mode:?}, {particles} particles, batched");
+                }
+            }
+        }
     }
 
     /// Quantized LMKG-U must stay close to the f32 model on the fixture

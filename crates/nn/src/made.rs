@@ -731,6 +731,50 @@ mod tests {
         }
     }
 
+    /// A row of the segment forward is a function of that row's ids alone,
+    /// whatever else shares the batch: at every M the sampler forwards (the
+    /// GEMV path up to 8 rows, the blocked core above, the threaded split
+    /// once the output slice crosses `PARALLEL_MIN_WORK`) and on every
+    /// weight store, each row of a batch with repeated rows is bitwise its
+    /// own 1-row forward. The LMKG-U sampler forwards one row per distinct
+    /// particle prefix on the strength of this.
+    #[test]
+    fn segment_forward_rows_are_independent_of_the_batch() {
+        let cfg = MadeConfig {
+            vocab_sizes: vec![300, 5],
+            spaces: vec![0, 1, 0],
+            hidden: 64,
+            blocks: 1,
+            embed_dim: 8,
+        };
+        let mut rng = StdRng::seed_from_u64(13);
+        let made = Made::new(&mut rng, cfg);
+        let widest = *made.segments().iter().max().unwrap();
+        assert!(300 * made.cfg.hidden * widest > crate::tensor::PARALLEL_MIN_WORK);
+        let prefixes: Vec<Vec<usize>> = (0..11).map(|i| vec![(i * 37) % 300, i % 5, (i * 101) % 300]).collect();
+        let mut ws = Workspace::new();
+        for model in [made.quantized(QuantMode::Int8), made.quantized(QuantMode::Bf16), made] {
+            for m in [1usize, 7, 9, 128, 300] {
+                let batch: Vec<Vec<usize>> = (0..m).map(|r| prefixes[(r * 7) % prefixes.len()].clone()).collect();
+                for pos in 0..model.segments().len() {
+                    let rows = model.forward_ids_segment(&batch, pos, &mut ws);
+                    for (r, ids) in batch.iter().enumerate() {
+                        let alone = model.forward_ids_segment(std::slice::from_ref(ids), pos, &mut ws);
+                        let bits = |s: &[f32]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(
+                            bits(rows.row(r)),
+                            bits(alone.row(0)),
+                            "{:?}, M = {m}, pos {pos}, row {r}",
+                            model.quant_mode()
+                        );
+                        ws.recycle(alone);
+                    }
+                    ws.recycle(rows);
+                }
+            }
+        }
+    }
+
     /// Masked weights must stay exactly zero across real training steps —
     /// otherwise the autoregressive property silently breaks.
     #[test]

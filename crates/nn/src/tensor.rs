@@ -29,7 +29,7 @@ use crate::gemv;
 /// this scalar kernel, so `2²² ≈ 4.2 M` multiply-adds ≈ 1–2 ms of work —
 /// enough that even a 2-way split recoups the spawn cost more than 10×
 /// over. Below the threshold the sequential kernel is strictly faster.
-const PARALLEL_MIN_WORK: usize = 1 << 22;
+pub(crate) const PARALLEL_MIN_WORK: usize = 1 << 22;
 
 /// Number of worker threads for a kernel doing `work` multiply-adds over
 /// `rows` independent output rows: 1 below the threshold, otherwise scaled
