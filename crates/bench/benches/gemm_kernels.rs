@@ -10,8 +10,9 @@
 //!    timer noise) than the blocked/packed path — the whole justification of
 //!    routing `m <= GEMV_MAX_M` to it.
 //!
-//! Both sides run `parallel = false`: dividing both kernels by the same
-//! thread count would only add noise to a per-core ratio.
+//! Every product runs single-threaded on a forced kernel and core: dividing
+//! both sides by the same thread count would only add noise to a per-core
+//! ratio.
 
 use lmkg_nn::gemm::{self, Kernel};
 use lmkg_nn::tensor::{matmul_forced, MatOp, MatPath};
@@ -38,10 +39,11 @@ fn best_of(inner: usize, f: impl Fn() -> Matrix) -> f64 {
 
 fn main() {
     let (a, b) = (seeded_matrix(256, 256, 1), seeded_matrix(256, 256, 2));
-    let scalar_s = best_of(1, || gemm::matmul_with_kernel(Kernel::Scalar, &a, &b, false));
+    let blocked = |kernel| best_of(1, || matmul_forced(kernel, MatOp::NN, MatPath::Blocked, &a, &b));
+    let scalar_s = blocked(Kernel::Scalar);
     match gemm::available_kernels().iter().find(|&&k| k != Kernel::Scalar) {
         Some(&simd) => {
-            let speedup = scalar_s / best_of(1, || gemm::matmul_with_kernel(simd, &a, &b, false));
+            let speedup = scalar_s / blocked(simd);
             println!("gemm_kernels: {} is {speedup:.2}x scalar on 256x256x256", simd.name());
             assert!(
                 speedup >= 1.0,

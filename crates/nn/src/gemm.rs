@@ -15,13 +15,12 @@
 //!
 //! * an x86-64 AVX2+FMA kernel (`std::arch`, 12 vector accumulators), picked
 //!   at runtime via `is_x86_feature_detected!`, and
-//! * a portable scalar kernel written so LLVM autovectorizes the
-//!   [`NR`]-wide inner loop with baseline SIMD.
+//! * a portable scalar kernel doing the same fused multiply-adds one lane at
+//!   a time with [`f32::mul_add`] (a native instruction where the target has
+//!   FMA, a libm call where it does not).
 //!
 //! The choice is made once per process ([`active_kernel`]) and can be pinned
-//! to the scalar kernel with the `LMKG_FORCE_SCALAR` environment variable —
-//! CI runs the test suite both ways and diffs a committed fixture to bound
-//! SIMD/scalar divergence.
+//! to the scalar kernel with the scalar override ([`force_scalar_requested`]).
 //!
 //! # Determinism contract
 //!
@@ -33,15 +32,18 @@
 //! bitwise-invariant to the batch size `m`, to the `lo..hi` column slice a
 //! column lands in, to the tile constants, and to how many threads the
 //! caller splits the output rows across. The batched-estimation and serving
-//! parity suites rely on exactly this property. The scalar kernel performs
-//! the same `mul` + `add` sequence (with the historical skip of zero `A`
-//! entries) as the pre-blocked row kernels, so forced-scalar runs reproduce
-//! the seed numerics bitwise for `matmul`, `matmul_tn`, and `matmul_cols`;
-//! the seed's `matmul_nt` had no zero skip, so for that variant bitwise
-//! seed-reproduction additionally assumes finite weights (a zero `A` entry
-//! against a non-finite `B` entry now contributes nothing instead of NaN).
-//! The FMA kernel rounds once per multiply-add and therefore differs from
-//! scalar by a bounded ~1 ulp per step.
+//! parity suites rely on exactly this property.
+//!
+//! Every kernel rounds once per step (`fma(a, b, acc)`), so results are also
+//! bitwise-invariant to the kernel. The scalar microkernel and the scalar
+//! GEMV's contiguous loop skip zero `A` entries (most of a one-hot input),
+//! which the vector kernels cannot; the skip is
+//! exact because `fma(0, b, acc) == acc` whenever `b` is finite and `acc` is
+//! not `−0`. Every entry point accumulates into a `+0`-zeroed `C`
+//! (`Matrix::zeros`, `Workspace::take`), and from `+0` an accumulator can
+//! only reach `−0` through a step whose exact result is negative and below
+//! the smallest f32 subnormal. The contract therefore holds for finite
+//! operands whose steps never underflow to zero.
 
 use std::sync::OnceLock;
 
@@ -69,14 +71,14 @@ pub const NC: usize = 512;
 /// A GEMM microkernel implementation, selected once per process.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Kernel {
-    /// Portable scalar microkernel (autovectorized by the compiler).
+    /// Portable scalar microkernel ([`f32::mul_add`] per lane).
     Scalar,
     /// Runtime-detected x86-64 AVX2 + FMA microkernel.
     Avx2Fma,
 }
 
 impl Kernel {
-    /// Stable human-readable name (bench artifacts, logs).
+    /// Stable human-readable name (metric labels, test messages).
     pub fn name(self) -> &'static str {
         match self {
             Kernel::Scalar => "scalar",
@@ -99,8 +101,8 @@ pub fn force_scalar_requested() -> bool {
 
 /// The kernels usable on this machine, fastest first. [`Kernel::Scalar`] is
 /// always present; [`Kernel::Avx2Fma`] is listed when the CPU supports it
-/// (the scalar override does not remove it from this list — benches use it
-/// to compare both paths in one process).
+/// (the scalar override does not remove it from this list — tests and
+/// benches use it to compare both kernels in one process).
 pub fn available_kernels() -> &'static [Kernel] {
     static KERNELS: OnceLock<Vec<Kernel>> = OnceLock::new();
     KERNELS.get_or_init(|| {
@@ -301,9 +303,10 @@ fn microkernel(kernel: Kernel, kc: usize, ap: &[f32], bp: &[f32], c: &mut [f32],
     }
 }
 
-/// Portable microkernel: full-width accumulator tile in locals so the `NR`
-/// inner loop autovectorizes; the `a == 0.0` skip preserves the seed row
-/// kernels' exact operation sequence on the mostly-zero one-hot inputs.
+/// Portable microkernel: the AVX2 kernel's fused multiply-add per element
+/// per ascending `k` step, one lane at a time. Zero `A` entries are skipped
+/// (bit-exact under the determinism contract), which is what keeps one-hot
+/// inputs cheap when `mul_add` is a libm call.
 #[allow(clippy::too_many_arguments)]
 fn microkernel_scalar(kc: usize, ap: &[f32], bp: &[f32], c: &mut [f32], ldc: usize, mr: usize, nr: usize) {
     debug_assert!(ap.len() >= kc * MR && bp.len() >= kc * NR);
@@ -319,7 +322,7 @@ fn microkernel_scalar(kc: usize, ap: &[f32], bp: &[f32], c: &mut [f32], ldc: usi
                 continue;
             }
             for (o, &bv) in row.iter_mut().zip(bs) {
-                *o += a * bv;
+                *o = a.mul_add(bv, *o);
             }
         }
     }
@@ -388,20 +391,17 @@ unsafe fn microkernel_avx2_full(kc: usize, ap: &[f32], bp: &[f32], c: &mut [f32]
     }
 }
 
-/// `A·B` with an explicit kernel, routed between the GEMV and blocked cores
-/// exactly as [`crate::Matrix::matmul`] routes it — the bench and
-/// parity-test surface. Production code should call
-/// [`crate::Matrix::matmul`], which uses [`active_kernel`] and threads large
-/// products; [`crate::tensor::matmul_forced`] pins the core as well.
-pub fn matmul_with_kernel(kernel: Kernel, a: &crate::Matrix, b: &crate::Matrix, parallel: bool) -> crate::Matrix {
-    crate::tensor::matmul_dispatch(kernel, crate::tensor::MatOp::NN, a, b, parallel)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tensor::{matmul_forced, MatOp, MatPath};
     use crate::test_support::seeded_matrix as test_matrix;
     use crate::Matrix;
+
+    /// `A·B` on `kernel` through the blocked core.
+    fn blocked(kernel: Kernel, a: &Matrix, b: &Matrix) -> Matrix {
+        matmul_forced(kernel, MatOp::NN, MatPath::Blocked, a, b)
+    }
 
     fn naive(a: &Matrix, b: &Matrix) -> Matrix {
         let mut c = Matrix::zeros(a.rows(), b.cols());
@@ -450,21 +450,27 @@ mod tests {
             for &(m, k, n) in SHAPES {
                 let a = test_matrix(m, k, m as u64 + 1);
                 let b = test_matrix(k, n, n as u64 + 2);
-                let got = matmul_with_kernel(kernel, &a, &b, false);
-                assert_close(&got, &naive(&a, &b), k);
+                assert_close(&blocked(kernel, &a, &b), &naive(&a, &b), k);
             }
         }
     }
 
     #[test]
-    fn kernels_agree_within_tolerance() {
+    fn kernels_agree_bitwise() {
+        // Zeroing every third `A` entry exercises the scalar zero skip.
         for &(m, k, n) in SHAPES {
-            let a = test_matrix(m, k, 11);
+            let mut a = test_matrix(m, k, 11);
+            a.as_mut_slice().iter_mut().step_by(3).for_each(|x| *x = 0.0);
             let b = test_matrix(k, n, 13);
-            let scalar = matmul_with_kernel(Kernel::Scalar, &a, &b, false);
+            let bits = |c: Matrix| c.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let scalar = bits(blocked(Kernel::Scalar, &a, &b));
             for &kernel in available_kernels() {
-                let got = matmul_with_kernel(kernel, &a, &b, false);
-                assert_close(&got, &scalar, k);
+                assert_eq!(
+                    bits(blocked(kernel, &a, &b)),
+                    scalar,
+                    "kernel {} {m}x{k}x{n}",
+                    kernel.name()
+                );
             }
         }
     }
@@ -472,15 +478,18 @@ mod tests {
     #[test]
     fn result_is_bitwise_invariant_to_batch_size() {
         // The parity suites depend on row i of a batched product being
-        // bitwise equal to the same row computed alone, for every kernel.
+        // bitwise equal to the same row computed alone (on either core), for
+        // every kernel.
         for &kernel in available_kernels() {
             let a = test_matrix(23, 37, 3);
             let b = test_matrix(37, 29, 4);
-            let full = matmul_with_kernel(kernel, &a, &b, false);
+            let full = blocked(kernel, &a, &b);
             for i in [0usize, 5, 22] {
                 let single = Matrix::from_rows(&[a.row(i)]);
-                let got = matmul_with_kernel(kernel, &single, &b, false);
-                assert_eq!(got.row(0), full.row(i), "kernel {} row {i}", kernel.name());
+                for path in [MatPath::Blocked, MatPath::Gemv] {
+                    let got = matmul_forced(kernel, MatOp::NN, path, &single, &b);
+                    assert_eq!(got.row(0), full.row(i), "kernel {} {path:?} row {i}", kernel.name());
+                }
             }
         }
     }

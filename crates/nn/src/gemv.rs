@@ -14,29 +14,26 @@
 //! * an AVX2+FMA kernel holding `m × NB` independent vector accumulators
 //!   (the `k` recurrence has 4–5 cycles of FMA latency, so at `m = 1` eight
 //!   independent column chunks are needed to keep the FMA pipes busy), and
-//! * a portable scalar kernel whose `n`-wide inner loop autovectorizes.
+//! * a portable scalar kernel doing the same fused multiply-adds with
+//!   [`f32::mul_add`].
 //!
-//! Kernel selection and the `LMKG_FORCE_SCALAR` override are shared with
-//! [`crate::gemm`] — there is one switch for both paths.
+//! Kernel selection and the scalar override are shared with [`crate::gemm`]
+//! — there is one switch for both paths.
 //!
 //! # Bitwise parity with the blocked core
 //!
-//! Routing must never change results, so each kernel reproduces the blocked
-//! kernel's per-element operation sequence exactly:
-//!
-//! * **AVX2**: the blocked microkernel produces every output element with a
-//!   single accumulator updated by one fused multiply-add per ascending `k`
-//!   step. The GEMV tile does the identical update (SIMD lanes are
-//!   independent accumulators); column tails and strided-`B` views use
-//!   [`f32::mul_add`], which performs the same correctly-rounded fused
-//!   operation one element at a time.
-//! * **Scalar**: the blocked scalar kernel does an unfused multiply then
-//!   add per step and skips zero `A` entries; the scalar GEMV loop repeats
-//!   that exact sequence.
+//! Routing must never change results, so every kernel reproduces the
+//! blocked microkernel's per-element operation sequence exactly: a single
+//! accumulator updated by one fused multiply-add per ascending `k` step. The
+//! AVX2 tile does it eight lanes at a time (SIMD lanes are independent
+//! accumulators); column tails, strided-`B` views and the whole scalar
+//! kernel do it one element at a time with [`f32::mul_add`], the same
+//! correctly-rounded operation. The scalar kernel's zero-`A` skip is exact
+//! under [`crate::gemm`]'s determinism contract.
 //!
 //! Hence `matmul` results are bitwise-invariant to whether the GEMV or the
-//! blocked path ran — the batch/serve/concurrent parity suites hold
-//! unchanged, enforced by the tests below and the dedicated small-M
+//! blocked path ran, and to the kernel — the batch/serve/concurrent parity
+//! suites hold unchanged, enforced by the tests below and the small-M
 //! proptest in `tests/prop_nn.rs`.
 
 use crate::gemm::{Kernel, MatRef};
@@ -68,42 +65,34 @@ pub(crate) fn gemv_serial(kernel: Kernel, a: MatRef<'_>, b: MatRef<'_>, c: &mut 
     }
 }
 
-/// Scalar GEMV: same unfused multiply-then-add per ascending `k` step, with
-/// the same zero-`A` skip, as the blocked scalar microkernel.
+/// Scalar GEMV: the blocked microkernel's fused multiply-add per ascending
+/// `k` step, with the scalar microkernel's zero-`A` skip, streaming each
+/// contiguous row of `B` once; strided-`B` views take the per-element loop.
 fn gemv_scalar(a: MatRef<'_>, b: MatRef<'_>, c: &mut [f32]) {
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    if b.cs() != 1 {
+        gemv_mul_add_cols(a, b, c, 0, n);
+        return;
+    }
     for r in 0..m {
         let crow = &mut c[r * n..(r + 1) * n];
-        if b.cs() == 1 {
-            for kk in 0..k {
-                let av = a.at(r, kk);
-                if av == 0.0 {
-                    continue;
-                }
-                for (o, &bv) in crow.iter_mut().zip(b.contiguous_row(kk)) {
-                    *o += av * bv;
-                }
+        for kk in 0..k {
+            let av = a.at(r, kk);
+            if av == 0.0 {
+                continue;
             }
-        } else {
-            for (j, o) in crow.iter_mut().enumerate() {
-                let mut acc = *o;
-                for kk in 0..k {
-                    let av = a.at(r, kk);
-                    if av == 0.0 {
-                        continue;
-                    }
-                    acc += av * b.at(kk, j);
-                }
-                *o = acc;
+            for (o, &bv) in crow.iter_mut().zip(b.contiguous_row(kk)) {
+                *o = av.mul_add(bv, *o);
             }
         }
     }
 }
 
 /// Fused per-element dot products for column ranges the vector tiles cannot
-/// cover: `n % 8` tails and strided-`B` views (the `matmul_nt` case).
-/// [`f32::mul_add`] is the same correctly-rounded fused multiply-add the
-/// AVX2 kernels execute, so results stay bitwise-equal to the blocked path.
+/// cover: `n % 8` tails and strided-`B` views (the `matmul_nt` case), on
+/// either kernel. [`f32::mul_add`] is the same correctly-rounded fused
+/// multiply-add the AVX2 kernels execute, so results stay bitwise-equal to
+/// the blocked path.
 fn gemv_mul_add_cols(a: MatRef<'_>, b: MatRef<'_>, c: &mut [f32], j_lo: usize, j_hi: usize) {
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
     for r in 0..m {
@@ -271,7 +260,7 @@ mod tests {
     #[test]
     fn gemv_nt_is_bitwise_equal_to_blocked() {
         // The Bᵀ view has non-unit column stride: exercises the fused
-        // per-element fallback on AVX2.
+        // per-element loop both kernels fall back to.
         for &kernel in available_kernels() {
             for &(m, k, n) in SHAPES {
                 let a = test_matrix(m, k, 3);

@@ -68,7 +68,7 @@ pub use tensor::Matrix;
 pub use workspace::Workspace;
 
 /// Deterministic input generation shared by the kernel tests, the committed
-/// kernel-parity fixture, and the GEMM benches. Not part of the supported
+/// GEMM parity fixture, and the GEMM benches. Not part of the supported
 /// API surface — only public so those consumers use one generator instead of
 /// drifting copies (the parity fixture depends on this exact sequence).
 #[doc(hidden)]

@@ -30,8 +30,8 @@
 //!   pass widens each weight back to f32 and accumulates in f32.
 //!
 //! Unlike the GEMV/blocked split, int8/bf16 inference is **not** bitwise
-//! equal to f32 inference — it is gated on estimator q-error instead (the
-//! `quantized-parity` CI leg). Biases stay f32 in every store: they are
+//! equal to f32 inference — it is gated on estimator q-error instead
+//! (`quantized_parity.rs`). Biases stay f32 in every store: they are
 //! `O(width)` against `O(width²)` weights, and estimator accuracy is
 //! sensitive to output offsets.
 

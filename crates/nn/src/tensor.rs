@@ -10,13 +10,13 @@
 //!
 //! All four are strided views into one blocked, packed GEMM core
 //! ([`crate::gemm`]) with a runtime-dispatched AVX2+FMA microkernel and a
-//! scalar fallback (override with `LMKG_FORCE_SCALAR=1`). Large
-//! multiplications split output rows across OS threads sized from
+//! scalar fallback that rounds the same way. Large multiplications split
+//! output rows across OS threads sized from
 //! [`std::thread::available_parallelism`]; small ones stay single-threaded
 //! because thread spawn/join overhead dominates below a fixed work size
-//! (`PARALLEL_MIN_WORK`). Results are bitwise-identical
-//! regardless of kernel tiling, batch shape, column slicing, and thread
-//! count (see the determinism contract in [`crate::gemm`]).
+//! (`PARALLEL_MIN_WORK`). Results are bitwise-identical regardless of
+//! kernel, tiling, batch shape, column slicing, and thread count (see the
+//! determinism contract in [`crate::gemm`]).
 
 use crate::gemm::{self, Kernel, MatRef};
 use crate::gemv;
@@ -225,17 +225,17 @@ impl Matrix {
 
     /// `C = self · other`; `self` is `m×k`, `other` is `k×n`.
     pub fn matmul(&self, other: &Matrix) -> Matrix {
-        matmul_dispatch(gemm::active_kernel(), MatOp::NN, self, other, true)
+        matmul_dispatch(MatOp::NN, self, other)
     }
 
     /// `C = self · otherᵀ`; `self` is `m×k`, `other` is `n×k`.
     pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
-        matmul_dispatch(gemm::active_kernel(), MatOp::NT, self, other, true)
+        matmul_dispatch(MatOp::NT, self, other)
     }
 
     /// `C = selfᵀ · other`; `self` is `b×m`, `other` is `b×n`.
     pub fn matmul_tn(&self, other: &Matrix) -> Matrix {
-        matmul_dispatch(gemm::active_kernel(), MatOp::TN, self, other, true)
+        matmul_dispatch(MatOp::TN, self, other)
     }
 
     /// `C = self · other[:, lo..hi]` — matmul against a column slice of
@@ -244,7 +244,7 @@ impl Matrix {
     /// Bitwise equal to the corresponding column slice of the full
     /// [`Matrix::matmul`] product, and threaded by the same budget.
     pub fn matmul_cols(&self, other: &Matrix, lo: usize, hi: usize) -> Matrix {
-        matmul_dispatch(gemm::active_kernel(), MatOp::Cols(lo, hi), self, other, true)
+        matmul_dispatch(MatOp::Cols(lo, hi), self, other)
     }
 
     /// Consumes the matrix, returning its row-major buffer (workspace
@@ -318,19 +318,11 @@ pub enum MatPath {
     Blocked,
 }
 
-/// `op(A, B)` with an explicit kernel and optional threading, routed between
-/// the GEMV and blocked cores by row count — shared by the [`Matrix`]
-/// products and the bench/parity surface
-/// [`crate::gemm::matmul_with_kernel`].
-pub(crate) fn matmul_dispatch(kernel: Kernel, op: MatOp, a: &Matrix, b: &Matrix, parallel: bool) -> Matrix {
+/// `op(A, B)` into a new matrix — the [`Matrix`] products.
+fn matmul_dispatch(op: MatOp, a: &Matrix, b: &Matrix) -> Matrix {
     let (av, bv) = op.views(a, b);
     let mut out = Matrix::zeros(av.rows(), bv.cols());
-    let threads = if parallel {
-        thread_budget(av.rows() * av.cols() * bv.cols(), av.rows())
-    } else {
-        1
-    };
-    gemm_threaded(kernel, av, bv, &mut out.data, threads);
+    gemm_threaded(av, bv, &mut out.data);
     out
 }
 
@@ -344,8 +336,7 @@ pub(crate) fn matmul_into(op: MatOp, a: &Matrix, b: &Matrix, out: &mut Matrix) {
         (av.rows(), bv.cols()),
         "output shape must match the product"
     );
-    let threads = thread_budget(av.rows() * av.cols() * bv.cols(), av.rows());
-    gemm_threaded(gemm::active_kernel(), av, bv, &mut out.data, threads);
+    gemm_threaded(av, bv, &mut out.data);
 }
 
 /// `op(A, B)` through an explicitly chosen kernel **and** serial core,
@@ -364,12 +355,15 @@ pub fn matmul_forced(kernel: Kernel, op: MatOp, path: MatPath, a: &Matrix, b: &M
     out
 }
 
-/// Splits the output rows of `c = a·b` into contiguous chunks, one scoped
-/// thread each, and runs the serial core on every chunk. Each output
-/// element is produced by exactly one thread with the same ascending-`k`
-/// accumulation order, so the thread count never changes results.
-fn gemm_threaded(kernel: Kernel, a: MatRef<'_>, b: MatRef<'_>, out: &mut [f32], threads: usize) {
+/// `out += a·b` on the active kernel: splits the output rows into
+/// contiguous chunks, one scoped thread each as [`thread_budget`] allows,
+/// and runs the serial core on every chunk. Each output element is produced
+/// by exactly one thread with the same ascending-`k` accumulation order, so
+/// the thread count never changes results.
+fn gemm_threaded(a: MatRef<'_>, b: MatRef<'_>, out: &mut [f32]) {
+    let kernel = gemm::active_kernel();
     let (m, n) = (a.rows(), b.cols());
+    let threads = thread_budget(m * a.cols() * n, m);
     if threads > 1 {
         let chunk = m.div_ceil(threads);
         std::thread::scope(|s| {

@@ -1,19 +1,11 @@
-//! SIMD/scalar kernel parity against a committed fixture.
+//! Kernel parity against a committed fixture.
 //!
 //! The fixture (`tests/fixtures/gemm_parity.txt`) holds the outputs of all
-//! four matmul variants on fixed pseudo-random inputs, generated by the
-//! *scalar* kernel. Two invariants are enforced:
-//!
-//! 1. the scalar kernel reproduces the fixture **bitwise** — forced-scalar
-//!    runs are exactly reproducible across machines and refactors, and
-//! 2. whatever kernel [`lmkg_nn::gemm::active_kernel`] picks stays within a
-//!    documented tolerance of the fixture — CI runs this test twice (default
-//!    and `LMKG_FORCE_SCALAR=1`) to catch SIMD/scalar divergence.
-//!
-//! The documented tolerance: the FMA kernel rounds once per multiply-add
-//! where the scalar kernel rounds twice, so each of the `k` accumulation
-//! steps may shift the result by ~1 ulp. Divergence beyond
-//! `4·k·ε·max(1, |x|)` indicates a kernel bug, not rounding.
+//! four matmul variants on fixed pseudo-random inputs. Every available
+//! kernel must reproduce it **bitwise** on both serial cores: the scalar
+//! kernels fuse each multiply-add with `f32::mul_add` in the same ascending
+//! `k` order as the AVX2+FMA kernels, so there is one set of bits, exactly
+//! reproducible across machines, kernels and refactors.
 //!
 //! Regenerate after an *intentional* numerics change with
 //! `LMKG_UPDATE_FIXTURES=1 cargo test -p lmkg-nn --test kernel_parity`.
@@ -35,7 +27,6 @@ fn fixture_path() -> PathBuf {
 /// to cross k-block and strip boundaries.
 struct Case {
     name: &'static str,
-    k: usize,
     op: MatOp,
     /// `(rows, cols, seed)` of the two operands.
     a: (usize, usize, u64),
@@ -43,45 +34,58 @@ struct Case {
 }
 
 impl Case {
+    /// The product on `kernel` and `path`. The GEMV core takes at most
+    /// [`GEMV_MAX_M`] output rows, so there the product is stacked from
+    /// windows of `op(A)`'s rows (an output row depends on its own row only).
     fn compute(&self, kernel: Kernel, path: MatPath) -> Matrix {
         let a = test_matrix(self.a.0, self.a.1, self.a.2);
         let b = test_matrix(self.b.0, self.b.1, self.b.2);
-        matmul_forced(kernel, self.op, path, &a, &b)
+        if path == MatPath::Blocked {
+            return matmul_forced(kernel, self.op, path, &a, &b);
+        }
+        let tn = self.op == MatOp::TN;
+        let m = if tn { a.cols() } else { a.rows() };
+        let mut out = Vec::new();
+        for r0 in (0..m).step_by(GEMV_MAX_M) {
+            let w = GEMV_MAX_M.min(m - r0);
+            let window = if tn {
+                Matrix::from_fn(a.rows(), w, |i, j| a.get(i, r0 + j))
+            } else {
+                Matrix::from_fn(w, a.cols(), |i, j| a.get(r0 + i, j))
+            };
+            out.extend_from_slice(matmul_forced(kernel, self.op, path, &window, &b).as_slice());
+        }
+        Matrix::from_vec(m, out.len() / m, out)
     }
 }
 
 const CASES: &[Case] = &[
     Case {
         name: "nn_13x300x33",
-        k: 300,
         op: MatOp::NN,
         a: (13, 300, 101),
         b: (300, 33, 102),
     },
     Case {
         name: "nn_7x13x9",
-        k: 13,
         op: MatOp::NN,
         a: (7, 13, 103),
         b: (13, 9, 104),
     },
     Case {
         name: "nt_9x21x12",
-        k: 21,
         op: MatOp::NT,
         a: (9, 21, 105),
         b: (12, 21, 106),
     },
     Case {
         name: "tn_20x11x14",
-        k: 20,
         op: MatOp::TN,
         a: (20, 11, 107),
         b: (20, 14, 108),
     },
     Case {
         name: "cols_9x20x40_5_29",
-        k: 20,
         op: MatOp::Cols(5, 29),
         a: (9, 20, 109),
         b: (20, 40, 110),
@@ -91,9 +95,10 @@ const CASES: &[Case] = &[
 fn render_fixture() -> String {
     let mut out = String::new();
     out.push_str(
-        "# GEMM kernel-parity fixture: scalar-kernel outputs of the four matmul\n\
-         # variants on fixed inputs. Generated by kernel_parity.rs with\n\
-         # LMKG_UPDATE_FIXTURES=1; values are %.9e so f32 round-trips bitwise.\n",
+        "# GEMM kernel parity fixture: outputs of the four matmul variants on\n\
+         # fixed inputs, the same bits on every kernel. Generated by\n\
+         # kernel_parity.rs with LMKG_UPDATE_FIXTURES=1; values are %.9e so\n\
+         # f32 round-trips bitwise.\n",
     );
     for case in CASES {
         let m = case.compute(Kernel::Scalar, MatPath::Blocked);
@@ -141,39 +146,20 @@ fn kernels_match_committed_fixture() {
     let fixture = parse_fixture(&text);
     assert_eq!(fixture.len(), CASES.len(), "fixture is stale: case count differs");
 
-    let active = gemm::active_kernel();
     for (case, (name, rows, cols, want)) in CASES.iter().zip(&fixture) {
         assert_eq!(case.name, name, "fixture is stale: case order differs");
-        let tol = 4.0 * case.k as f32 * f32::EPSILON;
-
-        // The pack-free GEMV core must reproduce the fixture too wherever
-        // the product is small enough to run on it.
-        let paths: &[MatPath] = if *rows <= GEMV_MAX_M {
-            &[MatPath::Blocked, MatPath::Gemv]
-        } else {
-            &[MatPath::Blocked]
-        };
-        for &path in paths {
-            // Invariant 1: scalar reproduces the fixture bitwise.
-            let scalar = case.compute(Kernel::Scalar, path);
-            assert_eq!((scalar.rows(), scalar.cols()), (*rows, *cols), "{name}: shape drift");
-            for (i, (got, want)) in scalar.as_slice().iter().zip(want).enumerate() {
-                assert_eq!(
-                    got.to_bits(),
-                    want.to_bits(),
-                    "{name}[{i}]: scalar kernel ({path:?}) diverged bitwise from fixture ({got} vs {want})"
-                );
-            }
-
-            // Invariant 2: the active kernel stays within the documented bound.
-            let got = case.compute(active, path);
-            for (i, (x, y)) in got.as_slice().iter().zip(want).enumerate() {
-                let scale = 1.0f32.max(x.abs()).max(y.abs());
-                assert!(
-                    (x - y).abs() <= tol * scale,
-                    "{name}[{i}]: {} kernel ({path:?}) diverged beyond tolerance ({x} vs {y}, tol {tol:e})",
-                    active.name()
-                );
+        for &kernel in gemm::available_kernels() {
+            for path in [MatPath::Blocked, MatPath::Gemv] {
+                let got = case.compute(kernel, path);
+                assert_eq!((got.rows(), got.cols()), (*rows, *cols), "{name}: shape drift");
+                for (i, (g, w)) in got.as_slice().iter().zip(want).enumerate() {
+                    assert_eq!(
+                        g.to_bits(),
+                        w.to_bits(),
+                        "{name}[{i}]: {} kernel ({path:?}) diverged bitwise from fixture ({g} vs {w})",
+                        kernel.name()
+                    );
+                }
             }
         }
     }
@@ -182,8 +168,8 @@ fn kernels_match_committed_fixture() {
 #[test]
 fn force_scalar_env_is_honoured_when_set() {
     // The env override is read once per process, so this test only asserts
-    // the coupling when the variable is actually set (the CI kernel-parity
-    // job runs the whole suite under LMKG_FORCE_SCALAR=1).
+    // the coupling when the variable is actually set (CI runs this target
+    // once more with it set).
     if std::env::var("LMKG_FORCE_SCALAR").map(|v| v == "1").unwrap_or(false) {
         assert!(gemm::force_scalar_requested());
         assert_eq!(gemm::active_kernel(), Kernel::Scalar);

@@ -2,7 +2,7 @@
 //! matmul kernels, loss-gradient invariants, and the MADE autoregressive
 //! property over randomized configurations.
 
-use lmkg_nn::gemm::available_kernels;
+use lmkg_nn::gemm::{available_kernels, Kernel};
 use lmkg_nn::gemv;
 use lmkg_nn::layers::{Dense, Layer, Relu, Sequential, Sigmoid};
 use lmkg_nn::loss;
@@ -191,17 +191,28 @@ proptest! {
         }
     }
 
-    /// The dedicated small-M GEMV path is **bitwise** equal to the blocked
-    /// GEMM path on every kernel and every entry-point view, for all
+    /// Every kernel on both serial cores is **bitwise** equal to the scalar
+    /// kernel's blocked core, on every entry-point view, for all
     /// m ≤ GEMV_MAX_M and ragged k/n (k past the 8-wide chunk tiles, n past
-    /// the register-blocked column strips).
+    /// the register-blocked column strips). A seeded share of `A`'s entries
+    /// is zeroed, as in one-hot rows, so the scalar kernels' zero skip runs.
     #[test]
     fn gemv_path_is_bitwise_equal_to_blocked(m in 1usize..=gemv::GEMV_MAX_M, k in 1usize..300,
-                                             n in 1usize..70, seed in 0u64..1000) {
-        let a = seeded_matrix(m, k, seed);
+                                             n in 1usize..70, zero_share in 0.0f32..1.0,
+                                             seed in 0u64..1000) {
+        let sparse = |mut x: Matrix, salt: u64| {
+            let mask = seeded_matrix(x.rows(), x.cols(), seed.wrapping_add(salt));
+            for (v, r) in x.as_mut_slice().iter_mut().zip(mask.as_slice()) {
+                if r + 0.5 < zero_share {
+                    *v = 0.0;
+                }
+            }
+            x
+        };
+        let a = sparse(seeded_matrix(m, k, seed), 4);
         let b = seeded_matrix(k, n, seed.wrapping_add(1));
         let bt = seeded_matrix(n, k, seed.wrapping_add(2));
-        let at = seeded_matrix(k, m, seed.wrapping_add(3));
+        let at = sparse(seeded_matrix(k, m, seed.wrapping_add(3)), 5);
         let lo = (seed as usize) % n;
         let hi = lo + (seed as usize >> 3) % (n - lo) + 1;
         let ops = [
@@ -210,13 +221,17 @@ proptest! {
             ("matmul_tn", MatOp::TN, &at, &b),
             ("matmul_cols", MatOp::Cols(lo, hi), &a, &b),
         ];
-        for &kernel in available_kernels() {
-            for (name, op, lhs, rhs) in ops {
-                prop_assert_eq!(
-                    matmul_forced(kernel, op, MatPath::Gemv, lhs, rhs),
-                    matmul_forced(kernel, op, MatPath::Blocked, lhs, rhs),
-                    "{} {}x{}x{} [{}..{}] on {}", name, m, k, n, lo, hi, kernel.name()
-                );
+        let bits = |c: Matrix| c.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (name, op, lhs, rhs) in ops {
+            let want = bits(matmul_forced(Kernel::Scalar, op, MatPath::Blocked, lhs, rhs));
+            for &kernel in available_kernels() {
+                for path in [MatPath::Gemv, MatPath::Blocked] {
+                    prop_assert_eq!(
+                        &bits(matmul_forced(kernel, op, path, lhs, rhs)),
+                        &want,
+                        "{} {}x{}x{} [{}..{}] on {} {:?}", name, m, k, n, lo, hi, kernel.name(), path
+                    );
+                }
             }
         }
     }

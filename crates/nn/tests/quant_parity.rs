@@ -1,7 +1,4 @@
-//! The analytic gates on the int8/bf16 weight store, as a named target so
-//! CI's `quantized-parity` leg (`--test quant_parity`, default and
-//! forced-scalar) fails when the target goes missing instead of passing on
-//! zero matched tests:
+//! The analytic gates on the int8/bf16 weight store:
 //!
 //! * dequantization error: every int8 weight within `scale/2` of its
 //!   original, every bf16 weight within `2⁻⁸` relative;

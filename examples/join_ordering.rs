@@ -10,7 +10,7 @@
 //! and the independence-assumption statistics block the early systems of
 //! §II used.
 //!
-//! Run with `cargo run --release -p lmkg-examples --bin join_ordering`.
+//! Run with `cargo run --release --example join_ordering`.
 
 use lmkg::framework::{Grouping, Lmkg, LmkgConfig, ModelType};
 use lmkg::supervised::LmkgSConfig;

@@ -6,7 +6,7 @@
 //! SELECT ?x WHERE { ?x :hasAuthor :StephenKing ; :genre :Horror . }
 //! ```
 //!
-//! Run with `cargo run --release -p lmkg-examples --bin quickstart`.
+//! Run with `cargo run --release --example quickstart`.
 
 use lmkg::framework::{Grouping, Lmkg, LmkgConfig, ModelType};
 use lmkg::supervised::LmkgSConfig;

@@ -5,8 +5,8 @@
 //! workload — no interior mutability, no hidden call-order state, no
 //! workspace cross-talk.
 //!
-//! The kernel-parity CI job re-runs this suite under `LMKG_FORCE_SCALAR=1`,
-//! so the property is enforced under both GEMM kernels.
+//! Every GEMM kernel computes the same bits (`kernel_parity.rs`), so one run
+//! on whichever kernel is active covers them all.
 
 use lmkg::framework::{Grouping, Lmkg, LmkgConfig, ModelType};
 use lmkg::supervised::LmkgSConfig;

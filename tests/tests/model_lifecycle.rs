@@ -459,15 +459,18 @@ fn adapter_evicts_to_budget_and_persists_without_tearing_a_batch() {
 // `fixtures/lmkgset1_<set>.bin` are `LMKGSET1` snapshots written by an
 // earlier build; `fixtures/lmkgset1_<set>.txt` holds each set's
 // `total_memory_bytes` and the bit patterns of its estimates for
-// `golden_probes`, computed on the scalar kernel. The round-trip proptests
+// `golden_probes`, the same on every GEMM kernel. The round-trip proptests
 // above save and load with the same build, so a self-consistent format
 // change passes them; this test is the one that fails when bytes a
 // published `--model-dir` generation already holds stop loading, re-saving
 // identically, or answering the same.
 //
 // Regenerate only after an *intentional* format or numerics change:
-// `LMKG_UPDATE_FIXTURES=1 LMKG_FORCE_SCALAR=1 cargo test -p
-// lmkg-integration-tests --test model_lifecycle golden`.
+// `LMKG_UPDATE_FIXTURES=1 cargo test -p lmkg-integration-tests --test
+// model_lifecycle golden` rewrites every sidecar from the committed
+// `.bin`s. It never retrains a committed `.bin`: only a missing one is
+// rebuilt first (trained, or quantized from its family's f32 set), so
+// delete a `.bin` to regenerate it.
 
 /// `(fixture name, family, weight store)` of every committed golden set.
 const GOLDEN_SETS: [(&str, ModelType, Option<QuantMode>); 5] = [
@@ -477,15 +480,6 @@ const GOLDEN_SETS: [(&str, ModelType, Option<QuantMode>); 5] = [
     ("u_f32", ModelType::Unsupervised, None),
     ("u_int8", ModelType::Unsupervised, Some(QuantMode::Int8)),
 ];
-
-/// How far an f32 set's estimate may sit from the committed scalar-kernel
-/// value when the SIMD kernel runs: `kernel_parity.rs` allows `4·k·ε` per
-/// matmul output (one rounding per fused multiply-add against two), and an
-/// estimate compounds that over the layers and through the `2^x` unscaling,
-/// so the bound is taken at `k = 2048`. int8/bf16 forwards are a scalar loop
-/// on every kernel and are compared bitwise, as is f32 under
-/// `LMKG_FORCE_SCALAR=1`.
-const GOLDEN_SIMD_REL_TOL: f64 = 4.0 * 2048.0 * f32::EPSILON as f64;
 
 /// Tiny models: the fixtures guard the byte format, not accuracy.
 fn golden_config(model_type: ModelType) -> LmkgConfig {
@@ -545,8 +539,8 @@ fn golden_probes(graph: &KnowledgeGraph) -> Vec<Query> {
 
 fn render_golden_sidecar(set: &Lmkg, probes: &[Query]) -> String {
     let mut out = String::from(
-        "# total_memory_bytes and scalar-kernel estimate bits (f64, hex) of the\n\
-         # golden probes; written by model_lifecycle.rs under LMKG_UPDATE_FIXTURES.\n",
+        "# total_memory_bytes and estimate bits (f64, hex) of the golden\n\
+         # probes; written by model_lifecycle.rs under LMKG_UPDATE_FIXTURES.\n",
     );
     out.push_str(&format!("memory_bytes {}\n", set.total_memory_bytes()));
     for est in set.estimate_query_batch(probes) {
@@ -573,44 +567,50 @@ fn golden_snapshots_load_resave_and_answer_as_committed() {
     let graph = small_lubm();
     let probes = golden_probes(&graph);
     assert_eq!(probes.len(), 20, "probe workload drifted");
-    let scalar = lmkg_nn::gemm::active_kernel() == lmkg_nn::gemm::Kernel::Scalar;
-
-    if std::env::var("LMKG_UPDATE_FIXTURES").is_ok() {
-        assert!(
-            scalar,
-            "the committed estimates are scalar-kernel values: regenerate with LMKG_FORCE_SCALAR=1"
-        );
-        let trained: Vec<(ModelType, Lmkg)> = [ModelType::Supervised, ModelType::Unsupervised]
-            .into_iter()
-            .map(|t| (t, Lmkg::build(&graph, &golden_config(t))))
-            .collect();
-        for (name, model_type, mode) in GOLDEN_SETS {
-            let base = &trained
-                .iter()
-                .find(|(t, _)| *t == model_type)
-                .expect("family trained")
-                .1;
-            let quantized = mode.map(|m| base.quantized(m));
-            let set = quantized.as_ref().unwrap_or(base);
-            std::fs::create_dir_all(golden_fixture_path(name, "bin").parent().unwrap()).unwrap();
-            std::fs::write(golden_fixture_path(name, "bin"), set.save_to_vec().expect("serializes")).unwrap();
-            std::fs::write(golden_fixture_path(name, "txt"), render_golden_sidecar(set, &probes)).unwrap();
-            eprintln!("rewrote golden set {name}");
-        }
-    }
-
     let read = |set: &str, ext: &str| {
         std::fs::read(golden_fixture_path(set, ext)).unwrap_or_else(|e| {
             panic!("missing golden fixture {set}.{ext} ({e}); regenerate with LMKG_UPDATE_FIXTURES=1")
         })
     };
+    let load = |set: &str| {
+        Lmkg::load(&mut read(set, "bin").as_slice()).unwrap_or_else(|e| panic!("{set}: committed bytes must load: {e}"))
+    };
+    let f32_set_of = |model_type: ModelType| {
+        GOLDEN_SETS
+            .iter()
+            .find(|(_, t, m)| *t == model_type && m.is_none())
+            .expect("every family has an f32 set")
+            .0
+    };
+
+    if std::env::var("LMKG_UPDATE_FIXTURES").is_ok() {
+        // GOLDEN_SETS lists each family's f32 set before its quantized ones.
+        for (name, model_type, mode) in GOLDEN_SETS {
+            let bin = golden_fixture_path(name, "bin");
+            if !bin.exists() {
+                let set = match mode {
+                    None => Lmkg::build(&graph, &golden_config(model_type)),
+                    Some(mode) => load(f32_set_of(model_type)).quantized(mode),
+                };
+                std::fs::create_dir_all(bin.parent().unwrap()).unwrap();
+                std::fs::write(&bin, set.save_to_vec().expect("serializes")).unwrap();
+                eprintln!("rebuilt golden set {name}");
+            }
+            std::fs::write(
+                golden_fixture_path(name, "txt"),
+                render_golden_sidecar(&load(name), &probes),
+            )
+            .unwrap();
+            eprintln!("rewrote golden sidecar {name}");
+        }
+    }
+
     for (name, model_type, mode) in GOLDEN_SETS {
         let bytes = read(name, "bin");
         let (memory, want) = parse_golden_sidecar(&String::from_utf8(read(name, "txt")).expect("sidecar is text"));
         assert_eq!(want.len(), probes.len(), "{name}: sidecar is stale");
 
-        let loaded =
-            Lmkg::load(&mut bytes.as_slice()).unwrap_or_else(|e| panic!("{name}: committed bytes must load: {e}"));
+        let loaded = load(name);
         assert!(
             loaded.save_to_vec().expect("serializes") == bytes,
             "{name}: re-saving the loaded set must reproduce the committed bytes"
@@ -619,31 +619,20 @@ fn golden_snapshots_load_resave_and_answer_as_committed() {
         if let Some(mode) = mode {
             // Quantization is part of the contract too: converting the
             // committed f32 set must yield the committed int8/bf16 bytes.
-            let (f32_set, ..) = GOLDEN_SETS
-                .iter()
-                .find(|(_, t, m)| *t == model_type && m.is_none())
-                .expect("every family has an f32 set");
-            let base = Lmkg::load(&mut read(f32_set, "bin").as_slice()).expect("f32 set loads");
+            let f32_set = f32_set_of(model_type);
             assert!(
-                base.quantized(mode).save_to_vec().expect("serializes") == bytes,
+                load(f32_set).quantized(mode).save_to_vec().expect("serializes") == bytes,
                 "{name}: quantizing the committed {f32_set} set must reproduce the committed bytes"
             );
         }
 
         let got = loaded.estimate_query_batch(&probes);
         for (i, (g, w)) in got.iter().zip(&want).enumerate() {
-            if mode.is_some() || scalar {
-                assert_eq!(
-                    g.to_bits(),
-                    w.to_bits(),
-                    "{name} probe {i}: estimate {g} must equal the committed {w} bitwise"
-                );
-            } else {
-                assert!(
-                    (g - w).abs() <= GOLDEN_SIMD_REL_TOL * w.abs(),
-                    "{name} probe {i}: SIMD estimate {g} is outside the documented tolerance of {w}"
-                );
-            }
+            assert_eq!(
+                g.to_bits(),
+                w.to_bits(),
+                "{name} probe {i}: estimate {g} must equal the committed {w} bitwise"
+            );
         }
     }
 }

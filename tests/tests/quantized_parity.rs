@@ -1,11 +1,9 @@
-//! The estimator-level gates on int8/bf16 inference, as a named target so
-//! CI's `quantized-parity` leg (`--test quantized_parity`, default and
-//! forced-scalar) fails when the target goes missing instead of passing on
-//! zero matched tests. Quantized estimates are not bitwise-equal to f32
-//! ones, so the fidelity gate is statistical — q-error within 10 % of the
-//! f32 model — next to the memory floor (≥ 3.5× for int8, ≈ 2× for bf16);
-//! what *is* bitwise is a quantized set against itself: a batch answers
-//! exactly as a per-query loop, for both model families.
+//! The estimator-level gates on int8/bf16 inference. Quantized estimates
+//! are not bitwise-equal to f32 ones, so the fidelity gate is statistical —
+//! q-error within 10 % of the f32 model — next to the memory floor (≥ 3.5×
+//! for int8, ≈ 2× for bf16); what *is* bitwise is a quantized set against
+//! itself: a batch answers exactly as a per-query loop, for both model
+//! families.
 
 use lmkg::framework::Lmkg;
 use lmkg::metrics::QErrorStats;
