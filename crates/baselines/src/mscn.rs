@@ -16,7 +16,7 @@ use lmkg_data::LabeledQuery;
 use lmkg_encoder::CardinalityScaler;
 use lmkg_nn::layers::{Dense, Layer, Param, Relu, Sequential, Sigmoid};
 use lmkg_nn::loss;
-use lmkg_nn::optimizer::{Adam, Optimizer};
+use lmkg_nn::optimizer::Adam;
 use lmkg_nn::tensor::Matrix;
 use lmkg_nn::workspace::Workspace;
 use lmkg_store::{KnowledgeGraph, Query, Triple};
@@ -60,7 +60,7 @@ struct MscnNet {
 }
 
 impl Layer for MscnNet {
-    fn forward(&mut self, _x: &Matrix, _train: bool) -> Matrix {
+    fn forward(&mut self, _x: Matrix) -> Matrix {
         unimplemented!("MSCN uses custom set wiring; see Mscn::forward_queries")
     }
 
@@ -175,13 +175,13 @@ impl Mscn {
         (Matrix::from_vec(total, w, data), counts)
     }
 
-    /// Forward pass over a query batch: per-element MLP → mean pool → output
-    /// MLP. Returns `(predictions, pooled cache needed for backward)`.
-    fn forward_queries(&mut self, queries: &[&Query], train: bool) -> (Matrix, Vec<usize>) {
+    /// Training forward over a query batch: per-element MLP → mean pool →
+    /// output MLP. Returns `(predictions, per-query element counts)`; the
+    /// layers cache what [`Mscn::backward_queries`] needs.
+    fn forward_queries(&mut self, queries: &[&Query]) -> (Matrix, Vec<usize>) {
         let (elements, counts) = self.encode_batch(queries);
-        let embedded = self.net.set_mlp.forward(&elements, train);
-        let pooled = mean_pool(&embedded, &counts);
-        let pred = self.net.out_mlp.forward(&pooled, train);
+        let embedded = self.net.set_mlp.forward(elements);
+        let pred = self.net.out_mlp.forward(mean_pool(&embedded, &counts));
         (pred, counts)
     }
 
@@ -193,7 +193,7 @@ impl Mscn {
 
     /// Shared-read (`&self`) counterpart of [`Mscn::forward_queries`]: the
     /// same set wiring through the workspace-backed inference path, bitwise
-    /// identical to the eval-mode training forward.
+    /// identical to the training forward.
     fn forward_queries_infer(&self, queries: &[&Query], ws: &mut Workspace) -> (Matrix, Vec<usize>) {
         let (elements, counts) = self.encode_batch(queries);
         let embedded = self.net.set_mlp.forward_infer(&elements, ws);
@@ -225,7 +225,7 @@ impl Mscn {
                     1,
                     chunk.iter().map(|&i| scaler.scale(data[i].cardinality)).collect(),
                 );
-                let (pred, counts) = self.forward_queries(&queries, true);
+                let (pred, counts) = self.forward_queries(&queries);
                 let (l, grad) = loss::q_error(&pred, &targets, scaler.log_range(), 16.0);
                 self.backward_queries(&grad, &counts);
                 opt.step(&mut self.net);
@@ -237,8 +237,8 @@ impl Mscn {
         losses
     }
 
-    /// Predicts the cardinality of a query via
-    /// [`Mscn::forward_queries_infer`].
+    /// Predicts the cardinality of a query through the shared-read
+    /// inference path.
     pub fn predict(&self, query: &Query) -> f64 {
         let scaler = *self.scaler.as_ref().expect("model is untrained");
         let (pred, _) = self.forward_queries_infer(&[query], &mut Workspace::new());

@@ -52,8 +52,8 @@ fn size_key(size: usize) -> ModelKey {
     }
 }
 
-/// LMKG-U hyper-parameters at this scale (pattern-bound encoding with
-/// 32-dimensional embeddings, one residual block — §VIII-B).
+/// LMKG-U hyper-parameters at this scale (32-dimensional term embeddings,
+/// one residual block — §VIII-B).
 pub fn u_config(cfg: &BenchConfig) -> LmkgUConfig {
     LmkgUConfig {
         hidden: cfg.u_hidden,

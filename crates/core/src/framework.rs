@@ -81,14 +81,6 @@ impl LmkgConfig {
         }
     }
 
-    /// Unsupervised counterpart (pattern-bound, type+size grouping).
-    pub fn unsupervised_default() -> Self {
-        Self {
-            model_type: ModelType::Unsupervised,
-            ..Self::supervised_default()
-        }
-    }
-
     /// Every `(shape, size)` cell this configuration trains for — the
     /// baseline cell mix a [`crate::monitor::WorkloadMonitor`] compares live
     /// traffic against.
@@ -744,8 +736,7 @@ fn train_entries(
 ///
 /// All groupings use the SG-Encoding (the paper's main LMKG-S configuration,
 /// §VIII-B) so that grouping comparisons vary only the grouping — Fig. 7's
-/// "same configuration" requirement. The topology-specific pattern-bound
-/// encoding remains available through [`LmkgS::new`] directly.
+/// "same configuration" requirement.
 fn train_supervised(graph: &KnowledgeGraph, cfg: &LmkgConfig, key: ModelKey) -> LmkgS {
     let encoder = QueryEncoder::Sg(SgEncoder::capacity_for_size(
         graph.num_nodes(),

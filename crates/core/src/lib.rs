@@ -6,14 +6,13 @@
 //!
 //! Two learned estimator families over the `lmkg-store` substrate:
 //!
-//! * [`LmkgS`](supervised::LmkgS) — a supervised MLP over SG- or
-//!   pattern-bound encodings with log/min-max-scaled targets and mean
-//!   q-error loss (§VI-A);
-//! * [`LmkgU`](unsupervised::LmkgU) — an unsupervised ResMADE over bound
+//! * [`LmkgS`] — a supervised MLP over the SG-Encoding with
+//!   log/min-max-scaled targets and mean q-error loss (§VI-A);
+//! * [`LmkgU`] — an unsupervised ResMADE over bound
 //!   subgraph patterns, answering queries with unbound terms via
 //!   likelihood-weighted forward sampling and tuple-space totals (§VI-B);
 //!
-//! plus the [`Lmkg`](framework::Lmkg) framework that groups models
+//! plus the [`Lmkg`] framework that groups models
 //! (single / by type / by size / specialized, §VII-B), routes queries, and
 //! decomposes queries no model covers (§IV).
 //!
@@ -59,5 +58,5 @@ pub use metrics::{q_error, GroupedQErrors, QErrorStats};
 pub use monitor::{Cell, DriftReport, WorkloadMonitor};
 pub use snapshot::SnapshotError;
 pub use summary::GraphSummary;
-pub use supervised::{EpochStats, LmkgS, LmkgSConfig, LossKind, QueryEncoder};
+pub use supervised::{EpochStats, LmkgS, LmkgSConfig, QueryEncoder};
 pub use unsupervised::{LmkgU, LmkgUConfig, LmkgUError};

@@ -33,7 +33,7 @@
 use crate::framework::{Lmkg, ModelEntry, ModelKey};
 use crate::outliers::OutlierBuffer;
 use crate::summary::GraphSummary;
-use crate::supervised::{LmkgS, LmkgSConfig, LossKind, QueryEncoder};
+use crate::supervised::{LmkgS, LmkgSConfig, QueryEncoder};
 use crate::unsupervised::{LmkgU, LmkgUConfig};
 use lmkg_data::sampler::SamplingStrategy;
 use lmkg_encoder::{CardinalityScaler, SgEncoder};
@@ -59,8 +59,6 @@ pub enum SnapshotError {
     UnsupportedVersion(u32),
     /// A tag or count in the stream is outside its valid range.
     Corrupt(String),
-    /// The model set contains something the format cannot persist.
-    Unsupported(&'static str),
     /// Restoring a parameter walk failed (architecture drift).
     Params(LoadError),
 }
@@ -72,7 +70,6 @@ impl fmt::Display for SnapshotError {
             SnapshotError::BadMagic => write!(f, "bad magic: not an LMKG model-set snapshot"),
             SnapshotError::UnsupportedVersion(v) => write!(f, "unsupported snapshot version {v}"),
             SnapshotError::Corrupt(what) => write!(f, "corrupt snapshot: {what}"),
-            SnapshotError::Unsupported(what) => write!(f, "cannot snapshot: {what}"),
             SnapshotError::Params(e) => write!(f, "parameter restore failed: {e}"),
         }
     }
@@ -259,20 +256,15 @@ fn read_outliers<R: Read>(r: &mut R) -> Result<OutlierBuffer, SnapshotError> {
     Ok(OutlierBuffer::from_entries(capacity, entries))
 }
 
-fn write_encoder<W: Write>(w: &mut W, enc: &QueryEncoder) -> Result<(), SnapshotError> {
-    match enc {
-        QueryEncoder::Sg(sg) => {
-            w_u8(w, 0)?;
-            w_u64(w, sg.node_domain() as u64)?;
-            w_u64(w, sg.pred_domain() as u64)?;
-            w_u32(w, sg.max_nodes as u32)?;
-            w_u32(w, sg.max_edges as u32)?;
-            Ok(())
-        }
-        // The framework only ever builds SG-encoded models; the
-        // topology-specific ablation encoder stays out of the format.
-        QueryEncoder::PatternBound(_) => Err(SnapshotError::Unsupported("pattern-bound encoder")),
-    }
+/// The encoder tag byte is always 0 (SG-Encoding), kept so the format
+/// stays byte-compatible.
+fn write_encoder<W: Write>(w: &mut W, enc: &QueryEncoder) -> io::Result<()> {
+    let QueryEncoder::Sg(sg) = enc;
+    w_u8(w, 0)?;
+    w_u64(w, sg.node_domain() as u64)?;
+    w_u64(w, sg.pred_domain() as u64)?;
+    w_u32(w, sg.max_nodes as u32)?;
+    w_u32(w, sg.max_edges as u32)
 }
 
 fn read_encoder<R: Read>(r: &mut R) -> Result<QueryEncoder, SnapshotError> {
@@ -310,6 +302,8 @@ fn read_scaler<R: Read>(r: &mut R) -> Result<CardinalityScaler, SnapshotError> {
     Ok(CardinalityScaler::from_bounds(min_log, max_log))
 }
 
+/// The loss byte is always 0 (mean q-error, the one loss), kept so the
+/// format stays byte-compatible.
 fn write_s_config<W: Write>(w: &mut W, cfg: &LmkgSConfig) -> io::Result<()> {
     w_u32(w, cfg.hidden.len() as u32)?;
     for &h in &cfg.hidden {
@@ -319,14 +313,7 @@ fn write_s_config<W: Write>(w: &mut W, cfg: &LmkgSConfig) -> io::Result<()> {
     w_u32(w, cfg.epochs as u32)?;
     w_u32(w, cfg.batch_size as u32)?;
     w_f32(w, cfg.learning_rate)?;
-    w_u8(
-        w,
-        match cfg.loss {
-            LossKind::QError => 0,
-            LossKind::Mse => 1,
-            LossKind::LogQError => 2,
-        },
-    )?;
+    w_u8(w, 0)?;
     w_f32(w, cfg.q_error_max_exp)?;
     w_f32(w, cfg.grad_clip)?;
     w_u32(w, cfg.outlier_buffer as u32)?;
@@ -346,12 +333,10 @@ fn read_s_config<R: Read>(r: &mut R) -> Result<LmkgSConfig, SnapshotError> {
     let epochs = r_u32(r)? as usize;
     let batch_size = r_u32(r)? as usize;
     let learning_rate = r_f32(r)?;
-    let loss = match r_u8(r)? {
-        0 => LossKind::QError,
-        1 => LossKind::Mse,
-        2 => LossKind::LogQError,
-        other => return Err(SnapshotError::Corrupt(format!("loss tag {other}"))),
-    };
+    let loss = r_u8(r)?;
+    if loss != 0 {
+        return Err(SnapshotError::Corrupt(format!("loss tag {loss}")));
+    }
     let q_error_max_exp = r_f32(r)?;
     let grad_clip = r_f32(r)?;
     let outlier_buffer = r_u32(r)? as usize;
@@ -362,7 +347,6 @@ fn read_s_config<R: Read>(r: &mut R) -> Result<LmkgSConfig, SnapshotError> {
         epochs,
         batch_size,
         learning_rate,
-        loss,
         q_error_max_exp,
         grad_clip,
         outlier_buffer,
@@ -394,6 +378,12 @@ fn read_u_config<R: Read>(r: &mut R) -> Result<LmkgUConfig, SnapshotError> {
     let hidden = r_u32(r)? as usize;
     let blocks = r_u32(r)? as usize;
     let embed_dim = r_u32(r)? as usize;
+    // The ResMADE the entry rebuilds asserts both are positive.
+    if hidden == 0 || embed_dim == 0 {
+        return Err(SnapshotError::Corrupt(format!(
+            "LMKG-U hidden width {hidden}, embedding dimensionality {embed_dim}"
+        )));
+    }
     let epochs = r_u32(r)? as usize;
     let batch_size = r_u32(r)? as usize;
     let learning_rate = r_f32(r)?;
@@ -424,7 +414,7 @@ fn read_u_config<R: Read>(r: &mut R) -> Result<LmkgUConfig, SnapshotError> {
 // ---------------------------------------------------------------------------
 // Per-entry payloads.
 
-fn write_entry<W: Write>(w: &mut W, entry: &ModelEntry) -> Result<(), SnapshotError> {
+fn write_entry<W: Write>(w: &mut W, entry: &ModelEntry) -> io::Result<()> {
     match entry {
         ModelEntry::S(m) => match m.config() {
             Some(cfg) => {
@@ -754,21 +744,47 @@ mod tests {
         }
     }
 
+    /// Where the first entry's tag byte sits in a save of a set over
+    /// [`graph`]: after magic, version, summary, covered size, entry count
+    /// and the first `ModelKey` (1 + 4 + 4 bytes).
+    fn first_entry_tag_at() -> usize {
+        8 + 4 + (3 + 3 * graph().num_preds()) * 8 + 4 + 4 + 9
+    }
+
     #[test]
     fn load_rejects_corrupt_entry_tag() {
-        let g = graph();
         let mut bytes = supervised_set().save_to_vec().unwrap();
-        // The first entry tag sits right after magic+version+summary+sizes+
-        // count+key; find it by writing a poisoned set and diffing lengths is
-        // overkill — corrupt the byte right after the first ModelKey instead.
-        let header = 8 + 4 + (3 + 3 * g.num_preds()) * 8 + 4 + 4;
-        let tag_pos = header + 9; // key = 1 + 4 + 4 bytes
-        bytes[tag_pos] = 0xEE;
+        bytes[first_entry_tag_at()] = 0xEE;
         let err = Lmkg::load(&mut bytes.as_slice()).unwrap_err();
         assert!(
             matches!(err, SnapshotError::Corrupt(_) | SnapshotError::Io(_)),
             "unexpected {err:?}"
         );
+    }
+
+    /// Zeroes the `u32` at `offset` into the config of the first (f32
+    /// LMKG-U) entry of a saved [`unsupervised_set`] — checking it held
+    /// `field` — and asserts the load returns `Corrupt` instead of
+    /// panicking in the ResMADE the entry rebuilds.
+    fn assert_zeroed_u_config_field_is_corrupt(offset: usize, field: u32) {
+        let mut bytes = unsupervised_set().save_to_vec().unwrap();
+        let tag = first_entry_tag_at();
+        assert_eq!(bytes[tag], 1, "the first entry is an f32 LMKG-U");
+        let at = tag + 1 + offset;
+        assert_eq!(bytes[at..at + 4], field.to_le_bytes(), "config layout moved");
+        bytes[at..at + 4].fill(0);
+        let err = Lmkg::load(&mut bytes.as_slice()).unwrap_err();
+        assert!(matches!(err, SnapshotError::Corrupt(_)), "unexpected {err:?}");
+    }
+
+    #[test]
+    fn load_rejects_lmkg_u_with_zero_hidden_width() {
+        assert_zeroed_u_config_field_is_corrupt(0, 32);
+    }
+
+    #[test]
+    fn load_rejects_lmkg_u_with_zero_embed_dim() {
+        assert_zeroed_u_config_field_is_corrupt(8, 8);
     }
 
     #[test]

@@ -1,15 +1,14 @@
 //! LMKG-S: the supervised estimator (paper §VI-A, Fig. 3).
 //!
-//! A multi-layer perceptron over either the SG-Encoding or a pattern-bound
-//! encoding. Targets are `log₂`-scaled and min-max normalized; hidden layers
-//! use ReLU with optional dropout; the output layer is a sigmoid; the
-//! training loss is the mean q-error (with MSE and log-q-error ablations).
+//! A multi-layer perceptron over the SG-Encoding. Targets are `log₂`-scaled
+//! and min-max normalized; hidden layers use ReLU with optional dropout; the
+//! output layer is a sigmoid; Adam trains it on the mean q-error.
 
 use crate::outliers::OutlierBuffer;
 use lmkg_data::LabeledQuery;
-use lmkg_encoder::{CardinalityScaler, EncodeError, PatternBoundEncoder, RowEncoder, SgEncoder};
+use lmkg_encoder::{CardinalityScaler, EncodeError, SgEncoder};
 use lmkg_nn::layers::{Dense, Dropout, Layer, Relu, Sequential, Sigmoid};
-use lmkg_nn::optimizer::{Adam, Optimizer};
+use lmkg_nn::optimizer::Adam;
 use lmkg_nn::quant::QuantMode;
 use lmkg_nn::tensor::Matrix;
 use lmkg_nn::workspace::Workspace;
@@ -19,55 +18,39 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io;
 
-/// Which featurization feeds the network (paper §V).
+/// The featurization that feeds the network (paper §V): the general
+/// SG-Encoding, with which one model can serve several topologies.
 #[derive(Clone)]
 pub enum QueryEncoder {
-    /// The general SG-Encoding — one model can serve several topologies.
+    /// The SG-Encoding.
     Sg(SgEncoder),
-    /// The topology-specific flat encoding.
-    PatternBound(PatternBoundEncoder),
 }
 
 impl QueryEncoder {
+    fn sg(&self) -> &SgEncoder {
+        let QueryEncoder::Sg(e) = self;
+        e
+    }
+
     /// Feature width.
     pub fn width(&self) -> usize {
-        match self {
-            QueryEncoder::Sg(e) => e.width(),
-            QueryEncoder::PatternBound(e) => e.width(),
-        }
+        self.sg().width()
     }
 
     /// Encodes a query into `out`.
     pub fn encode(&self, query: &Query, out: &mut [f32]) -> Result<(), EncodeError> {
-        match self {
-            QueryEncoder::Sg(e) => e.encode(query, out),
-            QueryEncoder::PatternBound(e) => e.encode(query, out),
-        }
+        self.sg().encode(query, out)
     }
 
     /// Encodes a whole batch in one pass, appending one row per accepted
-    /// query to `rows` (see [`RowEncoder::encode_batch`]); returns one
+    /// query to `rows` (see [`SgEncoder::encode_batch`]); returns one
     /// status per input query.
     pub fn encode_batch<'q, I>(&self, queries: I, rows: &mut Vec<f32>) -> Vec<Result<(), EncodeError>>
     where
         I: IntoIterator<Item = &'q Query>,
     {
-        match self {
-            QueryEncoder::Sg(e) => e.encode_batch(queries, rows),
-            QueryEncoder::PatternBound(e) => e.encode_batch(queries, rows),
-        }
+        self.sg().encode_batch(queries, rows)
     }
-}
-
-/// Training loss for LMKG-S.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LossKind {
-    /// Mean q-error (paper default).
-    QError,
-    /// Mean squared error on scaled targets (ablation).
-    Mse,
-    /// L1 in log space = log of the geometric q-error (ablation).
-    LogQError,
 }
 
 /// LMKG-S hyperparameters.
@@ -84,8 +67,6 @@ pub struct LmkgSConfig {
     pub batch_size: usize,
     /// Adam learning rate.
     pub learning_rate: f32,
-    /// Loss function.
-    pub loss: LossKind,
     /// Exponent clamp of the q-error loss, in log₂ units.
     pub q_error_max_exp: f32,
     /// Elementwise gradient clip (0 = off) — stabilizes the exponential loss.
@@ -105,7 +86,6 @@ impl Default for LmkgSConfig {
             epochs: 200,
             batch_size: 128,
             learning_rate: 1e-3,
-            loss: LossKind::QError,
             q_error_max_exp: 16.0,
             grad_clip: 1.0,
             outlier_buffer: 0,
@@ -266,7 +246,7 @@ impl LmkgS {
         for i in (1..indices.len()).rev() {
             indices.swap(i, rng.gen_range(0..=i));
         }
-        let (batch_size, loss_kind, max_exp) = (cfg.batch_size.max(1), cfg.loss, cfg.q_error_max_exp);
+        let (batch_size, max_exp) = (cfg.batch_size.max(1), cfg.q_error_max_exp);
         let mut total = 0.0f64;
         let mut batches = 0usize;
         for chunk in indices.chunks(batch_size) {
@@ -276,12 +256,8 @@ impl LmkgS {
                 continue;
             }
             let targets = Matrix::from_vec(cards.len(), 1, cards.iter().map(|&c| scaler.scale(c)).collect());
-            let pred = self.model.forward(&x, true);
-            let (l, grad) = match loss_kind {
-                LossKind::QError => loss::q_error(&pred, &targets, scaler.log_range(), max_exp),
-                LossKind::Mse => loss::mse(&pred, &targets),
-                LossKind::LogQError => loss::mae(&pred, &targets),
-            };
+            let pred = self.model.forward(x);
+            let (l, grad) = loss::q_error(&pred, &targets, scaler.log_range(), max_exp);
             self.model.backward(&grad);
             opt.step(&mut self.model);
             total += f64::from(l);
@@ -471,7 +447,6 @@ mod tests {
     use crate::metrics::QErrorStats;
     use lmkg_data::workload::{self, WorkloadConfig};
     use lmkg_data::{Dataset, Scale};
-    use lmkg_encoder::{EncodingKind, TermCodec};
     use lmkg_store::{KnowledgeGraph, QueryShape};
     use std::sync::OnceLock;
 
@@ -531,19 +506,6 @@ mod tests {
             .collect();
         let qs = QErrorStats::from_pairs(pairs).unwrap();
         assert!(qs.median < 3.0, "median in-sample q-error {}", qs.median);
-    }
-
-    #[test]
-    fn pattern_bound_encoder_works_too() {
-        let (g, data) = small_setup();
-        let codec = TermCodec::new(EncodingKind::Binary, g.num_nodes(), g.num_preds());
-        let enc = QueryEncoder::PatternBound(PatternBoundEncoder::new(codec, QueryShape::Star, 2));
-        let mut model = LmkgS::new(enc, quick_cfg());
-        let stats = model.train(data);
-        assert!(stats.last().unwrap().loss < stats[0].loss);
-        let lq = &data[0];
-        let est = model.predict(&lq.query).unwrap();
-        assert!(est >= 1.0);
     }
 
     #[test]
@@ -610,26 +572,6 @@ mod tests {
         b.load_params(&mut buf.as_slice()).unwrap();
         b.set_scaler(*a.scaler().unwrap());
         assert_eq!(a.predict(&data[1].query).unwrap(), b.predict(&data[1].query).unwrap());
-    }
-
-    #[test]
-    fn mse_and_log_losses_also_train() {
-        let (g, data) = small_setup();
-        for loss in [LossKind::Mse, LossKind::LogQError] {
-            let mut model = LmkgS::new(
-                sg_encoder(g),
-                LmkgSConfig {
-                    epochs: 30,
-                    loss,
-                    ..quick_cfg()
-                },
-            );
-            let stats = model.train(data);
-            assert!(
-                stats.last().unwrap().loss < stats[0].loss,
-                "{loss:?} failed to reduce loss"
-            );
-        }
     }
 
     /// The non-network pipeline is the same code on every weight store:

@@ -19,12 +19,13 @@
 //! uniforms are drawn one per particle in particle order, and a group's exps
 //! and the walk's subtractions are the ones each particle would compute.
 //!
-//! Positions follow the pattern-bound term order `[n₁, p₁, n₂, …]`
-//! (identical for stars and chains; only the tuple space differs).
+//! Positions follow the term order of the paper's pattern-bound encoding
+//! (§V-A2), `[n₁, p₁, n₂, …]` — identical for stars and chains; only the
+//! tuple space differs.
 
 use lmkg_data::sampler::{ChainSampler, SamplingStrategy, StarSampler};
 use lmkg_nn::loss;
-use lmkg_nn::optimizer::{Adam, Optimizer};
+use lmkg_nn::optimizer::Adam;
 use lmkg_nn::quant::QuantMode;
 use lmkg_nn::workspace::Workspace;
 use lmkg_nn::{Layer, Made, MadeConfig};
@@ -352,7 +353,7 @@ impl LmkgU {
         let mut batches = 0usize;
         for chunk in indices.chunks(cfg.batch_size.max(1)) {
             let batch: Vec<Vec<usize>> = chunk.iter().map(|&i| tuples[i].clone()).collect();
-            let logits = self.made.forward_ids(&batch, true);
+            let logits = self.made.forward_ids(&batch);
             let (l, grad) = loss::segmented_cross_entropy(&logits, &self.segments, &batch);
             self.made.backward_ids(&grad);
             opt.step(&mut self.made);

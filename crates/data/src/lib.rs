@@ -4,7 +4,7 @@
 //!
 //! * seeded generators for the paper's three evaluation datasets (SWDF-like,
 //!   LUBM-like, YAGO-like) preserving their Table-I shape statistics at a
-//!   configurable [`Scale`](scale::Scale);
+//!   configurable [`Scale`];
 //! * bound-pattern samplers — the paper's random-walk sampling plus exact
 //!   uniform tuple-space sampling as an ablation (§VII-A);
 //! * query-workload generation with exact cardinality labels and the

@@ -1,37 +1,30 @@
-//! Batched row encoding shared by every featurizer.
+//! Batched SG encoding.
 //!
 //! The learned estimators consume query features as row-major matrices
-//! (batch rows × feature columns). [`RowEncoder::encode_batch`] produces
+//! (batch rows × feature columns). [`SgEncoder::encode_batch`] produces
 //! those rows in one pass over one contiguous buffer, so the estimation
 //! path never round-trips through per-query allocations.
 
-use crate::pattern_bound::EncodeError;
+use crate::sg::{EncodeError, SgEncoder};
 use lmkg_store::Query;
 
-/// A featurizer that encodes one query per fixed-width row.
-pub trait RowEncoder {
-    /// Feature width (columns per row).
-    fn row_width(&self) -> usize;
-
-    /// Encodes `query` into `out` (length [`Self::row_width`]).
-    fn encode_row(&self, query: &Query, out: &mut [f32]) -> Result<(), EncodeError>;
-
+impl SgEncoder {
     /// Encodes a batch, appending one row per *accepted* query to `out`
     /// and returning one status per input query, in order. Rejected
     /// queries contribute no row, so `out` grows by exactly
-    /// `row_width() × number-of-Ok-statuses` and accepted rows stay
+    /// `width() × number-of-Ok-statuses` and accepted rows stay
     /// contiguous in input order.
-    fn encode_batch<'q, I>(&self, queries: I, out: &mut Vec<f32>) -> Vec<Result<(), EncodeError>>
+    pub fn encode_batch<'q, I>(&self, queries: I, out: &mut Vec<f32>) -> Vec<Result<(), EncodeError>>
     where
         I: IntoIterator<Item = &'q Query>,
     {
-        let w = self.row_width();
+        let w = self.width();
         let queries = queries.into_iter();
         let mut statuses = Vec::with_capacity(queries.size_hint().0);
         for q in queries {
             let base = out.len();
             out.resize(base + w, 0.0);
-            let status = self.encode_row(q, &mut out[base..]);
+            let status = self.encode(q, &mut out[base..]);
             if status.is_err() {
                 out.truncate(base);
             }
@@ -41,30 +34,9 @@ pub trait RowEncoder {
     }
 }
 
-impl RowEncoder for crate::sg::SgEncoder {
-    fn row_width(&self) -> usize {
-        self.width()
-    }
-
-    fn encode_row(&self, query: &Query, out: &mut [f32]) -> Result<(), EncodeError> {
-        self.encode(query, out)
-    }
-}
-
-impl RowEncoder for crate::pattern_bound::PatternBoundEncoder {
-    fn row_width(&self) -> usize {
-        self.width()
-    }
-
-    fn encode_row(&self, query: &Query, out: &mut [f32]) -> Result<(), EncodeError> {
-        self.encode(query, out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sg::SgEncoder;
     use lmkg_store::{NodeId, NodeTerm, PredId, PredTerm, TriplePattern, VarId};
 
     fn star(k: usize) -> Query {

@@ -1,14 +1,13 @@
 //! # lmkg-encoder
 //!
-//! Query featurization for LMKG (paper §V): term-level one-hot and binary
-//! codecs, the topology-specific *pattern-bound* encoding, the novel
+//! Query featurization for LMKG (paper §V): the binary term codec, the
 //! *SG-Encoding* `(A, X, E)` that represents arbitrary subgraph topologies in
 //! one fixed-size input, and the log/min-max cardinality scaler used by the
 //! supervised model.
 //!
 //! ```
-//! use lmkg_encoder::{EncodingKind, PatternBoundEncoder, SgEncoder, TermCodec};
-//! use lmkg_store::{NodeId, NodeTerm, PredId, PredTerm, Query, QueryShape, TriplePattern, VarId};
+//! use lmkg_encoder::SgEncoder;
+//! use lmkg_store::{NodeId, NodeTerm, PredId, PredTerm, Query, TriplePattern, VarId};
 //!
 //! // ?book :hasAuthor :king . ?book :genre :horror   (Fig. 2)
 //! let q = Query::new(vec![
@@ -20,8 +19,11 @@
 //! let features = sg.encode_vec(&q).unwrap();
 //! assert_eq!(features.len(), sg.width());
 //!
-//! let pb = PatternBoundEncoder::new(TermCodec::new(EncodingKind::Binary, 5, 3), QueryShape::Star, 2);
-//! assert!(pb.encode_vec(&q).is_ok());
+//! // A batch is one contiguous row-major buffer, one row per accepted query.
+//! let mut rows = Vec::new();
+//! let statuses = sg.encode_batch([&q, &q], &mut rows);
+//! assert!(statuses.iter().all(Result::is_ok));
+//! assert_eq!(rows.len(), 2 * sg.width());
 //! ```
 
 // No unsafe anywhere in this crate — enforced so the lmkg-xtask L1 lint
@@ -31,13 +33,10 @@
 #![warn(missing_docs)]
 
 pub mod batch;
-pub mod pattern_bound;
 pub mod scaler;
 pub mod sg;
 pub mod term;
 
-pub use batch::RowEncoder;
-pub use pattern_bound::{EncodeError, PatternBoundEncoder};
 pub use scaler::CardinalityScaler;
-pub use sg::{SgEncoder, SgLayout};
-pub use term::{binary_width, EncodingKind, TermCodec};
+pub use sg::{EncodeError, SgEncoder, SgLayout};
+pub use term::{binary_width, TermCodec};

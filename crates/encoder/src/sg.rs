@@ -20,9 +20,33 @@
 //! the same bound predicate share an edge slot (they remain distinguishable
 //! through different `(i, j)` cells of `A`).
 
-use crate::pattern_bound::EncodeError;
-use crate::term::{EncodingKind, TermCodec};
+use crate::term::TermCodec;
 use lmkg_store::{NodeTerm, PredTerm, Query};
+
+/// Why a query does not fit an encoder.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum EncodeError {
+    /// The query has more distinct nodes or predicates than the encoder
+    /// has slots for.
+    TooLarge {
+        /// Encoder capacity.
+        capacity: usize,
+        /// What the query needs.
+        actual: usize,
+    },
+}
+
+impl std::fmt::Display for EncodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            EncodeError::TooLarge { capacity, actual } => {
+                write!(f, "query size {actual} exceeds encoder capacity {capacity}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for EncodeError {}
 
 /// Fixed-capacity SG encoder.
 #[derive(Debug, Clone, Copy)]
@@ -48,12 +72,12 @@ pub struct SgLayout {
 
 impl SgEncoder {
     /// Creates an encoder with node capacity `max_nodes` and edge capacity
-    /// `max_edges` over the graph's domains. X and E always use the compact
-    /// binary modification (the paper's preferred variant).
+    /// `max_edges` over the graph's domains. X and E use the compact binary
+    /// term codec (the paper's preferred variant).
     pub fn new(node_domain: usize, pred_domain: usize, max_nodes: usize, max_edges: usize) -> Self {
         assert!(max_nodes >= 1 && max_edges >= 1);
         Self {
-            codec: TermCodec::new(EncodingKind::Binary, node_domain, pred_domain),
+            codec: TermCodec::new(node_domain, pred_domain),
             max_nodes,
             max_edges,
         }
@@ -288,7 +312,8 @@ mod tests {
 
     #[test]
     fn composite_topologies_encode() {
-        // Star + chain composite (the case pattern-bound cannot express).
+        // Star + chain composite (the case a topology-specific encoding
+        // cannot express).
         let e = SgEncoder::new(10, 4, 4, 3);
         let q = Query::new(vec![
             TriplePattern::new(v(0), p(0), v(1)),

@@ -1,29 +1,12 @@
-//! Term-level codecs (paper §V): one-hot and binary encodings of node and
-//! predicate ids, with *all-zeros* reserved for unbound/absent terms.
+//! The term-level codec (paper §V): the binary encoding of node and
+//! predicate ids — "the preferred choice for encoding triple patterns" on
+//! heterogeneous KGs — with *all-zeros* reserved for unbound/absent terms.
 //!
-//! For the binary codec, a term with id `t` is encoded as the bits of `t+1`
-//! in `⌈log2(domain+1)⌉` digits — the paper's `⌈log2|d|+1⌉` sizing — so that
+//! A term with id `t` is encoded as the bits of `t+1` in
+//! `⌈log2(domain+1)⌉` digits — the paper's `⌈log2|d|+1⌉` sizing — so that
 //! id 0 is distinguishable from "absent".
 
 use lmkg_store::{NodeId, PredId};
-
-/// Which term encoding to use (paper §V).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EncodingKind {
-    /// One position per domain value; `O(|domain|)` space.
-    OneHot,
-    /// Binary digits of `id+1`; `O(log |domain|)` space — "the preferred
-    /// choice for encoding triple patterns" on heterogeneous KGs.
-    Binary,
-}
-
-/// Width in features of one encoded term.
-pub fn term_width(kind: EncodingKind, domain: usize) -> usize {
-    match kind {
-        EncodingKind::OneHot => domain,
-        EncodingKind::Binary => binary_width(domain),
-    }
-}
 
 /// Number of binary digits for a domain of the given size (ids `0..domain`
 /// are stored as `id+1` so zero stays free for "unbound").
@@ -33,21 +16,16 @@ pub fn binary_width(domain: usize) -> usize {
 }
 
 /// Encodes an optional id (`None` = unbound) into `out`.
-pub fn encode_id(kind: EncodingKind, domain: usize, id: Option<u32>, out: &mut [f32]) {
-    debug_assert_eq!(out.len(), term_width(kind, domain));
+pub fn encode_id(domain: usize, id: Option<u32>, out: &mut [f32]) {
+    debug_assert_eq!(out.len(), binary_width(domain));
     out.iter_mut().for_each(|x| *x = 0.0);
     let Some(id) = id else { return };
     debug_assert!((id as usize) < domain, "id {id} out of domain {domain}");
-    match kind {
-        EncodingKind::OneHot => out[id as usize] = 1.0,
-        EncodingKind::Binary => {
-            let code = u64::from(id) + 1;
-            let w = out.len();
-            for (bit, x) in out.iter_mut().enumerate() {
-                // Most-significant bit first, matching the paper's examples.
-                *x = ((code >> (w - 1 - bit)) & 1) as f32;
-            }
-        }
+    let code = u64::from(id) + 1;
+    let w = out.len();
+    for (bit, x) in out.iter_mut().enumerate() {
+        // Most-significant bit first, matching the paper's examples.
+        *x = ((code >> (w - 1 - bit)) & 1) as f32;
     }
 }
 
@@ -68,8 +46,6 @@ pub fn decode_binary(out: &[f32]) -> Option<u32> {
 /// Typed convenience wrapper around [`encode_id`] for nodes and predicates.
 #[derive(Debug, Clone, Copy)]
 pub struct TermCodec {
-    /// Encoding family.
-    pub kind: EncodingKind,
     /// Node domain size (`|S ∪ O|` — shared node space).
     pub node_domain: usize,
     /// Predicate domain size.
@@ -78,9 +54,8 @@ pub struct TermCodec {
 
 impl TermCodec {
     /// Creates a codec for the graph domains.
-    pub fn new(kind: EncodingKind, node_domain: usize, pred_domain: usize) -> Self {
+    pub fn new(node_domain: usize, pred_domain: usize) -> Self {
         Self {
-            kind,
             node_domain,
             pred_domain,
         }
@@ -88,22 +63,22 @@ impl TermCodec {
 
     /// Encoded width of one node term.
     pub fn node_width(&self) -> usize {
-        term_width(self.kind, self.node_domain)
+        binary_width(self.node_domain)
     }
 
     /// Encoded width of one predicate term.
     pub fn pred_width(&self) -> usize {
-        term_width(self.kind, self.pred_domain)
+        binary_width(self.pred_domain)
     }
 
     /// Encodes an optional node id.
     pub fn encode_node(&self, id: Option<NodeId>, out: &mut [f32]) {
-        encode_id(self.kind, self.node_domain, id.map(|n| n.0), out);
+        encode_id(self.node_domain, id.map(|n| n.0), out);
     }
 
     /// Encodes an optional predicate id.
     pub fn encode_pred(&self, id: Option<PredId>, out: &mut [f32]) {
-        encode_id(self.kind, self.pred_domain, id.map(|p| p.0), out);
+        encode_id(self.pred_domain, id.map(|p| p.0), out);
     }
 }
 
@@ -124,31 +99,19 @@ mod tests {
     }
 
     #[test]
-    fn paper_example_one_hot() {
-        // "for 3 subjects, the one-hot encoding of the subject with id 2"
-        // (1-based in the paper) → [0 1 0].
-        let mut out = [0.0f32; 3];
-        encode_id(EncodingKind::OneHot, 3, Some(1), &mut out); // 0-based id 1
-        assert_eq!(out, [0.0, 1.0, 0.0]);
-    }
-
-    #[test]
     fn paper_example_binary() {
         // "for 3 unique subjects, the binary encoding of the subject with
         // id 2" → [10] (2 bits, code 2).
         let mut out = [0.0f32; 2];
-        encode_id(EncodingKind::Binary, 3, Some(1), &mut out); // 0-based id 1 → code 2
+        encode_id(3, Some(1), &mut out); // 0-based id 1 → code 2
         assert_eq!(out, [1.0, 0.0]);
     }
 
     #[test]
     fn unbound_is_all_zero() {
         let mut out = [1.0f32; 4];
-        encode_id(EncodingKind::Binary, 10, None, &mut out);
+        encode_id(10, None, &mut out);
         assert!(out.iter().all(|&x| x == 0.0));
-        let mut oh = [1.0f32; 10];
-        encode_id(EncodingKind::OneHot, 10, None, &mut oh);
-        assert!(oh.iter().all(|&x| x == 0.0));
     }
 
     #[test]
@@ -157,27 +120,24 @@ mod tests {
         let w = binary_width(domain);
         let mut buf = vec![0.0f32; w];
         for id in 0..domain as u32 {
-            encode_id(EncodingKind::Binary, domain, Some(id), &mut buf);
+            encode_id(domain, Some(id), &mut buf);
             assert_eq!(decode_binary(&buf), Some(id), "id {id}");
         }
-        encode_id(EncodingKind::Binary, domain, None, &mut buf);
+        encode_id(domain, None, &mut buf);
         assert_eq!(decode_binary(&buf), None);
     }
 
     #[test]
     fn bound_id_zero_is_not_all_zeros() {
         let mut buf = vec![0.0f32; binary_width(5)];
-        encode_id(EncodingKind::Binary, 5, Some(0), &mut buf);
+        encode_id(5, Some(0), &mut buf);
         assert!(buf.iter().any(|&x| x != 0.0), "id 0 must differ from unbound");
     }
 
     #[test]
     fn codec_widths() {
-        let c = TermCodec::new(EncodingKind::Binary, 1000, 20);
+        let c = TermCodec::new(1000, 20);
         assert_eq!(c.node_width(), 10);
         assert_eq!(c.pred_width(), 5);
-        let c1 = TermCodec::new(EncodingKind::OneHot, 1000, 20);
-        assert_eq!(c1.node_width(), 1000);
-        assert_eq!(c1.pred_width(), 20);
     }
 }

@@ -1,7 +1,7 @@
 //! Property tests for the encoders: losslessness of the binary codec,
 //! structural invariants of SG-Encoding, and scaler monotonicity.
 
-use lmkg_encoder::{binary_width, term, CardinalityScaler, EncodingKind, SgEncoder};
+use lmkg_encoder::{binary_width, term, CardinalityScaler, SgEncoder};
 use lmkg_store::{NodeId, NodeTerm, PredId, PredTerm, Query, TriplePattern, VarId};
 use proptest::prelude::*;
 
@@ -36,7 +36,7 @@ proptest! {
     fn binary_codec_roundtrips(domain in 1usize..5000, id_frac in 0.0f64..1.0) {
         let id = ((domain as f64 - 1.0) * id_frac) as u32;
         let mut buf = vec![0.0f32; binary_width(domain)];
-        term::encode_id(EncodingKind::Binary, domain, Some(id), &mut buf);
+        term::encode_id(domain, Some(id), &mut buf);
         prop_assert_eq!(term::decode_binary(&buf), Some(id));
     }
 
@@ -48,8 +48,8 @@ proptest! {
         let w = binary_width(domain);
         let mut ba = vec![0.0f32; w];
         let mut bb = vec![0.0f32; w];
-        term::encode_id(EncodingKind::Binary, domain, Some(a), &mut ba);
-        term::encode_id(EncodingKind::Binary, domain, Some(b), &mut bb);
+        term::encode_id(domain, Some(a), &mut ba);
+        term::encode_id(domain, Some(b), &mut bb);
         prop_assert_ne!(ba, bb);
     }
 

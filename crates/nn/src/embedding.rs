@@ -1,7 +1,7 @@
 //! Embedding tables: dense id → vector lookups with sparse-write gradients.
 //!
-//! LMKG-U applies a (default 32-dimensional) embedding to every term of the
-//! pattern-bound encoding to keep the model small on heterogeneous KGs
+//! LMKG-U applies a (default 32-dimensional) embedding to every term of a
+//! bound pattern to keep the model small on heterogeneous KGs
 //! (paper §VI-B). Tables are shared across positions of the same term space
 //! (nodes share one table, predicates another).
 

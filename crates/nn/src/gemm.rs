@@ -9,7 +9,7 @@
 //! streams sequentially regardless of the caller's storage order. Packing is
 //! what lets one core serve `A·B`, `A·Bᵀ`, `Aᵀ·B`, and the column-sliced
 //! `A·B[:, lo..hi]`: the four variants differ only in the strides of the
-//! [`MatRef`] views handed to the pack routines.
+//! `MatRef` views handed to the pack routines.
 //!
 //! Two register microkernels compute [`MR`]`×`[`NR`] output tiles:
 //!

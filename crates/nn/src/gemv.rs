@@ -6,7 +6,7 @@
 //! weight matrix) that packing traffic dominates: the whole product is one
 //! pass over `B`, so copying `B` first doubles the memory traffic of a
 //! memory-bound operation. This module computes the same product directly
-//! from the strided [`MatRef`] views, streaming each row of `B` exactly
+//! from the strided `MatRef` views, streaming each row of `B` exactly
 //! once.
 //!
 //! Two kernels mirror [`crate::gemm`]'s dispatch:

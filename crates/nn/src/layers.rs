@@ -1,11 +1,12 @@
 //! Neural-network layers with explicit forward/backward passes.
 //!
-//! Each layer caches what it needs during `forward(train=true)` and consumes
-//! the cache in `backward`. Parameters are exposed through [`Layer::visit_params`]
+//! Each layer has one training forward, which caches what it needs and is
+//! consumed by `backward`, and one `&self` inference forward that caches
+//! nothing. Parameters are exposed through [`Layer::visit_params`]
 //! so optimizers and serializers can walk a model without knowing its shape.
 
 use crate::init;
-use crate::quant::{read_header, read_shape, write_header, QuantMode, ScaleAxis, Weights, FROZEN};
+use crate::quant::{read_header, read_shape, write_header, QuantMode, ScaleAxis, Weights};
 use crate::serialize::{read_f32s, read_u32, write_f32s};
 use crate::tensor::Matrix;
 use crate::workspace::Workspace;
@@ -41,25 +42,21 @@ impl Param {
 
 /// A differentiable layer operating on batched row-major matrices.
 pub trait Layer {
-    /// Computes outputs; caches activations when `train` is true.
-    fn forward(&mut self, x: &Matrix, train: bool) -> Matrix;
-
-    /// Forward pass that takes ownership of the input, letting layers that
-    /// can operate in place (activations, eval-mode dropout) avoid
-    /// allocating a fresh output buffer. Numerically identical to
-    /// [`Layer::forward`]; the default delegates to it.
-    fn forward_owned(&mut self, x: Matrix, train: bool) -> Matrix {
-        self.forward(&x, train)
-    }
+    /// Training forward: computes outputs and caches what
+    /// [`Layer::backward`] needs. Takes the input by value, so activations
+    /// and dropout work in place and [`Dense`] keeps it as its cache without
+    /// a copy.
+    fn forward(&mut self, x: Matrix) -> Matrix;
 
     /// Inference-only forward over **shared** layer state: no activation is
     /// cached, so any number of threads may run `forward_infer` on one model
     /// concurrently. Output buffers come from the caller's [`Workspace`];
-    /// results are bitwise identical to `forward(x, false)`.
+    /// results are bitwise identical to the training [`Layer::forward`] of a
+    /// dropout-free stack.
     fn forward_infer(&self, x: &Matrix, ws: &mut Workspace) -> Matrix;
 
     /// Like [`Layer::forward_infer`] but takes ownership of the input,
-    /// letting in-place layers (activations, eval-mode dropout) reuse it as
+    /// letting in-place layers (activations, dropout) reuse it as
     /// the output. The default recycles the input into the workspace after a
     /// borrowed forward. Numerically identical to [`Layer::forward_infer`].
     fn forward_infer_owned(&self, x: Matrix, ws: &mut Workspace) -> Matrix {
@@ -70,7 +67,7 @@ pub trait Layer {
 
     /// Propagates `grad_out` backwards, accumulating parameter gradients and
     /// returning the gradient with respect to the layer input. Must be called
-    /// after a `forward(train=true)`.
+    /// after a [`Layer::forward`].
     fn backward(&mut self, grad_out: &Matrix) -> Matrix;
 
     /// Visits all trainable parameters in a stable order.
@@ -95,7 +92,7 @@ pub trait Layer {
 
     /// The reduced-precision store this layer's weights are frozen in, or
     /// `None` while they are trainable f32. Training-only operations
-    /// (`forward(train = true)`, `backward`, the parameter walks) panic on a
+    /// (`forward`, `backward`, the parameter walks) panic on a
     /// frozen layer; [`crate::serialize`] checks this first and returns
     /// `InvalidInput` instead.
     fn quant_mode(&self) -> Option<QuantMode> {
@@ -251,16 +248,10 @@ fn apply_mask(w: &mut Matrix, mask: &Matrix) {
 }
 
 impl Layer for Dense {
-    fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
-        let Weights::F32(w) = &self.w else {
-            assert!(!train, "{FROZEN}");
-            return self.forward_infer(x, &mut Workspace::new());
-        };
-        let mut y = x.matmul(&w.value);
+    fn forward(&mut self, x: Matrix) -> Matrix {
+        let mut y = x.matmul(&self.w.param().value);
         y.add_row_vector(self.b.value.as_slice());
-        if train {
-            self.cached_input = Some(x.clone());
-        }
+        self.cached_input = Some(x);
         y
     }
 
@@ -275,7 +266,7 @@ impl Layer for Dense {
 
     fn backward(&mut self, grad_out: &Matrix) -> Matrix {
         let w = self.w.param_mut();
-        let x = self.cached_input.take().expect("backward without forward(train)");
+        let x = self.cached_input.take().expect("backward without forward");
         {
             // Scoped so the weight-sized temporary is freed before the
             // input gradient below is allocated.
@@ -323,18 +314,8 @@ impl Relu {
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
-        let y = x.map(|v| v.max(0.0));
-        if train {
-            self.cached_output_mask = Some(x.map(|v| if v > 0.0 { 1.0 } else { 0.0 }));
-        }
-        y
-    }
-
-    fn forward_owned(&mut self, mut x: Matrix, train: bool) -> Matrix {
-        if train {
-            self.cached_output_mask = Some(x.map(|v| if v > 0.0 { 1.0 } else { 0.0 }));
-        }
+    fn forward(&mut self, mut x: Matrix) -> Matrix {
+        self.cached_output_mask = Some(x.map(|v| if v > 0.0 { 1.0 } else { 0.0 }));
         x.as_mut_slice().iter_mut().for_each(|v| *v = v.max(0.0));
         x
     }
@@ -355,7 +336,7 @@ impl Layer for Relu {
     }
 
     fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let mask = self.cached_output_mask.take().expect("backward without forward(train)");
+        let mask = self.cached_output_mask.take().expect("backward without forward");
         grad_out.zip_map(&mask, |g, m| g * m)
     }
 
@@ -378,19 +359,9 @@ impl Sigmoid {
 }
 
 impl Layer for Sigmoid {
-    fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
-        let y = x.map(|v| 1.0 / (1.0 + (-v).exp()));
-        if train {
-            self.cached_output = Some(y.clone());
-        }
-        y
-    }
-
-    fn forward_owned(&mut self, mut x: Matrix, train: bool) -> Matrix {
+    fn forward(&mut self, mut x: Matrix) -> Matrix {
         x.as_mut_slice().iter_mut().for_each(|v| *v = 1.0 / (1.0 + (-*v).exp()));
-        if train {
-            self.cached_output = Some(x.clone());
-        }
+        self.cached_output = Some(x.clone());
         x
     }
 
@@ -408,7 +379,7 @@ impl Layer for Sigmoid {
     }
 
     fn backward(&mut self, grad_out: &Matrix) -> Matrix {
-        let y = self.cached_output.take().expect("backward without forward(train)");
+        let y = self.cached_output.take().expect("backward without forward");
         grad_out.zip_map(&y, |g, s| g * s * (1.0 - s))
     }
 
@@ -449,9 +420,9 @@ impl Dropout {
 }
 
 impl Layer for Dropout {
-    fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
-        if !train || self.p == 0.0 {
-            return x.clone();
+    fn forward(&mut self, mut x: Matrix) -> Matrix {
+        if self.p == 0.0 {
+            return x;
         }
         let keep = 1.0 - self.p;
         let mask = Matrix::from_fn(x.rows(), x.cols(), |_, _| {
@@ -461,16 +432,12 @@ impl Layer for Dropout {
                 0.0
             }
         });
-        let y = x.zip_map(&mask, |v, m| v * m);
+        x.as_mut_slice()
+            .iter_mut()
+            .zip(mask.as_slice())
+            .for_each(|(v, m)| *v *= m);
         self.cached_mask = Some(mask);
-        y
-    }
-
-    fn forward_owned(&mut self, x: Matrix, train: bool) -> Matrix {
-        if !train || self.p == 0.0 {
-            return x;
-        }
-        self.forward(&x, train)
+        x
     }
 
     fn forward_infer(&self, x: &Matrix, ws: &mut Workspace) -> Matrix {
@@ -650,24 +617,8 @@ impl Sequential {
 }
 
 impl Layer for Sequential {
-    fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
-        let (first, rest) = match self.layers.split_first_mut() {
-            Some(split) => split,
-            None => return x.clone(),
-        };
-        let mut h = first.layer_mut().forward(x, train);
-        for stage in rest {
-            h = stage.layer_mut().forward_owned(h, train);
-        }
-        h
-    }
-
-    fn forward_owned(&mut self, x: Matrix, train: bool) -> Matrix {
-        let mut h = x;
-        for stage in &mut self.layers {
-            h = stage.layer_mut().forward_owned(h, train);
-        }
-        h
+    fn forward(&mut self, x: Matrix) -> Matrix {
+        self.layers.iter_mut().fold(x, |h, stage| stage.layer_mut().forward(h))
     }
 
     fn forward_infer(&self, x: &Matrix, ws: &mut Workspace) -> Matrix {
@@ -731,7 +682,7 @@ mod tests {
         let mut d = Dense::new_he(&mut rng, 3, 2);
         d.b.value.as_mut_slice().copy_from_slice(&[1.0, -1.0]);
         let x = Matrix::zeros(4, 3);
-        let y = d.forward(&x, false);
+        let y = d.forward(x);
         assert_eq!((y.rows(), y.cols()), (4, 2));
         // Zero input → output is exactly the bias.
         for r in 0..4 {
@@ -743,7 +694,7 @@ mod tests {
     fn relu_clamps_and_gates_gradient() {
         let mut relu = Relu::new();
         let x = Matrix::from_vec(1, 4, vec![-1.0, 0.0, 0.5, 2.0]);
-        let y = relu.forward(&x, true);
+        let y = relu.forward(x);
         assert_eq!(y.as_slice(), &[0.0, 0.0, 0.5, 2.0]);
         let g = relu.backward(&Matrix::from_vec(1, 4, vec![1.0; 4]));
         assert_eq!(g.as_slice(), &[0.0, 0.0, 1.0, 1.0]);
@@ -753,7 +704,7 @@ mod tests {
     fn sigmoid_range_and_gradient() {
         let mut s = Sigmoid::new();
         let x = Matrix::from_vec(1, 3, vec![-10.0, 0.0, 10.0]);
-        let y = s.forward(&x, true);
+        let y = s.forward(x);
         assert!(y.as_slice()[0] < 1e-4);
         assert!((y.as_slice()[1] - 0.5).abs() < 1e-6);
         assert!(y.as_slice()[2] > 1.0 - 1e-4);
@@ -764,16 +715,18 @@ mod tests {
 
     #[test]
     fn dropout_inference_is_identity() {
-        let mut d = Dropout::new(0.5, 3);
+        let d = Dropout::new(0.5, 3);
         let x = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(d.forward(&x, false), x);
+        let mut ws = Workspace::new();
+        assert_eq!(d.forward_infer(&x, &mut ws), x);
+        assert_eq!(d.forward_infer_owned(x.clone(), &mut ws), x);
     }
 
     #[test]
     fn dropout_preserves_expectation_roughly() {
         let mut d = Dropout::new(0.3, 7);
         let x = Matrix::from_vec(1, 10_000, vec![1.0; 10_000]);
-        let y = d.forward(&x, true);
+        let y = d.forward(x);
         let mean = y.as_slice().iter().sum::<f32>() / 10_000.0;
         assert!((mean - 1.0).abs() < 0.05, "mean {mean}");
     }
@@ -788,10 +741,9 @@ mod tests {
         assert_eq!(md.w.param().value.get(1, 0), 0.0);
         // Input feature 0 can only influence output 0.
         let x0 = Matrix::from_vec(1, 2, vec![1.0, 0.0]);
-        let y0 = md.forward(&x0, false);
+        let y0 = md.forward(x0);
         assert_eq!(y0.get(0, 1), md.b.value.get(0, 1));
         // Gradients stay masked after backward.
-        let _ = md.forward(&x0, true);
         let _ = md.backward(&Matrix::from_vec(1, 2, vec![1.0, 1.0]));
         assert_eq!(md.w.param().grad.get(0, 1), 0.0);
         assert_eq!(md.w.param().grad.get(1, 0), 0.0);
@@ -806,27 +758,27 @@ mod tests {
         model.push(Dense::new_xavier(&mut rng, 8, 1));
         model.push(Sigmoid::new());
         let x = Matrix::zeros(2, 4);
-        let y = model.forward(&x, false);
+        let y = model.forward(x);
         assert_eq!((y.rows(), y.cols()), (2, 1));
         assert!(y.as_slice().iter().all(|&v| (0.0..=1.0).contains(&v)));
         assert!(model.param_count() > 0);
     }
 
-    /// The `&self` inference path must reproduce `forward(x, false)`
-    /// bitwise, with and without a warmed workspace pool, and the read-only
-    /// parameter walk must agree with the mutable one.
+    /// The `&self` inference path must reproduce the training forward of a
+    /// dropout-free stack bitwise, with and without a warmed workspace pool,
+    /// and the read-only parameter walk must agree with the mutable one.
     #[test]
-    fn forward_infer_matches_eval_forward_bitwise() {
+    fn forward_infer_matches_training_forward_bitwise() {
         let mut rng = StdRng::seed_from_u64(11);
         let mut model = Sequential::new();
         model.push(Dense::new_he(&mut rng, 6, 16));
         model.push(Relu::new());
-        model.push(Dropout::new(0.25, 9));
+        model.push(Dropout::new(0.0, 9));
         model.push(Dense::new_xavier(&mut rng, 16, 3));
         model.push(Sigmoid::new());
 
         let x = crate::test_support::seeded_matrix(5, 6, 31);
-        let expected = model.forward(&x, false);
+        let expected = model.forward(x.clone());
         let mut ws = Workspace::new();
         let cold = model.forward_infer(&x, &mut ws);
         assert_eq!(cold, expected);
@@ -844,14 +796,15 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut d = Dense::new_he(&mut rng, 2, 2);
         let x = Matrix::from_vec(1, 2, vec![1.0, 2.0]);
-        let _ = d.forward(&x, true);
+        let _ = d.forward(x);
         let _ = d.backward(&Matrix::from_vec(1, 2, vec![1.0, 1.0]));
         assert!(d.w.param().grad.max_abs() > 0.0);
         d.zero_grads();
         assert_eq!(d.w.param().grad.max_abs(), 0.0);
     }
 
-    /// Numerical gradient check for a small Dense+ReLU+Dense stack with MSE.
+    /// Numerical gradient check for a small Dense+ReLU+Dense stack under a
+    /// squared-error loss.
     #[test]
     fn gradient_check_dense_stack() {
         let mut rng = StdRng::seed_from_u64(5);
@@ -864,14 +817,14 @@ mod tests {
         let target = Matrix::from_vec(2, 1, vec![0.3, -0.7]);
 
         // Analytic gradient: L = mean((y - t)^2).
-        let y = model.forward(&x, true);
+        let y = model.forward(x.clone());
         let n = y.len() as f32;
         let grad = y.zip_map(&target, |a, b| 2.0 * (a - b) / n);
         model.zero_grads();
         let _ = model.backward(&grad);
 
         let loss_fn = |model: &mut Sequential, x: &Matrix, t: &Matrix| -> f32 {
-            let y = model.forward(x, false);
+            let y = model.forward_infer(x, &mut Workspace::new());
             y.zip_map(t, |a, b| (a - b) * (a - b)).as_slice().iter().sum::<f32>() / y.len() as f32
         };
 

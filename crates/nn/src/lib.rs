@@ -8,15 +8,20 @@
 //! * dense MLPs with ReLU/sigmoid/dropout (LMKG-S, MSCN),
 //! * masked autoregressive networks with residual blocks and per-position
 //!   embeddings — ResMADE (LMKG-U),
-//! * Adam/SGD optimizers, MSE / mean-q-error / segmented-cross-entropy
+//! * the Adam optimizer, the mean-q-error and segmented-cross-entropy
 //!   losses, and a tiny binary parameter format.
 //!
-//! Everything is gradient-checked against finite differences in the tests.
+//! Every layer has one training forward (`forward` / `forward_ids`, which
+//! caches for `backward`) and one `&self` inference forward
+//! (`forward_infer` / `forward_ids_infer`, which caches nothing and is
+//! bitwise the training forward of a dropout-free model). Everything is
+//! gradient-checked against finite differences in the tests.
 //!
 //! ```
 //! use lmkg_nn::layers::{Dense, Layer, Relu, Sequential, Sigmoid};
-//! use lmkg_nn::optimizer::{Adam, Optimizer};
+//! use lmkg_nn::optimizer::Adam;
 //! use lmkg_nn::tensor::Matrix;
+//! use lmkg_nn::workspace::Workspace;
 //! use rand::rngs::StdRng;
 //! use rand::SeedableRng;
 //!
@@ -27,16 +32,17 @@
 //! model.push(Dense::new_xavier(&mut rng, 16, 1));
 //! model.push(Sigmoid::new());
 //!
+//! // Targets are min-max-scaled log cardinalities over a log₂ range of 8.
 //! let x = Matrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
-//! let t = Matrix::from_rows(&[&[1.0], &[0.0]]);
+//! let t = Matrix::from_rows(&[&[0.9], &[0.1]]);
 //! let mut opt = Adam::new(0.01);
 //! for _ in 0..200 {
-//!     let y = model.forward(&x, true);
-//!     let (_, grad) = lmkg_nn::loss::mse(&y, &t);
+//!     let y = model.forward(x.clone());
+//!     let (_, grad) = lmkg_nn::loss::q_error(&y, &t, 8.0, 16.0);
 //!     model.backward(&grad);
 //!     opt.step(&mut model);
 //! }
-//! let y = model.forward(&x, false);
+//! let y = model.forward_infer(&x, &mut Workspace::new());
 //! assert!(y.get(0, 0) > 0.8 && y.get(1, 0) < 0.2);
 //! ```
 
@@ -62,7 +68,7 @@ pub mod workspace;
 
 pub use layers::{Dense, Dropout, Layer, Param, Relu, Sequential, Sigmoid, Stage};
 pub use made::{Made, MadeConfig};
-pub use optimizer::{Adam, Optimizer, Sgd};
+pub use optimizer::Adam;
 pub use quant::QuantMode;
 pub use tensor::Matrix;
 pub use workspace::Workspace;

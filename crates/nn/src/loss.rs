@@ -1,4 +1,5 @@
-//! Loss functions.
+//! Loss functions: the mean q-error the supervised models train on and the
+//! segmented cross-entropy (tuple negative log-likelihood) of the ResMADE.
 //!
 //! Every function returns `(mean loss, gradient w.r.t. predictions)` so the
 //! caller can feed the gradient straight into `Layer::backward`.
@@ -21,34 +22,6 @@ fn sign(d: f32) -> f32 {
     } else {
         0.0
     }
-}
-
-/// Mean squared error.
-pub fn mse(pred: &Matrix, target: &Matrix) -> (f32, Matrix) {
-    assert_eq!((pred.rows(), pred.cols()), (target.rows(), target.cols()));
-    let n = pred.len() as f32;
-    let mut loss = 0.0f32;
-    let grad = pred.zip_map(target, |p, t| {
-        let d = p - t;
-        loss += d * d;
-        2.0 * d / n
-    });
-    (loss / n, grad)
-}
-
-/// Mean absolute error (L1). In normalized-log space this is the logarithm of
-/// the geometric q-error — a robust alternative the framework exposes for
-/// ablation.
-pub fn mae(pred: &Matrix, target: &Matrix) -> (f32, Matrix) {
-    assert_eq!((pred.rows(), pred.cols()), (target.rows(), target.cols()));
-    let n = pred.len() as f32;
-    let mut loss = 0.0f32;
-    let grad = pred.zip_map(target, |p, t| {
-        let d = p - t;
-        loss += d.abs();
-        sign(d) / n
-    });
-    (loss / n, grad)
 }
 
 /// Mean q-error over normalized-log predictions.
@@ -119,31 +92,6 @@ pub fn segmented_cross_entropy(logits: &Matrix, segments: &[usize], targets: &[V
     ((loss / batch as f64) as f32, grad)
 }
 
-/// Log-probabilities `log P(class = targets[r][i])` per row and segment,
-/// computed with the same stable log-softmax as the loss. Used at inference
-/// by the autoregressive sampler.
-pub fn segmented_log_probs(logits: &Matrix, segments: &[usize], targets: &[Vec<usize>]) -> Vec<Vec<f32>> {
-    let total: usize = segments.iter().sum();
-    assert_eq!(logits.cols(), total);
-    assert_eq!(logits.rows(), targets.len(), "one target row per logit row");
-    let mut out = Vec::with_capacity(logits.rows());
-    for (r, target_row) in targets.iter().enumerate() {
-        let row = logits.row(r);
-        let mut offset = 0;
-        let mut per_seg = Vec::with_capacity(segments.len());
-        for (i, &width) in segments.iter().enumerate() {
-            let seg = &row[offset..offset + width];
-            let target = target_row[i];
-            let max = seg.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x));
-            let sum: f32 = seg.iter().map(|&x| (x - max).exp()).sum();
-            per_seg.push(seg[target] - max - sum.ln());
-            offset += width;
-        }
-        out.push(per_seg);
-    }
-    out
-}
-
 /// Stable in-place softmax over a slice; returns nothing, mutates `xs`.
 pub fn softmax_in_place(xs: &mut [f32]) {
     let max = xs.iter().fold(f32::NEG_INFINITY, |m, &x| m.max(x));
@@ -162,32 +110,6 @@ pub fn softmax_in_place(xs: &mut [f32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mse_at_optimum_is_zero() {
-        let p = Matrix::from_vec(1, 3, vec![1.0, 2.0, 3.0]);
-        let (l, g) = mse(&p, &p);
-        assert_eq!(l, 0.0);
-        assert_eq!(g.max_abs(), 0.0);
-    }
-
-    #[test]
-    fn mse_gradient_direction() {
-        let p = Matrix::from_vec(1, 1, vec![2.0]);
-        let t = Matrix::from_vec(1, 1, vec![1.0]);
-        let (l, g) = mse(&p, &t);
-        assert_eq!(l, 1.0);
-        assert!(g.as_slice()[0] > 0.0); // prediction above target → positive grad
-    }
-
-    #[test]
-    fn mae_matches_hand_computation() {
-        let p = Matrix::from_vec(1, 2, vec![2.0, 0.0]);
-        let t = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
-        let (l, g) = mae(&p, &t);
-        assert_eq!(l, 1.0);
-        assert_eq!(g.as_slice(), &[0.5, -0.5]);
-    }
 
     #[test]
     fn q_error_is_one_at_optimum() {
@@ -274,18 +196,6 @@ mod tests {
                 "elem {i}: numeric {numeric} analytic {analytic}"
             );
         }
-    }
-
-    #[test]
-    fn segmented_log_probs_consistent_with_ce() {
-        let logits = Matrix::from_vec(2, 4, vec![0.5, -0.5, 1.0, 2.0, 0.0, 0.0, 0.0, 0.0]);
-        let segs = [2usize, 2];
-        let targets = vec![vec![0, 1], vec![1, 0]];
-        let lp = segmented_log_probs(&logits, &segs, &targets);
-        // NLL from log-probs equals CE loss.
-        let nll: f32 = lp.iter().map(|row| -row.iter().sum::<f32>()).sum::<f32>() / 2.0;
-        let (ce, _) = segmented_cross_entropy(&logits, &segs, &targets);
-        assert!((nll - ce).abs() < 1e-5);
     }
 
     #[test]

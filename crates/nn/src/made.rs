@@ -7,13 +7,17 @@
 //! `P(x_i | x₁ … x_{i−1})` and their product is the tuple density.
 //!
 //! Implementation notes:
-//! * positions take categorical ids; the input is either per-position
-//!   embeddings (shared per term space — nodes vs. predicates) or one-hot;
+//! * positions take categorical ids, embedded per position through one
+//!   table per term space (nodes vs. predicates, §VI-B);
 //! * all hidden layers share one degree assignment (cycling `1..K−1`), which
 //!   makes residual skip-connections autoregressive-safe;
 //! * the output layer emits one logit segment per position, masked so that
 //!   segment `i` sees only hidden units with degree `≤ i−1`; segment 1
-//!   receives only its bias, i.e. the learned marginal of `x₁`.
+//!   receives only its bias, i.e. the learned marginal of `x₁`;
+//! * [`Made::forward_ids`] is the one training forward (it caches for
+//!   [`Made::backward_ids`]); [`Made::forward_ids_infer`] and
+//!   [`Made::forward_ids_segment`] are the `&self` inference forwards, and
+//!   the first is bitwise the training forward's output.
 
 use crate::embedding::Embedding;
 use crate::layers::{Dense, Layer, Param, Relu};
@@ -35,7 +39,7 @@ pub struct MadeConfig {
     pub hidden: usize,
     /// Number of residual blocks after the input layer.
     pub blocks: usize,
-    /// Embedding dimensionality; `0` selects one-hot input.
+    /// Embedding dimensionality (paper: 32); at least 1.
     pub embed_dim: usize,
 }
 
@@ -59,6 +63,7 @@ impl MadeConfig {
         );
         assert!(self.vocab_sizes.iter().all(|&v| v >= 1), "empty vocabulary");
         assert!(self.hidden >= 1, "hidden width must be positive");
+        assert!(self.embed_dim >= 1, "embedding dimensionality must be positive");
     }
 }
 
@@ -80,12 +85,12 @@ impl ResBlock {
         }
     }
 
-    fn forward(&mut self, x: &Matrix, train: bool) -> Matrix {
-        let a = self.l1.forward(x, train);
-        let b = self.r1.forward(&a, train);
-        let mut c = self.l2.forward(&b, train);
-        c.add_assign(x);
-        self.out_relu.forward(&c, train)
+    fn forward(&mut self, x: Matrix) -> Matrix {
+        let a = self.l1.forward(x.clone());
+        let b = self.r1.forward(a);
+        let mut c = self.l2.forward(b);
+        c.add_assign(&x);
+        self.out_relu.forward(c)
     }
 
     fn forward_infer(&self, x: &Matrix, ws: &mut Workspace) -> Matrix {
@@ -125,7 +130,7 @@ impl ResBlock {
 pub struct Made {
     cfg: MadeConfig,
     segments: Vec<usize>,
-    /// One embedding table per term space (empty when `embed_dim == 0`).
+    /// One embedding table per term space.
     embeddings: Vec<Embedding>,
     input_layer: Dense,
     input_relu: Relu,
@@ -143,17 +148,9 @@ impl Made {
         let segments = cfg.segments();
         let hidden = cfg.hidden;
 
-        // Input unit degrees: position index (1-based) per embedding/one-hot block.
-        let input_width: usize = if cfg.embed_dim > 0 {
-            k * cfg.embed_dim
-        } else {
-            segments.iter().sum()
-        };
-        let mut input_degrees = Vec::with_capacity(input_width);
-        for (pos, &seg) in segments.iter().enumerate() {
-            let width = if cfg.embed_dim > 0 { cfg.embed_dim } else { seg };
-            input_degrees.extend(std::iter::repeat_n(pos + 1, width));
-        }
+        // Input unit degrees: position index (1-based) per embedding block.
+        let input_width = k * cfg.embed_dim;
+        let input_degrees: Vec<usize> = (0..input_width).map(|u| 1 + u / cfg.embed_dim).collect();
 
         // Hidden degrees cycle 1..=K-1 and are shared by every hidden layer.
         let max_deg = (k - 1).max(1);
@@ -186,14 +183,11 @@ impl Made {
             }
         });
 
-        let embeddings = if cfg.embed_dim > 0 {
-            cfg.vocab_sizes
-                .iter()
-                .map(|&v| Embedding::new(rng, v, cfg.embed_dim))
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let embeddings = cfg
+            .vocab_sizes
+            .iter()
+            .map(|&v| Embedding::new(rng, v, cfg.embed_dim))
+            .collect();
 
         let input_layer = Dense::masked(rng, mask_in);
         let blocks = (0..cfg.blocks)
@@ -227,58 +221,39 @@ impl Made {
     /// the buffer from `ws`.
     fn encode_input(&self, batch_ids: &[Vec<usize>], ws: &mut Workspace) -> Matrix {
         let k = self.cfg.positions();
-        if self.cfg.embed_dim > 0 {
-            let dim = self.cfg.embed_dim;
-            // Every row is fully overwritten (the position blocks tile it),
-            // so the unspecified-contents buffer is safe here.
-            let mut x = ws.take_full(batch_ids.len(), k * dim);
-            for (r, ids) in batch_ids.iter().enumerate() {
-                debug_assert_eq!(ids.len(), k);
-                let row = x.row_mut(r);
-                for (pos, &id) in ids.iter().enumerate() {
-                    let table = &self.embeddings[self.cfg.spaces[pos]];
-                    table.lookup_into(id, &mut row[pos * dim..(pos + 1) * dim]);
-                }
+        let dim = self.cfg.embed_dim;
+        // Every row is fully overwritten (the position blocks tile it), so
+        // the unspecified-contents buffer is safe here.
+        let mut x = ws.take_full(batch_ids.len(), k * dim);
+        for (r, ids) in batch_ids.iter().enumerate() {
+            debug_assert_eq!(ids.len(), k);
+            let row = x.row_mut(r);
+            for (pos, &id) in ids.iter().enumerate() {
+                let table = &self.embeddings[self.cfg.spaces[pos]];
+                table.lookup_into(id, &mut row[pos * dim..(pos + 1) * dim]);
             }
-            x
-        } else {
-            // One-hot relies on the zeroed `take` contract.
-            let width: usize = self.segments.iter().sum();
-            let mut x = ws.take(batch_ids.len(), width);
-            for (r, ids) in batch_ids.iter().enumerate() {
-                let row = x.row_mut(r);
-                let mut offset = 0;
-                for (pos, &id) in ids.iter().enumerate() {
-                    row[offset + id] = 1.0;
-                    offset += self.segments[pos];
-                }
-            }
-            x
         }
+        x
     }
 
-    /// Forward pass over a batch of complete id tuples, returning logits
-    /// (`batch × Σ segments`). Positions the caller has not decided yet may
-    /// hold any placeholder id — the autoregressive masks guarantee they
-    /// cannot influence earlier segments.
-    pub fn forward_ids(&mut self, batch_ids: &[Vec<usize>], train: bool) -> Matrix {
-        let mut ws = Workspace::new();
-        let x = self.encode_input(batch_ids, &mut ws);
-        if train {
-            self.cached_ids = Some(batch_ids.to_vec());
-        }
-        let mut h = self.input_layer.forward(&x, train);
-        h = self.input_relu.forward(&h, train);
+    /// Training forward over a batch of complete id tuples, returning logits
+    /// (`batch × Σ segments`) and caching what [`Made::backward_ids`] needs.
+    /// Positions the caller has not decided yet may hold any placeholder id
+    /// — the autoregressive masks guarantee they cannot influence earlier
+    /// segments.
+    pub fn forward_ids(&mut self, batch_ids: &[Vec<usize>]) -> Matrix {
+        let x = self.encode_input(batch_ids, &mut Workspace::new());
+        self.cached_ids = Some(batch_ids.to_vec());
+        let mut h = self.input_relu.forward(self.input_layer.forward(x));
         for b in &mut self.blocks {
-            h = b.forward(&h, train);
+            h = b.forward(h);
         }
-        self.output_layer.forward(&h, train)
+        self.output_layer.forward(h)
     }
 
     /// Inference-only full forward over **shared** model state: no caching,
     /// buffers from the caller's [`Workspace`], safe to run from any number
-    /// of threads concurrently. Bitwise identical to
-    /// `forward_ids(batch_ids, false)`.
+    /// of threads concurrently. Bitwise identical to [`Made::forward_ids`].
     pub fn forward_ids_infer(&self, batch_ids: &[Vec<usize>], ws: &mut Workspace) -> Matrix {
         let h = self.hidden_infer(batch_ids, ws);
         let out = self.output_layer.forward_infer(&h, ws);
@@ -325,18 +300,14 @@ impl Made {
         g = self.input_relu.backward(&g);
         let gx = self.input_layer.backward(&g);
 
-        if self.cfg.embed_dim > 0 {
-            let ids = self.cached_ids.take().expect("backward_ids without forward_ids(train)");
-            let dim = self.cfg.embed_dim;
-            for (r, row_ids) in ids.iter().enumerate() {
-                let grow = gx.row(r);
-                for (pos, &id) in row_ids.iter().enumerate() {
-                    let space = self.cfg.spaces[pos];
-                    self.embeddings[space].accumulate_grad(id, &grow[pos * dim..(pos + 1) * dim]);
-                }
+        let ids = self.cached_ids.take().expect("backward_ids without forward_ids");
+        let dim = self.cfg.embed_dim;
+        for (r, row_ids) in ids.iter().enumerate() {
+            let grow = gx.row(r);
+            for (pos, &id) in row_ids.iter().enumerate() {
+                let space = self.cfg.spaces[pos];
+                self.embeddings[space].accumulate_grad(id, &grow[pos * dim..(pos + 1) * dim]);
             }
-        } else {
-            self.cached_ids = None;
         }
     }
 
@@ -425,20 +396,34 @@ impl Made {
             let n = read_u32(reader)? as usize;
             (0..n).map(|_| Ok(read_u32(reader)? as usize)).collect()
         };
+        let invalid = |what: String| io::Error::new(io::ErrorKind::InvalidData, what);
         let spaces = read_usizes(reader)?;
         let embed_dim = read_u32(reader)? as usize;
+        if embed_dim == 0 {
+            return Err(invalid("embedding dimensionality 0".into()));
+        }
         let segments = read_usizes(reader)?;
         if spaces.len() != segments.len() || spaces.iter().any(|&s| s >= spaces.len()) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "positions, term spaces and logit segments disagree",
-            ));
+            return Err(invalid("positions, term spaces and logit segments disagree".into()));
         }
+        let n_spaces = spaces.iter().map(|&s| s + 1).max().unwrap_or(0);
         let n_embeddings = read_u32(reader)? as usize;
+        if n_embeddings != n_spaces {
+            return Err(invalid(format!(
+                "{n_embeddings} embedding tables for {n_spaces} term spaces"
+            )));
+        }
         let embeddings = (0..n_embeddings)
             .map(|_| Embedding::read_frozen(reader, mode))
             .collect::<io::Result<Vec<_>>>()?;
         let input_layer = Dense::read_frozen(reader, mode)?;
+        if input_layer.fan_in() != spaces.len() * embed_dim {
+            return Err(invalid(format!(
+                "input layer fan-in {} for {} positions × {embed_dim}",
+                input_layer.fan_in(),
+                spaces.len()
+            )));
+        }
         let n_blocks = read_u32(reader)? as usize;
         let blocks = (0..n_blocks)
             .map(|_| {
@@ -478,7 +463,7 @@ impl Made {
 pub const QUANT_MADE_MAGIC: &[u8; 8] = b"LMKGQM1\0";
 
 impl Layer for Made {
-    fn forward(&mut self, _x: &Matrix, _train: bool) -> Matrix {
+    fn forward(&mut self, _x: Matrix) -> Matrix {
         unimplemented!("Made consumes id tuples; use forward_ids")
     }
 
@@ -525,7 +510,7 @@ impl Layer for Made {
 mod tests {
     use super::*;
     use crate::loss;
-    use crate::optimizer::{Adam, Optimizer};
+    use crate::optimizer::Adam;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -544,31 +529,23 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let mut made = Made::new(&mut rng, tiny_cfg(4));
         assert_eq!(made.segments(), &[4, 3, 4]);
-        let logits = made.forward_ids(&[vec![0, 1, 2], vec![3, 0, 0]], false);
+        let logits = made.forward_ids(&[vec![0, 1, 2], vec![3, 0, 0]]);
         assert_eq!((logits.rows(), logits.cols()), (2, 11));
     }
 
     /// Core MADE invariant: perturbing position j leaves segments ≤ j intact.
     #[test]
     fn autoregressive_property_embeddings() {
-        autoregressive_property(4);
-    }
-
-    #[test]
-    fn autoregressive_property_one_hot() {
-        autoregressive_property(0);
-    }
-
-    fn autoregressive_property(embed: usize) {
         let mut rng = StdRng::seed_from_u64(42);
-        let mut made = Made::new(&mut rng, tiny_cfg(embed));
+        let made = Made::new(&mut rng, tiny_cfg(4));
+        let mut ws = Workspace::new();
         let base = vec![1usize, 2, 3];
-        let logits0 = made.forward_ids(std::slice::from_ref(&base), false);
+        let logits0 = made.forward_ids_infer(std::slice::from_ref(&base), &mut ws);
 
         for pos in 0..3 {
             let mut perturbed = base.clone();
             perturbed[pos] = (perturbed[pos] + 1) % made.segments()[pos];
-            let logits1 = made.forward_ids(&[perturbed], false);
+            let logits1 = made.forward_ids_infer(&[perturbed], &mut ws);
 
             let mut offset = 0;
             for (i, &seg) in made.segments().to_vec().iter().enumerate() {
@@ -586,9 +563,10 @@ mod tests {
     #[test]
     fn first_segment_is_constant() {
         let mut rng = StdRng::seed_from_u64(1);
-        let mut made = Made::new(&mut rng, tiny_cfg(4));
-        let l1 = made.forward_ids(&[vec![0, 0, 0]], false);
-        let l2 = made.forward_ids(&[vec![3, 2, 3]], false);
+        let made = Made::new(&mut rng, tiny_cfg(4));
+        let mut ws = Workspace::new();
+        let l1 = made.forward_ids_infer(&[vec![0, 0, 0]], &mut ws);
+        let l2 = made.forward_ids_infer(&[vec![3, 2, 3]], &mut ws);
         assert_eq!(&l1.row(0)[..4], &l2.row(0)[..4]);
     }
 
@@ -612,7 +590,7 @@ mod tests {
         let mut opt = Adam::new(5e-3);
         let mut final_loss = f32::MAX;
         for _ in 0..150 {
-            let logits = made.forward_ids(&data, true);
+            let logits = made.forward_ids(&data);
             let (l, grad) = loss::segmented_cross_entropy(&logits, &segments, &data);
             made.backward_ids(&grad);
             opt.step(&mut made);
@@ -622,7 +600,7 @@ mod tests {
         assert!(final_loss < 1.5, "final NLL {final_loss}");
 
         // The conditional P(x2 | x1) must be concentrated on (x1+1)%4.
-        let logits = made.forward_ids(&[vec![2, 0]], false);
+        let logits = made.forward_ids_infer(&[vec![2, 0]], &mut Workspace::new());
         let seg2 = &logits.row(0)[4..8];
         let mut probs = seg2.to_vec();
         loss::softmax_in_place(&mut probs);
@@ -643,7 +621,7 @@ mod tests {
         let segments = made.segments().to_vec();
         let data = vec![vec![1usize, 0], vec![2, 1]];
 
-        let logits = made.forward_ids(&data, true);
+        let logits = made.forward_ids(&data);
         let (_, grad) = loss::segmented_cross_entropy(&logits, &segments, &data);
         made.zero_grads();
         made.backward_ids(&grad);
@@ -672,7 +650,7 @@ mod tests {
                     });
                 };
                 let eval = |made: &mut Made| {
-                    let logits = made.forward_ids(&data, false);
+                    let logits = made.forward_ids_infer(&data, &mut Workspace::new());
                     loss::segmented_cross_entropy(&logits, &segments, &data).0
                 };
                 let central_diff = |made: &mut Made, eps: f32| {
@@ -709,14 +687,13 @@ mod tests {
 
     /// The sliced segment forward must agree exactly with the corresponding
     /// slice of the full forward pass — and the shared-state (`&self`)
-    /// inference forwards must reproduce the training-path eval forward
-    /// bitwise.
+    /// inference forwards must reproduce the training forward bitwise.
     #[test]
     fn segment_forward_matches_full_forward() {
         let mut rng = StdRng::seed_from_u64(21);
         let mut made = Made::new(&mut rng, tiny_cfg(4));
         let batch = vec![vec![0usize, 2, 1], vec![3, 0, 2]];
-        let full = made.forward_ids(&batch, false);
+        let full = made.forward_ids(&batch);
         let mut ws = Workspace::new();
         assert_eq!(made.forward_ids_infer(&batch, &mut ws), full);
         let mut offset = 0;
@@ -785,7 +762,7 @@ mod tests {
         let data: Vec<Vec<usize>> = (0..32).map(|i| vec![i % 4, i % 3, (i + 1) % 4]).collect();
         let mut opt = Adam::new(1e-2);
         for _ in 0..25 {
-            let logits = made.forward_ids(&data, true);
+            let logits = made.forward_ids(&data);
             let (_, grad) = loss::segmented_cross_entropy(&logits, &segments, &data);
             made.backward_ids(&grad);
             opt.step(&mut made);
@@ -809,30 +786,28 @@ mod tests {
     /// bitwise.
     #[test]
     fn quantized_forward_tracks_f32_and_slices_consistently() {
-        for embed in [4usize, 0] {
-            let mut rng = StdRng::seed_from_u64(17);
-            let made = Made::new(&mut rng, tiny_cfg(embed));
-            let batch = vec![vec![0usize, 2, 1], vec![3, 0, 2], vec![1, 1, 3]];
-            let mut ws = Workspace::new();
-            let full_f32 = made.forward_ids_infer(&batch, &mut ws);
+        let mut rng = StdRng::seed_from_u64(17);
+        let made = Made::new(&mut rng, tiny_cfg(4));
+        let batch = vec![vec![0usize, 2, 1], vec![3, 0, 2], vec![1, 1, 3]];
+        let mut ws = Workspace::new();
+        let full_f32 = made.forward_ids_infer(&batch, &mut ws);
 
-            for mode in [QuantMode::Int8, QuantMode::Bf16] {
-                let q = made.quantized(mode);
-                assert_eq!(q.segments(), made.segments());
-                let full_q = q.forward_ids_infer(&batch, &mut ws);
-                assert_eq!((full_q.rows(), full_q.cols()), (full_f32.rows(), full_f32.cols()));
-                for (a, b) in full_f32.as_slice().iter().zip(full_q.as_slice()) {
-                    assert!((a - b).abs() < 0.05, "mode {mode:?} embed {embed}: {a} vs {b}");
+        for mode in [QuantMode::Int8, QuantMode::Bf16] {
+            let q = made.quantized(mode);
+            assert_eq!(q.segments(), made.segments());
+            let full_q = q.forward_ids_infer(&batch, &mut ws);
+            assert_eq!((full_q.rows(), full_q.cols()), (full_f32.rows(), full_f32.cols()));
+            for (a, b) in full_f32.as_slice().iter().zip(full_q.as_slice()) {
+                assert!((a - b).abs() < 0.05, "mode {mode:?}: {a} vs {b}");
+            }
+            let mut offset = 0;
+            for pos in 0..q.segments().len() {
+                let width = q.segments()[pos];
+                let sliced = q.forward_ids_segment(&batch, pos, &mut ws);
+                for r in 0..batch.len() {
+                    assert_eq!(sliced.row(r), &full_q.row(r)[offset..offset + width]);
                 }
-                let mut offset = 0;
-                for pos in 0..q.segments().len() {
-                    let width = q.segments()[pos];
-                    let sliced = q.forward_ids_segment(&batch, pos, &mut ws);
-                    for r in 0..batch.len() {
-                        assert_eq!(sliced.row(r), &full_q.row(r)[offset..offset + width]);
-                    }
-                    offset += width;
-                }
+                offset += width;
             }
         }
     }
@@ -861,32 +836,30 @@ mod tests {
     }
 
     /// Serialized quantized ResMADEs must restore to bitwise-identical
-    /// forwards, in both modes and for both input encodings.
+    /// forwards, in both modes.
     #[test]
     fn quantized_made_save_load_roundtrips_bitwise() {
-        for embed in [4usize, 0] {
-            let mut rng = StdRng::seed_from_u64(33);
-            let made = Made::new(&mut rng, tiny_cfg(embed));
-            let batch = vec![vec![0usize, 2, 1], vec![3, 0, 2]];
-            let mut ws = Workspace::new();
-            for mode in [QuantMode::Int8, QuantMode::Bf16] {
-                let q = made.quantized(mode);
-                let expected = q.forward_ids_infer(&batch, &mut ws);
-                let mut buf = Vec::new();
-                q.save_quantized(&mut buf).unwrap();
-                let loaded = Made::load_quantized(&mut buf.as_slice()).unwrap();
-                assert_eq!(loaded.quant_mode(), Some(mode));
-                assert_eq!(loaded.segments(), q.segments());
-                assert_eq!(loaded.memory_bytes(), q.memory_bytes());
-                let got = loaded.forward_ids_infer(&batch, &mut ws);
-                assert_eq!(got, expected, "mode {mode:?} embed {embed}");
-                for pos in 0..q.segments().len() {
-                    assert_eq!(
-                        loaded.forward_ids_segment(&batch, pos, &mut ws),
-                        q.forward_ids_segment(&batch, pos, &mut ws),
-                        "sliced forward at pos {pos}"
-                    );
-                }
+        let mut rng = StdRng::seed_from_u64(33);
+        let made = Made::new(&mut rng, tiny_cfg(4));
+        let batch = vec![vec![0usize, 2, 1], vec![3, 0, 2]];
+        let mut ws = Workspace::new();
+        for mode in [QuantMode::Int8, QuantMode::Bf16] {
+            let q = made.quantized(mode);
+            let expected = q.forward_ids_infer(&batch, &mut ws);
+            let mut buf = Vec::new();
+            q.save_quantized(&mut buf).unwrap();
+            let loaded = Made::load_quantized(&mut buf.as_slice()).unwrap();
+            assert_eq!(loaded.quant_mode(), Some(mode));
+            assert_eq!(loaded.segments(), q.segments());
+            assert_eq!(loaded.memory_bytes(), q.memory_bytes());
+            let got = loaded.forward_ids_infer(&batch, &mut ws);
+            assert_eq!(got, expected, "mode {mode:?}");
+            for pos in 0..q.segments().len() {
+                assert_eq!(
+                    loaded.forward_ids_segment(&batch, pos, &mut ws),
+                    q.forward_ids_segment(&batch, pos, &mut ws),
+                    "sliced forward at pos {pos}"
+                );
             }
         }
     }
@@ -902,6 +875,49 @@ mod tests {
         assert!(Made::load_quantized(&mut buf.as_slice()).is_err());
     }
 
+    /// Overwrites the `u32` field at `offset` of an int8 save of the
+    /// `tiny_cfg(4)` ResMADE — checking that it holds `field` first — with
+    /// `bad`, and asserts the load refuses the result as `InvalidData`.
+    fn assert_patch_rejected(offset: usize, field: u32, bad: u32) {
+        let made = Made::new(&mut StdRng::seed_from_u64(33), tiny_cfg(4));
+        let mut buf = Vec::new();
+        made.quantized(QuantMode::Int8).save_quantized(&mut buf).unwrap();
+        assert_eq!(
+            buf[offset..offset + 4],
+            field.to_le_bytes(),
+            "layout of the fixture moved"
+        );
+        buf[offset..offset + 4].copy_from_slice(&bad.to_le_bytes());
+        let err = Made::load_quantized(&mut buf.as_slice())
+            .err()
+            .expect("a patched payload loaded");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
+
+    /// Offsets in that save: magic + mode (9 bytes), spaces (count + 3),
+    /// `embed_dim`, segments (count + 3), the table count, the 4×4 and 3×4
+    /// int8 tables (shape, rows, one scale per row), the input layer's
+    /// `fan_in`.
+    const EMBED_DIM_AT: usize = 9 + 4 * 4;
+    const TABLE_COUNT_AT: usize = EMBED_DIM_AT + 4 + 4 * 4;
+    const FAN_IN_AT: usize = TABLE_COUNT_AT + 4 + (8 + 4 * 4 + 4 * 4) + (8 + 3 * 4 + 3 * 4);
+
+    #[test]
+    fn quantized_made_load_rejects_zero_embed_dim() {
+        assert_patch_rejected(EMBED_DIM_AT, 4, 0);
+    }
+
+    #[test]
+    fn quantized_made_load_rejects_table_count_mismatch() {
+        assert_patch_rejected(TABLE_COUNT_AT, 2, 1);
+        assert_patch_rejected(TABLE_COUNT_AT, 2, 3);
+    }
+
+    #[test]
+    fn quantized_made_load_rejects_input_fan_in_mismatch() {
+        assert_patch_rejected(FAN_IN_AT, 12, 11);
+    }
+
     #[test]
     #[should_panic(expected = "at least two positions")]
     fn rejects_single_position() {
@@ -913,7 +929,7 @@ mod tests {
                 spaces: vec![0],
                 hidden: 8,
                 blocks: 1,
-                embed_dim: 0,
+                embed_dim: 4,
             },
         );
     }

@@ -54,11 +54,6 @@ impl ProfileSnapshot {
             ("blocked", "avx2+fma", self.blocked_simd),
         ]
     }
-
-    /// Total auto-dispatched matmuls across all paths and kernels.
-    pub fn total_dispatches(&self) -> u64 {
-        self.gemv_scalar + self.gemv_simd + self.blocked_scalar + self.blocked_simd
-    }
 }
 
 /// Record one auto-dispatched serial matmul: which core ran, under which

@@ -10,9 +10,9 @@
 //! every weight store converted; the forward, routing and sampling code above
 //! the store does not know which representation it runs on.
 //!
-//! A reduced-precision store is frozen. Everything training needs —
-//! `forward(train = true)`, `backward`, the mutable parameter walk behind
-//! optimizers and [`crate::serialize`] — panics on it ("weights are
+//! A reduced-precision store is frozen. Everything training needs — the
+//! training `forward`, `backward`, the mutable parameter walk behind the
+//! optimizer and [`crate::serialize`] — panics on it ("weights are
 //! frozen") instead of silently walking zero parameters, and
 //! [`crate::serialize::save_params`] / `load_params` return `InvalidInput`.
 //!
@@ -420,19 +420,17 @@ mod tests {
 
     #[test]
     fn quantized_forward_tracks_f32_forward() {
-        let mut model = fixture_model();
+        let model = fixture_model();
         let x = seeded_matrix(6, 12, 3);
-        let expected = model.forward(&x, false);
+        let mut ws = Workspace::new();
+        let expected = model.forward_infer(&x, &mut ws);
         for mode in [QuantMode::Int8, QuantMode::Bf16] {
-            let mut q = model.quantized(mode);
+            let q = model.quantized(mode);
             assert_eq!(q.quant_mode(), Some(mode));
-            let mut ws = Workspace::new();
             let got = q.forward_infer(&x, &mut ws);
             for (g, e) in got.as_slice().iter().zip(expected.as_slice()) {
                 assert!((g - e).abs() < 0.05, "{} mode: {g} vs {e}", mode.name());
             }
-            // The allocating eval forward is the same computation.
-            assert_eq!(q.forward(&x, false), got);
         }
     }
 
@@ -467,9 +465,8 @@ mod tests {
 
     #[test]
     fn serialize_roundtrip_reproduces_outputs_bitwise() {
-        let mut model = fixture_model();
+        let model = fixture_model();
         let x = seeded_matrix(4, 12, 8);
-        let _ = model.forward(&x, false);
         for mode in [QuantMode::Int8, QuantMode::Bf16] {
             let q = model.quantized(mode);
             let mut ws = Workspace::new();

@@ -214,6 +214,7 @@ pub(crate) fn read_u32<R: Read>(reader: &mut R) -> io::Result<u32> {
 mod tests {
     use super::*;
     use crate::layers::{Dense, Relu, Sequential};
+    use crate::workspace::Workspace;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -228,17 +229,18 @@ mod tests {
 
     #[test]
     fn roundtrip_restores_outputs() {
-        let mut a = model(1);
+        let a = model(1);
         let mut b = model(2); // different weights
 
         let x = Matrix::from_vec(1, 4, vec![0.1, -0.2, 0.3, 0.4]);
-        let ya = a.forward(&x, false);
-        assert_ne!(ya, b.forward(&x, false));
+        let ws = &mut Workspace::new();
+        let ya = a.forward_infer(&x, ws);
+        assert_ne!(ya, b.forward_infer(&x, ws));
 
         let mut buf = Vec::new();
         save_params(&a, &mut buf).unwrap();
         load_params(&mut b, &mut buf.as_slice()).unwrap();
-        assert_eq!(ya, b.forward(&x, false));
+        assert_eq!(ya, b.forward_infer(&x, ws));
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Property tests for the NN substrate: linear-algebra identities of the
-//! matmul kernels, loss-gradient invariants, and the MADE autoregressive
-//! property over randomized configurations.
+//! matmul kernels, loss-gradient invariants, the MADE autoregressive
+//! property, and the training forward being bitwise the inference forward,
+//! over randomized configurations.
 
 use lmkg_nn::gemm::{available_kernels, Kernel};
 use lmkg_nn::gemv;
-use lmkg_nn::layers::{Dense, Layer, Relu, Sequential, Sigmoid};
+use lmkg_nn::layers::{Dense, Dropout, Layer, Relu, Sequential, Sigmoid};
 use lmkg_nn::loss;
 use lmkg_nn::made::{Made, MadeConfig};
 use lmkg_nn::quant::int8_scale;
@@ -49,6 +50,23 @@ fn within_ulp_scaled(got: &Matrix, want: &Matrix, k: usize) -> Result<(), String
 
 fn arb_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
     prop::collection::vec(-2.0f32..2.0, rows * cols).prop_map(move |v| Matrix::from_vec(rows, cols, v))
+}
+
+fn bits(m: &Matrix) -> Vec<u32> {
+    m.as_slice().iter().map(|x| x.to_bits()).collect()
+}
+
+/// `rows` id tuples over `vocab_sizes` / `spaces`, spread by `seed`.
+fn id_batch(vocab_sizes: &[usize], spaces: &[usize], rows: usize, seed: u64) -> Vec<Vec<usize>> {
+    (0..rows)
+        .map(|r| {
+            spaces
+                .iter()
+                .enumerate()
+                .map(|(pos, &s)| (seed as usize + r * 31 + pos * 7) % vocab_sizes[s])
+                .collect()
+        })
+        .collect()
 }
 
 fn approx_eq(a: &Matrix, b: &Matrix, tol: f32) -> bool {
@@ -160,7 +178,7 @@ proptest! {
     #[test]
     fn made_autoregressive_for_random_configs(hidden in 4usize..24,
                                               blocks in 0usize..3,
-                                              embed in 0usize..6,
+                                              embed in 1usize..6,
                                               seed in 0u64..1000) {
         let cfg = MadeConfig {
             vocab_sizes: vec![5, 3],
@@ -170,13 +188,14 @@ proptest! {
             embed_dim: embed,
         };
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut made = Made::new(&mut rng, cfg);
+        let made = Made::new(&mut rng, cfg);
+        let mut ws = Workspace::new();
         let base = vec![2usize, 1, 4];
-        let logits0 = made.forward_ids(std::slice::from_ref(&base), false);
+        let logits0 = made.forward_ids_infer(std::slice::from_ref(&base), &mut ws);
         for pos in 0..3 {
             let mut perturbed = base.clone();
             perturbed[pos] = (perturbed[pos] + 1) % made.segments()[pos];
-            let logits1 = made.forward_ids(&[perturbed], false);
+            let logits1 = made.forward_ids_infer(&[perturbed], &mut ws);
             let mut offset = 0;
             for (i, &seg) in made.segments().to_vec().iter().enumerate() {
                 if i <= pos {
@@ -189,6 +208,52 @@ proptest! {
                 offset += seg;
             }
         }
+    }
+
+    /// The caching training forward and the `&self` inference forward are
+    /// one computation: on random dropout-free stacks (dense layers under
+    /// ReLU, sigmoid or p = 0 dropout, at GEMV and blocked batch sizes) the
+    /// two outputs are bitwise equal.
+    #[test]
+    fn sequential_forward_infer_is_the_training_forward(stages in prop::collection::vec((1usize..24, 0usize..3), 1..4),
+                                                        in_w in 1usize..24, rows in 1usize..20,
+                                                        seed in 0u64..1000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut model = Sequential::new();
+        let mut fan_in = in_w;
+        for &(width, activation) in &stages {
+            model.push(Dense::new_he(&mut rng, fan_in, width));
+            match activation {
+                0 => model.push(Relu::new()),
+                1 => model.push(Sigmoid::new()),
+                _ => model.push(Dropout::new(0.0, seed)),
+            };
+            fan_in = width;
+        }
+        let x = seeded_matrix(rows, in_w, seed);
+        let infer = model.forward_infer(&x, &mut Workspace::new());
+        prop_assert_eq!(bits(&infer), bits(&model.forward(x)));
+    }
+
+    /// The same for the ResMADE: `forward_ids_infer` is bitwise the training
+    /// `forward_ids` for random vocabularies, positions, widths, depths,
+    /// embeddings and batch sizes.
+    #[test]
+    fn made_forward_ids_infer_is_the_training_forward(nodes in 1usize..9, preds in 1usize..5,
+                                                      positions in 2usize..6, hidden in 4usize..24,
+                                                      blocks in 0usize..3, embed in 1usize..6,
+                                                      rows in 1usize..12, seed in 0u64..1000) {
+        let cfg = MadeConfig {
+            vocab_sizes: vec![nodes, preds],
+            spaces: (0..positions).map(|pos| pos % 2).collect(),
+            hidden,
+            blocks,
+            embed_dim: embed,
+        };
+        let batch = id_batch(&cfg.vocab_sizes, &cfg.spaces, rows, seed);
+        let mut made = Made::new(&mut StdRng::seed_from_u64(seed), cfg);
+        let infer = made.forward_ids_infer(&batch, &mut Workspace::new());
+        prop_assert_eq!(bits(&infer), bits(&made.forward_ids(&batch)));
     }
 
     /// Every kernel on both serial cores is **bitwise** equal to the scalar

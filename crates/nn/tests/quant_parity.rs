@@ -8,11 +8,11 @@
 
 use lmkg_nn::layers::{Dense, Layer, Relu, Sequential};
 use lmkg_nn::made::{Made, MadeConfig};
-use lmkg_nn::optimizer::{Adam, Optimizer};
+use lmkg_nn::optimizer::Adam;
 use lmkg_nn::quant::QuantMode;
 use lmkg_nn::serialize::{load_params, save_params, LoadError};
 use lmkg_nn::test_support::seeded_matrix;
-use lmkg_nn::Matrix;
+use lmkg_nn::{Matrix, Workspace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::io::ErrorKind;
@@ -81,16 +81,16 @@ fn training_only_operations_panic_on_frozen_weights() {
     for mode in [QuantMode::Int8, QuantMode::Bf16] {
         let mut stack = tiny_stack().quantized(mode);
         assert_eq!(stack.quant_mode(), Some(mode));
-        // Inference, through both forward entry points, keeps working.
-        assert_eq!(stack.forward(&x, false).cols(), 2);
-        assert_panics_frozen("forward(train = true)", || drop(stack.forward(&x, true)));
+        // Inference keeps working; the training forward does not.
+        assert_eq!(stack.forward_infer(&x, &mut Workspace::new()).cols(), 2);
+        assert_panics_frozen("forward", || drop(stack.forward(x.clone())));
         assert_panics_frozen("backward", || drop(stack.backward(&grad)));
         assert_panics_frozen("Adam::step", || Adam::new(1e-3).step(&mut stack));
         assert_panics_frozen("quantizing twice", || drop(stack.quantized(mode)));
 
         let mut made = tiny_made().quantized(mode);
         assert_eq!(made.quant_mode(), Some(mode));
-        assert_panics_frozen("forward_ids(train = true)", || drop(made.forward_ids(&ids, true)));
+        assert_panics_frozen("forward_ids", || drop(made.forward_ids(&ids)));
         assert_panics_frozen("Adam::step on a ResMADE", || Adam::new(1e-3).step(&mut made));
     }
 }

@@ -2,8 +2,9 @@
 //!
 //! LMKG uses a *single* node id space shared by subjects and objects
 //! (paper §V-A1: "there is only a single node matrix and not two separate
-//! ones"), plus a separate predicate id space. Dense ids are what all
-//! encodings (one-hot, binary, SG) operate on.
+//! ones"), plus a separate predicate id space. Dense ids are what every
+//! encoding (the binary term codec, SG, the ResMADE's embeddings) operates
+//! on.
 
 use crate::fxhash::FxHashMap;
 use std::fmt;
@@ -47,8 +48,8 @@ impl fmt::Display for PredId {
 /// An interning dictionary: string term ⇄ dense `u32` id.
 ///
 /// Ids are assigned in first-seen order starting from 0, so a dictionary with
-/// `n` terms uses exactly the id range `0..n` — the property the binary and
-/// one-hot encodings rely on.
+/// `n` terms uses exactly the id range `0..n` — the property the binary
+/// codec and the embedding tables rely on.
 #[derive(Debug, Default, Clone)]
 pub struct Dictionary {
     terms: Vec<Box<str>>,

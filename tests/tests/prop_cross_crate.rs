@@ -4,15 +4,15 @@
 use lmkg_baselines::{WanderJoin, WanderJoinConfig};
 use lmkg_data::workload::{self, WorkloadConfig};
 use lmkg_data::{Dataset, Scale};
-use lmkg_encoder::{EncodingKind, PatternBoundEncoder, SgEncoder, TermCodec};
+use lmkg_encoder::SgEncoder;
 use lmkg_store::{counter, QueryShape};
 use proptest::prelude::*;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Every generated workload query must be encodable by both encoders and
-    /// reproducible (same bytes both times).
+    /// Every generated workload query must be encodable by the SG encoder
+    /// and reproducible (same bytes both times).
     #[test]
     fn workload_queries_are_encodable(seed in 0u64..500, star in any::<bool>()) {
         let g = Dataset::LubmLike.generate(Scale::Ci, 1);
@@ -23,13 +23,10 @@ proptest! {
         prop_assume!(!queries.is_empty());
 
         let sg = SgEncoder::capacity_for_size(g.num_nodes(), g.num_preds(), 2);
-        let codec = TermCodec::new(EncodingKind::Binary, g.num_nodes(), g.num_preds());
-        let pb = PatternBoundEncoder::new(codec, shape, 2);
         for lq in &queries {
             let a = sg.encode_vec(&lq.query).expect("SG encodes workload queries");
             let b = sg.encode_vec(&lq.query).unwrap();
             prop_assert_eq!(a, b);
-            pb.encode_vec(&lq.query).expect("pattern-bound encodes workload queries");
         }
     }
 
