@@ -28,7 +28,6 @@
 #![warn(missing_docs)]
 
 pub mod dataset;
-pub mod graph_sample;
 pub mod lubm;
 pub mod sampler;
 pub mod scale;
@@ -38,7 +37,6 @@ pub mod yago;
 pub mod zipf;
 
 pub use dataset::Dataset;
-pub use graph_sample::{sample_subgraph, RwSampleConfig};
 pub use sampler::{ChainSampler, ChainTuple, SamplingStrategy, StarSampler, StarTuple};
 pub use scale::Scale;
 pub use workload::{LabeledQuery, WorkloadConfig};

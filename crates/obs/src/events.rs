@@ -5,9 +5,9 @@
 //! rare relative to requests, so they can afford a `Mutex`-guarded ring.
 //! A request that is admitted and answered never touches it; the one
 //! request-path writer is the shed arm of `lmkg-serve`'s
-//! `MicroBatcher::submit`, which logs a `shed` event per rejected request
-//! while stage tracing is on — so the ring's lock sees request-rate traffic
-//! exactly when the queue is overflowing. Every event is recorded in the
+//! `MicroBatcher::submit`, which logs a `shed` event per rejected request —
+//! so the ring's lock sees request-rate traffic exactly when the queue is
+//! overflowing. Every event is recorded in the
 //! ring (bounded: the oldest entry is evicted at capacity) and counted
 //! per-kind and per-level; whether it *also* goes to stderr is governed by
 //! the `LMKG_LOG` environment variable (`off|error|warn|info|debug`,

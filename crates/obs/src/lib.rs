@@ -19,11 +19,11 @@
 //!   retrain, parse error, shutdown) with per-kind counters and a leveled
 //!   `LMKG_LOG` stderr filter.
 //! - [`Expo`] — Prometheus-style text exposition renderer for all of the
-//!   above.
+//!   above, one family at a time from its [`MetricDef`] (name, kind, help).
 //!
 //! The crate is intentionally free of LMKG-specific names: the serving
-//! crate composes these primitives into its own registry and decides what
-//! the series are called.
+//! crate declares its families as a table of [`MetricDef`]s and decides
+//! what the series are called.
 
 // No unsafe anywhere in this crate — enforced so the lmkg-xtask L1 lint
 // and the sanitizer jobs only ever have the nn kernels and the serve
@@ -37,7 +37,7 @@ pub mod hist;
 pub mod metrics;
 
 pub use events::{Event, EventLog, Level};
-pub use expo::Expo;
+pub use expo::{Expo, MetricDef, MetricKind};
 pub use hist::{
     bucket_bound, bucket_index, HistSnapshot, Histogram, ShardedHistogram, NUM_BUCKETS, RELATIVE_ERROR_BOUND,
     SUB_PER_OCTAVE,

@@ -96,13 +96,6 @@ impl StageTimer {
         StageTimer { last: Instant::now() }
     }
 
-    /// Resume a timer from an instant captured earlier (e.g. a job's
-    /// submission time, so the first lap measures admission wait).
-    #[inline]
-    pub fn from_instant(at: Instant) -> Self {
-        StageTimer { last: at }
-    }
-
     /// Record the microseconds since the previous lap (or start) into
     /// `stage`, restart the clock, and return the elapsed microseconds.
     #[inline]
@@ -112,12 +105,6 @@ impl StageTimer {
         stage.record(us);
         self.last = now;
         us
-    }
-
-    /// Microseconds since the previous lap without recording or restarting.
-    #[inline]
-    pub fn elapsed_us(&self) -> f64 {
-        self.last.elapsed().as_secs_f64() * 1e6
     }
 }
 

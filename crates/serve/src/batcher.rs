@@ -35,7 +35,7 @@
 use crate::latency::StatsSnapshot;
 use crate::protocol::Reply;
 use lmkg::{CardinalityEstimator, WorkloadMonitor};
-use lmkg_obs::{Counter, EventLog, Gauge, Histogram, Level, ShardedHistogram};
+use lmkg_obs::{Counter, EventLog, Gauge, Histogram, Level, ShardedHistogram, StageTimer};
 use lmkg_store::Query;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
@@ -82,11 +82,6 @@ pub struct BatchConfig {
     /// estimation and runs forwards concurrently: every worker estimates
     /// through its own clone of the shared, frozen model, with no lock.
     pub workers: usize,
-    /// Stage-level instrumentation (timers + histograms) on the hot path.
-    /// Counters, the request-latency histogram, and the event ring stay on
-    /// regardless; this only gates the per-batch `Instant::now()` calls and
-    /// the stage histogram records. `false` is the `--no-obs` A/B baseline.
-    pub obs: bool,
 }
 
 impl Default for BatchConfig {
@@ -96,7 +91,6 @@ impl Default for BatchConfig {
             max_batch: 64,
             queue_depth: 1024,
             workers: 2,
-            obs: true,
         }
     }
 }
@@ -156,8 +150,6 @@ pub struct ServeStats {
     // Last drift evaluation, stored as f64 bit patterns.
     drift_tv_bits: AtomicU64,
     drift_uncovered_bits: AtomicU64,
-    /// Whether stage-level instrumentation is live (`BatchConfig::obs`).
-    obs: bool,
     started: Instant,
     pub(crate) parse_errors: Counter,
     pub(crate) sessions: Counter,
@@ -179,7 +171,7 @@ pub struct ServeStats {
 }
 
 impl ServeStats {
-    fn new(obs: bool, workers: usize) -> Self {
+    fn new(workers: usize) -> Self {
         Self {
             served: AtomicU64::new(0),
             shed: AtomicU64::new(0),
@@ -191,7 +183,6 @@ impl ServeStats {
             model_bytes: AtomicU64::new(0),
             drift_tv_bits: AtomicU64::new(0.0f64.to_bits()),
             drift_uncovered_bits: AtomicU64::new(0.0f64.to_bits()),
-            obs,
             started: Instant::now(),
             parse_errors: Counter::new(),
             sessions: Counter::new(),
@@ -211,11 +202,6 @@ impl ServeStats {
             retrain_us: Histogram::new(),
             events: EventLog::new(EVENT_RING_CAPACITY, EVENT_KINDS),
         }
-    }
-
-    /// Whether stage-level instrumentation is recording.
-    pub fn obs_enabled(&self) -> bool {
-        self.obs
     }
 
     /// Seconds since these stats were created (server start).
@@ -413,7 +399,7 @@ impl MicroBatcher {
         assert!(cfg.workers >= 1, "at least one worker is required");
         let (tx, rx) = mpsc::sync_channel::<Job>(cfg.queue_depth);
         let rx = Arc::new(Mutex::new(rx));
-        let stats = Arc::new(ServeStats::new(cfg.obs, cfg.workers));
+        let stats = Arc::new(ServeStats::new(cfg.workers));
         stats.note_model_bytes(estimator.memory_bytes() as u64);
         stats.queue_capacity.store(cfg.queue_depth as u64, Ordering::Relaxed);
         let handle = Arc::new(ModelHandle::new(estimator));
@@ -470,13 +456,11 @@ impl MicroBatcher {
             Err(TrySendError::Full(job)) => {
                 self.stats.queue_len.dec();
                 self.stats.note_shed();
-                if self.stats.obs {
-                    self.stats.event(
-                        Level::Debug,
-                        "shed",
-                        format!("shed: request {} rejected, queue full at {}", job.id, self.queue_depth),
-                    );
-                }
+                self.stats.event(
+                    Level::Debug,
+                    "shed",
+                    format!("shed: request {} rejected, queue full at {}", job.id, self.queue_depth),
+                );
                 Err(job)
             }
             // Workers only exit once the queue closes, so this arm is
@@ -540,11 +524,11 @@ impl Drop for MicroBatcher {
 /// One worker: collect a batch (flush-on-full / flush-on-window), run one
 /// batched forward, reply per job. Returns when the queue closes and drains.
 ///
-/// With `stats.obs` on, the worker also laps a [`lmkg_obs::StageTimer`]-style
-/// breakdown into its own histogram shards: each job's admission wait on
-/// dequeue, then batch assembly / forward / reply delivery per batch. The
-/// four laps tile the request's life, so `admission + batch + forward +
-/// reply` ≈ the end-to-end latency the reply reports.
+/// The worker also laps a [`lmkg_obs::StageTimer`] breakdown into its own
+/// histogram shards: each job's admission wait on dequeue, then batch
+/// assembly / forward / reply delivery per batch. The four laps tile the
+/// request's life, so `admission + batch + forward + reply` ≈ the
+/// end-to-end latency the reply reports.
 fn worker_loop(
     rx: &Mutex<Receiver<Job>>,
     handle: &ModelHandle,
@@ -553,7 +537,6 @@ fn worker_loop(
     max_batch: usize,
     worker: usize,
 ) {
-    let obs = stats.obs;
     let admission = stats.stages[0].shard(worker);
     let assembly = stats.stages[1].shard(worker);
     let forward = stats.stages[2].shard(worker);
@@ -562,7 +545,7 @@ fn worker_loop(
     let request_us = stats.request_us.shard(worker);
     loop {
         let mut batch: Vec<Job> = Vec::with_capacity(max_batch);
-        let mut timer: Option<lmkg_obs::StageTimer> = None;
+        let mut timer;
         {
             // Hold the queue while collecting so one worker owns the open
             // batch; estimation below happens outside this lock, which is
@@ -573,10 +556,8 @@ fn worker_loop(
             let rx = rx.lock().unwrap_or_else(PoisonError::into_inner);
             match rx.recv() {
                 Ok(job) => {
-                    if obs {
-                        admission.record(job.submitted.elapsed().as_secs_f64() * 1e6);
-                        timer = Some(lmkg_obs::StageTimer::start());
-                    }
+                    admission.record(job.submitted.elapsed().as_secs_f64() * 1e6);
+                    timer = StageTimer::start();
                     stats.queue_len.dec();
                     batch.push(job);
                 }
@@ -590,9 +571,7 @@ fn worker_loop(
                 }
                 match rx.recv_timeout(deadline - now) {
                     Ok(job) => {
-                        if obs {
-                            admission.record(job.submitted.elapsed().as_secs_f64() * 1e6);
-                        }
+                        admission.record(job.submitted.elapsed().as_secs_f64() * 1e6);
                         stats.queue_len.dec();
                         batch.push(job);
                     }
@@ -605,10 +584,8 @@ fn worker_loop(
         // Batch assembly ends here; its lap started at the first job's
         // dequeue, so it includes the flush-on-window wait — the
         // coalescing cost a latency budget actually cares about.
-        if let Some(t) = timer.as_mut() {
-            t.lap(assembly);
-            batch_size.record(batch.len() as f64);
-        }
+        timer.lap(assembly);
+        batch_size.record(batch.len() as f64);
 
         // The jobs own their queries: split them out instead of cloning on
         // the hot path (a Query is a heap-backed Vec of triples).
@@ -623,9 +600,7 @@ fn worker_loop(
         let estimator = handle.current();
         let estimates = estimator.estimate_batch(&queries);
         debug_assert_eq!(estimates.len(), queries.len());
-        if let Some(t) = timer.as_mut() {
-            t.lap(forward);
-        }
+        timer.lap(forward);
         stats.note_batch(queries.len());
         for ((id, submitted, out), estimate) in metas.into_iter().zip(estimates) {
             let micros = submitted.elapsed().as_secs_f64() * 1e6;
@@ -633,9 +608,7 @@ fn worker_loop(
             // A dead session (client hung up) is not an error for the server.
             let _ = out.send(Reply::Estimate { id, estimate, micros });
         }
-        if let Some(t) = timer.as_mut() {
-            t.lap(reply);
-        }
+        timer.lap(reply);
     }
 }
 
@@ -723,7 +696,6 @@ mod tests {
                 max_batch: 100,
                 queue_depth: 16,
                 workers: 1,
-                obs: true,
             },
             None,
         );
@@ -759,7 +731,6 @@ mod tests {
                 max_batch: 2,
                 queue_depth: 16,
                 workers: 1,
-                obs: true,
             },
             None,
         );
@@ -797,7 +768,6 @@ mod tests {
                 max_batch: 1,
                 queue_depth: 2,
                 workers: 1,
-                obs: true,
             },
             None,
         );
@@ -838,7 +808,6 @@ mod tests {
                 max_batch: 8,
                 queue_depth: 64,
                 workers: 2,
-                obs: true,
             },
             None,
         );
@@ -892,7 +861,6 @@ mod tests {
                 max_batch: 1,
                 queue_depth: 16,
                 workers: 2,
-                obs: true,
             },
             None,
         );
@@ -1012,7 +980,6 @@ mod tests {
                 max_batch: 8,
                 queue_depth: JOBS,
                 workers: 3,
-                obs: true,
             },
             None,
         );
@@ -1090,7 +1057,6 @@ mod tests {
                 max_batch: 1,
                 queue_depth: 1,
                 workers: 1,
-                obs: true,
             },
             Some(Arc::clone(&monitor)),
         );
@@ -1128,7 +1094,6 @@ mod tests {
                 max_batch: 2,
                 queue_depth: 16,
                 workers: 2,
-                obs: true,
             },
             None,
         );

@@ -26,8 +26,8 @@ use lmkg::QuantMode;
 use lmkg_data::workload::{self, WorkloadConfig};
 use lmkg_data::{Dataset, Scale};
 use lmkg_serve::{
-    render_metrics_for, serve_stream, serve_tcp, Adapter, AdapterConfig, BatchConfig, EstimationService, LmkgTenant,
-    ServeBuilder, ShutdownFlag, DEFAULT_TENANT,
+    is_valid_tenant_name, render_metrics_for, serve_stream, serve_tcp, Adapter, AdapterConfig, BatchConfig, BuildError,
+    EstimationService, LmkgTenant, ServeBuilder, ShutdownFlag, DEFAULT_TENANT,
 };
 use lmkg_store::{sparql, KnowledgeGraph, Query, QueryShape};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -43,8 +43,8 @@ Model options (shared by every mode):
   --dataset lubm|swdf|yago   graph generator              [lubm]
   --scale ci|default|paper   dataset scale                [ci]
   --seed N                   generator seed               [42]
-  --sizes A,B,...            covered query sizes          [2,3]
-  --hidden A,B,...           LMKG-S hidden widths         [256,256]
+  --sizes A,B,...            covered sizes, each >= 1     [2,3]
+  --hidden A,B,...           LMKG-S widths, each >= 1     [256,256]
   --epochs N                 LMKG-S training epochs       [20]
   --train-queries N          training queries per model   [400]
   --quantized int8|bf16      serve a quantized snapshot of the trained
@@ -52,7 +52,8 @@ Model options (shared by every mode):
 
 Multi-tenant options (pipe, tcp, sample; repeatable):
   --tenant NAME=DATASET[:SCALE[:SEED]]
-                             serve DATASET under namespace NAME; repeat the
+                             serve DATASET under namespace NAME
+                             ([A-Za-z0-9_-]+, not SELECT); repeat the
                              flag for more tenants. Without --tenant the
                              model options above serve as the single
                              'default' tenant, exactly as before.
@@ -62,9 +63,6 @@ Serving options (pipe, tcp):
   --max-batch N              flush size                         [64]
   --queue-depth N            admission queue bound              [1024]
   --workers N                batcher worker threads             [2]
-  --no-obs                   disable stage-level latency tracing (counters,
-                             the request-latency histogram, and events
-                             stay on)
   --metrics-every N          dump every tenant's METRICS exposition to
                              stderr every N seconds (0 = off)   [0]
 
@@ -146,14 +144,18 @@ fn fail(message: &str) -> ! {
     std::process::exit(2);
 }
 
-fn parse_list(value: &str, flag: &str) -> Vec<usize> {
-    let out: Vec<usize> = value.split(',').filter_map(|t| t.trim().parse().ok()).collect();
-    if out.is_empty() {
-        fail(&format!(
-            "{flag} expects a comma-separated list of integers, got {value:?}"
-        ));
-    }
-    out
+/// Parses a comma-separated list of integers >= 1; any other item fails
+/// the whole list, naming `flag`.
+fn parse_list(value: &str, flag: &str) -> Result<Vec<usize>, String> {
+    value
+        .split(',')
+        .map(|t| match t.trim().parse() {
+            Ok(n) if n >= 1 => Ok(n),
+            _ => Err(format!(
+                "{flag} expects a comma-separated list of integers >= 1, got {value:?}"
+            )),
+        })
+        .collect()
 }
 
 fn parse_dataset(value: &str) -> Dataset {
@@ -179,10 +181,8 @@ fn parse_tenant_spec(value: &str) -> TenantCliSpec {
     let (name, rest) = value
         .split_once('=')
         .unwrap_or_else(|| fail(&format!("--tenant expects NAME=DATASET[:SCALE[:SEED]], got {value:?}")));
-    if name.is_empty() || name.contains(char::is_whitespace) || name == "SELECT" {
-        fail(&format!(
-            "invalid tenant name {name:?} (must be non-empty, whitespace-free, and not \"SELECT\")"
-        ));
+    if !is_valid_tenant_name(name) {
+        fail(&BuildError::InvalidTenantName(name.to_string()).to_string());
     }
     let mut parts = rest.split(':');
     let dataset = parse_dataset(parts.next().unwrap_or_default());
@@ -248,8 +248,8 @@ fn parse_options() -> Options {
             "--scale" => opts.scale = parse_scale(&value()),
             "--tenant" => opts.tenants.push(parse_tenant_spec(&value())),
             "--seed" => opts.seed = num(flag, "an integer", value()),
-            "--sizes" => opts.sizes = parse_list(&value(), flag),
-            "--hidden" => opts.hidden = parse_list(&value(), flag),
+            "--sizes" => opts.sizes = parse_list(&value(), flag).unwrap_or_else(|e| fail(&e)),
+            "--hidden" => opts.hidden = parse_list(&value(), flag).unwrap_or_else(|e| fail(&e)),
             "--epochs" => opts.epochs = num(flag, "an integer", value()),
             "--train-queries" => opts.train_queries = num(flag, "an integer", value()),
             "--window-us" => opts.batch.window = Duration::from_micros(num(flag, "an integer", value())),
@@ -272,7 +272,6 @@ fn parse_options() -> Options {
                         .unwrap_or_else(|| fail(&format!("--quantized expects int8 or bf16, got {mode:?}"))),
                 )
             }
-            "--no-obs" => opts.batch.obs = false,
             "--metrics-every" => opts.metrics_every = num(flag, "an integer (seconds)", value()),
             "--model-dir" => opts.model_dir = Some(value().into()),
             "--memory-budget" => opts.memory_budget = Some(num(flag, "a byte count", value())),
@@ -544,5 +543,20 @@ fn main() {
             finish_serving(&svc, adapter);
         }
         _ => unreachable!("mode validated in parse_options"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_list;
+
+    #[test]
+    fn parse_list_rejects_any_item_that_is_not_a_positive_integer() {
+        assert_eq!(parse_list("2,3", "--sizes"), Ok(vec![2, 3]));
+        assert_eq!(parse_list(" 256 , 64", "--hidden"), Ok(vec![256, 64]));
+        for bad in ["2,x,3", "256,25b", "0", "2,,3", "", "-1", "1.5"] {
+            let err = parse_list(bad, "--sizes").unwrap_err();
+            assert!(err.starts_with("--sizes "), "{bad:?}: {err}");
+        }
     }
 }

@@ -2,8 +2,9 @@
 //! rendered as Prometheus-style text.
 //!
 //! This is the composition point between the generic [`lmkg_obs`]
-//! primitives and LMKG's own series names. One call to [`render_metrics`]
-//! scrapes:
+//! primitives and LMKG's own series, which are named, typed and described
+//! only in [`crate::metrics_registry`]: each family here is one row handed
+//! a value. One call to [`render_metrics`] scrapes:
 //!
 //! - the request counters and the submit-to-reply latency distribution
 //!   ([`ServeStats`]),
@@ -21,6 +22,7 @@
 //! [`crate::protocol::Reply::Metrics`] appends the sentinel when framing.
 
 use crate::batcher::{ServeStats, STAGE_NAMES};
+use crate::metrics_registry as m;
 use lmkg_obs::Expo;
 
 /// Render the unlabeled (v1) exposition for one server — the `default`
@@ -37,160 +39,55 @@ pub fn render_metrics(stats: &ServeStats) -> String {
 /// tenant (one GEMM core serves them all), so they only belong in the
 /// unlabeled exposition where they can't be misread as per-tenant.
 ///
-/// All scrapes are snapshots — concurrent traffic keeps flowing while this
+/// Every family is rendered from its [`crate::metrics_registry`] row. All
+/// scrapes are snapshots — concurrent traffic keeps flowing while this
 /// walks the fixed bucket arrays.
 pub fn render_metrics_for(tenant: Option<&str>, stats: &ServeStats) -> String {
     let scope = match tenant {
         Some(name) => format!("tenant=\"{name}\","),
         None => String::new(),
     };
+    let scope = scope.as_str();
     let snapshot = stats.snapshot();
     let mut e = Expo::new();
 
-    e.gauge_f64_with(
-        "lmkg_uptime_seconds",
-        "Seconds since the serving stats were created",
-        &scope,
-        stats.uptime_seconds(),
-    );
-    e.counter_with(
-        "lmkg_requests_served_total",
-        "Requests answered with an estimate",
-        &scope,
-        snapshot.served,
-    );
-    e.counter_with(
-        "lmkg_requests_shed_total",
-        "Requests shed by admission control",
-        &scope,
-        snapshot.shed,
-    );
-    e.counter_with(
-        "lmkg_parse_errors_total",
-        "Request lines rejected by the protocol parser",
-        &scope,
-        stats.parse_errors.get(),
-    );
-    e.counter_with(
-        "lmkg_batches_total",
-        "Batched forwards executed",
-        &scope,
-        snapshot.batches,
-    );
-    e.counter_with(
-        "lmkg_sessions_total",
-        "Sessions opened since start",
-        &scope,
-        stats.sessions.get(),
-    );
-    e.gauge_with(
-        "lmkg_sessions_active",
-        "Sessions currently open",
-        &scope,
-        stats.sessions_active.get(),
-    );
-    e.counter_with(
-        "lmkg_bytes_read_total",
-        "Request bytes read from all transports",
-        &scope,
-        stats.bytes_in.get(),
-    );
-    e.counter_with(
-        "lmkg_bytes_written_total",
-        "Reply bytes written to all transports",
-        &scope,
-        stats.bytes_out.get(),
-    );
+    e.scalar(&m::UPTIME_SECONDS, scope, stats.uptime_seconds());
+    e.scalar(&m::REQUESTS_SERVED, scope, snapshot.served);
+    e.scalar(&m::REQUESTS_SHED, scope, snapshot.shed);
+    e.scalar(&m::PARSE_ERRORS, scope, stats.parse_errors.get());
+    e.scalar(&m::BATCHES, scope, snapshot.batches);
+    e.scalar(&m::SESSIONS, scope, stats.sessions.get());
+    e.scalar(&m::SESSIONS_ACTIVE, scope, stats.sessions_active.get());
+    e.scalar(&m::BYTES_READ, scope, stats.bytes_in.get());
+    e.scalar(&m::BYTES_WRITTEN, scope, stats.bytes_out.get());
 
-    e.gauge_with(
-        "lmkg_queue_depth",
-        "Admitted jobs currently waiting in the bounded queue",
-        &scope,
-        stats.queue_len(),
-    );
-    e.gauge_with(
-        "lmkg_queue_capacity",
-        "Configured admission-queue capacity (the tenant's quota)",
-        &scope,
-        stats.queue_capacity() as i64,
-    );
+    e.scalar(&m::QUEUE_DEPTH, scope, stats.queue_len());
+    e.scalar(&m::QUEUE_CAPACITY, scope, stats.queue_capacity());
 
-    e.gauge_with(
-        "lmkg_model_bytes",
-        "Memory footprint of the currently published model",
-        &scope,
-        snapshot.model_bytes as i64,
-    );
-    e.counter_with(
-        "lmkg_retrains_total",
-        "Adapter retrain events that published an extended model",
-        &scope,
-        snapshot.retrains,
-    );
-    e.counter_with(
-        "lmkg_models_added_total",
-        "Models added across all retrain events",
-        &scope,
-        snapshot.models_added,
-    );
-    e.counter_with(
-        "lmkg_models_evicted_total",
-        "Models dropped by memory-budget eviction, startup included",
-        &scope,
-        snapshot.evicted,
-    );
-    e.gauge_with(
-        "lmkg_snapshot_generation",
-        "Model-store generation holding the served set (0 = not persisted)",
-        &scope,
-        snapshot.generation as i64,
-    );
-    e.gauge_f64_with(
-        "lmkg_drift_tv",
-        "Total-variation distance of the last drift evaluation",
-        &scope,
-        snapshot.drift_tv,
-    );
-    e.gauge_f64_with(
-        "lmkg_drift_uncovered",
-        "Uncovered-query share of the last drift evaluation",
-        &scope,
-        snapshot.drift_uncovered,
-    );
+    e.scalar(&m::MODEL_BYTES, scope, snapshot.model_bytes);
+    e.scalar(&m::RETRAINS, scope, snapshot.retrains);
+    e.scalar(&m::MODELS_ADDED, scope, snapshot.models_added);
+    e.scalar(&m::MODELS_EVICTED, scope, snapshot.evicted);
+    e.scalar(&m::SNAPSHOT_GENERATION, scope, snapshot.generation);
+    e.scalar(&m::DRIFT_TV, scope, snapshot.drift_tv);
+    e.scalar(&m::DRIFT_UNCOVERED, scope, snapshot.drift_uncovered);
 
     // Stage-level latency: one histogram family, one label value per stage
     // (the tenant scope, when present, prefixes each stage label).
-    for (i, stage) in STAGE_NAMES.iter().enumerate() {
-        let snap = stats.stages[i].snapshot();
-        let label = format!("{scope}stage=\"{stage}\",");
-        if i == 0 {
-            e.histogram(
-                "lmkg_stage_us",
-                "Per-stage request latency breakdown, microseconds (admission/batch/forward/reply laps tile the request's life)",
-                &label,
-                &snap,
-            );
-        } else {
-            e.histogram_samples("lmkg_stage_us", &label, &snap);
-        }
-    }
+    let stages: Vec<(String, _)> = STAGE_NAMES
+        .iter()
+        .zip(&stats.stages)
+        .map(|(stage, hist)| (format!("{scope}stage=\"{stage}\","), hist.snapshot()))
+        .collect();
+    e.histogram(&m::STAGE_US, &stages);
+    e.histogram(&m::BATCH_SIZE, &[(scope.to_string(), stats.batch_size.snapshot())]);
     e.histogram(
-        "lmkg_batch_size",
-        "Requests coalesced per batched forward",
-        &scope,
-        &stats.batch_size.snapshot(),
+        &m::REQUEST_LATENCY_US,
+        &[(scope.to_string(), stats.request_us.snapshot())],
     );
     e.histogram(
-        "lmkg_request_latency_us",
-        "Submit-to-reply latency of every served request, microseconds",
-        &scope,
-        &stats.request_us.snapshot(),
-    );
-    e.histogram(
-        "lmkg_retrain_duration_us",
-        "Wall-clock duration of adapter retrain cycles, microseconds",
-        &scope,
-        &stats.retrain_us.snapshot(),
+        &m::RETRAIN_DURATION_US,
+        &[(scope.to_string(), stats.retrain_us.snapshot())],
     );
 
     if tenant.is_none() {
@@ -202,30 +99,15 @@ pub fn render_metrics_for(tenant: Option<&str>, stats: &ServeStats) -> String {
         let dispatch: Vec<(String, u64)> = profile
             .dispatch_rows()
             .iter()
-            .map(|(path, kernel, n)| (format!("{{path=\"{path}\",kernel=\"{kernel}\"}}"), *n))
+            .map(|(path, kernel, n)| (format!("path=\"{path}\",kernel=\"{kernel}\","), *n))
             .collect();
-        e.counter_family(
-            "lmkg_kernel_dispatch_total",
-            "Auto-dispatched serial matmuls by compute path (gemv fast path vs blocked packed core) and kernel",
-            &dispatch,
-        );
-        e.counter(
-            "lmkg_kernel_flops_total",
-            "Floating-point operations issued by auto-dispatched matmuls (2*m*k*n each)",
-            profile.flops,
-        );
-        e.gauge(
-            "lmkg_workspace_high_water_bytes",
-            "Largest buffer-pool footprint any single inference workspace has grown to",
-            profile.workspace_high_water_bytes as i64,
-        );
-        e.raw_line(&format!(
-            "# HELP lmkg_kernel_active The runtime-dispatched kernel ({})",
-            lmkg_nn::gemm::active_kernel().name()
-        ));
+        e.family(&m::KERNEL_DISPATCH, &dispatch);
+        e.scalar(&m::KERNEL_FLOPS, "", profile.flops);
+        e.scalar(&m::WORKSPACE_HIGH_WATER_BYTES, "", profile.workspace_high_water_bytes);
+        e.info(&m::KERNEL_ACTIVE, lmkg_nn::gemm::active_kernel().name());
     }
 
-    e.events_with("lmkg", &scope, stats.events());
+    e.events(&m::EVENTS, &m::EVENTS_BY_LEVEL, scope, stats.events());
     e.finish()
 }
 
@@ -271,7 +153,6 @@ mod tests {
                 max_batch: 4,
                 queue_depth: 64,
                 workers: 2,
-                obs: true,
             },
             None,
         );
@@ -312,8 +193,7 @@ mod tests {
         }
         assert!(!text.contains("# EOF"), "the protocol layer owns the terminator");
 
-        // Every forward ran under obs: the four stage families all saw
-        // samples, and their counts agree where the pipeline implies it.
+        // Every forward is traced: the forward stage family saw samples.
         let forward_count: u64 = text
             .lines()
             .find(|l| l.starts_with("lmkg_stage_us_count{stage=\"forward\"}"))
@@ -351,7 +231,6 @@ mod tests {
                 max_batch: 4,
                 queue_depth: 64,
                 workers: 1,
-                obs: true,
             },
             None,
         );
@@ -388,29 +267,5 @@ mod tests {
         assert!(!text.contains("lmkg_kernel_dispatch_total"));
         assert!(!text.contains("lmkg_kernel_active"));
         assert!(render_metrics(&batcher.stats()).contains("lmkg_kernel_flops_total"));
-    }
-
-    /// With obs off, stage histograms stay empty but the exposition still
-    /// renders (counters, events, kernel profile).
-    #[test]
-    fn no_obs_exposition_has_empty_stages() {
-        let batcher = MicroBatcher::start(
-            Arc::new(One),
-            BatchConfig {
-                obs: false,
-                ..BatchConfig::default()
-            },
-            None,
-        );
-        let (tx, rx) = mpsc::channel();
-        batcher.submit(Job::new("q0".into(), tiny_query(), tx.clone())).unwrap();
-        rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        let text = render_metrics(&batcher.stats());
-        assert!(text.contains("lmkg_requests_served_total 1"));
-        assert!(text.contains("lmkg_stage_us_count{stage=\"forward\"} 0"));
-        assert!(
-            text.contains("lmkg_request_latency_us_count 1"),
-            "the request-latency histogram is not gated by obs"
-        );
     }
 }

@@ -105,5 +105,6 @@ pub use latency::StatsSnapshot;
 pub use metrics_registry::{MetricDef, MetricKind, REGISTRY};
 pub use protocol::{ErrorCode, ProtocolError, Reply, Request, DEFAULT_TENANT};
 pub use server::{
-    serve_stream, serve_tcp, BuildError, EstimationService, LineOutcome, ServeBuilder, ShutdownFlag, TenantSpec,
+    is_valid_tenant_name, serve_stream, serve_tcp, BuildError, EstimationService, LineOutcome, ServeBuilder,
+    ShutdownFlag, TenantSpec,
 };

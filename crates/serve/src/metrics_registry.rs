@@ -1,201 +1,91 @@
 //! The single source of truth for every `lmkg_*` series the stack can
-//! expose. Renderers ([`crate::expose`], the event families in
-//! `lmkg-obs`, the kernel profile) construct names ad hoc; this table is
-//! what keeps them honest:
+//! expose: each row names a family, gives its exposition kind and carries
+//! the exact `# HELP` text `METRICS` sends. [`crate::expose`] renders every
+//! family from its row through [`lmkg_obs::Expo`], so no renderer spells a
+//! series name or a help string, and
+//! `tests/tests/metrics_surface.rs` asserts a live `METRICS` scrape carries
+//! exactly these families with exactly these help lines.
 //!
-//! * `lmkg-xtask check` (L4) statically cross-checks every name built in
-//!   a renderer string literal against this table, both directions — an
-//!   unregistered series or an orphaned registry row fails the lint.
-//! * `tests/tests/metrics_surface.rs` asserts a live `METRICS` scrape
-//!   carries exactly these families, so the table can't drift from the
-//!   runtime either.
-//!
-//! Adding a metric therefore takes two edits (renderer + this table) and
-//! removing one takes two as well — the lint fails on a one-sided edit.
+//! Adding a metric is one row here plus the render call that supplies its
+//! value.
 
-/// Exposition kind of a series family, mirroring the `# TYPE` header
-/// (`Info` families render a `# HELP` line only, with no samples).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MetricKind {
-    /// Monotone count; renders `# TYPE <name> counter`.
-    Counter,
-    /// Point-in-time value; renders `# TYPE <name> gauge`.
-    Gauge,
-    /// Log-bucketed distribution with `_bucket`/`_sum`/`_count` samples.
-    Histogram,
-    /// Help-only family (a `# HELP` line, no samples).
-    Info,
+pub use lmkg_obs::{MetricDef, MetricKind};
+
+/// Declares one `pub const` [`MetricDef`] per row (documented by its help
+/// text) and [`REGISTRY`], the rows in exposition order.
+macro_rules! registry {
+    ($($id:ident: $kind:ident $name:literal $help:literal;)*) => {
+        $(
+            #[doc = $help]
+            pub const $id: MetricDef = MetricDef {
+                name: $name,
+                kind: MetricKind::$kind,
+                help: $help,
+            };
+        )*
+        /// Every series family any exposition in the workspace may render.
+        pub const REGISTRY: &[MetricDef] = &[$($id),*];
+    };
 }
 
-impl MetricKind {
-    /// The `# TYPE` keyword, or `None` for help-only info families.
-    pub fn type_keyword(self) -> Option<&'static str> {
-        match self {
-            MetricKind::Counter => Some("counter"),
-            MetricKind::Gauge => Some("gauge"),
-            MetricKind::Histogram => Some("histogram"),
-            MetricKind::Info => None,
-        }
-    }
+registry! {
+    UPTIME_SECONDS: Gauge "lmkg_uptime_seconds"
+        "Seconds since the serving stats were created";
+    REQUESTS_SERVED: Counter "lmkg_requests_served_total"
+        "Requests answered with an estimate";
+    REQUESTS_SHED: Counter "lmkg_requests_shed_total"
+        "Requests shed by admission control";
+    PARSE_ERRORS: Counter "lmkg_parse_errors_total"
+        "Request lines rejected by the protocol parser";
+    BATCHES: Counter "lmkg_batches_total"
+        "Batched forwards executed";
+    SESSIONS: Counter "lmkg_sessions_total"
+        "Sessions opened since start";
+    SESSIONS_ACTIVE: Gauge "lmkg_sessions_active"
+        "Sessions currently open";
+    BYTES_READ: Counter "lmkg_bytes_read_total"
+        "Request bytes read from all transports";
+    BYTES_WRITTEN: Counter "lmkg_bytes_written_total"
+        "Reply bytes written to all transports";
+    QUEUE_DEPTH: Gauge "lmkg_queue_depth"
+        "Admitted jobs currently waiting in the bounded queue";
+    QUEUE_CAPACITY: Gauge "lmkg_queue_capacity"
+        "Configured admission-queue capacity (the tenant's quota)";
+    MODEL_BYTES: Gauge "lmkg_model_bytes"
+        "Memory footprint of the currently published model";
+    RETRAINS: Counter "lmkg_retrains_total"
+        "Adapter retrain events that published an extended model";
+    MODELS_ADDED: Counter "lmkg_models_added_total"
+        "Models added across all retrain events";
+    MODELS_EVICTED: Counter "lmkg_models_evicted_total"
+        "Models dropped by memory-budget eviction, startup included";
+    SNAPSHOT_GENERATION: Gauge "lmkg_snapshot_generation"
+        "Model-store generation holding the served set (0 = not persisted)";
+    DRIFT_TV: Gauge "lmkg_drift_tv"
+        "Total-variation distance of the last drift evaluation";
+    DRIFT_UNCOVERED: Gauge "lmkg_drift_uncovered"
+        "Uncovered-query share of the last drift evaluation";
+    STAGE_US: Histogram "lmkg_stage_us"
+        "Per-stage request latency breakdown, microseconds (admission/batch/forward/reply laps tile the request's life)";
+    BATCH_SIZE: Histogram "lmkg_batch_size"
+        "Requests coalesced per batched forward";
+    REQUEST_LATENCY_US: Histogram "lmkg_request_latency_us"
+        "Submit-to-reply latency of every served request, microseconds";
+    RETRAIN_DURATION_US: Histogram "lmkg_retrain_duration_us"
+        "Wall-clock duration of adapter retrain cycles, microseconds";
+    KERNEL_DISPATCH: Counter "lmkg_kernel_dispatch_total"
+        "Auto-dispatched serial matmuls by compute path (gemv fast path vs blocked packed core) and kernel";
+    KERNEL_FLOPS: Counter "lmkg_kernel_flops_total"
+        "Floating-point operations issued by auto-dispatched matmuls (2*m*k*n each)";
+    WORKSPACE_HIGH_WATER_BYTES: Gauge "lmkg_workspace_high_water_bytes"
+        "Largest buffer-pool footprint any single inference workspace has grown to";
+    KERNEL_ACTIVE: Info "lmkg_kernel_active"
+        "The runtime-dispatched kernel";
+    EVENTS: Counter "lmkg_events_total"
+        "Structured events recorded, by kind (including evicted ring entries)";
+    EVENTS_BY_LEVEL: Counter "lmkg_events_by_level_total"
+        "Structured events recorded, by severity level";
 }
-
-/// One registered series family.
-#[derive(Debug, Clone, Copy)]
-pub struct MetricDef {
-    /// The family name as it appears on the wire (`lmkg_*`).
-    pub name: &'static str,
-    /// Exposition kind (the `# TYPE` keyword).
-    pub kind: MetricKind,
-    /// What the family measures — a reader-facing summary, not the
-    /// exposition help text (that lives next to the renderer call).
-    pub help: &'static str,
-}
-
-use MetricKind::{Counter, Gauge, Histogram, Info};
-
-/// Every series family any exposition in the workspace may render.
-pub const REGISTRY: &[MetricDef] = &[
-    MetricDef {
-        name: "lmkg_uptime_seconds",
-        kind: Gauge,
-        help: "seconds since the service started",
-    },
-    MetricDef {
-        name: "lmkg_requests_served_total",
-        kind: Counter,
-        help: "estimates returned",
-    },
-    MetricDef {
-        name: "lmkg_requests_shed_total",
-        kind: Counter,
-        help: "requests shed by admission control",
-    },
-    MetricDef {
-        name: "lmkg_parse_errors_total",
-        kind: Counter,
-        help: "request lines that failed to parse",
-    },
-    MetricDef {
-        name: "lmkg_batches_total",
-        kind: Counter,
-        help: "micro-batches forwarded",
-    },
-    MetricDef {
-        name: "lmkg_sessions_total",
-        kind: Counter,
-        help: "sessions accepted",
-    },
-    MetricDef {
-        name: "lmkg_sessions_active",
-        kind: Gauge,
-        help: "sessions currently open",
-    },
-    MetricDef {
-        name: "lmkg_bytes_read_total",
-        kind: Counter,
-        help: "request bytes read",
-    },
-    MetricDef {
-        name: "lmkg_bytes_written_total",
-        kind: Counter,
-        help: "reply bytes written",
-    },
-    MetricDef {
-        name: "lmkg_queue_depth",
-        kind: Gauge,
-        help: "admission queue occupancy",
-    },
-    MetricDef {
-        name: "lmkg_queue_capacity",
-        kind: Gauge,
-        help: "admission queue bound",
-    },
-    MetricDef {
-        name: "lmkg_model_bytes",
-        kind: Gauge,
-        help: "resident model memory",
-    },
-    MetricDef {
-        name: "lmkg_retrains_total",
-        kind: Counter,
-        help: "adaptation retrains published",
-    },
-    MetricDef {
-        name: "lmkg_models_added_total",
-        kind: Counter,
-        help: "models added by adaptation",
-    },
-    MetricDef {
-        name: "lmkg_models_evicted_total",
-        kind: Counter,
-        help: "models dropped by memory-budget eviction",
-    },
-    MetricDef {
-        name: "lmkg_snapshot_generation",
-        kind: Gauge,
-        help: "model-store generation holding the served set",
-    },
-    MetricDef {
-        name: "lmkg_drift_tv",
-        kind: Gauge,
-        help: "workload drift, total-variation distance",
-    },
-    MetricDef {
-        name: "lmkg_drift_uncovered",
-        kind: Gauge,
-        help: "workload share not covered by a model",
-    },
-    MetricDef {
-        name: "lmkg_stage_us",
-        kind: Histogram,
-        help: "per-stage latency (admission/batch/forward/reply)",
-    },
-    MetricDef {
-        name: "lmkg_batch_size",
-        kind: Histogram,
-        help: "coalesced batch sizes",
-    },
-    MetricDef {
-        name: "lmkg_request_latency_us",
-        kind: Histogram,
-        help: "submit-to-reply latency of served requests",
-    },
-    MetricDef {
-        name: "lmkg_retrain_duration_us",
-        kind: Histogram,
-        help: "adaptation retrain wall time",
-    },
-    MetricDef {
-        name: "lmkg_kernel_dispatch_total",
-        kind: Counter,
-        help: "matmuls by compute path and kernel",
-    },
-    MetricDef {
-        name: "lmkg_kernel_flops_total",
-        kind: Counter,
-        help: "floating-point ops issued by matmuls",
-    },
-    MetricDef {
-        name: "lmkg_workspace_high_water_bytes",
-        kind: Gauge,
-        help: "largest inference-workspace footprint",
-    },
-    MetricDef {
-        name: "lmkg_kernel_active",
-        kind: Info,
-        help: "which SIMD kernel runtime dispatch selected",
-    },
-    MetricDef {
-        name: "lmkg_events_total",
-        kind: Counter,
-        help: "structured events by kind",
-    },
-    MetricDef {
-        name: "lmkg_events_by_level_total",
-        kind: Counter,
-        help: "structured events by severity",
-    },
-];
 
 /// Looks up a family by exact name.
 pub fn lookup(name: &str) -> Option<&'static MetricDef> {

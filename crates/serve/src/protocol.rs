@@ -63,8 +63,9 @@
 //! histogram `METRICS` renders as `lmkg_request_latency_us` — so a client
 //! that wants recency takes deltas of two scrapes.
 //!
-//! `<id>` and `<tenant>` are any non-empty tokens without whitespace (and
-//! not `SELECT`). Floats are rendered with Rust's shortest-round-trip
+//! `<id>` is any non-empty token without whitespace (and not `SELECT`); a
+//! served `<tenant>` matches `[A-Za-z0-9_-]+`
+//! ([`is_valid_tenant_name`](crate::server::is_valid_tenant_name)). Floats are rendered with Rust's shortest-round-trip
 //! formatting, so parsing an `OK` reply recovers the estimate **bitwise** —
 //! the serving parity suite relies on this. Blank lines and `#` comments
 //! are skipped by the server before parsing, so a workload file can be

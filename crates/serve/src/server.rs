@@ -84,9 +84,7 @@ pub enum BuildError {
     NoTenants,
     /// Two tenants claimed the same namespace token.
     DuplicateTenant(String),
-    /// A tenant name is empty, contains whitespace, or is the reserved
-    /// token `SELECT` (which would make `EST` lines ambiguous — the
-    /// protocol disambiguates v1/v2 by the leading query keyword).
+    /// A tenant name breaks [`is_valid_tenant_name`].
     InvalidTenantName(String),
 }
 
@@ -97,13 +95,27 @@ impl fmt::Display for BuildError {
             BuildError::DuplicateTenant(name) => write!(f, "duplicate tenant name {name:?}"),
             BuildError::InvalidTenantName(name) => write!(
                 f,
-                "invalid tenant name {name:?} (must be non-empty, whitespace-free, and not \"SELECT\")"
+                "invalid tenant name {name:?} (must match [A-Za-z0-9_-]+ and not be \"SELECT\")"
             ),
         }
     }
 }
 
 impl std::error::Error for BuildError {}
+
+/// The one tenant-name rule: one or more of `[A-Za-z0-9_-]`, and not the
+/// reserved token `SELECT` (which would make `EST` lines ambiguous — the
+/// protocol tells v1 from v2 by the leading query keyword). A name is
+/// written verbatim into the `tenant="…"` exposition label and, by the
+/// `serve` binary, as a directory under `--model-dir`, so it holds nothing
+/// either would have to escape.
+pub fn is_valid_tenant_name(name: &str) -> bool {
+    !name.is_empty()
+        && name != "SELECT"
+        && name
+            .bytes()
+            .all(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'-')
+}
 
 /// The one way to construct an [`EstimationService`]: collect tenants, set
 /// the shared batch configuration, build.
@@ -182,7 +194,7 @@ impl ServeBuilder {
         }
         let mut index = HashMap::with_capacity(self.tenants.len());
         for (i, (spec, _)) in self.tenants.iter().enumerate() {
-            if spec.name.is_empty() || spec.name.contains(char::is_whitespace) || spec.name == "SELECT" {
+            if !is_valid_tenant_name(&spec.name) {
                 return Err(BuildError::InvalidTenantName(spec.name.clone()));
             }
             if index.insert(spec.name.clone(), i).is_some() {
@@ -844,7 +856,7 @@ mod tests {
             .build()
             .unwrap_err();
         assert_eq!(dup, BuildError::DuplicateTenant("a".into()));
-        for bad in ["", "has space", "SELECT"] {
+        for bad in ["", "has space", "SELECT", "a\"b", "a\\b", "../x", "a.b"] {
             let err = ServeBuilder::new()
                 .tenant(TenantSpec::new(bad, Arc::clone(&graph), Arc::clone(&est)))
                 .build()

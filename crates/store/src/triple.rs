@@ -128,11 +128,6 @@ impl TriplePattern {
         Self { s, p, o }
     }
 
-    /// Number of bound positions (0–3).
-    pub fn bound_count(&self) -> usize {
-        usize::from(self.s.is_bound()) + usize::from(self.p.is_bound()) + usize::from(self.o.is_bound())
-    }
-
     /// Variables appearing in this pattern, in (s, p, o) order.
     pub fn vars(&self) -> impl Iterator<Item = VarId> + '_ {
         [self.s.var(), self.p.var(), self.o.var()].into_iter().flatten()

@@ -5,8 +5,8 @@
 //! The output is a *masked* copy of the source with the exact same byte
 //! length — every byte of comment and literal content (delimiters
 //! included) is replaced by a space, newlines are kept — plus the list
-//! of comments and string literals with their 1-based start lines and
-//! byte offsets. All downstream analysis runs on the masked bytes, so
+//! of comments (with their 1-based start lines) and string literals
+//! (with their byte offsets). All downstream analysis runs on the masked bytes, so
 //! offsets and line numbers always agree with the original file.
 //!
 //! Handled: line comments, nested block comments, string literals with
@@ -27,8 +27,6 @@ pub struct Comment {
 #[derive(Debug, Clone)]
 pub struct StrLit {
     pub text: String,
-    /// 1-based line of the opening delimiter.
-    pub line: usize,
     /// Byte offset of the opening delimiter in the source.
     pub start: usize,
     /// Byte offset one past the closing delimiter.
@@ -124,7 +122,6 @@ pub fn lex(src: &str) -> Lexed {
             let hashes = j - (r_pos + 1);
             if bytes.get(j) == Some(&b'"') {
                 let start = i;
-                let start_line = line;
                 let content_start = j + 1;
                 // Find `"` followed by `hashes` hashes.
                 let mut k = content_start;
@@ -145,7 +142,6 @@ pub fn lex(src: &str) -> Lexed {
                 }
                 strings.push(StrLit {
                     text: src[content_start..content_end.min(bytes.len())].to_string(),
-                    line: start_line,
                     start,
                     end: k,
                 });
@@ -158,7 +154,6 @@ pub fn lex(src: &str) -> Lexed {
         // Plain or byte string literal.
         if b == b'"' {
             let start = i;
-            let start_line = line;
             let mut k = i + 1;
             while k < bytes.len() {
                 match bytes[k] {
@@ -171,7 +166,6 @@ pub fn lex(src: &str) -> Lexed {
             let end = (k + 1).min(bytes.len());
             strings.push(StrLit {
                 text: src[start + 1..content_end].to_string(),
-                line: start_line,
                 start,
                 end,
             });
@@ -421,7 +415,7 @@ mod tests {
     fn line_numbers_survive_multiline_strings() {
         let src = "let s = \"line one\nline two\";\nlet after = 3;";
         let l = lex(src);
-        assert_eq!(l.strings[0].line, 1);
+        assert_eq!(l.strings[0].text, "line one\nline two");
         assert_eq!(line_of(&l.masked, l.masked.find("after").unwrap()), 3);
     }
 }

@@ -404,104 +404,6 @@ pub fn l3_protocol_drift(protocol: &SourceFile, readme: &str) -> Vec<Finding> {
     findings
 }
 
-// ---------------------------------------------------------------- L4 --
-
-/// Files whose string literals may construct `lmkg_*` series names.
-pub const METRIC_SOURCES: &[&str] = &[
-    "crates/serve/src/expose.rs",
-    "crates/obs/src/expo.rs",
-    "crates/nn/src/profile.rs",
-];
-
-pub const METRIC_REGISTRY: &str = "crates/serve/src/metrics_registry.rs";
-
-/// Extracts series names from a literal: maximal `lmkg_[a-z0-9_]+`
-/// matches, plus `{prefix}_suffix` format placeholders (the obs
-/// exposition renders with `prefix = "lmkg"`).
-fn series_names_in(text: &str) -> Vec<String> {
-    let mut names = Vec::new();
-    for (pat, head) in [("lmkg_", "lmkg_"), ("{prefix}_", "lmkg_")] {
-        let bytes = text.as_bytes();
-        let mut search = 0usize;
-        while let Some(rel) = text[search..].find(pat) {
-            let at = search + rel;
-            let boundary = at == 0 || !(bytes[at - 1].is_ascii_alphanumeric() || bytes[at - 1] == b'_');
-            let mut end = at + pat.len();
-            while end < bytes.len()
-                && (bytes[end].is_ascii_lowercase() || bytes[end].is_ascii_digit() || bytes[end] == b'_')
-            {
-                end += 1;
-            }
-            if boundary && end > at + pat.len() {
-                let mut name = head.to_string();
-                name.push_str(&text[at + pat.len()..end]);
-                names.push(name.trim_end_matches('_').to_string());
-            }
-            search = at + pat.len();
-        }
-    }
-    names
-}
-
-/// L4: every series name constructed in the metric sources appears in
-/// the registry const table, and vice versa.
-pub fn l4_metrics_registry(sources: &[&SourceFile], registry: Option<&SourceFile>) -> Vec<Finding> {
-    let Some(reg) = registry else {
-        return vec![Finding {
-            lint: "L4",
-            file: METRIC_REGISTRY.to_string(),
-            line: 0,
-            message: "metrics registry file is missing".to_string(),
-        }];
-    };
-    // Usage side: any name *mentioned inside* a non-test literal.
-    let mut used: Vec<(String, String, usize)> = Vec::new();
-    for f in sources {
-        for s in &f.lexed.strings {
-            if f.in_test_region(s.start) {
-                continue;
-            }
-            for name in series_names_in(&s.text) {
-                used.push((name, f.rel.clone(), s.line));
-            }
-        }
-    }
-    // Registry side: literals that *are exactly* a series name.
-    let registered: Vec<(String, usize)> = reg
-        .lexed
-        .strings
-        .iter()
-        .filter(|s| !reg.in_test_region(s.start))
-        .filter(|s| series_names_in(&s.text).as_slice() == [s.text.clone()])
-        .map(|s| (s.text.clone(), s.line))
-        .collect();
-
-    let mut findings = Vec::new();
-    let mut reported = Vec::new();
-    for (name, file, line) in &used {
-        if !registered.iter().any(|(r, _)| r == name) && !reported.contains(name) {
-            reported.push(name.clone());
-            findings.push(Finding {
-                lint: "L4",
-                file: file.clone(),
-                line: *line,
-                message: format!("series `{name}` is rendered here but absent from {METRIC_REGISTRY}"),
-            });
-        }
-    }
-    for (name, line) in &registered {
-        if !used.iter().any(|(u, _, _)| u == name) {
-            findings.push(Finding {
-                lint: "L4",
-                file: reg.rel.clone(),
-                line: *line,
-                message: format!("series `{name}` is registered but no exposition renders it"),
-            });
-        }
-    }
-    findings
-}
-
 // ---------------------------------------------------------------- L5 --
 
 const ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
@@ -758,45 +660,6 @@ impl Reply {
         let findings = l3_protocol_drift(&p, &readme);
         assert_eq!(findings.len(), 1, "{findings:?}");
         assert!(findings[0].message.contains("quota"), "{findings:?}");
-    }
-
-    // ------------------------------------------------------------ L4 --
-
-    #[test]
-    fn l4_flags_unregistered_and_orphaned_series() {
-        let expose = SourceFile::from_source(
-            "crates/serve/src/expose.rs",
-            "fn r(e: &mut Expo) {\n    e.counter(\"lmkg_foo_total\", 1);\n    e.counter(\"lmkg_missing_total\", 2);\n}\n",
-        );
-        let expo = SourceFile::from_source(
-            "crates/obs/src/expo.rs",
-            "fn events(prefix: &str) -> String { format!(\"{prefix}_events_total\") }\n",
-        );
-        let registry = SourceFile::from_source(
-            METRIC_REGISTRY,
-            "pub const REGISTRY: &[(&str, &str)] = &[\n    (\"lmkg_foo_total\", \"c\"),\n    (\"lmkg_events_total\", \"c\"),\n    (\"lmkg_orphan\", \"g\"),\n];\n",
-        );
-        let findings = l4_metrics_registry(&[&expose, &expo], Some(&registry));
-        assert_eq!(findings.len(), 2, "{findings:?}");
-        assert!(findings
-            .iter()
-            .any(|f| f.message.contains("lmkg_missing_total") && f.file.ends_with("expose.rs")));
-        assert!(findings
-            .iter()
-            .any(|f| f.message.contains("lmkg_orphan") && f.file.ends_with("metrics_registry.rs")));
-    }
-
-    #[test]
-    fn l4_expands_prefix_placeholders_and_reads_names_inside_help_lines() {
-        let expose = SourceFile::from_source(
-            "crates/serve/src/expose.rs",
-            "fn r(e: &mut Expo) { e.raw_line(\"# HELP lmkg_kernel_active gauge\"); }\n",
-        );
-        let registry = SourceFile::from_source(
-            METRIC_REGISTRY,
-            "pub const REGISTRY: &[&str] = &[\"lmkg_kernel_active\"];\n",
-        );
-        assert!(l4_metrics_registry(&[&expose], Some(&registry)).is_empty());
     }
 
     // ------------------------------------------------------------ L5 --

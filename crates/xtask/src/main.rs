@@ -11,8 +11,6 @@
 //!   the serving hot paths, minus the justified `allow.toml` residue.
 //! * **L3** — protocol verbs and `ERR code=` codes in `protocol.rs`
 //!   match the README grammar exactly.
-//! * **L4** — every `lmkg_*` series rendered by the expositions is in
-//!   `crates/serve/src/metrics_registry.rs`, and vice versa.
 //! * **L5** — explicit atomic orderings only in files whose `allow.toml`
 //!   entry names the synchronization argument, with a per-file cap.
 //!
@@ -100,13 +98,6 @@ fn run_check(root: &Path) -> Result<Vec<Finding>, String> {
         None => return Err("crates/serve/src/protocol.rs not found — L3 has nothing to check".into()),
     }
 
-    let sources: Vec<&SourceFile> = files
-        .iter()
-        .filter(|f| lints::METRIC_SOURCES.contains(&f.rel.as_str()))
-        .collect();
-    let registry = files.iter().find(|f| f.rel == lints::METRIC_REGISTRY);
-    findings.extend(lints::l4_metrics_registry(&sources, registry));
-
     findings.extend(lints::unused_allow_entries(&allow, &unwrap_used, &ordering_used));
 
     findings.sort_by(|a, b| (a.lint, &a.file, a.line).cmp(&(b.lint, &b.file, b.line)));
@@ -144,7 +135,7 @@ fn main() {
     };
     match run_check(&root) {
         Ok(findings) if findings.is_empty() => {
-            println!("lmkg-xtask check: clean (L1 safety, L2 hot-path panics, L3 protocol drift, L4 metrics registry, L5 atomic orderings)");
+            println!("lmkg-xtask check: clean (L1 safety, L2 hot-path panics, L3 protocol drift, L5 atomic orderings)");
         }
         Ok(findings) => {
             for f in &findings {

@@ -113,7 +113,6 @@ fn workload_shift_loop_closes_bitwise(mode: Option<QuantMode>) {
             max_batch: 8,
             queue_depth: 8192,
             workers: 2,
-            obs: true,
         })
         .lmkg_tenant(tenant)
         .build_adaptive(Some(AdapterConfig {

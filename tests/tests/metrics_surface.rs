@@ -5,11 +5,13 @@
 
 use lmkg::GraphSummary;
 use lmkg_integration_tests::small_lubm;
+use lmkg_serve::metrics_registry::{KERNEL_ACTIVE, KERNEL_DISPATCH, KERNEL_FLOPS, WORKSPACE_HIGH_WATER_BYTES};
 use lmkg_serve::{
-    serve_stream, serve_tcp, BatchConfig, EstimationService, Reply, ServeBuilder, ShutdownFlag, TenantSpec,
-    DEFAULT_TENANT, REGISTRY, STAGE_NAMES,
+    serve_stream, serve_tcp, BatchConfig, EstimationService, MetricDef, MetricKind, Reply, ServeBuilder, ShutdownFlag,
+    TenantSpec, DEFAULT_TENANT, REGISTRY, STAGE_NAMES,
 };
 use lmkg_store::KnowledgeGraph;
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
@@ -157,45 +159,75 @@ fn metrics_over_tcp_matches_the_pipe_surface() {
     assert!(bytes_in > 0.0, "request bytes not accounted:\n{text}");
 }
 
+/// The families of one scraped exposition: name → (`# TYPE` kind, `# HELP`
+/// text). Help-only info families have no kind.
+fn scraped_families<'a>(body: &[&'a str]) -> BTreeMap<&'a str, (Option<&'a str>, &'a str)> {
+    let mut scraped = BTreeMap::new();
+    for line in body {
+        if let Some(rest) = line.strip_prefix("# HELP ") {
+            let (name, help) = rest.split_once(' ').unwrap();
+            scraped.insert(name, (None, help));
+        } else if let Some(rest) = line.strip_prefix("# TYPE ") {
+            let (name, kind) = rest.split_once(' ').unwrap();
+            scraped.get_mut(name).expect("# TYPE follows its # HELP").0 = Some(kind);
+        }
+    }
+    scraped
+}
+
+/// Asserts `def` is in the scrape with its registry kind and help text.
+/// The info family's help ends in the runtime-selected kernel, so it is
+/// checked by prefix.
+fn assert_family_matches_registry(scraped: &BTreeMap<&str, (Option<&str>, &str)>, def: &MetricDef) {
+    let (kind, help) = scraped
+        .get(def.name)
+        .unwrap_or_else(|| panic!("registered family {} missing from the live scrape", def.name));
+    assert_eq!(
+        *kind,
+        def.kind.type_keyword(),
+        "family {} exposes the wrong kind",
+        def.name
+    );
+    match def.kind {
+        MetricKind::Info => assert!(
+            help.strip_prefix(def.help).is_some_and(|rest| rest.starts_with(" (")),
+            "family {} help {help:?} does not extend its registry row",
+            def.name
+        ),
+        _ => assert_eq!(
+            *help, def.help,
+            "family {} help differs from its registry row",
+            def.name
+        ),
+    }
+}
+
+/// Runs one estimate, then `metrics_line` (a `METRICS … reg` request),
+/// over a pipe session and returns the transcript.
+fn scrape(svc: &EstimationService, metrics_line: &str) -> String {
+    // One estimate first so conditional families (stage timings, batch
+    // sizes) have samples.
+    let input = format!("EST q0 SELECT * WHERE {{ ?x ?p ?y . }}\n{metrics_line}\nQUIT\n");
+    String::from_utf8(serve_stream(svc, input.as_bytes(), Vec::new())).unwrap()
+}
+
 /// The registry ↔ live-surface contract: every series family in a real
 /// `METRICS` scrape is declared in `lmkg_serve::REGISTRY` with the right
-/// exposition kind, and every registered family shows up in the scrape.
-/// (`lmkg-xtask check` L4 enforces the renderer ↔ registry direction
-/// statically; this closes the loop against the running code.)
+/// exposition kind and its exact help text, and every registered family
+/// shows up in the scrape. The renderer takes every name, kind and help
+/// from the registry rows, so this closes the loop against the running
+/// code.
 #[test]
 fn live_scrape_families_match_the_registry_exactly() {
     let svc = service(Arc::new(small_lubm()));
-    // One estimate first so conditional families (stage timings, batch
-    // sizes) have samples; the global (un-namespaced) scrape also carries
-    // the process-wide kernel-profile block.
-    let input = "EST q0 SELECT * WHERE { ?x ?p ?y . }\nMETRICS reg\nQUIT\n";
-    let out = serve_stream(&svc, input.as_bytes(), Vec::new());
-    let transcript = String::from_utf8(out).unwrap();
+    // The global (un-namespaced) scrape also carries the process-wide
+    // kernel-profile block.
+    let transcript = scrape(&svc, "METRICS reg");
     let body = extract_metrics_body(&transcript, "reg");
-
-    // Scraped families: `# TYPE <name> <kind>` for sampled families plus
-    // `# HELP <name> …` for help-only info families.
-    let mut scraped: std::collections::BTreeMap<&str, Option<&str>> = std::collections::BTreeMap::new();
-    for line in &body {
-        if let Some(rest) = line.strip_prefix("# TYPE ") {
-            let mut parts = rest.split_whitespace();
-            let (name, kind) = (parts.next().unwrap(), parts.next().unwrap());
-            scraped.insert(name, Some(kind));
-        } else if let Some(rest) = line.strip_prefix("# HELP ") {
-            let name = rest.split_whitespace().next().unwrap();
-            scraped.entry(name).or_insert(None);
-        }
-    }
+    let scraped = scraped_families(&body);
 
     for def in REGISTRY {
-        let kind = scraped
-            .get(def.name)
-            .unwrap_or_else(|| panic!("registered family {} missing from the live scrape", def.name));
-        match def.kind.type_keyword() {
-            Some(expected) => assert_eq!(*kind, Some(expected), "family {} exposes the wrong kind", def.name),
-            // Info families render help-only.
-            None => assert_eq!(*kind, None, "info family {} grew samples", def.name),
-        }
+        assert_family_matches_registry(&scraped, def);
     }
     for name in scraped.keys() {
         assert!(
@@ -206,4 +238,39 @@ fn live_scrape_families_match_the_registry_exactly() {
     // Guard the guard: the registry covers the full surface, so an
     // accidentally-emptied scrape can't vacuously pass.
     assert!(scraped.len() >= 26, "suspiciously small scrape: {scraped:?}");
+}
+
+/// The labeled (v2) scrape: every registry family but the process-global
+/// kernel block, each with its registry help, every sample under
+/// `tenant="default"`, and no kernel family at all.
+#[test]
+fn labeled_scrape_carries_every_tenant_family_under_the_tenant_label() {
+    let svc = service(Arc::new(small_lubm()));
+    let transcript = scrape(&svc, "METRICS default reg");
+    let body = extract_metrics_body(&transcript, "reg");
+    let scraped = scraped_families(&body);
+
+    // The process-global kernel-profile block renders unlabeled only.
+    let kernel = [KERNEL_DISPATCH, KERNEL_FLOPS, WORKSPACE_HIGH_WATER_BYTES, KERNEL_ACTIVE];
+    for def in REGISTRY {
+        if kernel.iter().any(|k| k.name == def.name) {
+            assert!(
+                !scraped.contains_key(def.name),
+                "process-global family {} in a tenant scrape",
+                def.name
+            );
+        } else {
+            assert_family_matches_registry(&scraped, def);
+        }
+    }
+    assert_eq!(scraped.len(), REGISTRY.len() - kernel.len(), "{scraped:?}");
+    for line in &body {
+        if line.starts_with('#') {
+            continue;
+        }
+        assert!(
+            line.contains("{tenant=\"default\""),
+            "sample without the tenant label: {line:?}"
+        );
+    }
 }

@@ -376,7 +376,6 @@ fn adapter_evicts_to_budget_and_persists_without_tearing_a_batch() {
             max_batch: 8,
             queue_depth: 1024,
             workers: 2,
-            obs: true,
         })
         .lmkg_tenant(tenant)
         .build_adaptive(Some(AdapterConfig {

@@ -72,7 +72,6 @@ fn served_estimates_are_bitwise_identical_to_direct_estimate_batch() {
             max_batch: 7, // deliberately not a divisor of the workload size
             queue_depth: 4096,
             workers: 2,
-            obs: true,
         })
         .tenant(TenantSpec::new(DEFAULT_TENANT, Arc::clone(&graph), Arc::new(lmkg)))
         .build()

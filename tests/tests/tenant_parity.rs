@@ -101,7 +101,6 @@ fn two_tenants_concurrent_equal_two_single_tenant_servers_sequential() {
         max_batch: 5,
         queue_depth: 4096,
         workers: 2,
-        obs: true,
     };
 
     // Reference: one single-tenant server per graph, run sequentially.
@@ -184,7 +183,6 @@ fn quota_exhaustion_does_not_starve_the_neighbour_tenant() {
             max_batch: 1,
             queue_depth: 256,
             workers: 1,
-            obs: true,
         })
         .tenant(
             TenantSpec::new(
@@ -260,7 +258,6 @@ fn adapter_swaps_one_tenant_under_live_traffic_on_the_other() {
             max_batch: 8,
             queue_depth: 8192,
             workers: 2,
-            obs: true,
         })
         .lmkg_tenant(LmkgTenant::new(
             "a",
