@@ -1,8 +1,14 @@
-//! Shared machinery for the sampling-based baselines: pattern resolution
-//! under partial bindings, uniform candidate sampling straight from the CSR
-//! indexes, and binding management.
+//! The one sampled walk of the walk-based baselines (WanderJoin, JSUB), with
+//! its per-query RNG stream and pattern order.
+//!
+//! The walk owns no graph-pattern rule of its own: binding a pattern under
+//! partial bindings is `lmkg_store::matcher`'s ([`resolve`], [`try_bind`]),
+//! and counting and picking the candidates of a binding case is
+//! [`KnowledgeGraph`]'s (`count_single`, `nth_match`). What differs between
+//! the estimators is only the weight each step charges.
 
-use lmkg_store::{KnowledgeGraph, NodeId, NodeTerm, PredId, PredTerm, Query, Triple, TriplePattern, VarId};
+use lmkg_store::matcher::{resolve, try_bind};
+use lmkg_store::{KnowledgeGraph, Query, TriplePattern};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -20,143 +26,59 @@ pub fn derived_rng(seed: u64, query: &Query) -> StdRng {
     StdRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ h.finish())
 }
 
-/// A pattern with variables resolved against current bindings.
-#[derive(Debug, Clone, Copy)]
-pub struct Resolved {
-    /// Bound/resolved subject.
-    pub s: Option<NodeId>,
-    /// Bound/resolved predicate.
-    pub p: Option<PredId>,
-    /// Bound/resolved object.
-    pub o: Option<NodeId>,
+/// The mean weight of `walks` sampled walks over `query`, drawn from the
+/// stream [`derived_rng`]`(seed, query)` in [`walk_order`].
+///
+/// One walk binds the patterns in order: at each step it counts the triples
+/// matching the pattern under the bindings so far, draws one uniformly
+/// (`rng.gen_range(0..count)`, the walk's only use of the stream), and binds
+/// it. The walk's weight is the product of `step_weight(step, pattern,
+/// count)` over its steps — the exact `count` at every step is WanderJoin's
+/// Horvitz–Thompson weight. A step with no candidate, or a drawn triple the
+/// pattern's repeated variables reject, fails the walk, which weighs 0.
+pub fn walk(
+    graph: &KnowledgeGraph,
+    query: &Query,
+    seed: u64,
+    walks: usize,
+    step_weight: impl Fn(usize, usize, u64) -> f64,
+) -> f64 {
+    let mut rng = derived_rng(seed, query);
+    let order = walk_order(graph, &query.triples);
+    let mut bindings = vec![None; query.var_table_size()];
+    let mut sum = 0.0f64;
+    'walks: for _ in 0..walks {
+        bindings.iter_mut().for_each(|b| *b = None);
+        let mut weight = 1.0f64;
+        for (step, &idx) in order.iter().enumerate() {
+            let pat = &query.triples[idx];
+            let r = resolve(pat, &bindings);
+            let count = graph.count_single(r.s, r.p, r.o);
+            if count == 0 {
+                continue 'walks;
+            }
+            let n = rng.gen_range(0..count) as usize;
+            let t = graph.nth_match(r.s, r.p, r.o, n).expect("n < count");
+            if try_bind(pat, t, &mut bindings).is_none() {
+                continue 'walks;
+            }
+            weight *= step_weight(step, idx, count);
+        }
+        sum += weight;
+    }
+    sum / walks.max(1) as f64
 }
 
-/// Resolves `pat` under `bindings` (indexed by variable id).
-pub fn resolve(pat: &TriplePattern, bindings: &[Option<u32>]) -> Resolved {
-    let node = |term: NodeTerm| match term {
-        NodeTerm::Bound(n) => Some(n),
-        NodeTerm::Var(v) => bindings[v.index()].map(NodeId),
-    };
-    let pred = match pat.p {
-        PredTerm::Bound(p) => Some(p),
-        PredTerm::Var(v) => bindings[v.index()].map(PredId),
-    };
-    Resolved {
-        s: node(pat.s),
-        p: pred,
-        o: node(pat.o),
-    }
-}
-
-/// Number of triples matching the resolved pattern.
-pub fn candidate_count(g: &KnowledgeGraph, r: Resolved) -> u64 {
-    g.count_single(r.s, r.p, r.o)
-}
-
-/// Returns a uniformly chosen triple matching the resolved pattern, or
-/// `None` when nothing matches. `O(1)` for index-aligned cases, `O(deg)`
-/// only for the `(s, ?, o)` case.
-pub fn sample_candidate<R: Rng>(g: &KnowledgeGraph, r: Resolved, rng: &mut R) -> Option<Triple> {
-    let n = candidate_count(g, r);
-    if n == 0 {
-        return None;
-    }
-    let idx = rng.gen_range(0..n) as usize;
-    Some(pick_candidate(g, r, idx))
-}
-
-/// The `idx`-th matching triple in index order (for stratified tests).
-pub fn pick_candidate(g: &KnowledgeGraph, r: Resolved, idx: usize) -> Triple {
-    match (r.s, r.p, r.o) {
-        (Some(s), Some(p), Some(o)) => Triple::new(s, p, o),
-        (Some(s), Some(p), None) => {
-            let (_, o) = g.objects(s, p)[idx];
-            Triple::new(s, p, o)
-        }
-        (Some(s), None, None) => {
-            let (p, o) = g.out_edges(s)[idx];
-            Triple::new(s, p, o)
-        }
-        (Some(s), None, Some(o)) => {
-            let (p, _) = g
-                .out_edges(s)
-                .iter()
-                .filter(|&&(_, obj)| obj == o)
-                .nth(idx)
-                .copied()
-                .expect("idx within candidate count");
-            Triple::new(s, p, o)
-        }
-        (None, Some(p), Some(o)) => {
-            let (_, s) = g.subjects(o, p)[idx];
-            Triple::new(s, p, o)
-        }
-        (None, Some(p), None) => {
-            let (s, o) = g.pred_pairs(p)[idx];
-            Triple::new(s, p, o)
-        }
-        (None, None, Some(o)) => {
-            let (p, s) = g.in_edges(o)[idx];
-            Triple::new(s, p, o)
-        }
-        (None, None, None) => g.triples()[idx],
-    }
-}
-
-/// Binds a pattern's variables against `t`; returns newly bound vars for
-/// undo, or `None` on mismatch.
-pub fn try_bind(pat: &TriplePattern, t: Triple, bindings: &mut [Option<u32>]) -> Option<Vec<VarId>> {
-    let mut bound = Vec::new();
-    let mut ok = true;
-
-    let bind = |term_val: (Option<VarId>, Option<u32>, u32), bindings: &mut [Option<u32>], bound: &mut Vec<VarId>| {
-        let (var, expected, val) = term_val;
-        match (var, expected) {
-            (None, Some(e)) => e == val,
-            (Some(v), _) => match bindings[v.index()] {
-                Some(existing) => existing == val,
-                None => {
-                    bindings[v.index()] = Some(val);
-                    bound.push(v);
-                    true
-                }
-            },
-            (None, None) => unreachable!("term is either bound or a variable"),
-        }
-    };
-
-    ok &= bind((pat.s.var(), pat.s.bound().map(|n| n.0), t.s.0), bindings, &mut bound);
-    if ok {
-        ok &= bind((pat.p.var(), pat.p.bound().map(|p| p.0), t.p.0), bindings, &mut bound);
-    }
-    if ok {
-        ok &= bind((pat.o.var(), pat.o.bound().map(|n| n.0), t.o.0), bindings, &mut bound);
-    }
-
-    if ok {
-        Some(bound)
-    } else {
-        for v in bound {
-            bindings[v.index()] = None;
-        }
-        None
-    }
-}
-
-/// Undoes bindings created by [`try_bind`].
-pub fn undo_bind(bound: Vec<VarId>, bindings: &mut [Option<u32>]) {
-    for v in bound {
-        bindings[v.index()] = None;
-    }
-}
-
-/// Orders patterns for walking: start at the most selective pattern, then
-/// repeatedly append the connected (variable-sharing) pattern with the best
-/// selectivity; disconnected patterns (cartesian) come last.
+/// Orders patterns for walking: start at the most selective pattern (by
+/// `count_single` over its bound terms), then repeatedly append the first
+/// remaining pattern that shares a variable with the walked ones;
+/// disconnected patterns (cartesian) come last.
 pub fn walk_order(g: &KnowledgeGraph, patterns: &[TriplePattern]) -> Vec<usize> {
     let n = patterns.len();
-    let empty: Vec<Option<u32>> = vec![None; 64];
-    let base_count = |i: usize| candidate_count(g, resolve(&patterns[i], &empty));
+    let base_count = |i: usize| {
+        let t = &patterns[i];
+        g.count_single(t.s.bound(), t.p.bound(), t.o.bound())
+    };
     let mut remaining: Vec<usize> = (0..n).collect();
     let mut order = Vec::with_capacity(n);
     // Most selective first.
@@ -177,9 +99,12 @@ pub fn walk_order(g: &KnowledgeGraph, patterns: &[TriplePattern]) -> Vec<usize> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lmkg_store::GraphBuilder;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use lmkg_store::{GraphBuilder, NodeId, NodeTerm, PredId, PredTerm, VarId};
+    use std::cell::Cell;
+
+    fn v(i: u16) -> NodeTerm {
+        NodeTerm::Var(VarId(i))
+    }
 
     fn graph() -> KnowledgeGraph {
         let mut b = GraphBuilder::new();
@@ -190,114 +115,62 @@ mod tests {
         b.build()
     }
 
+    /// Each p-edge leads to a node with a different number of q-edges, so
+    /// the second step's candidate count names the first step's draw.
     #[test]
-    fn resolve_uses_bindings() {
-        let pat = TriplePattern::new(
-            NodeTerm::Var(VarId(0)),
-            PredTerm::Bound(PredId(0)),
-            NodeTerm::Var(VarId(1)),
-        );
-        let mut bindings = vec![None, None];
-        assert!(resolve(&pat, &bindings).s.is_none());
-        bindings[0] = Some(2);
-        assert_eq!(resolve(&pat, &bindings).s, Some(NodeId(2)));
-    }
-
-    #[test]
-    fn pick_candidate_covers_all_matches() {
-        let g = graph();
-        let r = Resolved {
-            s: None,
-            p: Some(PredId(0)),
-            o: None,
-        };
-        let n = candidate_count(&g, r);
-        assert_eq!(n, 3);
-        let mut seen = Vec::new();
-        for i in 0..n as usize {
-            let t = pick_candidate(&g, r, i);
-            assert!(g.contains(t.s, t.p, t.o));
-            seen.push(t);
+    fn walk_draws_candidates_uniformly() {
+        let mut b = GraphBuilder::new();
+        b.add("a", "p", "m1");
+        b.add("a", "p", "m2");
+        b.add("b", "p", "m3");
+        for (m, fanout) in [("m1", 1), ("m2", 2), ("m3", 3)] {
+            for e in 0..fanout {
+                b.add(m, "q", &format!("e{e}"));
+            }
         }
-        seen.dedup();
-        assert_eq!(seen.len(), 3);
-    }
-
-    #[test]
-    fn sample_candidate_is_roughly_uniform() {
-        let g = graph();
-        let r = Resolved {
-            s: None,
-            p: Some(PredId(0)),
-            o: None,
-        };
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut counts = std::collections::HashMap::new();
-        for _ in 0..3000 {
-            let t = sample_candidate(&g, r, &mut rng).unwrap();
-            *counts.entry(t).or_insert(0) += 1;
-        }
-        for (_, c) in counts {
-            assert!((c as f64 / 3000.0 - 1.0 / 3.0).abs() < 0.05);
+        let g = b.build();
+        let p = PredTerm::Bound(PredId(g.preds().get("p").unwrap()));
+        let q = PredTerm::Bound(PredId(g.preds().get("q").unwrap()));
+        let query = Query::new(vec![
+            TriplePattern::new(v(0), p, v(1)),
+            TriplePattern::new(v(1), q, v(2)),
+        ]);
+        let seen: [Cell<u32>; 3] = Default::default();
+        let walks = 3000;
+        walk(&g, &query, 0, walks, |step, _, count| {
+            if step == 1 {
+                seen[count as usize - 1].set(seen[count as usize - 1].get() + 1);
+            }
+            1.0
+        });
+        for c in &seen {
+            assert!((c.get() as f64 / walks as f64 - 1.0 / 3.0).abs() < 0.05, "{seen:?}");
         }
     }
 
     #[test]
-    fn sample_candidate_none_when_empty() {
+    fn walk_fails_where_a_step_has_no_candidates() {
         let g = graph();
-        let r = Resolved {
-            s: Some(NodeId(1)),
-            p: Some(PredId(1)),
-            o: None,
-        }; // b q ?
-        let mut rng = StdRng::seed_from_u64(0);
-        assert!(sample_candidate(&g, r, &mut rng).is_none());
-    }
-
-    #[test]
-    fn try_bind_and_undo() {
-        let pat = TriplePattern::new(
-            NodeTerm::Var(VarId(0)),
-            PredTerm::Bound(PredId(0)),
-            NodeTerm::Var(VarId(1)),
-        );
-        let mut bindings = vec![None, None];
-        let t = Triple::new(NodeId(0), PredId(0), NodeId(2));
-        let undo = try_bind(&pat, t, &mut bindings).unwrap();
-        assert_eq!(bindings, vec![Some(0), Some(2)]);
-        undo_bind(undo, &mut bindings);
-        assert_eq!(bindings, vec![None, None]);
-    }
-
-    #[test]
-    fn try_bind_rejects_mismatch() {
-        let pat = TriplePattern::new(
-            NodeTerm::Var(VarId(0)),
-            PredTerm::Bound(PredId(1)),
-            NodeTerm::Var(VarId(0)), // same var twice
-        );
-        let mut bindings = vec![None];
-        // a q x: s=a(0), o=x(2) → var 0 can't be both.
-        let t = Triple::new(NodeId(0), PredId(1), NodeId(2));
-        assert!(try_bind(&pat, t, &mut bindings).is_none());
-        assert_eq!(bindings, vec![None]);
+        // b q ?x has no match: every walk fails at its first step.
+        let b = NodeTerm::Bound(NodeId(g.nodes().get("b").unwrap()));
+        let q = PredTerm::Bound(PredId(g.preds().get("q").unwrap()));
+        let query = Query::new(vec![TriplePattern::new(b, q, v(0))]);
+        let steps = Cell::new(0);
+        let mean = walk(&g, &query, 0, 50, |_, _, _| {
+            steps.set(steps.get() + 1);
+            1.0
+        });
+        assert_eq!(mean, 0.0);
+        assert_eq!(steps.get(), 0, "a failed step charges no weight");
     }
 
     #[test]
     fn walk_order_starts_selective_and_stays_connected() {
         let g = graph();
-        // t0: ?x q ?y (1 match), t1: ?y p ?z — wait q's objects: x.
+        // t0: ?x p ?y (3 matches), t1: ?z q ?x (1 match).
         let pats = vec![
-            TriplePattern::new(
-                NodeTerm::Var(VarId(0)),
-                PredTerm::Bound(PredId(0)),
-                NodeTerm::Var(VarId(1)),
-            ),
-            TriplePattern::new(
-                NodeTerm::Var(VarId(2)),
-                PredTerm::Bound(PredId(1)),
-                NodeTerm::Var(VarId(0)),
-            ),
+            TriplePattern::new(v(0), PredTerm::Bound(PredId(0)), v(1)),
+            TriplePattern::new(v(2), PredTerm::Bound(PredId(1)), v(0)),
         ];
         let order = walk_order(&g, &pats);
         assert_eq!(order[0], 1); // q has 1 triple < p's 3

@@ -18,7 +18,7 @@
 
 use crate::common;
 use lmkg::CardinalityEstimator;
-use lmkg_store::{counter, KnowledgeGraph, NodeId, NodeTerm, Query, QueryShape};
+use lmkg_store::{counter, KnowledgeGraph, NodeId, NodeTerm, Query};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -169,12 +169,7 @@ impl CardinalityEstimator for Impr<'_> {
     }
 
     fn estimate(&self, query: &Query) -> f64 {
-        // Anchored counting requires the anchor's matches to be rooted at the
-        // star center / chain start, which holds for the supported shapes.
-        match query.shape() {
-            QueryShape::Star | QueryShape::Chain | QueryShape::Single => self.estimate_query(query).max(1.0),
-            QueryShape::Other => self.estimate_query(query).max(1.0),
-        }
+        self.estimate_query(query).max(1.0)
     }
 
     fn memory_bytes(&self) -> usize {

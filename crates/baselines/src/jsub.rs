@@ -9,7 +9,7 @@
 //! predicate). Completed walks therefore estimate an upper bound; the paper's
 //! figures show it overestimating correspondingly.
 
-use crate::common::{self};
+use crate::common;
 use lmkg::CardinalityEstimator;
 use lmkg_store::{KnowledgeGraph, Query};
 
@@ -110,43 +110,18 @@ impl<'g> Jsub<'g> {
         }
     }
 
-    /// Full estimate.
+    /// Full estimate: mean walk weight over all runs ([`common::walk`]),
+    /// the first step weighed by its exact candidate count and every later
+    /// one by its upper bound.
     pub fn estimate_query(&self, query: &Query) -> f64 {
-        let mut rng = common::derived_rng(self.cfg.seed, query);
-        let order = common::walk_order(self.graph, &query.triples);
-        let mut bindings: Vec<Option<u32>> = vec![None; query.var_table_size()];
-        let total_walks = self.cfg.runs * self.cfg.walks_per_run;
-        let mut sum = 0.0f64;
-        for _ in 0..total_walks {
-            bindings.iter_mut().for_each(|b| *b = None);
-            let mut weight = 1.0f64;
-            let mut alive = true;
-            for (step, &idx) in order.iter().enumerate() {
-                let pat = &query.triples[idx];
-                let r = common::resolve(pat, &bindings);
-                let count = common::candidate_count(self.graph, r);
-                if count == 0 {
-                    alive = false;
-                    break;
-                }
-                let t = common::sample_candidate(self.graph, r, &mut rng).expect("count > 0");
-                if common::try_bind(pat, t, &mut bindings).is_none() {
-                    alive = false;
-                    break;
-                }
-                // First step uses the exact candidate count; later steps
-                // charge the upper bound.
-                weight *= if step == 0 {
-                    count as f64
-                } else {
-                    self.step_bound(query, idx)
-                };
+        let walks = self.cfg.runs * self.cfg.walks_per_run;
+        common::walk(self.graph, query, self.cfg.seed, walks, |step, idx, count| {
+            if step == 0 {
+                count as f64
+            } else {
+                self.step_bound(query, idx)
             }
-            if alive {
-                sum += weight;
-            }
-        }
-        sum / total_walks.max(1) as f64
+        })
     }
 }
 

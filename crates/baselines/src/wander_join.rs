@@ -9,10 +9,9 @@
 //! The final estimate averages the walks of `runs` independent runs (G-CARE
 //! runs every sampler 30 times and averages).
 
-use crate::common::{self, Resolved};
+use crate::common;
 use lmkg::CardinalityEstimator;
 use lmkg_store::{KnowledgeGraph, Query};
-use rand::rngs::StdRng;
 
 /// WanderJoin configuration.
 #[derive(Debug, Clone)]
@@ -51,39 +50,11 @@ impl<'g> WanderJoin<'g> {
         Self { graph, cfg }
     }
 
-    /// One random walk; returns the HT estimate (0 on failure).
-    fn walk(&self, query: &Query, order: &[usize], bindings: &mut [Option<u32>], rng: &mut StdRng) -> f64 {
-        bindings.iter_mut().for_each(|b| *b = None);
-        let mut weight = 1.0f64;
-        for &idx in order {
-            let pat = &query.triples[idx];
-            let r: Resolved = common::resolve(pat, bindings);
-            let count = common::candidate_count(self.graph, r);
-            if count == 0 {
-                return 0.0;
-            }
-            let t = common::sample_candidate(self.graph, r, rng).expect("count > 0");
-            // Repeated-variable patterns can reject the sampled triple; that
-            // is a failed walk (probability mass accounted by `count`).
-            if common::try_bind(pat, t, bindings).is_none() {
-                return 0.0;
-            }
-            weight *= count as f64;
-        }
-        weight
-    }
-
-    /// Full estimate: mean walk weight over all runs.
+    /// Full estimate: mean walk weight over all runs, each step weighed by
+    /// its exact candidate count.
     pub fn estimate_query(&self, query: &Query) -> f64 {
-        let mut rng = common::derived_rng(self.cfg.seed, query);
-        let order = common::walk_order(self.graph, &query.triples);
-        let mut bindings = vec![None; query.var_table_size()];
-        let total_walks = self.cfg.runs * self.cfg.walks_per_run;
-        let mut sum = 0.0f64;
-        for _ in 0..total_walks {
-            sum += self.walk(query, &order, &mut bindings, &mut rng);
-        }
-        sum / total_walks.max(1) as f64
+        let walks = self.cfg.runs * self.cfg.walks_per_run;
+        common::walk(self.graph, query, self.cfg.seed, walks, |_, _, count| count as f64)
     }
 }
 

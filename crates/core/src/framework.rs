@@ -715,7 +715,6 @@ fn train_entries(
                         // fallback will answer (§VIII drops LMKG-U for
                         // YAGO entirely).
                         Err(LmkgUError::DomainTooLarge { .. }) => None,
-                        Err(e) => panic!("LMKG-U construction failed: {e}"),
                     }
                 }
             }

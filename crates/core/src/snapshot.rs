@@ -34,7 +34,7 @@ use crate::framework::{Lmkg, ModelEntry, ModelKey};
 use crate::outliers::OutlierBuffer;
 use crate::summary::GraphSummary;
 use crate::supervised::{LmkgS, LmkgSConfig, QueryEncoder};
-use crate::unsupervised::{LmkgU, LmkgUConfig};
+use crate::unsupervised::{tuple_spaces, LmkgU, LmkgUConfig};
 use lmkg_data::sampler::SamplingStrategy;
 use lmkg_encoder::{CardinalityScaler, SgEncoder};
 use lmkg_nn::serialize::LoadError;
@@ -493,14 +493,7 @@ fn read_entry<R: Read>(r: &mut R) -> Result<ModelEntry, SnapshotError> {
         }
         1 => {
             let cfg = read_u_config(r)?;
-            let shape = shape_from_tag(r_u8(r)?)?;
-            if !matches!(shape, QueryShape::Star | QueryShape::Chain) {
-                return Err(SnapshotError::Corrupt(format!("LMKG-U over {shape} queries")));
-            }
-            let k = r_u32(r)? as usize;
-            if k == 0 {
-                return Err(SnapshotError::Corrupt("LMKG-U tuple size 0".into()));
-            }
+            let (shape, k) = read_u_cell(r)?;
             let n_total = r_f64(r)?;
             let node_vocab = r_usize(r)?;
             let pred_vocab = r_usize(r)?;
@@ -513,23 +506,52 @@ fn read_entry<R: Read>(r: &mut R) -> Result<ModelEntry, SnapshotError> {
             let scaler = read_scaler(r)?;
             let outliers = read_outliers(r)?;
             let model = Sequential::load_quantized(r)?;
+            if model.io_widths() != Some((encoder.width(), 1)) {
+                return Err(SnapshotError::Corrupt(format!(
+                    "LMKG-S network maps {:?} for a {}-wide encoder and a 1-wide estimate",
+                    model.io_widths(),
+                    encoder.width()
+                )));
+            }
             Ok(ModelEntry::S(LmkgS::from_frozen_parts(
                 encoder, model, scaler, outliers,
             )))
         }
         3 => {
-            let shape = shape_from_tag(r_u8(r)?)?;
-            let k = r_u32(r)? as usize;
+            let (shape, k) = read_u_cell(r)?;
             let n_total = r_f64(r)?;
             let particles = r_u32(r)? as usize;
             let seed = r_u64(r)?;
             let made = Made::load_quantized(r)?;
+            // The length test bounds the file's `k` before `tuple_spaces`
+            // allocates for it.
+            let spaces = &made.config().spaces;
+            if spaces.len() != 2 * k + 1 || *spaces != tuple_spaces(k) {
+                return Err(SnapshotError::Corrupt(format!(
+                    "ResMADE over {} positions for tuple size {k}",
+                    spaces.len()
+                )));
+            }
             Ok(ModelEntry::U(LmkgU::from_frozen_parts(
                 made, shape, k, n_total, particles, seed,
             )))
         }
         other => Err(SnapshotError::Corrupt(format!("model-entry tag {other}"))),
     }
+}
+
+/// The `(shape, k)` cell of an LMKG-U entry: a star or chain tuple space of
+/// at least one triple.
+fn read_u_cell<R: Read>(r: &mut R) -> Result<(QueryShape, usize), SnapshotError> {
+    let shape = shape_from_tag(r_u8(r)?)?;
+    if !matches!(shape, QueryShape::Star | QueryShape::Chain) {
+        return Err(SnapshotError::Corrupt(format!("LMKG-U over {shape} queries")));
+    }
+    let k = r_u32(r)? as usize;
+    if k == 0 {
+        return Err(SnapshotError::Corrupt("LMKG-U tuple size 0".into()));
+    }
+    Ok((shape, k))
 }
 
 fn write_key<W: Write>(w: &mut W, key: &ModelKey) -> io::Result<()> {
@@ -785,6 +807,66 @@ mod tests {
     #[test]
     fn load_rejects_lmkg_u_with_zero_embed_dim() {
         assert_zeroed_u_config_field_is_corrupt(8, 8);
+    }
+
+    /// A frozen LMKG-U entry is held to the checks an f32 one gets: a star
+    /// or chain cell, `k ≥ 1`, and a ResMADE with the `2k + 1` positions of
+    /// that tuple. A patched shape or size byte loads as `Corrupt` — never
+    /// as a set whose first estimate panics in a batcher worker.
+    #[test]
+    fn load_rejects_frozen_lmkg_u_with_a_patched_shape_or_size() {
+        let bytes = unsupervised_set().quantized(QuantMode::Int8).save_to_vec().unwrap();
+        let tag = first_entry_tag_at();
+        assert_eq!(bytes[tag], 3, "the first entry is a frozen LMKG-U");
+        let (shape_at, k_at) = (tag + 1, tag + 2);
+        assert_eq!(bytes[k_at..k_at + 4], 2u32.to_le_bytes(), "entry layout moved");
+        Lmkg::load(&mut bytes.as_slice()).expect("the unpatched set loads");
+
+        let single_or_other = [shape_tag(QueryShape::Single), shape_tag(QueryShape::Other)];
+        for shape in single_or_other {
+            let mut patched = bytes.clone();
+            patched[shape_at] = shape;
+            let err = Lmkg::load(&mut patched.as_slice()).unwrap_err();
+            assert!(matches!(err, SnapshotError::Corrupt(_)), "shape {shape}: {err:?}");
+        }
+        for k in [0u32, 1, 3, u32::MAX] {
+            let mut patched = bytes.clone();
+            patched[k_at..k_at + 4].copy_from_slice(&k.to_le_bytes());
+            let err = Lmkg::load(&mut patched.as_slice()).unwrap_err();
+            assert!(matches!(err, SnapshotError::Corrupt(_)), "k = {k}: {err:?}");
+        }
+    }
+
+    /// A frozen LMKG-S entry whose network does not read the encoder's
+    /// width loads as `Corrupt` instead of panicking in its first forward.
+    #[test]
+    fn load_rejects_frozen_lmkg_s_whose_encoder_disagrees_with_its_network() {
+        let set = supervised_set();
+        let (key, entry) = &set.entries()[0];
+        let ModelEntry::S(m) = &**entry else {
+            panic!("a supervised set holds LMKG-S entries")
+        };
+        let width = m.encoder().width();
+        let frozen_with = |encoder: QueryEncoder| {
+            let frozen = LmkgS::from_frozen_parts(
+                encoder,
+                m.model().quantized(QuantMode::Int8),
+                *m.scaler().expect("trained"),
+                m.outliers().clone(),
+            );
+            let parts = vec![(*key, Arc::new(ModelEntry::S(frozen)))];
+            Lmkg::from_parts(parts, Arc::new(set.summary().clone()), set.max_covered_size())
+                .save_to_vec()
+                .unwrap()
+        };
+        let good = frozen_with(m.encoder().clone());
+        Lmkg::load(&mut good.as_slice()).expect("a consistent frozen entry loads");
+
+        let g = graph();
+        let wider = QueryEncoder::Sg(SgEncoder::capacity_for_size(g.num_nodes(), g.num_preds(), 3));
+        assert_ne!(wider.width(), width);
+        let err = Lmkg::load(&mut frozen_with(wider).as_slice()).unwrap_err();
+        assert!(matches!(err, SnapshotError::Corrupt(_)), "{err:?}");
     }
 
     #[test]

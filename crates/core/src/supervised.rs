@@ -304,7 +304,6 @@ impl LmkgS {
     /// the results bitwise-identical to looping `predict`.
     pub fn predict_batch(&self, queries: &[&Query]) -> Vec<Result<f64, EncodeError>> {
         let scaler = *self.scaler.as_ref().expect("model is untrained");
-        let mut ws = Workspace::new();
         let w = self.encoder.width();
         // Outlier-buffer hits are answered exactly; the rest go to the net.
         let mut results: Vec<Option<Result<f64, EncodeError>>> = Vec::with_capacity(queries.len());
@@ -329,23 +328,14 @@ impl LmkgS {
                 Err(e) => results[i] = Some(Err(e)),
             }
         }
-        // Forward in micro-batches: large enough that a multi-core machine
-        // still crosses the matmul parallelism threshold, small enough that
-        // layer intermediates stay cache-resident instead of streaming
-        // through DRAM. Row-independent kernels keep every result
-        // bitwise-identical to any other chunking (including per-query).
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        let micro_batch = 256 * cores;
-        let mut done = 0usize;
-        for chunk in accepted.chunks(micro_batch) {
-            let x = Matrix::from_vec(chunk.len(), w, rows[done * w..(done + chunk.len()) * w].to_vec());
-            done += chunk.len();
-            let y = self.model.forward_infer(&x, &mut ws);
-            for (row, &i) in chunk.iter().enumerate() {
+        // One forward over every accepted row: row-independent kernels keep
+        // each result bitwise-identical to a per-query forward.
+        if !accepted.is_empty() {
+            let x = Matrix::from_vec(accepted.len(), w, rows);
+            let y = self.model.forward_infer(&x, &mut Workspace::new());
+            for (row, &i) in accepted.iter().enumerate() {
                 results[i] = Some(Ok(scaler.unscale(y.get(row, 0)).max(1.0)));
             }
-            ws.recycle(y);
-            ws.recycle(x);
         }
         results.into_iter().map(|r| r.expect("every query resolved")).collect()
     }

@@ -21,7 +21,11 @@
 //!
 //! Positions follow the term order of the paper's pattern-bound encoding
 //! (§V-A2), `[n₁, p₁, n₂, …]` — identical for stars and chains; only the
-//! tuple space differs.
+//! tuple space differs. Which queries a `(shape, k)` model answers, and
+//! where their bound terms sit, is the tuple space's rule and lives in the
+//! store: [`counter::tuple_bounds`], the same function that decides when
+//! the exact counter may count tuples. This module owns only the model and
+//! its sampler.
 
 use lmkg_data::sampler::{ChainSampler, SamplingStrategy, StarSampler};
 use lmkg_nn::loss;
@@ -29,13 +33,15 @@ use lmkg_nn::optimizer::Adam;
 use lmkg_nn::quant::QuantMode;
 use lmkg_nn::workspace::Workspace;
 use lmkg_nn::{Layer, Made, MadeConfig};
-use lmkg_store::{counter, KnowledgeGraph, Query, QueryShape, VarId};
+use lmkg_store::counter::{self, TupleBoundsError};
+use lmkg_store::{KnowledgeGraph, Query, QueryShape};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 pub use crate::supervised::EpochStats;
 
-/// Errors produced by LMKG-U.
+/// Why LMKG-U cannot be built over a graph. (A query it cannot answer is a
+/// [`TupleBoundsError`]: the tuple space decides that, not the model.)
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LmkgUError {
     /// The node domain exceeds the configured limit — the YAGO situation:
@@ -46,23 +52,6 @@ pub enum LmkgUError {
         /// Configured maximum.
         limit: usize,
     },
-    /// Query topology does not match the model.
-    WrongShape {
-        /// Model topology.
-        expected: QueryShape,
-        /// Query topology.
-        actual: QueryShape,
-    },
-    /// Query size does not match the model's tuple size.
-    WrongSize {
-        /// Model tuple size `k`.
-        expected: usize,
-        /// Query size.
-        actual: usize,
-    },
-    /// A variable is repeated in a way the marginalization cannot express
-    /// (e.g. the same variable used as two different objects).
-    UnsupportedVariablePattern,
 }
 
 impl std::fmt::Display for LmkgUError {
@@ -70,15 +59,6 @@ impl std::fmt::Display for LmkgUError {
         match self {
             LmkgUError::DomainTooLarge { nodes, limit } => {
                 write!(f, "node domain {nodes} exceeds LMKG-U limit {limit}")
-            }
-            LmkgUError::WrongShape { expected, actual } => {
-                write!(f, "model answers {expected} queries, got {actual}")
-            }
-            LmkgUError::WrongSize { expected, actual } => {
-                write!(f, "model answers size-{expected} queries, got size {actual}")
-            }
-            LmkgUError::UnsupportedVariablePattern => {
-                write!(f, "repeated variable pattern not expressible by marginalization")
             }
         }
     }
@@ -204,16 +184,9 @@ impl LmkgU {
         node_vocab: usize,
         pred_vocab: usize,
     ) -> Self {
-        // Positions [n, p, n, p, n, …]: 2k+1 alternating node/predicate.
-        let mut spaces = Vec::with_capacity(2 * k + 1);
-        spaces.push(0);
-        for _ in 0..k {
-            spaces.push(1);
-            spaces.push(0);
-        }
         let made_cfg = MadeConfig {
             vocab_sizes: vec![node_vocab.max(1), pred_vocab.max(1)],
-            spaces,
+            spaces: tuple_spaces(k),
             hidden: cfg.hidden,
             blocks: cfg.blocks,
             embed_dim: cfg.embed_dim,
@@ -387,98 +360,17 @@ impl LmkgU {
         loss::segmented_cross_entropy(&logits, &self.segments, tuples).0
     }
 
-    /// Maps a query onto per-position bound values.
-    fn query_bounds(&self, query: &Query) -> Result<Vec<Option<usize>>, LmkgUError> {
-        query_bounds_impl(self.shape, self.k, query)
+    /// Maps a query onto per-position bound values: the tuple space's own
+    /// rule, [`counter::tuple_bounds`].
+    fn query_bounds(&self, query: &Query) -> Result<Vec<Option<usize>>, TupleBoundsError> {
+        counter::tuple_bounds(self.shape, self.k, query)
     }
-}
-
-/// Maps a query onto per-position bound values for a `(shape, k)` model.
-fn query_bounds_impl(shape: QueryShape, k: usize, query: &Query) -> Result<Vec<Option<usize>>, LmkgUError> {
-    let actual = query.shape();
-    let compatible = actual == shape || (actual == QueryShape::Single && k == 1);
-    if !compatible {
-        return Err(LmkgUError::WrongShape {
-            expected: shape,
-            actual,
-        });
-    }
-    if query.size() != k {
-        return Err(LmkgUError::WrongSize {
-            expected: k,
-            actual: query.size(),
-        });
-    }
-
-    let positions = 2 * k + 1;
-    let mut bounds = vec![None; positions];
-    // Track variables: structural sharing (star center, chain links) is
-    // expected; any other reuse cannot be expressed by marginalization.
-    let mut seen_vars: Vec<VarId> = Vec::new();
-    let check_var = |v: VarId, structural: bool, seen: &mut Vec<VarId>| {
-        if seen.contains(&v) {
-            structural
-        } else {
-            seen.push(v);
-            true
-        }
-    };
-
-    match shape {
-        QueryShape::Star => {
-            let center = query.triples[0].s;
-            if let Some(v) = center.var() {
-                check_var(v, true, &mut seen_vars);
-            }
-            bounds[0] = center.bound().map(|n| n.index());
-            for (i, t) in query.triples.iter().enumerate() {
-                bounds[1 + 2 * i] = t.p.bound().map(|p| p.index());
-                bounds[2 + 2 * i] = t.o.bound().map(|o| o.index());
-                if let Some(v) = t.p.var() {
-                    if !check_var(v, false, &mut seen_vars) {
-                        return Err(LmkgUError::UnsupportedVariablePattern);
-                    }
-                }
-                if let Some(v) = t.o.var() {
-                    let is_center = center.var() == Some(v);
-                    if is_center || !check_var(v, false, &mut seen_vars) {
-                        return Err(LmkgUError::UnsupportedVariablePattern);
-                    }
-                }
-            }
-        }
-        QueryShape::Chain => {
-            bounds[0] = query.triples[0].s.bound().map(|n| n.index());
-            if let Some(v) = query.triples[0].s.var() {
-                check_var(v, true, &mut seen_vars);
-            }
-            for (i, t) in query.triples.iter().enumerate() {
-                bounds[1 + 2 * i] = t.p.bound().map(|p| p.index());
-                bounds[2 + 2 * i] = t.o.bound().map(|o| o.index());
-                if let Some(v) = t.p.var() {
-                    if !check_var(v, false, &mut seen_vars) {
-                        return Err(LmkgUError::UnsupportedVariablePattern);
-                    }
-                }
-                if let Some(v) = t.o.var() {
-                    // The object var is structurally shared with the next
-                    // subject; it must not have been seen before.
-                    if seen_vars.contains(&v) {
-                        return Err(LmkgUError::UnsupportedVariablePattern);
-                    }
-                    seen_vars.push(v);
-                }
-            }
-        }
-        _ => unreachable!(),
-    }
-    Ok(bounds)
 }
 
 impl LmkgU {
     /// Estimates the cardinality of `query` via likelihood-weighted forward
     /// sampling (§VI-B).
-    pub fn estimate_query(&self, query: &Query) -> Result<f64, LmkgUError> {
+    pub fn estimate_query(&self, query: &Query) -> Result<f64, TupleBoundsError> {
         let bounds = self.query_bounds(query)?;
         Ok(self.estimate_bounds(&bounds, &mut Workspace::new(), &mut Particles::default()))
     }
@@ -490,7 +382,7 @@ impl LmkgU {
     /// particle RNG stream is derived from its own bounds (`particle_rng`)
     /// and neither a recycled workspace buffer nor the reset particle
     /// buffers carry values from one query into the next.
-    pub fn estimate_query_batch(&self, queries: &[&Query]) -> Vec<Result<f64, LmkgUError>> {
+    pub fn estimate_query_batch(&self, queries: &[&Query]) -> Vec<Result<f64, TupleBoundsError>> {
         let mut ws = Workspace::new();
         let mut buffers = Particles::default();
         queries
@@ -573,6 +465,12 @@ impl LmkgU {
             self.seed,
         )
     }
+}
+
+/// The term space of each position of a size-`k` tuple, `[n, p, n, p, n,
+/// …]`: 2k+1 alternating node (0) and predicate (1) positions.
+pub(crate) fn tuple_spaces(k: usize) -> Vec<usize> {
+    (0..2 * k + 1).map(|pos| pos % 2).collect()
 }
 
 /// The RNG stream driving likelihood-weighted sampling for one query.
@@ -741,7 +639,7 @@ impl Particles {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lmkg_store::{GraphBuilder, NodeId, NodeTerm, PredId, PredTerm, TriplePattern};
+    use lmkg_store::{GraphBuilder, NodeId, NodeTerm, PredId, PredTerm, TriplePattern, VarId};
     use std::sync::OnceLock;
 
     fn v(i: u16) -> NodeTerm {
@@ -920,7 +818,6 @@ mod tests {
         };
         match LmkgU::new(g, QueryShape::Star, 2, cfg) {
             Err(LmkgUError::DomainTooLarge { .. }) => {}
-            Err(other) => panic!("wrong error: {other}"),
             Ok(_) => panic!("guard did not trigger"),
         }
     }
@@ -933,14 +830,20 @@ mod tests {
             TriplePattern::new(v(0), p(0), v(1)),
             TriplePattern::new(v(1), p(1), v(2)),
         ]);
-        assert!(matches!(m.estimate_query(&chain), Err(LmkgUError::WrongShape { .. })));
+        assert!(matches!(
+            m.estimate_query(&chain),
+            Err(TupleBoundsError::WrongShape { .. })
+        ));
         // Star of the wrong size.
         let star3 = Query::new(vec![
             TriplePattern::new(v(0), p(0), v(1)),
             TriplePattern::new(v(0), p(1), v(2)),
             TriplePattern::new(v(0), p(0), v(3)),
         ]);
-        assert!(matches!(m.estimate_query(&star3), Err(LmkgUError::WrongSize { .. })));
+        assert!(matches!(
+            m.estimate_query(&star3),
+            Err(TupleBoundsError::WrongSize { .. })
+        ));
     }
 
     #[test]
@@ -950,7 +853,7 @@ mod tests {
             TriplePattern::new(v(0), p(0), v(1)),
             TriplePattern::new(v(0), p(1), v(1)),
         ]);
-        assert_eq!(m.estimate_query(&q), Err(LmkgUError::UnsupportedVariablePattern));
+        assert_eq!(m.estimate_query(&q), Err(TupleBoundsError::RepeatedVariable));
     }
 
     #[test]
@@ -1080,7 +983,7 @@ mod tests {
     /// The per-particle sampler the grouped `estimate_bounds` replaced, kept
     /// line for line as its bitwise oracle: every particle is forwarded and
     /// normalised on its own, at every position.
-    fn per_particle_estimate(m: &LmkgU, query: &Query) -> Result<f64, LmkgUError> {
+    fn per_particle_estimate(m: &LmkgU, query: &Query) -> Result<f64, TupleBoundsError> {
         let bounds = m.query_bounds(query)?;
         let ws = &mut Workspace::new();
         let Some(last_bound) = bounds.iter().rposition(Option::is_some) else {

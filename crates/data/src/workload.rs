@@ -279,6 +279,44 @@ mod tests {
         }
     }
 
+    /// The sampler layout, the masking and LMKG-U's position map are one
+    /// layout: every masked sample is a point set of its tuple space
+    /// (`counter::tuple_bounds` is `Ok`), and each bound position holds the
+    /// value the sampled tuple's `to_ids()` has there.
+    #[test]
+    fn masked_samples_bind_their_own_tuple_positions() {
+        let g = graph();
+        let mut rng = StdRng::seed_from_u64(11);
+        for strategy in [SamplingStrategy::RandomWalk, SamplingStrategy::Uniform] {
+            for k in 1..=4 {
+                for predicates_bound in [true, false] {
+                    let cfg = WorkloadConfig {
+                        predicates_bound,
+                        strategy,
+                        ..WorkloadConfig::test_default(QueryShape::Star, k, 0)
+                    };
+                    let stars = StarSampler::new(&g, k, strategy);
+                    let chains = ChainSampler::new(&g, k, strategy);
+                    for _ in 0..25 {
+                        let star = stars.sample(&mut rng);
+                        let mut masked = vec![(QueryShape::Star, star.to_ids(), mask_star(&star, &mut rng, &cfg))];
+                        if let Some(chain) = chains.sample(&mut rng) {
+                            masked.push((QueryShape::Chain, chain.to_ids(), mask_chain(&chain, &mut rng, &cfg)));
+                        }
+                        for (shape, ids, query) in masked {
+                            let bounds = counter::tuple_bounds(shape, k, &query)
+                                .unwrap_or_else(|e| panic!("{shape} k={k} {query:?}: {e}"));
+                            assert_eq!(bounds.len(), ids.len());
+                            for (pos, (bound, id)) in bounds.iter().zip(&ids).enumerate() {
+                                assert!(bound.is_none_or(|b| b == *id), "{shape} k={k} position {pos}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn chain_workload_shape_and_labels() {
         let g = graph();

@@ -560,6 +560,19 @@ impl Sequential {
         Sequential { layers }
     }
 
+    /// The fan-in of the first dense layer and the fan-out of the last:
+    /// the widths of what the stack reads and writes. `None` without a
+    /// dense layer.
+    pub fn io_widths(&self) -> Option<(usize, usize)> {
+        let mut dense = self.layers.iter().filter_map(|stage| match stage {
+            Stage::Dense(d) => Some(d),
+            _ => None,
+        });
+        let first = dense.next()?;
+        let last = dense.next_back().unwrap_or(first);
+        Some((first.fan_in(), last.fan_out()))
+    }
+
     /// Bytes held by the parameters at their stored precision.
     pub fn memory_bytes(&self) -> usize {
         self.layers
@@ -591,16 +604,27 @@ impl Sequential {
         Ok(())
     }
 
-    /// Restores a model serialized by [`Sequential::save_quantized`].
+    /// Restores a model serialized by [`Sequential::save_quantized`]. Dense
+    /// layers that do not chain (a fan-in other than the previous dense
+    /// layer's fan-out) are `InvalidData`.
     pub fn load_quantized<R: Read>(reader: &mut R) -> io::Result<Self> {
         let mode = read_header(reader, QUANT_MAGIC, "quantized-model")?;
         let count = read_u32(reader)? as usize;
         let mut model = Sequential::new();
+        let mut width: Option<usize> = None;
         for i in 0..count {
             let mut tag = [0u8; 1];
             reader.read_exact(&mut tag)?;
             match tag[0] {
-                0 => model.push(Dense::read_frozen(reader, mode)?),
+                0 => {
+                    let dense = Dense::read_frozen(reader, mode)?;
+                    if let Some(w) = width.filter(|&w| w != dense.fan_in()) {
+                        let what = format!("layer {i}: fan-in {} after a {w}-wide layer", dense.fan_in());
+                        return Err(io::Error::new(io::ErrorKind::InvalidData, what));
+                    }
+                    width = Some(dense.fan_out());
+                    model.push(dense)
+                }
                 1 => model.push(Relu::new()),
                 2 => model.push(Sigmoid::new()),
                 3 => model.push(Dropout::new(0.0, 0)),
@@ -801,6 +825,33 @@ mod tests {
         assert!(d.w.param().grad.max_abs() > 0.0);
         d.zero_grads();
         assert_eq!(d.w.param().grad.max_abs(), 0.0);
+    }
+
+    /// A frozen stack whose dense layers do not chain loads as
+    /// `InvalidData`, never as a model whose first forward panics; one that
+    /// chains loads and reports the widths it reads and writes.
+    #[test]
+    fn load_quantized_rejects_dense_layers_that_do_not_chain() {
+        let mut rng = StdRng::seed_from_u64(9);
+        for (hidden_in, loads) in [(5, true), (4, false)] {
+            let mut model = Sequential::new();
+            model.push(Dense::new_he(&mut rng, 3, 5));
+            model.push(Relu::new());
+            model.push(Dense::new_xavier(&mut rng, hidden_in, 1));
+            let mut bytes = Vec::new();
+            model.quantized(QuantMode::Int8).save_quantized(&mut bytes).unwrap();
+            match Sequential::load_quantized(&mut bytes.as_slice()) {
+                Ok(loaded) => {
+                    assert!(loads);
+                    assert_eq!(loaded.io_widths(), Some((3, 1)));
+                }
+                Err(e) => {
+                    assert!(!loads, "a chaining stack must load: {e}");
+                    assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
+                }
+            }
+        }
+        assert_eq!(Sequential::new().io_widths(), None);
     }
 
     /// Numerical gradient check for a small Dense+ReLU+Dense stack under a

@@ -170,14 +170,6 @@ impl Matrix {
         }
     }
 
-    /// `self += alpha * other` elementwise.
-    pub fn add_scaled(&mut self, other: &Matrix, alpha: f32) {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += alpha * b;
-        }
-    }
-
     /// Multiplies every element by `alpha`.
     pub fn scale(&mut self, alpha: f32) {
         self.data.iter_mut().for_each(|x| *x *= alpha);
@@ -475,9 +467,6 @@ mod tests {
         assert_eq!(d.as_slice(), &[4.0, 6.0, 6.0, 4.0]);
         let e = a.map(|x| x * 2.0);
         assert_eq!(e.as_slice(), &[2.0, 4.0, 6.0, 8.0]);
-        let mut f = a.clone();
-        f.add_scaled(&b, 0.5);
-        assert_eq!(f.as_slice(), &[3.0, 3.5, 4.0, 4.5]);
     }
 
     #[test]

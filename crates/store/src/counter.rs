@@ -1,12 +1,20 @@
-//! Exact cardinality counting with specialized star/chain fast paths, plus
-//! the tuple-space totals LMKG-U needs to turn densities into cardinalities.
+//! Exact cardinality counting, and the one definition of LMKG's tuple spaces.
 //!
 //! The tuple space of star patterns of size `k` is
 //! `{(s, p1, o1, …, pk, ok) : every (pi, oi) is an out-edge of s}` with
 //! `N_star(k) = Σ_s outdeg(s)^k`; for chains it is the set of directed walks
-//! of length `k`, counted by dynamic programming. Under homomorphism (bag)
-//! semantics the cardinality of a query equals the number of tuples matching
-//! its bound positions — the identity that makes `card = P(query) · N` exact.
+//! of length `k`, counted by dynamic programming. Both lay a tuple out as
+//! `[n, p, n, p, …]`: the first subject, then each triple's predicate and
+//! object.
+//!
+//! [`tuple_bounds`] is the one rule for which queries are point sets of a
+//! tuple space, and it maps them onto that layout: a star or chain query
+//! whose free positions hold pairwise-distinct variables matches exactly the
+//! tuples that agree with its bound positions, so under homomorphism (bag)
+//! semantics its cardinality is the number of such tuples — the identity
+//! that makes LMKG-U's `card = P(query) · N` exact. [`cardinality`] takes its
+//! linear star and frontier-DP chain counters exactly for those queries, and
+//! LMKG-U maps its queries through the same function.
 
 use crate::dict::NodeId;
 use crate::fxhash::FxHashMap;
@@ -14,15 +22,110 @@ use crate::graph::KnowledgeGraph;
 use crate::matcher;
 use crate::triple::{NodeTerm, Query, QueryShape, VarId};
 
+/// Why a query is not a point set of a `(shape, k)` tuple space.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TupleBoundsError {
+    /// The query's topology is not the tuple space's.
+    WrongShape {
+        /// Tuple-space topology.
+        expected: QueryShape,
+        /// Query topology.
+        actual: QueryShape,
+    },
+    /// The query's size is not the tuple size.
+    WrongSize {
+        /// Tuple size `k`.
+        expected: usize,
+        /// Query size.
+        actual: usize,
+    },
+    /// A variable occupies two free positions of the tuple (e.g. the same
+    /// variable as two objects), which no set of bound positions expresses.
+    RepeatedVariable,
+}
+
+impl std::fmt::Display for TupleBoundsError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TupleBoundsError::WrongShape { expected, actual } => {
+                write!(f, "tuple space holds {expected} queries, got {actual}")
+            }
+            TupleBoundsError::WrongSize { expected, actual } => {
+                write!(f, "tuple space holds size-{expected} queries, got size {actual}")
+            }
+            TupleBoundsError::RepeatedVariable => {
+                write!(f, "a variable repeats across free tuple positions")
+            }
+        }
+    }
+}
+
+impl std::error::Error for TupleBoundsError {}
+
+/// The bound values of `query` in the `[n, p, n, p, …]` layout of the
+/// `(shape, k)` tuple space (`None` = free position), when the query's
+/// cardinality equals the number of tuples matching them.
+///
+/// Star and chain spaces take queries of their own shape and size `k`; a
+/// single-pattern query is the size-1 tuple of either, and `Single` names
+/// that space itself (`k = 1`). `Other` has no tuple space. The free
+/// positions — the first subject and every predicate and object — must hold
+/// pairwise-distinct variables; the structural repeats (a star's center, a
+/// chain's links) are implied by the shape. Never panics.
+pub fn tuple_bounds(shape: QueryShape, k: usize, query: &Query) -> Result<Vec<Option<usize>>, TupleBoundsError> {
+    let actual = query.shape();
+    let compatible = match shape {
+        QueryShape::Star | QueryShape::Chain => actual == shape || (actual == QueryShape::Single && k == 1),
+        QueryShape::Single => actual == QueryShape::Single,
+        QueryShape::Other => false,
+    };
+    if !compatible {
+        return Err(TupleBoundsError::WrongShape {
+            expected: shape,
+            actual,
+        });
+    }
+    if query.size() != k {
+        return Err(TupleBoundsError::WrongSize {
+            expected: k,
+            actual: query.size(),
+        });
+    }
+    let mut bounds = Vec::with_capacity(2 * k + 1);
+    let mut free_vars: Vec<VarId> = Vec::with_capacity(2 * k + 1);
+    let mut free = |var: Option<VarId>| match var {
+        Some(v) if free_vars.contains(&v) => Err(TupleBoundsError::RepeatedVariable),
+        Some(v) => {
+            free_vars.push(v);
+            Ok(())
+        }
+        None => Ok(()),
+    };
+    for (i, t) in query.triples.iter().enumerate() {
+        if i == 0 {
+            free(t.s.var())?;
+            bounds.push(t.s.bound().map(NodeId::index));
+        }
+        free(t.p.var())?;
+        bounds.push(t.p.bound().map(|p| p.index()));
+        free(t.o.var())?;
+        bounds.push(t.o.bound().map(NodeId::index));
+    }
+    Ok(bounds)
+}
+
 /// Exact cardinality of `query` in `graph`.
 ///
-/// Dispatches to a linear-time star counter or a frontier-DP chain counter
-/// when the variable structure permits, falling back to the generic
-/// backtracking matcher otherwise. All paths agree (see proptests).
+/// A star or chain query for which [`tuple_bounds`] succeeds is counted by
+/// a linear-time star counter or a frontier-DP chain counter; every other
+/// query by the generic backtracking matcher. All paths agree (see
+/// proptests).
 pub fn cardinality(graph: &KnowledgeGraph, query: &Query) -> u64 {
-    match query.shape() {
-        QueryShape::Star if star_fast_path_ok(query) => count_star(graph, query),
-        QueryShape::Chain if chain_fast_path_ok(query) => count_chain(graph, query),
+    let shape = query.shape();
+    let point_set = tuple_bounds(shape, query.size(), query).is_ok();
+    match shape {
+        QueryShape::Star if point_set => count_star(graph, query),
+        QueryShape::Chain if point_set => count_chain(graph, query),
         _ => matcher::count(graph, query),
     }
 }
@@ -63,56 +166,30 @@ pub fn walk_counts(graph: &KnowledgeGraph, k: usize) -> Vec<Vec<f64>> {
     levels
 }
 
-/// Star fast path requires: object positions bound or single-use variables
-/// distinct from the center; predicate positions bound or single-use
-/// variables; center may be bound or a variable.
-fn star_fast_path_ok(query: &Query) -> bool {
-    let center = query.triples[0].s;
-    let center_var = center.var();
-    let mut seen: Vec<VarId> = Vec::new();
-    for t in &query.triples {
-        if let Some(v) = t.o.var() {
-            if Some(v) == center_var || seen.contains(&v) {
-                return false;
-            }
-            seen.push(v);
-        }
-        if let Some(v) = t.p.var() {
-            if seen.contains(&v) {
-                return false;
-            }
-            seen.push(v);
-        }
-    }
-    true
-}
-
 fn count_star(graph: &KnowledgeGraph, query: &Query) -> u64 {
     let center = query.triples[0].s;
     match center {
         NodeTerm::Bound(s) => star_product(graph, query, s),
         NodeTerm::Var(_) => {
-            // Drive candidates from the most selective bound position.
-            let mut best: Option<Vec<NodeId>> = None;
-            for t in &query.triples {
-                if let (Some(p), Some(o)) = (t.p.bound(), t.o.bound()) {
-                    let subs: Vec<NodeId> = graph.subjects(o, p).iter().map(|&(_, s)| s).collect();
-                    if best.as_ref().is_none_or(|b| subs.len() < b.len()) {
-                        best = Some(subs);
-                    }
-                }
+            // Drive candidates from the most selective fully bound (p, o)
+            // pair; its subjects are unique because triples are deduped.
+            let anchor = query
+                .triples
+                .iter()
+                .filter(|t| t.p.bound().is_some() && t.o.bound().is_some())
+                .min_by_key(|t| graph.count_single(None, t.p.bound(), t.o.bound()));
+            let mut candidates: Vec<NodeId> = Vec::new();
+            match anchor {
+                Some(t) => graph.for_each_match(None, t.p.bound(), t.o.bound(), |m| candidates.push(m.s)),
+                None => candidates.extend(graph.subjects_iter()),
             }
-            let candidates: Vec<NodeId> = match best {
-                Some(subs) => subs, // subjects within (o, p) are unique: triples are deduped
-                None => graph.subjects_iter().collect(),
-            };
             candidates.into_iter().map(|s| star_product(graph, query, s)).sum()
         }
     }
 }
 
 /// Number of matches of a star with bound center `s`: the product over triple
-/// patterns of per-pattern edge counts (valid because the fast-path check
+/// patterns of per-pattern edge counts (valid because [`tuple_bounds`]
 /// guarantees object/predicate variables are independent).
 fn star_product(graph: &KnowledgeGraph, query: &Query, s: NodeId) -> u64 {
     let mut prod = 1u64;
@@ -124,43 +201,6 @@ fn star_product(graph: &KnowledgeGraph, query: &Query, s: NodeId) -> u64 {
         prod = prod.saturating_mul(f);
     }
     prod
-}
-
-/// Chain fast path requires: every link variable is used exactly at its two
-/// adjacent positions, end variables are single-use, predicates bound or
-/// single-use variables, and no variable repeats anywhere else.
-fn chain_fast_path_ok(query: &Query) -> bool {
-    // Count total occurrences of each variable across all positions.
-    let mut occurrences: FxHashMap<VarId, usize> = FxHashMap::default();
-    for t in &query.triples {
-        for v in t.vars() {
-            *occurrences.entry(v).or_insert(0) += 1;
-        }
-    }
-    let k = query.triples.len();
-    for (i, t) in query.triples.iter().enumerate() {
-        // Predicate variables must be single-use.
-        if let Some(v) = t.p.var() {
-            if occurrences[&v] != 1 {
-                return false;
-            }
-        }
-        // Subject of triple i (i > 0) is the link shared with o_{i-1}:
-        // exactly 2 occurrences. Subject of triple 0 must be single-use.
-        if let Some(v) = t.s.var() {
-            let expected = if i == 0 { 1 } else { 2 };
-            if occurrences[&v] != expected {
-                return false;
-            }
-        }
-        if let Some(v) = t.o.var() {
-            let expected = if i == k - 1 { 1 } else { 2 };
-            if occurrences[&v] != expected {
-                return false;
-            }
-        }
-    }
-    true
 }
 
 fn count_chain(graph: &KnowledgeGraph, query: &Query) -> u64 {
@@ -178,25 +218,10 @@ fn count_chain(graph: &KnowledgeGraph, query: &Query) -> u64 {
             return 0;
         }
         let mut next: FxHashMap<NodeId, u64> = FxHashMap::default();
-        let p = t.p.bound();
-        let o = t.o.bound();
         for (&node, &cnt) in &frontier {
-            match p {
-                Some(p) => {
-                    for &(_, obj) in graph.objects(node, p) {
-                        if o.is_none_or(|b| b == obj) {
-                            *next.entry(obj).or_insert(0) += cnt;
-                        }
-                    }
-                }
-                None => {
-                    for &(_, obj) in graph.out_edges(node) {
-                        if o.is_none_or(|b| b == obj) {
-                            *next.entry(obj).or_insert(0) += cnt;
-                        }
-                    }
-                }
-            }
+            graph.for_each_match(Some(node), t.p.bound(), t.o.bound(), |m| {
+                *next.entry(m.o).or_insert(0) += cnt;
+            });
         }
         frontier = next;
     }
@@ -242,7 +267,10 @@ mod tests {
             TriplePattern::new(v(0), pr(1), v(2)),
         ]);
         assert_eq!(q.shape(), QueryShape::Star);
-        assert!(star_fast_path_ok(&q));
+        assert_eq!(
+            tuple_bounds(QueryShape::Star, 2, &q),
+            Ok(vec![None, Some(0), None, Some(1), None])
+        );
         assert_eq!(cardinality(&g, &q), matcher::count(&g, &q));
     }
 
@@ -277,7 +305,10 @@ mod tests {
             TriplePattern::new(v(0), pr(0), v(1)),
             TriplePattern::new(v(0), pr(1), v(1)),
         ]);
-        assert!(!star_fast_path_ok(&q));
+        assert_eq!(
+            tuple_bounds(QueryShape::Star, 2, &q),
+            Err(TupleBoundsError::RepeatedVariable)
+        );
         assert_eq!(cardinality(&g, &q), matcher::count(&g, &q));
         assert_eq!(cardinality(&g, &q), 1); // a knows c & a likes c
     }
@@ -290,7 +321,10 @@ mod tests {
             TriplePattern::new(v(1), pr(1), v(2)),
         ]);
         assert_eq!(q.shape(), QueryShape::Chain);
-        assert!(chain_fast_path_ok(&q));
+        assert_eq!(
+            tuple_bounds(QueryShape::Chain, 2, &q),
+            Ok(vec![None, Some(0), None, Some(1), None])
+        );
         assert_eq!(cardinality(&g, &q), matcher::count(&g, &q));
     }
 
@@ -326,7 +360,10 @@ mod tests {
             TriplePattern::new(v(0), pr(0), v(1)),
             TriplePattern::new(v(1), pr(1), v(0)),
         ]);
-        assert!(!chain_fast_path_ok(&q));
+        assert_eq!(
+            tuple_bounds(QueryShape::Chain, 2, &q),
+            Err(TupleBoundsError::RepeatedVariable)
+        );
         assert_eq!(cardinality(&g, &q), matcher::count(&g, &q));
     }
 
@@ -393,5 +430,66 @@ mod tests {
             TriplePattern::new(v(0), pr(0), v(1)),
         ]);
         assert_eq!(cardinality(&g, &q), 0);
+    }
+
+    #[test]
+    fn tuple_bounds_is_total_over_shapes_and_sizes() {
+        let single = Query::new(vec![TriplePattern::new(n(0), pr(1), v(0))]);
+        let star = Query::new(vec![
+            TriplePattern::new(v(0), pr(0), n(1)),
+            TriplePattern::new(v(0), pr(1), v(1)),
+        ]);
+        let other = Query::new(vec![
+            TriplePattern::new(v(0), pr(0), v(1)),
+            TriplePattern::new(v(2), pr(1), v(3)),
+        ]);
+        let empty = Query::new(vec![]);
+        // A single pattern is the size-1 tuple of every tuple space.
+        for shape in [QueryShape::Star, QueryShape::Chain, QueryShape::Single] {
+            assert_eq!(tuple_bounds(shape, 1, &single), Ok(vec![Some(0), Some(1), None]));
+            assert!(tuple_bounds(shape, 2, &single).is_err());
+        }
+        assert!(matches!(
+            tuple_bounds(QueryShape::Single, 2, &single),
+            Err(TupleBoundsError::WrongSize { expected: 2, actual: 1 })
+        ));
+        assert_eq!(
+            tuple_bounds(QueryShape::Star, 2, &star),
+            Ok(vec![None, Some(0), Some(1), Some(1), None])
+        );
+        assert!(matches!(
+            tuple_bounds(QueryShape::Chain, 2, &star),
+            Err(TupleBoundsError::WrongShape { .. })
+        ));
+        assert!(matches!(
+            tuple_bounds(QueryShape::Single, 2, &star),
+            Err(TupleBoundsError::WrongShape { .. })
+        ));
+        // `Other` has no tuple space, whatever the query or size.
+        for q in [&single, &star, &other, &empty] {
+            for k in 0..3 {
+                assert!(matches!(
+                    tuple_bounds(QueryShape::Other, k, q),
+                    Err(TupleBoundsError::WrongShape { .. })
+                ));
+            }
+        }
+        for shape in [QueryShape::Star, QueryShape::Chain, QueryShape::Single] {
+            assert!(tuple_bounds(shape, 0, &empty).is_err());
+            assert!(tuple_bounds(shape, 2, &other).is_err());
+        }
+    }
+
+    #[test]
+    fn tuple_bounds_refuses_a_predicate_variable_reused_as_a_node() {
+        // Invalid as a query, and no tuple either.
+        let q = Query::new(vec![
+            TriplePattern::new(v(0), PredTerm::Var(VarId(0)), v(1)),
+            TriplePattern::new(v(0), pr(1), v(2)),
+        ]);
+        assert_eq!(
+            tuple_bounds(QueryShape::Star, 2, &q),
+            Err(TupleBoundsError::RepeatedVariable)
+        );
     }
 }

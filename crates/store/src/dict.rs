@@ -92,11 +92,6 @@ impl Dictionary {
         &self.terms[id as usize]
     }
 
-    /// Resolves an id back to its term, if in range.
-    pub fn try_resolve(&self, id: u32) -> Option<&str> {
-        self.terms.get(id as usize).map(|s| &**s)
-    }
-
     /// Number of distinct terms.
     pub fn len(&self) -> usize {
         self.terms.len()
@@ -156,7 +151,6 @@ mod tests {
     fn get_missing_is_none() {
         let d = Dictionary::new();
         assert_eq!(d.get("nope"), None);
-        assert_eq!(d.try_resolve(0), None);
     }
 
     #[test]

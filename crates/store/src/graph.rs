@@ -7,6 +7,13 @@
 //! * `out`  — per subject, `(predicate, object)` pairs sorted by `(p, o)`;
 //! * `inc`  — per object, `(predicate, subject)` pairs sorted by `(p, s)`;
 //! * `byp`  — per predicate, `(subject, object)` pairs sorted by `(s, o)`.
+//!
+//! This module is the only place that maps a single-pattern binding case —
+//! which of `(s, p, o)` are bound — onto one of those indexes:
+//! [`KnowledgeGraph::count_single`] counts the matches,
+//! [`KnowledgeGraph::for_each_match`] visits them, and
+//! [`KnowledgeGraph::nth_match`] picks one by position, all in the same
+//! order. Joins, exact counters and samplers go through these three.
 
 use crate::dict::{Dictionary, NodeId, PredId};
 use crate::triple::Triple;
@@ -196,6 +203,28 @@ impl KnowledgeGraph {
                     f(t);
                 }
             }
+        }
+    }
+
+    /// The `n`-th triple (from 0) that [`KnowledgeGraph::for_each_match`]
+    /// visits for the same pattern, or `None` when fewer than `n + 1`
+    /// match. `O(log deg)` except the `(s, ?, o)` case, which scans the
+    /// out-edges of `s`.
+    pub fn nth_match(&self, s: Option<NodeId>, p: Option<PredId>, o: Option<NodeId>, n: usize) -> Option<Triple> {
+        match (s, p, o) {
+            (Some(s), Some(p), Some(o)) => (n == 0 && self.contains(s, p, o)).then(|| Triple::new(s, p, o)),
+            (Some(s), Some(p), None) => self.objects(s, p).get(n).map(|&(_, obj)| Triple::new(s, p, obj)),
+            (Some(s), None, Some(o)) => self
+                .out_edges(s)
+                .iter()
+                .filter(|&&(_, obj)| obj == o)
+                .nth(n)
+                .map(|&(pred, _)| Triple::new(s, pred, o)),
+            (Some(s), None, None) => self.out_edges(s).get(n).map(|&(pred, obj)| Triple::new(s, pred, obj)),
+            (None, Some(p), Some(o)) => self.subjects(o, p).get(n).map(|&(_, subj)| Triple::new(subj, p, o)),
+            (None, Some(p), None) => self.pred_pairs(p).get(n).map(|&(subj, obj)| Triple::new(subj, p, obj)),
+            (None, None, Some(o)) => self.in_edges(o).get(n).map(|&(pred, subj)| Triple::new(subj, pred, o)),
+            (None, None, None) => self.triples.get(n).copied(),
         }
     }
 
@@ -452,6 +481,26 @@ mod tests {
             let mut n = 0u64;
             g.for_each_match(s, p, o, |_| n += 1);
             assert_eq!(n, g.count_single(s, p, o), "case {s:?} {p:?} {o:?}");
+        }
+    }
+
+    /// `nth_match` picks exactly what `for_each_match` visits, in its
+    /// order, for all 8 (s, p, o) binding cases — over every bound value,
+    /// so empty and fully bound misses are covered too.
+    #[test]
+    fn nth_match_agrees_with_for_each_match() {
+        let g = small_graph();
+        let nodes = || std::iter::once(None).chain(g.node_ids().map(Some));
+        for s in nodes() {
+            for p in std::iter::once(None).chain(g.pred_ids().map(Some)) {
+                for o in nodes() {
+                    let mut visited = Vec::new();
+                    g.for_each_match(s, p, o, |t| visited.push(t));
+                    let picked: Vec<Triple> = (0..).map_while(|n| g.nth_match(s, p, o, n)).collect();
+                    assert_eq!(picked, visited, "case {s:?} {p:?} {o:?}");
+                    assert_eq!(picked.len() as u64, g.count_single(s, p, o));
+                }
+            }
         }
     }
 

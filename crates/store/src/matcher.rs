@@ -6,6 +6,12 @@
 //! semantics LMKG's tuple spaces use, so exact counts and model estimates are
 //! directly comparable.
 //!
+//! This module owns the binding rules every join in the workspace uses:
+//! [`resolve`] turns a pattern under partial bindings into the
+//! single-pattern lookup it asks for ([`Resolved`]), and [`try_bind`] /
+//! [`undo_bind`] extend and retract bindings with one matching triple. The
+//! sampling baselines walk with the same three functions.
+//!
 //! The counter is a backtracking join with two standard optimizations:
 //! * **greedy ordering** — at every step the remaining pattern with the
 //!   fewest index-estimated candidates is expanded next;
@@ -65,65 +71,43 @@ fn brute_rec(g: &KnowledgeGraph, pats: &[TriplePattern], i: usize, bindings: &mu
     total
 }
 
-/// Resolved view of one pattern under the current bindings.
-struct Resolved {
-    s: Option<NodeId>,
-    p: Option<PredId>,
-    o: Option<NodeId>,
-    /// Variables of this pattern still unbound, in (s, p, o) position order.
-    new_vars: Vec<VarId>,
-    /// True when some unbound variable occurs twice within the pattern
-    /// (e.g. `?x :p ?x`), which breaks closed-form counting.
-    repeated_new_var: bool,
+/// One pattern under partial bindings: each position's bound term —
+/// constant, or a variable's current value — or `None` where the position
+/// is still free. It names the single-pattern lookup
+/// ([`KnowledgeGraph::count_single`], [`KnowledgeGraph::for_each_match`],
+/// [`KnowledgeGraph::nth_match`]) the pattern asks for at this point of a
+/// join.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Resolved {
+    /// Bound subject.
+    pub s: Option<NodeId>,
+    /// Bound predicate.
+    pub p: Option<PredId>,
+    /// Bound object.
+    pub o: Option<NodeId>,
 }
 
-fn resolve(pat: &TriplePattern, bindings: &[Option<u32>]) -> Resolved {
-    let mut new_vars = Vec::new();
-    let mut repeated = false;
-
-    let mut node = |term: NodeTerm, new_vars: &mut Vec<VarId>| match term {
+/// Resolves `pat` under `bindings` (indexed by variable id).
+pub fn resolve(pat: &TriplePattern, bindings: &[Option<u32>]) -> Resolved {
+    let node = |term: NodeTerm| match term {
         NodeTerm::Bound(n) => Some(n),
-        NodeTerm::Var(v) => match bindings[v.index()] {
-            Some(id) => Some(NodeId(id)),
-            None => {
-                if new_vars.contains(&v) {
-                    repeated = true;
-                } else {
-                    new_vars.push(v);
-                }
-                None
-            }
-        },
+        NodeTerm::Var(v) => bindings[v.index()].map(NodeId),
     };
-
-    let s = node(pat.s, &mut new_vars);
-    let o = node(pat.o, &mut new_vars);
-    let p = match pat.p {
-        PredTerm::Bound(p) => Some(p),
-        PredTerm::Var(v) => match bindings[v.index()] {
-            Some(id) => Some(PredId(id)),
-            None => {
-                // Predicate variables never collide with node variables
-                // (enforced by `Query::validate`), but may repeat: impossible
-                // within one triple (single predicate position).
-                new_vars.push(v);
-                None
-            }
-        },
-    };
-
     Resolved {
-        s,
-        p,
-        o,
-        new_vars,
-        repeated_new_var: repeated,
+        s: node(pat.s),
+        p: match pat.p {
+            PredTerm::Bound(p) => Some(p),
+            PredTerm::Var(v) => bindings[v.index()].map(PredId),
+        },
+        o: node(pat.o),
     }
 }
 
 /// Binds pattern variables against a concrete triple; returns the list of
-/// variables newly bound (for undo), or `None` on mismatch.
-fn try_bind(pat: &TriplePattern, t: Triple, bindings: &mut [Option<u32>]) -> Option<Vec<VarId>> {
+/// variables newly bound (for [`undo_bind`]), or `None` on mismatch — a
+/// pattern that repeats a variable (`?x :p ?x`) rejects triples whose two
+/// positions differ.
+pub fn try_bind(pat: &TriplePattern, t: Triple, bindings: &mut [Option<u32>]) -> Option<Vec<VarId>> {
     let mut bound = Vec::new();
     let mut ok = true;
 
@@ -165,7 +149,8 @@ fn try_bind(pat: &TriplePattern, t: Triple, bindings: &mut [Option<u32>]) -> Opt
     }
 }
 
-fn undo_bind(bound: Vec<VarId>, bindings: &mut [Option<u32>]) {
+/// Undoes the bindings [`try_bind`] created.
+pub fn undo_bind(bound: Vec<VarId>, bindings: &mut [Option<u32>]) {
     for v in bound {
         bindings[v.index()] = None;
     }
@@ -184,14 +169,17 @@ fn pick_next(g: &KnowledgeGraph, query: &Query, remaining: &[usize], bindings: &
     best
 }
 
-/// Whether every new variable of `pat` occurs in no *other* remaining pattern.
-fn new_vars_local(query: &Query, remaining: &[usize], skip_idx: usize, new_vars: &[VarId]) -> bool {
-    new_vars.iter().all(|v| {
-        remaining
-            .iter()
-            .filter(|&&i| i != skip_idx)
-            .all(|&i| !query.triples[i].vars().any(|w| w == *v))
-    })
+/// Whether `pat`'s matches factor out of the rest of the join: its unbound
+/// variables occur in no *other* remaining pattern, and no unbound variable
+/// occurs twice within it (`?x :p ?x` is not counted by `count_single`).
+fn closed_form(query: &Query, remaining: &[usize], pat: &TriplePattern, bindings: &[Option<u32>]) -> bool {
+    let unbound = |v: &VarId| bindings[v.index()].is_none();
+    let repeated = pat.s.var().filter(unbound).is_some_and(|v| pat.o.var() == Some(v));
+    !repeated
+        && pat
+            .vars()
+            .filter(unbound)
+            .all(|v| remaining.iter().all(|&i| !query.triples[i].vars().any(|w| w == v)))
 }
 
 fn count_rec(g: &KnowledgeGraph, query: &Query, remaining: &mut Vec<usize>, bindings: &mut Vec<Option<u32>>) -> u64 {
@@ -206,7 +194,7 @@ fn count_rec(g: &KnowledgeGraph, query: &Query, remaining: &mut Vec<usize>, bind
     let pat = query.triples[idx];
     let r = resolve(&pat, bindings);
 
-    let total = if !r.repeated_new_var && new_vars_local(query, remaining, idx, &r.new_vars) {
+    let total = if closed_form(query, remaining, &pat, bindings) {
         // Closed form: candidates factor out.
         let factor = g.count_single(r.s, r.p, r.o);
         if factor == 0 {
@@ -454,5 +442,56 @@ mod tests {
         ]);
         assert_eq!(count(&g, &q), 1);
         assert_eq!(brute_force_count(&g, &q), 1);
+    }
+
+    #[test]
+    fn resolve_uses_bindings() {
+        let pat = TriplePattern::new(v(0), pr(0), v(1));
+        let mut bindings = vec![None, None];
+        assert_eq!(
+            resolve(&pat, &bindings),
+            Resolved {
+                s: None,
+                p: Some(PredId(0)),
+                o: None
+            }
+        );
+        bindings[0] = Some(2);
+        assert_eq!(resolve(&pat, &bindings).s, Some(NodeId(2)));
+        let pred_var = TriplePattern::new(n(1), PredTerm::Var(VarId(1)), v(0));
+        assert_eq!(
+            resolve(&pred_var, &[Some(2), Some(1)]),
+            Resolved {
+                s: Some(NodeId(1)),
+                p: Some(PredId(1)),
+                o: Some(NodeId(2))
+            }
+        );
+    }
+
+    #[test]
+    fn try_bind_and_undo() {
+        let pat = TriplePattern::new(v(0), pr(0), v(1));
+        let mut bindings = vec![None, None];
+        let t = Triple::new(NodeId(0), PredId(0), NodeId(2));
+        let undo = try_bind(&pat, t, &mut bindings).unwrap();
+        assert_eq!(bindings, vec![Some(0), Some(2)]);
+        undo_bind(undo, &mut bindings);
+        assert_eq!(bindings, vec![None, None]);
+    }
+
+    #[test]
+    fn try_bind_rejects_mismatch() {
+        // Same variable twice: a q x has s = a(0), o = x(2), so var 0 can't
+        // be both, and the partial binding of s is rolled back.
+        let pat = TriplePattern::new(v(0), pr(1), v(0));
+        let mut bindings = vec![None];
+        let t = Triple::new(NodeId(0), PredId(1), NodeId(2));
+        assert!(try_bind(&pat, t, &mut bindings).is_none());
+        assert_eq!(bindings, vec![None]);
+        // A bound constant that differs rejects too.
+        let bound = TriplePattern::new(n(1), pr(1), v(0));
+        assert!(try_bind(&bound, t, &mut bindings).is_none());
+        assert_eq!(bindings, vec![None]);
     }
 }

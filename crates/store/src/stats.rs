@@ -1,7 +1,7 @@
 //! Graph statistics: the dataset specifications of Table I and the degree /
 //! skew measurements that drive model sizing and the Fig. 4 analysis.
 
-use crate::dict::{NodeId, PredId};
+use crate::dict::PredId;
 use crate::graph::KnowledgeGraph;
 
 /// Summary statistics for a knowledge graph (paper Table I plus degree data).
@@ -124,28 +124,11 @@ impl LogHistogram {
     }
 }
 
-/// Out-degree histogram in the given log base.
-pub fn out_degree_histogram(graph: &KnowledgeGraph, base: u32) -> LogHistogram {
-    let mut h = LogHistogram::new(base);
-    for v in graph.node_ids() {
-        h.add(graph.out_degree(v) as u64);
-    }
-    h
-}
-
 /// Per-predicate triple counts, descending.
 pub fn predicate_frequencies(graph: &KnowledgeGraph) -> Vec<(PredId, usize)> {
     let mut freqs: Vec<(PredId, usize)> = graph.pred_ids().map(|p| (p, graph.pred_count(p))).collect();
     freqs.sort_by(|a, b| b.1.cmp(&a.1).then(a.0 .0.cmp(&b.0 .0)));
     freqs
-}
-
-/// The `k` nodes with the highest out-degree (hubs), descending.
-pub fn top_hubs(graph: &KnowledgeGraph, k: usize) -> Vec<(NodeId, usize)> {
-    let mut nodes: Vec<(NodeId, usize)> = graph.node_ids().map(|v| (v, graph.out_degree(v))).collect();
-    nodes.sort_by(|a, b| b.1.cmp(&a.1).then(a.0 .0.cmp(&b.0 .0)));
-    nodes.truncate(k);
-    nodes
 }
 
 #[cfg(test)]
@@ -207,20 +190,5 @@ mod tests {
         assert_eq!(f.len(), 2);
         assert!(f[0].1 >= f[1].1);
         assert_eq!(f[0].1, 3); // "p"
-    }
-
-    #[test]
-    fn top_hubs_ordering() {
-        let hubs = top_hubs(&graph(), 2);
-        assert_eq!(hubs.len(), 2);
-        assert_eq!(hubs[0].1, 3);
-        assert!(hubs[0].1 >= hubs[1].1);
-    }
-
-    #[test]
-    fn degree_histogram_total_counts_all_nodes() {
-        let g = graph();
-        let h = out_degree_histogram(&g, 5);
-        assert_eq!(h.total() as usize, g.num_nodes());
     }
 }

@@ -2,10 +2,17 @@
 //! exponential brute-force enumerator must all agree on random graphs and
 //! random queries. This is the correctness anchor for every experiment,
 //! since `counter::cardinality` is the ground-truth oracle.
+//!
+//! It is also the tuple-space oracle LMKG-U is judged by: wherever
+//! `counter::tuple_bounds` maps a query onto a tuple space, the query's
+//! cardinality is the number of enumerated tuples that agree with its bound
+//! positions — the identity behind `card = P(bound terms) · N`.
 
 use lmkg_store::counter;
 use lmkg_store::matcher;
-use lmkg_store::{GraphBuilder, KnowledgeGraph, NodeId, NodeTerm, PredId, PredTerm, Query, TriplePattern, VarId};
+use lmkg_store::{
+    GraphBuilder, KnowledgeGraph, NodeId, NodeTerm, PredId, PredTerm, Query, QueryShape, TriplePattern, VarId,
+};
 use proptest::prelude::*;
 
 const MAX_NODES: u32 = 6;
@@ -90,6 +97,30 @@ fn arb_chain_query() -> impl Strategy<Value = Query> {
         })
 }
 
+/// Every tuple of the size-`k` star or chain tuple space of `g`, in the
+/// `[n, p, n, p, …]` layout: a star tuple is a node and `k` of its
+/// out-edges (with repetition), a chain tuple a directed walk of `k` edges.
+fn enumerate_tuples(g: &KnowledgeGraph, shape: QueryShape, k: usize) -> Vec<Vec<usize>> {
+    fn extend(g: &KnowledgeGraph, star: bool, k: usize, tuple: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+        let steps = tuple.len() / 2;
+        if steps == k {
+            out.push(tuple.clone());
+            return;
+        }
+        let from = if star { tuple[0] } else { tuple[tuple.len() - 1] };
+        for &(p, o) in g.out_edges(NodeId(from as u32)) {
+            tuple.extend([p.index(), o.index()]);
+            extend(g, star, k, tuple, out);
+            tuple.truncate(tuple.len() - 2);
+        }
+    }
+    let mut out = Vec::new();
+    for n in g.node_ids() {
+        extend(g, shape == QueryShape::Star, k, &mut vec![n.index()], &mut out);
+    }
+    out
+}
+
 /// Queries over node vars only are valid; mixed-role variables are rejected
 /// by `validate`. Filter those out.
 fn is_valid(q: &Query) -> bool {
@@ -121,6 +152,50 @@ proptest! {
     fn chain_counter_matches_generic(g in arb_graph(), q in arb_chain_query()) {
         prop_assume!(is_valid(&q));
         prop_assert_eq!(counter::cardinality(&g, &q), matcher::count(&g, &q));
+    }
+
+    /// The tuple-space oracle: where `tuple_bounds` accepts a query, its
+    /// exact count is the number of enumerated tuples agreeing with every
+    /// bound position. A single pattern is the size-1 tuple of both spaces.
+    #[test]
+    fn cardinality_counts_the_tuples_matching_tuple_bounds(
+        g in arb_graph(),
+        q in prop_oneof![arb_star_query(), arb_chain_query(), arb_query(1)],
+    ) {
+        prop_assume!(is_valid(&q));
+        let spaces: &[QueryShape] = match q.shape() {
+            QueryShape::Single => &[QueryShape::Star, QueryShape::Chain],
+            QueryShape::Star => &[QueryShape::Star],
+            QueryShape::Chain => &[QueryShape::Chain],
+            QueryShape::Other => &[],
+        };
+        for &shape in spaces {
+            let Ok(bounds) = counter::tuple_bounds(shape, q.size(), &q) else { continue };
+            prop_assert_eq!(bounds.len(), 2 * q.size() + 1);
+            let matching = enumerate_tuples(&g, shape, q.size())
+                .iter()
+                .filter(|t| t.iter().zip(&bounds).all(|(&v, b)| b.is_none_or(|b| b == v)))
+                .count() as u64;
+            prop_assert_eq!(counter::cardinality(&g, &q), matching);
+        }
+    }
+
+    /// `tuple_bounds` is total: any query, any tuple space, any size.
+    #[test]
+    fn tuple_bounds_never_panics(
+        q in prop_oneof![arb_query(4), Just(Query::new(vec![]))],
+        shape in prop_oneof![
+            Just(QueryShape::Star),
+            Just(QueryShape::Chain),
+            Just(QueryShape::Single),
+            Just(QueryShape::Other),
+        ],
+        k in 0usize..6,
+    ) {
+        if let Ok(bounds) = counter::tuple_bounds(shape, k, &q) {
+            prop_assert_eq!(bounds.len(), 2 * k + 1);
+            prop_assert!(shape != QueryShape::Other);
+        }
     }
 
     #[test]
