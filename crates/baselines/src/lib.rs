@@ -13,9 +13,9 @@
 //! All implement [`lmkg::CardinalityEstimator`], so the experiment
 //! harness treats them interchangeably with LMKG-S/LMKG-U.
 
-// No unsafe anywhere in this crate — enforced so the lmkg-xtask L1 lint
-// and the sanitizer jobs only ever have the nn kernels and the serve
-// signal shim to reason about.
+// No unsafe anywhere in this crate — enforced so the `SAFETY:` lints and
+// the sanitizer jobs only ever have the nn kernels and the serve signal
+// shim to reason about.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -14,7 +14,7 @@
 use lmkg::CardinalityEstimator;
 use lmkg_data::LabeledQuery;
 use lmkg_encoder::CardinalityScaler;
-use lmkg_nn::layers::{Dense, Layer, Param, Relu, Sequential, Sigmoid};
+use lmkg_nn::layers::{Dense, Layer, Param, Parameterized, Relu, Sequential, Sigmoid};
 use lmkg_nn::loss;
 use lmkg_nn::optimizer::Adam;
 use lmkg_nn::tensor::Matrix;
@@ -59,19 +59,7 @@ struct MscnNet {
     out_mlp: Sequential,
 }
 
-impl Layer for MscnNet {
-    fn forward(&mut self, _x: Matrix) -> Matrix {
-        unimplemented!("MSCN uses custom set wiring; see Mscn::forward_queries")
-    }
-
-    fn forward_infer(&self, _x: &Matrix, _ws: &mut Workspace) -> Matrix {
-        unimplemented!("MSCN uses custom set wiring; see Mscn::predict")
-    }
-
-    fn backward(&mut self, _g: &Matrix) -> Matrix {
-        unimplemented!("MSCN uses custom set wiring; see Mscn::backward_queries")
-    }
-
+impl Parameterized for MscnNet {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         self.set_mlp.visit_params(f);
         self.out_mlp.visit_params(f);

@@ -633,6 +633,8 @@ where
     T: Send,
     F: FnOnce() -> T + Send,
 {
+    // ORDERING (max 1): Relaxed fetch_add hands out disjoint training-work indices; thread::join at
+    // scope exit is the synchronization point for the results
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 

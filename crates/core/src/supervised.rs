@@ -7,7 +7,7 @@
 use crate::outliers::OutlierBuffer;
 use lmkg_data::LabeledQuery;
 use lmkg_encoder::{CardinalityScaler, EncodeError, SgEncoder};
-use lmkg_nn::layers::{Dense, Dropout, Layer, Relu, Sequential, Sigmoid};
+use lmkg_nn::layers::{Dense, Dropout, Layer, Parameterized, Relu, Sequential, Sigmoid};
 use lmkg_nn::optimizer::Adam;
 use lmkg_nn::quant::QuantMode;
 use lmkg_nn::tensor::Matrix;

@@ -32,7 +32,7 @@ use lmkg_nn::loss;
 use lmkg_nn::optimizer::Adam;
 use lmkg_nn::quant::QuantMode;
 use lmkg_nn::workspace::Workspace;
-use lmkg_nn::{Layer, Made, MadeConfig};
+use lmkg_nn::{Made, MadeConfig, Parameterized};
 use lmkg_store::counter::{self, TupleBoundsError};
 use lmkg_store::{KnowledgeGraph, Query, QueryShape};
 use rand::rngs::StdRng;

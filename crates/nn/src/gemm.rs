@@ -45,6 +45,10 @@
 //! the smallest f32 subnormal. The contract therefore holds for finite
 //! operands whose steps never underflow to zero.
 
+// Serving hot path: no panics outside tests (README "Static analysis & safety").
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use std::sync::OnceLock;
 
 /// Rows per register tile. Six rows × two 8-lane vectors = 12 accumulator

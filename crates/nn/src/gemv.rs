@@ -36,6 +36,10 @@
 //! suites hold unchanged, enforced by the tests below and the small-M
 //! proptest in `tests/prop_nn.rs`.
 
+// Serving hot path: no panics outside tests (README "Static analysis & safety").
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::gemm::{Kernel, MatRef};
 
 /// Largest number of `A` rows routed to the pack-free GEMV path by
@@ -168,6 +172,10 @@ unsafe fn gemv_tile_dispatch(m: usize, wide: bool, a: MatRef<'_>, b: MatRef<'_>,
         (6, _) => gemv_tile::<6, 1>(a, b, c, j0),
         (7, _) => gemv_tile::<7, 1>(a, b, c, j0),
         (8, _) => gemv_tile::<8, 1>(a, b, c, j0),
+        #[expect(
+            clippy::unreachable,
+            reason = "dispatch asserts m <= GEMV_MAX_M before selecting the tile; the arm exists only to make the match exhaustive"
+        )]
         _ => unreachable!("gemv tile called with m > GEMV_MAX_M"),
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Each layer has one training forward, which caches what it needs and is
 //! consumed by `backward`, and one `&self` inference forward that caches
-//! nothing. Parameters are exposed through [`Layer::visit_params`]
+//! nothing. Parameters are exposed through [`Parameterized::visit_params`]
 //! so optimizers and serializers can walk a model without knowing its shape.
 
 use crate::init;
@@ -40,8 +40,42 @@ impl Param {
     }
 }
 
+/// A model's trainable parameters, walked in one stable order — what
+/// optimizers and [`crate::serialize`] need, whatever the model's forward
+/// looks like.
+pub trait Parameterized {
+    /// Visits all trainable parameters in a stable order.
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param));
+
+    /// Visits all trainable parameters read-only, in the same stable order
+    /// as [`Parameterized::visit_params`] — the shared-access walk behind `&self`
+    /// parameter counting and memory accounting.
+    fn visit_params_ref(&self, f: &mut dyn FnMut(&Param));
+
+    /// Zeroes all parameter gradients.
+    fn zero_grads(&mut self) {
+        self.visit_params(&mut |p| p.grad.fill(0.0));
+    }
+
+    /// Total number of scalar parameters.
+    fn param_count(&self) -> usize {
+        let mut n = 0;
+        self.visit_params_ref(&mut |p| n += p.len());
+        n
+    }
+
+    /// The reduced-precision store these weights are frozen in, or `None`
+    /// while they are trainable f32. Training-only operations
+    /// (`forward`, `backward`, the parameter walks) panic on a
+    /// frozen layer; [`crate::serialize`] checks this first and returns
+    /// `InvalidInput` instead.
+    fn quant_mode(&self) -> Option<QuantMode> {
+        None
+    }
+}
+
 /// A differentiable layer operating on batched row-major matrices.
-pub trait Layer {
+pub trait Layer: Parameterized {
     /// Training forward: computes outputs and caches what
     /// [`Layer::backward`] needs. Takes the input by value, so activations
     /// and dropout work in place and [`Dense`] keeps it as its cache without
@@ -69,35 +103,6 @@ pub trait Layer {
     /// returning the gradient with respect to the layer input. Must be called
     /// after a [`Layer::forward`].
     fn backward(&mut self, grad_out: &Matrix) -> Matrix;
-
-    /// Visits all trainable parameters in a stable order.
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param));
-
-    /// Visits all trainable parameters read-only, in the same stable order
-    /// as [`Layer::visit_params`] — the shared-access walk behind `&self`
-    /// parameter counting and memory accounting.
-    fn visit_params_ref(&self, f: &mut dyn FnMut(&Param));
-
-    /// Zeroes all parameter gradients.
-    fn zero_grads(&mut self) {
-        self.visit_params(&mut |p| p.grad.fill(0.0));
-    }
-
-    /// Total number of scalar parameters.
-    fn param_count(&self) -> usize {
-        let mut n = 0;
-        self.visit_params_ref(&mut |p| n += p.len());
-        n
-    }
-
-    /// The reduced-precision store this layer's weights are frozen in, or
-    /// `None` while they are trainable f32. Training-only operations
-    /// (`forward`, `backward`, the parameter walks) panic on a
-    /// frozen layer; [`crate::serialize`] checks this first and returns
-    /// `InvalidInput` instead.
-    fn quant_mode(&self) -> Option<QuantMode> {
-        None
-    }
 }
 
 /// Fully connected layer `y = x·W + b`, optionally with a fixed binary
@@ -280,7 +285,9 @@ impl Layer for Dense {
         self.b.grad.add_assign(&bias_grad);
         grad_out.matmul_nt(&w.value)
     }
+}
 
+impl Parameterized for Dense {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         f(self.w.param_mut());
         f(&mut self.b);
@@ -339,7 +346,9 @@ impl Layer for Relu {
         let mask = self.cached_output_mask.take().expect("backward without forward");
         grad_out.zip_map(&mask, |g, m| g * m)
     }
+}
 
+impl Parameterized for Relu {
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
 
     fn visit_params_ref(&self, _f: &mut dyn FnMut(&Param)) {}
@@ -382,7 +391,9 @@ impl Layer for Sigmoid {
         let y = self.cached_output.take().expect("backward without forward");
         grad_out.zip_map(&y, |g, s| g * s * (1.0 - s))
     }
+}
 
+impl Parameterized for Sigmoid {
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
 
     fn visit_params_ref(&self, _f: &mut dyn FnMut(&Param)) {}
@@ -458,7 +469,9 @@ impl Layer for Dropout {
             None => grad_out.clone(),
         }
     }
+}
 
+impl Parameterized for Dropout {
     fn visit_params(&mut self, _f: &mut dyn FnMut(&mut Param)) {}
 
     fn visit_params_ref(&self, _f: &mut dyn FnMut(&Param)) {}
@@ -672,7 +685,9 @@ impl Layer for Sequential {
         }
         g
     }
+}
 
+impl Parameterized for Sequential {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         for stage in &mut self.layers {
             stage.layer_mut().visit_params(f);

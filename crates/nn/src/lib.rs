@@ -46,10 +46,6 @@
 //! assert!(y.get(0, 0) > 0.8 && y.get(1, 0) < 0.2);
 //! ```
 
-// The AVX2 kernels are the only unsafe in the workspace's compute core;
-// every unsafe block must carry its pointer-validity / feature-detection
-// argument (the lmkg-xtask L1 lint enforces the same repo-wide).
-#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod embedding;
@@ -66,7 +62,7 @@ pub mod serialize;
 pub mod tensor;
 pub mod workspace;
 
-pub use layers::{Dense, Dropout, Layer, Param, Relu, Sequential, Sigmoid, Stage};
+pub use layers::{Dense, Dropout, Layer, Param, Parameterized, Relu, Sequential, Sigmoid, Stage};
 pub use made::{Made, MadeConfig};
 pub use optimizer::Adam;
 pub use quant::QuantMode;

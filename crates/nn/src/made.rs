@@ -20,7 +20,7 @@
 //!   the first is bitwise the training forward's output.
 
 use crate::embedding::Embedding;
-use crate::layers::{Dense, Layer, Param, Relu};
+use crate::layers::{Dense, Layer, Param, Parameterized, Relu};
 use crate::quant::{read_header, write_header, QuantMode};
 use crate::serialize::read_u32;
 use crate::tensor::Matrix;
@@ -314,7 +314,7 @@ impl Made {
     /// Total scalar parameter count (weights, biases, embeddings).
     pub fn param_count(&self) -> usize {
         let tables: usize = self.embeddings.iter().map(|e| e.vocab() * e.dim()).sum();
-        tables + self.dense_layers().map(Layer::param_count).sum::<usize>()
+        tables + self.dense_layers().map(Parameterized::param_count).sum::<usize>()
     }
 
     /// Model size in bytes at the stored precision.
@@ -462,19 +462,7 @@ impl Made {
 /// [`crate::layers::QUANT_MAGIC`] for sequential stacks).
 pub const QUANT_MADE_MAGIC: &[u8; 8] = b"LMKGQM1\0";
 
-impl Layer for Made {
-    fn forward(&mut self, _x: Matrix) -> Matrix {
-        unimplemented!("Made consumes id tuples; use forward_ids")
-    }
-
-    fn forward_infer(&self, _x: &Matrix, _ws: &mut Workspace) -> Matrix {
-        unimplemented!("Made consumes id tuples; use forward_ids_infer")
-    }
-
-    fn backward(&mut self, _grad_out: &Matrix) -> Matrix {
-        unimplemented!("Made consumes id tuples; use backward_ids")
-    }
-
+impl Parameterized for Made {
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         for e in &mut self.embeddings {
             f(e.param_mut());

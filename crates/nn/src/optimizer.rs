@@ -4,7 +4,7 @@
 //! stable for a fixed model architecture (layers visit parameters in a
 //! deterministic sequence).
 
-use crate::layers::{Layer, Param};
+use crate::layers::{Param, Parameterized};
 use crate::tensor::Matrix;
 
 /// Adam (Kingma & Ba) with bias correction.
@@ -44,7 +44,7 @@ impl Adam {
 
     /// Applies one update step using the gradients currently stored in the
     /// model's parameters, then zeroes the gradients.
-    pub fn step(&mut self, model: &mut dyn Layer) {
+    pub fn step(&mut self, model: &mut dyn Parameterized) {
         self.t += 1;
         let t = self.t as f32;
         let (lr, b1, b2, eps, clip) = (self.lr, self.beta1, self.beta2, self.eps, self.grad_clip);
@@ -83,7 +83,7 @@ impl Adam {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{Dense, Relu, Sequential};
+    use crate::layers::{Dense, Layer, Relu, Sequential};
     use crate::loss;
     use crate::workspace::Workspace;
     use rand::rngs::StdRng;

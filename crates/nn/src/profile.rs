@@ -14,6 +14,8 @@
 //! bench entry points, so dispatch counts answer "what did real traffic
 //! run", not "what did a parity harness run".
 
+// ORDERING (max 15): Relaxed fetch_adds on process-global kernel profiling counters; snapshots are
+// monotone and tolerate torn cross-counter reads by design
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::gemm::Kernel;

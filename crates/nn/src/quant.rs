@@ -369,7 +369,7 @@ pub(crate) fn read_shape<R: Read>(reader: &mut R) -> io::Result<(usize, usize)> 
 mod tests {
     use super::*;
     use crate::embedding::Embedding;
-    use crate::layers::{Dense, Dropout, Layer, Relu, Sequential, Sigmoid};
+    use crate::layers::{Dense, Dropout, Layer, Parameterized, Relu, Sequential, Sigmoid};
     use crate::test_support::seeded_matrix;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

@@ -16,7 +16,7 @@
 //! serving-sized model is a handful of writes, not one per scalar), and the
 //! reader mirrors that with chunked `read_exact` calls.
 
-use crate::layers::Layer;
+use crate::layers::Parameterized;
 use crate::tensor::Matrix;
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -123,7 +123,7 @@ pub(crate) fn read_f32s<R: Read>(reader: &mut R, values: &mut [f32]) -> io::Resu
 /// The parameter walk exists only on the f32 weight store: a model frozen to
 /// int8/bf16 is `InvalidInput` here (an empty walk would write an empty file)
 /// and persists through its own `save_quantized` format instead.
-fn require_f32(model: &dyn Layer) -> io::Result<()> {
+fn require_f32(model: &dyn Parameterized) -> io::Result<()> {
     match model.quant_mode() {
         None => Ok(()),
         Some(mode) => Err(io::Error::new(
@@ -138,7 +138,7 @@ fn require_f32(model: &dyn Layer) -> io::Result<()> {
 
 /// Serializes all parameters of `model` to `writer`. Saving is a read-only
 /// walk, so it works on a shared (frozen, possibly `Arc`-held) model.
-pub fn save_params<W: Write>(model: &dyn Layer, writer: &mut W) -> io::Result<()> {
+pub fn save_params<W: Write>(model: &dyn Parameterized, writer: &mut W) -> io::Result<()> {
     require_f32(model)?;
     let mut params: Vec<Matrix> = Vec::new();
     model.visit_params_ref(&mut |p| params.push(p.value.clone()));
@@ -156,7 +156,7 @@ pub fn save_params<W: Write>(model: &dyn Layer, writer: &mut W) -> io::Result<()
 /// as the model that was saved). Every stored shape is validated against the
 /// target parameter before anything is assigned, so architecture drift fails
 /// with a typed [`LoadError::ShapeMismatch`] instead of mis-assigning.
-pub fn load_params<R: Read>(model: &mut dyn Layer, reader: &mut R) -> Result<(), LoadError> {
+pub fn load_params<R: Read>(model: &mut dyn Parameterized, reader: &mut R) -> Result<(), LoadError> {
     require_f32(model)?;
     let mut magic = [0u8; 8];
     reader.read_exact(&mut magic)?;
@@ -213,7 +213,7 @@ pub(crate) fn read_u32<R: Read>(reader: &mut R) -> io::Result<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layers::{Dense, Relu, Sequential};
+    use crate::layers::{Dense, Layer, Relu, Sequential};
     use crate::workspace::Workspace;
     use rand::rngs::StdRng;
     use rand::SeedableRng;

@@ -18,6 +18,10 @@
 //! kernel, tiling, batch shape, column slicing, and thread count (see the
 //! determinism contract in [`crate::gemm`]).
 
+// Serving hot path: no panics outside tests (README "Static analysis & safety").
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::gemm::{self, Kernel, MatRef};
 use crate::gemv;
 

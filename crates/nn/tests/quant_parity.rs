@@ -6,7 +6,7 @@
 //!   panic or return `InvalidInput` — never a silent empty parameter walk
 //!   that would let `Adam::step` no-op or `save_params` write an empty file.
 
-use lmkg_nn::layers::{Dense, Layer, Relu, Sequential};
+use lmkg_nn::layers::{Dense, Layer, Parameterized, Relu, Sequential};
 use lmkg_nn::made::{Made, MadeConfig};
 use lmkg_nn::optimizer::Adam;
 use lmkg_nn::quant::QuantMode;

@@ -14,6 +14,8 @@
 //! default `info`), read once per [`EventLog`].
 
 use std::collections::VecDeque;
+// ORDERING (max 11): Relaxed seq/kind/level counters; the ring buffer body is guarded by its own
+// mutex, and counts need no ordering relative to it
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{SystemTime, UNIX_EPOCH};

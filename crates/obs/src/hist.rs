@@ -26,6 +26,8 @@
 //! adding them bucket-wise is exactly recording the concatenated stream into
 //! one (the property tests pin this down).
 
+// ORDERING (max 10): Relaxed per-shard bucket fetch_adds; merge sums monotone counters and no
+// reader orders itself on a bucket value
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Sub-buckets per power of two: the bucket base is `2^(1/SUB_PER_OCTAVE)`.

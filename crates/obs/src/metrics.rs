@@ -1,5 +1,7 @@
 //! Atomic counters and gauges, plus the span-style [`StageTimer`].
 
+// ORDERING (max 9): Relaxed Counter/Gauge primitives by contract: single-value cells whose readers
+// never infer other memory from them
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Instant;
 

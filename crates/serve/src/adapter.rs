@@ -59,6 +59,8 @@ use lmkg_obs::Level;
 use lmkg_store::KnowledgeGraph;
 use std::collections::HashSet;
 use std::path::Path;
+// ORDERING (max 4): SeqCst stop flag: trainer loop exit must observe the store from stop() before
+// the joining thread waits, across the sleep/poll loop
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;

@@ -32,11 +32,18 @@
 //! sheds its own requests without starving anyone else), and a retraining
 //! loop swaps each tenant's handle independently.
 
+// Serving hot path: no panics outside tests (README "Static analysis & safety").
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::latency::StatsSnapshot;
 use crate::protocol::Reply;
 use lmkg::{CardinalityEstimator, WorkloadMonitor};
 use lmkg_obs::{Counter, EventLog, Gauge, Histogram, Level, ShardedHistogram, StageTimer};
 use lmkg_store::Query;
+// ORDERING (max 22): Relaxed serving counters (gauges and monotone totals), except
+// note_retrain/snapshot use SeqCst so retrains>=1 implies the swapped model is visible
+// (swap-before-counter, documented at note_retrain)
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex, PoisonError, RwLock};
@@ -403,6 +410,10 @@ impl MicroBatcher {
         stats.note_model_bytes(estimator.memory_bytes() as u64);
         stats.queue_capacity.store(cfg.queue_depth as u64, Ordering::Relaxed);
         let handle = Arc::new(ModelHandle::new(estimator));
+        #[expect(
+            clippy::expect_used,
+            reason = "startup-only: a process that cannot spawn its worker pool cannot serve at all, so failing construction loudly is correct"
+        )]
         let workers = (0..cfg.workers)
             .map(|i| {
                 let rx = Arc::clone(&rx);
@@ -947,6 +958,7 @@ mod tests {
             "snapshot"
         }
 
+        #[allow(clippy::unreachable, reason = "test stub; clippy has no allow-unreachable-in-tests")]
         fn estimate(&self, _query: &Query) -> f64 {
             unreachable!("batched path only")
         }

@@ -30,6 +30,8 @@ use lmkg_serve::{
     EstimationService, LmkgTenant, ServeBuilder, ShutdownFlag, DEFAULT_TENANT,
 };
 use lmkg_store::{sparql, KnowledgeGraph, Query, QueryShape};
+// ORDERING (max 2): SeqCst SIGNALLED flag: the async-signal-safe store must be seen by the watcher
+// thread before it forwards shutdown
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;

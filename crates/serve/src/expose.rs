@@ -21,6 +21,10 @@
 //! The returned text has no trailing `# EOF`; the protocol layer's
 //! [`crate::protocol::Reply::Metrics`] appends the sentinel when framing.
 
+// Serving hot path: no panics outside tests (README "Static analysis & safety").
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::batcher::{ServeStats, STAGE_NAMES};
 use crate::metrics_registry as m;
 use lmkg_obs::Expo;

@@ -6,6 +6,10 @@
 //! the exact rank, at most [`lmkg_obs::RELATIVE_ERROR_BOUND`] (≈9.05%) above
 //! the exact sample value (with sub-microsecond samples floored to 1µs).
 
+// Serving hot path: no panics outside tests (README "Static analysis & safety").
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use std::fmt;
 
 /// A point-in-time summary of a serving run: request counters plus the

@@ -71,6 +71,10 @@
 //! are skipped by the server before parsing, so a workload file can be
 //! annotated.
 
+// Serving hot path: no panics outside tests (README "Static analysis & safety").
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::latency::StatsSnapshot;
 use std::fmt;
 
@@ -553,6 +557,7 @@ impl fmt::Display for Reply {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     #[test]
     fn request_round_trips() {
@@ -858,6 +863,163 @@ mod tests {
                 "{line:?} should fail mentioning {needle:?}, got {:?}",
                 e.message
             );
+        }
+    }
+
+    const README: &str = include_str!("../../../README.md");
+
+    /// What `readme` documents as (request verbs, reply verbs, error codes):
+    /// the quoted all-caps tokens of its grammar fence (`request :=`), split
+    /// at the `reply` production, and the backticked words of its "`code=`
+    /// is one of" sentence.
+    fn documented_vocabulary(readme: &str) -> [BTreeSet<String>; 3] {
+        let fence = readme.split("```").find(|block| block.contains("request :=")).unwrap();
+        let (mut requests, mut replies) = (BTreeSet::new(), BTreeSet::new());
+        let mut production = &mut requests;
+        for line in fence.lines() {
+            if line.starts_with("reply") {
+                production = &mut replies;
+            }
+            for quoted in line.split('"').skip(1).step_by(2) {
+                if quoted.len() >= 2 && quoted.bytes().all(|b| b.is_ascii_uppercase()) {
+                    production.insert(quoted.to_string());
+                }
+            }
+        }
+        let (_, tail) = readme.split_once("`code=` is one of").unwrap();
+        let sentence = tail.split_once('.').map_or(tail, |(sentence, _)| sentence);
+        let errors = sentence.split('`').skip(1).step_by(2).map(str::to_string).collect();
+        [requests, replies, errors]
+    }
+
+    /// What this module speaks as (request verbs, reply verbs, error codes):
+    /// one value of each variant, spelled by its own `Display`. The
+    /// `match`es have no wildcard arm, so a new variant does not compile
+    /// until it has a value here.
+    fn spoken_vocabulary() -> [BTreeSet<String>; 3] {
+        let verb = |line: String| line.split_whitespace().next().unwrap_or_default().to_string();
+        let mut requests = BTreeSet::new();
+        for request in ["EST q SELECT", "STATS s", "METRICS m", "TENANTS t", "QUIT"].map(|l| Request::parse(l).unwrap())
+        {
+            match request {
+                Request::Estimate { .. }
+                | Request::Stats { .. }
+                | Request::Metrics { .. }
+                | Request::Tenants { .. }
+                | Request::Quit => assert!(requests.insert(verb(request.to_string()))),
+            }
+        }
+        let mut replies = BTreeSet::new();
+        for reply in [
+            "OK q 1 us=1",
+            "ERR q code=parse m",
+            "OVERLOADED q depth=1",
+            "STATS s served=0 shed=0 batches=0 p50us=0 p95us=0 p99us=0",
+            "TENANTS t",
+            "METRICS m lines=1",
+        ]
+        .map(|l| Reply::parse(l).unwrap())
+        {
+            match reply {
+                Reply::Estimate { .. }
+                | Reply::Error { .. }
+                | Reply::Overloaded { .. }
+                | Reply::Stats { .. }
+                | Reply::Tenants { .. }
+                | Reply::Metrics { .. } => assert!(replies.insert(verb(reply.to_string()))),
+            }
+        }
+        let mut errors = BTreeSet::new();
+        for code in [
+            ErrorCode::UnknownTenant,
+            ErrorCode::Parse,
+            ErrorCode::Quota,
+            ErrorCode::Internal,
+        ] {
+            match code {
+                ErrorCode::UnknownTenant | ErrorCode::Parse | ErrorCode::Quota | ErrorCode::Internal => {
+                    assert!(errors.insert(code.as_str().to_string()))
+                }
+            }
+        }
+        [requests, replies, errors]
+    }
+
+    /// One line per vocabulary on which `readme` and this module disagree.
+    fn vocabulary_drift(readme: &str) -> Vec<String> {
+        let (documented, spoken) = (documented_vocabulary(readme), spoken_vocabulary());
+        ["request verbs", "reply verbs", "error codes"]
+            .iter()
+            .zip(documented.iter().zip(&spoken))
+            .filter(|(_, (doc, code))| doc != code)
+            .map(|(what, (doc, code))| format!("{what}: README {doc:?} vs code {code:?}"))
+            .collect()
+    }
+
+    /// The verbs and error codes the README documents are exactly the ones
+    /// this module speaks. Aliases are caught by asking the parsers about
+    /// every token quoted in this file.
+    #[test]
+    fn readme_documents_exactly_the_wire_vocabulary() {
+        let drift = vocabulary_drift(README);
+        assert!(drift.is_empty(), "{}", drift.join("\n"));
+
+        // A second spelling that parses to an existing variant is a verb or
+        // code too: any token quoted in this file that a parser accepts must
+        // be documented.
+        let [doc_requests, doc_replies, doc_errors] = documented_vocabulary(README);
+        let accepts = |parsed: Result<(), ProtocolError>, unknown: &str| {
+            parsed.map_or_else(|e| !e.message.starts_with(unknown), |()| true)
+        };
+        for token in include_str!("protocol.rs").split('"') {
+            if token.is_empty() || token.contains(char::is_whitespace) {
+                continue;
+            }
+            if accepts(Request::parse(token).map(drop), "unknown request verb") {
+                assert!(
+                    doc_requests.contains(token),
+                    "request verb {token:?} is not in the README"
+                );
+            }
+            if accepts(Reply::parse(token).map(drop), "unknown reply verb") {
+                assert!(doc_replies.contains(token), "reply verb {token:?} is not in the README");
+            }
+            if ErrorCode::parse(token).is_some() {
+                assert!(doc_errors.contains(token), "error code {token:?} is not in the README");
+            }
+        }
+    }
+
+    /// Edits `README` with `from` → `to` once and returns the drift it makes.
+    fn drift_after(from: &str, to: &str) -> Vec<String> {
+        assert!(README.contains(from), "{from:?} is not in the README");
+        vocabulary_drift(&README.replacen(from, to, 1))
+    }
+
+    #[test]
+    fn readme_check_flags_a_verb_missing_from_the_readme() {
+        let dropped = drift_after("  |  \"QUIT\"", "");
+        assert_eq!(dropped.len(), 1, "{dropped:?}");
+        assert!(dropped[0].starts_with("request verbs"), "{dropped:?}");
+        let dropped = drift_after("         | \"OVERLOADED\" <id> depth=<queue-depth>\n", "");
+        assert_eq!(dropped.len(), 1, "{dropped:?}");
+        assert!(dropped[0].starts_with("reply verbs"), "{dropped:?}");
+        // A verb documented but not spoken drifts too.
+        let added = drift_after("\"QUIT\"", "\"QUIT\"  |  \"PING\" <id>");
+        assert_eq!(added.len(), 1, "{added:?}");
+        assert!(added[0].starts_with("request verbs"), "{added:?}");
+    }
+
+    #[test]
+    fn readme_check_flags_an_error_code_drift_in_the_readme() {
+        for (from, to) in [
+            ("`quota`", "`over-quota`"),
+            (", or `internal`", ""),
+            ("`parse`", "`parse`, `timeout`"),
+        ] {
+            let drift = drift_after(from, to);
+            assert_eq!(drift.len(), 1, "{from:?} -> {to:?}: {drift:?}");
+            assert!(drift[0].starts_with("error codes"), "{drift:?}");
         }
     }
 

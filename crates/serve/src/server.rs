@@ -19,6 +19,10 @@
 //! and runs one session thread per client over the same code path, so both
 //! modes behave identically by construction.
 
+// Serving hot path: no panics outside tests (README "Static analysis & safety").
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::adapter::{Adapter, AdapterConfig, LmkgTenant};
 use crate::batcher::{BatchConfig, Job, MicroBatcher, ServeStats, SharedEstimator};
 use crate::latency::StatsSnapshot;
@@ -28,6 +32,8 @@ use std::collections::HashMap;
 use std::fmt;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
+// ORDERING (max 2): SeqCst ShutdownFlag: trigger() must be visible to the accept loop's next
+// is_triggered() poll with no weaker-order surprises at shutdown
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
@@ -434,6 +440,10 @@ where
     let stats = svc.serve_stats();
     stats.note_session_start();
     let (tx, rx) = mpsc::channel::<Reply>();
+    #[expect(
+        clippy::expect_used,
+        reason = "session setup, not per-request: without a writer thread the session cannot reply at all, and the panic is confined to this session's thread"
+    )]
     let writer_thread = std::thread::Builder::new()
         .name("lmkg-serve-writer".into())
         .spawn({
@@ -479,6 +489,10 @@ where
     // Close our sender; in-flight jobs hold clones, so the writer exits
     // exactly when the last outstanding reply has been written.
     drop(tx);
+    #[expect(
+        clippy::expect_used,
+        reason = "join only fails if the writer panicked, and its W (the session's write half) is unrecoverable then — re-raising on the session thread is the honest outcome"
+    )]
     let writer = writer_thread.join().expect("writer thread panicked");
     stats.note_session_end();
     writer

@@ -29,9 +29,9 @@
 //! assert_eq!(counter::cardinality(&g, &q), 2);
 //! ```
 
-// No unsafe anywhere in this crate — enforced so the lmkg-xtask L1 lint
-// and the sanitizer jobs only ever have the nn kernels and the serve
-// signal shim to reason about.
+// No unsafe anywhere in this crate — enforced so the `SAFETY:` lints and
+// the sanitizer jobs only ever have the nn kernels and the serve signal
+// shim to reason about.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

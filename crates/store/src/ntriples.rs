@@ -150,7 +150,8 @@ fn take_term(rest: &mut &str) -> Result<String, String> {
     let end = s.find(char::is_whitespace).unwrap_or(s.len());
     let token = &s[..end];
     if token == "." || token.is_empty() {
-        return Err(format!("unrecognized term start: {:?}", &s[..s.len().min(16)]));
+        let start: String = s.chars().take(16).collect();
+        return Err(format!("unrecognized term start: {start:?}"));
     }
     *rest = &s[end..];
     Ok(token.to_string())
@@ -253,6 +254,12 @@ mod tests {
     fn rejects_lone_dot_term() {
         assert!(read_str("ub:a ub:p .").is_err());
         assert!(read_str(". . . .").is_err());
+    }
+
+    #[test]
+    fn error_preview_truncates_on_a_char_boundary() {
+        let err = read_str("<a> <p> . xéééééééé .").unwrap_err();
+        assert!(err.message.contains("unrecognized term start"), "{err}");
     }
 
     #[test]

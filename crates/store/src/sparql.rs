@@ -13,6 +13,10 @@
 //! parse-time error (an unknown constant can never match, so the caller
 //! learns immediately instead of silently estimating over garbage).
 
+// Serving hot path: no panics outside tests (README "Static analysis & safety").
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+
 use crate::dict::{NodeId, PredId};
 use crate::fxhash::FxHashMap;
 use crate::graph::KnowledgeGraph;
