@@ -350,6 +350,38 @@ mod tests {
         assert!(m.predict(&data[0].query) >= 1.0);
     }
 
+    /// Pins the trained bits of MSCN-0 and of MSCN with a sample bitmap:
+    /// sampling, init, the one shuffle order kept across epochs, the loss
+    /// and every Adam step reach these predictions. Regenerate only for an
+    /// intended numerics change.
+    #[test]
+    fn trained_predictions_are_pinned() {
+        let (g, data) = setup();
+        let pins = |samples: usize| -> Vec<u64> {
+            let mut m = Mscn::new(
+                &g,
+                MscnConfig {
+                    epochs: 10,
+                    seed: 5,
+                    ..quick_cfg(samples)
+                },
+            );
+            m.train(&data);
+            [0, 1, 2].iter().map(|&i| m.predict(&data[i].query).to_bits()).collect()
+        };
+        let (mscn0, mscn100) = (pins(0), pins(100));
+        assert_eq!(
+            mscn0,
+            [0x4027_e46b_5660_18ba, 0x4042_381f_6207_9815, 0x4013_a428_b07c_c792],
+            "MSCN-0 got {mscn0:#018x?}"
+        );
+        assert_eq!(
+            mscn100,
+            [0x403a_385c_7ba1_285b, 0x4057_1768_50c4_5bc8, 0x4021_c048_be31_e87e],
+            "MSCN-100 got {mscn100:#018x?}"
+        );
+    }
+
     #[test]
     fn names_distinguish_variants() {
         let (g, _) = setup();

@@ -498,6 +498,26 @@ mod tests {
         assert!(qs.median < 3.0, "median in-sample q-error {}", qs.median);
     }
 
+    /// Pins the trained bits: the shuffle stream, the chunking, the loss and
+    /// every Adam step reach these predictions. Regenerate only for an
+    /// intended numerics change.
+    #[test]
+    fn trained_predictions_are_pinned() {
+        let (_, data) = small_setup();
+        let (model, _) = trained();
+        let got: Vec<u64> = [1, 2, 3, 5]
+            .iter()
+            .map(|&i| model.predict(&data[i].query).unwrap().to_bits())
+            .collect();
+        let want = [
+            0x4050_76ee_a010_8c3e,
+            0x405f_53d1_85b6_a05a,
+            0x4042_9187_89cb_0be2,
+            0x4087_0dea_5bba_204a,
+        ];
+        assert_eq!(got, want, "got {got:#018x?}");
+    }
+
     #[test]
     fn predictions_are_floored_at_one() {
         let (_, data) = small_setup();

@@ -748,6 +748,30 @@ mod tests {
         assert!(after < before, "NLL {before} → {after}");
     }
 
+    /// Pins the trained bits: tuple sampling, the shuffle stream, the
+    /// chunking, the loss and every Adam step reach these estimates.
+    /// Regenerate only for an intended numerics change.
+    #[test]
+    fn trained_estimates_are_pinned() {
+        let (g, m) = trained_star_model();
+        let pred = |name: &str| PredTerm::Bound(PredId(g.preds().get(name).unwrap()));
+        let node = |name: &str| NodeTerm::Bound(NodeId(g.nodes().get(name).unwrap()));
+        let queries = [
+            [(pred("hasAuthor"), v(1)), (pred("genre"), node("horror"))],
+            [(pred("hasAuthor"), node("author0")), (pred("genre"), node("horror"))],
+            [(pred("hasAuthor"), node("author2")), (pred("genre"), v(2))],
+        ];
+        let got: Vec<u64> = queries
+            .iter()
+            .map(|arms| {
+                let q = Query::new(arms.iter().map(|&(p, o)| TriplePattern::new(v(0), p, o)).collect());
+                m.estimate_query(&q).unwrap().to_bits()
+            })
+            .collect();
+        let want = [0x4023_c27a_8faf_f8ed, 0x400b_9e0c_b247_afb2, 0x400c_ad1b_bde3_544a];
+        assert_eq!(got, want, "got {got:#018x?}");
+    }
+
     #[test]
     fn estimates_fully_unbound_query_as_n_total() {
         let (_, m) = trained_star_model();

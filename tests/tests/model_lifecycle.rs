@@ -636,6 +636,19 @@ fn golden_snapshots_load_resave_and_answer_as_committed() {
     }
 }
 
+/// The LMKG-S golden set is also a training pin: rebuilding it from its
+/// config reproduces the committed bytes. (The LMKG-U set guards only the
+/// format: its committed bytes predate the current sampler.)
+#[test]
+fn golden_lmkgs_set_retrains_byte_for_byte() {
+    let built = Lmkg::build(&small_lubm(), &golden_config(ModelType::Supervised));
+    let committed = std::fs::read(golden_fixture_path("s_f32", "bin")).expect("committed s_f32 set");
+    assert!(
+        built.save_to_vec().expect("serializes") == committed,
+        "retraining the s_f32 golden config must reproduce the committed bytes"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
