@@ -16,12 +16,22 @@ use lmkg_data::LabeledQuery;
 use lmkg_encoder::CardinalityScaler;
 use lmkg_nn::layers::{Dense, Layer, Param, Parameterized, Relu, Sequential, Sigmoid};
 use lmkg_nn::loss;
-use lmkg_nn::optimizer::Adam;
+use lmkg_nn::optimizer::{Adam, Trainer};
 use lmkg_nn::tensor::Matrix;
 use lmkg_nn::workspace::Workspace;
 use lmkg_store::{KnowledgeGraph, Query, Triple};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// MSCN's elementwise gradient clip. LMKG-S takes its clip from
+/// `LmkgSConfig::grad_clip` (default also 1.0); whether the two should share
+/// one value is ROADMAP item 3(ii)'s to decide.
+const GRAD_CLIP: f32 = 1.0;
+
+/// MSCN's q-error exponent clamp, in log₂ units. LMKG-S takes it from
+/// `LmkgSConfig::q_error_max_exp` (default also 16.0); whether the two
+/// should share one value is ROADMAP item 3(ii)'s to decide.
+const Q_ERROR_MAX_EXP: f32 = 16.0;
 
 /// MSCN configuration.
 #[derive(Debug, Clone)]
@@ -71,23 +81,52 @@ impl Parameterized for MscnNet {
     }
 }
 
-/// The MSCN estimator.
-pub struct Mscn {
-    net: MscnNet,
-    scaler: Option<CardinalityScaler>,
-    cfg: MscnConfig,
+impl MscnNet {
+    /// Training forward over a batch's stacked elements: per-element MLP →
+    /// mean pool over each query's `counts` → output MLP. The layers cache
+    /// what [`MscnNet::backward`] needs.
+    fn forward(&mut self, elements: Matrix, counts: &[usize]) -> Matrix {
+        let embedded = self.set_mlp.forward(elements);
+        self.out_mlp.forward(mean_pool(&embedded, counts))
+    }
+
+    fn backward(&mut self, grad_pred: &Matrix, counts: &[usize]) {
+        let grad_pooled = self.out_mlp.backward(grad_pred);
+        let grad_elements = unpool(&grad_pooled, counts);
+        self.set_mlp.backward(&grad_elements);
+    }
+
+    /// Shared-read (`&self`) counterpart of [`MscnNet::forward`]: the same
+    /// set wiring through the workspace-backed inference path, bitwise
+    /// identical to the training forward.
+    fn forward_infer(&self, elements: Matrix, counts: &[usize], ws: &mut Workspace) -> Matrix {
+        let embedded = self.set_mlp.forward_infer(&elements, ws);
+        let pooled = mean_pool(&embedded, counts);
+        ws.recycle(embedded);
+        ws.recycle(elements);
+        self.out_mlp.forward_infer(&pooled, ws)
+    }
+}
+
+/// MSCN's featuriser: per-term features plus the sample bitmap.
+struct Features {
+    /// Per-element feature width: 6 term features + sample bitmap.
+    width: usize,
     samples: Vec<Triple>,
     node_domain: usize,
     pred_domain: usize,
-    rng: StdRng,
+}
+
+/// The MSCN estimator.
+pub struct Mscn {
+    net: MscnNet,
+    features: Features,
+    scaler: Option<CardinalityScaler>,
+    cfg: MscnConfig,
+    trainer: Trainer,
 }
 
 impl Mscn {
-    /// Per-element feature width: 6 term features + sample bitmap.
-    fn element_width(&self) -> usize {
-        6 + self.cfg.samples
-    }
-
     /// Creates the model and materializes the sample triples.
     pub fn new(graph: &KnowledgeGraph, cfg: MscnConfig) -> Self {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -110,17 +149,64 @@ impl Mscn {
         out_mlp.push(Dense::new_xavier(&mut rng, cfg.hidden, 1));
         out_mlp.push(Sigmoid::new());
 
+        let opt = Adam::new(cfg.learning_rate).with_grad_clip(GRAD_CLIP);
         Self {
             net: MscnNet { set_mlp, out_mlp },
+            features: Features {
+                width: in_w,
+                samples,
+                node_domain: graph.num_nodes(),
+                pred_domain: graph.num_preds(),
+            },
             scaler: None,
-            samples,
-            node_domain: graph.num_nodes(),
-            pred_domain: graph.num_preds(),
+            trainer: Trainer::new(opt, rng, cfg.batch_size),
             cfg,
-            rng,
         }
     }
 
+    /// Trains on the same labeled queries as LMKG-S. One order is kept and
+    /// reshuffled in place across epochs (LMKG-S shuffles a fresh `0..n`
+    /// each epoch). Returns the per-epoch mean loss; Adam's moments are
+    /// released afterwards.
+    pub fn train(&mut self, data: &[LabeledQuery]) -> Vec<f32> {
+        assert!(!data.is_empty());
+        let scaler = CardinalityScaler::fit(data.iter().map(|d| d.cardinality));
+        self.scaler = Some(scaler);
+        let features = &self.features;
+        let mut order: Vec<usize> = (0..data.len()).collect();
+        let mut losses = Vec::with_capacity(self.cfg.epochs);
+        for _ in 0..self.cfg.epochs {
+            losses.push(self.trainer.epoch(&mut self.net, &mut order, |net, chunk| {
+                let queries: Vec<&Query> = chunk.iter().map(|&i| &data[i].query).collect();
+                let targets = chunk.iter().map(|&i| scaler.scale(data[i].cardinality)).collect();
+                let targets = Matrix::from_vec(chunk.len(), 1, targets);
+                let (elements, counts) = features.encode_batch(&queries);
+                let pred = net.forward(elements, &counts);
+                let (l, grad) = loss::q_error(&pred, &targets, scaler.log_range(), Q_ERROR_MAX_EXP);
+                net.backward(&grad, &counts);
+                Some(l)
+            }));
+        }
+        self.trainer.opt.reset();
+        losses
+    }
+
+    /// Predicts the cardinality of a query through the shared-read
+    /// inference path.
+    pub fn predict(&self, query: &Query) -> f64 {
+        let scaler = *self.scaler.as_ref().expect("model is untrained");
+        let (elements, counts) = self.features.encode_batch(&[query]);
+        let pred = self.net.forward_infer(elements, &counts, &mut Workspace::new());
+        scaler.unscale(pred.get(0, 0)).max(1.0)
+    }
+
+    /// Parameter count (read-only walk).
+    pub fn param_count(&self) -> usize {
+        self.net.param_count()
+    }
+}
+
+impl Features {
     /// Featurizes one triple pattern into `out`.
     fn encode_element(&self, t: &lmkg_store::TriplePattern, out: &mut [f32]) {
         out.iter_mut().for_each(|x| *x = 0.0);
@@ -148,7 +234,7 @@ impl Mscn {
     /// Stacks all elements of a batch of queries; returns the element matrix
     /// and per-query element counts.
     fn encode_batch(&self, queries: &[&Query]) -> (Matrix, Vec<usize>) {
-        let w = self.element_width();
+        let w = self.width;
         let total: usize = queries.iter().map(|q| q.triples.len()).sum();
         let mut data = vec![0.0f32; total * w];
         let mut counts = Vec::with_capacity(queries.len());
@@ -161,81 +247,6 @@ impl Mscn {
             counts.push(q.triples.len());
         }
         (Matrix::from_vec(total, w, data), counts)
-    }
-
-    /// Training forward over a query batch: per-element MLP → mean pool →
-    /// output MLP. Returns `(predictions, per-query element counts)`; the
-    /// layers cache what [`Mscn::backward_queries`] needs.
-    fn forward_queries(&mut self, queries: &[&Query]) -> (Matrix, Vec<usize>) {
-        let (elements, counts) = self.encode_batch(queries);
-        let embedded = self.net.set_mlp.forward(elements);
-        let pred = self.net.out_mlp.forward(mean_pool(&embedded, &counts));
-        (pred, counts)
-    }
-
-    fn backward_queries(&mut self, grad_pred: &Matrix, counts: &[usize]) {
-        let grad_pooled = self.net.out_mlp.backward(grad_pred);
-        let grad_elements = unpool(&grad_pooled, counts);
-        self.net.set_mlp.backward(&grad_elements);
-    }
-
-    /// Shared-read (`&self`) counterpart of [`Mscn::forward_queries`]: the
-    /// same set wiring through the workspace-backed inference path, bitwise
-    /// identical to the training forward.
-    fn forward_queries_infer(&self, queries: &[&Query], ws: &mut Workspace) -> (Matrix, Vec<usize>) {
-        let (elements, counts) = self.encode_batch(queries);
-        let embedded = self.net.set_mlp.forward_infer(&elements, ws);
-        let pooled = mean_pool(&embedded, &counts);
-        ws.recycle(embedded);
-        ws.recycle(elements);
-        let pred = self.net.out_mlp.forward_infer(&pooled, ws);
-        (pred, counts)
-    }
-
-    /// Trains on the same labeled queries as LMKG-S.
-    pub fn train(&mut self, data: &[LabeledQuery]) -> Vec<f32> {
-        assert!(!data.is_empty());
-        self.scaler = Some(CardinalityScaler::fit(data.iter().map(|d| d.cardinality)));
-        let scaler = *self.scaler.as_ref().expect("just set");
-        let mut opt = Adam::new(self.cfg.learning_rate).with_grad_clip(1.0);
-        let mut losses = Vec::with_capacity(self.cfg.epochs);
-        let mut indices: Vec<usize> = (0..data.len()).collect();
-        for _ in 0..self.cfg.epochs {
-            for i in (1..indices.len()).rev() {
-                indices.swap(i, self.rng.gen_range(0..=i));
-            }
-            let mut epoch_loss = 0.0f64;
-            let mut batches = 0usize;
-            for chunk in indices.chunks(self.cfg.batch_size.max(1)) {
-                let queries: Vec<&Query> = chunk.iter().map(|&i| &data[i].query).collect();
-                let targets = Matrix::from_vec(
-                    chunk.len(),
-                    1,
-                    chunk.iter().map(|&i| scaler.scale(data[i].cardinality)).collect(),
-                );
-                let (pred, counts) = self.forward_queries(&queries);
-                let (l, grad) = loss::q_error(&pred, &targets, scaler.log_range(), 16.0);
-                self.backward_queries(&grad, &counts);
-                opt.step(&mut self.net);
-                epoch_loss += f64::from(l);
-                batches += 1;
-            }
-            losses.push((epoch_loss / batches.max(1) as f64) as f32);
-        }
-        losses
-    }
-
-    /// Predicts the cardinality of a query through the shared-read
-    /// inference path.
-    pub fn predict(&self, query: &Query) -> f64 {
-        let scaler = *self.scaler.as_ref().expect("model is untrained");
-        let (pred, _) = self.forward_queries_infer(&[query], &mut Workspace::new());
-        scaler.unscale(pred.get(0, 0)).max(1.0)
-    }
-
-    /// Parameter count (read-only walk).
-    pub fn param_count(&self) -> usize {
-        self.net.param_count()
     }
 }
 
@@ -291,7 +302,7 @@ impl CardinalityEstimator for Mscn {
     }
 
     fn memory_bytes(&self) -> usize {
-        self.param_count() * std::mem::size_of::<f32>() + self.samples.len() * std::mem::size_of::<Triple>()
+        self.param_count() * std::mem::size_of::<f32>() + self.features.samples.len() * std::mem::size_of::<Triple>()
     }
 }
 
@@ -344,8 +355,8 @@ mod tests {
     fn bitmap_variant_materializes_samples() {
         let (g, data) = setup();
         let mut m = Mscn::new(&g, quick_cfg(100));
-        assert_eq!(m.samples.len(), 100);
-        assert_eq!(m.element_width(), 106);
+        assert_eq!(m.features.samples.len(), 100);
+        assert_eq!(m.features.width, 106);
         m.train(&data);
         assert!(m.predict(&data[0].query) >= 1.0);
     }

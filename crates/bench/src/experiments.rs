@@ -226,10 +226,9 @@ pub fn fig6(cfg: &BenchConfig) {
     };
     let mut u = LmkgU::new(&g, QueryShape::Star, size, u_cfg).expect("domain fits at bench scale");
     let tuples = u.sample_training_tuples(&g);
-    let mut opt = u.make_optimizer();
     let rows_u = checkpoint_rows([1, 2, 5, 10], |epochs| {
         for _ in 0..epochs {
-            u.train_epoch(&tuples, &mut opt);
+            u.train_epoch(&tuples);
         }
         stats(&eval_queries, |lq| u.estimate_query(&lq.query).ok())
     });
@@ -251,10 +250,9 @@ pub fn fig6(cfg: &BenchConfig) {
         },
     );
     s.prepare(&train);
-    let mut s_opt = s.make_optimizer();
     let rows_s = checkpoint_rows([20, 50, 100, 200], |epochs| {
         for _ in 0..epochs {
-            s.train_epoch(&train, &mut s_opt);
+            s.train_epoch(&train);
         }
         stats(&eval_queries, |lq| s.predict(&lq.query).ok())
     });

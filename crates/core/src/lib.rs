@@ -58,5 +58,5 @@ pub use metrics::{q_error, GroupedQErrors, QErrorStats};
 pub use monitor::{Cell, DriftReport, WorkloadMonitor};
 pub use snapshot::SnapshotError;
 pub use summary::GraphSummary;
-pub use supervised::{EpochStats, LmkgS, LmkgSConfig, QueryEncoder};
+pub use supervised::{LmkgS, LmkgSConfig, QueryEncoder};
 pub use unsupervised::{LmkgU, LmkgUConfig, LmkgUError};

@@ -330,6 +330,9 @@ fn read_s_config<R: Read>(r: &mut R) -> Result<LmkgSConfig, SnapshotError> {
         hidden.push(r_u32(r)? as usize);
     }
     let dropout = r_f32(r)?;
+    if !(0.0..1.0).contains(&dropout) {
+        return Err(SnapshotError::Corrupt(format!("dropout {dropout}")));
+    }
     let epochs = r_u32(r)? as usize;
     let batch_size = r_u32(r)? as usize;
     let learning_rate = r_f32(r)?;
@@ -807,6 +810,31 @@ mod tests {
     #[test]
     fn load_rejects_lmkg_u_with_zero_embed_dim() {
         assert_zeroed_u_config_field_is_corrupt(8, 8);
+    }
+
+    /// A dropout outside `[0, 1)` in the config of the first (f32 LMKG-S)
+    /// entry of a saved [`supervised_set`] loads as `Corrupt` instead of
+    /// panicking in the `Dropout` layer the entry rebuilds.
+    #[test]
+    fn load_rejects_lmkg_s_with_dropout_outside_the_unit_interval() {
+        let bytes = supervised_set().save_to_vec().unwrap();
+        let tag = first_entry_tag_at();
+        assert_eq!(bytes[tag], 0, "the first entry is an f32 LMKG-S");
+        // The SG encoder (tag, two u64 domains, two u32 capacities), then
+        // the config: one hidden layer of width 64, then the dropout.
+        let at = tag + 1 + 25 + 8;
+        assert_eq!(
+            bytes[at - 8..at + 4],
+            [1, 64, 0].map(u32::to_le_bytes).concat(),
+            "config layout moved"
+        );
+        Lmkg::load(&mut bytes.as_slice()).expect("the unpatched set loads");
+        for dropout in [1.5, 1.0, -0.25, f32::NAN, f32::INFINITY] {
+            let mut patched = bytes.clone();
+            patched[at..at + 4].copy_from_slice(&dropout.to_le_bytes());
+            let err = Lmkg::load(&mut patched.as_slice()).unwrap_err();
+            assert!(matches!(err, SnapshotError::Corrupt(_)), "dropout {dropout}: {err:?}");
+        }
     }
 
     /// A frozen LMKG-U entry is held to the checks an f32 one gets: a star

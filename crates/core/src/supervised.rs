@@ -8,14 +8,14 @@ use crate::outliers::OutlierBuffer;
 use lmkg_data::LabeledQuery;
 use lmkg_encoder::{CardinalityScaler, EncodeError, SgEncoder};
 use lmkg_nn::layers::{Dense, Dropout, Layer, Parameterized, Relu, Sequential, Sigmoid};
-use lmkg_nn::optimizer::Adam;
+use lmkg_nn::optimizer::{Adam, Trainer};
 use lmkg_nn::quant::QuantMode;
 use lmkg_nn::tensor::Matrix;
 use lmkg_nn::workspace::Workspace;
 use lmkg_nn::{loss, serialize};
 use lmkg_store::Query;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::io;
 
 /// The featurization that feeds the network (paper §V): the general
@@ -94,15 +94,6 @@ impl Default for LmkgSConfig {
     }
 }
 
-/// Per-epoch training diagnostics.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EpochStats {
-    /// 0-based epoch index.
-    pub epoch: usize,
-    /// Mean training loss across batches.
-    pub loss: f32,
-}
-
 /// Why a training entry point panics on an estimator without training state.
 const FROZEN: &str = "LMKG-S is frozen to int8/bf16 weights: it carries no training state";
 
@@ -120,9 +111,9 @@ pub struct LmkgS {
     model: Sequential,
     scaler: Option<CardinalityScaler>,
     outliers: OutlierBuffer,
-    /// Hyperparameters and the shuffle RNG: present exactly while the
-    /// weights are trainable f32.
-    trainer: Option<(LmkgSConfig, StdRng)>,
+    /// Hyperparameters and the trainer (Adam and the shuffle RNG): present
+    /// exactly while the weights are trainable f32.
+    trainer: Option<(LmkgSConfig, Trainer)>,
 }
 
 impl LmkgS {
@@ -144,12 +135,14 @@ impl LmkgS {
         model.push(Dense::new_xavier(&mut rng, fan_in, 1));
         model.push(Sigmoid::new());
         let outliers = OutlierBuffer::new(cfg.outlier_buffer);
+        let opt = Adam::new(cfg.learning_rate).with_grad_clip(cfg.grad_clip);
+        let trainer = Trainer::new(opt, rng, cfg.batch_size);
         Self {
             encoder,
             model,
             scaler: None,
             outliers,
-            trainer: Some((cfg, rng)),
+            trainer: Some((cfg, trainer)),
         }
     }
 
@@ -193,33 +186,15 @@ impl LmkgS {
         self.model.quant_mode()
     }
 
-    /// Encodes a batch of queries into a feature matrix, skipping queries
-    /// the encoder rejects; returns row-aligned (features, cardinalities).
-    fn encode_training_batch(&self, data: &[&LabeledQuery]) -> (Matrix, Vec<u64>) {
-        let w = self.encoder.width();
-        let mut rows = Vec::with_capacity(data.len() * w);
-        let statuses = self.encoder.encode_batch(data.iter().map(|lq| &lq.query), &mut rows);
-        let cards: Vec<u64> = data
-            .iter()
-            .zip(&statuses)
-            .filter(|(_, s)| s.is_ok())
-            .map(|(lq, _)| lq.cardinality)
-            .collect();
-        (Matrix::from_vec(cards.len(), w, rows), cards)
-    }
-
     /// Fits the scaler and outlier buffer, then trains for the configured
-    /// number of epochs. Returns per-epoch stats.
-    pub fn train(&mut self, data: &[LabeledQuery]) -> Vec<EpochStats> {
+    /// number of epochs. Returns the per-epoch mean loss. Adam's moments are
+    /// released afterwards, so a trained model does not carry them.
+    pub fn train(&mut self, data: &[LabeledQuery]) -> Vec<f32> {
         let epochs = self.config().expect(FROZEN).epochs;
         self.prepare(data);
-        let mut out = Vec::with_capacity(epochs);
-        let mut opt = self.make_optimizer();
-        for epoch in 0..epochs {
-            let loss = self.train_epoch(data, &mut opt);
-            out.push(EpochStats { epoch, loss });
-        }
-        out
+        let losses = (0..epochs).map(|_| self.train_epoch(data)).collect();
+        self.trainer.as_mut().expect(FROZEN).1.opt.reset();
+        losses
     }
 
     /// Fits scaler/outliers without training (used before manual epoch
@@ -230,44 +205,31 @@ impl LmkgS {
         self.outliers.fill(data);
     }
 
-    /// Creates the Adam optimizer matching the config.
-    pub fn make_optimizer(&self) -> Adam {
-        let cfg = self.config().expect(FROZEN);
-        Adam::new(cfg.learning_rate).with_grad_clip(cfg.grad_clip)
-    }
-
-    /// Runs a single epoch; returns the mean batch loss. `prepare` must have
-    /// been called.
-    pub fn train_epoch(&mut self, data: &[LabeledQuery], opt: &mut Adam) -> f32 {
+    /// Runs a single epoch over a fresh `0..n` order; returns the mean
+    /// batch loss. `prepare` must have been called. A chunk whose queries
+    /// the encoder all rejects trains nothing and takes no step.
+    pub fn train_epoch(&mut self, data: &[LabeledQuery]) -> f32 {
         let scaler = *self.scaler.as_ref().expect("prepare() before training");
-        let (cfg, rng) = self.trainer.as_mut().expect(FROZEN);
-        let mut indices: Vec<usize> = (0..data.len()).collect();
-        // Fisher–Yates shuffle.
-        for i in (1..indices.len()).rev() {
-            indices.swap(i, rng.gen_range(0..=i));
-        }
-        let (batch_size, max_exp) = (cfg.batch_size.max(1), cfg.q_error_max_exp);
-        let mut total = 0.0f64;
-        let mut batches = 0usize;
-        for chunk in indices.chunks(batch_size) {
-            let batch: Vec<&LabeledQuery> = chunk.iter().map(|&i| &data[i]).collect();
-            let (x, cards) = self.encode_training_batch(&batch);
-            if x.rows() == 0 {
-                continue;
+        let (cfg, trainer) = self.trainer.as_mut().expect(FROZEN);
+        let (encoder, max_exp) = (&self.encoder, cfg.q_error_max_exp);
+        let mut order: Vec<usize> = (0..data.len()).collect();
+        trainer.epoch(&mut self.model, &mut order, |model, chunk| {
+            let mut rows = Vec::with_capacity(chunk.len() * encoder.width());
+            let statuses = encoder.encode_batch(chunk.iter().map(|&i| &data[i].query), &mut rows);
+            let targets: Vec<f32> = (chunk.iter().zip(&statuses))
+                .filter(|(_, s)| s.is_ok())
+                .map(|(&i, _)| scaler.scale(data[i].cardinality))
+                .collect();
+            if targets.is_empty() {
+                return None;
             }
-            let targets = Matrix::from_vec(cards.len(), 1, cards.iter().map(|&c| scaler.scale(c)).collect());
-            let pred = self.model.forward(x);
+            let x = Matrix::from_vec(targets.len(), encoder.width(), rows);
+            let targets = Matrix::from_vec(targets.len(), 1, targets);
+            let pred = model.forward(x);
             let (l, grad) = loss::q_error(&pred, &targets, scaler.log_range(), max_exp);
-            self.model.backward(&grad);
-            opt.step(&mut self.model);
-            total += f64::from(l);
-            batches += 1;
-        }
-        if batches == 0 {
-            0.0
-        } else {
-            (total / batches as f64) as f32
-        }
+            model.backward(&grad);
+            Some(l)
+        })
     }
 
     /// Predicts the cardinality of a query. Errors if the encoder rejects
@@ -466,10 +428,10 @@ mod tests {
     }
 
     /// One SG-encoded model trained for the full `quick_cfg` schedule with a
-    /// five-entry outlier buffer, plus its per-epoch stats — trained once
+    /// five-entry outlier buffer, plus its per-epoch losses — trained once
     /// and shared by every test that only needs *a* trained estimator.
-    fn trained() -> &'static (LmkgS, Vec<EpochStats>) {
-        static MODEL: OnceLock<(LmkgS, Vec<EpochStats>)> = OnceLock::new();
+    fn trained() -> &'static (LmkgS, Vec<f32>) {
+        static MODEL: OnceLock<(LmkgS, Vec<f32>)> = OnceLock::new();
         MODEL.get_or_init(|| {
             let (g, data) = small_setup();
             let mut cfg = quick_cfg();
@@ -483,9 +445,9 @@ mod tests {
     #[test]
     fn trains_and_fits_workload() {
         let (_, data) = small_setup();
-        let (model, stats) = trained();
-        assert_eq!(stats.len(), 60);
-        assert!(stats.last().unwrap().loss < stats[0].loss, "loss should decrease");
+        let (model, losses) = trained();
+        assert_eq!(losses.len(), 60);
+        assert!(losses.last().unwrap() < &losses[0], "loss should decrease");
 
         // In-sample accuracy must be strong (the paper notes LMKG-S slightly
         // overfits by design).

@@ -29,7 +29,7 @@
 
 use lmkg_data::sampler::{ChainSampler, SamplingStrategy, StarSampler};
 use lmkg_nn::loss;
-use lmkg_nn::optimizer::Adam;
+use lmkg_nn::optimizer::{Adam, Trainer};
 use lmkg_nn::quant::QuantMode;
 use lmkg_nn::workspace::Workspace;
 use lmkg_nn::{Made, MadeConfig, Parameterized};
@@ -37,8 +37,6 @@ use lmkg_store::counter::{self, TupleBoundsError};
 use lmkg_store::{KnowledgeGraph, Query, QueryShape};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-pub use crate::supervised::EpochStats;
 
 /// Why LMKG-U cannot be built over a graph. (A query it cannot answer is a
 /// [`TupleBoundsError`]: the tuple space decides that, not the model.)
@@ -136,9 +134,9 @@ pub struct LmkgU {
     particles: usize,
     /// Seed of the per-query particle RNG streams.
     seed: u64,
-    /// Hyperparameters and the sampling/shuffle RNG: present exactly while
-    /// the weights are trainable f32.
-    trainer: Option<(LmkgUConfig, StdRng)>,
+    /// Hyperparameters and the trainer (Adam and the sampling/shuffle RNG):
+    /// present exactly while the weights are trainable f32.
+    trainer: Option<(LmkgUConfig, Trainer)>,
 }
 
 impl LmkgU {
@@ -193,6 +191,7 @@ impl LmkgU {
         };
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let made = Made::new(&mut rng, made_cfg);
+        let trainer = Trainer::new(Adam::new(cfg.learning_rate), rng, cfg.batch_size);
         Self {
             segments: made.segments().to_vec(),
             made,
@@ -201,7 +200,7 @@ impl LmkgU {
             n_total,
             particles: cfg.particles,
             seed: cfg.seed,
-            trainer: Some((cfg, rng)),
+            trainer: Some((cfg, trainer)),
         }
     }
 
@@ -286,7 +285,7 @@ impl LmkgU {
 
     /// Samples the training tuples per the configured strategy (§VII-A).
     pub fn sample_training_tuples(&mut self, graph: &KnowledgeGraph) -> Vec<Vec<usize>> {
-        let (cfg, rng) = self.trainer.as_mut().expect(FROZEN);
+        let (cfg, Trainer { rng, .. }) = self.trainer.as_mut().expect(FROZEN);
         let mut out = Vec::with_capacity(cfg.train_samples);
         match self.shape {
             QueryShape::Star => {
@@ -310,54 +309,30 @@ impl LmkgU {
         out
     }
 
-    /// Creates the Adam optimizer matching the config.
-    pub fn make_optimizer(&self) -> Adam {
-        Adam::new(self.config().expect(FROZEN).learning_rate)
-    }
-
-    /// Runs one training epoch over `tuples`; returns the mean NLL.
-    pub fn train_epoch(&mut self, tuples: &[Vec<usize>], opt: &mut Adam) -> f32 {
-        let (cfg, rng) = self.trainer.as_mut().expect(FROZEN);
-        let mut indices: Vec<usize> = (0..tuples.len()).collect();
-        for i in (1..indices.len()).rev() {
-            indices.swap(i, rng.gen_range(0..=i));
-        }
-        let mut total = 0.0f64;
-        let mut batches = 0usize;
-        for chunk in indices.chunks(cfg.batch_size.max(1)) {
+    /// Runs one training epoch over a fresh `0..n` order of `tuples`;
+    /// returns the mean NLL.
+    pub fn train_epoch(&mut self, tuples: &[Vec<usize>]) -> f32 {
+        let (_, trainer) = self.trainer.as_mut().expect(FROZEN);
+        let segments = &self.segments;
+        let mut order: Vec<usize> = (0..tuples.len()).collect();
+        trainer.epoch(&mut self.made, &mut order, |made, chunk| {
             let batch: Vec<Vec<usize>> = chunk.iter().map(|&i| tuples[i].clone()).collect();
-            let logits = self.made.forward_ids(&batch);
-            let (l, grad) = loss::segmented_cross_entropy(&logits, &self.segments, &batch);
-            self.made.backward_ids(&grad);
-            opt.step(&mut self.made);
-            total += f64::from(l);
-            batches += 1;
-        }
-        if batches == 0 {
-            0.0
-        } else {
-            (total / batches as f64) as f32
-        }
+            let logits = made.forward_ids(&batch);
+            let (l, grad) = loss::segmented_cross_entropy(&logits, segments, &batch);
+            made.backward_ids(&grad);
+            Some(l)
+        })
     }
 
-    /// Samples training data and trains for the configured epochs.
-    pub fn train(&mut self, graph: &KnowledgeGraph) -> Vec<EpochStats> {
+    /// Samples training data and trains for the configured epochs. Returns
+    /// the per-epoch mean NLL. Adam's moments are released afterwards, so a
+    /// trained model does not carry them.
+    pub fn train(&mut self, graph: &KnowledgeGraph) -> Vec<f32> {
         let tuples = self.sample_training_tuples(graph);
-        let mut opt = self.make_optimizer();
         let epochs = self.config().expect(FROZEN).epochs;
-        (0..epochs)
-            .map(|epoch| EpochStats {
-                epoch,
-                loss: self.train_epoch(&tuples, &mut opt),
-            })
-            .collect()
-    }
-
-    /// Mean negative log-likelihood of `tuples` under the current model.
-    pub fn nll(&self, tuples: &[Vec<usize>]) -> f32 {
-        let mut ws = Workspace::new();
-        let logits = self.made.forward_ids_infer(tuples, &mut ws);
-        loss::segmented_cross_entropy(&logits, &self.segments, tuples).0
+        let losses = (0..epochs).map(|_| self.train_epoch(&tuples)).collect();
+        self.trainer.as_mut().expect(FROZEN).1.opt.reset();
+        losses
     }
 
     /// Maps a query onto per-position bound values: the tuple space's own
@@ -739,12 +714,17 @@ mod tests {
         let g = graph();
         let mut m = LmkgU::new(g, QueryShape::Star, 2, quick_cfg()).unwrap();
         let tuples = m.sample_training_tuples(g);
-        let before = m.nll(&tuples[..500.min(tuples.len())]);
-        let mut opt = m.make_optimizer();
+        // Mean negative log-likelihood of the first 500 tuples.
+        let nll = |m: &LmkgU| {
+            let head = &tuples[..500.min(tuples.len())];
+            let logits = m.made.forward_ids_infer(head, &mut Workspace::new());
+            loss::segmented_cross_entropy(&logits, &m.segments, head).0
+        };
+        let before = nll(&m);
         for _ in 0..10 {
-            m.train_epoch(&tuples, &mut opt);
+            m.train_epoch(&tuples);
         }
-        let after = m.nll(&tuples[..500.min(tuples.len())]);
+        let after = nll(&m);
         assert!(after < before, "NLL {before} → {after}");
     }
 

@@ -8,8 +8,9 @@
 //! * dense MLPs with ReLU/sigmoid/dropout (LMKG-S, MSCN),
 //! * masked autoregressive networks with residual blocks and per-position
 //!   embeddings — ResMADE (LMKG-U),
-//! * the Adam optimizer, the mean-q-error and segmented-cross-entropy
-//!   losses, and a tiny binary parameter format.
+//! * the Adam optimizer and the one mini-batch epoch loop around it
+//!   ([`Trainer`]), the mean-q-error and segmented-cross-entropy losses,
+//!   and a tiny binary parameter format.
 //!
 //! Every layer has one training forward (`forward` / `forward_ids`, which
 //! caches for `backward`) and one `&self` inference forward
@@ -64,7 +65,7 @@ pub mod workspace;
 
 pub use layers::{Dense, Dropout, Layer, Param, Parameterized, Relu, Sequential, Sigmoid, Stage};
 pub use made::{Made, MadeConfig};
-pub use optimizer::Adam;
+pub use optimizer::{Adam, Trainer};
 pub use quant::QuantMode;
 pub use tensor::Matrix;
 pub use workspace::Workspace;

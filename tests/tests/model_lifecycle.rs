@@ -638,7 +638,7 @@ fn golden_snapshots_load_resave_and_answer_as_committed() {
 
 /// The LMKG-S golden set is also a training pin: rebuilding it from its
 /// config reproduces the committed bytes. (The LMKG-U set guards only the
-/// format: its committed bytes predate the current sampler.)
+/// format: an older build wrote it, and a rebuild today differs from it.)
 #[test]
 fn golden_lmkgs_set_retrains_byte_for_byte() {
     let built = Lmkg::build(&small_lubm(), &golden_config(ModelType::Supervised));
