@@ -93,7 +93,8 @@ impl Adam {
 /// forward/loss/backward per chunk, one Adam step per chunk that trained.
 ///
 /// A model is its featuriser plus its network plus the `batch` closure
-/// handed to [`Trainer::epoch`]; everything else about training is here.
+/// handed to [`Trainer::epoch`]; the shuffle, the chunking and the steps
+/// are here.
 pub struct Trainer {
     /// The optimizer; its moments live until the caller resets them.
     pub opt: Adam,
