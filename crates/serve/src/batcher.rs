@@ -4,12 +4,16 @@
 //! Requests enter a **bounded** admission queue (`try_send`; a full queue
 //! sheds the request with a structured `OVERLOADED` reply instead of letting
 //! latency grow without bound). Worker threads pull from the queue and
-//! coalesce: the first request opens a batch, then the worker keeps
-//! collecting until either `max_batch` requests are in hand (flush-on-full)
-//! or `window` has elapsed since the batch opened (flush-on-window). The
-//! whole batch runs through **one** `estimate_batch` forward, which is where
-//! the amortization comes from — one routing pass, one encode pass, one
-//! network forward per covering model, instead of one of each per request.
+//! batch what is already waiting, never waiting for more: a worker blocks
+//! for the first request, then takes whatever else is queued, without
+//! blocking, until `max_batch` requests are in hand or the queue is empty.
+//! The whole batch runs through **one** `estimate_batch` forward, which is
+//! where the amortization comes from — one routing pass, one encode pass,
+//! one network forward per covering model, instead of one of each per
+//! request. Requests that arrive while a forward runs wait in the queue and
+//! become the next batch, so batches grow with the backlog: a lone request
+//! on an idle server is estimated at once, and a saturated server still
+//! flushes full batches.
 //!
 //! With more than one worker, collection and estimation overlap **and**
 //! estimation itself runs concurrently: estimation takes `&self` over a
@@ -22,12 +26,11 @@
 //! worker count (the concurrency-parity suite enforces this).
 //!
 //! `BatchConfig::per_request()` degenerates the same machinery into
-//! classical one-request-per-forward serving (window 0, batch 1, one
-//! worker).
+//! classical one-request-per-forward serving (batch 1, one worker).
 //!
 //! In a multi-tenant service every tenant owns one `MicroBatcher` — its own
 //! queue, workers, stats, and model handle — so batches are keyed by
-//! (tenant, window) *by construction*: a forward can never mix two tenants'
+//! tenant *by construction*: a forward can never mix two tenants'
 //! models, a tenant's queue depth is its admission quota (a tenant at quota
 //! sheds its own requests without starving anyone else), and a retraining
 //! loop swaps each tenant's handle independently.
@@ -45,7 +48,7 @@ use lmkg_store::Query;
 // note_retrain/snapshot use SeqCst so retrains>=1 implies the swapped model is visible
 // (swap-before-counter, documented at note_retrain)
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -71,17 +74,16 @@ pub const EVENT_KINDS: &[&str] = &[
 
 /// The request pipeline stages measured by the batcher, in order: admission
 /// wait (submit → picked up by a worker), batch assembly (first job in hand
-/// → batch closed), forward (the batched `estimate_batch` call), and reply
-/// delivery (forward done → every reply handed to its session writer).
+/// → queue drained or batch full), forward (the batched `estimate_batch`
+/// call), and reply delivery (forward done → every reply handed to its
+/// session writer).
 pub const STAGE_NAMES: [&str; 4] = ["admission", "batch", "forward", "reply"];
 
 /// Micro-batching and admission-control knobs.
 #[derive(Debug, Clone)]
 pub struct BatchConfig {
-    /// How long a batch stays open for more arrivals after its first
-    /// request (flush-on-window). Zero disables coalescing.
-    pub window: Duration,
-    /// Flush as soon as this many requests are in hand (flush-on-full).
+    /// The most requests one forward takes. A worker flushes when it holds
+    /// this many or the queue is empty, whichever comes first.
     pub max_batch: usize,
     /// Bounded admission-queue depth; arrivals beyond it are shed.
     pub queue_depth: usize,
@@ -94,7 +96,6 @@ pub struct BatchConfig {
 impl Default for BatchConfig {
     fn default() -> Self {
         Self {
-            window: Duration::from_millis(2),
             max_batch: 64,
             queue_depth: 1024,
             workers: 2,
@@ -109,7 +110,6 @@ impl BatchConfig {
     /// estimate concurrently: N of them would run N single-query forwards
     /// at once, not one request per forward. Queue depth is kept.
     pub fn per_request(mut self) -> Self {
-        self.window = Duration::ZERO;
         self.max_batch = 1;
         self.workers = 1;
         self
@@ -419,10 +419,10 @@ impl MicroBatcher {
                 let rx = Arc::clone(&rx);
                 let handle = Arc::clone(&handle);
                 let stats = Arc::clone(&stats);
-                let (window, max_batch) = (cfg.window, cfg.max_batch);
+                let max_batch = cfg.max_batch;
                 std::thread::Builder::new()
                     .name(format!("lmkg-serve-worker-{i}"))
-                    .spawn(move || worker_loop(&rx, &handle, &stats, window, max_batch, i))
+                    .spawn(move || worker_loop(&rx, &handle, &stats, max_batch, i))
                     .expect("spawn worker thread")
             })
             .collect();
@@ -532,28 +532,27 @@ impl Drop for MicroBatcher {
     }
 }
 
-/// One worker: collect a batch (flush-on-full / flush-on-window), run one
-/// batched forward, reply per job. Returns when the queue closes and drains.
+/// One worker: wait for a job, take what else is queued (up to
+/// `max_batch`), run one batched forward, reply per job. Returns when the
+/// queue closes and drains.
 ///
 /// The worker also laps a [`lmkg_obs::StageTimer`] breakdown into its own
 /// histogram shards: each job's admission wait on dequeue, then batch
 /// assembly / forward / reply delivery per batch. The four laps tile the
 /// request's life, so `admission + batch + forward + reply` ≈ the
 /// end-to-end latency the reply reports.
-fn worker_loop(
-    rx: &Mutex<Receiver<Job>>,
-    handle: &ModelHandle,
-    stats: &ServeStats,
-    window: Duration,
-    max_batch: usize,
-    worker: usize,
-) {
+fn worker_loop(rx: &Mutex<Receiver<Job>>, handle: &ModelHandle, stats: &ServeStats, max_batch: usize, worker: usize) {
     let admission = stats.stages[0].shard(worker);
     let assembly = stats.stages[1].shard(worker);
     let forward = stats.stages[2].shard(worker);
     let reply = stats.stages[3].shard(worker);
     let batch_size = stats.batch_size.shard(worker);
     let request_us = stats.request_us.shard(worker);
+    let take = |batch: &mut Vec<Job>, job: Job| {
+        admission.record(job.submitted.elapsed().as_secs_f64() * 1e6);
+        stats.queue_len.dec();
+        batch.push(job);
+    };
     loop {
         let mut batch: Vec<Job> = Vec::with_capacity(max_batch);
         let mut timer;
@@ -565,36 +564,21 @@ fn worker_loop(
             // channel itself is still intact — keep draining it instead
             // of cascading the panic through every worker.
             let rx = rx.lock().unwrap_or_else(PoisonError::into_inner);
-            match rx.recv() {
-                Ok(job) => {
-                    admission.record(job.submitted.elapsed().as_secs_f64() * 1e6);
-                    timer = StageTimer::start();
-                    stats.queue_len.dec();
-                    batch.push(job);
-                }
-                Err(_) => return, // queue closed and empty
-            }
-            let deadline = Instant::now() + window;
+            let Ok(job) = rx.recv() else {
+                return; // queue closed and empty
+            };
+            take(&mut batch, job);
+            timer = StageTimer::start();
+            // Take only what is already queued: an empty queue (or a closed
+            // one) flushes the batch in hand rather than waiting for more.
             while batch.len() < max_batch {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                match rx.recv_timeout(deadline - now) {
-                    Ok(job) => {
-                        admission.record(job.submitted.elapsed().as_secs_f64() * 1e6);
-                        stats.queue_len.dec();
-                        batch.push(job);
-                    }
-                    Err(RecvTimeoutError::Timeout) => break,
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
+                let Ok(job) = rx.try_recv() else { break };
+                take(&mut batch, job);
             }
         }
 
         // Batch assembly ends here; its lap started at the first job's
-        // dequeue, so it includes the flush-on-window wait — the
-        // coalescing cost a latency budget actually cares about.
+        // dequeue, so it is the cost of draining the queue, never a wait.
         timer.lap(assembly);
         batch_size.record(batch.len() as f64);
 
@@ -697,48 +681,57 @@ mod tests {
         (Arc::new(est), batches)
     }
 
+    /// Blocks until `est` is inside a forward: with one worker, every job
+    /// submitted from then on queues behind that forward.
+    fn wait_for_forward(est: &RecordingEstimator) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while est.in_flight.load(Ordering::SeqCst) == 0 {
+            assert!(Instant::now() < deadline, "the forward never started");
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
-    fn flush_on_window_coalesces_small_batches() {
-        let (est, batches) = recording(Duration::ZERO);
+    fn jobs_queued_during_a_forward_form_the_next_batch() {
+        // 100 ms per forward, one worker. The first job is flushed alone —
+        // nothing else is queued — and the five that arrive while its
+        // forward runs are taken together as soon as the worker is free.
+        let (est, batches) = recording(Duration::from_millis(100));
+        let probe = Arc::clone(&est);
         let batcher = MicroBatcher::start(
             est,
             BatchConfig {
-                window: Duration::from_millis(150),
-                max_batch: 100,
+                max_batch: 8,
                 queue_depth: 16,
                 workers: 1,
             },
             None,
         );
         let (tx, rx) = channel();
-        let start = Instant::now();
-        batcher.submit(Job::new("a".into(), query(1), tx.clone())).unwrap();
-        batcher.submit(Job::new("b".into(), query(2), tx.clone())).unwrap();
-        let first = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        let second = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        let elapsed = start.elapsed();
-        assert!(matches!(first, Reply::Estimate { .. }));
-        assert!(matches!(second, Reply::Estimate { .. }));
-        // Far below max_batch, so only the window can have flushed — and
-        // both near-simultaneous arrivals must land in the same forward.
-        assert!(
-            elapsed >= Duration::from_millis(100),
-            "flushed before the window: {elapsed:?}"
-        );
-        assert_eq!(*batches.lock().unwrap(), vec![2]);
-        assert_eq!(batcher.stats().snapshot().served, 2);
+        batcher.submit(Job::new("first".into(), query(1), tx.clone())).unwrap();
+        wait_for_forward(&probe);
+        for i in 0..5 {
+            batcher.submit(Job::new(format!("q{i}"), query(1), tx.clone())).unwrap();
+        }
+        for _ in 0..6 {
+            rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        }
+        assert_eq!(*batches.lock().unwrap(), vec![1, 5]);
+        let snapshot = batcher.stats().snapshot();
+        assert_eq!(snapshot.served, 6);
+        assert_eq!(snapshot.batches, 2);
     }
 
     #[test]
     fn flush_on_full_does_not_wait_for_the_window() {
-        // 100 ms per forward, 300 ms window, batches capped at 2. Five jobs
-        // submitted at once must flow as [2, 2, 1]: the full flushes happen
-        // immediately (queue is non-empty), never waiting out the window.
+        // 100 ms per forward, one worker, batches capped at 2. Four jobs
+        // queued behind the first one's forward must flow as [1, 2, 2]:
+        // the backlog is cut at `max_batch`, and the rest waits its turn.
         let (est, batches) = recording(Duration::from_millis(100));
+        let probe = Arc::clone(&est);
         let batcher = MicroBatcher::start(
             est,
             BatchConfig {
-                window: Duration::from_millis(300),
                 max_batch: 2,
                 queue_depth: 16,
                 workers: 1,
@@ -746,25 +739,34 @@ mod tests {
             None,
         );
         let (tx, rx) = channel();
-        let start = Instant::now();
-        for i in 0..5 {
+        batcher.submit(Job::new("first".into(), query(1), tx.clone())).unwrap();
+        wait_for_forward(&probe);
+        for i in 0..4 {
             batcher.submit(Job::new(format!("q{i}"), query(1), tx.clone())).unwrap();
         }
         for _ in 0..5 {
             rx.recv_timeout(Duration::from_secs(5)).unwrap();
         }
-        let elapsed = start.elapsed();
-        assert_eq!(*batches.lock().unwrap(), vec![2, 2, 1]);
-        // Flush-on-window for every batch would cost ≥ 3×(300+100) ms; the
-        // two full batches flushing immediately keeps the run well under it.
-        // (The final batch of one still waits out its window.)
-        assert!(
-            elapsed < Duration::from_millis(1000),
-            "full batches waited for the window: {elapsed:?}"
-        );
+        assert_eq!(*batches.lock().unwrap(), vec![1, 2, 2]);
         let snapshot = batcher.stats().snapshot();
         assert_eq!(snapshot.served, 5);
         assert_eq!(snapshot.batches, 3);
+    }
+
+    #[test]
+    fn a_lone_request_is_flushed_at_once() {
+        // Nothing else is queued, so batch assembly ends with the first
+        // job: no timer holds the batch open for arrivals that never come.
+        let (est, batches) = recording(Duration::ZERO);
+        let batcher = MicroBatcher::start(est, BatchConfig::default(), None);
+        let (tx, rx) = channel();
+        batcher.submit(Job::new("lone".into(), query(1), tx)).unwrap();
+        rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(*batches.lock().unwrap(), vec![1]);
+        let assembly = batcher.stats().stages[1].snapshot();
+        assert_eq!(assembly.count, 1);
+        let max_us = assembly.percentile(100.0);
+        assert!(max_us < 50_000.0, "batch assembly took {max_us} us");
     }
 
     #[test]
@@ -775,7 +777,6 @@ mod tests {
         let batcher = MicroBatcher::start(
             est,
             BatchConfig {
-                window: Duration::ZERO,
                 max_batch: 1,
                 queue_depth: 2,
                 workers: 1,
@@ -815,7 +816,6 @@ mod tests {
         let batcher = MicroBatcher::start(
             est,
             BatchConfig {
-                window: Duration::from_millis(5),
                 max_batch: 8,
                 queue_depth: 64,
                 workers: 2,
@@ -868,7 +868,6 @@ mod tests {
         let batcher = MicroBatcher::start(
             est,
             BatchConfig {
-                window: Duration::ZERO,
                 max_batch: 1,
                 queue_depth: 16,
                 workers: 2,
@@ -988,7 +987,6 @@ mod tests {
         let batcher = MicroBatcher::start(
             Arc::new(SnapshotEstimator::new(0.0, Arc::clone(&log))),
             BatchConfig {
-                window: Duration::from_micros(200),
                 max_batch: 8,
                 queue_depth: JOBS,
                 workers: 3,
@@ -1065,7 +1063,6 @@ mod tests {
         let batcher = MicroBatcher::start(
             est,
             BatchConfig {
-                window: Duration::ZERO,
                 max_batch: 1,
                 queue_depth: 1,
                 workers: 1,
@@ -1102,7 +1099,6 @@ mod tests {
         let batcher = MicroBatcher::start(
             est,
             BatchConfig {
-                window: Duration::ZERO,
                 max_batch: 2,
                 queue_depth: 16,
                 workers: 2,
@@ -1148,7 +1144,6 @@ mod tests {
     fn per_request_config_disables_coalescing_and_concurrency() {
         let cfg = BatchConfig::default().per_request();
         assert_eq!(cfg.max_batch, 1);
-        assert_eq!(cfg.window, Duration::ZERO);
         assert_eq!(cfg.workers, 1);
         assert_eq!(cfg.queue_depth, BatchConfig::default().queue_depth);
     }

@@ -61,8 +61,7 @@ Multi-tenant options (pipe, tcp, sample; repeatable):
                              'default' tenant, exactly as before.
 
 Serving options (pipe, tcp):
-  --window-us N              micro-batch window, microseconds   [2000]
-  --max-batch N              flush size                         [64]
+  --max-batch N              most requests one forward takes    [64]
   --queue-depth N            admission queue bound              [1024]
   --workers N                batcher worker threads             [2]
   --metrics-every N          dump every tenant's METRICS exposition to
@@ -254,7 +253,6 @@ fn parse_options() -> Options {
             "--hidden" => opts.hidden = parse_list(&value(), flag).unwrap_or_else(|e| fail(&e)),
             "--epochs" => opts.epochs = num(flag, "an integer", value()),
             "--train-queries" => opts.train_queries = num(flag, "an integer", value()),
-            "--window-us" => opts.batch.window = Duration::from_micros(num(flag, "an integer", value())),
             "--max-batch" => opts.batch.max_batch = num(flag, "an integer", value()),
             "--queue-depth" => opts.batch.queue_depth = num(flag, "an integer", value()),
             "--workers" => opts.batch.workers = num(flag, "an integer", value()),
@@ -515,9 +513,8 @@ fn main() {
             let (svc, adapter) = build_service(&opts);
             start_metrics_dump(&svc, &opts);
             eprintln!(
-                "serve: pipe mode ready (tenants [{}]; window {:?}, max_batch {}, queue {}, workers {})",
+                "serve: pipe mode ready (tenants [{}]; max_batch {}, queue {}, workers {})",
                 svc.tenant_names().join(", "),
-                opts.batch.window,
                 opts.batch.max_batch,
                 opts.batch.queue_depth,
                 opts.batch.workers

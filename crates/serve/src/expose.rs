@@ -153,7 +153,6 @@ mod tests {
         let batcher = MicroBatcher::start(
             Arc::new(One),
             BatchConfig {
-                window: Duration::from_millis(1),
                 max_batch: 4,
                 queue_depth: 64,
                 workers: 2,
@@ -231,7 +230,6 @@ mod tests {
         let batcher = MicroBatcher::start(
             Arc::new(One),
             BatchConfig {
-                window: Duration::from_millis(1),
                 max_batch: 4,
                 queue_depth: 64,
                 workers: 1,

@@ -28,8 +28,8 @@
 //!   ([`expose::render_metrics_for`]).
 //! * [`batcher`] — the micro-batcher: a bounded admission queue
 //!   (shed-on-overflow with a structured `OVERLOADED` reply) feeding worker
-//!   threads that coalesce arrivals within a configurable window / max batch
-//!   size into **single** `estimate_batch` forwards. Workers share one
+//!   threads that take what is already queued, up to a max batch size,
+//!   into **single** `estimate_batch` forwards. Workers share one
 //!   frozen model behind an `Arc` (estimation takes `&self`) through a
 //!   swappable [`batcher::ModelHandle`], so forwards run concurrently and a
 //!   retraining loop can publish new models under live traffic. Every

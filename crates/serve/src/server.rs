@@ -427,9 +427,15 @@ impl EstimationService {
     }
 }
 
+/// The most reply bytes the session writer gathers into one write.
+const REPLY_BUFFER_CAP: usize = 64 * 1024;
+
 /// Runs one session: reads request lines from `reader` until EOF or `QUIT`,
 /// writes reply lines to `writer` as they complete (a writer thread drains
 /// the reply channel, so slow clients never block the batcher workers).
+/// Each wake-up of the writer makes one `write_all` and one `flush`: the
+/// reply that woke it plus every reply already waiting, each with its
+/// `'\n'`, up to 64 KiB.
 /// Returns the writer once every admitted request has been answered — tests
 /// recover their output buffer through it.
 pub fn serve_stream<R, W>(svc: &EstimationService, reader: R, writer: W) -> W
@@ -449,19 +455,24 @@ where
         .spawn({
             let stats = Arc::clone(&stats);
             move || {
+                use std::fmt::Write as _;
                 let mut writer = writer;
-                for reply in rx {
-                    // Line-buffered on purpose: each reply is flushed so an
-                    // interactive client sees it immediately.
-                    let line = reply.to_string();
-                    let sent = writer
-                        .write_all(line.as_bytes())
-                        .and_then(|()| writer.write_all(b"\n"))
-                        .and_then(|()| writer.flush());
+                let mut buf = String::new();
+                while let Ok(reply) = rx.recv() {
+                    // Flushed per wake-up, never held for more replies: an
+                    // interactive client sees each reply immediately, and a
+                    // pipelining one gets the backlog in one write.
+                    buf.clear();
+                    let _ = writeln!(buf, "{reply}");
+                    while buf.len() < REPLY_BUFFER_CAP {
+                        let Ok(reply) = rx.try_recv() else { break };
+                        let _ = writeln!(buf, "{reply}");
+                    }
+                    let sent = writer.write_all(buf.as_bytes()).and_then(|()| writer.flush());
                     if sent.is_err() {
                         break; // client hung up; drain silently
                     }
-                    stats.bytes_out.add(line.len() as u64 + 1);
+                    stats.bytes_out.add(buf.len() as u64);
                 }
                 writer
             }
@@ -576,7 +587,11 @@ pub fn serve_tcp(
                             Ok(read_half) => BufReader::new(read_half),
                             Err(_) => return,
                         };
-                        serve_stream(&session_svc, reader, stream);
+                        let stream = serve_stream(&session_svc, reader, stream);
+                        // Send the FIN now: the accept loop's control clone
+                        // keeps the socket open until its next reap, a poll
+                        // tick away.
+                        let _ = stream.shutdown(Shutdown::Both);
                     });
                 let handle = match spawned {
                     Ok(handle) => handle,
@@ -925,6 +940,53 @@ EST never SELECT * WHERE { ?x :hasAuthor ?y . }
         );
     }
 
+    /// A session writer that keeps every `write` call it receives apart.
+    #[derive(Default)]
+    struct WriteLog(Vec<Vec<u8>>);
+
+    impl Write for WriteLog {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The writer never splits a reply from its newline: every write it
+    /// makes ends on a line boundary, and `bytes_out` counts what was
+    /// written.
+    #[test]
+    fn every_write_ends_on_a_reply_boundary() {
+        let svc = service(BatchConfig::default());
+        let input = "\
+EST a SELECT * WHERE { ?x :hasAuthor :StephenKing . }
+EST b SELECT * WHERE { ?x :hasAuthor ?a . ?a :bornIn :USA . }
+garbage line
+STATS s
+METRICS m
+QUIT
+";
+        let log = serve_stream(&svc, input.as_bytes(), WriteLog::default());
+        assert!(!log.0.is_empty(), "nothing written");
+        for write in &log.0 {
+            assert_eq!(
+                write.last(),
+                Some(&b'\n'),
+                "a write ends mid-reply: {:?}",
+                String::from_utf8_lossy(write)
+            );
+        }
+        let text = String::from_utf8(log.0.concat()).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        for prefix in ["OK a ", "OK b ", "ERR - code=parse ", "STATS s ", "METRICS m lines="] {
+            assert_eq!(l_starts(&lines, prefix), 1, "one {prefix:?} reply: {text}");
+        }
+        assert_eq!(svc.serve_stats().bytes_out.get(), text.len() as u64);
+    }
+
     fn l_starts(lines: &[&str], prefix: &str) -> usize {
         lines.iter().filter(|l| l.starts_with(prefix)).count()
     }
@@ -955,6 +1017,50 @@ EST never SELECT * WHERE { ?x :hasAuthor ?y . }
         reader.read_line(&mut rest).unwrap();
         assert!(rest.is_empty());
         server.join().unwrap();
+    }
+
+    /// A client that sent `QUIT` reads EOF as soon as its session ends,
+    /// not when the accept loop next wakes to reap the session.
+    #[test]
+    fn quit_closes_the_connection_before_the_next_accept_poll() {
+        use std::io::{BufRead as _, Write as _};
+        use std::net::TcpStream;
+        use std::time::Instant;
+
+        let svc = Arc::new(service(BatchConfig::default()));
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let flag = ShutdownFlag::new();
+        let server = std::thread::spawn({
+            let svc = Arc::clone(&svc);
+            let flag = flag.clone();
+            move || serve_tcp(&svc, listener, None, &flag).unwrap()
+        });
+
+        let mut waits = Vec::new();
+        for i in 0..5 {
+            let mut client = TcpStream::connect(addr).unwrap();
+            client.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            client
+                .write_all(format!("EST e{i} SELECT * WHERE {{ ?x :hasAuthor :StephenKing . }}\n").as_bytes())
+                .unwrap();
+            let mut reader = BufReader::new(client.try_clone().unwrap());
+            let mut reply = String::new();
+            reader.read_line(&mut reply).unwrap();
+            assert!(reply.starts_with(&format!("OK e{i} ")), "unexpected reply {reply:?}");
+            let replied = Instant::now();
+            client.write_all(b"QUIT\n").unwrap();
+            let mut rest = String::new();
+            assert_eq!(reader.read_line(&mut rest).unwrap(), 0, "expected EOF, read {rest:?}");
+            waits.push(replied.elapsed());
+        }
+        flag.trigger();
+        server.join().unwrap();
+        waits.sort();
+        assert!(
+            waits[waits.len() / 2] < ACCEPT_POLL / 2,
+            "reply → EOF waits {waits:?} track the {ACCEPT_POLL:?} accept poll"
+        );
     }
 
     #[test]

@@ -109,7 +109,6 @@ fn workload_shift_loop_closes_bitwise(mode: Option<QuantMode>) {
     tenant.quantized = mode;
     let (svc, adapter) = ServeBuilder::new()
         .batch(BatchConfig {
-            window: Duration::from_millis(1),
             max_batch: 8,
             queue_depth: 8192,
             workers: 2,

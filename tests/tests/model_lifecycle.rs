@@ -372,7 +372,6 @@ fn adapter_evicts_to_budget_and_persists_without_tearing_a_batch() {
     tenant.store = Some(store.clone());
     let (svc, adapter) = ServeBuilder::new()
         .batch(BatchConfig {
-            window: Duration::from_micros(200),
             max_batch: 8,
             queue_depth: 1024,
             workers: 2,

@@ -13,7 +13,6 @@ use lmkg_serve::{serve_stream, BatchConfig, Reply, ServeBuilder, TenantSpec, DEF
 use lmkg_store::{sparql, KnowledgeGraph, Query, QueryShape};
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn quick_lmkg(graph: &KnowledgeGraph) -> Lmkg {
     let cfg = LmkgConfig {
@@ -68,7 +67,6 @@ fn served_estimates_are_bitwise_identical_to_direct_estimate_batch() {
 
     let svc = ServeBuilder::new()
         .batch(BatchConfig {
-            window: Duration::from_millis(5),
             max_batch: 7, // deliberately not a divisor of the workload size
             queue_depth: 4096,
             workers: 2,

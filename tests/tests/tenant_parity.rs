@@ -97,7 +97,6 @@ fn two_tenants_concurrent_equal_two_single_tenant_servers_sequential() {
     let (_, lines_a) = tenant_workload(&graph_a);
     let (_, lines_b) = tenant_workload(&graph_b);
     let batch = BatchConfig {
-        window: Duration::from_millis(2),
         max_batch: 5,
         queue_depth: 4096,
         workers: 2,
@@ -179,7 +178,6 @@ fn quota_exhaustion_does_not_starve_the_neighbour_tenant() {
     let summary = Arc::new(GraphSummary::build(&graph));
     let svc = ServeBuilder::new()
         .batch(BatchConfig {
-            window: Duration::from_millis(1),
             max_batch: 1,
             queue_depth: 256,
             workers: 1,
@@ -254,7 +252,6 @@ fn adapter_swaps_one_tenant_under_live_traffic_on_the_other() {
 
     let (svc, adapter) = ServeBuilder::new()
         .batch(BatchConfig {
-            window: Duration::from_millis(1),
             max_batch: 8,
             queue_depth: 8192,
             workers: 2,
