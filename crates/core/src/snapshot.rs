@@ -21,7 +21,12 @@
 //! 3 = LMKG-U int8/bf16. A frozen payload carries no training config (the
 //! precision itself is the mode byte of the nested `LMKGQT1`/`LMKGQM1`).
 //!
-//! All integers little-endian. f32 architectures are rebuilt deterministically
+//! All integers little-endian. Loading reads a byte slice through
+//! [`lmkg_nn::bytes`], and checks every size it reads against the bytes left
+//! before allocating for it: a count of vectors, entries or triples, a
+//! weight matrix's `rows × cols`, and the parameter count of a network
+//! rebuilt from a stored config. A size that cannot fit is `Corrupt` before
+//! anything is allocated for it. f32 architectures are rebuilt deterministically
 //! from the persisted hyperparameters (same seed → same init → same
 //! parameter visitation order), so a loaded set answers every query
 //! **bitwise-identically** to the set that was saved — the property the
@@ -34,14 +39,15 @@ use crate::framework::{Lmkg, ModelEntry, ModelKey};
 use crate::outliers::OutlierBuffer;
 use crate::summary::GraphSummary;
 use crate::supervised::{LmkgS, LmkgSConfig, QueryEncoder};
-use crate::unsupervised::{tuple_spaces, LmkgU, LmkgUConfig};
+use crate::unsupervised::{made_config, tuple_spaces, LmkgU, LmkgUConfig, MAX_PARTICLES};
 use lmkg_data::sampler::SamplingStrategy;
 use lmkg_encoder::{CardinalityScaler, SgEncoder};
+use lmkg_nn::bytes;
 use lmkg_nn::serialize::LoadError;
 use lmkg_nn::{Made, Sequential};
 use lmkg_store::{NodeId, NodeTerm, PredId, PredTerm, Query, QueryShape, TriplePattern, VarId};
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::sync::Arc;
 
 /// Leading bytes of every model-set snapshot.
@@ -57,7 +63,8 @@ pub enum SnapshotError {
     BadMagic,
     /// The snapshot was written by an unknown format version.
     UnsupportedVersion(u32),
-    /// A tag or count in the stream is outside its valid range.
+    /// A tag, count or size in the stream is outside its valid range
+    /// (including every `InvalidData` from the nested formats).
     Corrupt(String),
     /// Restoring a parameter walk failed (architecture drift).
     Params(LoadError),
@@ -87,14 +94,17 @@ impl std::error::Error for SnapshotError {
 
 impl From<io::Error> for SnapshotError {
     fn from(e: io::Error) -> Self {
-        SnapshotError::Io(e)
+        match e.kind() {
+            io::ErrorKind::InvalidData => SnapshotError::Corrupt(e.to_string()),
+            _ => SnapshotError::Io(e),
+        }
     }
 }
 
 impl From<LoadError> for SnapshotError {
     fn from(e: LoadError) -> Self {
         match e {
-            LoadError::Io(io) => SnapshotError::Io(io),
+            LoadError::Io(io) => io.into(),
             other => SnapshotError::Params(other),
         }
     }
@@ -118,36 +128,6 @@ fn w_f32<W: Write>(w: &mut W, v: f32) -> io::Result<()> {
 fn w_f64<W: Write>(w: &mut W, v: f64) -> io::Result<()> {
     w.write_all(&v.to_le_bytes())
 }
-fn r_u8<R: Read>(r: &mut R) -> io::Result<u8> {
-    let mut b = [0u8; 1];
-    r.read_exact(&mut b)?;
-    Ok(b[0])
-}
-fn r_u32<R: Read>(r: &mut R) -> io::Result<u32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-fn r_u64<R: Read>(r: &mut R) -> io::Result<u64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-fn r_f32<R: Read>(r: &mut R) -> io::Result<f32> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(f32::from_le_bytes(b))
-}
-fn r_f64<R: Read>(r: &mut R) -> io::Result<f64> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(f64::from_le_bytes(b))
-}
-
-fn r_usize<R: Read>(r: &mut R) -> io::Result<usize> {
-    Ok(r_u64(r)? as usize)
-}
-
 fn shape_tag(shape: QueryShape) -> u8 {
     match shape {
         QueryShape::Star => 0,
@@ -198,27 +178,31 @@ fn write_query<W: Write>(w: &mut W, q: &Query) -> io::Result<()> {
     Ok(())
 }
 
-fn read_query<R: Read>(r: &mut R) -> Result<Query, SnapshotError> {
-    let n = r_u32(r)? as usize;
-    if n > 1 << 20 {
-        return Err(SnapshotError::Corrupt(format!("query of {n} triples")));
-    }
+fn read_query(r: &mut &[u8]) -> Result<Query, SnapshotError> {
+    let n = bytes::u32(r)? as usize;
+    // Three terms of a tag byte and a u32 each.
+    let n = bytes::len(r, n, 15)?;
+    let var = |v: u32| {
+        u16::try_from(v)
+            .map(VarId)
+            .map_err(|_| SnapshotError::Corrupt(format!("variable id {v}")))
+    };
     let mut triples = Vec::with_capacity(n);
     for _ in 0..n {
-        let node = |r: &mut R| -> Result<NodeTerm, SnapshotError> {
-            let tag = r_u8(r)?;
-            let v = r_u32(r)?;
+        let node = |r: &mut &[u8]| -> Result<NodeTerm, SnapshotError> {
+            let tag = bytes::u8(r)?;
+            let v = bytes::u32(r)?;
             Ok(match tag {
-                0 => NodeTerm::Var(VarId(v as u16)),
+                0 => NodeTerm::Var(var(v)?),
                 1 => NodeTerm::Bound(NodeId(v)),
                 other => return Err(SnapshotError::Corrupt(format!("node-term tag {other}"))),
             })
         };
         let s = node(r)?;
-        let ptag = r_u8(r)?;
-        let pval = r_u32(r)?;
+        let ptag = bytes::u8(r)?;
+        let pval = bytes::u32(r)?;
         let p = match ptag {
-            0 => PredTerm::Var(VarId(pval as u16)),
+            0 => PredTerm::Var(var(pval)?),
             1 => PredTerm::Bound(PredId(pval)),
             other => return Err(SnapshotError::Corrupt(format!("pred-term tag {other}"))),
         };
@@ -239,20 +223,18 @@ fn write_outliers<W: Write>(w: &mut W, buf: &OutlierBuffer) -> io::Result<()> {
     Ok(())
 }
 
-fn read_outliers<R: Read>(r: &mut R) -> Result<OutlierBuffer, SnapshotError> {
-    let capacity = r_u32(r)? as usize;
-    let n = r_u32(r)? as usize;
+fn read_outliers(r: &mut &[u8]) -> Result<OutlierBuffer, SnapshotError> {
+    let capacity = bytes::u32(r)? as usize;
+    let n = bytes::u32(r)? as usize;
+    // An empty query and its cardinality.
+    let n = bytes::len(r, n, 12)?;
     if n > capacity {
         return Err(SnapshotError::Corrupt(format!(
             "outlier buffer holds {n} entries over capacity {capacity}"
         )));
     }
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        let q = read_query(r)?;
-        let card = r_u64(r)?;
-        entries.push((q, card));
-    }
+    let entries = (0..n).map(|_| Ok((read_query(r)?, bytes::u64(r)?)));
+    let entries = entries.collect::<Result<_, SnapshotError>>()?;
     Ok(OutlierBuffer::from_entries(capacity, entries))
 }
 
@@ -267,22 +249,24 @@ fn write_encoder<W: Write>(w: &mut W, enc: &QueryEncoder) -> io::Result<()> {
     w_u32(w, sg.max_edges as u32)
 }
 
-fn read_encoder<R: Read>(r: &mut R) -> Result<QueryEncoder, SnapshotError> {
-    match r_u8(r)? {
+fn read_encoder(r: &mut &[u8]) -> Result<QueryEncoder, SnapshotError> {
+    match bytes::u8(r)? {
         0 => {
-            let node_domain = r_usize(r)?;
-            let pred_domain = r_usize(r)?;
-            let max_nodes = r_u32(r)? as usize;
-            let max_edges = r_u32(r)? as usize;
+            let node_domain = bytes::u64(r)? as usize;
+            let pred_domain = bytes::u64(r)? as usize;
+            let max_nodes = bytes::u32(r)? as usize;
+            let max_edges = bytes::u32(r)? as usize;
             if max_nodes == 0 || max_edges == 0 {
                 return Err(SnapshotError::Corrupt("zero-capacity SG encoder".into()));
             }
-            Ok(QueryEncoder::Sg(SgEncoder::new(
-                node_domain,
-                pred_domain,
-                max_nodes,
-                max_edges,
-            )))
+            let encoder = QueryEncoder::Sg(SgEncoder::new(node_domain, pred_domain, max_nodes, max_edges));
+            // Every later `width()` on this encoder is then safe.
+            if encoder.checked_width().is_none() {
+                return Err(SnapshotError::Corrupt(format!(
+                    "SG encoder of {max_nodes} nodes × {max_edges} edges"
+                )));
+            }
+            Ok(encoder)
         }
         other => Err(SnapshotError::Corrupt(format!("encoder tag {other}"))),
     }
@@ -293,9 +277,9 @@ fn write_scaler<W: Write>(w: &mut W, scaler: &CardinalityScaler) -> io::Result<(
     w_f64(w, scaler.max_log())
 }
 
-fn read_scaler<R: Read>(r: &mut R) -> Result<CardinalityScaler, SnapshotError> {
-    let min_log = r_f64(r)?;
-    let max_log = r_f64(r)?;
+fn read_scaler(r: &mut &[u8]) -> Result<CardinalityScaler, SnapshotError> {
+    let min_log = bytes::f64(r)?;
+    let max_log = bytes::f64(r)?;
     if !(min_log.is_finite() && max_log.is_finite() && max_log > min_log) {
         return Err(SnapshotError::Corrupt(format!("scaler bounds ({min_log}, {max_log})")));
     }
@@ -320,30 +304,27 @@ fn write_s_config<W: Write>(w: &mut W, cfg: &LmkgSConfig) -> io::Result<()> {
     w_u64(w, cfg.seed)
 }
 
-fn read_s_config<R: Read>(r: &mut R) -> Result<LmkgSConfig, SnapshotError> {
-    let n = r_u32(r)? as usize;
+fn read_s_config(r: &mut &[u8]) -> Result<LmkgSConfig, SnapshotError> {
+    let n = bytes::u32(r)? as usize;
     if n == 0 || n > 64 {
         return Err(SnapshotError::Corrupt(format!("{n} hidden layers")));
     }
-    let mut hidden = Vec::with_capacity(n);
-    for _ in 0..n {
-        hidden.push(r_u32(r)? as usize);
-    }
-    let dropout = r_f32(r)?;
+    let hidden = (0..n).map(|_| Ok(bytes::u32(r)? as usize)).collect::<io::Result<_>>()?;
+    let dropout = bytes::f32(r)?;
     if !(0.0..1.0).contains(&dropout) {
         return Err(SnapshotError::Corrupt(format!("dropout {dropout}")));
     }
-    let epochs = r_u32(r)? as usize;
-    let batch_size = r_u32(r)? as usize;
-    let learning_rate = r_f32(r)?;
-    let loss = r_u8(r)?;
+    let epochs = bytes::u32(r)? as usize;
+    let batch_size = bytes::u32(r)? as usize;
+    let learning_rate = bytes::f32(r)?;
+    let loss = bytes::u8(r)?;
     if loss != 0 {
         return Err(SnapshotError::Corrupt(format!("loss tag {loss}")));
     }
-    let q_error_max_exp = r_f32(r)?;
-    let grad_clip = r_f32(r)?;
-    let outlier_buffer = r_u32(r)? as usize;
-    let seed = r_u64(r)?;
+    let q_error_max_exp = bytes::f32(r)?;
+    let grad_clip = bytes::f32(r)?;
+    let outlier_buffer = bytes::u32(r)? as usize;
+    let seed = bytes::u64(r)?;
     Ok(LmkgSConfig {
         hidden,
         dropout,
@@ -377,28 +358,28 @@ fn write_u_config<W: Write>(w: &mut W, cfg: &LmkgUConfig) -> io::Result<()> {
     w_u64(w, cfg.seed)
 }
 
-fn read_u_config<R: Read>(r: &mut R) -> Result<LmkgUConfig, SnapshotError> {
-    let hidden = r_u32(r)? as usize;
-    let blocks = r_u32(r)? as usize;
-    let embed_dim = r_u32(r)? as usize;
+fn read_u_config(r: &mut &[u8]) -> Result<LmkgUConfig, SnapshotError> {
+    let hidden = bytes::u32(r)? as usize;
+    let blocks = bytes::u32(r)? as usize;
+    let embed_dim = bytes::u32(r)? as usize;
     // The ResMADE the entry rebuilds asserts both are positive.
     if hidden == 0 || embed_dim == 0 {
         return Err(SnapshotError::Corrupt(format!(
             "LMKG-U hidden width {hidden}, embedding dimensionality {embed_dim}"
         )));
     }
-    let epochs = r_u32(r)? as usize;
-    let batch_size = r_u32(r)? as usize;
-    let learning_rate = r_f32(r)?;
-    let train_samples = r_usize(r)?;
-    let strategy = match r_u8(r)? {
+    let epochs = bytes::u32(r)? as usize;
+    let batch_size = bytes::u32(r)? as usize;
+    let learning_rate = bytes::f32(r)?;
+    let train_samples = bytes::u64(r)? as usize;
+    let strategy = match bytes::u8(r)? {
         0 => SamplingStrategy::RandomWalk,
         1 => SamplingStrategy::Uniform,
         other => return Err(SnapshotError::Corrupt(format!("sampling-strategy tag {other}"))),
     };
-    let particles = r_u32(r)? as usize;
-    let max_node_domain = r_usize(r)?;
-    let seed = r_u64(r)?;
+    let particles = read_particles(r)?;
+    let max_node_domain = bytes::u64(r)? as usize;
+    let seed = bytes::u64(r)?;
     Ok(LmkgUConfig {
         hidden,
         blocks,
@@ -471,23 +452,33 @@ fn write_entry<W: Write>(w: &mut W, entry: &ModelEntry) -> io::Result<()> {
     Ok(())
 }
 
-fn read_entry<R: Read>(r: &mut R) -> Result<ModelEntry, SnapshotError> {
-    match r_u8(r)? {
+/// `Corrupt` unless the f32 parameters of a network about to be rebuilt
+/// from a stored config (`None`: more than `usize` counts) fit in the
+/// bytes left.
+fn check_params(r: &[u8], count: Option<usize>, what: &str) -> Result<(), SnapshotError> {
+    match count.map(|n| bytes::len(r, n, 4)) {
+        Some(Ok(_)) => Ok(()),
+        _ => Err(SnapshotError::Corrupt(format!(
+            "{what} larger than the {} bytes left",
+            r.len()
+        ))),
+    }
+}
+
+fn read_entry(r: &mut &[u8]) -> Result<ModelEntry, SnapshotError> {
+    match bytes::u8(r)? {
         0 => {
             let encoder = read_encoder(r)?;
             let cfg = read_s_config(r)?;
-            let scaler = match r_u8(r)? {
+            let scaler = match bytes::u8(r)? {
                 0 => None,
                 1 => Some(read_scaler(r)?),
                 other => return Err(SnapshotError::Corrupt(format!("scaler flag {other}"))),
             };
             let outliers = read_outliers(r)?;
+            check_params(r, LmkgS::param_count_for(&encoder, &cfg), "LMKG-S network")?;
             let mut model = LmkgS::new(encoder, cfg);
-            model.load_params(r).map_err(|e| {
-                // `LmkgS::load_params` folds the typed error into io; the
-                // stream position is lost either way, so Io is faithful.
-                SnapshotError::Io(e)
-            })?;
+            model.load_params(r)?;
             if let Some(s) = scaler {
                 model.set_scaler(s);
             }
@@ -497,9 +488,10 @@ fn read_entry<R: Read>(r: &mut R) -> Result<ModelEntry, SnapshotError> {
         1 => {
             let cfg = read_u_config(r)?;
             let (shape, k) = read_u_cell(r)?;
-            let n_total = r_f64(r)?;
-            let node_vocab = r_usize(r)?;
-            let pred_vocab = r_usize(r)?;
+            let n_total = bytes::f64(r)?;
+            let node_vocab = bytes::u64(r)? as usize;
+            let pred_vocab = bytes::u64(r)? as usize;
+            check_params(r, made_config(&cfg, k, node_vocab, pred_vocab).param_count(), "ResMADE")?;
             let mut model = LmkgU::from_parts(cfg, shape, k, n_total, node_vocab, pred_vocab);
             model.load_made_params(r)?;
             Ok(ModelEntry::U(model))
@@ -522,9 +514,9 @@ fn read_entry<R: Read>(r: &mut R) -> Result<ModelEntry, SnapshotError> {
         }
         3 => {
             let (shape, k) = read_u_cell(r)?;
-            let n_total = r_f64(r)?;
-            let particles = r_u32(r)? as usize;
-            let seed = r_u64(r)?;
+            let n_total = bytes::f64(r)?;
+            let particles = read_particles(r)?;
+            let seed = bytes::u64(r)?;
             let made = Made::load_quantized(r)?;
             // The length test bounds the file's `k` before `tuple_spaces`
             // allocates for it.
@@ -543,14 +535,28 @@ fn read_entry<R: Read>(r: &mut R) -> Result<ModelEntry, SnapshotError> {
     }
 }
 
+/// An LMKG-U particle count, at most [`MAX_PARTICLES`].
+fn read_particles(r: &mut &[u8]) -> Result<usize, SnapshotError> {
+    let particles = bytes::u32(r)? as usize;
+    if particles > MAX_PARTICLES {
+        return Err(SnapshotError::Corrupt(format!(
+            "{particles} particles, over the limit of {MAX_PARTICLES}"
+        )));
+    }
+    Ok(particles)
+}
+
 /// The `(shape, k)` cell of an LMKG-U entry: a star or chain tuple space of
-/// at least one triple.
-fn read_u_cell<R: Read>(r: &mut R) -> Result<(QueryShape, usize), SnapshotError> {
-    let shape = shape_from_tag(r_u8(r)?)?;
+/// at least one triple. Each of the `2k + 1` positions has at least a byte
+/// of weights in the ResMADE that follows, which bounds `k` before
+/// `tuple_spaces` allocates for it.
+fn read_u_cell(r: &mut &[u8]) -> Result<(QueryShape, usize), SnapshotError> {
+    let shape = shape_from_tag(bytes::u8(r)?)?;
     if !matches!(shape, QueryShape::Star | QueryShape::Chain) {
         return Err(SnapshotError::Corrupt(format!("LMKG-U over {shape} queries")));
     }
-    let k = r_u32(r)? as usize;
+    let k = bytes::u32(r)? as usize;
+    let k = bytes::len(r, k, 2)?;
     if k == 0 {
         return Err(SnapshotError::Corrupt("LMKG-U tuple size 0".into()));
     }
@@ -566,13 +572,13 @@ fn write_key<W: Write>(w: &mut W, key: &ModelKey) -> io::Result<()> {
     w_u32(w, key.max_size as u32)
 }
 
-fn read_key<R: Read>(r: &mut R) -> Result<ModelKey, SnapshotError> {
-    let shape = match r_u8(r)? {
+fn read_key(r: &mut &[u8]) -> Result<ModelKey, SnapshotError> {
+    let shape = match bytes::u8(r)? {
         0 => None,
         tag => Some(shape_from_tag(tag - 1)?),
     };
-    let min_size = r_u32(r)? as usize;
-    let max_size = r_u32(r)? as usize;
+    let min_size = bytes::u32(r)? as usize;
+    let max_size = bytes::u32(r)? as usize;
     Ok(ModelKey {
         shape,
         min_size,
@@ -592,24 +598,14 @@ fn write_summary<W: Write>(w: &mut W, s: &GraphSummary) -> io::Result<()> {
     Ok(())
 }
 
-fn read_summary<R: Read>(r: &mut R) -> Result<GraphSummary, SnapshotError> {
-    let num_nodes = r_usize(r)?;
-    let num_preds = r_usize(r)?;
-    let num_triples = r_usize(r)?;
-    if num_preds > 1 << 28 {
-        return Err(SnapshotError::Corrupt(format!("{num_preds} predicates")));
-    }
-    let mut vecs = Vec::with_capacity(3);
-    for _ in 0..3 {
-        let mut v = Vec::with_capacity(num_preds);
-        for _ in 0..num_preds {
-            v.push(r_u64(r)?);
-        }
-        vecs.push(v);
-    }
-    let pred_objects = vecs.pop().expect("three vectors");
-    let pred_subjects = vecs.pop().expect("three vectors");
-    let pred_counts = vecs.pop().expect("three vectors");
+fn read_summary(r: &mut &[u8]) -> Result<GraphSummary, SnapshotError> {
+    let num_nodes = bytes::u64(r)? as usize;
+    let num_preds = bytes::u64(r)? as usize;
+    let num_triples = bytes::u64(r)? as usize;
+    // Three u64 vectors of `num_preds` each.
+    let num_preds = bytes::len(r, num_preds, 24)?;
+    let mut vec = || (0..num_preds).map(|_| bytes::u64(r)).collect::<io::Result<Vec<u64>>>();
+    let (pred_counts, pred_subjects, pred_objects) = (vec()?, vec()?, vec()?);
     Ok(GraphSummary::from_parts(
         num_nodes,
         num_preds,
@@ -640,28 +636,21 @@ impl Lmkg {
 
     /// Restores a model set saved by [`Lmkg::save`]. The result answers
     /// every query bitwise-identically to the saved set.
-    pub fn load<R: Read>(reader: &mut R) -> Result<Lmkg, SnapshotError> {
-        let mut magic = [0u8; 8];
-        reader.read_exact(&mut magic)?;
-        if &magic != SNAPSHOT_MAGIC {
+    pub fn load(reader: &mut &[u8]) -> Result<Lmkg, SnapshotError> {
+        if bytes::take(reader, SNAPSHOT_MAGIC.len())? != SNAPSHOT_MAGIC {
             return Err(SnapshotError::BadMagic);
         }
-        let version = r_u32(reader)?;
+        let version = bytes::u32(reader)?;
         if version != VERSION {
             return Err(SnapshotError::UnsupportedVersion(version));
         }
         let summary = Arc::new(read_summary(reader)?);
-        let max_covered_size = r_u32(reader)? as usize;
-        let count = r_u32(reader)? as usize;
-        if count > 1 << 16 {
-            return Err(SnapshotError::Corrupt(format!("{count} model entries")));
-        }
-        let mut entries = Vec::with_capacity(count);
-        for _ in 0..count {
-            let key = read_key(reader)?;
-            let entry = read_entry(reader)?;
-            entries.push((key, Arc::new(entry)));
-        }
+        let max_covered_size = bytes::u32(reader)? as usize;
+        let count = bytes::u32(reader)? as usize;
+        // A key and an entry tag.
+        let count = bytes::len(reader, count, 10)?;
+        let entries = (0..count).map(|_| Ok((read_key(reader)?, Arc::new(read_entry(reader)?))));
+        let entries = entries.collect::<Result<_, SnapshotError>>()?;
         Ok(Lmkg::from_parts(entries, summary, max_covered_size))
     }
 
@@ -787,19 +776,25 @@ mod tests {
         );
     }
 
+    /// Overwrites the `u32` at `offset` past the first entry's tag byte of
+    /// a saved set — checking it held `field` — with `bad`, and asserts the
+    /// load returns `Corrupt` instead of panicking or allocating for it.
+    fn assert_patched_entry_field_is_corrupt(mut bytes: Vec<u8>, offset: usize, field: u32, bad: u32) {
+        let at = first_entry_tag_at() + 1 + offset;
+        assert_eq!(bytes[at..at + 4], field.to_le_bytes(), "entry layout moved");
+        bytes[at..at + 4].copy_from_slice(&bad.to_le_bytes());
+        let err = Lmkg::load(&mut bytes.as_slice()).unwrap_err();
+        assert!(matches!(err, SnapshotError::Corrupt(_)), "unexpected {err:?}");
+    }
+
     /// Zeroes the `u32` at `offset` into the config of the first (f32
     /// LMKG-U) entry of a saved [`unsupervised_set`] — checking it held
     /// `field` — and asserts the load returns `Corrupt` instead of
     /// panicking in the ResMADE the entry rebuilds.
     fn assert_zeroed_u_config_field_is_corrupt(offset: usize, field: u32) {
-        let mut bytes = unsupervised_set().save_to_vec().unwrap();
-        let tag = first_entry_tag_at();
-        assert_eq!(bytes[tag], 1, "the first entry is an f32 LMKG-U");
-        let at = tag + 1 + offset;
-        assert_eq!(bytes[at..at + 4], field.to_le_bytes(), "config layout moved");
-        bytes[at..at + 4].fill(0);
-        let err = Lmkg::load(&mut bytes.as_slice()).unwrap_err();
-        assert!(matches!(err, SnapshotError::Corrupt(_)), "unexpected {err:?}");
+        let bytes = unsupervised_set().save_to_vec().unwrap();
+        assert_eq!(bytes[first_entry_tag_at()], 1, "the first entry is an f32 LMKG-U");
+        assert_patched_entry_field_is_corrupt(bytes, offset, field, 0);
     }
 
     #[test]
@@ -810,6 +805,70 @@ mod tests {
     #[test]
     fn load_rejects_lmkg_u_with_zero_embed_dim() {
         assert_zeroed_u_config_field_is_corrupt(8, 8);
+    }
+
+    /// A particle count above [`MAX_PARTICLES`] loads as `Corrupt`, in the
+    /// f32 entry's config and in the frozen entry's header alike — never
+    /// as an estimator whose first estimate sizes its sampler by it.
+    #[test]
+    fn load_rejects_lmkg_u_with_too_many_particles() {
+        let bad = MAX_PARTICLES as u32 + 1;
+        let f32_set = unsupervised_set().save_to_vec().unwrap();
+        assert_eq!(f32_set[first_entry_tag_at()], 1, "the first entry is an f32 LMKG-U");
+        // hidden, blocks, embed_dim, epochs, batch size, learning rate,
+        // train samples (u64), strategy byte, then the particles.
+        assert_patched_entry_field_is_corrupt(f32_set, 33, 64, bad);
+        let frozen = unsupervised_set().quantized(QuantMode::Int8).save_to_vec().unwrap();
+        assert_eq!(frozen[first_entry_tag_at()], 3, "the first entry is a frozen LMKG-U");
+        // Shape byte, k, n_total (f64), then the particles.
+        assert_patched_entry_field_is_corrupt(frozen, 13, 64, bad);
+    }
+
+    /// A variable id past `u16` in a stored outlier query loads as
+    /// `Corrupt` instead of being truncated into another variable.
+    #[test]
+    fn load_rejects_an_outlier_query_variable_past_u16() {
+        let bytes = supervised_set().save_to_vec().unwrap();
+        assert_eq!(bytes[first_entry_tag_at()], 0, "the first entry is an f32 LMKG-S");
+        // The SG encoder (25 bytes), the config with one hidden layer (45),
+        // the scaler (flag and two f64s), then the outlier buffer: capacity,
+        // entry count and the first query's triple count, then that query's
+        // subject — a tag byte and a u32.
+        let outliers = 25 + 45 + 17;
+        let first = first_entry_tag_at() + 1 + outliers;
+        let count = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+        assert!(count(first + 4) >= 1 && count(first + 8) >= 1, "entry layout moved");
+        let subject = first + 12;
+        assert!(bytes[subject] <= 1, "entry layout moved");
+        let mut patched = bytes.clone();
+        patched[subject] = 0;
+        patched[subject + 1..subject + 5].copy_from_slice(&(u32::from(u16::MAX) + 1).to_le_bytes());
+        let err = Lmkg::load(&mut patched.as_slice()).unwrap_err();
+        assert!(matches!(err, SnapshotError::Corrupt(_)), "unexpected {err:?}");
+    }
+
+    /// A stored parameter shape that disagrees with the network an f32
+    /// LMKG-S entry rebuilds is `Params(ShapeMismatch)`, as it is for an
+    /// f32 LMKG-U entry — not an I/O error.
+    #[test]
+    fn load_reports_an_lmkg_s_shape_mismatch_as_params() {
+        let mut bytes = supervised_set().save_to_vec().unwrap();
+        let walk = bytes
+            .windows(8)
+            .position(|w| w == b"LMKGNN1\0")
+            .expect("an f32 entry holds a parameter walk");
+        // Magic and parameter count, then the first `rows, cols`: swapping
+        // them keeps every byte count and breaks only the shape.
+        let shape = walk + 12;
+        let (rows, cols) = (bytes[shape..shape + 4].to_vec(), bytes[shape + 4..shape + 8].to_vec());
+        assert_ne!(rows, cols);
+        bytes[shape..shape + 4].copy_from_slice(&cols);
+        bytes[shape + 4..shape + 8].copy_from_slice(&rows);
+        let err = Lmkg::load(&mut bytes.as_slice()).unwrap_err();
+        assert!(
+            matches!(err, SnapshotError::Params(LoadError::ShapeMismatch { index: 0, .. })),
+            "unexpected {err:?}"
+        );
     }
 
     /// A dropout outside `[0, 1)` in the config of the first (f32 LMKG-S)

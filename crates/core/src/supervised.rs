@@ -37,6 +37,15 @@ impl QueryEncoder {
         self.sg().width()
     }
 
+    /// [`QueryEncoder::width`], or `None` where the SG width
+    /// `max_nodes² · max_edges + …` overflows `usize` (a snapshot can store
+    /// such capacities; a trained encoder never has them).
+    pub(crate) fn checked_width(&self) -> Option<usize> {
+        let sg = self.sg();
+        let a = sg.max_nodes.checked_mul(sg.max_nodes)?.checked_mul(sg.max_edges)?;
+        a.checked_add(sg.x_width())?.checked_add(sg.e_width())
+    }
+
     /// Encodes a query into `out`.
     pub fn encode(&self, query: &Query, out: &mut [f32]) -> Result<(), EncodeError> {
         self.sg().encode(query, out)
@@ -144,6 +153,20 @@ impl LmkgS {
             outliers,
             trainer: Some((cfg, trainer)),
         }
+    }
+
+    /// Scalar parameters of the network [`LmkgS::new`] builds from
+    /// `encoder` and `cfg`, or `None` if the count overflows `usize`. A
+    /// snapshot load compares it with the bytes left before `new`
+    /// allocates.
+    pub(crate) fn param_count_for(encoder: &QueryEncoder, cfg: &LmkgSConfig) -> Option<usize> {
+        let mut fan_in = encoder.checked_width()?;
+        let mut count = 0usize;
+        for &fan_out in cfg.hidden.iter().chain([&1]) {
+            count = count.checked_add(fan_in.checked_mul(fan_out)?.checked_add(fan_out)?)?;
+            fan_in = fan_out;
+        }
+        Some(count)
     }
 
     /// Reassembles a frozen estimator from snapshot parts (the int8/bf16
@@ -337,8 +360,8 @@ impl LmkgS {
 
     /// Restores parameters from a reader (architecture must match); the
     /// scaler must be re-fit or carried separately.
-    pub fn load_params<R: io::Read>(&mut self, r: &mut R) -> io::Result<()> {
-        Ok(serialize::load_params(&mut self.model, r)?)
+    pub fn load_params(&mut self, r: &mut &[u8]) -> Result<(), serialize::LoadError> {
+        serialize::load_params(&mut self.model, r)
     }
 
     /// Sets the scaler explicitly (for parameter-file restore).

@@ -109,6 +109,11 @@ impl Default for LmkgUConfig {
     }
 }
 
+/// The most particles a snapshot may give an LMKG-U estimator: 8× the
+/// largest preset (512). Every estimate sizes its sampler buffers by the
+/// particle count, so a load refuses a larger stored count as corrupt.
+pub const MAX_PARTICLES: usize = 4096;
+
 /// Why a training entry point panics on an estimator without training state.
 const FROZEN: &str = "LMKG-U is frozen to int8/bf16 weights: it carries no training state";
 
@@ -182,15 +187,8 @@ impl LmkgU {
         node_vocab: usize,
         pred_vocab: usize,
     ) -> Self {
-        let made_cfg = MadeConfig {
-            vocab_sizes: vec![node_vocab.max(1), pred_vocab.max(1)],
-            spaces: tuple_spaces(k),
-            hidden: cfg.hidden,
-            blocks: cfg.blocks,
-            embed_dim: cfg.embed_dim,
-        };
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let made = Made::new(&mut rng, made_cfg);
+        let made = Made::new(&mut rng, made_config(&cfg, k, node_vocab, pred_vocab));
         let trainer = Trainer::new(Adam::new(cfg.learning_rate), rng, cfg.batch_size);
         Self {
             segments: made.segments().to_vec(),
@@ -250,11 +248,8 @@ impl LmkgU {
         (v[0], v[1])
     }
 
-    /// Restores the ResMADE parameters from a reader (snapshot restore).
-    pub(crate) fn load_made_params<R: std::io::Read>(
-        &mut self,
-        r: &mut R,
-    ) -> Result<(), lmkg_nn::serialize::LoadError> {
+    /// Restores the ResMADE parameters from a byte slice (snapshot restore).
+    pub(crate) fn load_made_params(&mut self, r: &mut &[u8]) -> Result<(), lmkg_nn::serialize::LoadError> {
         lmkg_nn::serialize::load_params(&mut self.made, r)
     }
 
@@ -446,6 +441,18 @@ impl LmkgU {
 /// …]`: 2k+1 alternating node (0) and predicate (1) positions.
 pub(crate) fn tuple_spaces(k: usize) -> Vec<usize> {
     (0..2 * k + 1).map(|pos| pos % 2).collect()
+}
+
+/// The ResMADE an f32 estimator over `k`-triple tuples and these
+/// vocabularies is built with ([`LmkgU::from_parts`]).
+pub(crate) fn made_config(cfg: &LmkgUConfig, k: usize, node_vocab: usize, pred_vocab: usize) -> MadeConfig {
+    MadeConfig {
+        vocab_sizes: vec![node_vocab.max(1), pred_vocab.max(1)],
+        spaces: tuple_spaces(k),
+        hidden: cfg.hidden,
+        blocks: cfg.blocks,
+        embed_dim: cfg.embed_dim,
+    }
 }
 
 /// The RNG stream driving likelihood-weighted sampling for one query.

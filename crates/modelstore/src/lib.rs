@@ -288,7 +288,9 @@ impl ModelStore {
                 meta.file
             )));
         }
-        let mut payload = Vec::with_capacity(meta.len as usize);
+        // Grows to what the file holds, not to what its unchecked header
+        // claims; the length and CRC checks below judge the claim.
+        let mut payload = Vec::new();
         f.take(meta.len).read_to_end(&mut payload)?;
         if payload.len() as u64 != meta.len {
             return Err(StoreError::Corrupt(format!(
@@ -586,6 +588,30 @@ mod tests {
                 matches!(err, StoreError::Io(_) | StoreError::Corrupt(_)),
                 "cut {cut}: {err}"
             );
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Every bit pattern of the 32-byte file header is checked before it is
+    /// trusted: flipping the low, high or all bits of any header byte —
+    /// magic, version, generation, payload length, CRC — loads as a typed
+    /// error, never as an abort on a length the header made up.
+    #[test]
+    fn every_header_byte_flip_is_a_typed_error() {
+        let dir = temp_store_dir();
+        let (_, model) = tiny_model();
+        let store = ModelStore::open(&dir).unwrap();
+        let generation = store.publish(&model).unwrap();
+        let path = dir.join(ModelStore::snapshot_file(generation));
+        let bytes = fs::read(&path).unwrap();
+        for at in 0..32 {
+            for flip in [0x01u8, 0x80, 0xFF] {
+                let mut patched = bytes.clone();
+                patched[at] ^= flip;
+                fs::write(&path, &patched).unwrap();
+                let err = store.load_generation(generation).map(|_| ()).unwrap_err();
+                assert!(!err.to_string().is_empty(), "byte {at} ^ {flip:#04x}");
+            }
         }
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -7,10 +7,10 @@
 
 use crate::init;
 use crate::layers::Param;
-use crate::quant::{bf16_to_f32, read_shape, QuantMode, ScaleAxis, Weights};
+use crate::quant::{bf16_to_f32, QuantMode, ScaleAxis, Weights};
 use crate::tensor::Matrix;
 use rand::Rng;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
 /// A `vocab × dim` embedding table over a weight store ([`crate::quant`]): trainable f32,
 /// or frozen int8 (one scale per vocabulary row) / bf16 after
@@ -111,9 +111,8 @@ impl Embedding {
     }
 
     /// Restores a payload written by [`Embedding::write_frozen`] at `mode`.
-    pub(crate) fn read_frozen<R: Read>(reader: &mut R, mode: QuantMode) -> io::Result<Self> {
-        let (vocab, dim) = read_shape(reader)?;
-        let table = Weights::read_frozen(reader, mode, vocab * dim, vocab)?;
+    pub(crate) fn read_frozen(r: &mut &[u8], mode: QuantMode) -> io::Result<Self> {
+        let (vocab, dim, table) = Weights::read_frozen(r, mode, ScaleAxis::Rows)?;
         Ok(Self { vocab, dim, table })
     }
 }

@@ -5,13 +5,14 @@
 //! nothing. Parameters are exposed through [`Parameterized::visit_params`]
 //! so optimizers and serializers can walk a model without knowing its shape.
 
+use crate::bytes;
 use crate::init;
-use crate::quant::{read_header, read_shape, write_header, QuantMode, ScaleAxis, Weights};
-use crate::serialize::{read_f32s, read_u32, write_f32s};
+use crate::quant::{read_header, write_header, QuantMode, ScaleAxis, Weights};
+use crate::serialize::write_f32s;
 use crate::tensor::Matrix;
 use crate::workspace::Workspace;
 use rand::Rng;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
 /// A trainable parameter: value plus gradient accumulator of identical shape.
 #[derive(Clone, Debug)]
@@ -236,12 +237,9 @@ impl Dense {
     }
 
     /// Restores a payload written by [`Dense::write_frozen`] at `mode`.
-    pub(crate) fn read_frozen<R: Read>(reader: &mut R, mode: QuantMode) -> io::Result<Self> {
-        let (fan_in, fan_out) = read_shape(reader)?;
-        let w = Weights::read_frozen(reader, mode, fan_in * fan_out, fan_out)?;
-        let mut bias = vec![0.0f32; fan_out];
-        read_f32s(reader, &mut bias)?;
-        let bias = Matrix::from_vec(1, fan_out, bias);
+    pub(crate) fn read_frozen(r: &mut &[u8], mode: QuantMode) -> io::Result<Self> {
+        let (fan_in, fan_out, w) = Weights::read_frozen(r, mode, ScaleAxis::Cols)?;
+        let bias = Matrix::from_vec(1, fan_out, bytes::f32s(r, fan_out)?);
         Ok(Self::from_store(fan_in, fan_out, w, bias, None))
     }
 }
@@ -620,20 +618,18 @@ impl Sequential {
     /// Restores a model serialized by [`Sequential::save_quantized`]. Dense
     /// layers that do not chain (a fan-in other than the previous dense
     /// layer's fan-out) are `InvalidData`.
-    pub fn load_quantized<R: Read>(reader: &mut R) -> io::Result<Self> {
-        let mode = read_header(reader, QUANT_MAGIC, "quantized-model")?;
-        let count = read_u32(reader)? as usize;
+    pub fn load_quantized(r: &mut &[u8]) -> io::Result<Self> {
+        let mode = read_header(r, QUANT_MAGIC, "quantized-model")?;
+        let count = bytes::u32(r)?;
         let mut model = Sequential::new();
         let mut width: Option<usize> = None;
         for i in 0..count {
-            let mut tag = [0u8; 1];
-            reader.read_exact(&mut tag)?;
-            match tag[0] {
+            match bytes::u8(r)? {
                 0 => {
-                    let dense = Dense::read_frozen(reader, mode)?;
+                    let dense = Dense::read_frozen(r, mode)?;
                     if let Some(w) = width.filter(|&w| w != dense.fan_in()) {
                         let what = format!("layer {i}: fan-in {} after a {w}-wide layer", dense.fan_in());
-                        return Err(io::Error::new(io::ErrorKind::InvalidData, what));
+                        return Err(bytes::invalid(what));
                     }
                     width = Some(dense.fan_out());
                     model.push(dense)
@@ -641,12 +637,7 @@ impl Sequential {
                 1 => model.push(Relu::new()),
                 2 => model.push(Sigmoid::new()),
                 3 => model.push(Dropout::new(0.0, 0)),
-                other => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("layer {i}: unknown layer tag {other}"),
-                    ))
-                }
+                other => return Err(bytes::invalid(format!("layer {i}: unknown layer tag {other}"))),
             };
         }
         Ok(model)

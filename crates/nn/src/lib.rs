@@ -49,6 +49,7 @@
 
 #![warn(missing_docs)]
 
+pub mod bytes;
 pub mod embedding;
 pub mod gemm;
 pub mod gemv;

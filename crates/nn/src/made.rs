@@ -19,14 +19,14 @@
 //!   [`Made::forward_ids_segment`] are the `&self` inference forwards, and
 //!   the first is bitwise the training forward's output.
 
+use crate::bytes;
 use crate::embedding::Embedding;
 use crate::layers::{Dense, Layer, Param, Parameterized, Relu};
 use crate::quant::{read_header, write_header, QuantMode};
-use crate::serialize::read_u32;
 use crate::tensor::Matrix;
 use crate::workspace::Workspace;
 use rand::Rng;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
 /// Configuration of a [`Made`] network.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,6 +54,20 @@ impl MadeConfig {
         self.spaces.iter().map(|&s| self.vocab_sizes[s]).collect()
     }
 
+    /// Scalar parameters of the [`Made`] this configuration builds (weights,
+    /// biases, embeddings), or `None` if the count overflows `usize`. A
+    /// loader compares it with the bytes that should hold those weights
+    /// before [`Made::new`] allocates them.
+    pub fn param_count(&self) -> Option<usize> {
+        let (h, d) = (self.hidden, self.embed_dim);
+        let dense = |fan_in: usize, fan_out: usize| fan_in.checked_mul(fan_out)?.checked_add(fan_out);
+        let tables = checked_sum(self.vocab_sizes.iter().map(|&v| v.checked_mul(d)))?;
+        let out = checked_sum(self.spaces.iter().map(|&s| self.vocab_sizes.get(s).copied()))?;
+        let input = dense(self.positions().checked_mul(d)?, h);
+        let blocks = dense(h, h)?.checked_mul(self.blocks)?.checked_mul(2);
+        checked_sum([Some(tables), input, blocks, dense(h, out)])
+    }
+
     fn validate(&self) {
         assert!(self.positions() >= 2, "MADE needs at least two positions");
         assert!(!self.vocab_sizes.is_empty(), "at least one term space");
@@ -65,6 +79,11 @@ impl MadeConfig {
         assert!(self.hidden >= 1, "hidden width must be positive");
         assert!(self.embed_dim >= 1, "embedding dimensionality must be positive");
     }
+}
+
+/// `Σ terms`, or `None` if a term is `None` or the sum overflows.
+fn checked_sum(terms: impl IntoIterator<Item = Option<usize>>) -> Option<usize> {
+    terms.into_iter().try_fold(0usize, |n, t| n.checked_add(t?))
 }
 
 /// One residual block: `y = relu(x + M₂(relu(M₁(x))))`.
@@ -390,26 +409,27 @@ impl Made {
     /// Restores a model serialized by [`Made::save_quantized`]. Needs no
     /// graph or RNG: the frozen representation is self-contained (the
     /// [`MadeConfig`] is recovered from the stored shapes).
-    pub fn load_quantized<R: Read>(reader: &mut R) -> io::Result<Self> {
+    pub fn load_quantized(reader: &mut &[u8]) -> io::Result<Self> {
         let mode = read_header(reader, QUANT_MADE_MAGIC, "quantized-MADE")?;
-        let read_usizes = |reader: &mut R| -> io::Result<Vec<usize>> {
-            let n = read_u32(reader)? as usize;
-            (0..n).map(|_| Ok(read_u32(reader)? as usize)).collect()
+        let read_usizes = |r: &mut &[u8]| -> io::Result<Vec<usize>> {
+            let n = bytes::u32(r)? as usize;
+            (0..bytes::len(r, n, 4)?).map(|_| Ok(bytes::u32(r)? as usize)).collect()
         };
-        let invalid = |what: String| io::Error::new(io::ErrorKind::InvalidData, what);
         let spaces = read_usizes(reader)?;
-        let embed_dim = read_u32(reader)? as usize;
+        let embed_dim = bytes::u32(reader)? as usize;
         if embed_dim == 0 {
-            return Err(invalid("embedding dimensionality 0".into()));
+            return Err(bytes::invalid("embedding dimensionality 0".into()));
         }
         let segments = read_usizes(reader)?;
         if spaces.len() != segments.len() || spaces.iter().any(|&s| s >= spaces.len()) {
-            return Err(invalid("positions, term spaces and logit segments disagree".into()));
+            return Err(bytes::invalid(
+                "positions, term spaces and logit segments disagree".into(),
+            ));
         }
         let n_spaces = spaces.iter().map(|&s| s + 1).max().unwrap_or(0);
-        let n_embeddings = read_u32(reader)? as usize;
+        let n_embeddings = bytes::u32(reader)? as usize;
         if n_embeddings != n_spaces {
-            return Err(invalid(format!(
+            return Err(bytes::invalid(format!(
                 "{n_embeddings} embedding tables for {n_spaces} term spaces"
             )));
         }
@@ -418,13 +438,13 @@ impl Made {
             .collect::<io::Result<Vec<_>>>()?;
         let input_layer = Dense::read_frozen(reader, mode)?;
         if input_layer.fan_in() != spaces.len() * embed_dim {
-            return Err(invalid(format!(
+            return Err(bytes::invalid(format!(
                 "input layer fan-in {} for {} positions × {embed_dim}",
                 input_layer.fan_in(),
                 spaces.len()
             )));
         }
-        let n_blocks = read_u32(reader)? as usize;
+        let n_blocks = bytes::u32(reader)?;
         let blocks = (0..n_blocks)
             .map(|_| {
                 Ok(ResBlock::new(
@@ -765,6 +785,16 @@ mod tests {
         let n = made.param_count();
         assert!(n > 0);
         assert_eq!(made.memory_bytes(), n * 4);
+        let mut blocks3 = tiny_cfg(5);
+        blocks3.blocks = 3;
+        for cfg in [tiny_cfg(4), blocks3] {
+            assert_eq!(cfg.param_count(), Some(Made::new(&mut rng, cfg.clone()).param_count()));
+        }
+        let huge = MadeConfig {
+            hidden: usize::MAX / 2,
+            ..tiny_cfg(4)
+        };
+        assert_eq!(huge.param_count(), None, "an overflowing count is None, not a panic");
     }
 
     /// Quantized inference must track the f32 model closely (it is not

@@ -35,11 +35,12 @@
 //! `O(width)` against `O(width²)` weights, and estimator accuracy is
 //! sensitive to output offsets.
 
+use crate::bytes;
 use crate::layers::Param;
-use crate::serialize::{read_f32s, read_u32, write_f32s};
+use crate::serialize::write_f32s;
 use crate::tensor::Matrix;
 use crate::workspace::Workspace;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
 /// Which reduced-precision representation a frozen weight store uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -288,33 +289,27 @@ impl Weights {
         }
     }
 
-    /// Restores `len` weights (and `channels` scales for int8) written by
-    /// [`Weights::write_frozen`] at the given mode.
-    pub(crate) fn read_frozen<R: Read>(
-        reader: &mut R,
-        mode: QuantMode,
-        len: usize,
-        channels: usize,
-    ) -> io::Result<Self> {
-        Ok(match mode {
-            QuantMode::Int8 => {
-                let mut bytes = vec![0u8; len];
-                reader.read_exact(&mut bytes)?;
-                let q = bytes.iter().map(|&v| v as i8).collect();
-                let mut scales = vec![0.0f32; channels];
-                read_f32s(reader, &mut scales)?;
-                Weights::Int8 { q, scales }
-            }
+    /// Restores a `rows × cols` store written after its `u32 rows, u32 cols`
+    /// shape by [`Weights::write_frozen`] at `mode`, with one int8 scale per
+    /// `axis` channel. Returns the shape with the store.
+    pub(crate) fn read_frozen(r: &mut &[u8], mode: QuantMode, axis: ScaleAxis) -> io::Result<(usize, usize, Self)> {
+        let rows = bytes::u32(r)? as usize;
+        let cols = bytes::u32(r)? as usize;
+        let weights = match mode {
+            QuantMode::Int8 => Weights::Int8 {
+                q: bytes::take(r, rows * cols)?.iter().map(|&v| v as i8).collect(),
+                scales: bytes::f32s(r, axis.channel(rows, cols))?,
+            },
             QuantMode::Bf16 => {
-                let mut bytes = vec![0u8; len * 2];
-                reader.read_exact(&mut bytes)?;
-                let h = bytes
+                let n = bytes::len(r, rows * cols, 2)?;
+                let h = bytes::take(r, n * 2)?
                     .chunks_exact(2)
                     .map(|src| u16::from_le_bytes([src[0], src[1]]))
                     .collect();
                 Weights::Bf16 { h }
             }
-        })
+        };
+        Ok((rows, cols, weights))
     }
 }
 
@@ -338,31 +333,15 @@ pub(crate) fn write_header<W: Write>(writer: &mut W, magic: &[u8; 8], mode: Opti
 
 /// Reads what [`write_header`] wrote; `what` names the format in the
 /// bad-magic error.
-pub(crate) fn read_header<R: Read>(reader: &mut R, magic: &[u8; 8], what: &str) -> io::Result<QuantMode> {
-    let mut found = [0u8; 8];
-    reader.read_exact(&mut found)?;
-    if &found != magic {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("bad magic: not an LMKG {what} file"),
-        ));
+pub(crate) fn read_header(r: &mut &[u8], magic: &[u8; 8], what: &str) -> io::Result<QuantMode> {
+    if bytes::take(r, magic.len())? != magic {
+        return Err(bytes::invalid(format!("bad magic: not an LMKG {what} file")));
     }
-    let mut tag = [0u8; 1];
-    reader.read_exact(&mut tag)?;
-    match tag[0] {
+    match bytes::u8(r)? {
         0 => Ok(QuantMode::Int8),
         1 => Ok(QuantMode::Bf16),
-        other => Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("unknown quantization mode tag {other}"),
-        )),
+        other => Err(bytes::invalid(format!("unknown quantization mode tag {other}"))),
     }
-}
-
-/// Reads the `u32 rows, u32 cols` shape prefix of a dense-layer or
-/// embedding payload.
-pub(crate) fn read_shape<R: Read>(reader: &mut R) -> io::Result<(usize, usize)> {
-    Ok((read_u32(reader)? as usize, read_u32(reader)? as usize))
 }
 
 #[cfg(test)]

@@ -13,17 +13,20 @@
 //!
 //! Values travel in bulk: the writer converts whole parameter matrices into
 //! little-endian byte chunks and issues one `write_all` per chunk (a
-//! serving-sized model is a handful of writes, not one per scalar), and the
-//! reader mirrors that with chunked `read_exact` calls.
+//! serving-sized model is a handful of writes, not one per scalar). The
+//! reader takes the bytes as a slice and reads through [`crate::bytes`], so
+//! the parameter count and every `rows × cols` are checked against the
+//! bytes left before anything is allocated for them.
 
+use crate::bytes;
 use crate::layers::Parameterized;
 use crate::tensor::Matrix;
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
 const MAGIC: &[u8; 8] = b"LMKGNN1\0";
 
-/// Scalars converted per buffered chunk: 16 Ki f32 = 64 KiB of I/O per call,
+/// Scalars converted per buffered write: 16 Ki f32 = 64 KiB of I/O per call,
 /// large enough to amortize syscalls, small enough to stay cache-friendly.
 const CHUNK: usize = 16 * 1024;
 
@@ -85,15 +88,6 @@ impl From<io::Error> for LoadError {
     }
 }
 
-impl From<LoadError> for io::Error {
-    fn from(e: LoadError) -> Self {
-        match e {
-            LoadError::Io(e) => e,
-            other => io::Error::new(io::ErrorKind::InvalidData, other.to_string()),
-        }
-    }
-}
-
 /// Writes `values` as little-endian f32 bytes in bulk chunks.
 pub(crate) fn write_f32s<W: Write>(writer: &mut W, values: &[f32]) -> io::Result<()> {
     let mut buf = [0u8; CHUNK * 4];
@@ -103,19 +97,6 @@ pub(crate) fn write_f32s<W: Write>(writer: &mut W, values: &[f32]) -> io::Result
             dst.copy_from_slice(&v.to_le_bytes());
         }
         writer.write_all(bytes)?;
-    }
-    Ok(())
-}
-
-/// Fills `values` from little-endian f32 bytes in bulk chunks.
-pub(crate) fn read_f32s<R: Read>(reader: &mut R, values: &mut [f32]) -> io::Result<()> {
-    let mut buf = [0u8; CHUNK * 4];
-    for chunk in values.chunks_mut(CHUNK) {
-        let bytes = &mut buf[..chunk.len() * 4];
-        reader.read_exact(bytes)?;
-        for (v, src) in chunk.iter_mut().zip(bytes.chunks_exact(4)) {
-            *v = f32::from_le_bytes(src.try_into().expect("4-byte chunk"));
-        }
     }
     Ok(())
 }
@@ -156,22 +137,20 @@ pub fn save_params<W: Write>(model: &dyn Parameterized, writer: &mut W) -> io::R
 /// as the model that was saved). Every stored shape is validated against the
 /// target parameter before anything is assigned, so architecture drift fails
 /// with a typed [`LoadError::ShapeMismatch`] instead of mis-assigning.
-pub fn load_params<R: Read>(model: &mut dyn Parameterized, reader: &mut R) -> Result<(), LoadError> {
+pub fn load_params(model: &mut dyn Parameterized, r: &mut &[u8]) -> Result<(), LoadError> {
     require_f32(model)?;
-    let mut magic = [0u8; 8];
-    reader.read_exact(&mut magic)?;
-    if &magic != MAGIC {
+    if bytes::take(r, MAGIC.len())? != MAGIC {
         return Err(LoadError::BadMagic);
     }
-    let count = read_u32(reader)? as usize;
+    // Each parameter takes at least its 8-byte shape.
+    let count = bytes::u32(r)? as usize;
+    let count = bytes::len(r, count, 8)?;
 
     let mut loaded: Vec<Matrix> = Vec::with_capacity(count);
     for _ in 0..count {
-        let rows = read_u32(reader)? as usize;
-        let cols = read_u32(reader)? as usize;
-        let mut data = vec![0.0f32; rows * cols];
-        read_f32s(reader, &mut data)?;
-        loaded.push(Matrix::from_vec(rows, cols, data));
+        let rows = bytes::u32(r)? as usize;
+        let cols = bytes::u32(r)? as usize;
+        loaded.push(Matrix::from_vec(rows, cols, bytes::f32s(r, rows * cols)?));
     }
 
     // Validate every shape against the target model before assigning any
@@ -194,20 +173,12 @@ pub fn load_params<R: Read>(model: &mut dyn Parameterized, reader: &mut R) -> Re
         }
     }
 
-    let mut idx = 0usize;
+    let mut loaded = loaded.into_iter();
     model.visit_params(&mut |p| {
-        p.value = loaded[idx].clone();
+        p.value = loaded.next().expect("visit_params and visit_params_ref agree");
         p.grad.fill(0.0);
-        idx += 1;
     });
-    debug_assert_eq!(idx, count, "visit_params and visit_params_ref must agree");
     Ok(())
-}
-
-pub(crate) fn read_u32<R: Read>(reader: &mut R) -> io::Result<u32> {
-    let mut buf = [0u8; 4];
-    reader.read_exact(&mut buf)?;
-    Ok(u32::from_le_bytes(buf))
 }
 
 #[cfg(test)]
@@ -252,8 +223,7 @@ mod tests {
             let mut buf = Vec::new();
             write_f32s(&mut buf, &values).unwrap();
             assert_eq!(buf.len(), len * 4);
-            let mut back = vec![0.0f32; len];
-            read_f32s(&mut buf.as_slice(), &mut back).unwrap();
+            let back = bytes::f32s(&mut buf.as_slice(), len).unwrap();
             assert_eq!(
                 values.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 back.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
