@@ -987,30 +987,27 @@ pub(crate) mod tests {
         );
     }
 
-    #[test]
-    fn batched_decomposition_matches_per_query_bitwise() {
-        let g = graph();
-        let lmkg = supervised_set(); // covers size 2 only
+    /// A star of `arms` bound-predicate triples around `?0`, predicates
+    /// drawn cyclically from `base`.
+    fn bound_star(arms: usize, base: u32) -> Query {
+        let np = graph().num_preds() as u32;
+        Query::new(
+            (0..arms)
+                .map(|i| {
+                    TriplePattern::new(
+                        NodeTerm::Var(VarId(0)),
+                        PredTerm::Bound(PredId((base + i as u32) % np)),
+                        NodeTerm::Var(VarId(1 + i as u16)),
+                    )
+                })
+                .collect(),
+        )
+    }
 
-        // A batch dominated by queries no model covers: size-4 and size-6
-        // stars (decomposed into covered size-2 stars), plus an `Other`-shaped
-        // composite. All their sub-queries must flow through the *batched*
-        // forwards and still reproduce the per-query path bitwise.
-        let star = |arms: usize, base: u32| {
-            Query::new(
-                (0..arms)
-                    .map(|i| {
-                        TriplePattern::new(
-                            NodeTerm::Var(VarId(0)),
-                            PredTerm::Bound(PredId((base + i as u32) % g.num_preds() as u32)),
-                            NodeTerm::Var(VarId(1 + i as u16)),
-                        )
-                    })
-                    .collect(),
-            )
-        };
-        let mut queries = vec![star(4, 0), star(6, 1), star(4, 2), star(5, 0)];
-        queries.push(Query::new(vec![
+    /// star(2) at `?0` plus a chain edge from `?1`: shape `Other`, three
+    /// triples.
+    fn composite() -> Query {
+        Query::new(vec![
             TriplePattern::new(
                 NodeTerm::Var(VarId(0)),
                 PredTerm::Bound(PredId(0)),
@@ -1026,7 +1023,31 @@ pub(crate) mod tests {
                 PredTerm::Bound(PredId(2)),
                 NodeTerm::Var(VarId(3)),
             ),
-        ]));
+        ])
+    }
+
+    /// The first size-2 query of the `shape` test workload drawn with `seed`.
+    fn first_test_query(shape: QueryShape, seed: u64) -> Query {
+        let wl = WorkloadConfig::test_default(shape, 2, seed);
+        workload::generate(graph(), &wl).swap_remove(0).query
+    }
+
+    #[test]
+    fn batched_decomposition_matches_per_query_bitwise() {
+        let g = graph();
+        let lmkg = supervised_set(); // covers size 2 only
+
+        // A batch dominated by queries no model covers: size-4 and size-6
+        // stars (decomposed into covered size-2 stars), plus an `Other`-shaped
+        // composite. All their sub-queries must flow through the *batched*
+        // forwards and still reproduce the per-query path bitwise.
+        let mut queries = vec![
+            bound_star(4, 0),
+            bound_star(6, 1),
+            bound_star(4, 2),
+            bound_star(5, 0),
+            composite(),
+        ];
         // A couple of covered queries mixed in so both paths are active.
         let wl = WorkloadConfig::test_default(QueryShape::Star, 2, 11);
         queries.extend(workload::generate(g, &wl).into_iter().take(4).map(|lq| lq.query));
@@ -1038,6 +1059,51 @@ pub(crate) mod tests {
             looped.iter().map(|e| e.to_bits()).collect::<Vec<_>>(),
             "batched decomposition fallback must match the per-query path bitwise"
         );
+    }
+
+    /// Pins `Lmkg::estimate_query` on every execution branch: a covered
+    /// star and chain, decomposed stars, the composite, the summary fallback
+    /// (`?0 p0 ?1 . ?2 p1 ?0` is `Other`-shaped and decomposes into itself),
+    /// and a covered LMKG-U query. The parity suites compare a batch with
+    /// batches of one; these constants catch a drift both sides would share.
+    /// Regenerate only for an intended numerics change.
+    #[test]
+    fn estimates_are_pinned() {
+        let (s, u) = (supervised_set(), unsupervised_set());
+        let fallback = Query::new(vec![
+            TriplePattern::new(
+                NodeTerm::Var(VarId(0)),
+                PredTerm::Bound(PredId(0)),
+                NodeTerm::Var(VarId(1)),
+            ),
+            TriplePattern::new(
+                NodeTerm::Var(VarId(2)),
+                PredTerm::Bound(PredId(1)),
+                NodeTerm::Var(VarId(0)),
+            ),
+        ]);
+        assert_eq!(decompose::decompose(&fallback, s.max_covered_size()).len(), 1);
+        assert!(!s.covers(fallback.shape(), fallback.size()));
+        let cases = [
+            (s, first_test_query(QueryShape::Star, 11)),
+            (s, first_test_query(QueryShape::Chain, 11)),
+            (s, bound_star(4, 0)),
+            (s, bound_star(6, 1)),
+            (s, composite()),
+            (s, fallback),
+            (u, first_test_query(QueryShape::Star, 3)),
+        ];
+        let got: Vec<u64> = cases.iter().map(|(lmkg, q)| lmkg.estimate_query(q).to_bits()).collect();
+        let want = [
+            0x407c_2540_75f1_c846,
+            0x4031_48cb_089a_ef1a,
+            0x4062_3f17_44d4_3413,
+            0x4029_8515_414f_1378,
+            0x4059_f876_1f44_efb9,
+            0x401e_e93f_c745_4400,
+            0x407e_06ba_35e1_9cda,
+        ];
+        assert_eq!(got, want, "got {got:#018x?}");
     }
 
     #[test]

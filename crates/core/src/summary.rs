@@ -283,6 +283,28 @@ mod tests {
         assert_eq!(est, 1.0);
     }
 
+    /// Pins the join-uniformity correction on the framework tests' graph,
+    /// where neither estimate sits on the floor of 1: a self-loop `?x ?p ?x`
+    /// (one node variable twice; a bound predicate's self-loop would floor)
+    /// and `?x ?p ?y . ?y ?p ?z` (a node and a predicate variable each
+    /// twice).
+    /// Regenerate only for an intended numerics change.
+    #[test]
+    fn independent_estimates_are_pinned() {
+        let s = GraphSummary::build(crate::framework::tests::graph());
+        let self_loop = Query::new(vec![TriplePattern::new(v(0), PredTerm::Var(VarId(9)), v(0))]);
+        let shared_pred = Query::new(vec![
+            TriplePattern::new(v(0), PredTerm::Var(VarId(9)), v(1)),
+            TriplePattern::new(v(1), PredTerm::Var(VarId(9)), v(2)),
+        ]);
+        let got = [
+            s.estimate_query_independent(&self_loop).to_bits(),
+            s.estimate_query_independent(&shared_pred).to_bits(),
+        ];
+        let want = [0x4002_a8c0_d002_06ab, 0x409b_2221_3894_a162];
+        assert_eq!(got, want, "got {got:#018x?}");
+    }
+
     #[test]
     fn summary_is_small() {
         let s = GraphSummary::build(&graph());
