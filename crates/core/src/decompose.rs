@@ -62,24 +62,6 @@ fn best_star_center(triples: &[TriplePattern]) -> Option<NodeTerm> {
     best.map(|(c, _)| c)
 }
 
-/// Node and predicate variables shared between at least two subqueries,
-/// with the number of subqueries each appears in. These drive the join-
-/// uniformity correction when combining sub-estimates.
-pub fn shared_variables(parts: &[Query]) -> Vec<(lmkg_store::VarId, usize)> {
-    let mut counts: Vec<(lmkg_store::VarId, usize)> = Vec::new();
-    for part in parts {
-        let vars = part.vars();
-        for v in vars {
-            match counts.iter_mut().find(|(u, _)| *u == v) {
-                Some((_, c)) => *c += 1,
-                None => counts.push((v, 1)),
-            }
-        }
-    }
-    counts.retain(|(_, c)| *c >= 2);
-    counts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,18 +154,6 @@ mod tests {
         let parts = decompose(&q, 4);
         assert_eq!(parts.len(), 1);
         assert_eq!(parts[0], q);
-    }
-
-    #[test]
-    fn shared_variables_counted() {
-        let a = Query::new(vec![TriplePattern::new(v(0), p(0), v(1))]);
-        let b = Query::new(vec![TriplePattern::new(v(1), p(1), v(2))]);
-        let c = Query::new(vec![TriplePattern::new(v(1), p(2), v(0))]);
-        let shared = shared_variables(&[a, b, c]);
-        // ?1 appears in 3 parts, ?0 in 2, ?2 in 1 (dropped).
-        assert!(shared.contains(&(VarId(1), 3)));
-        assert!(shared.contains(&(VarId(0), 2)));
-        assert_eq!(shared.len(), 2);
     }
 
     #[test]

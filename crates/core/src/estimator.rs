@@ -1,7 +1,6 @@
 //! The estimator interface shared by LMKG models and all baselines.
 
 use lmkg_store::{counter, KnowledgeGraph, Query};
-use std::sync::Arc;
 
 /// A cardinality estimator.
 ///
@@ -13,6 +12,9 @@ use std::sync::Arc;
 /// number of threads running estimates concurrently — the shape the serving
 /// layer relies on. Mutation (training, buffer fills) stays on inherent
 /// `&mut self` methods of the concrete types.
+///
+/// Method calls on a `Box<dyn CardinalityEstimator>` or an `Arc<dyn …>`
+/// reach the trait through deref; neither smart pointer implements it.
 pub trait CardinalityEstimator {
     /// Human-readable estimator name (used in experiment tables).
     fn name(&self) -> &str;
@@ -29,9 +31,10 @@ pub trait CardinalityEstimator {
     /// so every estimator supports the batched entry point; the learned
     /// models override it to run one network forward per batch instead of
     /// per query, which is where their sub-millisecond amortized latency
-    /// comes from. Overrides must return exactly the estimates the looped
-    /// default would (the cross-crate parity suite enforces this for the
-    /// deterministic estimators).
+    /// comes from (LMKG-S, LMKG-U and the framework answer `estimate` as a
+    /// batch of one). Either way a query's estimate must not depend on the
+    /// rest of the batch (the cross-crate parity suite enforces this for
+    /// the deterministic estimators).
     fn estimate_batch(&self, queries: &[Query]) -> Vec<f64> {
         queries.iter().map(|q| self.estimate(q)).collect()
     }
@@ -39,49 +42,6 @@ pub trait CardinalityEstimator {
     /// Approximate memory footprint of the estimator state in bytes
     /// (model parameters or summary size — Table II).
     fn memory_bytes(&self) -> usize;
-}
-
-/// Boxed estimators forward the whole trait, so heterogeneous estimators can
-/// be held behind `Box<dyn CardinalityEstimator>` without losing the batched
-/// override.
-impl<T: CardinalityEstimator + ?Sized> CardinalityEstimator for Box<T> {
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-
-    fn estimate(&self, query: &Query) -> f64 {
-        (**self).estimate(query)
-    }
-
-    fn estimate_batch(&self, queries: &[Query]) -> Vec<f64> {
-        (**self).estimate_batch(queries)
-    }
-
-    fn memory_bytes(&self) -> usize {
-        (**self).memory_bytes()
-    }
-}
-
-/// `Arc`-shared estimators forward the whole trait too — the form the
-/// serving layer's worker threads hold (`Arc<dyn CardinalityEstimator +
-/// Send + Sync>`), each running `estimate_batch` concurrently on one frozen
-/// model. Possible at all because estimation takes `&self`.
-impl<T: CardinalityEstimator + ?Sized> CardinalityEstimator for Arc<T> {
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-
-    fn estimate(&self, query: &Query) -> f64 {
-        (**self).estimate(query)
-    }
-
-    fn estimate_batch(&self, queries: &[Query]) -> Vec<f64> {
-        (**self).estimate_batch(queries)
-    }
-
-    fn memory_bytes(&self) -> usize {
-        (**self).memory_bytes()
-    }
 }
 
 /// The exact counter wrapped as an estimator (sanity baseline: q-error 1).
@@ -115,6 +75,7 @@ mod tests {
     use super::*;
     use crate::metrics::q_error;
     use lmkg_store::{GraphBuilder, NodeTerm, PredTerm, TriplePattern, VarId};
+    use std::sync::Arc;
 
     fn one_triple_fixture() -> (KnowledgeGraph, Query) {
         let mut b = GraphBuilder::new();
@@ -128,6 +89,7 @@ mod tests {
         (g, q)
     }
 
+    /// Method calls through the smart pointer reach the trait by deref.
     #[test]
     fn boxed_estimator_forwards_the_trait() {
         let (g, q) = one_triple_fixture();
@@ -140,6 +102,7 @@ mod tests {
         assert!(boxed.memory_bytes() > 0);
     }
 
+    /// Method calls through the smart pointer reach the trait by deref.
     #[test]
     fn arc_estimator_forwards_the_trait() {
         let (g, q) = one_triple_fixture();

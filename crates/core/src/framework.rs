@@ -4,7 +4,7 @@
 
 use crate::decompose;
 use crate::estimator::CardinalityEstimator;
-use crate::summary::GraphSummary;
+use crate::summary::{GraphSummary, JoinVar};
 use crate::supervised::{LmkgS, LmkgSConfig, QueryEncoder};
 use crate::unsupervised::{LmkgU, LmkgUConfig, LmkgUError};
 use lmkg_data::workload::{self, WorkloadConfig};
@@ -170,16 +170,8 @@ impl ModelEntry {
         }
     }
 
-    /// This model's answer to one query, `None` when it rejects it (encoder
-    /// or shape/size mismatch).
-    fn answer(&self, query: &Query) -> Option<f64> {
-        match self {
-            ModelEntry::S(m) => m.predict(query).ok(),
-            ModelEntry::U(m) => m.estimate_query(query).ok(),
-        }
-    }
-
-    /// [`ModelEntry::answer`] for a whole slice through one batched forward.
+    /// This model's answers to a slice through one batched forward, `None`
+    /// where it rejects a query (encoder or shape/size mismatch).
     fn answer_batch(&self, queries: &[&Query]) -> Vec<Option<f64>> {
         match self {
             ModelEntry::S(m) => m.predict_batch(queries).into_iter().map(Result::ok).collect(),
@@ -433,59 +425,27 @@ impl Lmkg {
         &self.summary
     }
 
-    /// Execution phase (Fig. 1, bottom): route to a model when one covers
-    /// the query's type and size, otherwise decompose and combine. Shared
-    /// (`&self`) access: any number of threads can estimate over one `Lmkg`
-    /// concurrently.
+    /// Execution phase for one query: a batch of one through
+    /// [`Lmkg::estimate_query_batch`]. Shared (`&self`) access: any number of
+    /// threads can estimate over one `Lmkg` concurrently.
     pub fn estimate_query(&self, query: &Query) -> f64 {
-        if let Some(est) = self.try_direct(query) {
-            return est;
-        }
-        // Query Decomposition step.
-        let parts = decompose::decompose(query, self.max_covered_size.max(1));
-        if parts.len() == 1 {
-            // Decomposition could not simplify (e.g. an unsupported variable
-            // pattern at a covered size): statistics fallback.
-            return self.summary.estimate_query_independent(query);
-        }
-        let direct: Vec<Option<f64>> = parts.iter().map(|part| self.try_direct(part)).collect();
-        self.combine_decomposed(&parts, &direct)
+        self.estimate_query_batch(std::slice::from_ref(query))[0]
     }
 
-    /// Combines sub-query estimates under join uniformity: the product of
-    /// part estimates (statistics fallback where no model answered) divided
-    /// per extra occurrence of each shared variable. Both the per-query and
-    /// the batched decomposition paths go through here, so they agree
-    /// bitwise by construction.
-    fn combine_decomposed(&self, parts: &[Query], ests: &[Option<f64>]) -> f64 {
-        let mut product = 1.0f64;
-        for (part, est) in parts.iter().zip(ests) {
-            let est = est.unwrap_or_else(|| self.summary.estimate_query_independent(part));
-            product *= est.max(1e-12);
-        }
-        // Join-uniformity correction over variables shared between parts.
-        for (_, occurrences) in decompose::shared_variables(parts) {
-            product /= (self.summary.num_nodes().max(1) as f64).powi(occurrences as i32 - 1);
-        }
-        product.max(1.0)
-    }
-
-    /// Batched execution phase: the query slice is grouped by the model
-    /// entry that covers it ([`ModelKey`]), and each group runs **one**
-    /// batched forward through its model. Queries every model rejects are
-    /// decomposed, and the sub-queries of the *whole batch* are again
-    /// grouped by covering model and pushed through the batched forwards —
-    /// so even a fully uncovered workload runs one forward per model, not
-    /// one per sub-query. Results are identical to looping
-    /// [`Lmkg::estimate_query`].
+    /// Execution phase (Fig. 1, bottom): a query goes to the first model
+    /// that covers its type and size and accepts it; otherwise it is
+    /// decomposed and its parts' estimates are combined under join
+    /// uniformity. The slice is grouped by covering model ([`ModelKey`]) and
+    /// each group runs **one** batched forward. The sub-queries of the
+    /// *whole batch*'s decomposed queries are grouped and forwarded the same
+    /// way, so even a fully uncovered workload runs one forward per model,
+    /// not one per sub-query. A query's estimate does not depend on the rest
+    /// of the batch.
     pub fn estimate_query_batch(&self, queries: &[Query]) -> Vec<f64> {
         let refs: Vec<&Query> = queries.iter().collect();
         let mut out = self.route_batch(&refs);
 
-        // Decomposition fallback for the queries every model rejected.
-        // `estimate_query` would re-probe the models first, but a rejected
-        // query deterministically falls through that probe, so skipping it
-        // here changes nothing.
+        // Query Decomposition step for the queries every model rejected.
         let mut parts_all: Vec<Query> = Vec::new();
         // (query index, first part, part count) per decomposed query.
         let mut spans: Vec<(usize, usize, usize)> = Vec::new();
@@ -495,7 +455,8 @@ impl Lmkg {
             }
             let parts = decompose::decompose(&queries[i], self.max_covered_size.max(1));
             if parts.len() == 1 {
-                // Decomposition could not simplify: statistics fallback.
+                // Decomposition could not simplify (e.g. an unsupported
+                // variable pattern at a covered size): statistics fallback.
                 out[i] = Some(self.summary.estimate_query_independent(&queries[i]));
             } else {
                 spans.push((i, parts_all.len(), parts.len()));
@@ -514,11 +475,31 @@ impl Lmkg {
         out.into_iter().map(|v| v.expect("every query answered")).collect()
     }
 
+    /// Combines sub-query estimates under join uniformity: the product of
+    /// part estimates (statistics fallback where no model answered), with
+    /// [`GraphSummary::join_uniformity`] applied to each part's distinct
+    /// variables — so a variable shared by `n` parts divides by its domain
+    /// size `n − 1` times.
+    fn combine_decomposed(&self, parts: &[Query], ests: &[Option<f64>]) -> f64 {
+        let mut product = 1.0f64;
+        let mut vars: Vec<JoinVar> = Vec::new();
+        for (part, est) in parts.iter().zip(ests) {
+            let est = est.unwrap_or_else(|| self.summary.estimate_query_independent(part));
+            product *= est.max(1e-12);
+            let first = vars.len();
+            for var in part.triples.iter().flat_map(JoinVar::of) {
+                if !vars[first..].contains(&var) {
+                    vars.push(var);
+                }
+            }
+        }
+        self.summary.join_uniformity(product, vars).max(1.0)
+    }
+
     /// Routes a slice through the model entries, batching per entry: each
     /// entry batch-answers the still-unanswered queries its key covers. A
     /// query rejected by one model (encoder or shape/size mismatch) stays
-    /// eligible for later entries — the same fall-through [`Lmkg::try_direct`]
-    /// performs per query. `None` means no model answered.
+    /// eligible for later entries. `None` means no model answered.
     fn route_batch(&self, queries: &[&Query]) -> Vec<Option<f64>> {
         let mut out: Vec<Option<f64>> = vec![None; queries.len()];
         let mut remaining: Vec<usize> = (0..queries.len()).collect();
@@ -546,22 +527,6 @@ impl Lmkg {
             remaining.sort_unstable();
         }
         out
-    }
-
-    /// Attempts to answer with a single model.
-    fn try_direct(&self, query: &Query) -> Option<f64> {
-        let shape = query.shape();
-        let size = query.size();
-        for (key, entry) in &self.entries {
-            if !key.matches(shape, size, entry.exact_size_only()) {
-                continue;
-            }
-            let answer = entry.answer(query);
-            if answer.is_some() {
-                return answer;
-            }
-        }
-        None
     }
 
     /// A quantized view of the framework: every model entry's weights are
@@ -981,10 +946,7 @@ pub(crate) mod tests {
 
         let looped: Vec<f64> = queries.iter().map(|q| lmkg.estimate_query(q)).collect();
         let batched = lmkg.estimate_query_batch(&queries);
-        assert_eq!(
-            batched, looped,
-            "batched framework routing must match per-query routing"
-        );
+        assert_eq!(batched, looped, "a batch must route each query as a batch of one does");
     }
 
     /// A star of `arms` bound-predicate triples around `?0`, predicates
@@ -1040,7 +1002,8 @@ pub(crate) mod tests {
         // A batch dominated by queries no model covers: size-4 and size-6
         // stars (decomposed into covered size-2 stars), plus an `Other`-shaped
         // composite. All their sub-queries must flow through the *batched*
-        // forwards and still reproduce the per-query path bitwise.
+        // forwards and still reproduce, bitwise, each query estimated as a
+        // batch of one.
         let mut queries = vec![
             bound_star(4, 0),
             bound_star(6, 1),
@@ -1057,7 +1020,7 @@ pub(crate) mod tests {
         assert_eq!(
             batched.iter().map(|e| e.to_bits()).collect::<Vec<_>>(),
             looped.iter().map(|e| e.to_bits()).collect::<Vec<_>>(),
-            "batched decomposition fallback must match the per-query path bitwise"
+            "a batch must decompose each query as a batch of one does"
         );
     }
 
@@ -1104,6 +1067,35 @@ pub(crate) mod tests {
             0x407e_06ba_35e1_9cda,
         ];
         assert_eq!(got, want, "got {got:#018x?}");
+    }
+
+    /// Parts that share a predicate variable divide by `num_preds` for it,
+    /// and by `num_nodes` for a shared node variable: the one
+    /// join-uniformity rule the summary also applies within a query.
+    #[test]
+    fn shared_predicate_variable_divides_by_the_predicate_domain() {
+        let lmkg = supervised_set(); // covers size 2 only
+        let p = PredTerm::Var(VarId(9));
+        let arm = |p: PredTerm, o: u16| TriplePattern::new(NodeTerm::Var(VarId(0)), p, NodeTerm::Var(VarId(o)));
+        let q = Query::new(vec![
+            arm(p, 1),
+            arm(PredTerm::Bound(PredId(0)), 2),
+            arm(p, 3),
+            arm(PredTerm::Bound(PredId(1)), 4),
+        ]);
+        let parts = decompose::decompose(&q, lmkg.max_covered_size());
+        assert_eq!(parts.len(), 2);
+        assert!(parts
+            .iter()
+            .all(|part| part.size() == 2 && part.triples.iter().any(|t| t.p == p)));
+        let mut product = 1.0f64;
+        for part in &parts {
+            product *= lmkg.estimate_query(part).max(1e-12);
+        }
+        let summary = lmkg.summary();
+        let want = product / summary.num_nodes() as f64 / summary.num_preds() as f64;
+        assert!(want > 1.0, "the floor of 1 would hide the divisor: {want}");
+        assert_eq!(lmkg.estimate_query(&q).to_bits(), want.to_bits(), "{want}");
     }
 
     #[test]

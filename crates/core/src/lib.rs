@@ -14,7 +14,14 @@
 //!
 //! plus the [`Lmkg`] framework that groups models
 //! (single / by type / by size / specialized, §VII-B), routes queries, and
-//! decomposes queries no model covers (§IV).
+//! decomposes queries no model covers (§IV), combining the parts under the
+//! same join-uniformity rule the [`GraphSummary`] fallback applies within a
+//! query.
+//!
+//! Execution has one path, and it is batched:
+//! [`Lmkg::estimate_query_batch`], [`LmkgS::predict_batch`] and
+//! [`LmkgU::estimate_query_batch`]. Their single-query entry points are a
+//! batch of one.
 //!
 //! ```
 //! use lmkg::framework::{Grouping, Lmkg, LmkgConfig, ModelType};

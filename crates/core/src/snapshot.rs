@@ -306,7 +306,7 @@ fn write_s_config<W: Write>(w: &mut W, cfg: &LmkgSConfig) -> io::Result<()> {
 
 fn read_s_config(r: &mut &[u8]) -> Result<LmkgSConfig, SnapshotError> {
     let n = bytes::u32(r)? as usize;
-    if n == 0 || n > 64 {
+    if n == 0 || n > lmkg_nn::layers::MAX_HIDDEN_LAYERS {
         return Err(SnapshotError::Corrupt(format!("{n} hidden layers")));
     }
     let hidden = (0..n).map(|_| Ok(bytes::u32(r)? as usize)).collect::<io::Result<_>>()?;

@@ -6,7 +6,30 @@
 //! This is the classic RDF-engine statistics block (RDF-3X/Jena keep the
 //! same counts) — *not* one of the learned models.
 
-use lmkg_store::{KnowledgeGraph, Query, TriplePattern};
+use lmkg_store::{KnowledgeGraph, Query, TriplePattern, VarId};
+
+/// One variable occurrence in a triple pattern, tagged with the domain the
+/// variable ranges over — what [`GraphSummary::join_uniformity`] counts.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum JoinVar {
+    /// A subject or object variable: ranges over the graph's nodes.
+    Node(VarId),
+    /// A predicate variable: ranges over the graph's predicates.
+    Pred(VarId),
+}
+
+impl JoinVar {
+    /// The variable occurrences of one triple pattern, in `s, p, o` order.
+    pub(crate) fn of(t: &TriplePattern) -> impl Iterator<Item = JoinVar> {
+        [
+            t.s.var().map(JoinVar::Node),
+            t.p.var().map(JoinVar::Pred),
+            t.o.var().map(JoinVar::Node),
+        ]
+        .into_iter()
+        .flatten()
+    }
+}
 
 /// Per-predicate counts plus graph-level totals.
 #[derive(Debug, Clone)]
@@ -149,47 +172,46 @@ impl GraphSummary {
     }
 
     /// Independence-assumption estimate of a whole query: the product of
-    /// per-pattern estimates divided by a uniform join correction per extra
-    /// occurrence of each shared variable. This is the fallback estimator
-    /// when no learned model applies (and mirrors what the early systems in
-    /// §II did — hence its known underestimation bias).
+    /// per-pattern estimates under the join-uniformity correction over every
+    /// variable occurrence (each occurrence beyond a variable's first divides
+    /// by its domain size, `num_nodes` or `num_preds`). This is the fallback estimator when no
+    /// learned model applies (and mirrors what the early systems in §II did
+    /// — hence its known underestimation bias).
     pub fn estimate_query_independent(&self, query: &Query) -> f64 {
         let mut est = 1.0f64;
         for t in &query.triples {
             est *= self.estimate_pattern(t).max(1e-12);
         }
-        // Join-uniformity correction: each variable occurrence beyond the
-        // first divides by its domain size.
-        let mut node_vars: Vec<(lmkg_store::VarId, usize)> = Vec::new();
-        let mut pred_vars: Vec<(lmkg_store::VarId, usize)> = Vec::new();
-        fn bump(table: &mut Vec<(lmkg_store::VarId, usize)>, v: lmkg_store::VarId) {
-            match table.iter_mut().find(|(u, _)| *u == v) {
+        self.join_uniformity(est, query.triples.iter().flat_map(JoinVar::of))
+            .max(1.0)
+    }
+
+    /// The join-uniformity correction, the one rule by which estimates of
+    /// joined patterns combine: divides `product` by the variable's domain
+    /// size once per occurrence of each variable beyond its first —
+    /// `num_nodes` for node variables, then `num_preds` for predicate
+    /// variables, each in first-occurrence order.
+    pub(crate) fn join_uniformity(&self, product: f64, occurrences: impl IntoIterator<Item = JoinVar>) -> f64 {
+        let mut counts: Vec<(JoinVar, i32)> = Vec::new();
+        for var in occurrences {
+            match counts.iter_mut().find(|(v, _)| *v == var) {
                 Some((_, c)) => *c += 1,
-                None => table.push((v, 1)),
+                None => counts.push((var, 1)),
             }
         }
-        for t in &query.triples {
-            if let Some(v) = t.s.var() {
-                bump(&mut node_vars, v);
-            }
-            if let Some(v) = t.o.var() {
-                bump(&mut node_vars, v);
-            }
-            if let Some(v) = t.p.var() {
-                bump(&mut pred_vars, v);
-            }
-        }
-        for (_, c) in node_vars {
+        // Stable: node variables first, each domain in first-occurrence order.
+        counts.sort_by_key(|(var, _)| matches!(var, JoinVar::Pred(_)));
+        let mut est = product;
+        for (var, c) in counts {
+            let domain = match var {
+                JoinVar::Node(_) => self.num_nodes,
+                JoinVar::Pred(_) => self.num_preds,
+            };
             if c > 1 {
-                est /= (self.num_nodes.max(1) as f64).powi(c as i32 - 1);
+                est /= (domain.max(1) as f64).powi(c - 1);
             }
         }
-        for (_, c) in pred_vars {
-            if c > 1 {
-                est /= (self.num_preds.max(1) as f64).powi(c as i32 - 1);
-            }
-        }
-        est.max(1.0)
+        est
     }
 
     /// Memory footprint of the summary in bytes.

@@ -255,38 +255,20 @@ impl LmkgS {
         })
     }
 
-    /// Predicts the cardinality of a query. Errors if the encoder rejects
-    /// it. Allocates a one-shot [`Workspace`]; callers with a hot loop use
-    /// [`LmkgS::predict_with`] to reuse one.
+    /// Predicts the cardinality of one query: a batch of one through
+    /// [`LmkgS::predict_batch`]. Errors if the encoder rejects it.
     pub fn predict(&self, query: &Query) -> Result<f64, EncodeError> {
-        self.predict_with(query, &mut Workspace::new())
+        self.predict_batch(&[query]).swap_remove(0)
     }
 
-    /// [`LmkgS::predict`] with a caller-provided workspace — the shared-read
-    /// hot path: `&self` model access plus per-caller scratch buffers. The
-    /// pipeline is outlier-buffer bypass → encode → one network forward →
-    /// unscale.
-    pub fn predict_with(&self, query: &Query, ws: &mut Workspace) -> Result<f64, EncodeError> {
-        let scaler = *self.scaler.as_ref().expect("model is untrained");
-        if let Some(card) = self.outliers.lookup(query) {
-            return Ok(card as f64);
-        }
-        let mut buf = vec![0.0f32; self.encoder.width()];
-        self.encoder.encode(query, &mut buf)?;
-        let x = Matrix::from_vec(1, buf.len(), buf);
-        let y = self.model.forward_infer(&x, ws);
-        let out = scaler.unscale(y.get(0, 0)).max(1.0);
-        ws.recycle(y);
-        ws.recycle(x);
-        Ok(out)
-    }
-
-    /// Predicts a whole batch with **one** network forward: queries are
+    /// Predicts a whole batch with **one** network forward — the shared-read
+    /// hot path: `&self` model access plus per-call scratch buffers. The
+    /// pipeline is outlier-buffer bypass → encode → one forward → unscale:
+    /// outlier-buffer hits are answered exactly, the other queries are
     /// encoded into one feature matrix in a single pass, pushed through the
-    /// model together, and unscaled row by row. Outlier-buffer hits bypass
-    /// the network exactly as in [`LmkgS::predict`], and per-query encoder
-    /// rejections surface as per-query errors. Row-independent kernels make
-    /// the results bitwise-identical to looping `predict`.
+    /// model together, and unscaled row by row; per-query encoder rejections
+    /// surface as per-query errors. Row-independent kernels make each result
+    /// independent of the rest of the batch.
     pub fn predict_batch(&self, queries: &[&Query]) -> Vec<Result<f64, EncodeError>> {
         let scaler = *self.scaler.as_ref().expect("model is untrained");
         let w = self.encoder.width();

@@ -6,9 +6,9 @@
 //! marginalized by **likelihood-weighted forward sampling** — is multiplied
 //! by the tuple-space total `N` to yield the cardinality:
 //! `card(q) = P(bound terms of q) · N`. That sampler exists once
-//! (`LmkgU::estimate_bounds`): [`LmkgU::estimate_query`] runs it for one
-//! query, [`LmkgU::estimate_query_batch`] loops it over a slice with one
-//! shared inference workspace and one set of particle buffers.
+//! (`LmkgU::estimate_bounds`): [`LmkgU::estimate_query_batch`] loops it over
+//! a slice with one shared inference workspace and one set of particle
+//! buffers, and [`LmkgU::estimate_query`] is a batch of one.
 //!
 //! Particles whose decided prefixes are identical share one forward row and
 //! one normaliser: every particle starts in one group (position 0 and every
@@ -338,20 +338,20 @@ impl LmkgU {
 }
 
 impl LmkgU {
-    /// Estimates the cardinality of `query` via likelihood-weighted forward
-    /// sampling (§VI-B).
+    /// Estimates the cardinality of one query: a batch of one through
+    /// [`LmkgU::estimate_query_batch`].
     pub fn estimate_query(&self, query: &Query) -> Result<f64, TupleBoundsError> {
-        let bounds = self.query_bounds(query)?;
-        Ok(self.estimate_bounds(&bounds, &mut Workspace::new(), &mut Particles::default()))
+        self.estimate_query_batch(&[query]).swap_remove(0)
     }
 
-    /// Estimates a batch of queries: the per-query sampler, looped over the
-    /// slice with **one** workspace and one set of particle buffers for the
-    /// whole call. Per-query results — including shape/size rejections — are
-    /// identical to looping [`LmkgU::estimate_query`], because each query's
-    /// particle RNG stream is derived from its own bounds (`particle_rng`)
-    /// and neither a recycled workspace buffer nor the reset particle
-    /// buffers carry values from one query into the next.
+    /// Estimates a batch of queries via likelihood-weighted forward sampling
+    /// (§VI-B): the per-query sampler, looped over the slice with **one**
+    /// workspace and one set of particle buffers for the whole call. Each
+    /// result — including shape/size rejections — is independent of the
+    /// rest of the batch, because each query's particle RNG stream is
+    /// derived from its own bounds (`particle_rng`) and neither a recycled
+    /// workspace buffer nor the reset particle buffers carry values from one
+    /// query into the next.
     pub fn estimate_query_batch(&self, queries: &[&Query]) -> Vec<Result<f64, TupleBoundsError>> {
         let mut ws = Workspace::new();
         let mut buffers = Particles::default();

@@ -523,6 +523,16 @@ impl Stage {
 /// parameter format's `LMKGNN1\0` in [`crate::serialize`]).
 pub const QUANT_MAGIC: &[u8; 8] = b"LMKGQT1\0";
 
+/// The most hidden layers a stored MLP may declare; an LMKG-S snapshot's
+/// config refuses more.
+pub const MAX_HIDDEN_LAYERS: usize = 64;
+
+/// The most stages [`Sequential::load_quantized`] accepts: a dense layer, a
+/// ReLU and a dropout per hidden layer, plus the output layer and its
+/// sigmoid. Each 1-byte tag becomes a whole [`Stage`], so the bytes left
+/// cannot bound the stage count; this does.
+pub const MAX_STAGES: usize = 3 * MAX_HIDDEN_LAYERS + 2;
+
 /// A sequential stack of layers. Every stage is plain data, so whole models
 /// can be shared behind `Arc` by concurrent inference threads.
 #[derive(Default)]
@@ -615,12 +625,18 @@ impl Sequential {
         Ok(())
     }
 
-    /// Restores a model serialized by [`Sequential::save_quantized`]. Dense
-    /// layers that do not chain (a fan-in other than the previous dense
-    /// layer's fan-out) are `InvalidData`.
+    /// Restores a model serialized by [`Sequential::save_quantized`]. More
+    /// than [`MAX_STAGES`] stages, and dense layers that do not chain (a
+    /// fan-in other than the previous dense layer's fan-out), are
+    /// `InvalidData`.
     pub fn load_quantized(r: &mut &[u8]) -> io::Result<Self> {
         let mode = read_header(r, QUANT_MAGIC, "quantized-model")?;
         let count = bytes::u32(r)?;
+        if count as usize > MAX_STAGES {
+            return Err(bytes::invalid(format!(
+                "{count} stages, over the {MAX_STAGES} a stored network may have"
+            )));
+        }
         let mut model = Sequential::new();
         let mut width: Option<usize> = None;
         for i in 0..count {
@@ -858,6 +874,23 @@ mod tests {
             }
         }
         assert_eq!(Sequential::new().io_widths(), None);
+    }
+
+    #[test]
+    fn load_quantized_refuses_more_stages_than_a_stored_network_has() {
+        for (stages, loads) in [(MAX_STAGES, true), (MAX_STAGES + 1, false)] {
+            let mut bytes = QUANT_MAGIC.to_vec();
+            bytes.push(0); // int8
+            bytes.extend((stages as u32).to_le_bytes());
+            bytes.resize(bytes.len() + stages, 1); // ReLU tags
+            match Sequential::load_quantized(&mut bytes.as_slice()) {
+                Ok(loaded) => assert!(loads && loaded.layers.len() == stages),
+                Err(e) => {
+                    assert!(!loads, "{stages} stages must load: {e}");
+                    assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
+                }
+            }
+        }
     }
 
     /// Numerical gradient check for a small Dense+ReLU+Dense stack under a

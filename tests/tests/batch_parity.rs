@@ -1,7 +1,9 @@
 //! Cross-crate parity suite for the batched estimation path: for every
 //! estimator with a batched override — and for representative baselines on
 //! the default loop — `estimate_batch` must return **bitwise-identical**
-//! results to looping `estimate` over the same slice.
+//! results to looping `estimate` over the same slice. For the learned
+//! models `estimate` is a batch of one, so this checks that a query's
+//! estimate does not depend on what shares its batch.
 
 use lmkg::framework::{Grouping, Lmkg, LmkgConfig, ModelType};
 use lmkg::supervised::{LmkgS, LmkgSConfig, QueryEncoder};

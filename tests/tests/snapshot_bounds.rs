@@ -5,7 +5,8 @@
 //! every truncation of the `s` sets, loads as `Ok` or a typed error: never
 //! an abort, never a panic. A counting global allocator records the largest
 //! single allocation request, which must stay within [`LIMIT`] × the
-//! fixture's length.
+//! fixture's length. A network of a million one-byte stage tags is refused
+//! within the same bound.
 //!
 //! Sizes read from a file must be checked the same way in debug builds,
 //! where overflowing arithmetic panics, and in release builds, where it
@@ -104,25 +105,33 @@ fn summary_end(bytes: &[u8]) -> usize {
     36 + 24 * num_preds
 }
 
+fn fixture(name: &str) -> Vec<u8> {
+    std::fs::read(golden_fixture_path(name, "bin")).expect("committed golden set")
+}
+
 /// Runs `loads` over one fixture, then asserts and prints the largest
 /// single allocation request it made.
 fn gate(name: &str, loads: impl FnOnce(&[u8])) {
-    let bytes = std::fs::read(golden_fixture_path(name, "bin")).expect("committed golden set");
+    let bytes = fixture(name);
     load(&bytes, || format!("{name}: unpatched")).unwrap_or_else(|e| panic!("{name} loads: {e}"));
+    measure(name, bytes.len(), || loads(&bytes));
+}
+
+/// Runs `loads`, then asserts and prints the largest single allocation
+/// request it made against the `len` bytes of the file it reads.
+fn measure(name: &str, len: usize, loads: impl FnOnce()) {
     LARGEST.store(0, Ordering::Relaxed);
     let started = std::time::Instant::now();
-    loads(&bytes);
+    loads();
     let largest = LARGEST.load(Ordering::Relaxed);
     println!(
-        "{name}: {} bytes, largest request {largest} bytes ({:.2}× the file), {:.1} s",
-        bytes.len(),
-        largest as f64 / bytes.len() as f64,
+        "{name}: {len} bytes, largest request {largest} bytes ({:.2}× the file), {:.1} s",
+        largest as f64 / len as f64,
         started.elapsed().as_secs_f64()
     );
     assert!(
-        largest <= LIMIT * bytes.len(),
-        "{name}: a load asked for {largest} bytes at once, over {LIMIT}× its {} bytes",
-        bytes.len()
+        largest <= LIMIT * len,
+        "{name}: a load asked for {largest} bytes at once, over {LIMIT}× its {len} bytes"
     );
 }
 
@@ -157,4 +166,19 @@ fn patched_and_truncated_snapshots_load_within_their_length() {
             load_patched(name, bytes, counts..model + 8 + 64);
         });
     }
+    // Every stage tag is one byte but becomes a whole in-memory stage, so
+    // the bytes left cannot bound the stage count: the `s_int8` set's
+    // network replaced by a million ReLU tags must be refused, not built.
+    let bytes = fixture("s_int8");
+    let network = bytes
+        .windows(8)
+        .position(|w| w == b"LMKGQT1\0")
+        .expect("the entry's nested network");
+    let mut crafted = bytes[..network + 9].to_vec(); // magic and mode tag
+    crafted.extend(1_000_000u32.to_le_bytes());
+    crafted.resize(crafted.len() + 1_000_000, 1);
+    measure("s_int8 with 1,000,000 ReLU tags", crafted.len(), || {
+        let loaded = load(&crafted, || "s_int8 with 1,000,000 ReLU tags".into());
+        assert!(loaded.is_err(), "a million-stage network loaded");
+    });
 }
