@@ -174,9 +174,9 @@ impl GraphSummary {
     /// Independence-assumption estimate of a whole query: the product of
     /// per-pattern estimates under the join-uniformity correction over every
     /// variable occurrence (each occurrence beyond a variable's first divides
-    /// by its domain size, `num_nodes` or `num_preds`). This is the fallback estimator when no
-    /// learned model applies (and mirrors what the early systems in §II did
-    /// — hence its known underestimation bias).
+    /// by its domain size, `num_nodes` or `num_preds`). This is the fallback
+    /// estimator when no learned model applies (and mirrors what the early
+    /// systems in §II did — hence its known underestimation bias).
     pub fn estimate_query_independent(&self, query: &Query) -> f64 {
         let mut est = 1.0f64;
         for t in &query.triples {
@@ -309,8 +309,7 @@ mod tests {
     /// where neither estimate sits on the floor of 1: a self-loop `?x ?p ?x`
     /// (one node variable twice; a bound predicate's self-loop would floor)
     /// and `?x ?p ?y . ?y ?p ?z` (a node and a predicate variable each
-    /// twice).
-    /// Regenerate only for an intended numerics change.
+    /// twice). Regenerate only for an intended numerics change.
     #[test]
     fn independent_estimates_are_pinned() {
         let s = GraphSummary::build(crate::framework::tests::graph());
